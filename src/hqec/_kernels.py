@@ -1,36 +1,18 @@
-"""Hot kernels shared by the Pauli and sparse-state layers.
+"""The sort-and-sum kernel of the sparse-state layer, in plain numpy.
 
-Every kernel exists twice: a numba-compiled loop and a pure-numpy
-implementation.  The compiled path is used whenever numba is importable;
-set HQEC_NO_NUMBA=1 to force the numpy path.  benchmarks/bench_kernels.py
-times both.
+``coalesce64`` turns an unsorted list of (basis key, amplitude) terms into
+the sorted, duplicate-free, pruned form that ``SparseState`` stores.  The
+term arrays stay small (tens to a few hundred entries), so one vectorised
+numpy pass is the whole cost; bit counts elsewhere use ``int.bit_count``
+or ``np.bitwise_count`` inline.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - CI always has numba; flag covers this path
-    _HAVE_NUMBA = False
-
-USE_NUMBA = _HAVE_NUMBA and os.environ.get("HQEC_NO_NUMBA", "") != "1"
-
-
-def popcount64_np(a: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(a).astype(np.int64)
-
-
-def and_popcount64_np(a: np.ndarray, mask: np.uint64) -> np.ndarray:
-    return np.bitwise_count(a & mask).astype(np.int64)
-
-
-def coalesce64_np(keys: np.ndarray, amps: np.ndarray, tol: float):
+def coalesce64(keys: np.ndarray, amps: np.ndarray, tol: float):
     """Sort by key, sum duplicate keys, drop terms with |amp| <= tol."""
     if keys.size == 0:
         return keys.astype(np.uint64), amps.astype(np.complex128)
@@ -41,69 +23,3 @@ def coalesce64_np(keys: np.ndarray, amps: np.ndarray, tol: float):
     sums = np.add.reduceat(a, starts)
     keep = np.abs(sums) > tol
     return k[starts][keep], sums[keep]
-
-
-if _HAVE_NUMBA:
-    _M1 = np.uint64(0x5555555555555555)
-    _M2 = np.uint64(0x3333333333333333)
-    _M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    _H01 = np.uint64(0x0101010101010101)
-
-    @njit(cache=True)
-    def popcount64_nb(a):  # pragma: no cover - compiled
-        out = np.empty(a.size, np.int64)
-        for i in range(a.size):
-            x = a[i]
-            x = x - ((x >> np.uint64(1)) & _M1)
-            x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-            x = (x + (x >> np.uint64(4))) & _M4
-            out[i] = (x * _H01) >> np.uint64(56)
-        return out
-
-    @njit(cache=True)
-    def and_popcount64_nb(a, mask):  # pragma: no cover - compiled
-        out = np.empty(a.size, np.int64)
-        for i in range(a.size):
-            x = a[i] & mask
-            x = x - ((x >> np.uint64(1)) & _M1)
-            x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-            x = (x + (x >> np.uint64(4))) & _M4
-            out[i] = (x * _H01) >> np.uint64(56)
-        return out
-
-    @njit(cache=True)
-    def coalesce64_nb(keys, amps, tol):  # pragma: no cover - compiled
-        m = keys.size
-        if m == 0:
-            return keys.copy(), amps.copy()
-        order = np.argsort(keys)
-        out_k = np.empty(m, np.uint64)
-        out_a = np.empty(m, np.complex128)
-        j = 0
-        out_k[0] = keys[order[0]]
-        out_a[0] = amps[order[0]]
-        for idx in range(1, m):
-            i = order[idx]
-            if keys[i] == out_k[j]:
-                out_a[j] += amps[i]
-            else:
-                j += 1
-                out_k[j] = keys[i]
-                out_a[j] = amps[i]
-        n_out = 0
-        for i in range(j + 1):
-            if abs(out_a[i]) > tol:
-                out_k[n_out] = out_k[i]
-                out_a[n_out] = out_a[i]
-                n_out += 1
-        return out_k[:n_out].copy(), out_a[:n_out].copy()
-
-
-if USE_NUMBA:
-    popcount64 = popcount64_nb
-    and_popcount64 = and_popcount64_nb
-    coalesce64 = coalesce64_nb
-else:
-    popcount64 = popcount64_np
-    and_popcount64 = and_popcount64_np
-    coalesce64 = coalesce64_np

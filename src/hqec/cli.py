@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -44,6 +45,14 @@ def _load_code(name_or_path: str) -> codes_mod.StabilizerCode:
         raise InputError(f"{name_or_path}: {exc}") from exc
 
 
+def _load_valid_code(name_or_path: str) -> codes_mod.StabilizerCode:
+    code = _load_code(name_or_path)
+    val = codes_mod.validate_code(code)
+    if not val.ok:
+        raise InputError(f"{name_or_path} is not a valid stabilizer code: {val.violations[0]}")
+    return code
+
+
 def _load_classical(path: str) -> gf2.ClassicalCode:
     try:
         return gf2.code_from_rows(gf2.BitMatrix.from_text(_load_text(path)))
@@ -66,19 +75,30 @@ def _parse_amps(text: str) -> tuple[complex, complex]:
         vals = [float(p) for p in parts]
     except ValueError as exc:
         raise InputError(f"--amps must be numeric, got {text!r}") from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise InputError(f"--amps must be finite, got {text!r}")
     c0, c1 = complex(vals[0], vals[1]), complex(vals[2], vals[3])
     if abs(c0) + abs(c1) == 0:
         raise InputError("--amps must not be all zero")
     return c0, c1
 
 
-def _parse_forced(text: str | None, pair_size: int = 2):
+def _parse_forced(text: str | None, pairs: int):
+    """--force-outcomes as a list of `pairs` outcome pairs, or None when absent."""
     if text is None:
         return None
-    if any(ch not in "01" for ch in text) or len(text) % pair_size:
-        raise InputError(f"--force-outcomes must be bits in pairs, got {text!r}")
+    if any(ch not in "01" for ch in text) or len(text) != 2 * pairs:
+        raise InputError(
+            f"--force-outcomes must be {pairs} bit pair(s) ({2 * pairs} bits), got {text!r}"
+        )
     bits = [int(ch) for ch in text]
-    return [tuple(bits[i: i + pair_size]) for i in range(0, len(bits), pair_size)]
+    return [tuple(bits[i: i + 2]) for i in range(0, len(bits), 2)]
+
+
+def _rng(seed: int) -> SplitMix64:
+    if not 0 <= seed < 1 << 64:
+        raise InputError(f"--seed must be in 0..2^64-1, got {seed}")
+    return SplitMix64(seed)
 
 
 def _emit(args, doc: dict, human_lines) -> None:
@@ -117,10 +137,7 @@ def _cmd_codes_validate(args) -> int:
 
 
 def _cmd_check_theorem1(args) -> int:
-    code = _load_code(args.code)
-    val = codes_mod.validate_code(code)
-    if not val.ok:
-        raise InputError(f"{args.code} is not a valid stabilizer code: {val.violations[0]}")
+    code = _load_valid_code(args.code)
     rep = compat_mod.stabilizer_mask_check(code)
     lines = [f"code {code.name}: {'compatible' if rep.verdict else 'INCOMPATIBLE'}"]
     for g in rep.generator_checks:
@@ -174,7 +191,7 @@ def _cmd_check_triortho(args) -> int:
 
 
 def _cmd_check_diagonal(args) -> int:
-    code = _load_code(args.code)
+    code = _load_valid_code(args.code)
     cs = codes_mod.logical_codewords(code)
     phase = {"T": protocol.OMEGA, "Td": protocol.OMEGA.conjugate(), "Sd": -1j}[args.gate]
     rep = compat_mod.diagonal_gate_action(cs, phase, label=f"{args.gate}^x{code.n}")
@@ -202,8 +219,9 @@ def _cmd_check_diagonal(args) -> int:
 
 
 def _cmd_run_a1(args) -> int:
-    rng = SplitMix64(args.seed)
-    forced = _parse_forced(args.force_outcomes)
+    rng = _rng(args.seed)
+    t_gates = sum(1 for g in protocol.DEMO_CIRCUIT if not g.is_clifford)
+    forced = _parse_forced(args.force_outcomes, t_gates)
     rep, dec, _ = protocol.run_demo_circuit(rng, forced_outcomes=forced)
     _dump_state(args, dec)
     lines = [f"demo circuit {protocol.format_circuit(protocol.DEMO_CIRCUIT)}",
@@ -215,7 +233,7 @@ def _cmd_run_a1(args) -> int:
 
 
 def _cmd_run_storage(args) -> int:
-    rng = SplitMix64(args.seed)
+    rng = _rng(args.seed)
     keys = _parse_keys(args.keys)
     error = None
     if args.error.lower() != "none":
@@ -233,10 +251,10 @@ def _cmd_run_storage(args) -> int:
 
 
 def _cmd_run_transversal_t(args) -> int:
-    rng = SplitMix64(args.seed)
+    rng = _rng(args.seed)
     keys = _parse_keys(args.keys)
     amps = _parse_amps(args.amps)
-    forced = _parse_forced(args.force_outcomes)
+    forced = _parse_forced(args.force_outcomes, 15)  # one pair per rm15 qubit
     rep = protocol.run_transversal_t_protocol(amps, keys, rng, forced)
     lines = [f"transversal T on rm15, keys {rep.keys}",
              f"teleportation outcomes: {[list(o) for o in rep.outcomes]}",
@@ -248,10 +266,10 @@ def _cmd_run_transversal_t(args) -> int:
 
 
 def _cmd_run_logical_t(args) -> int:
-    rng = SplitMix64(args.seed)
+    rng = _rng(args.seed)
     keys = _parse_keys(args.keys)
     amps = _parse_amps(args.amps)
-    forced = _parse_forced(args.force_outcomes)
+    forced = _parse_forced(args.force_outcomes, 1)
     rep = protocol.run_logical_t_protocol(amps, keys, rng, forced[0] if forced else None)
     lines = [f"logical T on shor, keys {rep.keys}",
              f"logical Bell outcome: {list(rep.outcome)}",

@@ -66,13 +66,7 @@ class CodeSpace:
 
 
 def _sympl_vec(p: PauliOperator, n: int) -> int:
-    x = 0
-    z = 0
-    for i, w in enumerate(p.x.tolist()):
-        x |= w << (64 * i)
-    for i, w in enumerate(p.z.tolist()):
-        z |= w << (64 * i)
-    return x | (z << n)
+    return p.x | (p.z << n)
 
 
 def _reduce_tracked(vec: int, pauli: PauliOperator, basis: list):
@@ -175,10 +169,10 @@ def css_from_classical(c1: ClassicalCode, c2: ClassicalCode, name: str | None = 
     k = c1.dimension - c2.dimension
 
     def x_op(word: int) -> PauliOperator:
-        return PauliOperator.from_bits([(word >> q) & 1 for q in range(n)], [0] * n)
+        return PauliOperator(n, word, 0, 0)
 
     def z_op(word: int) -> PauliOperator:
-        return PauliOperator.from_bits([0] * n, [(word >> q) & 1 for q in range(n)])
+        return PauliOperator(n, 0, word, 0)
 
     gens = [x_op(w) for w in c2.basis] + [z_op(w) for w in gf2.dual(c1).basis]
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from ._kernels import popcount64
 from .codes import CodeSpace, StabilizerCode, SubcodeError
 from .gf2 import ClassicalCode
 from .pauli import transversal_pauli
@@ -143,7 +142,7 @@ def apply_diagonal(state: SparseState, phase_per_one: complex, per_qubit=None) -
     """Multiply each basis amplitude by phase^(number of 1 bits), or by the
     product of per-qubit phases over set bits."""
     if per_qubit is None:
-        counts = popcount64(state.keys)
+        counts = np.bitwise_count(state.keys)
         amps = state.amps * np.asarray(phase_per_one, complex) ** counts
         return SparseState(state.n, state.keys, amps, True)
     if len(per_qubit) != state.n:

@@ -1,8 +1,8 @@
-"""n-qubit Pauli operators in bit-packed symplectic form.
+"""n-qubit Pauli operators as Python-int symplectic bitsets.
 
 An operator is ``i**phase * X(x) * Z(z)``.  The x and z flag vectors are
-packed into little-endian uint64 words (qubit q lives at bit (q-1) % 64 of
-word (q-1) // 64) and the phase is an exponent of i kept modulo 4.  Y is
+Python ints with qubit q at bit q-1, the layout that GF(2) rows and sparse
+state keys use too, and the phase is an exponent of i kept modulo 4.  Y is
 i*X*Z, so parsing "Y" yields x=1, z=1, phase=1.
 
 Values are immutable and every operation is a pure function.  User-facing
@@ -14,60 +14,43 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._kernels import popcount64
-
 MAX_QUBITS = 1024
 
 _PREFIX_PHASE = {"": 0, "+": 0, "i": 1, "-": 2, "-i": 3}
 _PHASE_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
 _PHASE_VALUE = {0: 1, 1: 1j, 2: -1, 3: -1j}
+# letters of four consecutive qubits, indexed by (x nibble) | (z nibble) << 4
+_NIBBLE_LETTERS = tuple(
+    "".join("IXZY"[((xn >> q) & 1) | ((zn >> q) & 1) << 1] for q in range(4))
+    for zn in range(16)
+    for xn in range(16)
+)
 
 
 class PauliParseError(ValueError):
     """Malformed Pauli string."""
 
 
-def _num_words(n: int) -> int:
-    return (n + 63) // 64
-
-
-def _lock(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.uint64)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class PauliOperator:
     n: int
-    x: np.ndarray
-    z: np.ndarray
+    x: int
+    z: int
     phase: int
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_QUBITS:
             raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {self.n}")
-        w = _num_words(self.n)
-        x = np.asarray(self.x, dtype=np.uint64).reshape(w)
-        z = np.asarray(self.z, dtype=np.uint64).reshape(w)
-        if self.n % 64:
-            tail = np.uint64((1 << (self.n % 64)) - 1)
-            x = x.copy()
-            z = z.copy()
-            x[-1] &= tail
-            z[-1] &= tail
-        object.__setattr__(self, "x", _lock(x))
-        object.__setattr__(self, "z", _lock(z))
+        mask = (1 << self.n) - 1
+        object.__setattr__(self, "x", int(self.x) & mask)
+        object.__setattr__(self, "z", int(self.z) & mask)
         object.__setattr__(self, "phase", int(self.phase) % 4)
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def identity(cls, n: int) -> "PauliOperator":
-        w = _num_words(n)
-        return cls(n, np.zeros(w, np.uint64), np.zeros(w, np.uint64), 0)
+        return cls(n, 0, 0, 0)
 
     @classmethod
     def from_bits(cls, x_bits, z_bits, phase: int = 0) -> "PauliOperator":
@@ -75,50 +58,35 @@ class PauliOperator:
         z_bits = list(z_bits)
         if len(x_bits) != len(z_bits):
             raise ValueError("x and z bit vectors must have equal length")
-        n = len(x_bits)
-        w = _num_words(n)
-        x = np.zeros(w, np.uint64)
-        z = np.zeros(w, np.uint64)
-        for q in range(n):
-            if x_bits[q]:
-                x[q // 64] |= np.uint64(1 << (q % 64))
-            if z_bits[q]:
-                z[q // 64] |= np.uint64(1 << (q % 64))
-        return cls(n, x, z, phase)
+        x = sum(1 << q for q, b in enumerate(x_bits) if b)
+        z = sum(1 << q for q, b in enumerate(z_bits) if b)
+        return cls(len(x_bits), x, z, phase)
 
     @classmethod
     def single(cls, n: int, qubit: int, kind: str) -> "PauliOperator":
         """X, Y or Z acting on one qubit (1-based) of an n-qubit register."""
         if not 1 <= qubit <= n:
             raise ValueError(f"qubit {qubit} out of range 1..{n}")
-        x_bits = [0] * n
-        z_bits = [0] * n
-        phase = 0
-        if kind in ("X", "Y"):
-            x_bits[qubit - 1] = 1
-        if kind in ("Z", "Y"):
-            z_bits[qubit - 1] = 1
-        if kind == "Y":
-            phase = 1
         if kind not in ("X", "Y", "Z"):
             raise ValueError(f"unknown Pauli kind {kind!r}")
-        return cls.from_bits(x_bits, z_bits, phase)
+        bit = 1 << (qubit - 1)
+        x = bit if kind in ("X", "Y") else 0
+        z = bit if kind in ("Z", "Y") else 0
+        return cls(n, x, z, 1 if kind == "Y" else 0)
 
     # -- bit access ---------------------------------------------------
 
     def x_bit(self, qubit: int) -> int:
-        q = qubit - 1
-        return int((self.x[q // 64] >> np.uint64(q % 64)) & np.uint64(1))
+        return (self.x >> (qubit - 1)) & 1
 
     def z_bit(self, qubit: int) -> int:
-        q = qubit - 1
-        return int((self.z[q // 64] >> np.uint64(q % 64)) & np.uint64(1))
+        return (self.z >> (qubit - 1)) & 1
 
     def x_bits(self) -> list[int]:
-        return [self.x_bit(q) for q in range(1, self.n + 1)]
+        return [(self.x >> q) & 1 for q in range(self.n)]
 
     def z_bits(self) -> list[int]:
-        return [self.z_bit(q) for q in range(1, self.n + 1)]
+        return [(self.z >> q) & 1 for q in range(self.n)]
 
     # -- algebra ------------------------------------------------------
 
@@ -127,46 +95,36 @@ class PauliOperator:
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
         # moving Z(z1) past X(x2) costs (-1)^(z1.x2)
-        swap = int(popcount64(self.z & other.x).sum()) & 1
-        phase = (self.phase + other.phase + 2 * swap) % 4
+        swap = (self.z & other.x).bit_count() & 1
+        phase = self.phase + other.phase + 2 * swap
         return PauliOperator(self.n, self.x ^ other.x, self.z ^ other.z, phase)
 
     def adjoint(self) -> "PauliOperator":
-        swap = int(popcount64(self.x & self.z).sum()) & 1
-        return PauliOperator(self.n, self.x, self.z, (-self.phase + 2 * swap) % 4)
+        swap = (self.x & self.z).bit_count() & 1
+        return PauliOperator(self.n, self.x, self.z, -self.phase + 2 * swap)
 
     def commutes(self, other: "PauliOperator") -> bool:
         """True iff the symplectic inner product x1.z2 + z1.x2 is even."""
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        p = int(popcount64(self.x & other.z).sum()) + int(popcount64(self.z & other.x).sum())
-        return p % 2 == 0
+        return not ((self.x & other.z) ^ (self.z & other.x)).bit_count() & 1
 
     @property
     def weight(self) -> int:
         """Number of qubits acted on non-trivially."""
-        return int(popcount64(self.x | self.z).sum())
+        return (self.x | self.z).bit_count()
 
     def is_identity_bits(self) -> bool:
-        return not self.x.any() and not self.z.any()
+        return not (self.x or self.z)
 
     # -- text ---------------------------------------------------------
 
     def to_string(self) -> str:
-        letters = []
-        n_y = 0
-        for q in range(1, self.n + 1):
-            xb, zb = self.x_bit(q), self.z_bit(q)
-            if xb and zb:
-                letters.append("Y")
-                n_y += 1
-            elif xb:
-                letters.append("X")
-            elif zb:
-                letters.append("Z")
-            else:
-                letters.append("I")
-        return _PHASE_PREFIX[(self.phase - n_y) % 4] + "".join(letters)
+        x, z = self.x, self.z
+        letters = "".join([_NIBBLE_LETTERS[((x >> s) & 15) | ((z >> s) & 15) << 4]
+                           for s in range(0, self.n, 4)])
+        n_y = (x & z).bit_count()
+        return _PHASE_PREFIX[(self.phase - n_y) % 4] + letters[: self.n]
 
     def phase_value(self) -> complex:
         return _PHASE_VALUE[self.phase]
@@ -176,19 +134,6 @@ class PauliOperator:
 
     def __repr__(self) -> str:
         return f"PauliOperator({self.to_string()!r})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PauliOperator):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.phase == other.phase
-            and bool(np.array_equal(self.x, other.x))
-            and bool(np.array_equal(self.z, other.z))
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.phase, self.x.tobytes(), self.z.tobytes()))
 
 
 def parse_pauli(text: str) -> PauliOperator:
@@ -202,33 +147,20 @@ def parse_pauli(text: str) -> PauliOperator:
             break
     if not body:
         raise PauliParseError("empty Pauli string")
-    x_bits = []
-    z_bits = []
-    for pos, ch in enumerate(body, start=1):
-        if ch == "I":
-            x_bits.append(0)
-            z_bits.append(0)
-        elif ch == "X":
-            x_bits.append(1)
-            z_bits.append(0)
-        elif ch == "Z":
-            x_bits.append(0)
-            z_bits.append(1)
-        elif ch == "Y":
-            x_bits.append(1)
-            z_bits.append(1)
-            phase += 1
-        else:
-            raise PauliParseError(f"invalid character {ch!r} at position {pos}")
-    return PauliOperator.from_bits(x_bits, z_bits, phase)
+    x = z = 0
+    for q, ch in enumerate(body):
+        if ch in "XY":
+            x |= 1 << q
+        if ch in "ZY":
+            z |= 1 << q
+        if ch not in "IXYZ":
+            raise PauliParseError(f"invalid character {ch!r} at position {q + 1}")
+    return PauliOperator(len(body), x, z, phase + body.count("Y"))
 
 
 def transversal_pauli(kind: str, n: int) -> PauliOperator:
     """X or Z applied identically to every qubit of an n-qubit block."""
     if kind not in ("X", "Z"):
         raise ValueError(f"kind must be 'X' or 'Z', got {kind!r}")
-    ones = [1] * n
-    zeros = [0] * n
-    if kind == "X":
-        return PauliOperator.from_bits(ones, zeros, 0)
-    return PauliOperator.from_bits(zeros, ones, 0)
+    # -1 has every bit set; the constructor masks it to the n qubits
+    return PauliOperator(n, -1 if kind == "X" else 0, -1 if kind == "Z" else 0, 0)

@@ -501,6 +501,9 @@ def run_transversal_t_protocol(amplitudes, key, rng, forced_outcomes=None) -> Tr
     unmask.  Pairs are processed one at a time so the 45-qubit joint register
     is never materialized."""
     code = builtin_code("rm15")
+    forced = list(forced_outcomes) if forced_outcomes is not None else None
+    if forced is not None and len(forced) != code.n:
+        raise ValueError(f"transversal T needs {code.n} forced outcome pairs, got {len(forced)}")
     cs = logical_codewords(code)
     corr = clifford_correction_for_t(cs)
     if corr is None:
@@ -519,7 +522,6 @@ def run_transversal_t_protocol(amplitudes, key, rng, forced_outcomes=None) -> Tr
         state = apply_single(state, gate("T"), q)
 
     outcomes = []
-    forced = list(forced_outcomes) if forced_outcomes is not None else None
     for q in range(1, code.n + 1):
         state = tensor(state, bell_pair())
         s_pos, c_pos = code.n + 1, code.n + 2

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import and_popcount64, coalesce64
+from ._kernels import coalesce64
 from .pauli import PauliOperator
 
 MAX_STATE_QUBITS = 64
@@ -220,9 +220,9 @@ def apply_cnot(state: SparseState, control: int, target: int) -> SparseState:
 def apply_pauli(state: SparseState, p: PauliOperator) -> SparseState:
     if p.n != state.n:
         raise ValueError(f"dimension mismatch: operator on {p.n}, state on {state.n}")
-    zmask = np.uint64(int(p.z[0])) if p.n else np.uint64(0)
-    xmask = np.uint64(int(p.x[0])) if p.n else np.uint64(0)
-    signs = 1.0 - 2.0 * (and_popcount64(state.keys, zmask) & 1)
+    zmask = np.uint64(p.z)
+    xmask = np.uint64(p.x)
+    signs = 1.0 - 2.0 * (np.bitwise_count(state.keys & zmask) & 1)
     amps = state.amps * signs * p.phase_value()
     if xmask:
         return state._resorted(state.keys ^ xmask, amps)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -48,6 +49,61 @@ class TestExitCodes:
     def test_bad_keys(self, capsys):
         code, _, err = run_cli(capsys, "run", "storage", "--code", "shor", "--keys", "2,0")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, pairs",
+        [
+            (("run", "a1"), 2),
+            (("run", "transversal-t", "--keys", "1,1", "--amps", "0.6,0,0,0.8"), 15),
+            (("run", "logical-t", "--keys", "1,1", "--amps", "0.6,0,0,0.8"), 1),
+        ],
+    )
+    def test_forced_outcome_count(self, capsys, argv, pairs):
+        too_few, too_many = "00" * (pairs - 1), "00" * (pairs + 1)
+        for bits in filter(None, (too_few, too_many)):
+            code, out, err = run_cli(capsys, *argv, "--force-outcomes", bits)
+            assert code == 2 and out == ""
+            assert err.count("error:") == 1 and f"{pairs} bit pair" in err
+        code, _, _ = run_cli(capsys, *argv, "--force-outcomes", "00" * pairs)
+        assert code == 0
+
+    def test_transversal_t_one_forced_pair(self, capsys):
+        code, out, err = run_cli(capsys, "run", "transversal-t", "--keys", "1,1",
+                                 "--amps", "0.6,0,0,0.8", "--force-outcomes", "00")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("amps", ["nan,0,0,0.8", "0.6,inf,0,0.8", "0.6,0,-inf,0.8"])
+    @pytest.mark.parametrize("verb", ["transversal-t", "logical-t"])
+    def test_non_finite_amps(self, capsys, verb, amps):
+        code, out, err = run_cli(capsys, "run", verb, "--keys", "1,1", "--amps", amps)
+        assert code == 2 and out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_seed_out_of_u64_range(self, capsys, seed):
+        code, out, err = run_cli(capsys, "run", "a1", "--seed", seed)
+        assert code == 2 and out == ""
+        assert "--seed" in err
+
+    def test_largest_u64_seed(self, capsys):
+        code, _, _ = run_cli(capsys, "run", "a1", "--seed", str((1 << 64) - 1))
+        assert code == 0
+
+    def test_check_diagonal_validates_code_first(self, capsys, tmp_path):
+        # ZZ chain with the first link negated: logical Z = Z^14 is a product
+        # of generators, so the code is invalid; without validation the
+        # codeword search scans every one of the 2^14 basis seeds first
+        n = 14
+        chain = ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 1)]
+        f = tmp_path / "signed_chain.code"
+        f.write_text("\n".join([f"{n} 1", "-" + chain[0], *chain[1:], "X" * n, "Z" * n]) + "\n")
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "check", "diagonal", "--code", str(f), "--gate", "T")
+        elapsed = time.perf_counter() - t0
+        assert code == 2 and out == ""
+        assert "logical Z[1] lies in the stabilizer group" in err
+        assert elapsed < 1.0
 
 
 class TestVerbs:

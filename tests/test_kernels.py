@@ -1,61 +1,29 @@
 import numpy as np
-import pytest
 
-from hqec import _kernels as K
-
-
-@pytest.fixture(params=["numpy", "numba"] if K._HAVE_NUMBA else ["numpy"])
-def impl(request):
-    if request.param == "numpy":
-        return K.popcount64_np, K.and_popcount64_np, K.coalesce64_np
-    return K.popcount64_nb, K.and_popcount64_nb, K.coalesce64_nb
+from hqec._kernels import coalesce64
 
 
-def test_popcount_matches_int_bit_count(impl):
-    popcount, _, _ = impl
-    rng = np.random.default_rng(0)
-    arr = rng.integers(0, 2**63, 500).astype(np.uint64)
-    arr[0] = 0
-    arr[1] = np.uint64(2**64 - 1)
-    got = popcount(arr)
-    want = [int(x).bit_count() for x in arr.tolist()]
-    assert got.tolist() == want
-
-
-def test_and_popcount(impl):
-    _, and_popcount, _ = impl
-    rng = np.random.default_rng(1)
-    arr = rng.integers(0, 2**63, 300).astype(np.uint64)
-    mask = np.uint64(0x0F0F0F0F12345678)
-    got = and_popcount(arr, mask)
-    want = [(int(x) & int(mask)).bit_count() for x in arr.tolist()]
-    assert got.tolist() == want
-
-
-def test_coalesce_sums_duplicates_and_prunes(impl):
-    _, _, coalesce = impl
+def test_coalesce_sums_duplicates_and_prunes():
     keys = np.array([5, 3, 5, 3, 9, 9], dtype=np.uint64)
     amps = np.array([1.0, 2.0, -1.0, 1.0j, 0.5, -0.5], dtype=np.complex128)
-    k, a = coalesce(keys, amps, 1e-12)
+    k, a = coalesce64(keys, amps, 1e-12)
     # key 5 cancels, key 9 cancels, key 3 keeps 2+1j
     assert k.tolist() == [3]
     assert a.tolist() == [2.0 + 1.0j]
 
 
-def test_coalesce_empty(impl):
-    _, _, coalesce = impl
-    k, a = coalesce(np.array([], np.uint64), np.array([], np.complex128), 1e-12)
+def test_coalesce_empty():
+    k, a = coalesce64(np.array([], np.uint64), np.array([], np.complex128), 1e-12)
     assert k.size == 0 and a.size == 0
 
 
-def test_coalesce_reference_random(impl):
-    _, _, coalesce = impl
+def test_coalesce_reference_random():
     rng = np.random.default_rng(2)
     for _ in range(50):
         m = int(rng.integers(1, 200))
         keys = rng.integers(0, 40, m).astype(np.uint64)
         amps = (rng.normal(size=m) + 1j * rng.normal(size=m)).astype(np.complex128)
-        k, a = coalesce(keys, amps, 1e-12)
+        k, a = coalesce64(keys, amps, 1e-12)
         ref = {}
         for key, amp in zip(keys.tolist(), amps.tolist()):
             ref[key] = ref.get(key, 0) + amp
@@ -64,17 +32,3 @@ def test_coalesce_reference_random(impl):
         assert k.tolist() == sorted(k.tolist())
         for key, amp in zip(k.tolist(), a.tolist()):
             assert abs(amp - ref[key]) < 1e-12
-
-
-def test_backends_agree():
-    if not K._HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(3)
-    arr = rng.integers(0, 2**63, 1000).astype(np.uint64)
-    assert np.array_equal(K.popcount64_np(arr), K.popcount64_nb(arr))
-    keys = rng.integers(0, 100, 1000).astype(np.uint64)
-    amps = (rng.normal(size=1000) + 1j * rng.normal(size=1000)).astype(np.complex128)
-    k1, a1 = K.coalesce64_np(keys, amps, 1e-12)
-    k2, a2 = K.coalesce64_nb(keys, amps, 1e-12)
-    assert np.array_equal(k1, k2)
-    assert np.abs(a1 - a2).max() < 1e-12

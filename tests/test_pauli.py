@@ -178,3 +178,87 @@ class TestWeightAndTransversal:
     def test_qubit_cap(self):
         with pytest.raises(ValueError):
             PauliOperator.identity(1025)
+
+
+# -- letter-by-letter reference for the int layout ------------------------------
+#
+# A Pauli string is a phase prefix times a tensor product of the Hermitian
+# letters I, X, Y, Z.  The reference works on that text form only, one qubit
+# at a time, so it shares nothing with the bitset arithmetic under test.
+
+_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
+# single-qubit products: (a, b) -> (exponent of i, letter) with a*b = i^k * letter
+_LETTER_PRODUCT = {
+    ("X", "Y"): (1, "Z"), ("Y", "Z"): (1, "X"), ("Z", "X"): (1, "Y"),
+    ("Y", "X"): (3, "Z"), ("Z", "Y"): (3, "X"), ("X", "Z"): (3, "Y"),
+}
+# sizes at and around the 64-bit word boundaries of the old word-array layout
+WORD_BOUNDARY_SIZES = (1, 63, 64, 65, 127, 128, 129, 130)
+
+
+def _ref_product(a: str, b: str) -> tuple[int, str]:
+    if a == "I":
+        return 0, b
+    if b == "I":
+        return 0, a
+    if a == b:
+        return 0, "I"
+    return _LETTER_PRODUCT[a, b]
+
+
+def _ref_multiply(pa: int, la: str, pb: int, lb: str) -> str:
+    phase = pa + pb
+    letters = []
+    for a, b in zip(la, lb):
+        k, r = _ref_product(a, b)
+        phase += k
+        letters.append(r)
+    return _PREFIX[phase % 4] + "".join(letters)
+
+
+def _ref_commutes(la: str, lb: str) -> bool:
+    clashes = sum(1 for a, b in zip(la, lb) if a != "I" and b != "I" and a != b)
+    return clashes % 2 == 0
+
+
+def _check_against_reference(pa: int, la: str, pb: int, lb: str) -> None:
+    ta, tb = _PREFIX[pa] + la, _PREFIX[pb] + lb
+    a, b = parse_pauli(ta), parse_pauli(tb)
+    assert a.to_string() == ta and b.to_string() == tb
+    assert parse_pauli(a.to_string()) == a
+    assert hash(parse_pauli(ta)) == hash(a)
+    assert a.n == len(la)
+    assert a.x_bits() == [int(ch in "XY") for ch in la]
+    assert a.z_bits() == [int(ch in "ZY") for ch in la]
+    assert a.weight == sum(1 for ch in la if ch != "I")
+    assert a.is_identity_bits() == (set(la) == {"I"})
+    assert a.adjoint().to_string() == _PREFIX[-pa % 4] + la
+    assert a.multiply(b).to_string() == _ref_multiply(pa, la, pb, lb)
+    assert b.multiply(a).to_string() == _ref_multiply(pb, lb, pa, la)
+    assert a.commutes(b) == b.commutes(a) == _ref_commutes(la, lb)
+
+
+@st.composite
+def _pauli_pair(draw):
+    n = draw(st.sampled_from(WORD_BOUNDARY_SIZES) | st.integers(1, 130))
+    letters = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    return draw(st.integers(0, 3)), draw(letters), draw(st.integers(0, 3)), draw(letters)
+
+
+class TestIntLayoutAgainstReference:
+    @given(_pauli_pair())
+    @settings(max_examples=200, deadline=None)
+    def test_random_strings(self, pair):
+        _check_against_reference(*pair)
+
+    @pytest.mark.parametrize("n", WORD_BOUNDARY_SIZES)
+    def test_word_boundary_sizes(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            la, lb = ("".join(rng.choice(list("IXYZ"), n)) for _ in range(2))
+            _check_against_reference(int(rng.integers(4)), la, int(rng.integers(4)), lb)
+        # operators that touch the top qubit only, where a word tail would sit
+        top = "I" * (n - 1)
+        for a in "XYZ":
+            for b in "XYZ":
+                _check_against_reference(0, top + a, 0, top + b)

@@ -476,6 +476,11 @@ class TestTransversalT:
                 rep = run_transversal_t_protocol((0.6, 0.8j), key, SplitMix64(seed))
                 assert rep.fidelity >= 1 - 1e-10
 
+    @pytest.mark.parametrize("pairs", [0, 1, 14, 16])
+    def test_wrong_forced_outcome_count(self, pairs):
+        with pytest.raises(ValueError, match="15 forced outcome pairs"):
+            run_transversal_t_protocol((0.6, 0.8), (1, 1), SplitMix64(0), [(0, 0)] * pairs)
+
     def test_final_state_matches_logical_t(self):
         cs = cached_code_space("rm15")
         c0, c1 = 0.28, 0.96j
