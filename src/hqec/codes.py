@@ -5,11 +5,17 @@ as sparse states either from the classical-coset structure (CSS-origin
 codes) or by projector iteration.  Builtin names cover the repetition
 codes, the nine-qubit code, the Steane code, the [[15,1,3]] punctured
 Reed-Muller code, and a deliberately mask-incompatible three-qubit code.
+
+Per-code data is memoized: ``builtin_code`` by name, and the codewords and
+the single-error syndrome table by the (frozen, hashable) code, in caches
+of at most ``CODE_CACHE_SIZE`` codes.  Everything cached is immutable, and
+a call that raises caches nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import gf2
 from .gf2 import ClassicalCode
@@ -17,6 +23,7 @@ from .pauli import PauliOperator, parse_pauli, transversal_pauli
 from .states import SparseState, apply_pauli, combine, inner
 
 EIGEN_TOL = 1e-10
+CODE_CACHE_SIZE = 32
 
 
 class CodeFileError(ValueError):
@@ -249,6 +256,7 @@ _RM15_ROWS = (
 BUILTIN_NAMES = ("bit_flip", "phase_flip", "shor", "steane", "rm15", "synthetic_incompatible")
 
 
+@lru_cache(maxsize=None)
 def builtin_code(name: str) -> StabilizerCode:
     if name == "bit_flip":
         return StabilizerCode(
@@ -291,6 +299,7 @@ def builtin_code(name: str) -> StabilizerCode:
     raise ValueError(f"unknown builtin code {name!r}")
 
 
+@lru_cache(maxsize=CODE_CACHE_SIZE)
 def logical_codewords(code: StabilizerCode) -> CodeSpace:
     """Orthonormal {|0>, |1>} logical basis as sparse states (k=1 only)."""
     if code.k != 1:
@@ -339,6 +348,13 @@ def decode_single_error(code: StabilizerCode, s) -> PauliOperator | None:
     Ties break by (qubit index, X < Y < Z); returns None for syndromes no
     single error produces.
     """
+    return _single_error_table(code).get(tuple(int(b) for b in s))
+
+
+@lru_cache(maxsize=CODE_CACHE_SIZE)
+def _single_error_table(code: StabilizerCode) -> dict[tuple[int, ...], PauliOperator]:
+    """Syndrome -> first weight-<=1 error in (qubit, X < Y < Z) order.
+    The table is shared between calls; callers only read it."""
     table: dict[tuple[int, ...], PauliOperator] = {}
     candidates = [PauliOperator.identity(code.n)]
     for q in range(1, code.n + 1):
@@ -346,7 +362,7 @@ def decode_single_error(code: StabilizerCode, s) -> PauliOperator | None:
             candidates.append(PauliOperator.single(code.n, q, kind))
     for err in candidates:
         table.setdefault(syndrome(code, err), err)
-    return table.get(tuple(int(b) for b in s))
+    return table
 
 
 def parse_code_text(text: str, name: str = "user") -> StabilizerCode:

@@ -11,11 +11,12 @@ exact logical T.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import gf2
-from .codes import CodeSpace, StabilizerCode, SubcodeError
+from .codes import CODE_CACHE_SIZE, CodeSpace, StabilizerCode, SubcodeError
 from .gf2 import ClassicalCode
 from .pauli import transversal_pauli
 from .states import SparseState, combine, inner, project_onto
@@ -204,10 +205,14 @@ class CliffordCorrection:
         }
 
 
+@lru_cache(maxsize=CODE_CACHE_SIZE)
 def clifford_correction_for_t(code_space: CodeSpace) -> CliffordCorrection | None:
     """Diagonal logical Clifford (S-power, Z-power, global phase) turning the
     transversal T action into the exact logical T; None when the transversal
-    gate leaks out of the code space or no diagonal correction exists."""
+    gate leaks out of the code space or no diagonal correction exists.
+
+    Memoized by code space (its states compare by identity, so the spaces
+    that logical_codewords caches hit); the result is frozen."""
     omega = np.exp(1j * np.pi / 4)
     action = diagonal_gate_action(code_space, omega, label="T-transversal")
     if action.logical_phases is None:

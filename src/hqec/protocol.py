@@ -14,8 +14,10 @@ Conventions shared by all runners:
   at that point; measurement outcomes fold in as a -> a^r_a and
   b -> b ^ (a ^ r_b) with the pre-update a.  The other reading of that
   update breaks the round trip (see the negative test in the suite).
-* Bell pairs are appended to the register lazily and measured pairs are
-  factored out immediately, which keeps the live register small.
+* The server pass (evaluate_circuit) appends one Bell pair per T/Td gate
+  and keeps every pair until the client replay (decrypt) measures them, so
+  the register grows by two qubits per T gate until decrypt.  Each measured
+  pair is factored out of the register as soon as decrypt measures it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .codes import (
 from .compat import clifford_correction_for_t, stabilizer_mask_check
 from .pauli import PauliOperator, parse_pauli
 from .states import (
-    SingleQubitGate,
+    IDENTITY,
     SparseState,
     apply_cnot,
     apply_pauli,
@@ -217,12 +219,25 @@ def t_byproduct(kind: str, key) -> TByproduct:
     return TByproduct("Sd" if kind == "T" else "S", a, (a, a ^ b))
 
 
-def _rotation_for(kind: str, a: int) -> tuple[SingleQubitGate, str]:
-    """Rotated-basis choice: S^a for T events, Sd^a for Td events."""
-    base = "S" if kind == "T" else "Sd"
-    if a == 0:
-        return SingleQubitGate("I", np.eye(2, dtype=complex)), f"{base}^0"
-    return gate(base), f"{base}^1"
+# rotated-basis choice for (gadget kind, key bit a): S^a for T, Sd^a for Td
+_ROTATIONS = {
+    ("T", 0): (IDENTITY, "S^0"),
+    ("T", 1): (gate("S"), "S^1"),
+    ("Td", 0): (IDENTITY, "Sd^0"),
+    ("Td", 1): (gate("Sd"), "Sd^1"),
+}
+
+
+def _measure_t_pair(state, pair, kind: str, key, rng, forced=None):
+    """Measure a T (Td) gadget's Bell pair in the rotated basis that the
+    qubit's current key (a, b) selects, and fold the outcome into the key:
+    a -> a ^ r_a and b -> b ^ (a ^ r_b), with the pre-update a in both.
+    Returns (outcome, new key, rotation label, collapsed state)."""
+    a, b = key
+    rotation, label = _ROTATIONS[kind, a]
+    outcome, state = rotated_bell_measure(state, pair, rotation, rng, forced)
+    r_a, r_b = outcome
+    return outcome, (a ^ r_a, b ^ (a ^ r_b)), label, state
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +304,6 @@ def decrypt(client_state, transcript, keys, rng, forced_outcomes=None):
         kind = ev["gate"]
         if kind in ("T", "Td"):
             j = ev["qubits"][0]
-            a, b = cur.pair(j)
-            rotation, rot_label = _rotation_for(kind, a)
             s_pos, c_pos = ev["pair_positions"]
             p1, p2 = alive.index(s_pos) + 1, alive.index(c_pos) + 1
             pick = None
@@ -299,19 +312,20 @@ def decrypt(client_state, transcript, keys, rng, forced_outcomes=None):
                     raise ProtocolError("not enough forced outcomes")
                 pick = forced[forced_idx]
                 forced_idx += 1
-            outcome, state = rotated_bell_measure(state, (p1, p2), rotation, rng, pick)
+            old = cur.pair(j)
+            outcome, new, rot_label, state = _measure_t_pair(
+                state, (p1, p2), kind, old, rng, pick
+            )
             alive.remove(s_pos)
             alive.remove(c_pos)
-            r_a, r_b = outcome
-            new = (a ^ r_a, b ^ (a ^ r_b))  # pre-update a in both slots
             transcript.record(
                 "measurement",
                 pair_index=ev["pair_index"],
                 rotation=rot_label,
-                outcome=[r_a, r_b],
+                outcome=list(outcome),
                 forced=pick is not None,
             )
-            transcript.record("key_update", qubit=j, old=[a, b], new=list(new))
+            transcript.record("key_update", qubit=j, old=list(old), new=list(new))
             cur = cur.with_pair(j, new)
         else:
             g = CircuitGate(kind, tuple(ev["qubits"]))
@@ -528,12 +542,10 @@ def run_transversal_t_protocol(amplitudes, key, rng, forced_outcomes=None) -> Tr
         state = swap_qubits(state, q, s_pos)
         max_qubits = max(max_qubits, state.n)
         max_terms = max(max_terms, state.num_terms)
-        aq, bq = keys.pair(q)
-        rotation, _ = _rotation_for("T", aq)
         pick = forced[q - 1] if forced is not None else None
-        (r_a, r_b), state = rotated_bell_measure(state, (s_pos, c_pos), rotation, rng, pick)
-        outcomes.append((r_a, r_b))
-        keys = keys.with_pair(q, (aq ^ r_a, bq ^ (aq ^ r_b)))
+        outcome, new, _, state = _measure_t_pair(state, (s_pos, c_pos), "T", keys.pair(q), rng, pick)
+        outcomes.append(outcome)
+        keys = keys.with_pair(q, new)
 
     # diagonal logical correction: S-power realized as transversal Sd, the
     # Z-power as transversal Z; both propagate the keys exactly
@@ -652,7 +664,9 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
     chi = t_bar(enc)  # data block, conceptually living on s_p after the swap
 
     sq2 = 1 / np.sqrt(2)
-    bell = combine([tensor(zero, zero), tensor(one, one)], [sq2, sq2])  # on (w_p, c_p)
+    # the logical product states |00>, |01>, |10>, |11> of two blocks
+    products = [tensor(zero, zero), tensor(zero, one), tensor(one, zero), tensor(one, one)]
+    bell = combine([products[0], products[3]], [sq2, sq2])  # on (w_p, c_p)
     register_qubits = chi.n + bell.n
     max_terms = chi.num_terms + bell.num_terms
 
@@ -660,7 +674,8 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
     xm = np.array([[0, 1], [1, 0]], dtype=complex)
     zm = np.array([[1, 0], [0, -1]], dtype=complex)
     sdag = np.array([[1, 0], [0, (-1j) ** a]], dtype=complex)
-    m0 = np.eye(2, dtype=complex) * sq2
+    i2 = np.eye(2, dtype=complex)
+    m0 = i2 * sq2
     chi_d = dict(chi.items())
     bell_d = dict(bell.items())
 
@@ -668,11 +683,8 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
     probs = {}
     for r_a in (0, 1):
         for r_b in (0, 1):
-            coeff = sdag @ np.linalg.matrix_power(zm, r_b) @ np.linalg.matrix_power(xm, r_a) @ m0
-            basis_state = combine(
-                [tensor(zero, zero), tensor(zero, one), tensor(one, zero), tensor(one, one)],
-                [coeff[0, 0], coeff[0, 1], coeff[1, 0], coeff[1, 1]],
-            )
+            coeff = sdag @ (zm if r_b else i2) @ (xm if r_a else i2) @ m0
+            basis_state = combine(products, [coeff[0, 0], coeff[0, 1], coeff[1, 0], coeff[1, 1]])
             beta: dict[int, complex] = {}
             for k, amp in basis_state.items():
                 x_part, z_part = _split_key(k, code.n)

@@ -8,6 +8,11 @@ values: every operation returns a new state.
 All the amplitudes appearing in the supported protocols (powers of 1/sqrt2
 times eighth roots of unity) are representable to ~1e-16, so comparisons
 use a 1e-10 tolerance and terms below 1e-12 are pruned.
+
+The named gates are built once at import, and so are the rotated Bell
+bases of the T gadgets: 4 outcomes times the rotations {I, S, Sd}, looked
+up by the rotation's matrix.  Any other rotation gets its basis computed
+on the call.
 """
 
 from __future__ import annotations
@@ -45,17 +50,25 @@ class SingleQubitGate:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex).reshape(2, 2)
-        if np.abs(m @ m.conj().T - np.eye(2)).max() > 1e-12:
+        # m m^dag summed by hand: the builtin gates are made at import, and
+        # a first BLAS call there would add ~0.4 MB to every process
+        m_mdag = (m[:, None, :] * m.conj()[None, :, :]).sum(axis=2)
+        if np.abs(m_mdag - np.eye(2)).max() > 1e-12:
             raise ValueError(f"gate {self.label!r} is not unitary")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
 
+_GATES = {label: SingleQubitGate(label, m) for label, m in _GATE_MATRICES.items()}
+IDENTITY = SingleQubitGate("I", np.eye(2, dtype=complex))
+
+
 def gate(label: str) -> SingleQubitGate:
-    """Named gate from {X, Z, H, S, Sd, T, Td}."""
-    if label not in _GATE_MATRICES:
-        raise ValueError(f"unknown gate {label!r}")
-    return SingleQubitGate(label, _GATE_MATRICES[label])
+    """Named gate from {X, Z, H, S, Sd, T, Td}; gates are immutable and shared."""
+    try:
+        return _GATES[label]
+    except KeyError:
+        raise ValueError(f"unknown gate {label!r}") from None
 
 
 def key_to_bitstring(key: int, n: int) -> str:
@@ -248,15 +261,18 @@ def tensor(a: SparseState, b: SparseState) -> SparseState:
         raise ValueError(f"tensor result on {n} qubits exceeds the {MAX_STATE_QUBITS}-qubit cap")
     if a.num_terms * b.num_terms > TERM_GUARD:
         raise ValueError("tensor result exceeds the term-count guard")
-    keys = (a.keys[:, None] | (b.keys[None, :] << np.uint64(a.n))).ravel()
-    amps = (a.amps[:, None] * b.amps[None, :]).ravel()
-    order = np.argsort(keys)
-    return SparseState(n, keys[order], amps[order], True)
+    # b's keys fill the high bits, so b-major order is already sorted
+    keys = ((b.keys[:, None] << np.uint64(a.n)) | a.keys[None, :]).ravel()
+    amps = (b.amps[:, None] * a.amps[None, :]).ravel()
+    return SparseState(n, keys, amps, True)
+
+
+_BELL_PAIR = SparseState(2, np.array([0b00, 0b11], np.uint64), np.array([_SQ2, _SQ2], complex), True)
 
 
 def bell_pair() -> SparseState:
-    """(|00> + |11>)/sqrt(2)."""
-    return SparseState.from_terms(2, {0b00: _SQ2, 0b11: _SQ2})
+    """(|00> + |11>)/sqrt(2); states are immutable, so one instance is shared."""
+    return _BELL_PAIR
 
 
 def project_onto(span, state: SparseState):
@@ -287,6 +303,29 @@ def _drop_bit(keys: np.ndarray, pos: int) -> np.ndarray:
 _OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+def _bell_basis_rows(rotation: np.ndarray) -> np.ndarray:
+    """Row i: the conjugated basis vector (U^dag Z^b X^a (x) I)|Phi> of
+    outcome (a, b) = _OUTCOMES[i], at index b1 + 2*b2 (b1 the bit of the
+    first measured qubit).  Entry b1 + 2*b2 is M[b1, b2]/sqrt2, and column j
+    of M = U^dag Z^b X^a is (-1)^(b*(j^a)) times column j^a of U^dag, which
+    is exact; adding 0.0 clears negative zeros, so the rows equal the dense
+    product bit for bit."""
+    u_dag = rotation.conj().T
+    rows = np.empty((4, 4), dtype=complex)
+    for i, (a, b) in enumerate(_OUTCOMES):
+        cols = np.array([a, 1 - a])
+        m = u_dag[:, cols] * (1 - 2 * b * cols)
+        rows[i] = np.conj(m.T.reshape(4) * _SQ2 + 0.0)
+    rows.flags.writeable = False
+    return rows
+
+
+# the rotations the T gadgets use (I, S and Sd), keyed by their matrix bytes
+_BELL_ROWS = {
+    g.matrix.tobytes(): _bell_basis_rows(g.matrix) for g in (IDENTITY, _GATES["S"], _GATES["Sd"])
+}
+
+
 def rotated_bell_measure(state, pair, rotation: SingleQubitGate, rng, forced=None):
     """Measure a qubit pair in the rotation-conjugated Bell basis.
 
@@ -295,32 +334,40 @@ def rotated_bell_measure(state, pair, rotation: SingleQubitGate, rng, forced=Non
     register (remaining qubits keep their relative order), so the collapsed
     state has n-2 qubits.  `forced` short-circuits sampling with a given
     (r_a, r_b); otherwise the outcome is drawn from rng.
+
+    The terms are grouped once by their key with the pair dropped, and all
+    four branch amplitudes of a group are summed in key order, so every
+    branch equals a separate sort-and-sum of that branch.
     """
     q1, q2 = pair
     state._check_qubit(q1)
     state._check_qubit(q2)
     if q1 == q2:
         raise ValueError("measured pair must be two distinct qubits")
-    u_dag = rotation.matrix.conj().T
-    xm, zm = _GATE_MATRICES["X"], _GATE_MATRICES["Z"]
-    phi = np.array([_SQ2, 0, 0, _SQ2], dtype=complex)  # index = b1 + 2*b2
+    if state.num_terms == 0:
+        raise ValueError("measurement on a zero-weight state")
+    rows = _BELL_ROWS.get(rotation.matrix.tobytes())
+    if rows is None:
+        rows = _bell_basis_rows(rotation.matrix)
 
-    local = (
-        ((state.keys >> np.uint64(q1 - 1)) & np.uint64(1))
-        | (((state.keys >> np.uint64(q2 - 1)) & np.uint64(1)) << np.uint64(1))
-    ).astype(np.int64)
+    keys = state.keys
     hi, lo = max(q1, q2) - 1, min(q1, q2) - 1
-    rest = _drop_bit(_drop_bit(state.keys, hi), lo)
-
-    branches = []
-    probs = []
-    for (a, b) in _OUTCOMES:
-        m = u_dag @ np.linalg.matrix_power(zm, b) @ np.linalg.matrix_power(xm, a)
-        vec = (np.kron(np.eye(2), m) @ phi.reshape(4)).reshape(4)
-        coeff = np.conj(vec)[local]
-        keys, amps = coalesce64(rest, state.amps * coeff, PRUNE_TOL)
-        branches.append((keys, amps))
-        probs.append(float(np.sum(np.abs(amps) ** 2)))
+    rest = _drop_bit(_drop_bit(keys, hi), lo)
+    order = np.argsort(rest, kind="stable")
+    rest = rest[order]
+    keys = keys[order]
+    local = ((keys >> np.uint64(q1 - 1)) & np.uint64(1)) | (
+        ((keys >> np.uint64(q2 - 1)) & np.uint64(1)) << np.uint64(1)
+    )
+    first = np.empty(rest.size, dtype=bool)
+    first[0] = True
+    np.not_equal(rest[1:], rest[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    # (4, groups): branch i's amplitude of each remaining basis key
+    branches = np.add.reduceat(state.amps[order] * rows[:, local.astype(np.intp)], starts, axis=1)
+    mags = np.abs(branches)
+    kept = mags > PRUNE_TOL
+    probs = [float(np.sum(w[k])) for w, k in zip(mags**2, kept)]
     total = sum(probs)
     if total < 1e-12:
         raise ValueError("measurement on a zero-weight state")
@@ -334,6 +381,7 @@ def rotated_bell_measure(state, pair, rotation: SingleQubitGate, rng, forced=Non
     p = probs[idx]
     if p < 1e-12:
         raise ValueError(f"outcome {outcome} has zero probability")
-    keys, amps = branches[idx]
-    collapsed = SparseState(state.n - 2, keys, amps / np.sqrt(p), True)
+    keep = kept[idx]
+    amps = branches[idx][keep] / np.sqrt(p)
+    collapsed = SparseState(state.n - 2, rest[starts][keep], amps, True)
     return outcome, collapsed

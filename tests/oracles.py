@@ -20,6 +20,9 @@ ZM = np.array([[1, 0], [0, -1]], dtype=complex)
 HM = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 SM = np.array([[1, 0], [0, 1j]], dtype=complex)
 TM = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex)
+BELL_OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 def dense_of(state: SparseState) -> np.ndarray:
     vec = np.zeros(1 << state.n, dtype=complex)
     for k, a in state.items():
@@ -64,6 +67,33 @@ def dense_pauli(p: PauliOperator) -> np.ndarray:
         mq = np.linalg.matrix_power(XM, p.x_bit(q)) @ np.linalg.matrix_power(ZM, p.z_bit(q))
         m = np.kron(mq, m)
     return (1j ** p.phase) * m
+
+
+def dense_rotated_bell_branches(vec: np.ndarray, n: int, pair, u: np.ndarray) -> list[np.ndarray]:
+    """Unnormalized post-measurement vectors of a rotated Bell measurement,
+    one per outcome (a, b) in BELL_OUTCOMES.
+
+    The basis vector of (a, b) is (U^dag Z^b X^a (x) I)|Phi> with the
+    operator on pair[0]; the measured pair is removed and the remaining
+    qubits keep their order.  Built from dense matrices and explicit bit
+    insertion, independently of the sparse implementation.
+    """
+    q1, q2 = pair
+    rest = [q for q in range(1, n + 1) if q not in pair]
+    phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)  # index b1 + 2*b2
+    out = []
+    for a, b in BELL_OUTCOMES:
+        m = u.conj().T @ np.linalg.matrix_power(ZM, b) @ np.linalg.matrix_power(XM, a)
+        basis = op_on(m, 1, 2) @ phi
+        branch = np.zeros(1 << (n - 2), dtype=complex)
+        for r in range(branch.size):
+            base = sum(((r >> j) & 1) << (q - 1) for j, q in enumerate(rest))
+            for b1 in (0, 1):
+                for b2 in (0, 1):
+                    full = base | (b1 << (q1 - 1)) | (b2 << (q2 - 1))
+                    branch[r] += np.conj(basis[b1 + 2 * b2]) * vec[full]
+        out.append(branch)
+    return out
 
 
 def random_pauli(rng: np.random.Generator, n: int) -> PauliOperator:

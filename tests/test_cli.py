@@ -230,6 +230,26 @@ class TestJsonAndDeterminism:
                              "--amps", "1,0,1,0", "--seed", "9", "--json")
         assert out3 == out4
 
+    def test_sampled_path_is_pinned(self, capsys):
+        # literal outcomes, keys and fidelity of seeded runs.  The outcomes
+        # follow the sampling probabilities; the a1 fidelity is pinned to the
+        # last bit, so a one-ulp change in those probabilities fails here too
+        _, out, _ = run_cli(capsys, "run", "transversal-t", "--keys", "1,1",
+                            "--amps", "0.6,0,0,0.8", "--seed", "5", "--json")
+        doc = json.loads(out)
+        assert doc["outcomes"] == [[0, 1], [1, 1], [0, 0], [0, 0], [0, 0], [0, 1], [1, 1], [1, 0],
+                                   [0, 1], [1, 0], [0, 1], [0, 0], [1, 1], [0, 1], [1, 1]]
+        assert doc["fidelity"] >= 1 - 1e-10
+        _, out, _ = run_cli(capsys, "run", "a1", "--seed", "7", "--json")
+        doc = json.loads(out)
+        assert doc["keys_initial"] == [[1, 1], [1, 0]]
+        assert doc["keys_final"] == [[0, 1], [0, 0]]
+        assert doc["fidelity"] == 1.0000000000000002
+        events = doc["transcript"]["events"]
+        meas = [(e["rotation"], e["outcome"]) for e in events if e["kind"] == "measurement"]
+        assert meas == [("S^1", [1, 1]), ("Sd^1", [1, 1])]
+        assert events[-1] == {"kind": "final_correction", "pauli": "ZI"}
+
     def test_same_seed_same_bytes_across_processes(self):
         import subprocess
         import sys

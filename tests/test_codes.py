@@ -4,9 +4,11 @@ import pytest
 from hqec import gf2
 from hqec.codes import (
     BUILTIN_NAMES,
+    CODE_CACHE_SIZE,
     CodeFileError,
     StabilizerCode,
     SubcodeError,
+    _single_error_table,
     _sympl_vec,
     builtin_code,
     css_from_classical,
@@ -17,6 +19,7 @@ from hqec.codes import (
     syndrome,
     validate_code,
 )
+from hqec.compat import clifford_correction_for_t
 from hqec.pauli import PauliOperator, parse_pauli
 from hqec.states import apply_pauli, fidelity_up_to_phase, inner
 from oracles import cached_code, cached_code_space
@@ -171,6 +174,44 @@ class TestCodewords:
         assert code.k == 2
         with pytest.raises(ValueError):
             logical_codewords(code)
+
+
+class TestPerCodeCaches:
+    def test_builtin_code_is_memoized(self):
+        for name in BUILTIN_NAMES:
+            assert builtin_code(name) is builtin_code(name)
+        with pytest.raises(ValueError):
+            builtin_code("no_such_code")
+
+    def test_cached_codewords_are_read_only(self):
+        cs = logical_codewords(builtin_code("steane"))
+        assert logical_codewords(builtin_code("steane")) is cs
+        for st in cs.basis:
+            with pytest.raises(ValueError):
+                st.amps[0] = 0
+            with pytest.raises(ValueError):
+                st.keys[0] = 0
+
+    def test_failures_are_not_cached(self):
+        # ZZ chain with the first link negated: logical Z = Z^4 is -1 times a
+        # product of generators, so no codeword seed survives the projectors
+        text = "4 1\n-ZZII\nIZZI\nIIZZ\nXXXX\nZZZZ\n"
+        code = parse_code_text(text, name="signed_chain")
+        for _ in range(3):
+            with pytest.raises(ValueError, match="no codeword seed"):
+                logical_codewords(code)
+
+    def test_caches_stay_at_their_bound(self):
+        # distinct names make distinct codes
+        text = format_code_text(builtin_code("bit_flip"))
+        for i in range(CODE_CACHE_SIZE + 5):
+            code = parse_code_text(text, name=f"bf{i}")
+            clifford_correction_for_t(logical_codewords(code))
+            decode_single_error(code, (1, 0))
+        for cached in (logical_codewords, clifford_correction_for_t, _single_error_table):
+            info = cached.cache_info()
+            assert info.maxsize == CODE_CACHE_SIZE
+            assert info.currsize == CODE_CACHE_SIZE
 
 
 class TestSyndromeDecode:

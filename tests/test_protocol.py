@@ -518,6 +518,39 @@ class TestLogicalT:
         assert fidelity_up_to_phase(rep.final_state, want) >= 1 - 1e-10
 
 
+class TestRepeatedRuns:
+    """Per-code data is cached between runner calls; identical calls must
+    still give identical reports and final states."""
+
+    @staticmethod
+    def _same(rep1, rep2):
+        assert rep1.as_dict() == rep2.as_dict()
+        assert np.array_equal(rep1.final_state.keys, rep2.final_state.keys)
+        assert np.array_equal(rep1.final_state.amps, rep2.final_state.amps)
+
+    def test_storage(self):
+        for name in ("bit_flip", "shor", "steane", "rm15"):
+            args = (name, (0.6, 0.8j), (1, 1), None)
+            self._same(run_storage_protocol(*args, SplitMix64(3)),
+                       run_storage_protocol(*args, SplitMix64(3)))
+
+    def test_transversal_t(self):
+        args = ((0.6, 0.8j), (1, 0))
+        self._same(run_transversal_t_protocol(*args, SplitMix64(4)),
+                   run_transversal_t_protocol(*args, SplitMix64(4)))
+
+    def test_logical_t(self):
+        args = ((0.6, 0.8j), (0, 1))
+        self._same(run_logical_t_protocol(*args, SplitMix64(5)),
+                   run_logical_t_protocol(*args, SplitMix64(5)))
+
+    def test_demo(self):
+        rep1, dec1, _ = run_demo_circuit(SplitMix64(6))
+        rep2, dec2, _ = run_demo_circuit(SplitMix64(6))
+        assert rep1.as_dict() == rep2.as_dict()
+        assert np.array_equal(dec1.amps, dec2.amps)
+
+
 class TestResources:
     def test_shor_block(self):
         rep = resource_report(9)

@@ -19,7 +19,18 @@ from hqec.states import (
     swap_qubits,
     tensor,
 )
-from oracles import dense_cnot, dense_of, dense_pauli, dense_swap, op_on, random_pauli
+from oracles import (
+    BELL_OUTCOMES,
+    dense_cnot,
+    dense_of,
+    dense_pauli,
+    dense_rotated_bell_branches,
+    dense_swap,
+    op_on,
+    random_dense_state,
+    random_pauli,
+    sparse_of,
+)
 
 IDENT = SingleQubitGate("I", np.eye(2, dtype=complex))
 
@@ -279,3 +290,55 @@ class TestRotatedBellMeasure:
         for forced in ((0, 1), (1, 0), (1, 1)):
             with pytest.raises(ValueError):
                 rotated_bell_measure(bell_pair(), (1, 2), IDENT, SplitMix64(1), forced)
+
+
+class _PickRng:
+    """Stands in for the generator: returns a fixed outcome index and keeps
+    the weights it was asked to sample from."""
+
+    def __init__(self, pick):
+        self.pick = pick
+        self.weights = None
+
+    def choice_weighted(self, weights):
+        self.weights = list(weights)
+        return self.pick
+
+
+class TestRotatedBellMeasureOracle:
+    # I, S and Sd are the rotations the T gadgets use; IDENT is an equal
+    # caller-made gate; H and T are rotations outside the precomputed table
+    ROTATIONS = {
+        "I": IDENT,
+        "S": gate("S"),
+        "Sd": gate("Sd"),
+        "H": gate("H"),
+        "T": gate("T"),
+    }
+    # both orders, adjacent and non-adjacent, lowest and highest qubits
+    PAIRS = {3: ((1, 2), (2, 1), (1, 3), (3, 1)),
+             4: ((1, 4), (4, 1), (2, 3), (4, 2)),
+             5: ((1, 5), (5, 3), (2, 4), (4, 1))}
+
+    @pytest.mark.parametrize("label", sorted(ROTATIONS))
+    def test_against_dense_oracle(self, label):
+        rotation = self.ROTATIONS[label]
+        rng = np.random.default_rng(31)
+        for n, pairs in self.PAIRS.items():
+            for pair in pairs:
+                vec = random_dense_state(rng, n)
+                state = sparse_of(vec, n)
+                branches = dense_rotated_bell_branches(vec, n, pair, rotation.matrix)
+                probs = [float(np.vdot(br, br).real) for br in branches]
+                for idx, outcome in enumerate(BELL_OUTCOMES):
+                    picker = _PickRng(idx)
+                    got_outcome, col = rotated_bell_measure(state, pair, rotation, picker)
+                    assert got_outcome == outcome
+                    assert np.allclose(picker.weights, probs, atol=1e-12, rtol=0)
+                    want = branches[idx] / np.sqrt(probs[idx])
+                    assert col.n == n - 2
+                    assert np.abs(dense_of(col) - want).max() < 1e-12
+                    forced_outcome, forced = rotated_bell_measure(state, pair, rotation, None, outcome)
+                    assert forced_outcome == outcome
+                    assert np.array_equal(forced.keys, col.keys)
+                    assert np.array_equal(forced.amps, col.amps)
