@@ -1,10 +1,10 @@
 """Stabilizer codes: builtin instances, validation, codewords, decoding.
 
 A code is generators + logical X/Z representatives; codewords are built
-as sparse states either from the classical-coset structure (CSS-origin
-codes) or by projector iteration.  Builtin names cover the repetition
-codes, the nine-qubit code, the Steane code, the [[15,1,3]] punctured
-Reed-Muller code, and a deliberately mask-incompatible three-qubit code.
+as sparse states by stabilizer-tableau elimination, in time polynomial in
+n plus one term per basis key.  Builtin names cover the repetition codes,
+the nine-qubit code, the Steane code, the [[15,1,3]] punctured Reed-Muller
+code, and a deliberately mask-incompatible three-qubit code.
 
 Per-code data is memoized: ``builtin_code`` by name, and the codewords and
 the single-error syndrome table by the (frozen, hashable) code, in caches
@@ -17,10 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import gf2
 from .gf2 import ClassicalCode
 from .pauli import PauliOperator, parse_pauli, transversal_pauli
-from .states import SparseState, apply_pauli, combine, inner
+from .states import MAX_STATE_QUBITS, SparseState, apply_pauli, inner
 
 EIGEN_TOL = 1e-10
 CODE_CACHE_SIZE = 32
@@ -77,7 +79,8 @@ def _sympl_vec(p: PauliOperator, n: int) -> int:
 
 
 def _reduce_tracked(vec: int, pauli: PauliOperator, basis: list):
-    """Reduce vec against basis rows, multiplying the tracked group elements."""
+    """Reduce vec against rows (vector, group element with that vector), each
+    reduced against the rows before it, multiplying the tracked elements."""
     for bvec, bp in basis:
         piv = bvec & -bvec
         if vec & piv:
@@ -112,8 +115,7 @@ def validate_code(code: StabilizerCode) -> ValidationReport:
             else:
                 v.append(f"-I is in the group generated (via generator {i + 1})")
         else:
-            basis.append((vec, g))
-            basis.sort(key=lambda row: row[0] & -row[0])
+            basis.append((vec, prod))
 
     if len(code.logical_x) != code.k or len(code.logical_z) != code.k:
         v.append(f"expected {code.k} logical X and Z operators")
@@ -174,14 +176,8 @@ def css_from_classical(c1: ClassicalCode, c2: ClassicalCode, name: str | None = 
         raise ValueError("need dim C1 > dim C2")
     n = c1.length
     k = c1.dimension - c2.dimension
-
-    def x_op(word: int) -> PauliOperator:
-        return PauliOperator(n, word, 0, 0)
-
-    def z_op(word: int) -> PauliOperator:
-        return PauliOperator(n, 0, word, 0)
-
-    gens = [x_op(w) for w in c2.basis] + [z_op(w) for w in gf2.dual(c1).basis]
+    gens = [PauliOperator(n, w, 0, 0) for w in c2.basis]
+    gens += [PauliOperator(n, 0, w, 0) for w in gf2.dual(c1).basis]
 
     # logical X from coset representatives of C1 mod C2, preferring the
     # all-ones word when it qualifies (it is then also transversal)
@@ -225,8 +221,8 @@ def css_from_classical(c1: ClassicalCode, c2: ClassicalCode, name: str | None = 
         n,
         k,
         tuple(gens),
-        tuple(x_op(f) for f in f_rows),
-        tuple(z_op(h) for h in h_rows),
+        tuple(PauliOperator(n, f, 0, 0) for f in f_rows),
+        tuple(PauliOperator(n, 0, h, 0) for h in h_rows),
         css_origin=(c1, c2),
     )
 
@@ -301,25 +297,47 @@ def builtin_code(name: str) -> StabilizerCode:
 
 @lru_cache(maxsize=CODE_CACHE_SIZE)
 def logical_codewords(code: StabilizerCode) -> CodeSpace:
-    """Orthonormal {|0>, |1>} logical basis as sparse states (k=1 only)."""
+    """Orthonormal {|0>, |1>} logical basis as sparse states (k=1 only).
+
+    Tableau elimination (Aaronson and Gottesman, PRA 70, 052328) splits the
+    generators and logical Z into r X-pivots and Z-only elements i^phi Z(z)
+    that fix the seed by z.s0 = phi/2; |0> sums g|s0> over the 2^r pivot
+    products g, exactly.  _solve_f2 puts pivots at the lowest bit and free
+    bits at 0, so s0 is the smallest surviving key, where a seed scan stops.
+    """
     if code.k != 1:
         raise ValueError(f"codeword construction supports k=1, got k={code.k}")
-    if code.css_origin is not None:
-        zero = gf2.coset_state(code.css_origin[1], 0)
-    else:
-        zero = None
-        for seed in range(1 << code.n):
-            st = SparseState.from_basis(code.n, seed)
-            for g in list(code.generators) + [code.logical_z[0]]:
-                st = combine([st, apply_pauli(st, g)], [0.5, 0.5])
-                if st.norm() < 1e-9:
-                    st = None
-                    break
-            if st is not None:
-                zero = st.normalized()
-                break
-        if zero is None:
-            raise ValueError(f"no codeword seed found for {code.name}")
+    if code.n > MAX_STATE_QUBITS:
+        raise ValueError(f"qubit count must be in 0..{MAX_STATE_QUBITS}, got {code.n}")
+    pivots: list = []  # (x-part, group element) rows for _reduce_tracked
+    constraints = []
+    for g in code.generators + code.logical_z[:1]:
+        x, p = _reduce_tracked(g.x, g, pivots)
+        if x:
+            pivots.append((x, p))
+        elif p.phase & 1:
+            raise ValueError(f"{code.name}: the group holds the non-Hermitian element {p}")
+        else:
+            constraints.append((p.z, p.phase >> 1))
+    if len(pivots) > gf2.ENUM_DIM_GUARD:
+        raise gf2.GuardExceeded(f"{code.name}: codeword of 2^{len(pivots)} terms exceeds "
+                                f"the enumeration guard 2^{gf2.ENUM_DIM_GUARD}")
+    try:
+        s0 = np.uint64(_solve_f2(constraints))
+    except ValueError:
+        raise ValueError(f"no codeword seed found for {code.name}") from None
+    # x-part, z-part and amplitude of every product of pivots acting on |s0>
+    xs, zs, amps = np.zeros(1, np.uint64), np.zeros(1, np.uint64), np.ones(1, complex)
+    for x, p in pivots:
+        signs = 1.0 - 2.0 * (np.bitwise_count(zs & np.uint64(x)) & 1)
+        amps = np.concatenate([amps, amps * signs * p.phase_value()])
+        xs = np.concatenate([xs, xs ^ np.uint64(x)])
+        zs = np.concatenate([zs, zs ^ np.uint64(p.z)])
+    amps = amps * (1.0 - 2.0 * (np.bitwise_count(zs & s0) & 1)) * 0.5 ** len(pivots)
+    keys = xs ^ s0
+    order = np.argsort(keys)
+    keys, amps = keys[order], amps[order]
+    zero = SparseState(code.n, keys, amps, True).normalized()
     one = apply_pauli(zero, code.logical_x[0])
 
     for st in (zero, one):

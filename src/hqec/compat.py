@@ -10,7 +10,7 @@ exact logical T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -54,15 +54,7 @@ class CompatReport:
         d = {
             "code": self.code_name,
             "verdict": self.verdict,
-            "generators": [
-                {
-                    "index": g.index,
-                    "generator": g.generator,
-                    "x_commutes": g.x_commutes,
-                    "z_commutes": g.z_commutes,
-                }
-                for g in self.generator_checks
-            ],
+            "generators": [asdict(g) for g in self.generator_checks],
         }
         if self.css_verdict is not None:
             d["e_in_c1"] = self.e_in_c1

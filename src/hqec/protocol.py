@@ -23,7 +23,7 @@ Conventions shared by all runners:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -261,10 +261,7 @@ def evaluate_circuit(enc_state, circuit, keys, bell_pool, rng=None):
     for g in circuit:
         if g.is_clifford:
             transcript.record("gate", gate=g.kind, qubits=list(g.qubits))
-            if g.kind == "CNOT":
-                state = apply_cnot(state, g.qubits[0], g.qubits[1])
-            else:
-                state = apply_single(state, gate(g.kind), g.qubits[0])
+            state = apply_plain_circuit(state, (g,))
         else:
             if next_pair >= len(pool):
                 raise ProtocolError("bell pool exhausted")
@@ -579,14 +576,7 @@ class ResourceReport:
     q_tot_log: int
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "q_data": self.q_data,
-            "q_aux_phys": self.q_aux_phys,
-            "q_tot_phys": self.q_tot_phys,
-            "q_aux_log": self.q_aux_log,
-            "q_tot_log": self.q_tot_log,
-        }
+        return asdict(self)
 
 
 def resource_report(n: int) -> ResourceReport:
@@ -712,7 +702,6 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
     if probs[outcome] < 1e-12:
         raise ProtocolError(f"outcome {outcome} has zero probability")
     state = branches[outcome].scaled(1 / np.sqrt(probs[outcome]))
-    max_terms = max(max_terms, chi.num_terms + bell.num_terms)
 
     r_a, r_b = outcome
     a_f, b_f = a ^ r_a, (a ^ b) ^ r_b

@@ -12,7 +12,7 @@ import numpy as np
 
 from hqec.codes import builtin_code, logical_codewords
 from hqec.pauli import PauliOperator
-from hqec.states import SparseState
+from hqec.states import SparseState, apply_pauli, combine
 
 I2 = np.eye(2, dtype=complex)
 XM = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -96,6 +96,19 @@ def dense_rotated_bell_branches(vec: np.ndarray, n: int, pair, u: np.ndarray) ->
     return out
 
 
+def dense_zero_codeword(code) -> np.ndarray:
+    """|0_L> as P|s>/|P|s>|, with P the product of the projectors (I + g)/2
+    over the generators and logical Z, and s the first basis index that P
+    does not annihilate (the phase convention of logical_codewords)."""
+    dim = 1 << code.n
+    proj = np.eye(dim, dtype=complex)
+    for g in list(code.generators) + [code.logical_z[0]]:
+        proj = (np.eye(dim) + dense_pauli(g)) / 2 @ proj
+    norms = np.linalg.norm(proj, axis=0)
+    s = int(np.flatnonzero(norms > 1e-9)[0])
+    return proj[:, s] / norms[s]
+
+
 def random_pauli(rng: np.random.Generator, n: int) -> PauliOperator:
     return PauliOperator.from_bits(
         rng.integers(0, 2, n).tolist(), rng.integers(0, 2, n).tolist(), int(rng.integers(0, 4))
@@ -115,3 +128,23 @@ def cached_code(name: str):
 @lru_cache(maxsize=None)
 def cached_code_space(name: str):
     return logical_codewords(cached_code(name))
+
+
+def scan_zero_codeword(code) -> SparseState:
+    """|0_L> by an exhaustive seed scan, the reference for logical_codewords:
+    the first basis seed 0..2^n whose projection onto the +1 eigenspaces of
+    the generators and logical Z survives, normalized."""
+    zero = None
+    for seed in range(1 << code.n):
+        st = SparseState.from_basis(code.n, seed)
+        for g in list(code.generators) + [code.logical_z[0]]:
+            st = combine([st, apply_pauli(st, g)], [0.5, 0.5])
+            if st.norm() < 1e-9:
+                st = None
+                break
+        if st is not None:
+            zero = st.normalized()
+            break
+    if zero is None:
+        raise ValueError(f"no codeword seed found for {code.name}")
+    return zero

@@ -105,6 +105,30 @@ class TestExitCodes:
         assert "logical Z[1] lies in the stabilizer group" in err
         assert elapsed < 1.0
 
+    def test_check_diagonal_guards_codeword_size(self, capsys, tmp_path):
+        # phase-flip repetition code on 21 qubits: a valid code whose
+        # codewords would hold 2^21 terms each
+        n = 21
+        gens = ["I" * i + "XX" + "I" * (n - i - 2) for i in range(n - 1)]
+        f = tmp_path / "phase_flip21.code"
+        f.write_text("\n".join([f"{n} 1", *gens, "Z" * n, "X" * n]) + "\n")
+        code, out, err = run_cli(capsys, "check", "diagonal", "--code", str(f), "--gate", "T")
+        assert code == 2 and out == ""
+        assert err.count("error:") == 1 and "guard" in err
+        assert "Traceback" not in err
+
+    def test_check_diagonal_valid_signed_chain(self, capsys, tmp_path):
+        # the first codeword seed that survives the projectors is 2^14 - 2
+        n = 14
+        chain = ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 1)]
+        f = tmp_path / "signed_chain.code"
+        lz = "Z" + "I" * (n - 1)
+        f.write_text("\n".join([f"{n} 1", "-" + chain[0], *chain[1:], "X" * n, lz]) + "\n")
+        code, out, _ = run_cli(capsys, "check", "diagonal", "--code", str(f), "--gate", "T",
+                               "--json")
+        assert code == 0
+        assert json.loads(out)["leakage"] < 1e-12
+
 
 class TestVerbs:
     def test_codes_list(self, capsys):

@@ -50,6 +50,21 @@ class TestValidate:
         rep = validate_code(cached_code(name))
         assert rep.ok, rep.violations
 
+    @pytest.mark.parametrize(
+        "gens, violation",
+        [
+            (("YYI", "XXI", "ZZI"), "-I is in the group generated (via generator 3)"),
+            (("-YYI", "XXI", "ZZI"), "generator 3 (ZZI) is dependent on earlier generators"),
+            (("ZZI", "XXI", "YYI"), "-I is in the group generated (via generator 3)"),
+            (("ZZI", "XXI", "-YYI"), "generator 3 (-YYI) is dependent on earlier generators"),
+        ],
+    )
+    def test_dependent_generator_phase(self, gens, violation):
+        # YY * XX = -ZZ: whether a dependent generator brings -I into the
+        # group depends on the phase of the tracked product
+        code = StabilizerCode("dep", 3, 0, tuple(parse_pauli(g) for g in gens), (), ())
+        assert violation in validate_code(code).violations
+
     def test_two_qubit_toy_valid(self):
         code = StabilizerCode(
             "toy", 2, 0 + 1 - 1,

@@ -1,0 +1,168 @@
+"""The polynomial codeword construction against two references: an
+exhaustive seed scan (byte for byte) and dense projectors."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hqec import gf2
+from hqec.codes import (
+    BUILTIN_NAMES,
+    StabilizerCode,
+    builtin_code,
+    logical_codewords,
+    parse_code_text,
+    validate_code,
+)
+from hqec.pauli import PauliOperator, parse_pauli
+from oracles import dense_of, dense_zero_codeword, scan_zero_codeword
+
+# qubit-permuted, H-conjugated and sign-flipped copies of the builtin codes,
+# each with a fresh generating set, and the five-qubit code conjugated by S
+# on qubit 2, with two generators negated
+LITERAL_CODES = {
+    "steane_permuted": "7 1\nIXXIXIX\nXIIXXIX\nIXIXIXX\nZIZIIZZ\nZZIIZZI\nZZZZIII\nXXXXXXX\nZZZZZZZ\n",
+    "shor_permuted": (
+        "9 1\nZZZZIZIZI\nIZIIZZZZZ\nZZIZIIIZI\nIZIIZIZZI\nZZIIIIIII\nIZIIZIIII\n"
+        "XXXIXXIIX\nXXIXXIXXI\nZZZZZZZZZ\nXXXXXXXXX\n"
+    ),
+    "rm15_permuted": (
+        "15 1\nIXXXIIXIXXXXIII\nIIIXIIXXIXXIXXX\nXXXIXIXXIIXIXII\nXXIXIXIXXIXIIXI\n"
+        "IZIIZZZIIZIZZIZ\nZIIIIIZZIZZZIZZ\nIIZZZZZIIIIZZIZ\nIIIZIIZZIIIIIIZ\n"
+        "ZIIIZIIZZZZZIIZ\nIIIIZIZZIZZZIII\nIIIIIIZIIZIIZIZ\nIIIIZIIIZIZIIIZ\n"
+        "IIZIIIIIZZZIIII\nIIIIIIZIZIZZIII\nXXXXXXXXXXXXXXX\nZZZZZZZZZZZZZZZ\n"
+    ),
+    "steane_h_signed": "7 1\n-XXIXIXI\nIXXIZXI\nIIXXIXX\nIZIZXIZ\n-IZZIXZI\nZIIIXZZ\nXXXXZXX\nZZZZXZZ\n",
+    "shor_h_signed": (
+        "9 1\nIIZIZZIZI\n-ZZZIIIXZZ\nIIZZZIXII\nZIZZZIIII\nIIZIZIIII\n-IZIIZIIII\n"
+        "XIIXIXZXX\nXXXXXIZII\nZZZZZZXZZ\nXXXXXXZXX\n"
+    ),
+    "chain8_signed": (
+        "8 1\n-ZIIIZIZZ\nIZZIIIII\nIIZIZIII\nIIIZIZII\nIIIIZIIZ\nIIIIIZIZ\nIIIIIIZZ\n"
+        "XXXXXXXX\nZIIIIIII\n"
+    ),
+    "chain10_signed": (
+        "10 1\n-ZZZIIIIZZZ\nIZZZZZZZIZ\nIIZZIZIZZZ\nIIIZIZZIIZ\nIIIIZIIZII\nIIIIIZZZZI\n"
+        "IIIIIIZIZI\nIIIIIIIZIZ\nIIIIIIIIZZ\nXXXXXXXXXX\nZIIIIIIIII\n"
+    ),
+    "five_qubit_s_signed": "5 1\n-XZZXI\nIYZZX\nXIXZZ\n-ZYIXZ\nXYXXX\nZZZZZ\n",
+}
+
+
+def assert_same_bytes(a, b):
+    assert a.n == b.n
+    assert a.keys.tobytes() == b.keys.tobytes()
+    assert a.amps.tobytes() == b.amps.tobytes()
+
+
+def chain_text(n: int, logical_z: str) -> str:
+    """ZZ chain with the first link negated, logical X = X^n."""
+    chain = ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 1)]
+    return "\n".join([f"{n} 1", "-" + chain[0], *chain[1:], "X" * n, logical_z]) + "\n"
+
+
+class TestAgainstScan:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins(self, name):
+        code = builtin_code(name)
+        assert_same_bytes(logical_codewords(code).zero, scan_zero_codeword(code))
+
+    @pytest.mark.parametrize("name", ["steane", "rm15"])
+    def test_css_coset_state(self, name):
+        code = builtin_code(name)
+        coset = gf2.coset_state(code.css_origin[1], 0)
+        assert_same_bytes(logical_codewords(code).zero, coset)
+        assert_same_bytes(scan_zero_codeword(code), coset)
+
+    @pytest.mark.parametrize("name", sorted(LITERAL_CODES))
+    def test_literal_codes(self, name):
+        code = parse_code_text(LITERAL_CODES[name], name=name)
+        assert validate_code(code).ok
+        zero = logical_codewords(code).zero
+        assert_same_bytes(zero, scan_zero_codeword(code))
+        if code.n <= 10:
+            assert np.abs(dense_of(zero) - dense_zero_codeword(code)).max() < 1e-12
+
+
+def _conjugate(p: PauliOperator, ops) -> PauliOperator:
+    """C p C^dag for the Clifford circuit C given as (kind, a, b) steps on
+    0-based qubits: H and S on a, CNOT from a to b."""
+    x, z, phase = p.x, p.z, p.phase
+    for kind, a, b in ops:
+        ma, mb = 1 << a, 1 << b
+        if kind == "H":  # X^x Z^z -> (-1)^(xz) X^z Z^x on qubit a
+            phase += 2 * bool(x & z & ma)
+            x, z = (x & ~ma) | (z & ma), (z & ~ma) | (x & ma)
+        elif kind == "S":  # X -> iXZ, Z -> Z
+            if x & ma:
+                z ^= ma
+                phase += 1
+        elif a != b:  # X_a -> X_a X_b, Z_b -> Z_a Z_b
+            if x & ma:
+                x ^= mb
+            if z & mb:
+                z ^= ma
+    return PauliOperator(p.n, x, z, phase)
+
+
+@st.composite
+def clifford_codes(draw):
+    """The trivial code (Z_1..Z_{n-1}; logical X_n, Z_n) under a random H, S,
+    CNOT circuit, with a fresh generating set and random generator signs."""
+    n = draw(st.integers(1, 6))
+    q = st.integers(0, n - 1)
+    ops = draw(st.lists(st.tuples(st.sampled_from("HSC"), q, q), min_size=n, max_size=6 * n))
+    gens = [_conjugate(PauliOperator.single(n, i, "Z"), ops) for i in range(1, n)]
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            if draw(st.booleans()):
+                gens[i] = gens[i].multiply(gens[j])
+    signs = draw(st.lists(st.booleans(), min_size=len(gens), max_size=len(gens)))
+    gens = [PauliOperator(n, g.x, g.z, g.phase + 2 * s) for g, s in zip(gens, signs)]
+    lx = _conjugate(PauliOperator.single(n, n, "X"), ops)
+    lz = _conjugate(PauliOperator.single(n, n, "Z"), ops)
+    return StabilizerCode("random", n, 1, tuple(gens), (lx,), (lz,))
+
+
+class TestRandomCodes:
+    @settings(max_examples=200, deadline=None)
+    @given(clifford_codes())
+    def test_zero_codeword(self, code):
+        assert validate_code(code).ok
+        zero = logical_codewords(code).zero
+        assert np.abs(dense_of(zero) - dense_zero_codeword(code)).max() < 1e-12
+        assert_same_bytes(zero, scan_zero_codeword(code))
+
+
+class TestConstruction:
+    def test_signed_chain_reaches_n24(self):
+        # the first surviving seed is 2^24 - 2, which the scan reaches last
+        code = parse_code_text(chain_text(24, "Z" + "I" * 23), name="chain24")
+        assert validate_code(code).ok
+        zero = logical_codewords(code).zero
+        assert zero.keys.tolist() == [(1 << 24) - 2]
+        assert zero.amps.tolist() == [1.0]
+
+    def test_x_rank_guard(self):
+        # phase-flip repetition code on 21 qubits: 2^21 terms per codeword
+        n = 21
+        gens = ["I" * i + "XX" + "I" * (n - i - 2) for i in range(n - 1)]
+        code = parse_code_text("\n".join([f"{n} 1", *gens, "Z" * n, "X" * n]), name="pf21")
+        assert validate_code(code).ok
+        with pytest.raises(gf2.GuardExceeded, match="guard"):
+            logical_codewords(code)
+
+    def test_non_hermitian_element_rejected(self):
+        code = StabilizerCode("iz", 2, 1, (parse_pauli("iZZ"),), (parse_pauli("XX"),),
+                              (parse_pauli("ZI"),))
+        with pytest.raises(ValueError, match="non-Hermitian"):
+            logical_codewords(code)
+
+    def test_register_cap(self):
+        n = 65
+        gens = tuple(PauliOperator.single(n, q, "Z") for q in range(1, n))
+        code = StabilizerCode("big", n, 1, gens, (PauliOperator.single(n, n, "X"),),
+                              (PauliOperator.single(n, n, "Z"),))
+        with pytest.raises(ValueError, match="qubit count"):
+            logical_codewords(code)
