@@ -22,7 +22,7 @@ import numpy as np
 from . import gf2
 from .gf2 import ClassicalCode
 from .pauli import PauliOperator, parse_pauli, transversal_pauli
-from .states import MAX_STATE_QUBITS, SparseState, apply_pauli, inner
+from .states import MAX_STATE_QUBITS, SparseState, apply_pauli, inner, pauli_eigenvalues
 
 EIGEN_TOL = 1e-10
 CODE_CACHE_SIZE = 32
@@ -304,6 +304,7 @@ def logical_codewords(code: StabilizerCode) -> CodeSpace:
     that fix the seed by z.s0 = phi/2; |0> sums g|s0> over the 2^r pivot
     products g, exactly.  _solve_f2 puts pivots at the lowest bit and free
     bits at 0, so s0 is the smallest surviving key, where a seed scan stops.
+    Each codeword is checked by one pauli_eigenvalues readout.
     """
     if code.k != 1:
         raise ValueError(f"codeword construction supports k=1, got k={code.k}")
@@ -340,13 +341,15 @@ def logical_codewords(code: StabilizerCode) -> CodeSpace:
     zero = SparseState(code.n, keys, amps, True).normalized()
     one = apply_pauli(zero, code.logical_x[0])
 
-    for st in (zero, one):
-        for g in code.generators:
-            if abs(inner(st, apply_pauli(st, g)) - 1) > EIGEN_TOL:
+    ops = code.generators + code.logical_z[:1]
+    (vals0, eig0), (vals1, eig1) = pauli_eigenvalues(zero, ops), pauli_eigenvalues(one, ops)
+    for vals, eig in ((vals0, eig0), (vals1, eig1)):
+        for g, val, ok in zip(code.generators, vals, eig):
+            if not ok or abs(val - 1) > EIGEN_TOL:
                 raise ValueError(f"{code.name}: codeword is not fixed by {g}")
-    if abs(inner(zero, apply_pauli(zero, code.logical_z[0])) - 1) > EIGEN_TOL:
+    if not eig0[-1] or abs(vals0[-1] - 1) > EIGEN_TOL:
         raise ValueError(f"{code.name}: logical Z does not fix |0>")
-    if abs(inner(one, apply_pauli(one, code.logical_z[0])) + 1) > EIGEN_TOL:
+    if not eig1[-1] or abs(vals1[-1] + 1) > EIGEN_TOL:
         raise ValueError(f"{code.name}: logical Z does not negate |1>")
     if abs(inner(zero, one)) > EIGEN_TOL:
         raise ValueError(f"{code.name}: logical basis states are not orthogonal")

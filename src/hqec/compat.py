@@ -64,9 +64,10 @@ class CompatReport:
         return d
 
 
+@lru_cache(maxsize=CODE_CACHE_SIZE)
 def stabilizer_mask_check(code: StabilizerCode) -> CompatReport:
     """Transversal X/Z masking preserves the code space iff both transversal
-    operators commute with every generator."""
+    operators commute with every generator.  Memoized by code (frozen report)."""
     tx = transversal_pauli("X", code.n)
     tz = transversal_pauli("Z", code.n)
     checks = tuple(

@@ -46,6 +46,7 @@ from .states import (
     fidelity_up_to_phase,
     gate,
     inner,
+    pauli_eigenvalues,
     rotated_bell_measure,
     swap_qubits,
     tensor,
@@ -430,11 +431,12 @@ class StorageReport:
 
 
 def measured_syndrome(state: SparseState, code: StabilizerCode) -> tuple[int, ...]:
-    """Stabilizer eigenvalues read off the (eigenstate) register."""
+    """Stabilizer eigenvalues read off the (eigenstate) register in one
+    pauli_eigenvalues pass; raises naming the first generator that fails."""
     bits = []
-    for g in code.generators:
-        val = inner(state, apply_pauli(state, g)).real
-        if abs(abs(val) - 1) > 1e-8:
+    vals, eigen = pauli_eigenvalues(state, code.generators)
+    for g, val, ok in zip(code.generators, vals.real, eigen):
+        if not ok or abs(abs(val) - 1) > 1e-8:
             raise ProtocolError(f"state is not an eigenstate of {g}")
         bits.append(0 if val > 0 else 1)
     return tuple(bits)

@@ -9,6 +9,11 @@ All the amplitudes appearing in the supported protocols (powers of 1/sqrt2
 times eighth roots of unity) are representable to ~1e-16, so comparisons
 use a 1e-10 tolerance and terms below 1e-12 are pruned.
 
+Reading a state never re-sorts it: ``inner`` finds one state's keys in
+the other's with ``searchsorted``, and ``pauli_eigenvalues`` reads
+<psi|P|psi> for a batch of Paulis (generators, logical operators) by
+finding the flipped keys k ^ x the same way, term by term.
+
 The named gates are built once at import, and so are the rotated Bell
 bases of the T gadgets: 4 outcomes times the rotations {I, S, Sd}, looked
 up by the rotation's matrix.  Any other rotation gets its basis computed
@@ -30,6 +35,7 @@ NORM_TOL = 1e-10
 GRAM_TOL = 1e-10
 ZERO_WEIGHT = 1e-20
 TERM_GUARD = 1 << 22
+EIGEN_BLOCK = 1 << 16  # entries of one (Paulis x terms) block in pauli_eigenvalues
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 _GATE_MATRICES = {
@@ -188,11 +194,14 @@ def combine(states, coeffs) -> SparseState:
 
 
 def inner(a: SparseState, b: SparseState) -> complex:
-    """<a|b> over the shared basis keys."""
+    """<a|b> over the shared basis keys, summed in key order."""
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    _, ia, ib = np.intersect1d(a.keys, b.keys, assume_unique=True, return_indices=True)
-    return complex(np.sum(np.conj(a.amps[ia]) * b.amps[ib]))
+    if not b.keys.size:
+        return 0j
+    idx = np.minimum(np.searchsorted(b.keys, a.keys), b.keys.size - 1)
+    hit = b.keys[idx] == a.keys
+    return complex(np.sum(np.conj(a.amps[hit]) * b.amps[idx[hit]]))
 
 
 def fidelity_up_to_phase(a: SparseState, b: SparseState) -> float:
@@ -240,6 +249,42 @@ def apply_pauli(state: SparseState, p: PauliOperator) -> SparseState:
     if xmask:
         return state._resorted(state.keys ^ xmask, amps)
     return SparseState(state.n, state.keys, amps, True)
+
+
+def pauli_eigenvalues(state: SparseState, paulis) -> tuple[np.ndarray, np.ndarray]:
+    """(values, eigen) for a sequence of Paulis: <psi|P|psi> for each P, and
+    whether every term of P|psi> matches lambda|psi> within NORM_TOL, where
+    lambda = value / <psi|psi>.  The zero state is no eigenstate.
+
+    P = i^phase X(x) Z(z) sends a|k> to i^phase (-1)^popcount(k & z) a|k^x>;
+    each flipped key is looked up in the sorted keys (a missing one counts as
+    amplitude 0), in blocks of (Paulis x terms) entries that stay within
+    EIGEN_BLOCK unless a single row is larger.
+    """
+    for p in paulis:
+        if p.n != state.n:
+            raise ValueError(f"dimension mismatch: operator on {p.n}, state on {state.n}")
+    values, eigen = np.zeros(len(paulis), complex), np.zeros(len(paulis), bool)
+    keys, amps = state.keys, state.amps
+    norm2 = float(np.vdot(amps, amps).real)
+    if not paulis or norm2 == 0:
+        return values, eigen
+    xs = np.array([p.x for p in paulis], np.uint64)[:, None]
+    zs = np.array([p.z for p in paulis], np.uint64)[:, None]
+    phases = np.array([p.phase_value() for p in paulis], complex)[:, None]
+    rows = max(1, EIGEN_BLOCK // keys.size)
+    for lo in range(0, len(paulis), rows):
+        block = slice(lo, lo + rows)
+        flipped = keys ^ xs[block]
+        idx = np.minimum(np.searchsorted(keys, flipped), keys.size - 1)
+        # psi and P|psi> at k ^ x, for every stored key k
+        target = np.where(keys[idx] == flipped, amps[idx], 0)
+        image = amps * (1.0 - 2.0 * (np.bitwise_count(keys & zs[block]) & 1)) * phases[block]
+        lam = np.sum(np.conj(target) * image, axis=1)
+        values[block] = lam
+        residual = image - (lam / norm2)[:, None] * target
+        eigen[block] = np.all(np.abs(residual) <= NORM_TOL, axis=1)
+    return values, eigen
 
 
 def swap_qubits(state: SparseState, i: int, j: int) -> SparseState:

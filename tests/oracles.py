@@ -109,6 +109,49 @@ def dense_zero_codeword(code) -> np.ndarray:
     return proj[:, s] / norms[s]
 
 
+# letter -> (flips the bit, factor on input bit 0, factor on input bit 1)
+_LETTER_ACTION = {"I": (0, 1, 1), "X": (1, 1, 1), "Y": (1, 1j, -1j), "Z": (0, 1, -1)}
+_PREFIX_VALUE = {"": 1, "i": 1j, "-": -1, "-i": -1j}
+
+
+def pauli_image_terms(p: PauliOperator, terms: dict) -> dict:
+    """P|psi> as {key: amplitude}, applying the letters of p.to_string() one
+    qubit at a time (Y|0> = i|1>, Y|1> = -i|0>) and then the sign prefix.
+    Works on any key width, so it covers 64-qubit keys where no dense
+    matrix fits."""
+    text = p.to_string()
+    prefix, letters = text[: len(text) - p.n], text[len(text) - p.n:]
+    out: dict = {}
+    for key, amp in terms.items():
+        for q, letter in enumerate(letters):
+            flip, f0, f1 = _LETTER_ACTION[letter]
+            amp = amp * (f1 if (key >> q) & 1 else f0)
+            key ^= flip << q
+        out[key] = out.get(key, 0) + _PREFIX_VALUE[prefix] * amp
+    return out
+
+
+def pauli_expectation_terms(p: PauliOperator, terms: dict, tol: float = 1e-10):
+    """(<psi|P|psi>, eigen): eigen holds when every amplitude of P|psi>
+    matches mu * psi within tol, mu = <psi|P|psi> / <psi|psi>; the zero
+    state is no eigenstate."""
+    image = pauli_image_terms(p, terms)
+    value = complex(sum(np.conj(terms.get(k, 0)) * a for k, a in image.items()))
+    norm2 = sum(abs(a) ** 2 for a in terms.values())
+    if norm2 == 0:
+        return value, False
+    mu = value / norm2
+    keys = set(terms) | set(image)
+    return value, all(abs(image.get(k, 0) - mu * terms.get(k, 0)) <= tol for k in keys)
+
+
+def intersect_inner(a: SparseState, b: SparseState) -> complex:
+    """<a|b> by np.intersect1d over the keys, the formula states.inner used
+    before it searched one key array in the other."""
+    _, ia, ib = np.intersect1d(a.keys, b.keys, assume_unique=True, return_indices=True)
+    return complex(np.sum(np.conj(a.amps[ia]) * b.amps[ib]))
+
+
 def random_pauli(rng: np.random.Generator, n: int) -> PauliOperator:
     return PauliOperator.from_bits(
         rng.integers(0, 2, n).tolist(), rng.integers(0, 2, n).tolist(), int(rng.integers(0, 4))

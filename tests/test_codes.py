@@ -19,7 +19,7 @@ from hqec.codes import (
     syndrome,
     validate_code,
 )
-from hqec.compat import clifford_correction_for_t
+from hqec.compat import clifford_correction_for_t, stabilizer_mask_check
 from hqec.pauli import PauliOperator, parse_pauli
 from hqec.states import apply_pauli, fidelity_up_to_phase, inner
 from oracles import cached_code, cached_code_space
@@ -182,6 +182,20 @@ class TestCodewords:
         assert fidelity_up_to_phase(apply_pauli(cs.one, x), cs.zero) > 1 - 1e-12
         assert abs(inner(cs.zero, cs.one)) < 1e-12
 
+    def test_logical_x_anticommuting_with_a_generator(self):
+        # XII anticommutes with ZZI, so |1> = XII|000> is not fixed by it
+        code = StabilizerCode("bf_bad_x", 3, 1, (parse_pauli("ZZI"), parse_pauli("IZZ")),
+                              (parse_pauli("XII"),), (parse_pauli("ZZZ"),))
+        with pytest.raises(ValueError, match="^bf_bad_x: codeword is not fixed by ZZI$"):
+            logical_codewords(code)
+
+    def test_logical_x_commuting_with_logical_z(self):
+        # ZII commutes with everything, so |1> = |0> and logical Z fixes it
+        code = StabilizerCode("bf_z_x", 3, 1, (parse_pauli("ZZI"), parse_pauli("IZZ")),
+                              (parse_pauli("ZII"),), (parse_pauli("ZZZ"),))
+        with pytest.raises(ValueError, match=r"^bf_z_x: logical Z does not negate \|1>$"):
+            logical_codewords(code)
+
     def test_k_not_one_rejected(self):
         c1 = gf2.code_from_strings(["10", "01"])
         c2 = gf2.code_from_strings(["00"])
@@ -216,6 +230,23 @@ class TestPerCodeCaches:
             with pytest.raises(ValueError, match="no codeword seed"):
                 logical_codewords(code)
 
+    def test_mask_check_is_memoized(self):
+        for name in BUILTIN_NAMES:
+            code = builtin_code(name)
+            assert stabilizer_mask_check(code) is stabilizer_mask_check(code)
+
+    def test_mask_check_failures_are_not_cached(self):
+        # a generator on two qubits of a three-qubit code cannot be checked
+        code = StabilizerCode("short_gen", 3, 1, (parse_pauli("ZZ"), parse_pauli("IZZ")),
+                              (parse_pauli("XXX"),), (parse_pauli("ZZZ"),))
+        before = stabilizer_mask_check.cache_info()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                stabilizer_mask_check(code)
+        after = stabilizer_mask_check.cache_info()
+        assert after.misses == before.misses + 3
+        assert after.currsize == before.currsize
+
     def test_caches_stay_at_their_bound(self):
         # distinct names make distinct codes
         text = format_code_text(builtin_code("bit_flip"))
@@ -223,7 +254,9 @@ class TestPerCodeCaches:
             code = parse_code_text(text, name=f"bf{i}")
             clifford_correction_for_t(logical_codewords(code))
             decode_single_error(code, (1, 0))
-        for cached in (logical_codewords, clifford_correction_for_t, _single_error_table):
+            stabilizer_mask_check(code)
+        for cached in (logical_codewords, clifford_correction_for_t, _single_error_table,
+                       stabilizer_mask_check):
             info = cached.cache_info()
             assert info.maxsize == CODE_CACHE_SIZE
             assert info.currsize == CODE_CACHE_SIZE

@@ -13,6 +13,7 @@ from hqec.protocol import (
     evaluate_circuit,
     format_circuit,
     mask_pauli,
+    measured_syndrome,
     parse_circuit,
     random_state,
     resource_report,
@@ -22,7 +23,8 @@ from hqec.protocol import (
     run_transversal_t_protocol,
     t_byproduct,
 )
-from hqec.pauli import parse_pauli
+from hqec.codes import builtin_code, syndrome
+from hqec.pauli import PauliOperator, parse_pauli
 from hqec.rng import SplitMix64
 from hqec.states import (
     SparseState,
@@ -455,6 +457,30 @@ class TestStorage:
                 for err in errors:
                     rep = run_storage_protocol(name, (0.6, 0.8j), (a, b), err, SplitMix64(2))
                     assert rep.fidelity >= 1 - 1e-10, (name, (a, b), err)
+
+
+class TestMeasuredSyndrome:
+    @pytest.mark.parametrize("name", ["bit_flip", "phase_flip", "steane", "shor", "rm15"])
+    def test_every_weight_one_error(self, name):
+        code = builtin_code(name)
+        errors = [PauliOperator.identity(code.n)] + [
+            PauliOperator.single(code.n, q, k) for q in range(1, code.n + 1) for k in "XYZ"
+        ]
+        for a in (0, 1):
+            for b in (0, 1):
+                keys = KeyRegister.uniform(code.n, a, b)
+                for basis_state in cached_code_space(name).basis:
+                    masked = encrypt(basis_state, keys)
+                    for err in errors:
+                        got = measured_syndrome(apply_pauli(masked, err), code)
+                        assert got == syndrome(code, err), (name, (a, b), err)
+
+    @pytest.mark.parametrize("error,generator", [("XII", "ZZI"), ("IIX", "IZZ")])
+    def test_superposed_syndromes_name_the_generator(self, error, generator):
+        zero = cached_code_space("bit_flip").zero
+        mixed = combine([zero, apply_pauli(zero, parse_pauli(error))], [0.6, 0.8])
+        with pytest.raises(ProtocolError, match=f"^state is not an eigenstate of {generator}$"):
+            measured_syndrome(mixed, builtin_code("bit_flip"))
 
 
 class TestTransversalT:

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hqec import states
 from hqec.pauli import PauliOperator, parse_pauli
 from hqec.rng import SplitMix64
 from hqec.states import (
@@ -14,6 +17,8 @@ from hqec.states import (
     bell_pair,
     fidelity_up_to_phase,
     gate,
+    inner,
+    pauli_eigenvalues,
     project_onto,
     rotated_bell_measure,
     swap_qubits,
@@ -26,7 +31,10 @@ from oracles import (
     dense_pauli,
     dense_rotated_bell_branches,
     dense_swap,
+    intersect_inner,
     op_on,
+    pauli_expectation_terms,
+    pauli_image_terms,
     random_dense_state,
     random_pauli,
     sparse_of,
@@ -342,3 +350,159 @@ class TestRotatedBellMeasureOracle:
                     assert forced_outcome == outcome
                     assert np.array_equal(forced.keys, col.keys)
                     assert np.array_equal(forced.amps, col.amps)
+
+
+def _sorted_state(n, keys, amps):
+    return SparseState(n, np.array(sorted(keys), np.uint64), np.array(amps, complex), True)
+
+
+_AMP = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False).filter(
+    lambda a: abs(a) > 1e-6
+)
+
+
+class TestInnerSearchsorted:
+    """inner finds a's keys in b's sorted keys; the shared keys come out in
+    key order, so the sum equals the intersect1d formula bit for bit."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_intersect1d_bit_for_bit(self, data):
+        n = data.draw(st.sampled_from([1, 3, 6, 64]), label="n")
+        keys = st.integers(0, (1 << n) - 1)
+        ka = data.draw(st.sets(keys, max_size=12), label="a keys")
+        relation = data.draw(st.sampled_from(["overlap", "disjoint", "identical"]), label="rel")
+        if relation == "identical":
+            kb = set(ka)
+        else:
+            kb = data.draw(st.sets(keys, max_size=12), label="b keys")
+            if relation == "disjoint":
+                kb -= ka
+            else:
+                kb |= set(list(ka)[: len(ka) // 2])
+        a = _sorted_state(n, ka, data.draw(st.lists(_AMP, min_size=len(ka), max_size=len(ka))))
+        b = _sorted_state(n, kb, data.draw(st.lists(_AMP, min_size=len(kb), max_size=len(kb))))
+        for x, y in ((a, b), (b, a), (a, a)):
+            got, want = np.array([inner(x, y), intersect_inner(x, y)]).view(np.uint64).reshape(2, 2)
+            assert np.array_equal(got, want)  # same bits, signed zeros included
+
+    def test_empty_states(self):
+        empty = SparseState(3, np.array([], np.uint64), np.array([], complex))
+        full = SparseState.from_terms(3, {0: 0.6, 7: 0.8})
+        for x, y in ((empty, full), (full, empty), (empty, empty)):
+            assert inner(x, y) == 0j == intersect_inner(x, y)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            inner(SparseState.from_basis(2, 0), SparseState.from_basis(3, 0))
+
+
+def _terms(state):
+    return dict(state.items())
+
+
+def _random_pauli_n(data, n, label):
+    x = data.draw(st.integers(0, (1 << n) - 1), label=f"{label} x")
+    z = data.draw(st.integers(0, (1 << n) - 1), label=f"{label} z")
+    return PauliOperator(n, x, z, data.draw(st.integers(0, 3), label=f"{label} phase"))
+
+
+class TestPauliEigenvalues:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_against_letterwise_and_dense_oracles(self, data):
+        n = data.draw(st.sampled_from([1, 2, 3, 4, 5, 64]), label="n")
+        keys = data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=8), label="keys")
+        if n == 64 and data.draw(st.booleans(), label="bit 63 set"):
+            keys = {k | 1 << 63 for k in keys}
+        amps = data.draw(st.lists(_AMP, min_size=len(keys), max_size=len(keys)), label="amps")
+        terms = dict(zip(sorted(keys), amps))
+        base = _random_pauli_n(data, n, "P0")
+        if data.draw(st.booleans(), label="eigenstate of P0"):
+            # (psi + P psi / mu) is an eigenstate of P with eigenvalue mu, mu^2 = P^2
+            sq = base.multiply(base).phase_value()
+            mu = np.sqrt(complex(sq)) * data.draw(st.sampled_from([1, -1]), label="sign")
+            image = pauli_image_terms(base, terms)
+            terms = {k: terms.get(k, 0) + image.get(k, 0) / mu for k in set(terms) | set(image)}
+            terms = {k: a for k, a in terms.items() if abs(a) > 1e-6}
+            assume(terms)
+        state = SparseState.from_terms(n, terms)
+        # P0 times i^j (odd phases included), its negative, and unrelated Paulis
+        j = data.draw(st.integers(0, 3), label="j")
+        paulis = [base, PauliOperator(n, base.x, base.z, base.phase + j),
+                  PauliOperator(n, base.x, base.z, base.phase + 2), PauliOperator.identity(n)]
+        paulis += [_random_pauli_n(data, n, f"P{i}") for i in range(data.draw(st.integers(0, 4)))]
+        block = data.draw(st.sampled_from([1, 3, 8, 1 << 16]), label="block")
+        with mock.patch.object(states, "EIGEN_BLOCK", block):
+            values, eigen = pauli_eigenvalues(state, paulis)
+        assert values.shape == eigen.shape == (len(paulis),)
+        for p, val, ok in zip(paulis, values, eigen):
+            want, want_ok = pauli_expectation_terms(p, _terms(state))
+            assert abs(val - want) < 1e-9
+            assert ok == want_ok, p
+            if n <= 5:
+                vec = dense_of(state)
+                assert abs(val - np.vdot(vec, dense_pauli(p) @ vec)) < 1e-9
+        assert eigen[3] and abs(values[3] - state.norm() ** 2) < 1e-9
+
+    def test_plus_minus_one_and_y_parts(self):
+        bell = SparseState.from_terms(2, {0b00: 0.6, 0b11: 0.8})
+        values, eigen = pauli_eigenvalues(bell, [parse_pauli(t) for t in ("ZZ", "-ZZ", "IZ")])
+        assert np.allclose(values, [1, -1, 0.36 - 0.64]) and eigen.tolist() == [True, True, False]
+        phi = SparseState.from_terms(2, {0b00: 1, 0b11: 1}).normalized()
+        # XX, YY = -XX ZZ and iXZ phases: eigenvalues +1, -1, and +-i for non-Hermitian
+        ops = [parse_pauli(t) for t in ("XX", "YY", "XY", "iXX")]
+        values, eigen = pauli_eigenvalues(phi, ops)
+        assert np.allclose(values, [1, -1, 0, 1j])
+        assert eigen.tolist() == [True, True, False, True]
+
+    def test_bit_63_keys(self):
+        n = 64
+        top = 1 << 63
+        cat = SparseState(n, np.array([1, top | 2], np.uint64), np.array([1, 1j]) / np.sqrt(2), True)
+        # X on qubits 1, 2 and 64 swaps the two keys; Z on qubit 64 tells them apart
+        x = PauliOperator(n, top | 3, 0, 0)
+        z64 = PauliOperator(n, 0, top, 0)
+        xz = PauliOperator(n, top | 3, top, 0)  # X1 X2 (XZ)64: eigenvalue -i on this state
+        values, eigen = pauli_eigenvalues(cat, [x, z64, xz])
+        for p, val, ok in zip((x, z64, xz), values, eigen):
+            want, want_ok = pauli_expectation_terms(p, _terms(cat))
+            assert abs(val - want) < 1e-12 and ok == want_ok
+        assert eigen.tolist() == [False, False, True]
+        assert np.allclose(values, [0, 0, -1j])
+
+    def test_missing_flipped_key_is_no_eigenstate(self):
+        state = SparseState.from_terms(3, {0b000: 0.6, 0b011: 0.8})
+        values, eigen = pauli_eigenvalues(state, [parse_pauli("XII"), parse_pauli("XXI")])
+        # X1 maps 000 to 001, which is not stored; X1X2 maps the keys onto each other
+        assert values[0] == 0 and not eigen[0]
+        assert abs(values[1] - 0.96) < 1e-12 and not eigen[1]
+
+    def test_amplitude_ratios_differ(self):
+        state = SparseState.from_terms(1, {0: 1, 1: 2}).normalized()
+        values, eigen = pauli_eigenvalues(state, [parse_pauli("X"), parse_pauli("Z")])
+        assert np.allclose(values, [0.8, -0.6]) and not eigen.any()
+
+    def test_more_rows_than_one_block(self):
+        # |+>^15: 2^15 terms, so one block holds two rows and five Paulis take three
+        n = 15
+        plus = SparseState(n, np.arange(1 << n, dtype=np.uint64),
+                           np.full(1 << n, 2 ** (-n / 2), complex), True)
+        ops = [PauliOperator(n, (1 << n) - 1, 0, 0), PauliOperator(n, 5, 0, 2),
+               PauliOperator(n, 0, 1, 0), PauliOperator(n, 1 << 14, 0, 0),
+               PauliOperator(n, 1, 1, 1)]
+        assert states.EIGEN_BLOCK // plus.num_terms == 2
+        values, eigen = pauli_eigenvalues(plus, ops)
+        assert np.allclose(values, [1, -1, 0, 1, 0])
+        assert eigen.tolist() == [True, True, False, True, False]
+
+    def test_zero_state_and_no_paulis(self):
+        empty = SparseState(2, np.array([], np.uint64), np.array([], complex))
+        values, eigen = pauli_eigenvalues(empty, [parse_pauli("ZZ")])
+        assert values.tolist() == [0] and eigen.tolist() == [False]
+        values, eigen = pauli_eigenvalues(SparseState.from_basis(2, 0), [])
+        assert values.shape == eigen.shape == (0,)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch: operator on 3, state on 2"):
+            pauli_eigenvalues(SparseState.from_basis(2, 0), [parse_pauli("ZZ"), parse_pauli("ZZZ")])
