@@ -39,11 +39,10 @@ from .protocol import (
     KeyRegister,
     Transcript,
     clifford_key_update,
-    decrypt,
     encrypt,
-    evaluate_circuit,
     parse_circuit,
     resource_report,
+    run_circuit,
     run_demo_circuit,
     run_logical_t_protocol,
     run_storage_protocol,

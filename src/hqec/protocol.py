@@ -9,25 +9,31 @@ Conventions shared by all runners:
   the a-th power for T, S to the a-th power for Td) plus the Pauli mask
   with b replaced by a xor b.  The byproduct is removed by measuring the
   gate's Bell pair in the matching rotated Bell basis.
-* The client replay (decrypt) walks the recorded gate sequence in order,
-  so every rotation exponent and key update uses the key values current
-  at that point; measurement outcomes fold in as a -> a^r_a and
-  b -> b ^ (a ^ r_b) with the pre-update a.  The other reading of that
-  update breaks the round trip (see the negative test in the suite).
-* The server pass (evaluate_circuit) appends one Bell pair per T/Td gate
-  and keeps every pair until the client replay (decrypt) measures them, so
-  the register grows by two qubits per T gate until decrypt.  Each measured
-  pair is factored out of the register as soon as decrypt measures it.
+* The key replay walks the gate sequence in order, so every rotation
+  exponent and key update uses the key values current at that point;
+  measurement outcomes fold in as a -> a^r_a and b -> b ^ (a ^ r_b) with
+  the pre-update a.  The other reading of that update breaks the round
+  trip (see the negative test in the suite).
+* run_circuit is the one T gadget: it applies the gate, tensors in a Bell
+  pair, swaps the data qubit with the pair's s half and measures the pair
+  at once, so the register never holds more than the data plus one pair.
+  Measured qubits are never touched again, so this equals keeping every
+  pair until the end.  The transcript lists the server's events before
+  the client's, with pair i at the positions n+2i-1, n+2i it would hold if
+  every pair were kept.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .codes import (
+    CODE_CACHE_SIZE,
     StabilizerCode,
     builtin_code,
     decode_single_error,
@@ -90,16 +96,11 @@ class KeyRegister:
     def pair(self, qubit: int) -> tuple[int, int]:
         return self.pairs[qubit - 1]
 
-    def with_pair(self, qubit: int, pair) -> "KeyRegister":
-        pairs = list(self.pairs)
-        pairs[qubit - 1] = (int(pair[0]) & 1, int(pair[1]) & 1)
-        return KeyRegister(tuple(pairs))
-
     def as_lists(self) -> list[list[int]]:
         return [[a, b] for a, b in self.pairs]
 
 
-CLIFFORD_KINDS = ("X", "Z", "H", "S", "CNOT")
+CLIFFORD_KINDS = ("X", "Z", "H", "S", "Sd", "CNOT")
 GATE_KINDS = CLIFFORD_KINDS + ("T", "Td")
 
 
@@ -122,11 +123,11 @@ class CircuitGate:
         return self.kind in CLIFFORD_KINDS
 
 
-_TOKEN = re.compile(r"^(CX|Td|[XZHST])(\d+)(?:,(\d+))?$")
+_TOKEN = re.compile(r"^(CX|Td|Sd|[XZHST])(\d+)(?:,(\d+))?$")
 
 
 def parse_circuit(text: str) -> list[CircuitGate]:
-    """Whitespace-separated tokens like 'H1 T1 Td2 S2 CX1,2'."""
+    """Whitespace-separated tokens like 'H1 T1 Td2 S2 Sd1 CX1,2'."""
     gates = []
     for tok in text.split():
         m = _TOKEN.match(tok)
@@ -158,11 +159,6 @@ def format_circuit(circuit) -> str:
 class Transcript:
     events: list[dict] = field(default_factory=list)
 
-    def record(self, kind: str, **fields) -> dict:
-        ev = {"kind": kind, **fields}
-        self.events.append(ev)
-        return ev
-
     @property
     def bell_pairs_consumed(self) -> int:
         return sum(1 for ev in self.events if ev["kind"] == "bell_consumed")
@@ -186,23 +182,30 @@ def encrypt(state: SparseState, keys: KeyRegister) -> SparseState:
     return apply_pauli(state, mask_pauli(keys))
 
 
+def _key_rule(kind: str, pairs):
+    """Clifford key rule on the (a, b) pairs of a gate's qubits: X and Z
+    leave them alone, H swaps a and b, S and Sd fold a into b, and CNOT
+    mixes the two pairs."""
+    if kind in ("X", "Z"):
+        return pairs
+    if kind == "H":
+        ((a, b),) = pairs
+        return ((b, a),)
+    if kind in ("S", "Sd"):
+        ((a, b),) = pairs
+        return ((a, a ^ b),)
+    (ai, bi), (aj, bj) = pairs
+    return ((ai, bi ^ bj), (ai ^ aj, bj))
+
+
 def clifford_key_update(g: CircuitGate, keys: KeyRegister) -> KeyRegister:
-    """Exact key-update rules; X and Z leave keys alone, H swaps, S folds a
-    into b, CNOT mixes the two pairs."""
+    """The key register after the Clifford gate g, by the exact key rules."""
     if not g.is_clifford:
         raise ValueError(f"{g.kind} is not a Clifford gate")
-    if g.kind in ("X", "Z"):
-        return keys
-    if g.kind == "H":
-        a, b = keys.pair(g.qubits[0])
-        return keys.with_pair(g.qubits[0], (b, a))
-    if g.kind == "S":
-        a, b = keys.pair(g.qubits[0])
-        return keys.with_pair(g.qubits[0], (a, a ^ b))
-    i, j = g.qubits
-    ai, bi = keys.pair(i)
-    aj, bj = keys.pair(j)
-    return keys.with_pair(i, (ai, bi ^ bj)).with_pair(j, (ai ^ aj, bj))
+    pairs = list(keys.pairs)
+    for q, pair in zip(g.qubits, _key_rule(g.kind, [pairs[q - 1] for q in g.qubits])):
+        pairs[q - 1] = pair
+    return KeyRegister(tuple(pairs))
 
 
 @dataclass(frozen=True)
@@ -229,117 +232,81 @@ _ROTATIONS = {
 }
 
 
-def _measure_t_pair(state, pair, kind: str, key, rng, forced=None):
-    """Measure a T (Td) gadget's Bell pair in the rotated basis that the
-    qubit's current key (a, b) selects, and fold the outcome into the key:
-    a -> a ^ r_a and b -> b ^ (a ^ r_b), with the pre-update a in both.
-    Returns (outcome, new key, rotation label, collapsed state)."""
-    a, b = key
-    rotation, label = _ROTATIONS[kind, a]
-    outcome, state = rotated_bell_measure(state, pair, rotation, rng, forced)
-    r_a, r_b = outcome
-    return outcome, (a ^ r_a, b ^ (a ^ r_b)), label, state
+class CircuitRun(NamedTuple):
+    state: SparseState
+    transcript: Transcript
+    outcomes: list
+    max_live_qubits: int
+    max_terms: int
 
 
-# ---------------------------------------------------------------------------
-# evaluate / decrypt
+def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitRun:
+    """Evaluate a Clifford+T circuit on the encrypted register and decrypt
+    it, in one pass over the gates.
 
-
-def evaluate_circuit(enc_state, circuit, keys, bell_pool, rng=None):
-    """Server pass: apply Cliffords directly; for each T/Td apply the gate,
-    tensor in a fresh Bell pair, and swap the data qubit with the pair's s
-    half.  Returns (state, transcript).  Key values never enter this pass;
-    they are replayed by decrypt."""
-    if len(keys) != enc_state.n:
+    Each gate is applied; a Clifford gate's key rule is replayed on the
+    keys.  After a T/Td gate a Bell pair is tensored in, swapped with the
+    data qubit and measured at once in the rotated basis that the qubit's
+    current key (a, b) selects; the outcome folds in as a -> a ^ r_a and
+    b -> b ^ (a ^ r_b), with the pre-update a in both.  Forced outcomes, one
+    per T/Td gate in order, replace sampling.  The final Pauli correction
+    undoes the remaining mask.  The peaks cover the register after each
+    pair is swapped in.
+    """
+    n = len(keys)
+    if n != enc_state.n:
         raise ValueError("key register length does not match the data register")
+    forced = None if forced_outcomes is None else list(forced_outcomes)
+    cur = list(keys.pairs)
     state = enc_state
-    transcript = Transcript()
-    pool = list(bell_pool)
-    for pair in pool:
-        if pair.n != 2:
-            raise ValueError("bell pool entries must be two-qubit states")
-    next_pair = 0
+    server, client, outcomes = [], [], []
+    max_qubits, max_terms = state.n, state.num_terms
     for g in circuit:
+        kind, qubits = g.kind, g.qubits
+        state = apply_plain_circuit(state, (g,))
         if g.is_clifford:
-            transcript.record("gate", gate=g.kind, qubits=list(g.qubits))
-            state = apply_plain_circuit(state, (g,))
-        else:
-            if next_pair >= len(pool):
-                raise ProtocolError("bell pool exhausted")
-            w = g.qubits[0]
-            state = apply_single(state, gate(g.kind), w)
-            s_pos, c_pos = state.n + 1, state.n + 2
-            state = tensor(state, pool[next_pair])
-            next_pair += 1
-            transcript.record(
-                "gate", gate=g.kind, qubits=[w], pair_index=next_pair, pair_positions=[s_pos, c_pos]
-            )
-            transcript.record("bell_consumed", pair_index=next_pair, positions=[s_pos, c_pos])
-            state = swap_qubits(state, w, s_pos)
-            transcript.record("swap", positions=[w, s_pos])
-    return state, transcript
-
-
-def decrypt(client_state, transcript, keys, rng, forced_outcomes=None):
-    """Client pass: replay the gate sequence updating keys, measure each T
-    pair in its rotated Bell basis (factoring the pair out), and finish with
-    the multi-qubit Pauli correction.  Appends its events to the transcript
-    and returns the decrypted state."""
-    n_data = len(keys)
-    gate_events = [ev for ev in transcript.events if ev["kind"] == "gate"]
-    n_pairs = sum(1 for ev in gate_events if ev["gate"] in ("T", "Td"))
-    if client_state.n != n_data + 2 * n_pairs:
-        raise ProtocolError(
-            f"register has {client_state.n} qubits, transcript implies {n_data + 2 * n_pairs}"
-        )
-    forced = list(forced_outcomes) if forced_outcomes is not None else None
-    forced_idx = 0
-
-    state = client_state
-    cur = keys
-    alive = list(range(1, client_state.n + 1))
-    for ev in gate_events:
-        kind = ev["gate"]
-        if kind in ("T", "Td"):
-            j = ev["qubits"][0]
-            s_pos, c_pos = ev["pair_positions"]
-            p1, p2 = alive.index(s_pos) + 1, alive.index(c_pos) + 1
-            pick = None
-            if forced is not None:
-                if forced_idx >= len(forced):
-                    raise ProtocolError("not enough forced outcomes")
-                pick = forced[forced_idx]
-                forced_idx += 1
-            old = cur.pair(j)
-            outcome, new, rot_label, state = _measure_t_pair(
-                state, (p1, p2), kind, old, rng, pick
-            )
-            alive.remove(s_pos)
-            alive.remove(c_pos)
-            transcript.record(
-                "measurement",
-                pair_index=ev["pair_index"],
-                rotation=rot_label,
-                outcome=list(outcome),
-                forced=pick is not None,
-            )
-            transcript.record("key_update", qubit=j, old=list(old), new=list(new))
-            cur = cur.with_pair(j, new)
-        else:
-            g = CircuitGate(kind, tuple(ev["qubits"]))
-            updated = clifford_key_update(g, cur)
-            for q in g.qubits:
-                if updated.pair(q) != cur.pair(q) or g.kind in ("H", "S", "CNOT"):
-                    transcript.record(
-                        "key_update", qubit=q, old=list(cur.pair(q)), new=list(updated.pair(q))
-                    )
-            cur = updated
-
-    transcript.record("final_keys", keys=cur.as_lists())
-    correction = mask_pauli(cur).adjoint()
+            server.append({"kind": "gate", "gate": kind, "qubits": list(qubits)})
+            if kind not in ("X", "Z"):
+                old = [cur[q - 1] for q in qubits]
+                for q, was, new in zip(qubits, old, _key_rule(kind, old)):
+                    client.append({"kind": "key_update", "qubit": q, "old": list(was), "new": list(new)})
+                    cur[q - 1] = new
+            continue
+        (w,) = qubits
+        i = len(outcomes) + 1
+        s_pos, c_pos = n + 2 * i - 1, n + 2 * i
+        server += [
+            {"kind": "gate", "gate": kind, "qubits": [w], "pair_index": i, "pair_positions": [s_pos, c_pos]},
+            {"kind": "bell_consumed", "pair_index": i, "positions": [s_pos, c_pos]},
+            {"kind": "swap", "positions": [w, s_pos]},
+        ]
+        state = swap_qubits(tensor(state, bell_pair()), w, n + 1)
+        max_qubits = max(max_qubits, state.n)
+        max_terms = max(max_terms, state.num_terms)
+        pick = None
+        if forced is not None:
+            if i > len(forced):
+                raise ProtocolError("not enough forced outcomes")
+            pick = forced[i - 1]
+        a, b = cur[w - 1]
+        rotation, label = _ROTATIONS[kind, a]
+        outcome, state = rotated_bell_measure(state, (n + 1, n + 2), rotation, rng, pick)
+        r_a, r_b = outcome
+        cur[w - 1] = new = (a ^ r_a, b ^ (a ^ r_b))
+        outcomes.append(outcome)
+        client += [
+            {"kind": "measurement", "pair_index": i, "rotation": label, "outcome": list(outcome),
+             "forced": pick is not None},
+            {"kind": "key_update", "qubit": w, "old": [a, b], "new": list(new)},
+        ]
+    final = KeyRegister(tuple(cur))
+    correction = mask_pauli(final).adjoint()
+    client += [
+        {"kind": "final_keys", "keys": final.as_lists()},
+        {"kind": "final_correction", "pauli": correction.to_string()},
+    ]
     state = apply_pauli(state, correction)
-    transcript.record("final_correction", pauli=correction.to_string())
-    return state
+    return CircuitRun(state, Transcript(server + client), outcomes, max_qubits, max_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -390,18 +357,15 @@ class DemoReport:
 
 def run_demo_circuit(rng, keys=None, state=None, forced_outcomes=None):
     """Two-qubit demo: H,T on qubit 1 and Td,S on qubit 2, run through
-    encrypt -> evaluate -> decrypt.  Returns (report, decrypted, expected)."""
+    encrypt -> run_circuit.  Returns (report, decrypted, expected)."""
     psi = state if state is not None else random_state(2, rng)
     kr = keys if keys is not None else KeyRegister.random(2, rng)
-    enc = encrypt(psi, kr)
-    pool = [bell_pair(), bell_pair()]
-    out, transcript = evaluate_circuit(enc, DEMO_CIRCUIT, kr, pool, rng)
-    dec = decrypt(out, transcript, kr, rng, forced_outcomes)
+    run = run_circuit(encrypt(psi, kr), DEMO_CIRCUIT, kr, rng, forced_outcomes)
     expected = apply_plain_circuit(psi, DEMO_CIRCUIT)
-    fid = fidelity_up_to_phase(dec, expected)
-    final_keys = next(ev for ev in transcript.events if ev["kind"] == "final_keys")["keys"]
-    report = DemoReport(kr.as_lists(), final_keys, fid, transcript)
-    return report, dec, expected
+    fid = fidelity_up_to_phase(run.state, expected)
+    final_keys = next(ev for ev in run.transcript.events if ev["kind"] == "final_keys")["keys"]
+    report = DemoReport(kr.as_lists(), final_keys, fid, run.transcript)
+    return report, run.state, expected
 
 
 @dataclass(frozen=True)
@@ -467,8 +431,7 @@ def run_storage_protocol(code, amplitudes, key, injected_error=None, rng=None) -
     corr = decode_single_error(code, syn)
     if corr is None:
         raise ProtocolError(f"syndrome {syn} matches no weight-<=1 error")
-    state = apply_pauli(state, corr)
-    state = apply_pauli(state, mask_pauli(keys).adjoint())
+    state = apply_pauli(state, mask_pauli(keys).adjoint().multiply(corr))
     fid = fidelity_up_to_phase(state, psi)
     return StorageReport(
         code.name,
@@ -507,12 +470,19 @@ class TransversalTReport:
         }
 
 
+@lru_cache(maxsize=CODE_CACHE_SIZE)
+def _transversal_t_circuit(n: int, s_power: int, z_power: int) -> tuple[CircuitGate, ...]:
+    """T on every qubit, then transversal Sd^s_power and Z^z_power."""
+    layers = ["T"] + ["Sd"] * s_power + ["Z"] * z_power
+    return tuple(CircuitGate(kind, (q,)) for kind in layers for q in range(1, n + 1))
+
+
 def run_transversal_t_protocol(amplitudes, key, rng, forced_outcomes=None) -> TransversalTReport:
-    """Transversal T on the masked [[15,1,3]] block: T on every qubit, one
-    teleportation per qubit to strip the S-type byproducts, then the diagonal
-    logical Clifford correction (realized transversally) and the final Pauli
-    unmask.  Pairs are processed one at a time so the 45-qubit joint register
-    is never materialized."""
+    """Transversal T on the masked [[15,1,3]] block through run_circuit: T on
+    every qubit, each teleported to strip its S-type byproduct, then the
+    diagonal logical Clifford correction realized as transversal Sd and Z.
+    Each pair is measured before the next is tensored in, so the 45-qubit
+    joint register is never materialized."""
     code = builtin_code("rm15")
     forced = list(forced_outcomes) if forced_outcomes is not None else None
     if forced is not None and len(forced) != code.n:
@@ -527,44 +497,15 @@ def run_transversal_t_protocol(amplitudes, key, rng, forced_outcomes=None) -> Tr
     psi = combine(list(cs.basis), [c0, c1])
     a, b = int(key[0]) & 1, int(key[1]) & 1
     keys = KeyRegister.uniform(code.n, a, b)
-    state = encrypt(psi, keys)
-    max_qubits = state.n
-    max_terms = state.num_terms
-
-    for q in range(1, code.n + 1):
-        state = apply_single(state, gate("T"), q)
-
-    outcomes = []
-    for q in range(1, code.n + 1):
-        state = tensor(state, bell_pair())
-        s_pos, c_pos = code.n + 1, code.n + 2
-        state = swap_qubits(state, q, s_pos)
-        max_qubits = max(max_qubits, state.n)
-        max_terms = max(max_terms, state.num_terms)
-        pick = forced[q - 1] if forced is not None else None
-        outcome, new, _, state = _measure_t_pair(state, (s_pos, c_pos), "T", keys.pair(q), rng, pick)
-        outcomes.append(outcome)
-        keys = keys.with_pair(q, new)
-
-    # diagonal logical correction: S-power realized as transversal Sd, the
-    # Z-power as transversal Z; both propagate the keys exactly
-    for _ in range(corr.logical_s_power % 4):
-        for q in range(1, code.n + 1):
-            state = apply_single(state, gate("Sd"), q)
-            aq, bq = keys.pair(q)
-            keys = keys.with_pair(q, (aq, aq ^ bq))
-    if corr.logical_z_power % 2:
-        for q in range(1, code.n + 1):
-            state = apply_single(state, gate("Z"), q)
-
-    state = apply_pauli(state, mask_pauli(keys).adjoint())
+    circuit = _transversal_t_circuit(code.n, corr.logical_s_power % 4, corr.logical_z_power % 2)
+    run = run_circuit(encrypt(psi, keys), circuit, keys, rng, forced)
     target = combine(list(cs.basis), [c0, OMEGA * c1])
-    fid = fidelity_up_to_phase(state, target)
+    fid = fidelity_up_to_phase(run.state, target)
     if fid < 1 - ROUND_TRIP_TOL:
         raise ProtocolError(f"transversal-T output fidelity {fid} below tolerance")
     return TransversalTReport(
-        (a, b), outcomes, corr.as_dict(), fid, code.n, code.n, max_qubits, max_terms,
-        final_state=state,
+        (a, b), run.outcomes, corr.as_dict(), fid, code.n, len(run.outcomes), run.max_live_qubits,
+        run.max_terms, final_state=run.state,
     )
 
 

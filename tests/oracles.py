@@ -12,7 +12,26 @@ import numpy as np
 
 from hqec.codes import builtin_code, logical_codewords
 from hqec.pauli import PauliOperator
-from hqec.states import SparseState, apply_pauli, combine
+from hqec.protocol import (
+    CircuitGate,
+    KeyRegister,
+    ProtocolError,
+    Transcript,
+    apply_plain_circuit,
+    clifford_key_update,
+    mask_pauli,
+)
+from hqec.states import (
+    IDENTITY,
+    SparseState,
+    apply_pauli,
+    apply_single,
+    combine,
+    gate,
+    rotated_bell_measure,
+    swap_qubits,
+    tensor,
+)
 
 I2 = np.eye(2, dtype=complex)
 XM = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -191,3 +210,132 @@ def scan_zero_codeword(code) -> SparseState:
     if zero is None:
         raise ValueError(f"no codeword seed found for {code.name}")
     return zero
+
+
+# ---------------------------------------------------------------------------
+# deferred T gadget: the reference for protocol.run_circuit
+
+
+class DeferredTranscript(Transcript):
+    def record(self, kind: str, **fields) -> dict:
+        ev = {"kind": kind, **fields}
+        self.events.append(ev)
+        return ev
+
+
+_ROTATIONS = {
+    ("T", 0): (IDENTITY, "S^0"),
+    ("T", 1): (gate("S"), "S^1"),
+    ("Td", 0): (IDENTITY, "Sd^0"),
+    ("Td", 1): (gate("Sd"), "Sd^1"),
+}
+
+
+def _measure_t_pair(state, pair, kind: str, key, rng, forced=None):
+    """Measure a T (Td) gadget's Bell pair in the rotated basis that the
+    qubit's current key (a, b) selects, and fold the outcome into the key:
+    a -> a ^ r_a and b -> b ^ (a ^ r_b), with the pre-update a in both.
+    Returns (outcome, new key, rotation label, collapsed state)."""
+    a, b = key
+    rotation, label = _ROTATIONS[kind, a]
+    outcome, state = rotated_bell_measure(state, pair, rotation, rng, forced)
+    r_a, r_b = outcome
+    return outcome, (a ^ r_a, b ^ (a ^ r_b)), label, state
+
+
+def evaluate_circuit(enc_state, circuit, keys, bell_pool, rng=None):
+    """Server pass: apply Cliffords directly; for each T/Td apply the gate,
+    tensor in a fresh Bell pair, and swap the data qubit with the pair's s
+    half.  Returns (state, transcript).  Key values never enter this pass;
+    they are replayed by decrypt.  Every pair stays in the register, so it
+    grows by two qubits and doubles its terms per T gate."""
+    if len(keys) != enc_state.n:
+        raise ValueError("key register length does not match the data register")
+    state = enc_state
+    transcript = DeferredTranscript()
+    pool = list(bell_pool)
+    for pair in pool:
+        if pair.n != 2:
+            raise ValueError("bell pool entries must be two-qubit states")
+    next_pair = 0
+    for g in circuit:
+        if g.is_clifford:
+            transcript.record("gate", gate=g.kind, qubits=list(g.qubits))
+            state = apply_plain_circuit(state, (g,))
+        else:
+            if next_pair >= len(pool):
+                raise ProtocolError("bell pool exhausted")
+            w = g.qubits[0]
+            state = apply_single(state, gate(g.kind), w)
+            s_pos, c_pos = state.n + 1, state.n + 2
+            state = tensor(state, pool[next_pair])
+            next_pair += 1
+            transcript.record(
+                "gate", gate=g.kind, qubits=[w], pair_index=next_pair, pair_positions=[s_pos, c_pos]
+            )
+            transcript.record("bell_consumed", pair_index=next_pair, positions=[s_pos, c_pos])
+            state = swap_qubits(state, w, s_pos)
+            transcript.record("swap", positions=[w, s_pos])
+    return state, transcript
+
+
+def decrypt(client_state, transcript, keys, rng, forced_outcomes=None):
+    """Client pass: replay the gate sequence updating keys, measure each T
+    pair in its rotated Bell basis (factoring the pair out), and finish with
+    the multi-qubit Pauli correction.  Appends its events to the transcript
+    and returns the decrypted state."""
+    n_data = len(keys)
+    gate_events = [ev for ev in transcript.events if ev["kind"] == "gate"]
+    n_pairs = sum(1 for ev in gate_events if ev["gate"] in ("T", "Td"))
+    if client_state.n != n_data + 2 * n_pairs:
+        raise ProtocolError(
+            f"register has {client_state.n} qubits, transcript implies {n_data + 2 * n_pairs}"
+        )
+    forced = list(forced_outcomes) if forced_outcomes is not None else None
+    forced_idx = 0
+
+    state = client_state
+    cur = keys
+    alive = list(range(1, client_state.n + 1))
+    for ev in gate_events:
+        kind = ev["gate"]
+        if kind in ("T", "Td"):
+            j = ev["qubits"][0]
+            s_pos, c_pos = ev["pair_positions"]
+            p1, p2 = alive.index(s_pos) + 1, alive.index(c_pos) + 1
+            pick = None
+            if forced is not None:
+                if forced_idx >= len(forced):
+                    raise ProtocolError("not enough forced outcomes")
+                pick = forced[forced_idx]
+                forced_idx += 1
+            old = cur.pair(j)
+            outcome, new, rot_label, state = _measure_t_pair(
+                state, (p1, p2), kind, old, rng, pick
+            )
+            alive.remove(s_pos)
+            alive.remove(c_pos)
+            transcript.record(
+                "measurement",
+                pair_index=ev["pair_index"],
+                rotation=rot_label,
+                outcome=list(outcome),
+                forced=pick is not None,
+            )
+            transcript.record("key_update", qubit=j, old=list(old), new=list(new))
+            cur = KeyRegister(cur.pairs[: j - 1] + (new,) + cur.pairs[j:])
+        else:
+            g = CircuitGate(kind, tuple(ev["qubits"]))
+            updated = clifford_key_update(g, cur)
+            for q in g.qubits:
+                if updated.pair(q) != cur.pair(q) or g.kind in ("H", "S", "Sd", "CNOT"):
+                    transcript.record(
+                        "key_update", qubit=q, old=list(cur.pair(q)), new=list(updated.pair(q))
+                    )
+            cur = updated
+
+    transcript.record("final_keys", keys=cur.as_lists())
+    correction = mask_pauli(cur).adjoint()
+    state = apply_pauli(state, correction)
+    transcript.record("final_correction", pauli=correction.to_string())
+    return state

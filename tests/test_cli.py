@@ -268,7 +268,7 @@ class TestJsonAndDeterminism:
         doc = json.loads(out)
         assert doc["keys_initial"] == [[1, 1], [1, 0]]
         assert doc["keys_final"] == [[0, 1], [0, 0]]
-        assert doc["fidelity"] == 1.0000000000000002
+        assert doc["fidelity"] == 1.0
         events = doc["transcript"]["events"]
         meas = [(e["rotation"], e["outcome"]) for e in events if e["kind"] == "measurement"]
         assert meas == [("S^1", [1, 1]), ("Sd^1", [1, 1])]

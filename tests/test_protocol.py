@@ -7,16 +7,16 @@ from hqec.protocol import (
     KeyRegister,
     ProtocolError,
     TByproduct,
+    apply_plain_circuit,
     clifford_key_update,
-    decrypt,
     encrypt,
-    evaluate_circuit,
     format_circuit,
     mask_pauli,
     measured_syndrome,
     parse_circuit,
     random_state,
     resource_report,
+    run_circuit,
     run_demo_circuit,
     run_logical_t_protocol,
     run_storage_protocol,
@@ -26,6 +26,7 @@ from hqec.protocol import (
 from hqec.codes import builtin_code, syndrome
 from hqec.pauli import PauliOperator, parse_pauli
 from hqec.rng import SplitMix64
+from hqec import states
 from hqec.states import (
     SparseState,
     apply_pauli,
@@ -35,8 +36,10 @@ from hqec.states import (
     fidelity_up_to_phase,
     gate,
     rotated_bell_measure,
+    swap_qubits,
+    tensor,
 )
-from oracles import cached_code_space, dense_cnot, dense_of, op_on
+from oracles import cached_code_space, decrypt, dense_cnot, dense_of, evaluate_circuit, op_on
 
 OMEGA = np.exp(1j * np.pi / 4)
 
@@ -45,6 +48,7 @@ DENSE_1Q = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
     "S": np.array([[1, 0], [0, 1j]], dtype=complex),
+    "Sd": np.array([[1, 0], [0, -1j]], dtype=complex),
     "T": np.array([[1, 0], [0, OMEGA]], dtype=complex),
     "Td": np.array([[1, 0], [0, OMEGA.conjugate()]], dtype=complex),
 }
@@ -137,6 +141,21 @@ class TestKeyUpdates:
         with pytest.raises(ValueError):
             clifford_key_update(CircuitGate("T", (1,)), KeyRegister.of([(0, 0)]))
 
+    def test_sd_matrix_identity(self):
+        # Sd X^a Z^b Sd^dag == lambda * X^a Z^(a^b): the key rule of S
+        sd = DENSE_1Q["Sd"]
+        for a in (0, 1):
+            for b in (0, 1):
+                a2, b2 = clifford_key_update(CircuitGate("Sd", (1,)), KeyRegister.of([(a, b)])).pair(1)
+                assert (a2, b2) == (a, a ^ b)
+                mask = np.linalg.matrix_power(DENSE_1Q["X"], a) @ np.linalg.matrix_power(DENSE_1Q["Z"], b)
+                lhs = sd @ mask @ sd.conj().T
+                rhs = np.linalg.matrix_power(DENSE_1Q["X"], a) @ np.linalg.matrix_power(DENSE_1Q["Z"], a ^ b)
+                idx = np.unravel_index(np.argmax(np.abs(rhs)), rhs.shape)
+                lam = lhs[idx] / rhs[idx]
+                assert abs(abs(lam) - 1) < 1e-12
+                assert np.abs(lhs - lam * rhs).max() < 1e-12
+
     @pytest.mark.parametrize("kind", ["X", "Z", "H", "S"])
     def test_single_qubit_matrix_identity(self, kind):
         # G X^a Z^b == lambda * X^a' Z^b' G exactly, |lambda| = 1
@@ -219,6 +238,13 @@ class TestCircuitText:
         text = "H1 T1 Td2 S2 CX1,2 X3"
         assert format_circuit(parse_circuit(text)) == text
 
+    def test_sd_round_trip(self):
+        text = "Sd1 T2 Sd2 CX2,1 S1"
+        circ = parse_circuit(text)
+        assert [g.kind for g in circ] == ["Sd", "T", "Sd", "CNOT", "S"]
+        assert circ[0].is_clifford
+        assert format_circuit(circ) == text
+
     def test_bad_token(self):
         with pytest.raises(ValueError):
             parse_circuit("Q1")
@@ -229,24 +255,23 @@ class TestCircuitText:
 
 
 class TestEvaluateDecrypt:
+    """Encrypted evaluation and decryption through run_circuit, with the
+    deferred evaluate_circuit/decrypt of tests/oracles.py, which keeps every
+    Bell pair until decrypt, as its reference."""
+
     def test_empty_circuit(self):
         psi = random_state(2, SplitMix64(5))
         keys = KeyRegister.of([(1, 0), (0, 1)])
-        enc = encrypt(psi, keys)
-        out, tr = evaluate_circuit(enc, [], keys, [], SplitMix64(6))
-        assert tr.events == []
-        dec = decrypt(out, tr, keys, SplitMix64(7))
-        assert fidelity_up_to_phase(dec, psi) > 1 - 1e-12
+        run = run_circuit(encrypt(psi, keys), [], keys, SplitMix64(6))
+        assert [e["kind"] for e in run.transcript.events] == ["final_keys", "final_correction"]
+        assert fidelity_up_to_phase(run.state, psi) > 1 - 1e-12
 
     def test_single_t_plus_state(self):
         plus = apply_single(SparseState.from_basis(1, 0), gate("H"), 1)
         keys = KeyRegister.of([(0, 0)])
-        enc = encrypt(plus, keys)
-        circuit = [CircuitGate("T", (1,))]
-        out, tr = evaluate_circuit(enc, circuit, keys, [bell_pair()], SplitMix64(8))
-        dec = decrypt(out, tr, keys, SplitMix64(9))
+        run = run_circuit(encrypt(plus, keys), [CircuitGate("T", (1,))], keys, SplitMix64(8))
         want = apply_single(plus, gate("T"), 1)
-        assert fidelity_up_to_phase(dec, want) > 1 - 1e-12
+        assert fidelity_up_to_phase(run.state, want) > 1 - 1e-12
 
     @pytest.mark.parametrize("kind", ["T", "Td"])
     def test_single_t_all_keys_and_outcomes(self, kind):
@@ -257,18 +282,23 @@ class TestEvaluateDecrypt:
             for b in (0, 1):
                 for outcome in ((0, 0), (0, 1), (1, 0), (1, 1)):
                     keys = KeyRegister.of([(a, b)])
-                    enc = encrypt(psi, keys)
-                    out, tr = evaluate_circuit(enc, [CircuitGate(kind, (1,))], keys, [bell_pair()], None)
-                    dec = decrypt(out, tr, keys, SplitMix64(0), forced_outcomes=[outcome])
-                    got = dense_of(dec)
+                    run = run_circuit(encrypt(psi, keys), [CircuitGate(kind, (1,))], keys,
+                                      SplitMix64(0), forced_outcomes=[outcome])
+                    got = dense_of(run.state)
                     overlap = abs(np.vdot(want, got))
                     assert overlap > 1 - 1e-12
 
-    def test_bell_pool_exhausted(self):
+    def test_too_few_forced_outcomes(self):
         psi = random_state(1, SplitMix64(3))
         keys = KeyRegister.of([(0, 0)])
-        with pytest.raises(ProtocolError, match="bell pool"):
-            evaluate_circuit(encrypt(psi, keys), [CircuitGate("T", (1,))], keys, [], None)
+        circuit = [CircuitGate("T", (1,)), CircuitGate("Td", (1,))]
+        with pytest.raises(ProtocolError, match="not enough forced outcomes"):
+            run_circuit(encrypt(psi, keys), circuit, keys, SplitMix64(0), forced_outcomes=[(0, 0)])
+
+    def test_key_length_mismatch(self):
+        psi = random_state(1, SplitMix64(3))
+        with pytest.raises(ValueError, match="key register length"):
+            run_circuit(psi, [], KeyRegister.of([(0, 0), (1, 1)]), SplitMix64(0))
 
     def test_transcript_bell_count_matches_t_count(self):
         rng = np.random.default_rng(31)
@@ -278,17 +308,10 @@ class TestEvaluateDecrypt:
             n_t = sum(1 for g in circuit if g.kind in ("T", "Td"))
             psi = random_state(n, SplitMix64(int(rng.integers(0, 2**32))))
             keys = KeyRegister.random(n, SplitMix64(int(rng.integers(0, 2**32))))
-            enc = encrypt(psi, keys)
-            out, tr = evaluate_circuit(enc, circuit, keys, [bell_pair()] * n_t, None)
-            assert tr.bell_pairs_consumed == n_t
-
-    def test_register_mismatch_rejected(self):
-        psi = random_state(1, SplitMix64(3))
-        keys = KeyRegister.of([(0, 0)])
-        enc = encrypt(psi, keys)
-        out, tr = evaluate_circuit(enc, [CircuitGate("T", (1,))], keys, [bell_pair()], None)
-        with pytest.raises(ProtocolError):
-            decrypt(psi, tr, keys, SplitMix64(0))  # pair qubits missing
+            run = run_circuit(encrypt(psi, keys), circuit, keys, SplitMix64(1))
+            assert run.transcript.bell_pairs_consumed == n_t
+            assert len(run.outcomes) == n_t
+            assert run.max_live_qubits == n + 2 * (n_t > 0)
 
     def test_round_trip_randomized_circuits(self):
         # >= 200 seeded trials: <= 12 gates, <= 3 T/Td, on <= 3 qubits
@@ -299,12 +322,9 @@ class TestEvaluateDecrypt:
             circuit = _random_circuit(rng, n)
             psi = random_state(n, SplitMix64(trial))
             keys = KeyRegister.random(n, SplitMix64(trial + 10_000))
-            n_t = sum(1 for g in circuit if g.kind in ("T", "Td"))
-            enc = encrypt(psi, keys)
-            out, tr = evaluate_circuit(enc, circuit, keys, [bell_pair()] * n_t, None)
-            dec = decrypt(out, tr, keys, SplitMix64(trial + 20_000))
+            run = run_circuit(encrypt(psi, keys), circuit, keys, SplitMix64(trial + 20_000))
             want = dense_circuit(circuit, n) @ dense_of(psi)
-            fid = abs(np.vdot(want, dense_of(dec)))
+            fid = abs(np.vdot(want, dense_of(run.state)))
             worst = min(worst, fid)
         assert worst >= 1 - 1e-10
 
@@ -315,16 +335,16 @@ class TestEvaluateDecrypt:
         a, b = 1, 0
         keys = KeyRegister.of([(a, b)])
         enc = encrypt(psi, keys)
-        circuit = [CircuitGate("T", (1,))]
-        out, tr = evaluate_circuit(enc, circuit, keys, [bell_pair()], None)
         forced = (1, 0)
 
         # correct reading recovers T|psi>
-        dec_good = decrypt(out, tr, keys, SplitMix64(0), forced_outcomes=[forced])
+        run = run_circuit(enc, [CircuitGate("T", (1,))], keys, SplitMix64(0), forced_outcomes=[forced])
         want = apply_single(psi, gate("T"), 1)
-        assert fidelity_up_to_phase(dec_good, want) > 1 - 1e-12
+        assert fidelity_up_to_phase(run.state, want) > 1 - 1e-12
 
-        # wrong reading: b <- b ^ (a_post ^ r_b) with a_post = a ^ r_a
+        # wrong reading: b <- b ^ (a_post ^ r_b) with a_post = a ^ r_a, on
+        # the gadget register (T, Bell pair on qubits 2 and 3, swap 1 and 2)
+        out = swap_qubits(tensor(apply_single(enc, gate("T"), 1), bell_pair()), 1, 2)
         rot = gate("S") if a else None
         (r_a, r_b), collapsed = rotated_bell_measure(out, (2, 3), rot, SplitMix64(0), forced)
         a_post = a ^ r_a
@@ -333,9 +353,69 @@ class TestEvaluateDecrypt:
         dec_bad = apply_pauli(collapsed, wrong_mask)
         assert fidelity_up_to_phase(dec_bad, want) < 1 - 1e-3
 
+    def test_hundred_t_gates_on_two_qubits(self, monkeypatch):
+        # 100 T/Td gates mixed with H and CNOT: the streamed gadget keeps the
+        # data plus one pair, while the deferred register doubles per T gate
+        rng = np.random.default_rng(100)
+        circuit = []
+        for _ in range(100):
+            circuit.append(CircuitGate(str(rng.choice(["T", "Td"])), (int(rng.integers(1, 3)),)))
+            roll = rng.random()
+            if roll < 0.4:
+                circuit.append(CircuitGate("H", (int(rng.integers(1, 3)),)))
+            elif roll < 0.6:
+                circuit.append(CircuitGate("CNOT", tuple(int(q) for q in rng.permutation([1, 2]))))
+        psi = random_state(2, SplitMix64(1))
+        keys = KeyRegister.random(2, SplitMix64(2))
+        run = run_circuit(encrypt(psi, keys), circuit, keys, SplitMix64(3))
+        assert len(run.outcomes) == 100
+        assert run.max_live_qubits == 4
+        assert run.max_terms <= 16
+        assert fidelity_up_to_phase(run.state, apply_plain_circuit(psi, circuit)) >= 1 - 1e-10
+        # the deferred path stops at the term guard (lowered so the test
+        # stays small; the real 2^22 guard stops it the same way after about
+        # 20 T gates, at over 1 GB resident)
+        monkeypatch.setattr(states, "TERM_GUARD", 1 << 12)
+        with pytest.raises(ValueError, match="term-count guard|qubit cap"):
+            evaluate_circuit(encrypt(psi, keys), circuit, keys, [bell_pair()] * 100)
+
+    def test_bell_pool_exhausted(self):
+        psi = random_state(1, SplitMix64(3))
+        keys = KeyRegister.of([(0, 0)])
+        with pytest.raises(ProtocolError, match="bell pool"):
+            evaluate_circuit(encrypt(psi, keys), [CircuitGate("T", (1,))], keys, [], None)
+
+    def test_register_mismatch_rejected(self):
+        psi = random_state(1, SplitMix64(3))
+        keys = KeyRegister.of([(0, 0)])
+        enc = encrypt(psi, keys)
+        out, tr = evaluate_circuit(enc, [CircuitGate("T", (1,))], keys, [bell_pair()], None)
+        with pytest.raises(ProtocolError):
+            decrypt(psi, tr, keys, SplitMix64(0))  # pair qubits missing
+
+    def test_streamed_equals_deferred(self):
+        rng = np.random.default_rng(4321)
+        kinds = set()
+        for trial in range(240):
+            n = int(rng.integers(1, 4))
+            circuit = _random_circuit(rng, n)
+            kinds.update(g.kind for g in circuit)
+            n_t = sum(1 for g in circuit if g.kind in ("T", "Td"))
+            forced = [tuple(int(r) for r in rng.integers(0, 2, 2)) for _ in range(n_t)]
+            psi = random_state(n, SplitMix64(trial))
+            keys = KeyRegister.random(n, SplitMix64(trial + 10_000))
+            enc = encrypt(psi, keys)
+            for outcomes in (forced, None):
+                run = run_circuit(enc, circuit, keys, SplitMix64(trial), outcomes)
+                out, tr = evaluate_circuit(enc, circuit, keys, [bell_pair()] * n_t)
+                dec = decrypt(out, tr, keys, SplitMix64(trial), outcomes)
+                assert np.abs(dense_of(run.state) - dense_of(dec)).max() <= 1e-12, trial
+                assert run.transcript.events == tr.events, trial
+        assert {"Sd", "CNOT", "T", "Td"} <= kinds
+
 
 def _random_circuit(rng, n, max_gates=12, max_t=3):
-    kinds = ["X", "Z", "H", "S"]
+    kinds = ["X", "Z", "H", "S", "Sd"]
     circuit = []
     n_t = 0
     for _ in range(int(rng.integers(0, max_gates + 1))):
