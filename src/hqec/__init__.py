@@ -59,8 +59,8 @@ from .states import (
     fidelity_up_to_phase,
     gate,
     project_onto,
-    rotated_bell_measure,
     swap_qubits,
+    teleport,
     tensor,
 )
 

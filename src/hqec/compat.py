@@ -23,6 +23,7 @@ from .states import SparseState, combine, inner, project_onto
 
 LEAKAGE_TOL = 1e-10
 PHASE_MATCH_TOL = 1e-9
+_OMEGA = np.exp(1j * np.pi / 4)
 
 
 @dataclass(frozen=True)
@@ -206,13 +207,16 @@ def clifford_correction_for_t(code_space: CodeSpace) -> CliffordCorrection | Non
 
     Memoized by code space (its states compare by identity, so the spaces
     that logical_codewords caches hit); the result is frozen."""
-    omega = np.exp(1j * np.pi / 4)
-    action = diagonal_gate_action(code_space, omega, label="T-transversal")
+    return _correction_from_action(diagonal_gate_action(code_space, _OMEGA, label="T-transversal"))
+
+
+def _correction_from_action(action: DiagonalAction) -> CliffordCorrection | None:
+    """The diagonal logical Clifford correction for a transversal-T action."""
     if action.logical_phases is None:
         return None
     lam0, lam1 = action.logical_phases
     gamma = 1.0 / lam0
-    target = omega * lam0 / lam1
+    target = _OMEGA * lam0 / lam1
     for z in (0, 1):
         for s in range(4):
             if abs(1j**s * (-1) ** z - target) < PHASE_MATCH_TOL:

@@ -14,13 +14,12 @@ Conventions shared by all runners:
   measurement outcomes fold in as a -> a^r_a and b -> b ^ (a ^ r_b) with
   the pre-update a.  The other reading of that update breaks the round
   trip (see the negative test in the suite).
-* run_circuit is the one T gadget: it applies the gate, tensors in a Bell
-  pair, swaps the data qubit with the pair's s half and measures the pair
-  at once, so the register never holds more than the data plus one pair.
-  Measured qubits are never touched again, so this equals keeping every
-  pair until the end.  The transcript lists the server's events before
-  the client's, with pair i at the positions n+2i-1, n+2i it would hold if
-  every pair were kept.
+* run_circuit is the one T gadget: it applies the gate and teleports the
+  data qubit through a fresh Bell pair measured at once (states.teleport,
+  which never builds the data-plus-pair register).  Measured qubits are
+  never touched again, so this equals keeping every pair until the end.
+  The transcript lists the server's events before the client's, with pair
+  i at the positions n+2i-1, n+2i it would hold if every pair were kept.
 """
 
 from __future__ import annotations
@@ -43,18 +42,18 @@ from .compat import clifford_correction_for_t, stabilizer_mask_check
 from .pauli import PauliOperator, parse_pauli
 from .states import (
     IDENTITY,
+    PRUNE_TOL,
     SparseState,
     apply_cnot,
     apply_pauli,
     apply_single,
-    bell_pair,
     combine,
     fidelity_up_to_phase,
     gate,
     inner,
     pauli_eigenvalues,
-    rotated_bell_measure,
-    swap_qubits,
+    sum_by_key,
+    teleport,
     tensor,
 )
 
@@ -245,13 +244,13 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitR
     it, in one pass over the gates.
 
     Each gate is applied; a Clifford gate's key rule is replayed on the
-    keys.  After a T/Td gate a Bell pair is tensored in, swapped with the
-    data qubit and measured at once in the rotated basis that the qubit's
-    current key (a, b) selects; the outcome folds in as a -> a ^ r_a and
-    b -> b ^ (a ^ r_b), with the pre-update a in both.  Forced outcomes, one
-    per T/Td gate in order, replace sampling.  The final Pauli correction
-    undoes the remaining mask.  The peaks cover the register after each
-    pair is swapped in.
+    keys.  After a T/Td gate the data qubit is teleported through a Bell
+    pair measured in the rotated basis that the qubit's current key (a, b)
+    selects; the outcome folds in as a -> a ^ r_a and b -> b ^ (a ^ r_b),
+    with the pre-update a in both.  Forced outcomes, one per T/Td gate in
+    order, replace sampling.  The final Pauli correction undoes the
+    remaining mask.  The peaks count the data-plus-pair register that each
+    teleportation stands for.
     """
     n = len(keys)
     if n != enc_state.n:
@@ -280,9 +279,9 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitR
             {"kind": "bell_consumed", "pair_index": i, "positions": [s_pos, c_pos]},
             {"kind": "swap", "positions": [w, s_pos]},
         ]
-        state = swap_qubits(tensor(state, bell_pair()), w, n + 1)
-        max_qubits = max(max_qubits, state.n)
-        max_terms = max(max_terms, state.num_terms)
+        # the joint register a tensored-in pair would make
+        max_qubits = max(max_qubits, n + 2)
+        max_terms = max(max_terms, 2 * state.num_terms)
         pick = None
         if forced is not None:
             if i > len(forced):
@@ -290,7 +289,7 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitR
             pick = forced[i - 1]
         a, b = cur[w - 1]
         rotation, label = _ROTATIONS[kind, a]
-        outcome, state = rotated_bell_measure(state, (n + 1, n + 2), rotation, rng, pick)
+        outcome, state = teleport(state, w, rotation, rng, pick)
         r_a, r_b = outcome
         cur[w - 1] = new = (a ^ r_a, b ^ (a ^ r_b))
         outcomes.append(outcome)
@@ -553,19 +552,37 @@ class LogicalTReport:
         }
 
 
-def _projector_phase_gate(cs, phase: complex):
-    """Unitary extension I + (phase-1)|1L><1L| applied to a code block."""
-    one = cs.one
-
-    def apply(state: SparseState) -> SparseState:
-        c = inner(one, state)
-        return combine([state, one], [1.0, (phase - 1.0) * c])
-
-    return apply
+_LOGICAL_OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _split_key(key: int, low_bits: int) -> tuple[int, int]:
-    return key & ((1 << low_bits) - 1), key >> low_bits
+def _logical_bell_branches(chi: SparseState, products, bell: SparseState, a: int):
+    """Unnormalized w_p states and weights of the rotated logical Bell
+    measurement on (s_p, c_p), per outcome in _LOGICAL_OUTCOMES order, in one
+    pass over the product terms.  Keys pack the first block low: the bra of
+    outcome o's basis state sum_j coeffs[o, j] products[j] meets chi on the
+    low block, giving beta_o on c_p, and beta_o meets bell's high block."""
+    n = chi.n
+    low, shift = np.uint64((1 << n) - 1), np.uint64(n)
+    # (S^a)^dag Z^rb X^ra on the s slot of |Phi>, over the products |ij>
+    i2, xm, zm = IDENTITY.matrix, gate("X").matrix, gate("Z").matrix
+    sdag = gate("Sd").matrix if a else i2
+    coeffs = np.array(
+        [(sdag @ (zm if r_b else i2) @ (xm if r_a else i2)).ravel() for r_a, r_b in _LOGICAL_OUTCOMES]
+    ) / np.sqrt(2)
+    keys = np.concatenate([p.keys for p in products])
+    which = np.repeat(np.arange(4), [p.num_terms for p in products])
+    bra = np.conj(coeffs[:, which] * np.concatenate([p.amps for p in products]))
+    x = keys & low
+    idx = np.minimum(np.searchsorted(chi.keys, x), chi.num_terms - 1)
+    hit = chi.keys[idx] == x
+    beta_keys, beta = sum_by_key(keys[hit] >> shift, bra[:, hit] * chi.amps[idx[hit]])
+    z = bell.keys >> shift
+    idx = np.minimum(np.searchsorted(beta_keys, z), beta_keys.size - 1)
+    hit = beta_keys[idx] == z
+    out_keys, out = sum_by_key(bell.keys[hit] & low, beta[:, idx[hit]] * bell.amps[hit])
+    kept = np.abs(out) > PRUNE_TOL
+    branches = [SparseState(n, out_keys[k], amps[k], True) for amps, k in zip(out, kept)]
+    return branches, [st.norm() ** 2 for st in branches]
 
 
 def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> LogicalTReport:
@@ -574,8 +591,8 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
     Bell pair, measure in the rotated logical Bell basis, and unmask.
 
     The data block and the 18-qubit Bell block stay product factors until the
-    measurement, which is evaluated as a bipartite contraction, so the stored
-    term count stays far below the dense 27-qubit expansion.
+    measurement, contracted through their keys (_logical_bell_branches), so
+    the stored term count stays far below the dense 27-qubit expansion.
     """
     code = builtin_code("shor")
     cs = logical_codewords(code)
@@ -593,8 +610,8 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
         enc = apply_pauli(enc, z_bar)
     if a:
         enc = apply_pauli(enc, x_bar)
-    t_bar = _projector_phase_gate(cs, OMEGA)
-    chi = t_bar(enc)  # data block, conceptually living on s_p after the swap
+    # logical T extended to I + (omega-1)|1L><1L|; chi sits on s_p after the swap
+    chi = combine([enc, one], [1.0, (OMEGA - 1.0) * inner(one, enc)])
 
     sq2 = 1 / np.sqrt(2)
     # the logical product states |00>, |01>, |10>, |11> of two blocks
@@ -603,48 +620,18 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
     register_qubits = chi.n + bell.n
     max_terms = chi.num_terms + bell.num_terms
 
-    # rotated logical Bell basis on (s_p, c_p): (S^a)^dag Z^rb X^ra on the s slot
-    xm = np.array([[0, 1], [1, 0]], dtype=complex)
-    zm = np.array([[1, 0], [0, -1]], dtype=complex)
-    sdag = np.array([[1, 0], [0, (-1j) ** a]], dtype=complex)
-    i2 = np.eye(2, dtype=complex)
-    m0 = i2 * sq2
-    chi_d = dict(chi.items())
-    bell_d = dict(bell.items())
-
-    branches = {}
-    probs = {}
-    for r_a in (0, 1):
-        for r_b in (0, 1):
-            coeff = sdag @ (zm if r_b else i2) @ (xm if r_a else i2) @ m0
-            basis_state = combine(products, [coeff[0, 0], coeff[0, 1], coeff[1, 0], coeff[1, 1]])
-            beta: dict[int, complex] = {}
-            for k, amp in basis_state.items():
-                x_part, z_part = _split_key(k, code.n)
-                if x_part in chi_d:
-                    beta[z_part] = beta.get(z_part, 0j) + np.conj(amp) * chi_d[x_part]
-            out: dict[int, complex] = {}
-            for k, amp in bell_d.items():
-                y_part, z_part = _split_key(k, code.n)
-                bz = beta.get(z_part)
-                if bz is not None:
-                    out[y_part] = out.get(y_part, 0j) + bz * amp
-            st = SparseState.from_terms(code.n, out) if out else None
-            p = 0.0 if st is None else st.norm() ** 2
-            branches[(r_a, r_b)] = st
-            probs[(r_a, r_b)] = p
-
-    order = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    total = sum(probs[o] for o in order)
+    branches, probs = _logical_bell_branches(chi, products, bell, a)
+    total = sum(probs)
     if abs(total - 1) > 1e-9:
         raise ProtocolError(f"logical Bell measurement probabilities sum to {total}")
     if forced_outcome is not None:
         outcome = (int(forced_outcome[0]), int(forced_outcome[1]))
     else:
-        outcome = order[rng.choice_weighted([probs[o] for o in order])]
-    if probs[outcome] < 1e-12:
+        outcome = _LOGICAL_OUTCOMES[rng.choice_weighted(probs)]
+    idx = _LOGICAL_OUTCOMES.index(outcome)
+    if probs[idx] < 1e-12:
         raise ProtocolError(f"outcome {outcome} has zero probability")
-    state = branches[outcome].scaled(1 / np.sqrt(probs[outcome]))
+    state = branches[idx].scaled(1 / np.sqrt(probs[idx]))
 
     r_a, r_b = outcome
     a_f, b_f = a ^ r_a, (a ^ b) ^ r_b

@@ -14,10 +14,11 @@ the other's with ``searchsorted``, and ``pauli_eigenvalues`` reads
 <psi|P|psi> for a batch of Paulis (generators, logical operators) by
 finding the flipped keys k ^ x the same way, term by term.
 
-The named gates are built once at import, and so are the rotated Bell
-bases of the T gadgets: 4 outcomes times the rotations {I, S, Sd}, looked
-up by the rotation's matrix.  Any other rotation gets its basis computed
-on the call.
+``teleport`` contracts a data qubit, a fresh Bell pair and the pair's
+rotated Bell measurement in one pass, never building the joint register.
+The rotated Bell bases (4 outcomes times the rotations {I, S, Sd}) are
+built at import, like the named gates, and looked up by the rotation's
+matrix; any other rotation gets its basis computed on the call.
 """
 
 from __future__ import annotations
@@ -188,6 +189,8 @@ def combine(states, coeffs) -> SparseState:
     for s in states:
         if s.n != n:
             raise ValueError("dimension mismatch in combine")
+    if sum(s.num_terms for s in states) > TERM_GUARD:
+        raise ValueError("combine result exceeds the term-count guard")
     keys = np.concatenate([s.keys for s in states])
     amps = np.concatenate([c * s.amps for s, c in zip(states, coeffs)])
     return SparseState(n, keys, amps)
@@ -223,6 +226,8 @@ def apply_single(state: SparseState, g: SingleQubitGate, qubit: int) -> SparseSt
         amps = state.amps * np.where(b == 1, m[0, 1], m[1, 0])
         return state._resorted(state.keys ^ mask, amps)
     # general: each term branches into bit=0 and bit=1 components
+    if 2 * state.num_terms > TERM_GUARD:
+        raise ValueError(f"gate {g.label} result exceeds the term-count guard")
     keys0 = state.keys & ~mask
     keys1 = state.keys | mask
     amps0 = state.amps * np.where(b == 1, m[0, 1], m[0, 0])
@@ -339,12 +344,6 @@ def project_onto(span, state: SparseState):
     return combine(span, coeffs), weight
 
 
-def _drop_bit(keys: np.ndarray, pos: int) -> np.ndarray:
-    low = keys & np.uint64((1 << pos) - 1)
-    high = (keys >> np.uint64(pos + 1)) << np.uint64(pos)
-    return low | high
-
-
 _OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -371,50 +370,59 @@ _BELL_ROWS = {
 }
 
 
-def rotated_bell_measure(state, pair, rotation: SingleQubitGate, rng, forced=None):
-    """Measure a qubit pair in the rotation-conjugated Bell basis.
+def sum_by_key(keys: np.ndarray, values: np.ndarray):
+    """The distinct keys in order, and the columns of values (rows x keys)
+    summed per key, in their given order within a key."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    return keys[starts], np.add.reduceat(values[:, order], starts, axis=1)
 
-    The basis states are (U^dag Z^b X^a (x) I)|Phi> with the single-qubit
-    operators acting on pair[0].  The measured pair is removed from the
-    register (remaining qubits keep their relative order), so the collapsed
-    state has n-2 qubits.  `forced` short-circuits sampling with a given
-    (r_a, r_b); otherwise the outcome is drawn from rng.
 
-    The terms are grouped once by their key with the pair dropped, and all
-    four branch amplitudes of a group are summed in key order, so every
-    branch equals a separate sort-and-sum of that branch.
-    """
-    q1, q2 = pair
-    state._check_qubit(q1)
-    state._check_qubit(q2)
-    if q1 == q2:
-        raise ValueError("measured pair must be two distinct qubits")
+def teleport(state: SparseState, qubit: int, rotation: SingleQubitGate, rng, forced=None):
+    """Teleport `qubit` through a fresh Bell pair measured in the basis
+    (U^dag Z^b X^a (x) I)|Phi>: tensor(state, bell_pair()), swap_qubits(qubit,
+    n+1) and a measurement of the pair (n+1, n+2), without building the
+    (n+2)-qubit register.  A term k with bit d on `qubit` lands on k with that
+    bit set to the pair's e, at pair index d + 2e.  Returns ((r_a, r_b), the
+    collapsed n-qubit state); `forced` replaces sampling.  Every remaining key
+    gathers at most two terms, so the branches and probabilities equal a
+    separate sort-and-sum of each branch on the joint register."""
+    n = state.n
+    if n + 2 > MAX_STATE_QUBITS:
+        raise ValueError(f"tensor result on {n + 2} qubits exceeds the {MAX_STATE_QUBITS}-qubit cap")
+    if 2 * state.num_terms > TERM_GUARD:
+        raise ValueError("tensor result exceeds the term-count guard")
+    state._check_qubit(qubit)
     if state.num_terms == 0:
         raise ValueError("measurement on a zero-weight state")
     rows = _BELL_ROWS.get(rotation.matrix.tobytes())
     if rows is None:
         rows = _bell_basis_rows(rotation.matrix)
 
-    keys = state.keys
-    hi, lo = max(q1, q2) - 1, min(q1, q2) - 1
-    rest = _drop_bit(_drop_bit(keys, hi), lo)
-    order = np.argsort(rest, kind="stable")
-    rest = rest[order]
-    keys = keys[order]
-    local = ((keys >> np.uint64(q1 - 1)) & np.uint64(1)) | (
-        ((keys >> np.uint64(q2 - 1)) & np.uint64(1)) << np.uint64(1)
+    mask = np.uint64(1 << (qubit - 1))
+    bit = ((state.keys & mask) != 0).astype(np.intp)
+    cleared = state.keys & ~mask
+    amps = _BELL_PAIR.amps[0] * state.amps
+    # (4, keys): branch i's amplitude of each remaining key; pair half e = 0, then 1
+    rest, branches = sum_by_key(
+        np.concatenate([cleared, cleared | mask]),
+        np.concatenate([amps, amps]) * rows[:, np.concatenate([bit, bit + 2])],
     )
-    first = np.empty(rest.size, dtype=bool)
-    first[0] = True
-    np.not_equal(rest[1:], rest[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    # (4, groups): branch i's amplitude of each remaining basis key
-    branches = np.add.reduceat(state.amps[order] * rows[:, local.astype(np.intp)], starts, axis=1)
-    mags = np.abs(branches)
-    kept = mags > PRUNE_TOL
-    probs = [float(np.sum(w[k])) for w, k in zip(mags**2, kept)]
-    total = sum(probs)
-    if total < 1e-12:
+    # each probability is np.sum of the branch's kept |amp|^2, bit for bit:
+    # reduceat adds the rest of a segment to its first entry, so each
+    # branch's segment of kept weights starts with a 0 (column 0)
+    mags = np.zeros((4, rest.size + 1))
+    np.abs(branches, out=mags[:, 1:])
+    sel = mags > PRUNE_TOL
+    sel[:, 0] = True
+    kept = sel[:, 1:]
+    counts = sel.sum(axis=1)
+    probs = np.add.reduceat((mags**2)[sel], np.cumsum(counts) - counts).tolist()
+    if sum(probs) < 1e-12:
         raise ValueError("measurement on a zero-weight state")
 
     if forced is not None:
@@ -427,6 +435,4 @@ def rotated_bell_measure(state, pair, rotation: SingleQubitGate, rng, forced=Non
     if p < 1e-12:
         raise ValueError(f"outcome {outcome} has zero probability")
     keep = kept[idx]
-    amps = branches[idx][keep] / np.sqrt(p)
-    collapsed = SparseState(state.n - 2, rest[starts][keep], amps, True)
-    return outcome, collapsed
+    return outcome, SparseState(n, rest[keep], branches[idx][keep] / np.sqrt(p), True)

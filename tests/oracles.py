@@ -22,13 +22,17 @@ from hqec.protocol import (
     mask_pauli,
 )
 from hqec.states import (
+    _BELL_ROWS,
+    _OUTCOMES,
     IDENTITY,
+    PRUNE_TOL,
+    SingleQubitGate,
     SparseState,
+    _bell_basis_rows,
     apply_pauli,
     apply_single,
     combine,
     gate,
-    rotated_bell_measure,
     swap_qubits,
     tensor,
 )
@@ -210,6 +214,123 @@ def scan_zero_codeword(code) -> SparseState:
     if zero is None:
         raise ValueError(f"no codeword seed found for {code.name}")
     return zero
+
+
+# ---------------------------------------------------------------------------
+# rotated Bell measurement on the joint register: the reference for
+# states.teleport, which contracts tensor -> swap -> this measurement
+
+
+def _drop_bit(keys: np.ndarray, pos: int) -> np.ndarray:
+    low = keys & np.uint64((1 << pos) - 1)
+    high = (keys >> np.uint64(pos + 1)) << np.uint64(pos)
+    return low | high
+
+
+def rotated_bell_measure(state, pair, rotation: SingleQubitGate, rng, forced=None):
+    """Measure a qubit pair in the rotation-conjugated Bell basis.
+
+    The basis states are (U^dag Z^b X^a (x) I)|Phi> with the single-qubit
+    operators acting on pair[0].  The measured pair is removed from the
+    register (remaining qubits keep their relative order), so the collapsed
+    state has n-2 qubits.  `forced` short-circuits sampling with a given
+    (r_a, r_b); otherwise the outcome is drawn from rng.
+
+    The terms are grouped once by their key with the pair dropped, and all
+    four branch amplitudes of a group are summed in key order, so every
+    branch equals a separate sort-and-sum of that branch.
+    """
+    q1, q2 = pair
+    state._check_qubit(q1)
+    state._check_qubit(q2)
+    if q1 == q2:
+        raise ValueError("measured pair must be two distinct qubits")
+    if state.num_terms == 0:
+        raise ValueError("measurement on a zero-weight state")
+    rows = _BELL_ROWS.get(rotation.matrix.tobytes())
+    if rows is None:
+        rows = _bell_basis_rows(rotation.matrix)
+
+    keys = state.keys
+    hi, lo = max(q1, q2) - 1, min(q1, q2) - 1
+    rest = _drop_bit(_drop_bit(keys, hi), lo)
+    order = np.argsort(rest, kind="stable")
+    rest = rest[order]
+    keys = keys[order]
+    local = ((keys >> np.uint64(q1 - 1)) & np.uint64(1)) | (
+        ((keys >> np.uint64(q2 - 1)) & np.uint64(1)) << np.uint64(1)
+    )
+    first = np.empty(rest.size, dtype=bool)
+    first[0] = True
+    np.not_equal(rest[1:], rest[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    # (4, groups): branch i's amplitude of each remaining basis key
+    branches = np.add.reduceat(state.amps[order] * rows[:, local.astype(np.intp)], starts, axis=1)
+    mags = np.abs(branches)
+    kept = mags > PRUNE_TOL
+    probs = [float(np.sum(w[k])) for w, k in zip(mags**2, kept)]
+    total = sum(probs)
+    if total < 1e-12:
+        raise ValueError("measurement on a zero-weight state")
+
+    if forced is not None:
+        outcome = (int(forced[0]), int(forced[1]))
+        idx = _OUTCOMES.index(outcome)
+    else:
+        idx = rng.choice_weighted(probs)
+        outcome = _OUTCOMES[idx]
+    p = probs[idx]
+    if p < 1e-12:
+        raise ValueError(f"outcome {outcome} has zero probability")
+    keep = kept[idx]
+    amps = branches[idx][keep] / np.sqrt(p)
+    collapsed = SparseState(state.n - 2, rest[starts][keep], amps, True)
+    return outcome, collapsed
+
+
+# ---------------------------------------------------------------------------
+# logical Bell measurement by dict loops: the reference for
+# protocol._logical_bell_branches
+
+
+def _split_key(key: int, low_bits: int) -> tuple[int, int]:
+    return key & ((1 << low_bits) - 1), key >> low_bits
+
+
+def dict_logical_bell_branches(chi, products, bell, a):
+    """The rotated logical Bell measurement of run_logical_t_protocol as it
+    was contracted before the numpy key arithmetic: per outcome, the basis
+    state is built with combine and contracted term by term through dicts.
+    Returns (branches, probs) in BELL_OUTCOMES order; an empty branch is None."""
+    n = chi.n
+    sq2 = 1 / np.sqrt(2)
+    xm = np.array([[0, 1], [1, 0]], dtype=complex)
+    zm = np.array([[1, 0], [0, -1]], dtype=complex)
+    sdag = np.array([[1, 0], [0, (-1j) ** a]], dtype=complex)
+    i2 = np.eye(2, dtype=complex)
+    m0 = i2 * sq2
+    chi_d = dict(chi.items())
+    bell_d = dict(bell.items())
+
+    branches, probs = [], []
+    for r_a, r_b in BELL_OUTCOMES:
+        coeff = sdag @ (zm if r_b else i2) @ (xm if r_a else i2) @ m0
+        basis_state = combine(products, [coeff[0, 0], coeff[0, 1], coeff[1, 0], coeff[1, 1]])
+        beta: dict[int, complex] = {}
+        for k, amp in basis_state.items():
+            x_part, z_part = _split_key(k, n)
+            if x_part in chi_d:
+                beta[z_part] = beta.get(z_part, 0j) + np.conj(amp) * chi_d[x_part]
+        out: dict[int, complex] = {}
+        for k, amp in bell_d.items():
+            y_part, z_part = _split_key(k, n)
+            bz = beta.get(z_part)
+            if bz is not None:
+                out[y_part] = out.get(y_part, 0j) + bz * amp
+        st = SparseState.from_terms(n, out) if out else None
+        branches.append(st)
+        probs.append(0.0 if st is None else st.norm() ** 2)
+    return branches, probs
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from hqec import protocol
 from hqec.protocol import (
     CircuitGate,
     IncompatibleCodeError,
     KeyRegister,
     ProtocolError,
     TByproduct,
+    _logical_bell_branches,
     apply_plain_circuit,
     clifford_key_update,
     encrypt,
@@ -35,11 +37,19 @@ from hqec.states import (
     combine,
     fidelity_up_to_phase,
     gate,
-    rotated_bell_measure,
     swap_qubits,
     tensor,
 )
-from oracles import cached_code_space, decrypt, dense_cnot, dense_of, evaluate_circuit, op_on
+from oracles import (
+    cached_code_space,
+    decrypt,
+    dense_cnot,
+    dense_of,
+    dict_logical_bell_branches,
+    evaluate_circuit,
+    op_on,
+    rotated_bell_measure,
+)
 
 OMEGA = np.exp(1j * np.pi / 4)
 
@@ -608,6 +618,33 @@ class TestLogicalT:
                     assert rep.fidelity >= 1 - 1e-10
                     assert rep.outcome == outcome
                     assert fidelity_up_to_phase(rep.final_state, want) >= 1 - 1e-10
+
+    def test_contraction_matches_dict_oracle(self, monkeypatch):
+        # the numpy contraction against the old dict loops, on the arguments
+        # each run passes it, for all keys x forced outcomes
+        seen = []
+
+        def spy(*args):
+            result = _logical_bell_branches(*args)
+            seen.append((args, result))
+            return result
+
+        monkeypatch.setattr(protocol, "_logical_bell_branches", spy)
+        for a in (0, 1):
+            for b in (0, 1):
+                for outcome in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                    seen.clear()
+                    rep = run_logical_t_protocol((0.6, 0.8j), (a, b), SplitMix64(1), forced_outcome=outcome)
+                    assert rep.outcome == outcome
+                    ((args, (branches, probs)),) = seen
+                    want_branches, want_probs = dict_logical_bell_branches(*args)
+                    assert np.abs(np.array(probs) - want_probs).max() < 1e-12
+                    for got, want in zip(branches, want_branches):
+                        if want is None:
+                            assert got.num_terms == 0
+                        else:
+                            assert np.array_equal(got.keys, want.keys)
+                            assert np.abs(dense_of(got) - dense_of(want)).max() < 1e-12
 
     def test_sampled_runs(self):
         for seed in range(10):

@@ -15,13 +15,14 @@ from hqec.states import (
     apply_pauli,
     apply_single,
     bell_pair,
+    combine,
     fidelity_up_to_phase,
     gate,
     inner,
     pauli_eigenvalues,
     project_onto,
-    rotated_bell_measure,
     swap_qubits,
+    teleport,
     tensor,
 )
 from oracles import (
@@ -37,6 +38,7 @@ from oracles import (
     pauli_image_terms,
     random_dense_state,
     random_pauli,
+    rotated_bell_measure,
     sparse_of,
 )
 
@@ -240,6 +242,8 @@ class TestNormPreservation:
 
 
 class TestRotatedBellMeasure:
+    # the joint-register measurement of tests/oracles.py, the reference for
+    # teleport; the uniform-outcome test runs teleport itself
     def test_teleportation_identity_rotation(self):
         psi = SparseState.from_terms(1, {0: 0.6, 1: 0.8j})
         rng = SplitMix64(0)
@@ -275,8 +279,7 @@ class TestRotatedBellMeasure:
         rng = SplitMix64(2024)
         trials = 10_000
         for _ in range(trials):
-            st_ = tensor(psi, bell_pair())
-            outcome, _ = rotated_bell_measure(st_, (1, 2), IDENT, rng)
+            outcome, _ = teleport(psi, 1, IDENT, rng)
             counts[outcome] += 1
         for o, c in counts.items():
             assert abs(c / trials - 0.25) < 0.02
@@ -350,6 +353,131 @@ class TestRotatedBellMeasureOracle:
                     assert forced_outcome == outcome
                     assert np.array_equal(forced.keys, col.keys)
                     assert np.array_equal(forced.amps, col.amps)
+
+
+_TELEPORT_AMP = st.one_of(
+    st.sampled_from([1, -1, 1j, -1j, 0.5, 1 + 1j]),
+    st.complex_numbers(min_magnitude=1e-3, max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+)
+
+
+def _measure_or_error(measure, rng, forced):
+    try:
+        outcome, state = measure(rng, forced)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return outcome, state.n, state.keys.tobytes(), state.amps.tobytes()
+
+
+class TestTeleport:
+    """teleport is bit for bit the joint-register chain tensor(state,
+    bell_pair()) -> swap_qubits(qubit, n+1) -> rotated_bell_measure on
+    (n+1, n+2) from tests/oracles.py: outcome, keys, amplitudes and the
+    weights it samples from."""
+
+    ROTATIONS = TestRotatedBellMeasureOracle.ROTATIONS
+
+    def _assert_same(self, state, qubit, rotation):
+        n = state.n
+        joint = swap_qubits(tensor(state, bell_pair()), qubit, n + 1)
+
+        def fast(rng, forced):
+            return teleport(state, qubit, rotation, rng, forced)
+
+        def ref(rng, forced):
+            return rotated_bell_measure(joint, (n + 1, n + 2), rotation, rng, forced)
+
+        for idx, outcome in enumerate(BELL_OUTCOMES):
+            got_pick, want_pick = _PickRng(idx), _PickRng(idx)
+            got = _measure_or_error(fast, got_pick, None)
+            assert got == _measure_or_error(ref, want_pick, None)
+            assert got_pick.weights == want_pick.weights
+            assert _measure_or_error(fast, None, outcome) == _measure_or_error(ref, None, outcome)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_joint_register(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+        keys = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40, unique=True),
+                         label="keys")
+        amps = data.draw(st.lists(_TELEPORT_AMP, min_size=len(keys), max_size=len(keys)), label="amps")
+        state = SparseState(n, np.array(keys, np.uint64), np.array(amps, complex))
+        assume(state.num_terms > 0)
+        if data.draw(st.booleans(), label="normalized"):
+            state = state.normalized()
+        rotation = self.ROTATIONS[data.draw(st.sampled_from(sorted(self.ROTATIONS)), label="rotation")]
+        for qubit in range(1, n + 1):
+            self._assert_same(state, qubit, rotation)
+
+    def test_gadget_states(self):
+        # T-gadget inputs: codeword-like superpositions whose branches cancel
+        st_ = SparseState.from_terms(3, {"000": 2**-0.5, "111": 2**-0.5})
+        for q in (1, 2, 3):
+            for label in ("I", "S", "Sd"):
+                self._assert_same(apply_single(st_, gate("T"), q), q, self.ROTATIONS[label])
+
+    def test_widest_register(self):
+        # 62 data qubits make the 64-qubit joint register; bit 61 is set
+        state = SparseState(62, np.array([1, (1 << 61) | 1], np.uint64), np.array([0.6, 0.8j]))
+        for qubit in (1, 62):
+            self._assert_same(state, qubit, gate("S"))
+
+    def test_qubit_cap(self):
+        state = SparseState(63, np.array([1 << 62], np.uint64), np.array([1.0 + 0j]))
+        with pytest.raises(ValueError) as want:
+            tensor(state, bell_pair())
+        with pytest.raises(ValueError, match="65 qubits exceeds the 64-qubit cap") as got:
+            teleport(state, 1, IDENT, SplitMix64(0))
+        assert str(got.value) == str(want.value)
+
+    def test_term_guard(self, monkeypatch):
+        monkeypatch.setattr(states, "TERM_GUARD", 1 << 12)
+        half = 1 << 11
+        at = SparseState(13, np.arange(half, dtype=np.uint64), np.full(half, half**-0.5))
+        _, out = teleport(at, 1, IDENT, SplitMix64(0))
+        assert out.n == 13
+        over = SparseState(13, np.arange(half + 1, dtype=np.uint64), np.ones(half + 1))
+        with pytest.raises(ValueError) as want:
+            tensor(over, bell_pair())
+        with pytest.raises(ValueError, match="term-count guard") as got:
+            teleport(over, 1, IDENT, SplitMix64(0))
+        assert str(got.value) == str(want.value)
+
+    def test_zero_state(self):
+        zero = SparseState(2, np.array([], np.uint64), np.array([], complex))
+        with pytest.raises(ValueError, match="zero-weight state"):
+            teleport(zero, 1, IDENT, SplitMix64(0))
+
+    def test_qubit_range(self):
+        for qubit in (0, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                teleport(SparseState.from_basis(2, 0), qubit, IDENT, SplitMix64(0))
+
+
+class TestTermGuard:
+    """Gates that branch terms and combine raise before building a state
+    above TERM_GUARD, as tensor does (lowered to 2^12 to stay small)."""
+
+    def test_branching_gate(self, monkeypatch):
+        monkeypatch.setattr(states, "TERM_GUARD", 1 << 12)
+        half = 1 << 11
+        at = SparseState(13, np.arange(half, dtype=np.uint64) << np.uint64(1), np.ones(half))
+        assert apply_single(at, gate("H"), 1).num_terms == 1 << 12
+        over = SparseState(13, np.arange(half + 1, dtype=np.uint64) << np.uint64(1), np.ones(half + 1))
+        with pytest.raises(ValueError, match="gate H result exceeds the term-count guard"):
+            apply_single(over, gate("H"), 1)
+        # diagonal and permuting gates keep the term count
+        assert apply_single(over, gate("T"), 1).num_terms == half + 1
+        assert apply_single(over, gate("X"), 1).num_terms == half + 1
+
+    def test_combine(self, monkeypatch):
+        monkeypatch.setattr(states, "TERM_GUARD", 1 << 12)
+        half = 1 << 11
+        low = SparseState(13, np.arange(half, dtype=np.uint64), np.ones(half))
+        high = SparseState(13, np.arange(half, dtype=np.uint64) + np.uint64(half), np.ones(half))
+        assert combine([low, high], [1.0, 1.0]).num_terms == 1 << 12
+        with pytest.raises(ValueError, match="combine result exceeds the term-count guard"):
+            combine([low, high, SparseState.from_basis(13, 0)], [1.0, 1.0, 1.0])
 
 
 def _sorted_state(n, keys, amps):
