@@ -1,67 +1,96 @@
 """Stabilizer-code compatibility checks for transversal Pauli masking and
-exact sparse simulation of the masked storage and computation protocols."""
+exact sparse simulation of the masked storage and computation protocols.
 
-from .codes import (
-    BUILTIN_NAMES,
-    CodeSpace,
-    StabilizerCode,
-    builtin_code,
-    css_from_classical,
-    decode_single_error,
-    logical_codewords,
-    syndrome,
-    validate_code,
-)
-from .compat import (
-    CompatReport,
-    DiagonalAction,
-    clifford_correction_for_t,
-    css_mask_check,
-    diagonal_gate_action,
-    even_support_check,
-    stabilizer_mask_check,
-)
-from .gf2 import (
-    BitMatrix,
-    ClassicalCode,
-    all_even_weight,
-    code_from_rows,
-    code_from_strings,
-    contains,
-    coset_state,
-    enumerate_codewords,
-    triorthogonality_check,
-    weight_mod,
-)
-from .pauli import PauliOperator, parse_pauli, transversal_pauli
-from .protocol import (
-    CircuitGate,
-    KeyRegister,
-    Transcript,
-    clifford_key_update,
-    encrypt,
-    parse_circuit,
-    resource_report,
-    run_circuit,
-    run_demo_circuit,
-    run_logical_t_protocol,
-    run_storage_protocol,
-    run_transversal_t_protocol,
-    t_byproduct,
-)
-from .rng import SplitMix64
-from .states import (
-    SparseState,
-    apply_cnot,
-    apply_pauli,
-    apply_single,
-    bell_pair,
-    fidelity_up_to_phase,
-    gate,
-    project_onto,
-    swap_qubits,
-    teleport,
-    tensor,
-)
+The names below, and the submodules that define them, resolve lazily
+(PEP 562): ``import hqec`` loads no submodule, and ``hqec.<name>`` or
+``from hqec import <name>`` imports the submodule that defines the name on
+first use.  So the GF(2) and Pauli algebra (``gf2``, ``pauli``, ``codes``,
+``compat``) runs without numpy, which loads only with the sparse-state
+layer (``states``, ``protocol``).
+"""
 
+from importlib import import_module
+
+_EXPORTS = {
+    "codes": (
+        "BUILTIN_NAMES",
+        "CodeSpace",
+        "StabilizerCode",
+        "builtin_code",
+        "css_from_classical",
+        "decode_single_error",
+        "logical_codewords",
+        "syndrome",
+        "validate_code",
+    ),
+    "compat": (
+        "CompatReport",
+        "DiagonalAction",
+        "clifford_correction_for_t",
+        "css_mask_check",
+        "diagonal_gate_action",
+        "even_support_check",
+        "stabilizer_mask_check",
+    ),
+    "gf2": (
+        "BitMatrix",
+        "ClassicalCode",
+        "all_even_weight",
+        "code_from_rows",
+        "code_from_strings",
+        "contains",
+        "coset_state",
+        "enumerate_codewords",
+        "triorthogonality_check",
+        "weight_mod",
+    ),
+    "pauli": ("PauliOperator", "parse_pauli", "transversal_pauli"),
+    "protocol": (
+        "CircuitGate",
+        "KeyRegister",
+        "Transcript",
+        "clifford_key_update",
+        "encrypt",
+        "parse_circuit",
+        "resource_report",
+        "run_circuit",
+        "run_demo_circuit",
+        "run_logical_t_protocol",
+        "run_storage_protocol",
+        "run_transversal_t_protocol",
+        "t_byproduct",
+    ),
+    "rng": ("SplitMix64",),
+    "states": (
+        "SparseState",
+        "apply_cnot",
+        "apply_pauli",
+        "apply_single",
+        "bell_pair",
+        "fidelity_up_to_phase",
+        "gate",
+        "project_onto",
+        "swap_qubits",
+        "teleport",
+        "tensor",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS) | set(_MODULE_OF))

@@ -16,10 +16,13 @@ from pathlib import Path
 
 from . import codes as codes_mod
 from . import compat as compat_mod
-from . import gf2, protocol
+from . import gf2
 from .pauli import parse_pauli
 from .rng import SplitMix64
-from .states import SparseState
+
+# numpy loads with `protocol` or `states`, which only `check diagonal`,
+# `report resources` and the run verbs import, each after checking its
+# arguments: the other verbs and every input error run without numpy.
 
 _DIAG_PHASES = {"T": "e^(i*pi/4)", "Td": "e^(-i*pi/4)", "Sd": "-i"}
 
@@ -109,7 +112,7 @@ def _emit(args, doc: dict, human_lines) -> None:
             print(line)
 
 
-def _dump_state(args, state: SparseState) -> None:
+def _dump_state(args, state) -> None:
     if getattr(args, "dump_state", None):
         Path(args.dump_state).write_text("\n".join(state.dump_lines()) + "\n")
 
@@ -193,7 +196,8 @@ def _cmd_check_triortho(args) -> int:
 def _cmd_check_diagonal(args) -> int:
     code = _load_valid_code(args.code)
     cs = codes_mod.logical_codewords(code)
-    phase = {"T": protocol.OMEGA, "Td": protocol.OMEGA.conjugate(), "Sd": -1j}[args.gate]
+    omega = compat_mod._OMEGA
+    phase = {"T": omega, "Td": omega.conjugate(), "Sd": -1j}[args.gate]
     rep = compat_mod.diagonal_gate_action(cs, phase, label=f"{args.gate}^x{code.n}")
     lines = [f"code {code.name}, transversal {args.gate} (phase {_DIAG_PHASES[args.gate]}):",
              f"  leakage: {rep.leakage:.12g}"]
@@ -220,6 +224,8 @@ def _cmd_check_diagonal(args) -> int:
 
 def _cmd_run_a1(args) -> int:
     rng = _rng(args.seed)
+    from . import protocol  # the demo circuit sets the --force-outcomes length
+
     t_gates = sum(1 for g in protocol.DEMO_CIRCUIT if not g.is_clifford)
     forced = _parse_forced(args.force_outcomes, t_gates)
     rep, dec, _ = protocol.run_demo_circuit(rng, forced_outcomes=forced)
@@ -241,6 +247,8 @@ def _cmd_run_storage(args) -> int:
             error = parse_pauli(args.error)
         except ValueError as exc:
             raise InputError(f"--error: {exc}") from exc
+    from . import protocol
+
     rep = protocol.run_storage_protocol(args.code_name, (0.6, 0.8), keys, error, rng)
     lines = [f"storage on {rep.code_name}, keys {rep.keys}, error {rep.injected_error or 'none'}",
              f"syndrome: {list(rep.syndrome)}",
@@ -255,6 +263,8 @@ def _cmd_run_transversal_t(args) -> int:
     keys = _parse_keys(args.keys)
     amps = _parse_amps(args.amps)
     forced = _parse_forced(args.force_outcomes, 15)  # one pair per rm15 qubit
+    from . import protocol
+
     rep = protocol.run_transversal_t_protocol(amps, keys, rng, forced)
     lines = [f"transversal T on rm15, keys {rep.keys}",
              f"teleportation outcomes: {[list(o) for o in rep.outcomes]}",
@@ -270,6 +280,8 @@ def _cmd_run_logical_t(args) -> int:
     keys = _parse_keys(args.keys)
     amps = _parse_amps(args.amps)
     forced = _parse_forced(args.force_outcomes, 1)
+    from . import protocol
+
     rep = protocol.run_logical_t_protocol(amps, keys, rng, forced[0] if forced else None)
     lines = [f"logical T on shor, keys {rep.keys}",
              f"logical Bell outcome: {list(rep.outcome)}",
@@ -282,6 +294,8 @@ def _cmd_run_logical_t(args) -> int:
 def _cmd_report_resources(args) -> int:
     if args.n < 1:
         raise InputError(f"--n must be positive, got {args.n}")
+    from . import protocol
+
     rep = protocol.resource_report(args.n)
     lines = [f"block size n = {rep.n}",
              f"data qubits:          {rep.q_data}",
@@ -380,10 +394,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except protocol.IncompatibleCodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except protocol.ProtocolError as exc:
+    except compat_mod.ProtocolError as exc:  # IncompatibleCodeError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (InputError, ValueError, OSError) as exc:

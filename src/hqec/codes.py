@@ -10,19 +10,24 @@ Per-code data is memoized: ``builtin_code`` by name, and the codewords and
 the single-error syndrome table by the (frozen, hashable) code, in caches
 of at most ``CODE_CACHE_SIZE`` codes.  Everything cached is immutable, and
 a call that raises caches nothing.
+
+Parsing, validation, CSS construction and decoding are GF(2) algebra on
+Python ints and load no numpy; only ``logical_codewords`` imports numpy
+and the ``states`` layer, when called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import gf2
 from .gf2 import ClassicalCode
 from .pauli import PauliOperator, parse_pauli, transversal_pauli
-from .states import MAX_STATE_QUBITS, SparseState, apply_pauli, inner, pauli_eigenvalues
+
+if TYPE_CHECKING:
+    from .states import SparseState
 
 EIGEN_TOL = 1e-10
 CODE_CACHE_SIZE = 32
@@ -96,6 +101,8 @@ def validate_code(code: StabilizerCode) -> ValidationReport:
     for i, g in enumerate(gens):
         if g.n != code.n:
             v.append(f"generator {i + 1} acts on {g.n} qubits, expected {code.n}")
+        if (g.phase + (g.x & g.z).bit_count()) & 1:  # its square is -I
+            v.append(f"generator {i + 1} ({g}) is not Hermitian")
     if len(gens) != code.n - code.k:
         v.append(f"expected {code.n - code.k} generators, got {len(gens)}")
     for i in range(len(gens)):
@@ -306,6 +313,10 @@ def logical_codewords(code: StabilizerCode) -> CodeSpace:
     bits at 0, so s0 is the smallest surviving key, where a seed scan stops.
     Each codeword is checked by one pauli_eigenvalues readout.
     """
+    import numpy as np
+
+    from .states import MAX_STATE_QUBITS, SparseState, apply_pauli, inner, pauli_eigenvalues
+
     if code.k != 1:
         raise ValueError(f"codeword construction supports k=1, got k={code.k}")
     if code.n > MAX_STATE_QUBITS:

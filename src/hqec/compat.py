@@ -6,24 +6,40 @@ of the same criterion (`check css`), the geometric even-support variant,
 the logical action of transversal diagonal gates, and the search for a
 diagonal logical Clifford correction that turns a transversal T into the
 exact logical T.
+
+The mask checks are symplectic and GF(2) algebra on Python ints and load
+no numpy; only the diagonal-gate functions import numpy and the
+``states`` layer, when called.  The protocol error classes live
+here too, so the CLI maps them to exit codes without importing ``protocol``.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import gf2
 from .codes import CODE_CACHE_SIZE, CodeSpace, StabilizerCode, SubcodeError
 from .gf2 import ClassicalCode
 from .pauli import transversal_pauli
-from .states import SparseState, combine, inner, project_onto
+
+if TYPE_CHECKING:
+    from .states import SparseState
 
 LEAKAGE_TOL = 1e-10
 PHASE_MATCH_TOL = 1e-9
-_OMEGA = np.exp(1j * np.pi / 4)
+_OMEGA = cmath.exp(1j * cmath.pi / 4)  # bit for bit numpy's np.exp(1j * np.pi / 4)
+
+
+class ProtocolError(RuntimeError):
+    """A protocol run cannot go on (raised by the runners in ``protocol``)."""
+
+
+class IncompatibleCodeError(ProtocolError):
+    """The requested code does not support transversal Pauli masking."""
 
 
 @dataclass(frozen=True)
@@ -136,17 +152,19 @@ class DiagonalAction:
 def apply_diagonal(state: SparseState, phase_per_one: complex, per_qubit=None) -> SparseState:
     """Multiply each basis amplitude by phase^(number of 1 bits), or by the
     product of per-qubit phases over set bits."""
+    import numpy as np  # type(state) builds the result: no states import per call
+
     if per_qubit is None:
         counts = np.bitwise_count(state.keys)
         amps = state.amps * np.asarray(phase_per_one, complex) ** counts
-        return SparseState(state.n, state.keys, amps, True)
+        return type(state)(state.n, state.keys, amps, True)
     if len(per_qubit) != state.n:
         raise ValueError("per-qubit phase list must match the qubit count")
     amps = state.amps.copy()
     for q, ph in enumerate(per_qubit, start=1):
         bit = (state.keys >> np.uint64(q - 1)) & np.uint64(1)
         amps *= np.where(bit == 1, complex(ph), 1.0)
-    return SparseState(state.n, state.keys, amps, True)
+    return type(state)(state.n, state.keys, amps, True)
 
 
 def diagonal_gate_action(
@@ -163,8 +181,10 @@ def diagonal_gate_action(
             label = f"diag({complex(phase_per_one):.4g})^x{code_space.code.n}"
         else:
             label = f"diag(per-qubit)^x{code_space.code.n}"
+    from .states import combine, inner, project_onto
+
     basis = code_space.basis
-    ref = combine(basis, [1 / np.sqrt(2)] * 2)
+    ref = combine(basis, [1 / math.sqrt(2)] * 2)
     out = apply_diagonal(ref, phase_per_one, per_qubit)
     proj, _ = project_onto(list(basis), out)
     # sqrt(1 - weight) computed as the residual norm: cancellation-free, so

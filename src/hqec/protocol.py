@@ -38,7 +38,12 @@ from .codes import (
     decode_single_error,
     logical_codewords,
 )
-from .compat import clifford_correction_for_t, stabilizer_mask_check
+from .compat import (
+    IncompatibleCodeError,
+    ProtocolError,
+    clifford_correction_for_t,
+    stabilizer_mask_check,
+)
 from .pauli import PauliOperator, parse_pauli
 from .states import (
     IDENTITY,
@@ -59,14 +64,6 @@ from .states import (
 
 OMEGA = np.exp(1j * np.pi / 4)
 ROUND_TRIP_TOL = 1e-10
-
-
-class ProtocolError(RuntimeError):
-    pass
-
-
-class IncompatibleCodeError(ProtocolError):
-    """The requested code does not support transversal Pauli masking."""
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
+import contextlib
+import io
+import itertools
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqec.cli import main
+from hqec.codes import BUILTIN_NAMES, builtin_code, format_code_text
 
 
 def run_cli(capsys, *argv):
@@ -296,3 +302,122 @@ class TestJsonAndDeterminism:
             bits, re_s, im_s = ln.split()
             assert set(bits) <= {"0", "1"}
             float(re_s), float(im_s)
+
+
+# -- random argv from the verb grammar ---------------------------------------
+
+CODE_TEXTS = [format_code_text(builtin_code(n)) for n in ("bit_flip", "steane", "shor",
+                                                          "synthetic_incompatible")]
+CODE_TEXTS += ["3 1\nZZI\nIZZ\nXXX\nZZI\n", "2 1\n-ZZ\nXX\nZI\n", "2 0\nZZ\nXX\n"]
+MATRIX_TEXTS = ["1000011\n0100101\n0010110\n0001111\n", "0001111\n0110011\n1010101\n",
+                "111111111111111\n000000011111111\n000111100001111\n011001100110011\n",
+                "11\n1x\n", "# only a comment\n"]
+JUNK = "01IXYZ-+i# \n2"
+_file_ids = itertools.count()
+
+
+def _text(data, texts) -> str:
+    """One of `texts`, kept, replaced by junk, or with one character or line changed."""
+    text = data.draw(st.sampled_from(texts))
+    how = data.draw(st.sampled_from(("keep", "junk", "char", "line")))
+    if how == "junk":
+        return data.draw(st.text(alphabet=JUNK, max_size=40))
+    if how == "char":
+        pos = data.draw(st.integers(0, len(text)))
+        return text[:pos] + data.draw(st.sampled_from(JUNK)) + text[pos + 1:]
+    if how == "line":
+        lines = text.splitlines()
+        del lines[data.draw(st.integers(0, len(lines) - 1))]
+        return "\n".join(lines)
+    return text
+
+
+def _path(data, root, texts) -> str:
+    kind = data.draw(st.sampled_from(("file", "file", "file", "missing", "directory")))
+    if kind == "missing":
+        return str(root / "missing.txt")
+    if kind == "directory":
+        return str(root)
+    path = root / f"input{next(_file_ids)}.txt"
+    path.write_text(_text(data, texts))
+    return str(path)
+
+
+def _argv(data, root) -> list[str]:
+    def pick(*options):
+        return data.draw(st.sampled_from(options))
+
+    def code():
+        return pick(*BUILTIN_NAMES, "no_such_code", _path(data, root, CODE_TEXTS))
+
+    def keys():
+        return pick("0,0", "0,1", "1,0", "1,1", "2,0", "1", "a,b", "")
+
+    def amps():
+        floats = st.floats(allow_nan=True, allow_infinity=True, width=32)
+        parts = data.draw(st.lists(floats, min_size=3, max_size=5))
+        return pick("0.6,0,0,0.8", "1,0,1,0", "0,0,0,0", "x,0,0,1", ",".join(map(repr, parts)))
+
+    def runner_options():
+        argv = []
+        if data.draw(st.booleans()):
+            argv += ["--seed", str(data.draw(st.integers(-1, 1 << 64)))]
+        if data.draw(st.booleans()):
+            argv += ["--force-outcomes", pick("00", "0110", "00" * 15, "0x", "")]
+        if data.draw(st.booleans()):
+            argv += ["--dump-state", pick(str(root / "dump.txt"), str(root))]
+        return argv
+
+    verb = pick("codes list", "codes validate", "check theorem1", "check css", "check triortho",
+                "check diagonal", "run a1", "run storage", "run transversal-t", "run logical-t",
+                "report resources", "frobnicate")
+    argv = verb.split()
+    if verb == "codes validate":
+        argv.append(_path(data, root, CODE_TEXTS))
+    elif verb == "check theorem1":
+        argv += ["--code", code()]
+    elif verb == "check css":
+        argv += ["--c1", _path(data, root, MATRIX_TEXTS), "--c2", _path(data, root, MATRIX_TEXTS)]
+    elif verb == "check triortho":
+        argv += ["--matrix", _path(data, root, MATRIX_TEXTS)]
+    elif verb == "check diagonal":
+        argv += ["--code", code(), "--gate", pick("T", "Td", "Sd", "X")]
+    elif verb == "run a1":
+        argv += runner_options()
+    elif verb == "run storage":
+        argv += ["--code", pick(*BUILTIN_NAMES, "no_such_code"), "--keys", keys(),
+                 "--error", pick("none", "XII", "IYI", "IIIIZIIII", "ZZ", "Q", "")]
+        argv += runner_options()
+    elif verb in ("run transversal-t", "run logical-t"):
+        argv += ["--keys", keys(), "--amps=" + amps()] + runner_options()
+    elif verb == "report resources":
+        argv += ["--n", pick("9", "1", "0", "-3", "x")]
+    if data.draw(st.booleans()):
+        argv.append("--json")
+    if data.draw(st.integers(0, 9)) == 0 and len(argv) > 1:  # drop one word
+        del argv[data.draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def input_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli_inputs")
+
+
+class TestRandomInput:
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_exit_code_and_one_error_line(self, input_dir, data):
+        argv = _argv(data, input_dir)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) <= 1
+        if code == 2:
+            assert out == "" and len(errors) == 1
+        elif "--json" in argv and out:
+            json.loads(out)

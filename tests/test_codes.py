@@ -65,6 +65,16 @@ class TestValidate:
         code = StabilizerCode("dep", 3, 0, tuple(parse_pauli(g) for g in gens), (), ())
         assert violation in validate_code(code).violations
 
+    @pytest.mark.parametrize("gen, hermitian", [("iZZ", False), ("-iXY", False), ("YY", True),
+                                                 ("iYZ", False), ("-YZ", True)])
+    def test_non_hermitian_generator_flagged(self, gen, hermitian):
+        # i^phase X(x) Z(z) is Hermitian iff phase and |x & z| (the Y count)
+        # have the same parity; otherwise its square, -I, is in the group
+        code = StabilizerCode("herm", 2, 1, (parse_pauli(gen),),
+                              (parse_pauli("XX"),), (parse_pauli("ZI"),))
+        flagged = f"generator 1 ({gen}) is not Hermitian" in validate_code(code).violations
+        assert flagged != hermitian
+
     def test_two_qubit_toy_valid(self):
         code = StabilizerCode(
             "toy", 2, 0 + 1 - 1,

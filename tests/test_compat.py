@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqec import gf2
 from hqec.codes import SubcodeError, css_from_classical
 from hqec.compat import (
+    _OMEGA,
     apply_diagonal,
     clifford_correction_for_t,
     css_mask_check,
@@ -201,3 +204,42 @@ class TestMaskInvariants:
         enc = encrypt(cs.zero, keys)
         proj, weight = project_onto(list(cs.basis), enc)
         assert proj is None and weight < 1e-20
+
+
+@st.composite
+def nested_pairs(draw):
+    """Classical codes C2 < C1 of length 2..10 with dim C1 > dim C2.  C1
+    holds the all-ones word and C2 has only even-weight generators about
+    half the time each, so all four verdict cases come up."""
+    n = draw(st.integers(2, 10))
+    rows = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=n))
+    if draw(st.booleans()):
+        rows.append((1 << n) - 1)
+    c1 = gf2.code_from_rows(gf2.BitMatrix(tuple(rows), n))
+    k1 = c1.dimension
+    masks = draw(st.lists(st.integers(1, (1 << k1) - 1), max_size=k1 - 1))
+    sub = [0]  # the zero word keeps C2's generator matrix non-empty
+    for m in masks:
+        word = 0
+        for i, b in enumerate(c1.basis):
+            if m >> i & 1:
+                word ^= b
+        sub.append(word)
+    if draw(st.booleans()):
+        sub = [w for w in sub if w.bit_count() % 2 == 0]
+    return c1, gf2.code_from_rows(gf2.BitMatrix(tuple(sub), n))
+
+
+class TestTheorem1AgreesWithCss:
+    @given(nested_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_symplectic_verdict_equals_classical_verdict(self, pair):
+        c1, c2 = pair
+        rep = stabilizer_mask_check(css_from_classical(c1, c2))
+        assert rep.verdict == css_mask_check(c1, c2).verdict
+        assert rep.cross_check_ok
+
+
+def test_omega_is_numpy_value_bit_for_bit():
+    want = np.exp(1j * np.pi / 4)
+    assert (_OMEGA.real.hex(), _OMEGA.imag.hex()) == (want.real.hex(), want.imag.hex())
