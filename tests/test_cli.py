@@ -348,7 +348,8 @@ def _argv(data, root) -> list[str]:
         return data.draw(st.sampled_from(options))
 
     def code():
-        return pick(*BUILTIN_NAMES, "no_such_code", _path(data, root, CODE_TEXTS))
+        name = pick(*BUILTIN_NAMES, "no_such_code", "file")
+        return _path(data, root, CODE_TEXTS) if name == "file" else name
 
     def keys():
         return pick("0,0", "0,1", "1,0", "1,1", "2,0", "1", "a,b", "")
