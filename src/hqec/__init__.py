@@ -30,6 +30,7 @@ _EXPORTS = {
         "css_mask_check",
         "diagonal_gate_action",
         "even_support_check",
+        "resource_report",
         "stabilizer_mask_check",
     ),
     "gf2": (
@@ -52,7 +53,6 @@ _EXPORTS = {
         "clifford_key_update",
         "encrypt",
         "parse_circuit",
-        "resource_report",
         "run_circuit",
         "run_demo_circuit",
         "run_logical_t_protocol",

@@ -20,9 +20,9 @@ from . import gf2
 from .pauli import parse_pauli
 from .rng import SplitMix64
 
-# numpy loads with `protocol` or `states`, which only `check diagonal`,
-# `report resources` and the run verbs import, each after checking its
-# arguments: the other verbs and every input error run without numpy.
+# numpy loads with `protocol` or `states`, which only `check diagonal` and
+# the run verbs import, each after checking its arguments: the other verbs
+# and every input error run without numpy.
 
 _DIAG_PHASES = {"T": "e^(i*pi/4)", "Td": "e^(-i*pi/4)", "Sd": "-i"}
 
@@ -196,7 +196,7 @@ def _cmd_check_triortho(args) -> int:
 def _cmd_check_diagonal(args) -> int:
     code = _load_valid_code(args.code)
     cs = codes_mod.logical_codewords(code)
-    omega = compat_mod._OMEGA
+    omega = compat_mod.OMEGA
     phase = {"T": omega, "Td": omega.conjugate(), "Sd": -1j}[args.gate]
     rep = compat_mod.diagonal_gate_action(cs, phase, label=f"{args.gate}^x{code.n}")
     lines = [f"code {code.name}, transversal {args.gate} (phase {_DIAG_PHASES[args.gate]}):",
@@ -294,9 +294,7 @@ def _cmd_run_logical_t(args) -> int:
 def _cmd_report_resources(args) -> int:
     if args.n < 1:
         raise InputError(f"--n must be positive, got {args.n}")
-    from . import protocol
-
-    rep = protocol.resource_report(args.n)
+    rep = compat_mod.resource_report(args.n)
     lines = [f"block size n = {rep.n}",
              f"data qubits:          {rep.q_data}",
              f"physical aux qubits:  {rep.q_aux_phys} (n Bell pairs)",

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from . import gf2
 from .gf2 import ClassicalCode
-from .pauli import PauliOperator, parse_pauli, transversal_pauli
+from .pauli import MAX_QUBITS, PauliOperator, parse_pauli, transversal_pauli
 
 if TYPE_CHECKING:
     from .states import SparseState
@@ -414,6 +414,10 @@ def parse_code_text(text: str, name: str = "user") -> StabilizerCode:
         n, k = int(header[0]), int(header[1])
     except ValueError as exc:
         raise CodeFileError(f"header must be 'n k', got {lines[0]!r}") from exc
+    if not 1 <= n <= MAX_QUBITS or not 0 <= k <= n:
+        raise CodeFileError(
+            f"header needs 1 <= n <= {MAX_QUBITS} and 0 <= k <= n, got {lines[0]!r}"
+        )
     expected = (n - k) + 2 * k
     body = lines[1:]
     if len(body) != expected:

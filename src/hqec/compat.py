@@ -9,8 +9,9 @@ exact logical T.
 
 The mask checks are symplectic and GF(2) algebra on Python ints and load
 no numpy; only the diagonal-gate functions import numpy and the
-``states`` layer, when called.  The protocol error classes live
-here too, so the CLI maps them to exit codes without importing ``protocol``.
+``states`` layer, when called.  The protocol error classes, OMEGA and the
+register-cost report live here too, so the CLI maps errors to exit codes
+and answers ``report resources`` without importing ``protocol``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ if TYPE_CHECKING:
 
 LEAKAGE_TOL = 1e-10
 PHASE_MATCH_TOL = 1e-9
-_OMEGA = cmath.exp(1j * cmath.pi / 4)  # bit for bit numpy's np.exp(1j * np.pi / 4)
+OMEGA = cmath.exp(1j * cmath.pi / 4)  # bit for bit numpy's np.exp(1j * np.pi / 4)
 
 
 class ProtocolError(RuntimeError):
@@ -149,26 +150,17 @@ class DiagonalAction:
         }
 
 
-def apply_diagonal(state: SparseState, phase_per_one: complex, per_qubit=None) -> SparseState:
-    """Multiply each basis amplitude by phase^(number of 1 bits), or by the
-    product of per-qubit phases over set bits."""
+def apply_diagonal(state: SparseState, phase_per_one: complex) -> SparseState:
+    """Multiply each basis amplitude by phase^(number of 1 bits)."""
     import numpy as np  # type(state) builds the result: no states import per call
 
-    if per_qubit is None:
-        counts = np.bitwise_count(state.keys)
-        amps = state.amps * np.asarray(phase_per_one, complex) ** counts
-        return type(state)(state.n, state.keys, amps, True)
-    if len(per_qubit) != state.n:
-        raise ValueError("per-qubit phase list must match the qubit count")
-    amps = state.amps.copy()
-    for q, ph in enumerate(per_qubit, start=1):
-        bit = (state.keys >> np.uint64(q - 1)) & np.uint64(1)
-        amps *= np.where(bit == 1, complex(ph), 1.0)
+    counts = np.bitwise_count(state.keys)
+    amps = state.amps * np.asarray(phase_per_one, complex) ** counts
     return type(state)(state.n, state.keys, amps, True)
 
 
 def diagonal_gate_action(
-    code_space: CodeSpace, phase_per_one: complex, per_qubit=None, label: str | None = None
+    code_space: CodeSpace, phase_per_one: complex, label: str | None = None
 ) -> DiagonalAction:
     """Logical effect of a transversal diagonal gate on a code space.
 
@@ -177,15 +169,12 @@ def diagonal_gate_action(
     preserves the code space.
     """
     if label is None:
-        if per_qubit is None:
-            label = f"diag({complex(phase_per_one):.4g})^x{code_space.code.n}"
-        else:
-            label = f"diag(per-qubit)^x{code_space.code.n}"
+        label = f"diag({complex(phase_per_one):.4g})^x{code_space.code.n}"
     from .states import combine, inner, project_onto
 
     basis = code_space.basis
     ref = combine(basis, [1 / math.sqrt(2)] * 2)
-    out = apply_diagonal(ref, phase_per_one, per_qubit)
+    out = apply_diagonal(ref, phase_per_one)
     proj, _ = project_onto(list(basis), out)
     # sqrt(1 - weight) computed as the residual norm: cancellation-free, so
     # an exactly code-space-preserving gate reports leakage 0, not sqrt(eps)
@@ -197,7 +186,7 @@ def diagonal_gate_action(
     if leakage < LEAKAGE_TOL:
         phases = []
         for b in basis:
-            ph = inner(b, apply_diagonal(b, phase_per_one, per_qubit))
+            ph = inner(b, apply_diagonal(b, phase_per_one))
             if abs(abs(ph) - 1) > 1e-9:
                 raise ValueError("diagonal action is not a pure phase on a basis state")
             phases.append(ph)
@@ -227,7 +216,7 @@ def clifford_correction_for_t(code_space: CodeSpace) -> CliffordCorrection | Non
 
     Memoized by code space (its states compare by identity, so the spaces
     that logical_codewords caches hit); the result is frozen."""
-    return _correction_from_action(diagonal_gate_action(code_space, _OMEGA, label="T-transversal"))
+    return _correction_from_action(diagonal_gate_action(code_space, OMEGA, label="T-transversal"))
 
 
 def _correction_from_action(action: DiagonalAction) -> CliffordCorrection | None:
@@ -236,9 +225,31 @@ def _correction_from_action(action: DiagonalAction) -> CliffordCorrection | None
         return None
     lam0, lam1 = action.logical_phases
     gamma = 1.0 / lam0
-    target = _OMEGA * lam0 / lam1
+    target = OMEGA * lam0 / lam1
     for z in (0, 1):
         for s in range(4):
             if abs(1j**s * (-1) ** z - target) < PHASE_MATCH_TOL:
                 return CliffordCorrection(s, z, complex(gamma))
     return None
+
+
+@dataclass(frozen=True)
+class ResourceReport:
+    n: int
+    q_data: int
+    q_aux_phys: int
+    q_tot_phys: int
+    q_aux_log: int
+    q_tot_log: int
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+
+def resource_report(n: int) -> ResourceReport:
+    """Register cost of one teleported non-Clifford gate on an n-qubit block:
+    n data qubits plus n physical Bell pairs, or one logical Bell pair of two
+    n-qubit blocks; both total 3n."""
+    if n < 1:
+        raise ValueError("block size must be positive")
+    return ResourceReport(n, n, 2 * n, 3 * n, 2 * n, 3 * n)

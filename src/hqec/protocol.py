@@ -25,7 +25,7 @@ Conventions shared by all runners:
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -39,15 +39,17 @@ from .codes import (
     logical_codewords,
 )
 from .compat import (
+    OMEGA,
     IncompatibleCodeError,
     ProtocolError,
+    ResourceReport,
     clifford_correction_for_t,
+    resource_report,
     stabilizer_mask_check,
 )
 from .pauli import PauliOperator, parse_pauli
 from .states import (
     IDENTITY,
-    PRUNE_TOL,
     SparseState,
     apply_cnot,
     apply_pauli,
@@ -57,12 +59,9 @@ from .states import (
     gate,
     inner,
     pauli_eigenvalues,
-    sum_by_key,
     teleport,
-    tensor,
 )
 
-OMEGA = np.exp(1j * np.pi / 4)
 ROUND_TRIP_TOL = 1e-10
 
 
@@ -506,28 +505,6 @@ def run_transversal_t_protocol(amplitudes, key, rng, forced_outcomes=None) -> Tr
 
 
 @dataclass(frozen=True)
-class ResourceReport:
-    n: int
-    q_data: int
-    q_aux_phys: int
-    q_tot_phys: int
-    q_aux_log: int
-    q_tot_log: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def resource_report(n: int) -> ResourceReport:
-    """Register cost of one teleported non-Clifford gate on an n-qubit block:
-    n data qubits plus n physical Bell pairs, or one logical Bell pair of two
-    n-qubit blocks; both total 3n."""
-    if n < 1:
-        raise ValueError("block size must be positive")
-    return ResourceReport(n, n, 2 * n, 3 * n, 2 * n, 3 * n)
-
-
-@dataclass(frozen=True)
 class LogicalTReport:
     keys: tuple[int, int]
     outcome: tuple[int, int]
@@ -549,47 +526,16 @@ class LogicalTReport:
         }
 
 
-_LOGICAL_OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-def _logical_bell_branches(chi: SparseState, products, bell: SparseState, a: int):
-    """Unnormalized w_p states and weights of the rotated logical Bell
-    measurement on (s_p, c_p), per outcome in _LOGICAL_OUTCOMES order, in one
-    pass over the product terms.  Keys pack the first block low: the bra of
-    outcome o's basis state sum_j coeffs[o, j] products[j] meets chi on the
-    low block, giving beta_o on c_p, and beta_o meets bell's high block."""
-    n = chi.n
-    low, shift = np.uint64((1 << n) - 1), np.uint64(n)
-    # (S^a)^dag Z^rb X^ra on the s slot of |Phi>, over the products |ij>
-    i2, xm, zm = IDENTITY.matrix, gate("X").matrix, gate("Z").matrix
-    sdag = gate("Sd").matrix if a else i2
-    coeffs = np.array(
-        [(sdag @ (zm if r_b else i2) @ (xm if r_a else i2)).ravel() for r_a, r_b in _LOGICAL_OUTCOMES]
-    ) / np.sqrt(2)
-    keys = np.concatenate([p.keys for p in products])
-    which = np.repeat(np.arange(4), [p.num_terms for p in products])
-    bra = np.conj(coeffs[:, which] * np.concatenate([p.amps for p in products]))
-    x = keys & low
-    idx = np.minimum(np.searchsorted(chi.keys, x), chi.num_terms - 1)
-    hit = chi.keys[idx] == x
-    beta_keys, beta = sum_by_key(keys[hit] >> shift, bra[:, hit] * chi.amps[idx[hit]])
-    z = bell.keys >> shift
-    idx = np.minimum(np.searchsorted(beta_keys, z), beta_keys.size - 1)
-    hit = beta_keys[idx] == z
-    out_keys, out = sum_by_key(bell.keys[hit] & low, beta[:, idx[hit]] * bell.amps[hit])
-    kept = np.abs(out) > PRUNE_TOL
-    branches = [SparseState(n, out_keys[k], amps[k], True) for amps, k in zip(out, kept)]
-    return branches, [st.norm() ** 2 for st in branches]
-
-
 def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> LogicalTReport:
     """Logical-mask protocol on the nine-qubit code: encrypt with logical
     Paulis, apply the projector-extended logical T, block-swap into a logical
     Bell pair, measure in the rotated logical Bell basis, and unmask.
 
-    The data block and the 18-qubit Bell block stay product factors until the
-    measurement, contracted through their keys (_logical_bell_branches), so
-    the stored term count stays far below the dense 27-qubit expansion.
+    The measurement reads the masked block chi only through its code-space
+    amplitudes x_i = <i_L|chi>, and each Bell block adds |j_L>/sqrt2, so it
+    is states.teleport of the one-qubit register (x0, x1) in the basis that
+    S^a selects; the kept amplitudes (y0, y1) give y0|0_L> + y1|1_L>.  The
+    27-qubit register and the 18-qubit Bell block are never built.
     """
     code = builtin_code("shor")
     cs = logical_codewords(code)
@@ -610,25 +556,13 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
     # logical T extended to I + (omega-1)|1L><1L|; chi sits on s_p after the swap
     chi = combine([enc, one], [1.0, (OMEGA - 1.0) * inner(one, enc)])
 
-    sq2 = 1 / np.sqrt(2)
-    # the logical product states |00>, |01>, |10>, |11> of two blocks
-    products = [tensor(zero, zero), tensor(zero, one), tensor(one, zero), tensor(one, one)]
-    bell = combine([products[0], products[3]], [sq2, sq2])  # on (w_p, c_p)
-    register_qubits = chi.n + bell.n
-    max_terms = chi.num_terms + bell.num_terms
-
-    branches, probs = _logical_bell_branches(chi, products, bell, a)
-    total = sum(probs)
+    x = np.array([inner(zero, chi), inner(one, chi)])
+    total = float(np.sum(np.abs(x) ** 2))
     if abs(total - 1) > 1e-9:
         raise ProtocolError(f"logical Bell measurement probabilities sum to {total}")
-    if forced_outcome is not None:
-        outcome = (int(forced_outcome[0]), int(forced_outcome[1]))
-    else:
-        outcome = _LOGICAL_OUTCOMES[rng.choice_weighted(probs)]
-    idx = _LOGICAL_OUTCOMES.index(outcome)
-    if probs[idx] < 1e-12:
-        raise ProtocolError(f"outcome {outcome} has zero probability")
-    state = branches[idx].scaled(1 / np.sqrt(probs[idx]))
+    logical = SparseState(1, np.array([0, 1], np.uint64), x)
+    outcome, logical = teleport(logical, 1, _ROTATIONS["T", a][0], rng, forced_outcome)
+    state = combine([zero, one], [logical.amplitude(0), logical.amplitude(1)])
 
     r_a, r_b = outcome
     a_f, b_f = a ^ r_a, (a ^ b) ^ r_b
@@ -642,7 +576,8 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
     fid = fidelity_up_to_phase(state, target)
     if fid < 1 - ROUND_TRIP_TOL:
         raise ProtocolError(f"logical-T output fidelity {fid} below tolerance")
+    resources = resource_report(code.n)
+    max_terms = max(st.num_terms for st in (psi, enc, chi, state))
     return LogicalTReport(
-        (a, b), outcome, fid, register_qubits, max_terms, resource_report(code.n),
-        final_state=state,
+        (a, b), outcome, fid, resources.q_tot_log, max_terms, resources, final_state=state,
     )

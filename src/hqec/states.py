@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import coalesce64
+from ._kernels import coalesce64, sum_by_key
 from .pauli import PauliOperator
 
 MAX_STATE_QUBITS = 64
@@ -368,18 +368,6 @@ def _bell_basis_rows(rotation: np.ndarray) -> np.ndarray:
 _BELL_ROWS = {
     g.matrix.tobytes(): _bell_basis_rows(g.matrix) for g in (IDENTITY, _GATES["S"], _GATES["Sd"])
 }
-
-
-def sum_by_key(keys: np.ndarray, values: np.ndarray):
-    """The distinct keys in order, and the columns of values (rows x keys)
-    summed per key, in their given order within a key."""
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.empty(keys.size, dtype=bool)
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = first.nonzero()[0]
-    return keys[starts], np.add.reduceat(values[:, order], starts, axis=1)
 
 
 def teleport(state: SparseState, qubit: int, rotation: SingleQubitGate, rng, forced=None):

@@ -289,8 +289,8 @@ def rotated_bell_measure(state, pair, rotation: SingleQubitGate, rng, forced=Non
 
 
 # ---------------------------------------------------------------------------
-# logical Bell measurement by dict loops: the reference for
-# protocol._logical_bell_branches
+# logical Bell measurement by dict loops on the 27-qubit register: the
+# reference for protocol.run_logical_t_protocol
 
 
 def _split_key(key: int, low_bits: int) -> tuple[int, int]:
@@ -298,10 +298,12 @@ def _split_key(key: int, low_bits: int) -> tuple[int, int]:
 
 
 def dict_logical_bell_branches(chi, products, bell, a):
-    """The rotated logical Bell measurement of run_logical_t_protocol as it
-    was contracted before the numpy key arithmetic: per outcome, the basis
-    state is built with combine and contracted term by term through dicts.
-    Returns (branches, probs) in BELL_OUTCOMES order; an empty branch is None."""
+    """The rotated logical Bell measurement of run_logical_t_protocol on the
+    masked block chi (low n qubits), the logical product states of two
+    blocks and the logical Bell pair bell (on w_p, c_p): per outcome, the
+    basis state is built with combine and contracted term by term through
+    dicts.  Returns (branches, probs) in BELL_OUTCOMES order; an empty
+    branch is None."""
     n = chi.n
     sq2 = 1 / np.sqrt(2)
     xm = np.array([[0, 1], [1, 0]], dtype=complex)

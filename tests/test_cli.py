@@ -56,6 +56,16 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "run", "storage", "--code", "shor", "--keys", "2,0")
         assert code == 2
 
+    @pytest.mark.parametrize("verb", [("codes", "validate"), ("check", "theorem1", "--code")])
+    @pytest.mark.parametrize("text", ["0 0\n", "3 5\nZZI\nIZZ\nXXX\nZZZ\nXXX\nZZZ\n",
+                                      "2 -1\nZZ\n"])
+    def test_impossible_code_header(self, capsys, tmp_path, verb, text):
+        f = tmp_path / "impossible.code"
+        f.write_text(text)
+        code, out, err = run_cli(capsys, *verb, str(f))
+        assert code == 2 and out == ""
+        assert err.count("error:") == 1 and "header needs" in err
+
     @pytest.mark.parametrize(
         "argv, pairs",
         [

@@ -406,6 +406,16 @@ class TestCodeFile:
         with pytest.raises(CodeFileError):
             parse_code_text("three one\nZZI\n")
 
+    @pytest.mark.parametrize("text", [
+        "0 0\n",
+        "3 5\nZZI\nIZZ\nXXX\nZZZ\nXXX\nZZZ\nXXX\nZZZ\n",
+        "2 -1\nZZ\n",
+        "1025 0\n",
+    ])
+    def test_impossible_header(self, text):
+        with pytest.raises(CodeFileError, match="header needs 1 <= n <= 1024 and 0 <= k <= n"):
+            parse_code_text(text)
+
     def test_wrong_counts(self):
         with pytest.raises(CodeFileError):
             parse_code_text("3 1\nZZI\nIZZ\nXXX\n")

@@ -22,13 +22,14 @@ EXPORTS = {
     "codes": ("BUILTIN_NAMES", "CodeSpace", "StabilizerCode", "builtin_code", "css_from_classical",
               "decode_single_error", "logical_codewords", "syndrome", "validate_code"),
     "compat": ("CompatReport", "DiagonalAction", "clifford_correction_for_t", "css_mask_check",
-               "diagonal_gate_action", "even_support_check", "stabilizer_mask_check"),
+               "diagonal_gate_action", "even_support_check", "resource_report",
+               "stabilizer_mask_check"),
     "gf2": ("BitMatrix", "ClassicalCode", "all_even_weight", "code_from_rows", "code_from_strings",
             "contains", "coset_state", "enumerate_codewords", "triorthogonality_check",
             "weight_mod"),
     "pauli": ("PauliOperator", "parse_pauli", "transversal_pauli"),
     "protocol": ("CircuitGate", "KeyRegister", "Transcript", "clifford_key_update", "encrypt",
-                 "parse_circuit", "resource_report", "run_circuit", "run_demo_circuit",
+                 "parse_circuit", "run_circuit", "run_demo_circuit",
                  "run_logical_t_protocol", "run_storage_protocol", "run_transversal_t_protocol",
                  "t_byproduct"),
     "rng": ("SplitMix64",),
@@ -114,6 +115,7 @@ def test_static_verbs_and_input_errors_load_no_numpy(tmp_path):
         (["check", "css", "--c1", str(bad), "--c2", str(c2)], 2),
         (["check", "triortho", "--matrix", str(tri)], 0),
         (["check", "triortho", "--matrix", str(tmp_path / "missing.txt")], 2),
+        (["report", "resources", "--n", "9"], 0),
         (["frobnicate"], 2),
         (["run", "storage", "--code", "shor", "--keys", "2,0"], 2),
         (["run", "transversal-t", "--keys", "1,1", "--amps", "0.6,0,0,0.8",

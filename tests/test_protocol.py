@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from hqec import protocol
 from hqec.protocol import (
     CircuitGate,
     IncompatibleCodeError,
     KeyRegister,
     ProtocolError,
     TByproduct,
-    _logical_bell_branches,
     apply_plain_circuit,
     clifford_key_update,
     encrypt,
@@ -41,6 +39,7 @@ from hqec.states import (
     tensor,
 )
 from oracles import (
+    BELL_OUTCOMES,
     cached_code_space,
     decrypt,
     dense_cnot,
@@ -619,32 +618,32 @@ class TestLogicalT:
                     assert rep.outcome == outcome
                     assert fidelity_up_to_phase(rep.final_state, want) >= 1 - 1e-10
 
-    def test_contraction_matches_dict_oracle(self, monkeypatch):
-        # the numpy contraction against the old dict loops, on the arguments
-        # each run passes it, for all keys x forced outcomes
-        seen = []
-
-        def spy(*args):
-            result = _logical_bell_branches(*args)
-            seen.append((args, result))
-            return result
-
-        monkeypatch.setattr(protocol, "_logical_bell_branches", spy)
+    def test_contraction_matches_dict_oracle(self):
+        # each forced outcome's output against the dict-loop logical Bell
+        # measurement on the 27-qubit register, normalized and unmasked
+        code = builtin_code("shor")
+        zero, one = cached_code_space("shor").basis
+        x_bar, z_bar = code.logical_x[0], code.logical_z[0]
+        products = [tensor(zero, zero), tensor(zero, one), tensor(one, zero), tensor(one, one)]
+        bell = combine([products[0], products[3]], [1 / np.sqrt(2)] * 2)
+        psi = combine([zero, one], [0.6, 0.8j])
         for a in (0, 1):
             for b in (0, 1):
-                for outcome in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                    seen.clear()
-                    rep = run_logical_t_protocol((0.6, 0.8j), (a, b), SplitMix64(1), forced_outcome=outcome)
-                    assert rep.outcome == outcome
-                    ((args, (branches, probs)),) = seen
-                    want_branches, want_probs = dict_logical_bell_branches(*args)
-                    assert np.abs(np.array(probs) - want_probs).max() < 1e-12
-                    for got, want in zip(branches, want_branches):
-                        if want is None:
-                            assert got.num_terms == 0
-                        else:
-                            assert np.array_equal(got.keys, want.keys)
-                            assert np.abs(dense_of(got) - dense_of(want)).max() < 1e-12
+                enc = apply_pauli(psi, z_bar) if b else psi
+                enc = apply_pauli(enc, x_bar) if a else enc
+                chi = combine([enc, one], [1.0, (OMEGA - 1) * states.inner(one, enc)])
+                branches, probs = dict_logical_bell_branches(chi, products, bell, a)
+                for (r_a, r_b), branch, prob in zip(BELL_OUTCOMES, branches, probs):
+                    rep = run_logical_t_protocol((0.6, 0.8j), (a, b), SplitMix64(1),
+                                                 forced_outcome=(r_a, r_b))
+                    want = branch.scaled(1 / np.sqrt(prob))
+                    if a ^ r_a:
+                        want = apply_pauli(want, x_bar)
+                    if a ^ b ^ r_b:
+                        want = apply_pauli(want, z_bar)
+                    got = rep.final_state
+                    assert np.array_equal(got.keys, want.keys), ((a, b), (r_a, r_b))
+                    assert np.abs(got.amps - want.amps).max() < 1e-12, ((a, b), (r_a, r_b))
 
     def test_sampled_runs(self):
         for seed in range(10):
