@@ -14,12 +14,15 @@ Conventions shared by all runners:
   measurement outcomes fold in as a -> a^r_a and b -> b ^ (a ^ r_b) with
   the pre-update a.  The other reading of that update breaks the round
   trip (see the negative test in the suite).
-* run_circuit is the one T gadget: it applies the gate and teleports the
-  data qubit through a fresh Bell pair measured at once (states.teleport,
-  which never builds the data-plus-pair register).  Measured qubits are
-  never touched again, so this equals keeping every pair until the end.
-  The transcript lists the server's events before the client's, with pair
-  i at the positions n+2i-1, n+2i it would hold if every pair were kept.
+* run_circuit is the one T gadget: one states.teleport call applies the
+  T or Td gate and teleports the data qubit through a fresh Bell pair
+  measured at once, never building the data-plus-pair register.  Measured
+  qubits are never touched again, so this equals keeping every pair until
+  the end.  Z, S and Sd gates are deferred and run as one phase pass
+  (states.apply_phases) before the next other gate, T gadget or the final
+  correction; their key rules and transcript events stay per gate.  The
+  transcript lists the server's events before the client's, with pair i at
+  the positions n+2i-1, n+2i it would hold if every pair were kept.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .states import (
     SparseState,
     apply_cnot,
     apply_pauli,
+    apply_phases,
     apply_single,
     combine,
     fidelity_up_to_phase,
@@ -110,6 +114,8 @@ class CircuitGate:
         want = 2 if self.kind == "CNOT" else 1
         if len(self.qubits) != want:
             raise ValueError(f"{self.kind} takes {want} qubit(s)")
+        if any(q < 1 for q in self.qubits):
+            raise ValueError(f"{self.kind} qubits are numbered from 1, got {self.qubits}")
         if self.kind == "CNOT" and self.qubits[0] == self.qubits[1]:
             raise ValueError("CNOT qubits must be distinct")
 
@@ -227,6 +233,10 @@ _ROTATIONS = {
 }
 
 
+# Z, S and Sd as the power of i they put on |1>, deferred by run_circuit
+_PHASE_POWERS = {"Z": 2, "S": 1, "Sd": 3}
+
+
 class CircuitRun(NamedTuple):
     state: SparseState
     transcript: Transcript
@@ -239,12 +249,15 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitR
     """Evaluate a Clifford+T circuit on the encrypted register and decrypt
     it, in one pass over the gates.
 
-    Each gate is applied; a Clifford gate's key rule is replayed on the
-    keys.  After a T/Td gate the data qubit is teleported through a Bell
-    pair measured in the rotated basis that the qubit's current key (a, b)
+    A Clifford gate's key rule is replayed on the keys.  Z, S and Sd gates
+    only add to a pending power of i on their qubit; the pending layer is
+    applied as one phase pass before any other gate, T gadget or the final
+    correction, which equals applying them one by one.  A T/Td gate is
+    applied inside the teleportation of its data qubit through a Bell pair
+    measured in the rotated basis that the qubit's current key (a, b)
     selects; the outcome folds in as a -> a ^ r_a and b -> b ^ (a ^ r_b),
-    with the pre-update a in both.  Forced outcomes, one per T/Td gate in
-    order, replace sampling.  The final Pauli correction undoes the
+    with the pre-update a in both.  Forced outcomes, exactly one per T/Td
+    gate in order, replace sampling.  The final Pauli correction undoes the
     remaining mask.  The peaks count the data-plus-pair register that each
     teleportation stands for.
     """
@@ -253,12 +266,24 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitR
         raise ValueError("key register length does not match the data register")
     forced = None if forced_outcomes is None else list(forced_outcomes)
     cur = list(keys.pairs)
+    pending = [0] * n
     state = enc_state
     server, client, outcomes = [], [], []
     max_qubits, max_terms = state.n, state.num_terms
     for g in circuit:
         kind, qubits = g.kind, g.qubits
-        state = apply_plain_circuit(state, (g,))
+        for q in qubits:
+            if not 1 <= q <= n:
+                raise ValueError(f"qubit {q} out of range 1..{n}")
+        if kind in _PHASE_POWERS:
+            (q,) = qubits
+            pending[q - 1] = (pending[q - 1] + _PHASE_POWERS[kind]) & 3
+        else:
+            if any(pending):
+                state = apply_phases(state, pending)
+                pending = [0] * n
+            if g.is_clifford:
+                state = apply_plain_circuit(state, (g,))
         if g.is_clifford:
             server.append({"kind": "gate", "gate": kind, "qubits": list(qubits)})
             if kind not in ("X", "Z"):
@@ -285,7 +310,7 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitR
             pick = forced[i - 1]
         a, b = cur[w - 1]
         rotation, label = _ROTATIONS[kind, a]
-        outcome, state = teleport(state, w, rotation, rng, pick)
+        outcome, state = teleport(state, w, rotation, rng, pick, gate(kind))
         r_a, r_b = outcome
         cur[w - 1] = new = (a ^ r_a, b ^ (a ^ r_b))
         outcomes.append(outcome)
@@ -294,6 +319,10 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitR
              "forced": pick is not None},
             {"kind": "key_update", "qubit": w, "old": [a, b], "new": list(new)},
         ]
+    if forced is not None and len(forced) > len(outcomes):
+        raise ProtocolError(f"too many forced outcomes: {len(forced)} for {len(outcomes)} T gadgets")
+    if any(pending):
+        state = apply_phases(state, pending)
     final = KeyRegister(tuple(cur))
     correction = mask_pauli(final).adjoint()
     client += [

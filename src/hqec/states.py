@@ -15,7 +15,9 @@ the other's with ``searchsorted``, and ``pauli_eigenvalues`` reads
 finding the flipped keys k ^ x the same way, term by term.
 
 ``teleport`` contracts a data qubit, a fresh Bell pair and the pair's
-rotated Bell measurement in one pass, never building the joint register.
+rotated Bell measurement in one pass, never building the joint register;
+a T gadget's diagonal gate is multiplied in on the way.  ``apply_phases``
+runs a layer of Z, S and Sd gates on many qubits as one phase pass.
 The rotated Bell bases (4 outcomes times the rotations {I, S, Sd}) are
 built at import, like the named gates, and looked up by the rotation's
 matrix; any other rotation gets its basis computed on the call.
@@ -235,6 +237,25 @@ def apply_single(state: SparseState, g: SingleQubitGate, qubit: int) -> SparseSt
     return SparseState(state.n, np.concatenate([keys0, keys1]), np.concatenate([amps0, amps1]))
 
 
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def apply_phases(state: SparseState, powers) -> SparseState:
+    """The diagonal layer diag(1, i^powers[q-1]) on every qubit q in one pass:
+    each term |k> is multiplied by i^(sum of powers[q-1] * bit q of k), with
+    the exponent read by bitwise_count from two qubit masks (its 1s and 2s).
+    Every factor is an exact unit, so for amplitudes without zero real or
+    imaginary parts this equals applying the Z (power 2), S (1) and Sd (3)
+    gates one by one, bit for bit."""
+    if len(powers) != state.n:
+        raise ValueError(f"{len(powers)} phase powers for {state.n} qubits")
+    ones = sum(1 << q for q, k in enumerate(powers) if k & 1)
+    twos = sum(1 << q for q, k in enumerate(powers) if k & 2)
+    keys = state.keys
+    exps = np.bitwise_count(keys & np.uint64(ones)) + 2 * np.bitwise_count(keys & np.uint64(twos))
+    return SparseState(state.n, keys, state.amps * _I_POWERS[exps & 3], True)
+
+
 def apply_cnot(state: SparseState, control: int, target: int) -> SparseState:
     state._check_qubit(control)
     state._check_qubit(target)
@@ -370,7 +391,8 @@ _BELL_ROWS = {
 }
 
 
-def teleport(state: SparseState, qubit: int, rotation: SingleQubitGate, rng, forced=None):
+def teleport(state: SparseState, qubit: int, rotation: SingleQubitGate, rng, forced=None,
+             diagonal: SingleQubitGate | None = None):
     """Teleport `qubit` through a fresh Bell pair measured in the basis
     (U^dag Z^b X^a (x) I)|Phi>: tensor(state, bell_pair()), swap_qubits(qubit,
     n+1) and a measurement of the pair (n+1, n+2), without building the
@@ -378,7 +400,13 @@ def teleport(state: SparseState, qubit: int, rotation: SingleQubitGate, rng, for
     bit set to the pair's e, at pair index d + 2e.  Returns ((r_a, r_b), the
     collapsed n-qubit state); `forced` replaces sampling.  Every remaining key
     gathers at most two terms, so the branches and probabilities equal a
-    separate sort-and-sum of each branch on the joint register."""
+    separate sort-and-sum of each branch on the joint register.
+
+    `diagonal`, a T gadget's T or Td, is applied to `qubit` first, by the
+    product apply_single uses, so the result equals teleport(apply_single(
+    state, diagonal, qubit), ...) bit for bit; a non-diagonal gate raises."""
+    if diagonal is not None and (diagonal.matrix[0, 1] != 0 or diagonal.matrix[1, 0] != 0):
+        raise ValueError(f"teleport takes a diagonal gate, got {diagonal.label!r}")
     n = state.n
     if n + 2 > MAX_STATE_QUBITS:
         raise ValueError(f"tensor result on {n + 2} qubits exceeds the {MAX_STATE_QUBITS}-qubit cap")
@@ -394,7 +422,10 @@ def teleport(state: SparseState, qubit: int, rotation: SingleQubitGate, rng, for
     mask = np.uint64(1 << (qubit - 1))
     bit = ((state.keys & mask) != 0).astype(np.intp)
     cleared = state.keys & ~mask
-    amps = _BELL_PAIR.amps[0] * state.amps
+    amps = state.amps
+    if diagonal is not None:
+        amps = amps * np.where(bit, diagonal.matrix[1, 1], diagonal.matrix[0, 0])
+    amps = _BELL_PAIR.amps[0] * amps
     # (4, keys): branch i's amplitude of each remaining key; pair half e = 0, then 1
     rest, branches = sum_by_key(
         np.concatenate([cleared, cleared | mask]),

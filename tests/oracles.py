@@ -14,9 +14,11 @@ from hqec.codes import builtin_code, logical_codewords
 from hqec.pauli import PauliOperator
 from hqec.protocol import (
     CircuitGate,
+    CircuitRun,
     KeyRegister,
     ProtocolError,
     Transcript,
+    _key_rule,
     apply_plain_circuit,
     clifford_key_update,
     mask_pauli,
@@ -34,6 +36,7 @@ from hqec.states import (
     combine,
     gate,
     swap_qubits,
+    teleport,
     tensor,
 )
 
@@ -462,3 +465,60 @@ def decrypt(client_state, transcript, keys, rng, forced_outcomes=None):
     state = apply_pauli(state, correction)
     transcript.record("final_correction", pauli=correction.to_string())
     return state
+
+
+# ---------------------------------------------------------------------------
+# per-gate T gadget: the bit-for-bit reference for protocol.run_circuit
+
+
+def per_gate_run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitRun:
+    """run_circuit with every gate applied on its own by apply_plain_circuit
+    (one apply_single per Z, S, Sd, T and Td) and each T/Td gate followed by
+    a plain teleport of its qubit.  Same transcript, outcomes and peaks."""
+    n = len(keys)
+    cur = list(keys.pairs)
+    forced = None if forced_outcomes is None else list(forced_outcomes)
+    state = enc_state
+    server, client, outcomes = [], [], []
+    max_qubits, max_terms = state.n, state.num_terms
+    for g in circuit:
+        kind, qubits = g.kind, g.qubits
+        state = apply_plain_circuit(state, (g,))
+        if g.is_clifford:
+            server.append({"kind": "gate", "gate": kind, "qubits": list(qubits)})
+            if kind not in ("X", "Z"):
+                old = [cur[q - 1] for q in qubits]
+                for q, was, new in zip(qubits, old, _key_rule(kind, old)):
+                    client.append({"kind": "key_update", "qubit": q, "old": list(was), "new": list(new)})
+                    cur[q - 1] = new
+            continue
+        (w,) = qubits
+        i = len(outcomes) + 1
+        s_pos, c_pos = n + 2 * i - 1, n + 2 * i
+        server += [
+            {"kind": "gate", "gate": kind, "qubits": [w], "pair_index": i, "pair_positions": [s_pos, c_pos]},
+            {"kind": "bell_consumed", "pair_index": i, "positions": [s_pos, c_pos]},
+            {"kind": "swap", "positions": [w, s_pos]},
+        ]
+        max_qubits = max(max_qubits, n + 2)
+        max_terms = max(max_terms, 2 * state.num_terms)
+        pick = None if forced is None else forced[i - 1]
+        a, b = cur[w - 1]
+        rotation, label = _ROTATIONS[kind, a]
+        outcome, state = teleport(state, w, rotation, rng, pick)
+        r_a, r_b = outcome
+        cur[w - 1] = new = (a ^ r_a, b ^ (a ^ r_b))
+        outcomes.append(outcome)
+        client += [
+            {"kind": "measurement", "pair_index": i, "rotation": label, "outcome": list(outcome),
+             "forced": pick is not None},
+            {"kind": "key_update", "qubit": w, "old": [a, b], "new": list(new)},
+        ]
+    final = KeyRegister(tuple(cur))
+    correction = mask_pauli(final).adjoint()
+    client += [
+        {"kind": "final_keys", "keys": final.as_lists()},
+        {"kind": "final_correction", "pauli": correction.to_string()},
+    ]
+    state = apply_pauli(state, correction)
+    return CircuitRun(state, Transcript(server + client), outcomes, max_qubits, max_terms)

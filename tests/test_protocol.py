@@ -1,6 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hqec import protocol
 from hqec.protocol import (
     CircuitGate,
     IncompatibleCodeError,
@@ -47,6 +52,7 @@ from oracles import (
     dict_logical_bell_branches,
     evaluate_circuit,
     op_on,
+    per_gate_run_circuit,
     rotated_bell_measure,
 )
 
@@ -261,6 +267,10 @@ class TestCircuitText:
             parse_circuit("CX1")
         with pytest.raises(ValueError):
             parse_circuit("H1,2")
+        with pytest.raises(ValueError, match="numbered from 1"):
+            parse_circuit("T0")
+        with pytest.raises(ValueError, match="numbered from 1"):
+            parse_circuit("H1 CX0,1")
 
 
 class TestEvaluateDecrypt:
@@ -303,6 +313,40 @@ class TestEvaluateDecrypt:
         circuit = [CircuitGate("T", (1,)), CircuitGate("Td", (1,))]
         with pytest.raises(ProtocolError, match="not enough forced outcomes"):
             run_circuit(encrypt(psi, keys), circuit, keys, SplitMix64(0), forced_outcomes=[(0, 0)])
+
+    def test_too_many_forced_outcomes(self):
+        psi = random_state(1, SplitMix64(3))
+        keys = KeyRegister.of([(0, 0)])
+        with pytest.raises(ProtocolError, match="too many forced outcomes: 3 for 1 T gadgets"):
+            run_circuit(encrypt(psi, keys), [CircuitGate("T", (1,))], keys, SplitMix64(0),
+                        forced_outcomes=[(0, 0), (1, 1), (0, 1)])
+
+    @pytest.mark.parametrize("kind,qubit", [("S", 0), ("Sd", 3), ("Z", 3)])
+    def test_deferred_gate_qubit_range(self, kind, qubit):
+        # a deferred phase gate is range-checked when it is read, not when
+        # its layer is flushed; CircuitGate itself refuses qubit 0
+        psi = random_state(2, SplitMix64(3))
+        keys = KeyRegister.of([(0, 1), (1, 0)])
+        bad = SimpleNamespace(kind=kind, qubits=(qubit,), is_clifford=True)
+        circuit = [CircuitGate("S", (1,)), bad, CircuitGate("H", (2,))]
+        with pytest.raises(ValueError, match=f"^qubit {qubit} out of range 1..2$"):
+            run_circuit(encrypt(psi, keys), circuit, keys, SplitMix64(0))
+
+    def test_phase_and_t_gates_skip_apply_single(self, monkeypatch):
+        circuit = parse_circuit("S1 Z2 Sd1 T1 X2 Td2 H1 S2 CX1,2 Z1 Sd2")
+        psi = random_state(2, SplitMix64(9))
+        want = apply_plain_circuit(psi, circuit)
+        applied = []
+
+        def spy(state, g, qubit):
+            applied.append(g.label)
+            return apply_single(state, g, qubit)
+
+        monkeypatch.setattr(protocol, "apply_single", spy)
+        keys = KeyRegister.of([(1, 1), (0, 1)])
+        run = run_circuit(encrypt(psi, keys), circuit, keys, SplitMix64(10))
+        assert applied == ["X", "H"]
+        assert fidelity_up_to_phase(run.state, want) > 1 - 1e-12
 
     def test_key_length_mismatch(self):
         psi = random_state(1, SplitMix64(3))
@@ -421,6 +465,53 @@ class TestEvaluateDecrypt:
                 assert np.abs(dense_of(run.state) - dense_of(dec)).max() <= 1e-12, trial
                 assert run.transcript.events == tr.events, trial
         assert {"Sd", "CNOT", "T", "Td"} <= kinds
+
+
+@st.composite
+def diagonal_run_circuits(draw):
+    """(n, circuit): runs of up to ten Z, S and Sd gates on random qubits,
+    each followed by one other Clifford+T gate, and a last run."""
+    n = draw(st.integers(1, 3), label="n")
+    qubit = st.integers(1, n)
+    diagonal_run = st.lists(st.tuples(st.sampled_from(["Z", "S", "Sd"]), qubit), max_size=10)
+    circuit = []
+    for _ in range(draw(st.integers(0, 6), label="segments")):
+        circuit += [CircuitGate(kind, (q,)) for kind, q in draw(diagonal_run)]
+        kind = draw(st.sampled_from(["X", "H", "T", "Td"] + ["CNOT"] * (n >= 2)))
+        if kind == "CNOT":
+            c = draw(qubit)
+            t = draw(qubit.filter(lambda t: t != c))
+            circuit.append(CircuitGate(kind, (c, t)))
+        else:
+            circuit.append(CircuitGate(kind, (draw(qubit),)))
+    circuit += [CircuitGate(kind, (q,)) for kind, q in draw(diagonal_run)]
+    return n, circuit
+
+
+class TestPerGateReference:
+    """run_circuit, with its T gates inside teleport and its Z/S/Sd layers
+    as phase passes, is bit for bit the per-gate loop of
+    tests/oracles.py: final keys and amplitudes, outcomes, transcript and
+    peaks, with sampled and with forced outcomes."""
+
+    @given(diagonal_run_circuits(), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_gate_loop(self, n_circuit, seed, force, data):
+        n, circuit = n_circuit
+        n_t = sum(g.kind in ("T", "Td") for g in circuit)
+        forced = None
+        if force:
+            forced = data.draw(st.lists(st.sampled_from(BELL_OUTCOMES), min_size=n_t, max_size=n_t))
+        psi = random_state(n, SplitMix64(seed))
+        keys = KeyRegister.random(n, SplitMix64(seed + 1))
+        enc = encrypt(psi, keys)
+        got = run_circuit(enc, circuit, keys, SplitMix64(seed + 2), forced)
+        want = per_gate_run_circuit(enc, circuit, keys, SplitMix64(seed + 2), forced)
+        assert got.state.keys.tobytes() == want.state.keys.tobytes()
+        assert got.state.amps.tobytes() == want.state.amps.tobytes()
+        assert got.outcomes == want.outcomes
+        assert got.transcript.events == want.transcript.events
+        assert (got.max_live_qubits, got.max_terms) == (want.max_live_qubits, want.max_terms)
 
 
 def _random_circuit(rng, n, max_gates=12, max_t=3):

@@ -13,6 +13,7 @@ from hqec.states import (
     SparseState,
     apply_cnot,
     apply_pauli,
+    apply_phases,
     apply_single,
     bell_pair,
     combine,
@@ -452,6 +453,96 @@ class TestTeleport:
         for qubit in (0, 3):
             with pytest.raises(ValueError, match="out of range"):
                 teleport(SparseState.from_basis(2, 0), qubit, IDENT, SplitMix64(0))
+
+
+class TestTeleportDiagonal:
+    """teleport(state, q, U, ..., diagonal=g) is bit for bit
+    teleport(apply_single(state, g, q), q, U, ...) for g in {T, Td}, every
+    rotation of the precomputed table and every outcome, sampled or forced."""
+
+    ROTATIONS = [SingleQubitGate("U", np.frombuffer(m, complex).reshape(2, 2)) for m in states._BELL_ROWS]
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_gate_then_teleport(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        keys = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=24, unique=True),
+                         label="keys")
+        amps = data.draw(st.lists(_TELEPORT_AMP, min_size=len(keys), max_size=len(keys)), label="amps")
+        state = SparseState(n, np.array(keys, np.uint64), np.array(amps, complex))
+        assume(state.num_terms > 0)
+        qubit = data.draw(st.integers(1, n), label="qubit")
+        for g in (gate("T"), gate("Td")):
+            gated = apply_single(state, g, qubit)
+            for rotation in self.ROTATIONS:
+                def fast(rng, forced):
+                    return teleport(state, qubit, rotation, rng, forced, g)
+
+                def ref(rng, forced):
+                    return teleport(gated, qubit, rotation, rng, forced)
+
+                for idx, outcome in enumerate(BELL_OUTCOMES):
+                    got_pick, want_pick = _PickRng(idx), _PickRng(idx)
+                    assert _measure_or_error(fast, got_pick, None) == _measure_or_error(ref, want_pick, None)
+                    assert got_pick.weights == want_pick.weights
+                    assert _measure_or_error(fast, None, outcome) == _measure_or_error(ref, None, outcome)
+
+    @pytest.mark.parametrize("label", ["H", "X"])
+    def test_non_diagonal_gate_rejected(self, label):
+        with pytest.raises(ValueError, match="diagonal gate"):
+            teleport(SparseState.from_basis(1, 0), 1, IDENT, SplitMix64(0), None, gate(label))
+
+
+def _nonzero_parts(rng, size):
+    """Amplitudes whose real and imaginary parts are all nonzero."""
+    parts = rng.uniform(0.1, 1.0, (2, size)) * rng.choice([-1.0, 1.0], (2, size))
+    return parts[0] + 1j * parts[1]
+
+
+class TestApplyPhases:
+    """apply_phases(state, powers) is the layer of Z (power 2), S (1) and Sd
+    (3) gates applied one by one: bit for bit on amplitudes with nonzero
+    parts, and equal in value when a part is zero (only the sign of a zero
+    part may differ)."""
+
+    POWERS = {"Z": 2, "S": 1, "Sd": 3}
+
+    @given(st.integers(1, 8), st.lists(st.tuples(st.sampled_from(["Z", "S", "Sd"]), st.integers(1, 8)),
+                                       max_size=30), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_sequential_apply_single(self, n, run, seed):
+        rng = np.random.default_rng(seed)
+        keys = np.flatnonzero(rng.random(1 << n) < 0.6).astype(np.uint64)
+        state = SparseState(n, keys, _nonzero_parts(rng, keys.size), True)
+        run = [(kind, (q - 1) % n + 1) for kind, q in run]
+        want, powers = state, [0] * n
+        for kind, q in run:
+            want = apply_single(want, gate(kind), q)
+            powers[q - 1] += self.POWERS[kind]
+        got = apply_phases(state, powers)
+        assert got.keys.tobytes() == want.keys.tobytes()
+        assert got.amps.tobytes() == want.amps.tobytes()
+
+    def test_zero_parts_equal_in_value(self):
+        parts = [0.0, -0.0, 0.5, -0.5]
+        amps = np.array([complex(x, y) for x in parts for y in parts])
+        state = SparseState(4, np.arange(16, dtype=np.uint64), amps, True)
+        for run in (["S"], ["Sd", "Z"], ["S", "S", "Sd"]):
+            want, powers = state, [0] * 4
+            for q, kind in enumerate(run, start=1):
+                want = apply_single(want, gate(kind), q)
+                powers[q - 1] = self.POWERS[kind]
+            assert np.array_equal(apply_phases(state, powers).amps, want.amps)
+
+    def test_phases_by_key(self):
+        state = SparseState(2, np.arange(4, dtype=np.uint64), np.ones(4, complex), True)
+        # S on qubit 1 (bit 0), Z on qubit 2 (bit 1)
+        assert apply_phases(state, [1, 2]).amps.tolist() == [1, 1j, -1, -1j]
+        assert apply_phases(state, [3, 3]).amps.tolist() == [1, -1j, -1j, -1]
+
+    def test_power_count_mismatch(self):
+        with pytest.raises(ValueError, match="3 phase powers for 2 qubits"):
+            apply_phases(SparseState.from_basis(2, 0), [0, 1, 2])
 
 
 class TestTermGuard:
