@@ -208,7 +208,7 @@ def _cmd_check_diagonal(args) -> int:
     for i, p in enumerate(rep.logical_phases):
         lines.append(f"  logical phase on |{i}>: {p.real:+.12f}{p.imag:+.12f}i")
     if args.gate == "T":
-        corr = compat_mod._correction_from_action(rep)
+        corr = compat_mod.clifford_correction_for_t(cs)
         if corr is not None:
             lines.append(
                 f"  logical correction: S-power {corr.logical_s_power}, "

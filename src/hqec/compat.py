@@ -8,10 +8,14 @@ diagonal logical Clifford correction that turns a transversal T into the
 exact logical T.
 
 The mask checks are symplectic and GF(2) algebra on Python ints and load
-no numpy; only the diagonal-gate functions import numpy and the
-``states`` layer, when called.  The protocol error classes, OMEGA and the
-register-cost report live here too, so the CLI maps errors to exit codes
-and answers ``report resources`` without importing ``protocol``.
+no numpy; only the diagonal-gate functions import numpy, when called.
+A diagonal gate's action is one array pass over the code space's basis
+arrays, memoized by (code space, phase), so clifford_correction_for_t
+reads the transversal-T action that diagonal_gate_action computed, and
+vice versa; stabilizer_mask_check is memoized by code.  The protocol
+error classes, OMEGA and the register-cost report live here too, so the
+CLI maps errors to exit codes and answers ``report resources`` without
+importing ``protocol``.
 """
 
 from __future__ import annotations
@@ -159,6 +163,52 @@ def apply_diagonal(state: SparseState, phase_per_one: complex) -> SparseState:
     return type(state)(state.n, state.keys, amps, True)
 
 
+@lru_cache(maxsize=CODE_CACHE_SIZE)
+def _diagonal_action(code_space: CodeSpace, phase_per_one: complex):
+    """(leakage, logical phases or None) of phase^(number of 1 bits) on a
+    code space, read straight from the basis arrays.  Each step is the array
+    arithmetic of the state-level route, so the numbers match it bit for
+    bit: the coalesced reference (|0> + |1>)/sqrt2, its image, the
+    coefficients <i|image>, the pruned residual image - projection, and
+    <i|gate|i>.  Memoized by (code space, phase); a raise caches nothing."""
+    import numpy as np
+
+    from ._kernels import coalesce64
+    from .states import GRAM_TOL, PRUNE_TOL, ZERO_WEIGHT, _inner_arrays
+
+    if len({b.n for b in code_space.basis}) > 1:
+        raise ValueError("dimension mismatch: basis states on different qubit counts")
+    basis = [(b.keys, b.amps) for b in code_space.basis]
+    for i, (ku, u) in enumerate(basis):
+        for j, (kv, v) in enumerate(basis):
+            if abs(_inner_arrays(ku, u, kv, v) - (1.0 if i == j else 0.0)) > GRAM_TOL:
+                raise ValueError("projection span is not orthonormal")
+    phase = np.asarray(phase_per_one, complex)
+    span_keys = np.concatenate([k for k, _ in basis])
+    c = 1 / math.sqrt(2)
+    keys, ref = coalesce64(span_keys, np.concatenate([c * a for _, a in basis]), PRUNE_TOL)
+    out = ref * phase ** np.bitwise_count(keys)
+    coeffs = [_inner_arrays(k, a, keys, out) for k, a in basis]
+    # sqrt(1 - weight) computed as the residual norm: cancellation-free, so
+    # an exactly code-space-preserving gate reports leakage 0, not sqrt(eps)
+    if float(sum(abs(x) ** 2 for x in coeffs)) < ZERO_WEIGHT:
+        leakage = 1.0
+    else:
+        proj_keys, proj = coalesce64(
+            span_keys, np.concatenate([x * a for x, (_, a) in zip(coeffs, basis)]), PRUNE_TOL
+        )
+        _, res = coalesce64(
+            np.concatenate([keys, proj_keys]), np.concatenate([1.0 * out, -1.0 * proj]), PRUNE_TOL
+        )
+        leakage = float(np.sqrt(np.sum(np.abs(res) ** 2)))
+    if leakage >= LEAKAGE_TOL:
+        return leakage, None
+    phases = tuple(_inner_arrays(k, a, k, a * phase ** np.bitwise_count(k)) for k, a in basis)
+    if any(abs(abs(ph) - 1) > 1e-9 for ph in phases):
+        raise ValueError("diagonal action is not a pure phase on a basis state")
+    return leakage, phases
+
+
 def diagonal_gate_action(
     code_space: CodeSpace, phase_per_one: complex, label: str | None = None
 ) -> DiagonalAction:
@@ -166,32 +216,12 @@ def diagonal_gate_action(
 
     Leakage is the out-of-code-space norm for the uniform logical
     superposition input; logical phases are reported only when the gate
-    preserves the code space.
+    preserves the code space.  The numbers are memoized by (code space,
+    phase), so clifford_correction_for_t reuses a T action asked for here.
     """
     if label is None:
         label = f"diag({complex(phase_per_one):.4g})^x{code_space.code.n}"
-    from .states import combine, inner, project_onto
-
-    basis = code_space.basis
-    ref = combine(basis, [1 / math.sqrt(2)] * 2)
-    out = apply_diagonal(ref, phase_per_one)
-    proj, _ = project_onto(list(basis), out)
-    # sqrt(1 - weight) computed as the residual norm: cancellation-free, so
-    # an exactly code-space-preserving gate reports leakage 0, not sqrt(eps)
-    if proj is None:
-        leakage = 1.0
-    else:
-        leakage = combine([out, proj], [1.0, -1.0]).norm()
-    phases = None
-    if leakage < LEAKAGE_TOL:
-        phases = []
-        for b in basis:
-            ph = inner(b, apply_diagonal(b, phase_per_one))
-            if abs(abs(ph) - 1) > 1e-9:
-                raise ValueError("diagonal action is not a pure phase on a basis state")
-            phases.append(ph)
-        phases = tuple(phases)
-    return DiagonalAction(label, leakage, phases)
+    return DiagonalAction(label, *_diagonal_action(code_space, complex(phase_per_one)))
 
 
 @dataclass(frozen=True)
@@ -208,22 +238,18 @@ class CliffordCorrection:
         }
 
 
-@lru_cache(maxsize=CODE_CACHE_SIZE)
 def clifford_correction_for_t(code_space: CodeSpace) -> CliffordCorrection | None:
     """Diagonal logical Clifford (S-power, Z-power, global phase) turning the
     transversal T action into the exact logical T; None when the transversal
     gate leaks out of the code space or no diagonal correction exists.
 
-    Memoized by code space (its states compare by identity, so the spaces
-    that logical_codewords caches hit); the result is frozen."""
-    return _correction_from_action(diagonal_gate_action(code_space, OMEGA, label="T-transversal"))
-
-
-def _correction_from_action(action: DiagonalAction) -> CliffordCorrection | None:
-    """The diagonal logical Clifford correction for a transversal-T action."""
-    if action.logical_phases is None:
+    Reads the memoized transversal-T action that diagonal_gate_action(
+    code_space, OMEGA) shares (code spaces hash by their states' identity,
+    so the spaces that logical_codewords caches hit)."""
+    phases = _diagonal_action(code_space, OMEGA)[1]
+    if phases is None:
         return None
-    lam0, lam1 = action.logical_phases
+    lam0, lam1 = phases
     gamma = 1.0 / lam0
     target = OMEGA * lam0 / lam1
     for z in (0, 1):

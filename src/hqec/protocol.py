@@ -257,14 +257,19 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitR
     measured in the rotated basis that the qubit's current key (a, b)
     selects; the outcome folds in as a -> a ^ r_a and b -> b ^ (a ^ r_b),
     with the pre-update a in both.  Forced outcomes, exactly one per T/Td
-    gate in order, replace sampling.  The final Pauli correction undoes the
-    remaining mask.  The peaks count the data-plus-pair register that each
-    teleportation stands for.
+    gate in order, replace sampling; a wrong count raises ValueError before
+    any gate runs.  The final Pauli correction undoes the remaining mask.
+    The peaks count the data-plus-pair register that each teleportation
+    stands for.
     """
     n = len(keys)
     if n != enc_state.n:
         raise ValueError("key register length does not match the data register")
     forced = None if forced_outcomes is None else list(forced_outcomes)
+    if forced is not None:
+        t = sum(not g.is_clifford for g in circuit)
+        if t != len(forced):
+            raise ValueError(f"circuit needs {t} forced outcome pairs, got {len(forced)}")
     cur = list(keys.pairs)
     pending = [0] * n
     state = enc_state
@@ -303,11 +308,7 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitR
         # the joint register a tensored-in pair would make
         max_qubits = max(max_qubits, n + 2)
         max_terms = max(max_terms, 2 * state.num_terms)
-        pick = None
-        if forced is not None:
-            if i > len(forced):
-                raise ProtocolError("not enough forced outcomes")
-            pick = forced[i - 1]
+        pick = None if forced is None else forced[i - 1]
         a, b = cur[w - 1]
         rotation, label = _ROTATIONS[kind, a]
         outcome, state = teleport(state, w, rotation, rng, pick, gate(kind))
@@ -319,8 +320,6 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitR
              "forced": pick is not None},
             {"kind": "key_update", "qubit": w, "old": [a, b], "new": list(new)},
         ]
-    if forced is not None and len(forced) > len(outcomes):
-        raise ProtocolError(f"too many forced outcomes: {len(forced)} for {len(outcomes)} T gadgets")
     if any(pending):
         state = apply_phases(state, pending)
     final = KeyRegister(tuple(cur))
@@ -508,9 +507,6 @@ def run_transversal_t_protocol(amplitudes, key, rng, forced_outcomes=None) -> Tr
     Each pair is measured before the next is tensored in, so the 45-qubit
     joint register is never materialized."""
     code = builtin_code("rm15")
-    forced = list(forced_outcomes) if forced_outcomes is not None else None
-    if forced is not None and len(forced) != code.n:
-        raise ValueError(f"transversal T needs {code.n} forced outcome pairs, got {len(forced)}")
     cs = logical_codewords(code)
     corr = clifford_correction_for_t(cs)
     if corr is None:
@@ -522,7 +518,7 @@ def run_transversal_t_protocol(amplitudes, key, rng, forced_outcomes=None) -> Tr
     a, b = int(key[0]) & 1, int(key[1]) & 1
     keys = KeyRegister.uniform(code.n, a, b)
     circuit = _transversal_t_circuit(code.n, corr.logical_s_power % 4, corr.logical_z_power % 2)
-    run = run_circuit(encrypt(psi, keys), circuit, keys, rng, forced)
+    run = run_circuit(encrypt(psi, keys), circuit, keys, rng, forced_outcomes)
     target = combine(list(cs.basis), [c0, OMEGA * c1])
     fid = fidelity_up_to_phase(run.state, target)
     if fid < 1 - ROUND_TRIP_TOL:

@@ -202,11 +202,17 @@ def inner(a: SparseState, b: SparseState) -> complex:
     """<a|b> over the shared basis keys, summed in key order."""
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    if not b.keys.size:
+    return _inner_arrays(a.keys, a.amps, b.keys, b.amps)
+
+
+def _inner_arrays(a_keys, a_amps, b_keys, b_amps) -> complex:
+    """inner on bare sorted key and amplitude arrays: the shared keys are
+    found by searching b's keys and summed in a's key order."""
+    if not b_keys.size:
         return 0j
-    idx = np.minimum(np.searchsorted(b.keys, a.keys), b.keys.size - 1)
-    hit = b.keys[idx] == a.keys
-    return complex(np.sum(np.conj(a.amps[hit]) * b.amps[idx[hit]]))
+    idx = np.minimum(np.searchsorted(b_keys, a_keys), b_keys.size - 1)
+    hit = b_keys[idx] == a_keys
+    return complex(np.sum(np.conj(a_amps[hit]) * b_amps[idx[hit]]))
 
 
 def fidelity_up_to_phase(a: SparseState, b: SparseState) -> float:
@@ -445,8 +451,11 @@ def teleport(state: SparseState, qubit: int, rotation: SingleQubitGate, rng, for
         raise ValueError("measurement on a zero-weight state")
 
     if forced is not None:
-        outcome = (int(forced[0]), int(forced[1]))
-        idx = _OUTCOMES.index(outcome)
+        try:
+            idx = _OUTCOMES.index(tuple(forced))
+        except (TypeError, ValueError):
+            raise ValueError(f"forced outcome must be a pair of bits, got {forced!r}") from None
+        outcome = _OUTCOMES[idx]
     else:
         idx = rng.choice_weighted(probs)
         outcome = _OUTCOMES[idx]

@@ -6,11 +6,13 @@ so a sparse state and its dense counterpart agree entry-for-entry.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from hqec.codes import builtin_code, logical_codewords
+from hqec.compat import LEAKAGE_TOL, apply_diagonal
 from hqec.pauli import PauliOperator
 from hqec.protocol import (
     CircuitGate,
@@ -35,6 +37,8 @@ from hqec.states import (
     apply_single,
     combine,
     gate,
+    inner,
+    project_onto,
     swap_qubits,
     teleport,
     tensor,
@@ -176,6 +180,24 @@ def intersect_inner(a: SparseState, b: SparseState) -> complex:
     before it searched one key array in the other."""
     _, ia, ib = np.intersect1d(a.keys, b.keys, assume_unique=True, return_indices=True)
     return complex(np.sum(np.conj(a.amps[ia]) * b.amps[ib]))
+
+
+def projection_diagonal_action(code_space, phase_per_one):
+    """(leakage, logical phases or None) of a transversal diagonal gate by
+    the state-level route that compat.diagonal_gate_action took before it
+    read the basis arrays: combine (|0> + |1>)/sqrt2, apply_diagonal,
+    project_onto the basis, the residual's norm, then <i|gate|i> by inner."""
+    basis = code_space.basis
+    ref = combine(basis, [1 / math.sqrt(2)] * 2)
+    out = apply_diagonal(ref, phase_per_one)
+    proj, _ = project_onto(list(basis), out)
+    leakage = 1.0 if proj is None else combine([out, proj], [1.0, -1.0]).norm()
+    if leakage >= LEAKAGE_TOL:
+        return leakage, None
+    phases = tuple(inner(b, apply_diagonal(b, phase_per_one)) for b in basis)
+    if any(abs(abs(ph) - 1) > 1e-9 for ph in phases):
+        raise ValueError("diagonal action is not a pure phase on a basis state")
+    return leakage, phases
 
 
 def random_pauli(rng: np.random.Generator, n: int) -> PauliOperator:
@@ -474,10 +496,15 @@ def decrypt(client_state, transcript, keys, rng, forced_outcomes=None):
 def per_gate_run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitRun:
     """run_circuit with every gate applied on its own by apply_plain_circuit
     (one apply_single per Z, S, Sd, T and Td) and each T/Td gate followed by
-    a plain teleport of its qubit.  Same transcript, outcomes and peaks."""
+    a plain teleport of its qubit.  Same transcript, outcomes, peaks and
+    forced-outcome count check."""
     n = len(keys)
     cur = list(keys.pairs)
     forced = None if forced_outcomes is None else list(forced_outcomes)
+    if forced is not None:
+        t = sum(g.kind in ("T", "Td") for g in circuit)
+        if t != len(forced):
+            raise ValueError(f"circuit needs {t} forced outcome pairs, got {len(forced)}")
     state = enc_state
     server, client, outcomes = [], [], []
     max_qubits, max_terms = state.n, state.num_terms

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hqec import gf2
+from hqec import compat, gf2
 from hqec.codes import (
     BUILTIN_NAMES,
     CODE_CACHE_SIZE,
@@ -265,7 +265,7 @@ class TestPerCodeCaches:
             clifford_correction_for_t(logical_codewords(code))
             decode_single_error(code, (1, 0))
             stabilizer_mask_check(code)
-        for cached in (logical_codewords, clifford_correction_for_t, _single_error_table,
+        for cached in (logical_codewords, compat._diagonal_action, _single_error_table,
                        stabilizer_mask_check):
             info = cached.cache_info()
             assert info.maxsize == CODE_CACHE_SIZE

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqec import compat, gf2
-from hqec.codes import SubcodeError, css_from_classical
+from hqec.codes import BUILTIN_NAMES, CodeSpace, SubcodeError, css_from_classical, logical_codewords
 from hqec.compat import (
     apply_diagonal,
     clifford_correction_for_t,
@@ -14,8 +14,9 @@ from hqec.compat import (
     stabilizer_mask_check,
 )
 from hqec.protocol import KeyRegister, encrypt
-from hqec.states import combine, project_onto
-from oracles import cached_code, cached_code_space, dense_of
+from hqec.states import SparseState, combine, project_onto
+from oracles import cached_code, cached_code_space, dense_of, projection_diagonal_action
+from test_codewords import clifford_codes
 
 OMEGA = np.exp(1j * np.pi / 4)
 
@@ -153,6 +154,86 @@ class TestDiagonalAction:
         assert da.leakage < 1e-10
         assert abs(da.logical_phases[0] - 1) < 1e-12
         assert abs(da.logical_phases[1] - 1j) < 1e-12
+
+
+PHASES = (OMEGA, OMEGA.conjugate(), -1j, 1.0, -1.0, np.exp(1j * np.pi / 8))
+
+
+def _exact(action, cs, phase):
+    """action(cs, phase) -> (leakage, phases) as exact hex strings, or the
+    message it raises."""
+    try:
+        leakage, phases = action(cs, phase)
+    except ValueError as exc:
+        return str(exc)
+    return leakage.hex(), None if phases is None else [(p.real.hex(), p.imag.hex()) for p in phases]
+
+
+def _array_pass(cs, phase):
+    da = diagonal_gate_action(cs, phase)
+    return da.leakage, da.logical_phases
+
+
+def _fresh(cs):
+    """An equal code space with new state objects, so no memo entry matches it."""
+    return CodeSpace(cs.code, tuple(SparseState(b.n, b.keys, b.amps, True) for b in cs.basis))
+
+
+class TestDiagonalActionOracle:
+    """The array pass against the projection route it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("phase", PHASES)
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins(self, name, phase):
+        cs = cached_code_space(name)
+        assert _exact(_array_pass, cs, phase) == _exact(projection_diagonal_action, cs, phase)
+
+    @settings(max_examples=150, deadline=None)
+    @given(clifford_codes(), st.sampled_from(PHASES))
+    def test_random_codes(self, code, phase):
+        cs = logical_codewords(code)
+        assert _exact(_array_pass, cs, phase) == _exact(projection_diagonal_action, cs, phase)
+
+    @pytest.mark.parametrize("which", ["repeated", "unnormalized"])
+    def test_non_orthonormal_basis(self, which):
+        cs = cached_code_space("steane")
+        second = cs.zero if which == "repeated" else cs.one.scaled(1.5)
+        bad = CodeSpace(cs.code, (cs.zero, second))
+        for action in (diagonal_gate_action, projection_diagonal_action):
+            with pytest.raises(ValueError, match="^projection span is not orthonormal$"):
+                action(bad, OMEGA)
+
+
+    def test_basis_on_different_qubit_counts(self):
+        cs = cached_code_space("bit_flip")
+        bad = CodeSpace(cs.code, (cs.zero, SparseState.from_basis(4, "1110")))
+        for action in (diagonal_gate_action, projection_diagonal_action):
+            with pytest.raises(ValueError, match="^dimension mismatch"):
+                action(bad, OMEGA)
+
+
+class TestDiagonalActionMemo:
+    def test_t_action_shared_with_correction(self):
+        cs = _fresh(cached_code_space("rm15"))
+        before = compat._diagonal_action.cache_info()
+        da = diagonal_gate_action(cs, OMEGA, "T")  # a numpy complex phase
+        corr = clifford_correction_for_t(cs)  # compat.OMEGA, a Python complex
+        after = compat._diagonal_action.cache_info()
+        assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
+        assert da.gate_label == "T" and corr.logical_s_power == 1
+
+    def test_raise_caches_nothing(self):
+        cs = cached_code_space("steane")
+        bad = CodeSpace(cs.code, (cs.zero, cs.zero))
+        before = compat._diagonal_action.cache_info()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not orthonormal"):
+                diagonal_gate_action(bad, OMEGA)
+            with pytest.raises(ValueError, match="not orthonormal"):
+                clifford_correction_for_t(bad)
+        after = compat._diagonal_action.cache_info()
+        assert after.misses == before.misses + 4
+        assert after.hits == before.hits
 
 
 class TestCliffordCorrection:

@@ -43,6 +43,7 @@ from hqec.states import (
     swap_qubits,
     tensor,
 )
+import oracles
 from oracles import (
     BELL_OUTCOMES,
     cached_code_space,
@@ -311,15 +312,29 @@ class TestEvaluateDecrypt:
         psi = random_state(1, SplitMix64(3))
         keys = KeyRegister.of([(0, 0)])
         circuit = [CircuitGate("T", (1,)), CircuitGate("Td", (1,))]
-        with pytest.raises(ProtocolError, match="not enough forced outcomes"):
+        with pytest.raises(ValueError, match="^circuit needs 2 forced outcome pairs, got 1$"):
             run_circuit(encrypt(psi, keys), circuit, keys, SplitMix64(0), forced_outcomes=[(0, 0)])
 
     def test_too_many_forced_outcomes(self):
         psi = random_state(1, SplitMix64(3))
         keys = KeyRegister.of([(0, 0)])
-        with pytest.raises(ProtocolError, match="too many forced outcomes: 3 for 1 T gadgets"):
+        with pytest.raises(ValueError, match="^circuit needs 1 forced outcome pairs, got 3$"):
             run_circuit(encrypt(psi, keys), [CircuitGate("T", (1,))], keys, SplitMix64(0),
                         forced_outcomes=[(0, 0), (1, 1), (0, 1)])
+
+    @pytest.mark.parametrize("run", [run_circuit, per_gate_run_circuit])
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_forced_count_checked_before_any_gate(self, monkeypatch, run, count):
+        def no_teleport(*args, **kwargs):
+            raise AssertionError("a T gadget ran before the forced-outcome count check")
+
+        monkeypatch.setattr(protocol, "teleport", no_teleport)
+        monkeypatch.setattr(oracles, "teleport", no_teleport)
+        psi = random_state(2, SplitMix64(3))
+        keys = KeyRegister.of([(1, 0), (0, 1)])
+        circuit = [CircuitGate("T", (1,)), CircuitGate("H", (2,)), CircuitGate("Td", (2,))]
+        with pytest.raises(ValueError, match=f"^circuit needs 2 forced outcome pairs, got {count}$"):
+            run(encrypt(psi, keys), circuit, keys, SplitMix64(0), forced_outcomes=[(0, 1)] * count)
 
     @pytest.mark.parametrize("kind,qubit", [("S", 0), ("Sd", 3), ("Z", 3)])
     def test_deferred_gate_qubit_range(self, kind, qubit):
@@ -735,6 +750,10 @@ class TestLogicalT:
                     got = rep.final_state
                     assert np.array_equal(got.keys, want.keys), ((a, b), (r_a, r_b))
                     assert np.abs(got.amps - want.amps).max() < 1e-12, ((a, b), (r_a, r_b))
+
+    def test_malformed_forced_outcome(self):
+        with pytest.raises(ValueError, match=r"^forced outcome must be a pair of bits, got \(2, 0\)$"):
+            run_logical_t_protocol((0.6, 0.8), (1, 0), SplitMix64(1), forced_outcome=(2, 0))
 
     def test_sampled_runs(self):
         for seed in range(10):

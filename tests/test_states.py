@@ -454,6 +454,22 @@ class TestTeleport:
             with pytest.raises(ValueError, match="out of range"):
                 teleport(SparseState.from_basis(2, 0), qubit, IDENT, SplitMix64(0))
 
+    @pytest.mark.parametrize("forced", [(2, 0), (0, -1), (0,), (0, 1, 1), (0.5, 1), (None, 1), "01", 3])
+    def test_malformed_forced_outcome(self, forced):
+        state = SparseState.from_terms(1, {"0": 0.6, "1": 0.8})
+        with pytest.raises(ValueError, match=r"^forced outcome must be a pair of bits, got ") as err:
+            teleport(state, 1, IDENT, SplitMix64(0), forced)
+        assert str(err.value).endswith(repr(forced))
+
+    @pytest.mark.parametrize("forced", [[1, 0], (np.int64(1), np.uint8(0)), np.array([1, 0]), (True, False)])
+    def test_forced_outcome_forms(self, forced):
+        state = SparseState.from_terms(1, {"0": 0.6, "1": 0.8})
+        outcome, out = teleport(state, 1, IDENT, SplitMix64(0), forced)
+        want_outcome, want = teleport(state, 1, IDENT, SplitMix64(0), (1, 0))
+        assert outcome == want_outcome == (1, 0)
+        assert all(type(b) is int for b in outcome)
+        assert out.amps.tobytes() == want.amps.tobytes()
+
 
 class TestTeleportDiagonal:
     """teleport(state, q, U, ..., diagonal=g) is bit for bit
