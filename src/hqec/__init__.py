@@ -66,7 +66,6 @@ _EXPORTS = {
         "apply_cnot",
         "apply_pauli",
         "apply_single",
-        "bell_pair",
         "fidelity_up_to_phase",
         "gate",
         "project_onto",

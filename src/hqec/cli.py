@@ -202,7 +202,9 @@ def _cmd_check_diagonal(args) -> int:
     lines = [f"code {code.name}, transversal {args.gate} (phase {_DIAG_PHASES[args.gate]}):",
              f"  leakage: {rep.leakage:.12g}"]
     if rep.logical_phases is None:
-        lines.append("  does not preserve the code space")
+        stays = rep.leakage < compat_mod.LEAKAGE_TOL
+        lines.append("  preserves the code space but is not diagonal on it" if stays
+                     else "  does not preserve the code space")
         _emit(args, rep.as_dict(), lines)
         return 1
     for i, p in enumerate(rep.logical_phases):

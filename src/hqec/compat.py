@@ -165,11 +165,12 @@ def apply_diagonal(state: SparseState, phase_per_one: complex) -> SparseState:
 
 @lru_cache(maxsize=CODE_CACHE_SIZE)
 def _diagonal_action(code_space: CodeSpace, phase_per_one: complex):
-    """(leakage, logical phases or None) of phase^(number of 1 bits) on a
-    code space, read straight from the basis arrays.  Each step is the array
-    arithmetic of the state-level route, so the numbers match it bit for
-    bit: the coalesced reference (|0> + |1>)/sqrt2, its image, the
-    coefficients <i|image>, the pruned residual image - projection, and
+    """(leakage, logical phases) of phase^(number of 1 bits) on a code
+    space, read straight from the basis arrays; the phases are None when
+    the gate leaks or is not a pure phase on each basis state.  Each step
+    is the array arithmetic of the state-level route, so the numbers match
+    it bit for bit: the coalesced reference (|0> + |1>)/sqrt2, its image,
+    the coefficients <i|image>, the pruned residual image - projection, and
     <i|gate|i>.  Memoized by (code space, phase); a raise caches nothing."""
     import numpy as np
 
@@ -204,9 +205,8 @@ def _diagonal_action(code_space: CodeSpace, phase_per_one: complex):
     if leakage >= LEAKAGE_TOL:
         return leakage, None
     phases = tuple(_inner_arrays(k, a, k, a * phase ** np.bitwise_count(k)) for k, a in basis)
-    if any(abs(abs(ph) - 1) > 1e-9 for ph in phases):
-        raise ValueError("diagonal action is not a pure phase on a basis state")
-    return leakage, phases
+    # a gate that keeps the code space but mixes its basis states has no phases
+    return leakage, None if any(abs(abs(ph) - 1) > 1e-9 for ph in phases) else phases
 
 
 def diagonal_gate_action(
@@ -216,8 +216,9 @@ def diagonal_gate_action(
 
     Leakage is the out-of-code-space norm for the uniform logical
     superposition input; logical phases are reported only when the gate
-    preserves the code space.  The numbers are memoized by (code space,
-    phase), so clifford_correction_for_t reuses a T action asked for here.
+    preserves the code space and is diagonal on it.  The numbers are
+    memoized by (code space, phase), so clifford_correction_for_t reuses a
+    T action asked for here.
     """
     if label is None:
         label = f"diag({complex(phase_per_one):.4g})^x{code_space.code.n}"
@@ -241,7 +242,8 @@ class CliffordCorrection:
 def clifford_correction_for_t(code_space: CodeSpace) -> CliffordCorrection | None:
     """Diagonal logical Clifford (S-power, Z-power, global phase) turning the
     transversal T action into the exact logical T; None when the transversal
-    gate leaks out of the code space or no diagonal correction exists.
+    gate leaks out of the code space, is not diagonal on it, or no diagonal
+    correction exists.
 
     Reads the memoized transversal-T action that diagonal_gate_action(
     code_space, OMEGA) shares (code spaces hash by their states' identity,

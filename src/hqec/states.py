@@ -15,12 +15,10 @@ the other's with ``searchsorted``, and ``pauli_eigenvalues`` reads
 finding the flipped keys k ^ x the same way, term by term.
 
 ``teleport`` contracts a data qubit, a fresh Bell pair and the pair's
-rotated Bell measurement in one pass, never building the joint register;
-a T gadget's diagonal gate is multiplied in on the way.  ``apply_phases``
-runs a layer of Z, S and Sd gates on many qubits as one phase pass.
-The rotated Bell bases (4 outcomes times the rotations {I, S, Sd}) are
-built at import, like the named gates, and looked up by the rotation's
-matrix; any other rotation gets its basis computed on the call.
+rotated Bell measurement without building the joint register: an outcome
+sends each term to one key, so the collapse is one gather and the four
+probabilities are two sums.  ``apply_phases`` runs a layer of Z, S and Sd
+gates on many qubits as one phase pass.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import coalesce64, sum_by_key
+from ._kernels import coalesce64
 from .pauli import PauliOperator
 
 MAX_STATE_QUBITS = 64
@@ -119,14 +117,6 @@ class SparseState:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_basis(cls, n: int, bits: int | str) -> "SparseState":
-        if isinstance(bits, str):
-            if len(bits) != n:
-                raise ValueError(f"bitstring length {len(bits)} != qubit count {n}")
-            bits = bitstring_to_key(bits)
-        return cls(n, np.array([bits], np.uint64), np.array([1.0], np.complex128), True)
-
-    @classmethod
     def from_terms(cls, n: int, terms: dict) -> "SparseState":
         keys = []
         amps = []
@@ -134,11 +124,6 @@ class SparseState:
             keys.append(bitstring_to_key(k) if isinstance(k, str) else int(k))
             amps.append(a)
         return cls(n, np.array(keys, np.uint64), np.array(amps, np.complex128))
-
-    @classmethod
-    def vacuum(cls) -> "SparseState":
-        """The empty register (n=0): a single unit amplitude."""
-        return cls(0, np.array([0], np.uint64), np.array([1.0], np.complex128), True)
 
     # -- inspection -------------------------------------------------------
 
@@ -347,11 +332,6 @@ def tensor(a: SparseState, b: SparseState) -> SparseState:
 _BELL_PAIR = SparseState(2, np.array([0b00, 0b11], np.uint64), np.array([_SQ2, _SQ2], complex), True)
 
 
-def bell_pair() -> SparseState:
-    """(|00> + |11>)/sqrt(2); states are immutable, so one instance is shared."""
-    return _BELL_PAIR
-
-
 def project_onto(span, state: SparseState):
     """Orthogonal projection of state onto span (a list of orthonormal states).
 
@@ -391,28 +371,41 @@ def _bell_basis_rows(rotation: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _bell_gather(rotation: SingleQubitGate):
+    """(flips, entries, zeros) from _bell_basis_rows: outcome i sends data
+    bit d to pair bit e = d ^ flips[i], times entries[i, d] (column d + 2e);
+    zeros[i, d] is the entry its partner meets there (column 1 - d + 2e).
+    Raises unless the rotation is diagonal or antidiagonal."""
+    rows = _bell_basis_rows(rotation.matrix)
+    flips = tuple(int(rows[i, 2] != 0) for i in range(4))
+    entries = np.take_along_axis(rows, np.array([[2, 1] if f else [0, 3] for f in flips]), 1)
+    if np.count_nonzero(entries) != 8 or np.count_nonzero(rows) != 8:
+        raise ValueError(f"teleport takes a diagonal or antidiagonal rotation, got {rotation.label!r}")
+    return flips, entries, np.take_along_axis(rows, np.array([[3, 0] if f else [1, 2] for f in flips]), 1)
+
+
+_ZERO = np.zeros(1)
 # the rotations the T gadgets use (I, S and Sd), keyed by their matrix bytes
-_BELL_ROWS = {
-    g.matrix.tobytes(): _bell_basis_rows(g.matrix) for g in (IDENTITY, _GATES["S"], _GATES["Sd"])
-}
+_BELL_GATHERS = {g.matrix.tobytes(): _bell_gather(g) for g in (IDENTITY, _GATES["S"], _GATES["Sd"])}
 
 
 def teleport(state: SparseState, qubit: int, rotation: SingleQubitGate, rng, forced=None,
              diagonal: SingleQubitGate | None = None):
     """Teleport `qubit` through a fresh Bell pair measured in the basis
-    (U^dag Z^b X^a (x) I)|Phi>: tensor(state, bell_pair()), swap_qubits(qubit,
-    n+1) and a measurement of the pair (n+1, n+2), without building the
-    (n+2)-qubit register.  A term k with bit d on `qubit` lands on k with that
-    bit set to the pair's e, at pair index d + 2e.  Returns ((r_a, r_b), the
-    collapsed n-qubit state); `forced` replaces sampling.  Every remaining key
-    gathers at most two terms, so the branches and probabilities equal a
-    separate sort-and-sum of each branch on the joint register.
+    (U^dag Z^b X^a (x) I)|Phi>: tensor(state, _BELL_PAIR), swap_qubits(qubit,
+    n+1) and a measurement of the pair (n+1, n+2), without the joint
+    register.  Returns ((r_a, r_b), the collapsed n-qubit state); `forced`
+    replaces sampling.  U must be diagonal or antidiagonal: an outcome then
+    sends term k to k or k ^ mask alone, with the same |amp| for every
+    outcome, so the collapse is one gather and the probabilities are two
+    sums.  All of it equals the joint register's sort-and-sum bit for bit.
 
     `diagonal`, a T gadget's T or Td, is applied to `qubit` first, by the
     product apply_single uses, so the result equals teleport(apply_single(
     state, diagonal, qubit), ...) bit for bit; a non-diagonal gate raises."""
     if diagonal is not None and (diagonal.matrix[0, 1] != 0 or diagonal.matrix[1, 0] != 0):
         raise ValueError(f"teleport takes a diagonal gate, got {diagonal.label!r}")
+    flips, entries, zeros = _BELL_GATHERS.get(rotation.matrix.tobytes()) or _bell_gather(rotation)
     n = state.n
     if n + 2 > MAX_STATE_QUBITS:
         raise ValueError(f"tensor result on {n + 2} qubits exceeds the {MAX_STATE_QUBITS}-qubit cap")
@@ -421,46 +414,42 @@ def teleport(state: SparseState, qubit: int, rotation: SingleQubitGate, rng, for
     state._check_qubit(qubit)
     if state.num_terms == 0:
         raise ValueError("measurement on a zero-weight state")
-    rows = _BELL_ROWS.get(rotation.matrix.tobytes())
-    if rows is None:
-        rows = _bell_basis_rows(rotation.matrix)
 
-    mask = np.uint64(1 << (qubit - 1))
-    bit = ((state.keys & mask) != 0).astype(np.intp)
-    cleared = state.keys & ~mask
+    keys = state.keys
+    flipped = keys ^ np.uint64(1 << (qubit - 1))
+    bit = (keys > flipped).astype(np.intp)  # the bit is set iff flipping it lowers the key
     amps = state.amps
     if diagonal is not None:
-        amps = amps * np.where(bit, diagonal.matrix[1, 1], diagonal.matrix[0, 0])
+        amps = amps * np.diagonal(diagonal.matrix)[bit]
     amps = _BELL_PAIR.amps[0] * amps
-    # (4, keys): branch i's amplitude of each remaining key; pair half e = 0, then 1
-    rest, branches = sum_by_key(
-        np.concatenate([cleared, cleared | mask]),
-        np.concatenate([amps, amps]) * rows[:, np.concatenate([bit, bit + 2])],
-    )
-    # each probability is np.sum of the branch's kept |amp|^2, bit for bit:
-    # reduceat adds the rest of a segment to its first entry, so each
-    # branch's segment of kept weights starts with a 0 (column 0)
-    mags = np.zeros((4, rest.size + 1))
-    np.abs(branches, out=mags[:, 1:])
-    sel = mags > PRUNE_TOL
-    sel[:, 0] = True
-    kept = sel[:, 1:]
-    counts = sel.sum(axis=1)
-    probs = np.add.reduceat((mags**2)[sel], np.cumsum(counts) - counts).tolist()
+    mags = np.abs(amps * entries[0][bit])
+    kept = mags > PRUNE_TOL
+    order = np.argsort(flipped)
+    # np.sum of the kept |amp|^2, bit for bit: reduceat adds the rest of a
+    # segment to its first entry, so both segments start with a 0
+    sq = mags**2
+    weights = np.concatenate((_ZERO, sq[kept], _ZERO, sq[order][kept[order]]))
+    sums = np.add.reduceat(weights, [0, np.count_nonzero(kept) + 1]).tolist()
+    probs = [sums[f] for f in flips]
     if sum(probs) < 1e-12:
         raise ValueError("measurement on a zero-weight state")
 
-    if forced is not None:
+    if forced is None:
+        idx = rng.choice_weighted(probs)
+    else:
         try:
             idx = _OUTCOMES.index(tuple(forced))
         except (TypeError, ValueError):
             raise ValueError(f"forced outcome must be a pair of bits, got {forced!r}") from None
-        outcome = _OUTCOMES[idx]
-    else:
-        idx = rng.choice_weighted(probs)
-        outcome = _OUTCOMES[idx]
-    p = probs[idx]
+    outcome, p = _OUTCOMES[idx], probs[idx]
     if p < 1e-12:
         raise ValueError(f"outcome {outcome} has zero probability")
-    keep = kept[idx]
-    return outcome, SparseState(n, rest[keep], branches[idx][keep] / np.sqrt(p), True)
+    # where partner k ^ mask is stored, the joint sum adds its zero-entry
+    # product too: that sets the signs of zero parts
+    at = np.searchsorted(keys, flipped)
+    partner = keys.take(at, mode="clip") == flipped
+    out = amps * entries[idx][bit]
+    np.add(out, amps.take(at, mode="clip") * zeros[idx][bit], out=out, where=partner)
+    if flips[idx]:
+        keys, out, kept = flipped[order], out[order], kept[order]
+    return outcome, SparseState(n, keys[kept], out[kept] / np.sqrt(p), True)

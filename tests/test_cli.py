@@ -190,6 +190,15 @@ class TestVerbs:
         assert code == 0
         assert "S-power 1" in out
 
+    @pytest.mark.parametrize("gate", ["T", "Sd"])
+    def test_check_diagonal_not_diagonal_on_code_space(self, capsys, tmp_path, gate):
+        # |0_L> = |+>: the gate keeps the one-qubit code space but is no logical phase
+        f = tmp_path / "plus.code"
+        f.write_text("1 1\nZ\nX\n")
+        code, out, err = run_cli(capsys, "check", "diagonal", "--code", str(f), "--gate", gate)
+        assert (code, err) == (1, "")
+        assert "  preserves the code space but is not diagonal on it" in out.splitlines()
+
     def test_check_diagonal_shor_leaks(self, capsys):
         code, out, _ = run_cli(capsys, "check", "diagonal", "--code", "shor", "--gate", "T")
         assert code == 1

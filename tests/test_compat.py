@@ -4,8 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqec import compat, gf2
-from hqec.codes import BUILTIN_NAMES, CodeSpace, SubcodeError, css_from_classical, logical_codewords
+from hqec.codes import (
+    BUILTIN_NAMES,
+    CodeSpace,
+    SubcodeError,
+    css_from_classical,
+    logical_codewords,
+    parse_code_text,
+)
 from hqec.compat import (
+    LEAKAGE_TOL,
     apply_diagonal,
     clifford_correction_for_t,
     css_mask_check,
@@ -15,7 +23,7 @@ from hqec.compat import (
 )
 from hqec.protocol import KeyRegister, encrypt
 from hqec.states import SparseState, combine, project_onto
-from oracles import cached_code, cached_code_space, dense_of, projection_diagonal_action
+from oracles import basis_state, cached_code, cached_code_space, dense_of, projection_diagonal_action
 from test_codewords import clifford_codes
 
 OMEGA = np.exp(1j * np.pi / 4)
@@ -206,7 +214,7 @@ class TestDiagonalActionOracle:
 
     def test_basis_on_different_qubit_counts(self):
         cs = cached_code_space("bit_flip")
-        bad = CodeSpace(cs.code, (cs.zero, SparseState.from_basis(4, "1110")))
+        bad = CodeSpace(cs.code, (cs.zero, basis_state(4, "1110")))
         for action in (diagonal_gate_action, projection_diagonal_action):
             with pytest.raises(ValueError, match="^dimension mismatch"):
                 action(bad, OMEGA)
@@ -234,6 +242,28 @@ class TestDiagonalActionMemo:
         after = compat._diagonal_action.cache_info()
         assert after.misses == before.misses + 4
         assert after.hits == before.hits
+
+
+class TestNotDiagonalOnCodeSpace:
+    """A gate that keeps the code space but mixes its basis states is a
+    verdict (no logical phases), not an input error."""
+
+    def test_phase_flip_z_layer_is_logical_x(self):
+        # Z on every qubit of the phase-flip code is its logical X
+        cs = _fresh(cached_code_space("phase_flip"))
+        before = compat._diagonal_action.cache_info()
+        for _ in range(2):
+            da = diagonal_gate_action(cs, -1.0)
+            assert da.leakage < LEAKAGE_TOL and da.logical_phases is None
+        after = compat._diagonal_action.cache_info()
+        assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
+
+    def test_plus_state_code_t(self):
+        # n = k = 1 with logical Z = X: |0_L> = |+>, and T maps |+> into span{|+>, |->}
+        cs = logical_codewords(parse_code_text("1 1\nZ\nX\n", "plus"))
+        da = diagonal_gate_action(cs, OMEGA, "T")
+        assert da.leakage < LEAKAGE_TOL and da.logical_phases is None
+        assert clifford_correction_for_t(cs) is None
 
 
 class TestCliffordCorrection:

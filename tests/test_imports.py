@@ -33,7 +33,7 @@ EXPORTS = {
                  "run_logical_t_protocol", "run_storage_protocol", "run_transversal_t_protocol",
                  "t_byproduct"),
     "rng": ("SplitMix64",),
-    "states": ("SparseState", "apply_cnot", "apply_pauli", "apply_single", "bell_pair",
+    "states": ("SparseState", "apply_cnot", "apply_pauli", "apply_single",
                "fidelity_up_to_phase", "gate", "project_onto", "swap_qubits", "teleport", "tensor"),
 }
 HEAVY = ("numpy", "hqec.states", "hqec.protocol")

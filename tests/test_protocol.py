@@ -36,7 +36,6 @@ from hqec.states import (
     SparseState,
     apply_pauli,
     apply_single,
-    bell_pair,
     combine,
     fidelity_up_to_phase,
     gate,
@@ -46,6 +45,9 @@ from hqec.states import (
 import oracles
 from oracles import (
     BELL_OUTCOMES,
+    PickRng,
+    basis_state,
+    bell_pair,
     cached_code_space,
     decrypt,
     dense_cnot,
@@ -109,7 +111,7 @@ class TestEncryption:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            encrypt(SparseState.from_basis(2, 0), KeyRegister.uniform(3, 1, 1))
+            encrypt(basis_state(2, 0), KeyRegister.uniform(3, 1, 1))
 
     def test_masking_marginal(self):
         # averaging the masked density over uniform keys mixes the code space;
@@ -287,7 +289,7 @@ class TestEvaluateDecrypt:
         assert fidelity_up_to_phase(run.state, psi) > 1 - 1e-12
 
     def test_single_t_plus_state(self):
-        plus = apply_single(SparseState.from_basis(1, 0), gate("H"), 1)
+        plus = apply_single(basis_state(1, 0), gate("H"), 1)
         keys = KeyRegister.of([(0, 0)])
         run = run_circuit(encrypt(plus, keys), [CircuitGate("T", (1,))], keys, SplitMix64(8))
         want = apply_single(plus, gate("T"), 1)
@@ -708,6 +710,40 @@ class TestTransversalT:
         rep = run_transversal_t_protocol((c0, c1), (1, 0), SplitMix64(5))
         want = combine(list(cs.basis), [c0, OMEGA * c1])
         assert fidelity_up_to_phase(rep.final_state, want) >= 1 - 1e-10
+
+
+class TestGadgetWeightsUniform:
+    """The exact half of the uniform-outcome check: every T gadget's four
+    outcome weights are equal, within 1e-12 of a quarter of their total, in
+    each runner, under every key, with sampled and forced outcomes.  Each
+    teleport call is probed with a PickRng first, then run as called."""
+
+    @pytest.fixture
+    def weights(self, monkeypatch):
+        seen = []
+
+        def probe(state, qubit, rotation, rng, forced=None, diagonal=None):
+            picker = PickRng(0)
+            states.teleport(state, qubit, rotation, picker, None, diagonal)
+            seen.append(picker.weights)
+            return states.teleport(state, qubit, rotation, rng, forced, diagonal)
+
+        monkeypatch.setattr(protocol, "teleport", probe)
+        return seen
+
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("key", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_every_runner(self, weights, key, forced):
+        seed = 2 * key[0] + key[1]
+        pairs = [BELL_OUTCOMES[(seed + i) % 4] for i in range(15)] if forced else None
+        run_transversal_t_protocol((0.6, 0.8j), key, SplitMix64(seed), pairs)
+        run_logical_t_protocol((0.28, 0.96j), key, SplitMix64(seed), pairs[0] if forced else None)
+        run_demo_circuit(SplitMix64(seed), keys=KeyRegister.uniform(2, *key),
+                         forced_outcomes=pairs[:2] if forced else None)
+        assert len(weights) == 15 + 1 + 2
+        for w in weights:
+            assert len(w) == 4
+            assert all(abs(x - sum(w) / 4) <= 1e-12 for x in w)
 
 
 class TestLogicalT:

@@ -15,7 +15,6 @@ from hqec.states import (
     apply_pauli,
     apply_phases,
     apply_single,
-    bell_pair,
     combine,
     fidelity_up_to_phase,
     gate,
@@ -28,6 +27,9 @@ from hqec.states import (
 )
 from oracles import (
     BELL_OUTCOMES,
+    PickRng,
+    basis_state,
+    bell_pair,
     dense_cnot,
     dense_of,
     dense_pauli,
@@ -41,6 +43,7 @@ from oracles import (
     random_pauli,
     rotated_bell_measure,
     sparse_of,
+    vacuum,
 )
 
 IDENT = SingleQubitGate("I", np.eye(2, dtype=complex))
@@ -79,7 +82,7 @@ class TestBasics:
 
 class TestApplySingle:
     def test_h_on_zero(self):
-        out = apply_single(SparseState.from_basis(1, 0), gate("H"), 1)
+        out = apply_single(basis_state(1, 0), gate("H"), 1)
         assert abs(out.amplitude(0) - 2**-0.5) < 1e-15
         assert abs(out.amplitude(1) - 2**-0.5) < 1e-15
 
@@ -92,12 +95,12 @@ class TestApplySingle:
         assert abs(st_.amplitude("111") - w3 * 2**-0.5) < 1e-15
 
     def test_z_phase(self):
-        st_ = apply_single(SparseState.from_basis(3, "110"), gate("Z"), 2)
+        st_ = apply_single(basis_state(3, "110"), gate("Z"), 2)
         assert abs(st_.amplitude("110") + 1) < 1e-15
 
     def test_index_range(self):
         with pytest.raises(ValueError):
-            apply_single(SparseState.from_basis(1, 0), gate("X"), 2)
+            apply_single(basis_state(1, 0), gate("X"), 2)
 
     def test_against_dense_all_gates(self):
         rng = np.random.default_rng(21)
@@ -113,8 +116,8 @@ class TestApplySingle:
 
 class TestCnotSwapTensor:
     def test_cnot_basis(self):
-        assert apply_cnot(SparseState.from_basis(2, "10"), 1, 2).amplitude("11") == 1
-        assert apply_cnot(SparseState.from_basis(2, "01"), 1, 2).amplitude("01") == 1
+        assert apply_cnot(basis_state(2, "10"), 1, 2).amplitude("11") == 1
+        assert apply_cnot(basis_state(2, "01"), 1, 2).amplitude("01") == 1
 
     def test_cnot_builds_bell(self):
         st_ = SparseState.from_terms(2, {"00": 2**-0.5, "10": 2**-0.5})
@@ -143,10 +146,10 @@ class TestCnotSwapTensor:
             assert fidelity_up_to_phase(twice, st_) > 1 - 1e-12
 
     def test_swap_simple(self):
-        assert swap_qubits(SparseState.from_basis(2, "01"), 1, 2).amplitude("10") == 1
+        assert swap_qubits(basis_state(2, "01"), 1, 2).amplitude("10") == 1
 
     def test_tensor_product(self):
-        left = SparseState.from_basis(1, 0)
+        left = basis_state(1, 0)
         out = tensor(left, bell_pair())
         assert out.n == 3 and out.num_terms == 2
         assert abs(out.amplitude("000") - 2**-0.5) < 1e-15
@@ -154,8 +157,8 @@ class TestCnotSwapTensor:
 
     def test_tensor_vacuum(self):
         st_ = SparseState.from_terms(2, {"01": 0.6, "10": 0.8})
-        assert fidelity_up_to_phase(tensor(st_, SparseState.vacuum()), st_) > 1 - 1e-12
-        assert fidelity_up_to_phase(tensor(SparseState.vacuum(), st_), st_) > 1 - 1e-12
+        assert fidelity_up_to_phase(tensor(st_, vacuum()), st_) > 1 - 1e-12
+        assert fidelity_up_to_phase(tensor(vacuum(), st_), st_) > 1 - 1e-12
 
     def test_block_swap_exchanges_registers(self):
         # nine pairwise swaps exchange two nine-qubit blocks
@@ -170,7 +173,7 @@ class TestCnotSwapTensor:
 
 class TestApplyPauli:
     def test_example_phases(self):
-        st_ = SparseState.from_basis(2, "11")
+        st_ = basis_state(2, "11")
         out = apply_pauli(st_, parse_pauli("ZI"))
         assert out.amplitude("11") == -1
 
@@ -208,19 +211,19 @@ class TestInnerProjection:
         assert fidelity_up_to_phase(st_, st_.scaled(np.exp(0.7j))) == pytest.approx(1)
 
     def test_project_onto_member(self):
-        st_ = SparseState.from_basis(3, "000")
-        span = [SparseState.from_basis(3, "000"), SparseState.from_basis(3, "111")]
+        st_ = basis_state(3, "000")
+        span = [basis_state(3, "000"), basis_state(3, "111")]
         proj, w = project_onto(span, st_)
         assert w == pytest.approx(1)
         assert fidelity_up_to_phase(proj, st_) == pytest.approx(1)
 
     def test_project_orthogonal(self):
-        span = [SparseState.from_basis(3, "000"), SparseState.from_basis(3, "111")]
-        proj, w = project_onto(span, SparseState.from_basis(3, "010"))
+        span = [basis_state(3, "000"), basis_state(3, "111")]
+        proj, w = project_onto(span, basis_state(3, "010"))
         assert proj is None and w < 1e-20
 
     def test_non_orthonormal_span_rejected(self):
-        a = SparseState.from_basis(2, "00")
+        a = basis_state(2, "00")
         b = SparseState.from_terms(2, {"00": 0.6, "11": 0.8})
         with pytest.raises(ValueError):
             project_onto([a, b], a)
@@ -288,7 +291,7 @@ class TestRotatedBellMeasure:
     def test_remaining_index_repacking(self):
         # measure middle pair; outer qubits keep relative order
         psi = SparseState.from_terms(2, {"01": 1.0})
-        st_ = tensor(tensor(SparseState.from_basis(1, 1), bell_pair()), SparseState.from_basis(1, 0))
+        st_ = tensor(tensor(basis_state(1, 1), bell_pair()), basis_state(1, 0))
         outcome, col = rotated_bell_measure(st_, (2, 3), IDENT, SplitMix64(1))
         assert col.n == 2
         assert abs(abs(col.amplitude("10")) - 1) < 1e-12
@@ -302,19 +305,6 @@ class TestRotatedBellMeasure:
         for forced in ((0, 1), (1, 0), (1, 1)):
             with pytest.raises(ValueError):
                 rotated_bell_measure(bell_pair(), (1, 2), IDENT, SplitMix64(1), forced)
-
-
-class _PickRng:
-    """Stands in for the generator: returns a fixed outcome index and keeps
-    the weights it was asked to sample from."""
-
-    def __init__(self, pick):
-        self.pick = pick
-        self.weights = None
-
-    def choice_weighted(self, weights):
-        self.weights = list(weights)
-        return self.pick
 
 
 class TestRotatedBellMeasureOracle:
@@ -343,7 +333,7 @@ class TestRotatedBellMeasureOracle:
                 branches = dense_rotated_bell_branches(vec, n, pair, rotation.matrix)
                 probs = [float(np.vdot(br, br).real) for br in branches]
                 for idx, outcome in enumerate(BELL_OUTCOMES):
-                    picker = _PickRng(idx)
+                    picker = PickRng(idx)
                     got_outcome, col = rotated_bell_measure(state, pair, rotation, picker)
                     assert got_outcome == outcome
                     assert np.allclose(picker.weights, probs, atol=1e-12, rtol=0)
@@ -374,9 +364,10 @@ class TestTeleport:
     """teleport is bit for bit the joint-register chain tensor(state,
     bell_pair()) -> swap_qubits(qubit, n+1) -> rotated_bell_measure on
     (n+1, n+2) from tests/oracles.py: outcome, keys, amplitudes and the
-    weights it samples from."""
+    weights it samples from, for the diagonal rotations (I, S and Sd from
+    the precomputed table, T computed on the call)."""
 
-    ROTATIONS = TestRotatedBellMeasureOracle.ROTATIONS
+    ROTATIONS = {label: TestRotatedBellMeasureOracle.ROTATIONS[label] for label in ("I", "S", "Sd", "T")}
 
     def _assert_same(self, state, qubit, rotation):
         n = state.n
@@ -389,7 +380,7 @@ class TestTeleport:
             return rotated_bell_measure(joint, (n + 1, n + 2), rotation, rng, forced)
 
         for idx, outcome in enumerate(BELL_OUTCOMES):
-            got_pick, want_pick = _PickRng(idx), _PickRng(idx)
+            got_pick, want_pick = PickRng(idx), PickRng(idx)
             got = _measure_or_error(fast, got_pick, None)
             assert got == _measure_or_error(ref, want_pick, None)
             assert got_pick.weights == want_pick.weights
@@ -423,6 +414,18 @@ class TestTeleport:
         for qubit in (1, 62):
             self._assert_same(state, qubit, gate("S"))
 
+    def test_antidiagonal_rotation(self):
+        # X's basis rows have one nonzero per data bit too; outcome a = 0 flips the key
+        state = SparseState.from_terms(2, {"00": 0.6, "10": -0.8j, "11": 0.8})
+        for qubit in (1, 2):
+            self._assert_same(state, qubit, gate("X"))
+
+    def test_non_monomial_rotation_rejected(self):
+        # H mixes both pair halves into every row entry, so no one-key gather exists
+        state = SparseState.from_terms(1, {"0": 0.6, "1": 0.8})
+        with pytest.raises(ValueError, match="^teleport takes a diagonal or antidiagonal rotation, got 'H'$"):
+            teleport(state, 1, gate("H"), SplitMix64(0))
+
     def test_qubit_cap(self):
         state = SparseState(63, np.array([1 << 62], np.uint64), np.array([1.0 + 0j]))
         with pytest.raises(ValueError) as want:
@@ -452,7 +455,7 @@ class TestTeleport:
     def test_qubit_range(self):
         for qubit in (0, 3):
             with pytest.raises(ValueError, match="out of range"):
-                teleport(SparseState.from_basis(2, 0), qubit, IDENT, SplitMix64(0))
+                teleport(basis_state(2, 0), qubit, IDENT, SplitMix64(0))
 
     @pytest.mark.parametrize("forced", [(2, 0), (0, -1), (0,), (0, 1, 1), (0.5, 1), (None, 1), "01", 3])
     def test_malformed_forced_outcome(self, forced):
@@ -476,7 +479,7 @@ class TestTeleportDiagonal:
     teleport(apply_single(state, g, q), q, U, ...) for g in {T, Td}, every
     rotation of the precomputed table and every outcome, sampled or forced."""
 
-    ROTATIONS = [SingleQubitGate("U", np.frombuffer(m, complex).reshape(2, 2)) for m in states._BELL_ROWS]
+    ROTATIONS = [SingleQubitGate("U", np.frombuffer(m, complex).reshape(2, 2)) for m in states._BELL_GATHERS]
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -498,7 +501,7 @@ class TestTeleportDiagonal:
                     return teleport(gated, qubit, rotation, rng, forced)
 
                 for idx, outcome in enumerate(BELL_OUTCOMES):
-                    got_pick, want_pick = _PickRng(idx), _PickRng(idx)
+                    got_pick, want_pick = PickRng(idx), PickRng(idx)
                     assert _measure_or_error(fast, got_pick, None) == _measure_or_error(ref, want_pick, None)
                     assert got_pick.weights == want_pick.weights
                     assert _measure_or_error(fast, None, outcome) == _measure_or_error(ref, None, outcome)
@@ -506,7 +509,7 @@ class TestTeleportDiagonal:
     @pytest.mark.parametrize("label", ["H", "X"])
     def test_non_diagonal_gate_rejected(self, label):
         with pytest.raises(ValueError, match="diagonal gate"):
-            teleport(SparseState.from_basis(1, 0), 1, IDENT, SplitMix64(0), None, gate(label))
+            teleport(basis_state(1, 0), 1, IDENT, SplitMix64(0), None, gate(label))
 
 
 def _nonzero_parts(rng, size):
@@ -558,7 +561,7 @@ class TestApplyPhases:
 
     def test_power_count_mismatch(self):
         with pytest.raises(ValueError, match="3 phase powers for 2 qubits"):
-            apply_phases(SparseState.from_basis(2, 0), [0, 1, 2])
+            apply_phases(basis_state(2, 0), [0, 1, 2])
 
 
 class TestTermGuard:
@@ -584,7 +587,7 @@ class TestTermGuard:
         high = SparseState(13, np.arange(half, dtype=np.uint64) + np.uint64(half), np.ones(half))
         assert combine([low, high], [1.0, 1.0]).num_terms == 1 << 12
         with pytest.raises(ValueError, match="combine result exceeds the term-count guard"):
-            combine([low, high, SparseState.from_basis(13, 0)], [1.0, 1.0, 1.0])
+            combine([low, high, basis_state(13, 0)], [1.0, 1.0, 1.0])
 
 
 def _sorted_state(n, keys, amps):
@@ -629,7 +632,7 @@ class TestInnerSearchsorted:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            inner(SparseState.from_basis(2, 0), SparseState.from_basis(3, 0))
+            inner(basis_state(2, 0), basis_state(3, 0))
 
 
 def _terms(state):
@@ -735,9 +738,9 @@ class TestPauliEigenvalues:
         empty = SparseState(2, np.array([], np.uint64), np.array([], complex))
         values, eigen = pauli_eigenvalues(empty, [parse_pauli("ZZ")])
         assert values.tolist() == [0] and eigen.tolist() == [False]
-        values, eigen = pauli_eigenvalues(SparseState.from_basis(2, 0), [])
+        values, eigen = pauli_eigenvalues(basis_state(2, 0), [])
         assert values.shape == eigen.shape == (0,)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch: operator on 3, state on 2"):
-            pauli_eigenvalues(SparseState.from_basis(2, 0), [parse_pauli("ZZ"), parse_pauli("ZZZ")])
+            pauli_eigenvalues(basis_state(2, 0), [parse_pauli("ZZ"), parse_pauli("ZZZ")])
