@@ -29,7 +29,6 @@ _EXPORTS = {
         "clifford_correction_for_t",
         "css_mask_check",
         "diagonal_gate_action",
-        "even_support_check",
         "resource_report",
         "stabilizer_mask_check",
     ),
@@ -40,10 +39,7 @@ _EXPORTS = {
         "code_from_rows",
         "code_from_strings",
         "contains",
-        "coset_state",
-        "enumerate_codewords",
         "triorthogonality_check",
-        "weight_mod",
     ),
     "pauli": ("PauliOperator", "parse_pauli", "transversal_pauli"),
     "protocol": (
@@ -58,7 +54,6 @@ _EXPORTS = {
         "run_logical_t_protocol",
         "run_storage_protocol",
         "run_transversal_t_protocol",
-        "t_byproduct",
     ),
     "rng": ("SplitMix64",),
     "states": (
@@ -68,7 +63,6 @@ _EXPORTS = {
         "apply_single",
         "fidelity_up_to_phase",
         "gate",
-        "project_onto",
         "swap_qubits",
         "teleport",
         "tensor",

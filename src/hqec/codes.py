@@ -434,10 +434,3 @@ def parse_code_text(text: str, name: str = "user") -> StabilizerCode:
     lz = tuple(ops[n - k + k:])
     return StabilizerCode(name, n, k, gens, lx, lz)
 
-
-def format_code_text(code: StabilizerCode) -> str:
-    lines = [f"{code.n} {code.k}"]
-    lines += [p.to_string() for p in code.generators]
-    lines += [p.to_string() for p in code.logical_x]
-    lines += [p.to_string() for p in code.logical_z]
-    return "\n".join(lines) + "\n"

@@ -2,10 +2,9 @@
 
 Covers: the per-generator commutation criterion for transversal X/Z
 masking (CLI verb `check theorem1`), the classical two-condition CSS form
-of the same criterion (`check css`), the geometric even-support variant,
-the logical action of transversal diagonal gates, and the search for a
-diagonal logical Clifford correction that turns a transversal T into the
-exact logical T.
+of the same criterion (`check css`), the logical action of transversal
+diagonal gates, and the search for a diagonal logical Clifford correction
+that turns a transversal T into the exact logical T.
 
 The mask checks are symplectic and GF(2) algebra on Python ints and load
 no numpy; only the diagonal-gate functions import numpy, when called.
@@ -24,15 +23,11 @@ import cmath
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from . import gf2
 from .codes import CODE_CACHE_SIZE, CodeSpace, StabilizerCode, SubcodeError
 from .gf2 import ClassicalCode
 from .pauli import transversal_pauli
-
-if TYPE_CHECKING:
-    from .states import SparseState
 
 LEAKAGE_TOL = 1e-10
 PHASE_MATCH_TOL = 1e-9
@@ -126,18 +121,6 @@ def css_mask_check(c1: ClassicalCode, c2: ClassicalCode, name: str = "css") -> C
     return CompatReport(name, (), verdict, e_in_c1=e_in_c1, c2_all_even=c2_even, css_verdict=verdict)
 
 
-def even_support_check(z_supports, x_supports) -> bool:
-    """True iff every generator support has even cardinality (the geometric
-    parity form of the masking criterion for CSS generator families)."""
-
-    def weight(s) -> int:
-        if isinstance(s, int):
-            return s.bit_count()
-        return sum(1 for b in s if b)
-
-    return all(weight(s) % 2 == 0 for s in list(z_supports) + list(x_supports))
-
-
 @dataclass(frozen=True)
 class DiagonalAction:
     gate_label: str
@@ -152,15 +135,6 @@ class DiagonalAction:
             if self.logical_phases is None
             else [[p.real, p.imag] for p in self.logical_phases],
         }
-
-
-def apply_diagonal(state: SparseState, phase_per_one: complex) -> SparseState:
-    """Multiply each basis amplitude by phase^(number of 1 bits)."""
-    import numpy as np  # type(state) builds the result: no states import per call
-
-    counts = np.bitwise_count(state.keys)
-    amps = state.amps * np.asarray(phase_per_one, complex) ** counts
-    return type(state)(state.n, state.keys, amps, True)
 
 
 @lru_cache(maxsize=CODE_CACHE_SIZE)

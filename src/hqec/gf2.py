@@ -56,9 +56,6 @@ class BitMatrix:
                 lines.append(line)
         return cls.from_strings(lines)
 
-    def row_strings(self) -> list[str]:
-        return [format_row(r, self.cols) for r in self.rows]
-
 
 def rref(rows, n: int) -> list[int]:
     """Reduced row-echelon basis (nonzero rows, ascending pivot)."""
@@ -110,33 +107,11 @@ def contains(code: ClassicalCode, word: int | str) -> bool:
     return word == 0
 
 
-def enumerate_codewords(code: ClassicalCode) -> list[int]:
-    """All 2^k codewords, ordered lexicographically by basis coefficients."""
-    k = code.dimension
-    if k > ENUM_DIM_GUARD:
-        raise GuardExceeded(f"dimension {k} exceeds enumeration guard {ENUM_DIM_GUARD}")
-    words = []
-    for i in range(1 << k):
-        w = 0
-        for j in range(k):
-            if (i >> (k - 1 - j)) & 1:
-                w ^= code.basis[j]
-        words.append(w)
-    return words
-
-
 def all_even_weight(code: ClassicalCode) -> bool:
     """True iff every codeword has even Hamming weight (checked on generators)."""
     if code.dimension > ENUM_DIM_GUARD:
         raise GuardExceeded(f"dimension {code.dimension} exceeds guard {ENUM_DIM_GUARD}")
     return all(b.bit_count() % 2 == 0 for b in code.basis)
-
-
-def weight_mod(words, m: int) -> set[int]:
-    """Set of Hamming weights mod m over the supplied words."""
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    return {w.bit_count() % m for w in words}
 
 
 def dual(code: ClassicalCode) -> ClassicalCode:
@@ -216,16 +191,3 @@ def triorthogonality_check(matrix: BitMatrix) -> TriorthogonalityReport:
     return TriorthogonalityReport(
         pairwise_ok, triple_ok, tuple(violations), odd, even, pair_overlaps, triple_overlaps
     )
-
-
-def coset_state(code: ClassicalCode, x: int | str):
-    """Normalized uniform superposition over the coset x + code."""
-    from .states import SparseState
-
-    if isinstance(x, str):
-        x = parse_row(x)
-    if code.dimension > ENUM_DIM_GUARD:
-        raise GuardExceeded(f"coset of 2^{code.dimension} words exceeds guard")
-    words = enumerate_codewords(code)
-    amp = 1.0 / (len(words) ** 0.5)
-    return SparseState.from_terms(code.length, {x ^ y: amp for y in words})

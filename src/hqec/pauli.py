@@ -53,14 +53,14 @@ class PauliOperator:
         return cls(n, 0, 0, 0)
 
     @classmethod
-    def from_bits(cls, x_bits, z_bits, phase: int = 0) -> "PauliOperator":
-        x_bits = list(x_bits)
-        z_bits = list(z_bits)
-        if len(x_bits) != len(z_bits):
+    def from_bits(cls, xs, zs, phase: int = 0) -> "PauliOperator":
+        """From per-qubit 0/1 sequences, qubit 1 first."""
+        xs, zs = list(xs), list(zs)
+        if len(xs) != len(zs):
             raise ValueError("x and z bit vectors must have equal length")
-        x = sum(1 << q for q, b in enumerate(x_bits) if b)
-        z = sum(1 << q for q, b in enumerate(z_bits) if b)
-        return cls(len(x_bits), x, z, phase)
+        x = sum(1 << q for q, b in enumerate(xs) if b)
+        z = sum(1 << q for q, b in enumerate(zs) if b)
+        return cls(len(xs), x, z, phase)
 
     @classmethod
     def single(cls, n: int, qubit: int, kind: str) -> "PauliOperator":
@@ -73,20 +73,6 @@ class PauliOperator:
         x = bit if kind in ("X", "Y") else 0
         z = bit if kind in ("Z", "Y") else 0
         return cls(n, x, z, 1 if kind == "Y" else 0)
-
-    # -- bit access ---------------------------------------------------
-
-    def x_bit(self, qubit: int) -> int:
-        return (self.x >> (qubit - 1)) & 1
-
-    def z_bit(self, qubit: int) -> int:
-        return (self.z >> (qubit - 1)) & 1
-
-    def x_bits(self) -> list[int]:
-        return [(self.x >> q) & 1 for q in range(self.n)]
-
-    def z_bits(self) -> list[int]:
-        return [(self.z >> q) & 1 for q in range(self.n)]
 
     # -- algebra ------------------------------------------------------
 
@@ -113,9 +99,6 @@ class PauliOperator:
     def weight(self) -> int:
         """Number of qubits acted on non-trivially."""
         return (self.x | self.z).bit_count()
-
-    def is_identity_bits(self) -> bool:
-        return not (self.x or self.z)
 
     # -- text ---------------------------------------------------------
 

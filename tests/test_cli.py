@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqec.cli import main
-from hqec.codes import BUILTIN_NAMES, builtin_code, format_code_text
+from hqec.codes import BUILTIN_NAMES, builtin_code
+from oracles import format_code_text
 
 
 def run_cli(capsys, *argv):

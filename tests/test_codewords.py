@@ -16,7 +16,7 @@ from hqec.codes import (
     validate_code,
 )
 from hqec.pauli import PauliOperator, parse_pauli
-from oracles import dense_of, dense_zero_codeword, scan_zero_codeword
+from oracles import coset_state, dense_of, dense_zero_codeword, scan_zero_codeword
 
 # qubit-permuted, H-conjugated and sign-flipped copies of the builtin codes,
 # each with a fresh generating set, and the five-qubit code conjugated by S
@@ -71,7 +71,7 @@ class TestAgainstScan:
     @pytest.mark.parametrize("name", ["steane", "rm15"])
     def test_css_coset_state(self, name):
         code = builtin_code(name)
-        coset = gf2.coset_state(code.css_origin[1], 0)
+        coset = coset_state(code.css_origin[1], 0)
         assert_same_bytes(logical_codewords(code).zero, coset)
         assert_same_bytes(scan_zero_codeword(code), coset)
 

@@ -14,16 +14,23 @@ from hqec.codes import (
 )
 from hqec.compat import (
     LEAKAGE_TOL,
-    apply_diagonal,
     clifford_correction_for_t,
     css_mask_check,
     diagonal_gate_action,
-    even_support_check,
     stabilizer_mask_check,
 )
 from hqec.protocol import KeyRegister, encrypt
-from hqec.states import SparseState, combine, project_onto
-from oracles import basis_state, cached_code, cached_code_space, dense_of, projection_diagonal_action
+from hqec.states import SparseState, combine
+from oracles import (
+    apply_diagonal,
+    basis_state,
+    cached_code,
+    cached_code_space,
+    dense_of,
+    even_support_check,
+    project_onto,
+    projection_diagonal_action,
+)
 from test_codewords import clifford_codes
 
 OMEGA = np.exp(1j * np.pi / 4)
@@ -102,16 +109,16 @@ class TestCssMaskCheck:
 class TestEvenSupport:
     def test_shor_supports(self):
         code = cached_code("shor")
-        z_supports = [g.z_bits() for g in code.generators[:6]]
-        x_supports = [g.x_bits() for g in code.generators[6:]]
+        z_supports = [g.z for g in code.generators[:6]]
+        x_supports = [g.x for g in code.generators[6:]]
         assert even_support_check(z_supports, x_supports)
 
     def test_empty_vacuous(self):
         assert even_support_check([], [])
 
     def test_odd_support(self):
-        assert not even_support_check([[1, 1, 1]], [])
         assert not even_support_check([0b111], [])
+        assert not even_support_check([0b11], [0b1011])
 
 
 class TestDiagonalAction:
@@ -338,9 +345,14 @@ class TestTheorem1AgreesWithCss:
     @settings(max_examples=150, deadline=None)
     def test_symplectic_verdict_equals_classical_verdict(self, pair):
         c1, c2 = pair
-        rep = stabilizer_mask_check(css_from_classical(c1, c2))
+        code = css_from_classical(c1, c2)
+        rep = stabilizer_mask_check(code)
         assert rep.verdict == css_mask_check(c1, c2).verdict
         assert rep.cross_check_ok
+        # the geometric parity argument: every Z-type and X-type support is even
+        z_supports = [g.z for g in code.generators if not g.x]
+        x_supports = [g.x for g in code.generators if not g.z]
+        assert even_support_check(z_supports, x_supports) == rep.verdict
 
 
 def test_omega_is_numpy_value_bit_for_bit():

@@ -15,26 +15,24 @@ import sys
 import pytest
 
 import hqec
-from hqec.codes import builtin_code, format_code_text
+from hqec.codes import builtin_code
+from oracles import format_code_text
 
 # the public names of `hqec`, by the submodule that defines each
 EXPORTS = {
     "codes": ("BUILTIN_NAMES", "CodeSpace", "StabilizerCode", "builtin_code", "css_from_classical",
               "decode_single_error", "logical_codewords", "syndrome", "validate_code"),
     "compat": ("CompatReport", "DiagonalAction", "clifford_correction_for_t", "css_mask_check",
-               "diagonal_gate_action", "even_support_check", "resource_report",
-               "stabilizer_mask_check"),
+               "diagonal_gate_action", "resource_report", "stabilizer_mask_check"),
     "gf2": ("BitMatrix", "ClassicalCode", "all_even_weight", "code_from_rows", "code_from_strings",
-            "contains", "coset_state", "enumerate_codewords", "triorthogonality_check",
-            "weight_mod"),
+            "contains", "triorthogonality_check"),
     "pauli": ("PauliOperator", "parse_pauli", "transversal_pauli"),
     "protocol": ("CircuitGate", "KeyRegister", "Transcript", "clifford_key_update", "encrypt",
                  "parse_circuit", "run_circuit", "run_demo_circuit",
-                 "run_logical_t_protocol", "run_storage_protocol", "run_transversal_t_protocol",
-                 "t_byproduct"),
+                 "run_logical_t_protocol", "run_storage_protocol", "run_transversal_t_protocol"),
     "rng": ("SplitMix64",),
     "states": ("SparseState", "apply_cnot", "apply_pauli", "apply_single",
-               "fidelity_up_to_phase", "gate", "project_onto", "swap_qubits", "teleport", "tensor"),
+               "fidelity_up_to_phase", "gate", "swap_qubits", "teleport", "tensor"),
 }
 HEAVY = ("numpy", "hqec.states", "hqec.protocol")
 

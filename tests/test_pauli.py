@@ -11,8 +11,8 @@ class TestParse:
     def test_shor_generator(self):
         p = parse_pauli("ZZIIIIIII")
         assert p.n == 9
-        assert p.z_bits() == [1, 1, 0, 0, 0, 0, 0, 0, 0]
-        assert p.x_bits() == [0] * 9
+        assert p.z == 0b11  # qubit q at bit q-1
+        assert p.x == 0
         assert p.phase == 0
 
     def test_identity(self):
@@ -22,7 +22,7 @@ class TestParse:
 
     def test_y_is_ixz(self):
         p = parse_pauli("Y")
-        assert (p.x_bits(), p.z_bits(), p.phase) == ([1], [1], 1)
+        assert (p.x, p.z, p.phase) == (1, 1, 1)
         want = np.array([[0, -1j], [1j, 0]])
         assert np.abs(dense_pauli(p) - want).max() == 0
 
@@ -70,8 +70,7 @@ class TestMultiply:
         x9 = transversal_pauli("X", 9)
         z9 = transversal_pauli("Z", 9)
         prod = x9.multiply(z9)
-        assert prod.x_bits() == [1] * 9
-        assert prod.z_bits() == [1] * 9
+        assert prod.x == prod.z == (1 << 9) - 1
         assert prod.phase == 0  # X^a Z^b per qubit, no reordering cost
 
     def test_dimension_mismatch(self):
@@ -109,7 +108,7 @@ class TestMultiply:
         for _ in range(100):
             p = random_pauli(rng, 6)
             sq = p.multiply(p)
-            assert sq.is_identity_bits()
+            assert sq.x == sq.z == 0
             assert sq.phase in (0, 2)
 
 
@@ -158,7 +157,7 @@ class TestWeightAndTransversal:
 
     def test_transversal_shapes(self):
         t = transversal_pauli("X", 9)
-        assert t.x_bits() == [1] * 9 and t.z_bits() == [0] * 9 and t.phase == 0
+        assert (t.x, t.z, t.phase) == ((1 << 9) - 1, 0, 0)
         assert transversal_pauli("Z", 1) == parse_pauli("Z")
         t15 = transversal_pauli("X", 15)
         assert t15.weight == 15
@@ -228,10 +227,10 @@ def _check_against_reference(pa: int, la: str, pb: int, lb: str) -> None:
     assert parse_pauli(a.to_string()) == a
     assert hash(parse_pauli(ta)) == hash(a)
     assert a.n == len(la)
-    assert a.x_bits() == [int(ch in "XY") for ch in la]
-    assert a.z_bits() == [int(ch in "ZY") for ch in la]
+    assert a.x == sum(1 << q for q, ch in enumerate(la) if ch in "XY")
+    assert a.z == sum(1 << q for q, ch in enumerate(la) if ch in "ZY")
     assert a.weight == sum(1 for ch in la if ch != "I")
-    assert a.is_identity_bits() == (set(la) == {"I"})
+    assert (a.x == a.z == 0) == (set(la) == {"I"})
     assert a.adjoint().to_string() == _PREFIX[-pa % 4] + la
     assert a.multiply(b).to_string() == _ref_multiply(pa, la, pb, lb)
     assert b.multiply(a).to_string() == _ref_multiply(pb, lb, pa, la)

@@ -11,7 +11,6 @@ from hqec.protocol import (
     IncompatibleCodeError,
     KeyRegister,
     ProtocolError,
-    TByproduct,
     apply_plain_circuit,
     clifford_key_update,
     encrypt,
@@ -26,7 +25,6 @@ from hqec.protocol import (
     run_logical_t_protocol,
     run_storage_protocol,
     run_transversal_t_protocol,
-    t_byproduct,
 )
 from hqec.codes import builtin_code, syndrome
 from hqec.pauli import PauliOperator, parse_pauli
@@ -218,28 +216,18 @@ class TestKeyUpdates:
                         assert abs(abs(lam) - 1) < 1e-12
                         assert np.abs(lhs - lam * rhs).max() < 1e-12
 
-    def test_t_byproduct_cases(self):
-        assert t_byproduct("T", (1, 0)) == TByproduct("Sd", 1, (1, 1))
-        assert t_byproduct("T", (0, 1)) == TByproduct("Sd", 0, (0, 1))
-        assert t_byproduct("Td", (1, 1)) == TByproduct("S", 1, (1, 0))
-
     def test_t_byproduct_matrix_relation(self):
-        # T X^a Z^b == lambda * (Sd)^a X^a Z^(a^b) T
-        sd = DENSE_1Q["S"].conj().T
-        for kind, byp in (("T", sd), ("Td", DENSE_1Q["S"])):
+        # T X^a Z^b == lambda * R^dag X^a Z^(a^b) T, where R is the rotation
+        # that run_circuit measures the gadget's Bell pair in for key bit a
+        mp = np.linalg.matrix_power
+        x, z = DENSE_1Q["X"], DENSE_1Q["Z"]
+        for kind in ("T", "Td"):
             gm = DENSE_1Q[kind]
             for a in (0, 1):
+                r_dag = protocol._ROTATIONS[kind, a][0].matrix.conj().T
                 for b in (0, 1):
-                    res = t_byproduct(kind, (a, b))
-                    a2, b2 = res.new_key
-                    assert res.exponent == a
-                    lhs = gm @ np.linalg.matrix_power(DENSE_1Q["X"], a) @ np.linalg.matrix_power(DENSE_1Q["Z"], b)
-                    rhs = (
-                        np.linalg.matrix_power(byp, res.exponent)
-                        @ np.linalg.matrix_power(DENSE_1Q["X"], a2)
-                        @ np.linalg.matrix_power(DENSE_1Q["Z"], b2)
-                        @ gm
-                    )
+                    lhs = gm @ mp(x, a) @ mp(z, b)
+                    rhs = r_dag @ mp(x, a) @ mp(z, a ^ b) @ gm
                     idx = np.unravel_index(np.argmax(np.abs(rhs)), rhs.shape)
                     lam = lhs[idx] / rhs[idx]
                     assert abs(abs(lam) - 1) < 1e-12
@@ -379,7 +367,7 @@ class TestEvaluateDecrypt:
             psi = random_state(n, SplitMix64(int(rng.integers(0, 2**32))))
             keys = KeyRegister.random(n, SplitMix64(int(rng.integers(0, 2**32))))
             run = run_circuit(encrypt(psi, keys), circuit, keys, SplitMix64(1))
-            assert run.transcript.bell_pairs_consumed == n_t
+            assert sum(ev["kind"] == "bell_consumed" for ev in run.transcript.events) == n_t
             assert len(run.outcomes) == n_t
             assert run.max_live_qubits == n + 2 * (n_t > 0)
 

@@ -20,7 +20,6 @@ from hqec.states import (
     gate,
     inner,
     pauli_eigenvalues,
-    project_onto,
     swap_qubits,
     teleport,
     tensor,
@@ -39,6 +38,7 @@ from oracles import (
     op_on,
     pauli_expectation_terms,
     pauli_image_terms,
+    project_onto,
     random_dense_state,
     random_pauli,
     rotated_bell_measure,
@@ -78,6 +78,13 @@ class TestBasics:
         assert [ln.split()[0] for ln in lines] == ["01", "10"]
         assert float(lines[0].split()[1]) == pytest.approx(0.6)
         assert float(lines[1].split()[1]) == pytest.approx(0.8)
+
+    def test_bad_bitstring_character(self):
+        with pytest.raises(ValueError, match="position 2"):
+            SparseState.from_terms(3, {"0x1": 1.0})
+        st_ = SparseState.from_terms(2, {"01": 1.0})
+        with pytest.raises(ValueError, match="position 1"):
+            st_.amplitude("20")
 
 
 class TestApplySingle:
