@@ -3,7 +3,10 @@
 Exit codes: 0 for success / compatible / fidelity-pass, 1 for incompatible
 or failed assertions, 2 for usage and input-format errors.  Every verb
 supports --json (a single JSON document mirroring the human rendering);
-run verbs take --seed, --dump-state and --force-outcomes.
+run verbs take --seed and --dump-state, the T verbs --force-outcomes too.
+main() caps OpenBLAS at one thread before a verb loads numpy, unless the
+user set it or numpy is loaded: idle workers cost more CPU than hqec's
+one small vdot.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -113,7 +117,7 @@ def _emit(args, doc: dict, human_lines) -> None:
 
 
 def _dump_state(args, state) -> None:
-    if getattr(args, "dump_state", None):
+    if args.dump_state:
         Path(args.dump_state).write_text("\n".join(state.dump_lines()) + "\n")
 
 
@@ -252,6 +256,7 @@ def _cmd_run_storage(args) -> int:
     from . import protocol
 
     rep = protocol.run_storage_protocol(args.code_name, (0.6, 0.8), keys, error, rng)
+    _dump_state(args, rep.final_state)
     lines = [f"storage on {rep.code_name}, keys {rep.keys}, error {rep.injected_error or 'none'}",
              f"syndrome: {list(rep.syndrome)}",
              f"correction applied: {rep.correction}",
@@ -268,6 +273,7 @@ def _cmd_run_transversal_t(args) -> int:
     from . import protocol
 
     rep = protocol.run_transversal_t_protocol(amps, keys, rng, forced)
+    _dump_state(args, rep.final_state)
     lines = [f"transversal T on rm15, keys {rep.keys}",
              f"teleportation outcomes: {[list(o) for o in rep.outcomes]}",
              f"correction: S-power {rep.correction['logical_s_power']}",
@@ -285,6 +291,7 @@ def _cmd_run_logical_t(args) -> int:
     from . import protocol
 
     rep = protocol.run_logical_t_protocol(amps, keys, rng, forced[0] if forced else None)
+    _dump_state(args, rep.final_state)
     lines = [f"logical T on shor, keys {rep.keys}",
              f"logical Bell outcome: {list(rep.outcome)}",
              f"register {rep.register_qubits} qubits, peak {rep.max_terms} stored terms",
@@ -311,11 +318,12 @@ def _cmd_report_resources(args) -> int:
 # parser
 
 
-def _add_common(p, runner: bool = False):
+def _add_common(p, runner: bool = False, forced: bool = False):
     p.add_argument("--json", action="store_true", help="emit a single JSON document")
     if runner:
         p.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
         p.add_argument("--dump-state", default=None, help="write the final state dump here")
+    if forced:
         p.add_argument("--force-outcomes", default=None,
                        help="bit string consumed pairwise as measurement outcomes")
 
@@ -358,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="protocol runners")
     run_sub = run_p.add_subparsers(dest="sub", required=True)
     p = run_sub.add_parser("a1", help="two-qubit encrypted demo circuit")
-    _add_common(p, runner=True)
+    _add_common(p, runner=True, forced=True)
     p.set_defaults(func=_cmd_run_a1)
     p = run_sub.add_parser("storage", help="masked storage with error correction")
     p.add_argument("--code", dest="code_name", required=True)
@@ -369,12 +377,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = run_sub.add_parser("transversal-t", help="transversal T on the masked rm15 block")
     p.add_argument("--keys", required=True, help="a,b")
     p.add_argument("--amps", required=True, help="re,im,re,im for c0,c1")
-    _add_common(p, runner=True)
+    _add_common(p, runner=True, forced=True)
     p.set_defaults(func=_cmd_run_transversal_t)
     p = run_sub.add_parser("logical-t", help="logical-mask T on the nine-qubit code")
     p.add_argument("--keys", required=True, help="a,b")
     p.add_argument("--amps", required=True, help="re,im,re,im for c0,c1")
-    _add_common(p, runner=True)
+    _add_common(p, runner=True, forced=True)
     p.set_defaults(func=_cmd_run_logical_t)
 
     report_p = sub.add_parser("report", help="derived reports")
@@ -387,6 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

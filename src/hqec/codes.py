@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import gf2
 from .gf2 import ClassicalCode
@@ -41,8 +41,7 @@ class SubcodeError(ValueError):
     """C2 is not contained in C1."""
 
 
-@dataclass(frozen=True)
-class StabilizerCode:
+class StabilizerCode(NamedTuple):
     name: str
     n: int
     k: int
@@ -52,8 +51,7 @@ class StabilizerCode:
     css_origin: tuple[ClassicalCode, ClassicalCode] | None = None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     code_name: str
     violations: tuple[str, ...]
 

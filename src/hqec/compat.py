@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import gf2
 from .codes import CODE_CACHE_SIZE, CodeSpace, StabilizerCode, SubcodeError
@@ -42,8 +43,7 @@ class IncompatibleCodeError(ProtocolError):
     """The requested code does not support transversal Pauli masking."""
 
 
-@dataclass(frozen=True)
-class GeneratorCheck:
+class GeneratorCheck(NamedTuple):
     index: int
     generator: str
     x_commutes: bool
@@ -71,7 +71,7 @@ class CompatReport:
         d = {
             "code": self.code_name,
             "verdict": self.verdict,
-            "generators": [asdict(g) for g in self.generator_checks],
+            "generators": [g._asdict() for g in self.generator_checks],
         }
         if self.css_verdict is not None:
             d["e_in_c1"] = self.e_in_c1
@@ -121,8 +121,7 @@ def css_mask_check(c1: ClassicalCode, c2: ClassicalCode, name: str = "css") -> C
     return CompatReport(name, (), verdict, e_in_c1=e_in_c1, c2_all_even=c2_even, css_verdict=verdict)
 
 
-@dataclass(frozen=True)
-class DiagonalAction:
+class DiagonalAction(NamedTuple):
     gate_label: str
     leakage: float
     logical_phases: tuple[complex, ...] | None
@@ -199,8 +198,7 @@ def diagonal_gate_action(
     return DiagonalAction(label, *_diagonal_action(code_space, complex(phase_per_one)))
 
 
-@dataclass(frozen=True)
-class CliffordCorrection:
+class CliffordCorrection(NamedTuple):
     logical_s_power: int
     logical_z_power: int
     global_phase: complex
@@ -235,8 +233,7 @@ def clifford_correction_for_t(code_space: CodeSpace) -> CliffordCorrection | Non
     return None
 
 
-@dataclass(frozen=True)
-class ResourceReport:
+class ResourceReport(NamedTuple):
     n: int
     q_data: int
     q_aux_phys: int
@@ -245,7 +242,7 @@ class ResourceReport:
     q_tot_log: int
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def resource_report(n: int) -> ResourceReport:

@@ -7,7 +7,8 @@ character of a row string like "110".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 ENUM_DIM_GUARD = 20
 
@@ -30,8 +31,7 @@ def format_row(word: int, n: int) -> str:
     return "".join("1" if (word >> q) & 1 else "0" for q in range(n))
 
 
-@dataclass(frozen=True)
-class BitMatrix:
+class BitMatrix(NamedTuple):
     rows: tuple[int, ...]
     cols: int
 
@@ -73,11 +73,10 @@ def rref(rows, n: int) -> list[int]:
     return basis
 
 
-@dataclass(frozen=True)
-class ClassicalCode:
+class ClassicalCode(NamedTuple):
     length: int
-    basis: tuple[int, ...] = field(repr=False)
-    gen_rows: tuple[int, ...] = field(repr=False)
+    basis: tuple[int, ...]
+    gen_rows: tuple[int, ...]
 
     @property
     def dimension(self) -> int:

@@ -12,7 +12,7 @@ string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 MAX_QUBITS = 1024
 
@@ -31,20 +31,21 @@ class PauliParseError(ValueError):
     """Malformed Pauli string."""
 
 
-@dataclass(frozen=True)
-class PauliOperator:
+class _PauliFields(NamedTuple):
     n: int
     x: int
     z: int
     phase: int
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {self.n}")
-        mask = (1 << self.n) - 1
-        object.__setattr__(self, "x", int(self.x) & mask)
-        object.__setattr__(self, "z", int(self.z) & mask)
-        object.__setattr__(self, "phase", int(self.phase) % 4)
+
+class PauliOperator(_PauliFields):
+    __slots__ = ()
+
+    def __new__(cls, n: int, x: int, z: int, phase: int):
+        if not 1 <= n <= MAX_QUBITS:
+            raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
+        mask = (1 << n) - 1
+        return tuple.__new__(cls, (n, int(x) & mask, int(z) & mask, int(phase) % 4))
 
     # -- construction -------------------------------------------------
 

@@ -28,7 +28,7 @@ Conventions shared by all runners:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -103,21 +103,25 @@ CLIFFORD_KINDS = ("X", "Z", "H", "S", "Sd", "CNOT")
 GATE_KINDS = CLIFFORD_KINDS + ("T", "Td")
 
 
-@dataclass(frozen=True)
-class CircuitGate:
+class _GateFields(NamedTuple):
     kind: str
     qubits: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        want = 2 if self.kind == "CNOT" else 1
-        if len(self.qubits) != want:
-            raise ValueError(f"{self.kind} takes {want} qubit(s)")
-        if any(q < 1 for q in self.qubits):
-            raise ValueError(f"{self.kind} qubits are numbered from 1, got {self.qubits}")
-        if self.kind == "CNOT" and self.qubits[0] == self.qubits[1]:
+
+class CircuitGate(_GateFields):
+    __slots__ = ()
+
+    def __new__(cls, kind: str, qubits: tuple[int, ...]):
+        if kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        want = 2 if kind == "CNOT" else 1
+        if len(qubits) != want:
+            raise ValueError(f"{kind} takes {want} qubit(s)")
+        if any(q < 1 for q in qubits):
+            raise ValueError(f"{kind} qubits are numbered from 1, got {qubits}")
+        if kind == "CNOT" and qubits[0] == qubits[1]:
             raise ValueError("CNOT qubits must be distinct")
+        return tuple.__new__(cls, (kind, qubits))
 
     @property
     def is_clifford(self) -> bool:
@@ -156,9 +160,11 @@ def format_circuit(circuit) -> str:
     return " ".join(toks)
 
 
-@dataclass
 class Transcript:
-    events: list[dict] = field(default_factory=list)
+    __slots__ = ("events",)
+
+    def __init__(self, events: list[dict] | None = None):
+        self.events = [] if events is None else events
 
     def as_dict(self) -> dict:
         return {"events": self.events}
@@ -342,8 +348,7 @@ def apply_plain_circuit(state: SparseState, circuit) -> SparseState:
     return state
 
 
-@dataclass(frozen=True)
-class DemoReport:
+class DemoReport(NamedTuple):
     keys_initial: list
     keys_final: list
     fidelity: float

@@ -23,8 +23,6 @@ gates on many qubits as one phase pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._kernels import coalesce64
@@ -51,20 +49,19 @@ _GATE_MATRICES = {
 }
 
 
-@dataclass(frozen=True)
 class SingleQubitGate:
-    label: str
-    matrix: np.ndarray
+    __slots__ = ("label", "matrix")
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex).reshape(2, 2)
+    def __init__(self, label: str, matrix):
+        m = np.asarray(matrix, dtype=complex).reshape(2, 2)
         # m m^dag summed by hand: the builtin gates are made at import, and
         # a first BLAS call there would add ~0.4 MB to every process
         m_mdag = (m[:, None, :] * m.conj()[None, :, :]).sum(axis=2)
         if np.abs(m_mdag - np.eye(2)).max() > 1e-12:
-            raise ValueError(f"gate {self.label!r} is not unitary")
+            raise ValueError(f"gate {label!r} is not unitary")
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        self.label = label
+        self.matrix = m
 
 
 _GATES = {label: SingleQubitGate(label, m) for label, m in _GATE_MATRICES.items()}

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hqec import protocol
 from hqec.cli import main
 from hqec.codes import BUILTIN_NAMES, builtin_code
+from hqec.pauli import parse_pauli
+from hqec.rng import SplitMix64
 from oracles import format_code_text
 
 
@@ -83,6 +86,12 @@ class TestExitCodes:
             assert err.count("error:") == 1 and f"{pairs} bit pair" in err
         code, _, _ = run_cli(capsys, *argv, "--force-outcomes", "00" * pairs)
         assert code == 0
+
+    def test_storage_takes_no_forced_outcomes(self, capsys):
+        code, out, err = run_cli(capsys, "run", "storage", "--code", "steane", "--keys", "1,1",
+                                 "--force-outcomes", "0101")
+        assert code == 2 and out == ""
+        assert err.count("error:") == 1 and "--force-outcomes" in err
 
     def test_transversal_t_one_forced_pair(self, capsys):
         code, out, err = run_cli(capsys, "run", "transversal-t", "--keys", "1,1",
@@ -323,6 +332,23 @@ class TestJsonAndDeterminism:
             assert set(bits) <= {"0", "1"}
             float(re_s), float(im_s)
 
+
+    @pytest.mark.parametrize("argv, runner, args", [
+        (("run", "storage", "--code", "steane", "--keys", "1,1", "--error", "IIYIIII"),
+         "run_storage_protocol", ("steane", (0.6, 0.8), (1, 1), parse_pauli("IIYIIII"))),
+        (("run", "transversal-t", "--keys", "1,0", "--amps", "0.6,0,0,0.8"),
+         "run_transversal_t_protocol", ((0.6, 0.8j), (1, 0))),
+        (("run", "logical-t", "--keys", "0,1", "--amps", "0.6,0,0,0.8"),
+         "run_logical_t_protocol", ((0.6, 0.8j), (0, 1))),
+    ])
+    def test_dump_state_every_run_verb(self, capsys, tmp_path, argv, runner, args):
+        dump = tmp_path / "state.txt"
+        code, out, _ = run_cli(capsys, *argv, "--seed", "4", "--dump-state", str(dump))
+        assert code == 0 and out
+        rep = getattr(protocol, runner)(*args, rng=SplitMix64(4))
+        assert dump.read_text() == "\n".join(rep.final_state.dump_lines()) + "\n"
+        code, out, err = run_cli(capsys, *argv, "--dump-state", str(tmp_path))
+        assert code == 2 and out == "" and err.count("error:") == 1
 
 # -- random argv from the verb grammar ---------------------------------------
 

@@ -221,6 +221,17 @@ class TestPerCodeCaches:
         with pytest.raises(ValueError):
             builtin_code("no_such_code")
 
+    def test_reparsed_code_hits_the_caches(self):
+        text = format_code_text(builtin_code("steane"))
+        a, b = (parse_code_text(text, name="steane_text") for _ in range(2))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != parse_code_text(text, name="other")
+        cs, mask = logical_codewords(a), stabilizer_mask_check(a)
+        hits = logical_codewords.cache_info().hits, stabilizer_mask_check.cache_info().hits
+        assert logical_codewords(b) is cs and stabilizer_mask_check(b) is mask
+        assert logical_codewords.cache_info().hits == hits[0] + 1
+        assert stabilizer_mask_check.cache_info().hits == hits[1] + 1
+
     def test_cached_codewords_are_read_only(self):
         cs = logical_codewords(builtin_code("steane"))
         assert logical_codewords(builtin_code("steane")) is cs

@@ -1,5 +1,5 @@
-"""What each entry point imports: the lazy `hqec` exports, and which CLI
-verbs load numpy.
+"""What each entry point imports: the lazy `hqec` exports, which CLI verbs
+load numpy, and how many OpenBLAS threads a CLI call leaves running.
 
 The static checks (code listing and validation, the mask criterion, the
 CSS criterion, triorthogonality) and every input error must run without
@@ -36,12 +36,16 @@ EXPORTS = {
 }
 HEAVY = ("numpy", "hqec.states", "hqec.protocol")
 
-# runs each argv through hqec.cli.main in turn and reports, after each, the
-# exit code and which of HEAVY are loaded; the argv lists arrive on stdin
+# runs `prelude`, then each argv through hqec.cli.main in turn, and reports,
+# after each, the exit code and which of HEAVY are loaded; at the end, the
+# thread count (None without /proc), OPENBLAS_NUM_THREADS and whether the
+# environment changed.  The argv lists arrive on stdin
 _CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
+{prelude}
 import hqec
 heavy = {heavy!r}
+environ = dict(os.environ)
 report = {{"after_import": [m for m in heavy if m in sys.modules]}}
 from hqec.cli import main
 report["after_cli_import"] = [m for m in heavy if m in sys.modules]
@@ -50,12 +54,16 @@ for argv in json.load(sys.stdin):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         rc = main(argv)
     report["calls"].append([rc, [m for m in heavy if m in sys.modules]])
+tasks = "/proc/self/task"
+report["threads"] = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+report["openblas"] = os.environ.get("OPENBLAS_NUM_THREADS")
+report["environ_unchanged"] = dict(os.environ) == environ
 print(json.dumps(report))
 """
 
 
-def _run_child(calls):
-    proc = subprocess.run([sys.executable, "-c", _CHILD.format(heavy=HEAVY)],
+def _run_child(calls, prelude=""):
+    proc = subprocess.run([sys.executable, "-c", _CHILD.format(heavy=HEAVY, prelude=prelude)],
                           input=json.dumps(calls), capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -135,3 +143,32 @@ def test_import_hqec_loads_no_submodule():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert json.loads(out) == []
+
+
+class TestOpenblasCap:
+    """main() caps OpenBLAS at one thread before a verb loads numpy, unless
+    the user set OPENBLAS_NUM_THREADS or numpy was loaded first."""
+
+    A1 = [["run", "a1", "--seed", "3", "--json"]]
+
+    def test_run_verb_ends_with_one_thread(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        report = _run_child(self.A1)
+        assert report["calls"] == [[0, list(HEAVY)]]
+        assert report["openblas"] == "1"
+        if report["threads"] is None:
+            pytest.skip("no /proc/self/task to count threads")
+        assert report["threads"] == 1
+
+    def test_user_setting_wins(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        report = _run_child(self.A1)
+        assert report["calls"] == [[0, list(HEAVY)]]
+        assert report["openblas"] == "2" and report["environ_unchanged"]
+
+    def test_numpy_loaded_first_is_left_alone(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        report = _run_child(self.A1, prelude="import numpy")
+        assert report["after_import"] == ["numpy"]
+        assert report["calls"] == [[0, list(HEAVY)]]
+        assert report["openblas"] is None and report["environ_unchanged"]

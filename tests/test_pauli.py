@@ -175,8 +175,16 @@ class TestWeightAndTransversal:
         assert p.multiply(p) == PauliOperator.identity(100)
 
     def test_qubit_cap(self):
-        with pytest.raises(ValueError):
-            PauliOperator.identity(1025)
+        for n in (0, -1, 1025):
+            with pytest.raises(ValueError, match=rf"^qubit count must be in 1\.\.1024, got {n}$"):
+                PauliOperator.identity(n)
+
+    def test_constructor_masks_bits_and_reduces_phase(self):
+        p = PauliOperator(3, 0b11110, -1, 7)
+        assert (p.n, p.x, p.z, p.phase) == (3, 0b110, 0b111, 3)
+        assert p == PauliOperator(3, 0b110, 0b111, -1)
+        assert hash(p) == hash(PauliOperator(3, 0b110, 0b111, -1))
+        assert (str(p), repr(p)) == ("iZYY", "PauliOperator('iZYY')")
 
 
 # -- letter-by-letter reference for the int layout ------------------------------

@@ -263,6 +263,22 @@ class TestCircuitText:
         with pytest.raises(ValueError, match="numbered from 1"):
             parse_circuit("H1 CX0,1")
 
+    @pytest.mark.parametrize("kind, qubits, message", [
+        ("Q", (1,), "unknown gate kind 'Q'"),
+        ("CNOT", (1,), r"CNOT takes 2 qubit\(s\)"),
+        ("T", (0,), r"T qubits are numbered from 1, got \(0,\)"),
+        ("CNOT", (2, 2), "CNOT qubits must be distinct"),
+    ])
+    def test_gate_record_rejects(self, kind, qubits, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CircuitGate(kind, qubits)
+
+    def test_gate_record_value(self):
+        g = CircuitGate("CNOT", (1, 2))
+        assert g == CircuitGate("CNOT", (1, 2)) and hash(g) == hash(CircuitGate("CNOT", (1, 2)))
+        assert (g.kind, g.qubits) == ("CNOT", (1, 2))
+        assert repr(g) == "CircuitGate(kind='CNOT', qubits=(1, 2))"
+
 
 class TestEvaluateDecrypt:
     """Encrypted evaluation and decryption through run_circuit, with the
