@@ -4,9 +4,9 @@ exact sparse simulation of the masked storage and computation protocols.
 The names below, and the submodules that define them, resolve lazily
 (PEP 562): ``import hqec`` loads no submodule, and ``hqec.<name>`` or
 ``from hqec import <name>`` imports the submodule that defines the name on
-first use.  So the GF(2) and Pauli algebra (``gf2``, ``pauli``, ``codes``,
-``compat``) runs without numpy, which loads only with the sparse-state
-layer (``states``, ``protocol``).
+first use.  No module imports numpy: the sparse states are Python ints
+and tuples, and the GF(2) and Pauli algebra (``gf2``, ``pauli``,
+``codes``, ``compat``) runs without loading them.
 """
 
 from importlib import import_module

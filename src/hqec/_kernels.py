@@ -1,10 +1,9 @@
-"""The sort-and-sum kernel of the sparse-state layer, in plain numpy.
+"""A numpy sort-and-sum kernel that the library itself does not use.
 
 ``coalesce64`` turns an unsorted list of (basis key, amplitude) terms into
-the sorted, duplicate-free, pruned form that ``SparseState`` stores.  The
-term arrays stay small (tens to a few hundred entries), so one vectorised
-numpy pass is the whole cost; bit counts elsewhere use ``int.bit_count``
-or ``np.bitwise_count`` inline.
+a sorted, duplicate-free, pruned form; ``states._coalesce`` does the same
+on Python ints and tuples.  Only perfbench, which loads this module as one
+of its traced layers, and tests/test_kernels.py import it.
 """
 
 from __future__ import annotations

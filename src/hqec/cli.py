@@ -4,9 +4,6 @@ Exit codes: 0 for success / compatible / fidelity-pass, 1 for incompatible
 or failed assertions, 2 for usage and input-format errors.  Every verb
 supports --json (a single JSON document mirroring the human rendering);
 run verbs take --seed and --dump-state, the T verbs --force-outcomes too.
-main() caps OpenBLAS at one thread before a verb loads numpy, unless the
-user set it or numpy is loaded: idle workers cost more CPU than hqec's
-one small vdot.
 """
 
 from __future__ import annotations
@@ -14,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -24,9 +20,9 @@ from . import gf2
 from .pauli import parse_pauli
 from .rng import SplitMix64
 
-# numpy loads with `protocol` or `states`, which only `check diagonal` and
-# the run verbs import, each after checking its arguments: the other verbs
-# and every input error run without numpy.
+# `protocol` and `states` load only with `check diagonal` and the run verbs,
+# each after checking its arguments: the other verbs and every input error
+# run without them.  No verb loads numpy.
 
 _DIAG_PHASES = {"T": "e^(i*pi/4)", "Td": "e^(-i*pi/4)", "Sd": "-i"}
 
@@ -395,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if "numpy" not in sys.modules:
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -12,8 +12,8 @@ of at most ``CODE_CACHE_SIZE`` codes.  Everything cached is immutable, and
 a call that raises caches nothing.
 
 Parsing, validation, CSS construction and decoding are GF(2) algebra on
-Python ints and load no numpy; only ``logical_codewords`` imports numpy
-and the ``states`` layer, when called.
+Python ints; only ``logical_codewords`` imports the ``states`` layer, when
+called.
 """
 
 from __future__ import annotations
@@ -311,9 +311,7 @@ def logical_codewords(code: StabilizerCode) -> CodeSpace:
     bits at 0, so s0 is the smallest surviving key, where a seed scan stops.
     Each codeword is checked by one pauli_eigenvalues readout.
     """
-    import numpy as np
-
-    from .states import MAX_STATE_QUBITS, SparseState, apply_pauli, inner, pauli_eigenvalues
+    from .states import _SIGNS, MAX_STATE_QUBITS, SparseState, apply_pauli, inner, pauli_eigenvalues
 
     if code.k != 1:
         raise ValueError(f"codeword construction supports k=1, got k={code.k}")
@@ -333,20 +331,20 @@ def logical_codewords(code: StabilizerCode) -> CodeSpace:
         raise gf2.GuardExceeded(f"{code.name}: codeword of 2^{len(pivots)} terms exceeds "
                                 f"the enumeration guard 2^{gf2.ENUM_DIM_GUARD}")
     try:
-        s0 = np.uint64(_solve_f2(constraints))
+        s0 = _solve_f2(constraints)
     except ValueError:
         raise ValueError(f"no codeword seed found for {code.name}") from None
     # x-part, z-part and amplitude of every product of pivots acting on |s0>
-    xs, zs, amps = np.zeros(1, np.uint64), np.zeros(1, np.uint64), np.ones(1, complex)
+    xs, zs, amps = [0], [0], [1 + 0j]
     for x, p in pivots:
-        signs = 1.0 - 2.0 * (np.bitwise_count(zs & np.uint64(x)) & 1)
-        amps = np.concatenate([amps, amps * signs * p.phase_value()])
-        xs = np.concatenate([xs, xs ^ np.uint64(x)])
-        zs = np.concatenate([zs, zs ^ np.uint64(p.z)])
-    amps = amps * (1.0 - 2.0 * (np.bitwise_count(zs & s0) & 1)) * 0.5 ** len(pivots)
-    keys = xs ^ s0
-    order = np.argsort(keys)
-    keys, amps = keys[order], amps[order]
+        ph = p.phase_value()
+        amps += [a * _SIGNS[(z & x).bit_count() & 1] * ph for z, a in zip(zs, amps)]
+        xs += [v ^ x for v in xs]
+        zs += [v ^ p.z for v in zs]
+    scale = complex(0.5 ** len(pivots))
+    terms = sorted((x ^ s0, a * _SIGNS[(z & s0).bit_count() & 1] * scale)
+                   for x, z, a in zip(xs, zs, amps))
+    keys, amps = zip(*terms)
     zero = SparseState(code.n, keys, amps, True).normalized()
     one = apply_pauli(zero, code.logical_x[0])
 

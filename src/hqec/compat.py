@@ -6,15 +6,14 @@ of the same criterion (`check css`), the logical action of transversal
 diagonal gates, and the search for a diagonal logical Clifford correction
 that turns a transversal T into the exact logical T.
 
-The mask checks are symplectic and GF(2) algebra on Python ints and load
-no numpy; only the diagonal-gate functions import numpy, when called.
-A diagonal gate's action is one array pass over the code space's basis
-arrays, memoized by (code space, phase), so clifford_correction_for_t
-reads the transversal-T action that diagonal_gate_action computed, and
-vice versa; stabilizer_mask_check is memoized by code.  The protocol
-error classes, OMEGA and the register-cost report live here too, so the
-CLI maps errors to exit codes and answers ``report resources`` without
-importing ``protocol``.
+The mask checks are symplectic and GF(2) algebra on Python ints; only the
+diagonal-gate functions import the ``states`` layer, when called.  A
+diagonal gate's action is memoized by (code space, phase), so
+clifford_correction_for_t reads the transversal-T action that
+diagonal_gate_action computed, and vice versa; stabilizer_mask_check is
+memoized by code.  The protocol error classes, OMEGA and the register-cost
+report live here too, so the CLI maps errors to exit codes and answers
+``report resources`` without importing ``protocol``.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .pauli import transversal_pauli
 
 LEAKAGE_TOL = 1e-10
 PHASE_MATCH_TOL = 1e-9
-OMEGA = cmath.exp(1j * cmath.pi / 4)  # bit for bit numpy's np.exp(1j * np.pi / 4)
+OMEGA = cmath.exp(1j * cmath.pi / 4)
 
 
 class ProtocolError(RuntimeError):
@@ -139,45 +138,34 @@ class DiagonalAction(NamedTuple):
 @lru_cache(maxsize=CODE_CACHE_SIZE)
 def _diagonal_action(code_space: CodeSpace, phase_per_one: complex):
     """(leakage, logical phases) of phase^(number of 1 bits) on a code
-    space, read straight from the basis arrays; the phases are None when
-    the gate leaks or is not a pure phase on each basis state.  Each step
-    is the array arithmetic of the state-level route, so the numbers match
-    it bit for bit: the coalesced reference (|0> + |1>)/sqrt2, its image,
-    the coefficients <i|image>, the pruned residual image - projection, and
-    <i|gate|i>.  Memoized by (code space, phase); a raise caches nothing."""
-    import numpy as np
+    space; the phases are None when the gate leaks or is not a pure phase
+    on each basis state.  The gate acts on (|0> + |1>)/sqrt2, the residual
+    image - projection gives the leakage, and <i|gate|i> the phases.
+    Memoized by (code space, phase); a raise caches nothing."""
+    from .states import GRAM_TOL, ZERO_WEIGHT, SparseState, combine, inner
 
-    from ._kernels import coalesce64
-    from .states import GRAM_TOL, PRUNE_TOL, ZERO_WEIGHT, _inner_arrays
-
-    if len({b.n for b in code_space.basis}) > 1:
-        raise ValueError("dimension mismatch: basis states on different qubit counts")
-    basis = [(b.keys, b.amps) for b in code_space.basis]
-    for i, (ku, u) in enumerate(basis):
-        for j, (kv, v) in enumerate(basis):
-            if abs(_inner_arrays(ku, u, kv, v) - (1.0 if i == j else 0.0)) > GRAM_TOL:
+    basis = code_space.basis
+    for i, u in enumerate(basis):  # inner raises on basis states of different sizes
+        for j, v in enumerate(basis):
+            if abs(inner(u, v) - (1.0 if i == j else 0.0)) > GRAM_TOL:
                 raise ValueError("projection span is not orthonormal")
-    phase = np.asarray(phase_per_one, complex)
-    span_keys = np.concatenate([k for k, _ in basis])
-    c = 1 / math.sqrt(2)
-    keys, ref = coalesce64(span_keys, np.concatenate([c * a for _, a in basis]), PRUNE_TOL)
-    out = ref * phase ** np.bitwise_count(keys)
-    coeffs = [_inner_arrays(k, a, keys, out) for k, a in basis]
+    powers = [phase_per_one**w for w in range(basis[0].n + 1)]
+
+    def apply(state):
+        amps = [a * powers[k.bit_count()] for k, a in state.items()]
+        return SparseState(state.n, state.keys, amps, True)
+
+    out = apply(combine(basis, [1 / math.sqrt(2)] * len(basis)))
+    coeffs = [inner(b, out) for b in basis]
     # sqrt(1 - weight) computed as the residual norm: cancellation-free, so
     # an exactly code-space-preserving gate reports leakage 0, not sqrt(eps)
-    if float(sum(abs(x) ** 2 for x in coeffs)) < ZERO_WEIGHT:
+    if math.fsum([abs(x) ** 2 for x in coeffs]) < ZERO_WEIGHT:
         leakage = 1.0
     else:
-        proj_keys, proj = coalesce64(
-            span_keys, np.concatenate([x * a for x, (_, a) in zip(coeffs, basis)]), PRUNE_TOL
-        )
-        _, res = coalesce64(
-            np.concatenate([keys, proj_keys]), np.concatenate([1.0 * out, -1.0 * proj]), PRUNE_TOL
-        )
-        leakage = float(np.sqrt(np.sum(np.abs(res) ** 2)))
+        leakage = combine([out, combine(basis, coeffs)], [1.0, -1.0]).norm()
     if leakage >= LEAKAGE_TOL:
         return leakage, None
-    phases = tuple(_inner_arrays(k, a, k, a * phase ** np.bitwise_count(k)) for k, a in basis)
+    phases = tuple(inner(b, apply(b)) for b in basis)
     # a gate that keeps the code space but mixes its basis states has no phases
     return leakage, None if any(abs(abs(ph) - 1) > 1e-9 for ph in phases) else phases
 

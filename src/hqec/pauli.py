@@ -18,7 +18,7 @@ MAX_QUBITS = 1024
 
 _PREFIX_PHASE = {"": 0, "+": 0, "i": 1, "-": 2, "-i": 3}
 _PHASE_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
-_PHASE_VALUE = {0: 1, 1: 1j, 2: -1, 3: -1j}
+_PHASE_VALUE = (1 + 0j, 1j, -1 + 0j, -1j)
 # letters of four consecutive qubits, indexed by (x nibble) | (z nibble) << 4
 _NIBBLE_LETTERS = tuple(
     "".join("IXZY"[((xn >> q) & 1) | ((zn >> q) & 1) << 1] for q in range(4))

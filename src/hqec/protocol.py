@@ -27,12 +27,11 @@ Conventions shared by all runners:
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
-
-import numpy as np
 
 from .codes import (
     CODE_CACHE_SIZE,
@@ -325,10 +324,8 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitR
 
 def random_state(n: int, rng) -> SparseState:
     """Deterministic pseudo-random n-qubit state (dense support)."""
-    amps = [
-        complex(2 * rng.random() - 1, 2 * rng.random() - 1) for _ in range(1 << n)
-    ]
-    return SparseState(n, np.arange(1 << n, dtype=np.uint64), np.array(amps)).normalized()
+    amps = [complex(2 * rng.random() - 1, 2 * rng.random() - 1) for _ in range(1 << n)]
+    return SparseState(n, range(1 << n), amps).normalized()
 
 
 DEMO_CIRCUIT = (
@@ -408,10 +405,10 @@ def measured_syndrome(state: SparseState, code: StabilizerCode) -> tuple[int, ..
     pauli_eigenvalues pass; raises naming the first generator that fails."""
     bits = []
     vals, eigen = pauli_eigenvalues(state, code.generators)
-    for g, val, ok in zip(code.generators, vals.real, eigen):
-        if not ok or abs(abs(val) - 1) > 1e-8:
+    for g, val, ok in zip(code.generators, vals, eigen):
+        if not ok or abs(abs(val.real) - 1) > 1e-8:
             raise ProtocolError(f"state is not an eigenstate of {g}")
-        bits.append(0 if val > 0 else 1)
+        bits.append(0 if val.real > 0 else 1)
     return tuple(bits)
 
 
@@ -498,7 +495,7 @@ def run_transversal_t_protocol(amplitudes, key, rng, forced_outcomes=None) -> Tr
     if corr is None:
         raise ProtocolError("no diagonal logical correction available for rm15")
     c0, c1 = amplitudes
-    norm = np.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
+    norm = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
     c0, c1 = c0 / norm, c1 / norm
     psi = combine(list(cs.basis), [c0, c1])
     a, b = int(key[0]) & 1, int(key[1]) & 1
@@ -555,7 +552,7 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
     a, b = int(key[0]) & 1, int(key[1]) & 1
 
     c0, c1 = amplitudes
-    norm = np.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
+    norm = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
     c0, c1 = c0 / norm, c1 / norm
     psi = combine([zero, one], [c0, c1])
 
@@ -567,11 +564,11 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
     # logical T extended to I + (omega-1)|1L><1L|; chi sits on s_p after the swap
     chi = combine([enc, one], [1.0, (OMEGA - 1.0) * inner(one, enc)])
 
-    x = np.array([inner(zero, chi), inner(one, chi)])
-    total = float(np.sum(np.abs(x) ** 2))
+    x = [inner(zero, chi), inner(one, chi)]
+    total = math.fsum([abs(v) ** 2 for v in x])
     if abs(total - 1) > 1e-9:
         raise ProtocolError(f"logical Bell measurement probabilities sum to {total}")
-    logical = SparseState(1, np.array([0, 1], np.uint64), x)
+    logical = SparseState(1, (0, 1), x)
     outcome, logical = teleport(logical, 1, _ROTATIONS["T", a][0], rng, forced_outcome)
     state = combine([zero, one], [logical.amplitude(0), logical.amplitude(1)])
 

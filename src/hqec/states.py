@@ -1,31 +1,31 @@
-"""Exact sparse state vectors on up to 64 qubits.
+"""Exact sparse state vectors on up to 64 qubits, in plain Python.
 
-Basis strings are packed into uint64 keys (qubit q lives at bit q-1, so
-qubit 1 is the leftmost character of a bitstring like "110"), amplitudes
-are complex128, and term arrays are kept sorted by key.  States are
-values: every operation returns a new state.
+A state holds a sorted tuple of basis keys (Python ints with qubit q at bit
+q-1, so qubit 1 is the leftmost character of a bitstring like "110") and a
+parallel tuple of complex amplitudes.  States are values: every operation
+returns a new state.
 
 All the amplitudes appearing in the supported protocols (powers of 1/sqrt2
 times eighth roots of unity) are representable to ~1e-16, so comparisons
-use a 1e-10 tolerance and terms below 1e-12 are pruned.
-
-Reading a state never re-sorts it: ``inner`` finds one state's keys in
-the other's with ``searchsorted``, and ``pauli_eigenvalues`` reads
-<psi|P|psi> for a batch of Paulis (generators, logical operators) by
-finding the flipped keys k ^ x the same way, term by term.
+use a 1e-10 tolerance and terms below 1e-12 are pruned.  No result depends
+on the Python version: sums of re*re + im*im are math.fsum sums, complex
+sums run in key order, and every factor is a Python complex (a float or int
+factor multiplies differently on Python 3.14, in the signs of zero parts).
+``inner`` and ``pauli_eigenvalues`` look keys up in a dict of the terms.
 
 ``teleport`` contracts a data qubit, a fresh Bell pair and the pair's
 rotated Bell measurement without building the joint register: an outcome
 sends each term to one key, so the collapse is one gather and the four
-probabilities are two sums.  ``apply_phases`` runs a layer of Z, S and Sd
+probabilities are one sum.  ``apply_phases`` runs a layer of Z, S and Sd
 gates on many qubits as one phase pass.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import cmath
+import math
+from bisect import bisect_left
 
-from ._kernels import coalesce64
 from .gf2 import format_row, parse_row
 from .pauli import PauliOperator
 
@@ -35,17 +35,19 @@ NORM_TOL = 1e-10
 GRAM_TOL = 1e-10
 ZERO_WEIGHT = 1e-20
 TERM_GUARD = 1 << 22
-EIGEN_BLOCK = 1 << 16  # entries of one (Paulis x terms) block in pauli_eigenvalues
 
-_SQ2 = 1.0 / np.sqrt(2.0)
+_R2 = 1.0 / math.sqrt(2.0)
+_SQ2 = complex(_R2)
+_SIGNS = (1 + 0j, -1 + 0j)  # (-1)^parity
+_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 _GATE_MATRICES = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) * _SQ2,
-    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "Sd": np.array([[1, 0], [0, -1j]], dtype=complex),
-    "T": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
-    "Td": np.array([[1, 0], [0, np.exp(-1j * np.pi / 4)]], dtype=complex),
+    "X": ((0j, 1 + 0j), (1 + 0j, 0j)),
+    "Z": ((1 + 0j, 0j), (0j, -1 + 0j)),
+    "H": ((_SQ2, _SQ2), (_SQ2, complex(-_R2))),
+    "S": ((1 + 0j, 0j), (0j, 1j)),
+    "Sd": ((1 + 0j, 0j), (0j, -1j)),
+    "T": ((1 + 0j, 0j), (0j, cmath.exp(1j * math.pi / 4))),
+    "Td": ((1 + 0j, 0j), (0j, cmath.exp(-1j * math.pi / 4))),
 }
 
 
@@ -53,19 +55,17 @@ class SingleQubitGate:
     __slots__ = ("label", "matrix")
 
     def __init__(self, label: str, matrix):
-        m = np.asarray(matrix, dtype=complex).reshape(2, 2)
-        # m m^dag summed by hand: the builtin gates are made at import, and
-        # a first BLAS call there would add ~0.4 MB to every process
-        m_mdag = (m[:, None, :] * m.conj()[None, :, :]).sum(axis=2)
-        if np.abs(m_mdag - np.eye(2)).max() > 1e-12:
+        (a, b), (c, d) = m = tuple(tuple(complex(x) for x in row) for row in matrix)
+        # the entries of m m^dag - I
+        if max(abs(abs(a) ** 2 + abs(b) ** 2 - 1), abs(abs(c) ** 2 + abs(d) ** 2 - 1),
+               abs(a * c.conjugate() + b * d.conjugate())) > 1e-12:
             raise ValueError(f"gate {label!r} is not unitary")
-        m.flags.writeable = False
         self.label = label
         self.matrix = m
 
 
 _GATES = {label: SingleQubitGate(label, m) for label, m in _GATE_MATRICES.items()}
-IDENTITY = SingleQubitGate("I", np.eye(2, dtype=complex))
+IDENTITY = SingleQubitGate("I", ((1, 0), (0, 1)))
 
 
 def gate(label: str) -> SingleQubitGate:
@@ -77,58 +77,52 @@ def gate(label: str) -> SingleQubitGate:
 
 
 class SparseState:
-    """Immutable map from packed basis keys to complex amplitudes."""
+    """Immutable map from packed basis keys to complex amplitudes.
+
+    Any sequences of ints and numbers will do as keys and amplitudes (numpy
+    arrays too); the state stores them as tuples of int and complex."""
 
     __slots__ = ("n", "keys", "amps")
 
     def __init__(self, n: int, keys, amps, already_clean: bool = False):
         if not 0 <= n <= MAX_STATE_QUBITS:
             raise ValueError(f"qubit count must be in 0..{MAX_STATE_QUBITS}, got {n}")
-        keys = np.asarray(keys, dtype=np.uint64)
-        amps = np.asarray(amps, dtype=np.complex128)
-        if keys.shape != amps.shape:
+        keys = tuple([int(k) for k in keys])
+        amps = tuple([complex(a) for a in amps])
+        if len(keys) != len(amps):
             raise ValueError("keys and amplitudes differ in length")
-        if n < 64 and keys.size and int(keys.max()) >> n:
+        if keys and (min(keys) < 0 or max(keys) >> n):
             raise ValueError("basis key has bits beyond the register size")
         if not already_clean:
-            keys, amps = coalesce64(keys, amps, PRUNE_TOL)
-        keys.flags.writeable = False
-        amps.flags.writeable = False
-        self.n = n
-        self.keys = keys
-        self.amps = amps
+            keys, amps = _coalesce(keys, amps)
+        self.n, self.keys, self.amps = n, keys, amps
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def from_terms(cls, n: int, terms: dict) -> "SparseState":
-        keys = []
-        amps = []
-        for k, a in terms.items():
-            keys.append(parse_row(k) if isinstance(k, str) else int(k))
-            amps.append(a)
-        return cls(n, np.array(keys, np.uint64), np.array(amps, np.complex128))
+        keys = [parse_row(k) if isinstance(k, str) else int(k) for k in terms]
+        return cls(n, keys, terms.values())
 
     # -- inspection -------------------------------------------------------
 
     @property
     def num_terms(self) -> int:
-        return int(self.keys.size)
+        return len(self.keys)
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
+        return math.sqrt(_weight(self.amps))
 
     def amplitude(self, bits: int | str) -> complex:
         if isinstance(bits, str):
             bits = parse_row(bits)
-        i = np.searchsorted(self.keys, np.uint64(bits))
-        if i < self.keys.size and self.keys[i] == np.uint64(bits):
-            return complex(self.amps[i])
+        i = bisect_left(self.keys, bits)
+        if i < len(self.keys) and self.keys[i] == bits:
+            return self.amps[i]
         return 0j
 
     def items(self):
-        for k, a in zip(self.keys.tolist(), self.amps.tolist()):
-            yield k, a
+        return zip(self.keys, self.amps)
 
     def dump_lines(self) -> list[str]:
         """State dump format: 'bitstring re im' sorted by bitstring."""
@@ -140,18 +134,45 @@ class SparseState:
         nrm = self.norm()
         if nrm < 1e-15:
             raise ValueError("cannot normalize a zero state")
-        return SparseState(self.n, self.keys, self.amps / nrm, True)
+        return self.scaled(1.0 / nrm)
 
     def scaled(self, factor: complex) -> "SparseState":
-        return SparseState(self.n, self.keys, self.amps * factor, True)
+        f = complex(factor)
+        return _state(self.n, self.keys, tuple([a * f for a in self.amps]))
 
     def _check_qubit(self, qubit: int):
         if not 1 <= qubit <= self.n:
             raise ValueError(f"qubit {qubit} out of range 1..{self.n}")
 
-    def _resorted(self, keys, amps) -> "SparseState":
-        order = np.argsort(keys)
-        return SparseState(self.n, keys[order], amps[order], True)
+
+def _state(n: int, keys: tuple, amps: tuple) -> SparseState:
+    """A state from sorted, distinct keys and their amplitudes, unchecked."""
+    s = object.__new__(SparseState)
+    s.n, s.keys, s.amps = n, keys, amps
+    return s
+
+
+def _weight(amps) -> float:
+    """sum |a|^2 over the amplitudes, correctly rounded."""
+    return math.fsum([a.real * a.real + a.imag * a.imag for a in amps])
+
+
+def _coalesce(keys, amps):
+    """Sort by key, sum duplicate keys in their given order, drop terms
+    with |amp| <= PRUNE_TOL."""
+    acc = dict(zip(keys, amps))
+    if len(acc) < len(keys):
+        acc = {}
+        for k, a in zip(keys, amps):
+            acc[k] = acc[k] + a if k in acc else a
+    kept = sorted(k for k, a in acc.items() if abs(a) > PRUNE_TOL)
+    return tuple(kept), tuple([acc[k] for k in kept])
+
+
+def _resorted(n: int, keys, amps) -> SparseState:
+    """A state from distinct keys in any order."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return _state(n, tuple([keys[i] for i in order]), tuple([amps[i] for i in order]))
 
 
 def combine(states, coeffs) -> SparseState:
@@ -162,26 +183,22 @@ def combine(states, coeffs) -> SparseState:
             raise ValueError("dimension mismatch in combine")
     if sum(s.num_terms for s in states) > TERM_GUARD:
         raise ValueError("combine result exceeds the term-count guard")
-    keys = np.concatenate([s.keys for s in states])
-    amps = np.concatenate([c * s.amps for s, c in zip(states, coeffs)])
-    return SparseState(n, keys, amps)
+    keys = [k for s in states for k in s.keys]
+    amps = [c * a for s, c in zip(states, map(complex, coeffs)) for a in s.amps]
+    return _state(n, *_coalesce(keys, amps))
 
 
 def inner(a: SparseState, b: SparseState) -> complex:
     """<a|b> over the shared basis keys, summed in key order."""
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    return _inner_arrays(a.keys, a.amps, b.keys, b.amps)
-
-
-def _inner_arrays(a_keys, a_amps, b_keys, b_amps) -> complex:
-    """inner on bare sorted key and amplitude arrays: the shared keys are
-    found by searching b's keys and summed in a's key order."""
-    if not b_keys.size:
-        return 0j
-    idx = np.minimum(np.searchsorted(b_keys, a_keys), b_keys.size - 1)
-    hit = b_keys[idx] == a_keys
-    return complex(np.sum(np.conj(a_amps[hit]) * b_amps[idx[hit]]))
+    lookup = dict(b.items())
+    total = 0j
+    for k, x in a.items():
+        y = lookup.get(k)
+        if y is not None:
+            total += x.conjugate() * y
+    return total
 
 
 def fidelity_up_to_phase(a: SparseState, b: SparseState) -> float:
@@ -191,32 +208,29 @@ def fidelity_up_to_phase(a: SparseState, b: SparseState) -> float:
 
 def apply_single(state: SparseState, g: SingleQubitGate, qubit: int) -> SparseState:
     state._check_qubit(qubit)
-    m = g.matrix
+    (m00, m01), (m10, m11) = g.matrix
+    bit = 1 << (qubit - 1)
     keys, amps = state.keys, state.amps
-    flipped = keys ^ np.uint64(1 << (qubit - 1))
-    b = (keys > flipped).astype(np.intp)  # the bit is set iff flipping it lowers the key
-    if m[0, 1] == 0 and m[1, 0] == 0:
+    if m01 == 0 and m10 == 0:
         # diagonal: sparsity preserved exactly
-        return SparseState(state.n, keys, amps * m[b, b], True)
-    if m[0, 0] == 0 and m[1, 1] == 0:
+        return _state(state.n, keys, tuple([a * m11 if k & bit else a * m00 for k, a in zip(keys, amps)]))
+    if m00 == 0 and m11 == 0:
         # antidiagonal: basis permutation
-        return state._resorted(flipped, amps * m[1 - b, b])
+        return _resorted(state.n, [k ^ bit for k in keys],
+                         [a * m01 if k & bit else a * m10 for k, a in zip(keys, amps)])
     # general: each term branches into bit=0 and bit=1 components
     if 2 * state.num_terms > TERM_GUARD:
         raise ValueError(f"gate {g.label} result exceeds the term-count guard")
-    keys0 = np.minimum(keys, flipped)
-    keys1 = np.maximum(keys, flipped)
-    return SparseState(state.n, np.concatenate([keys0, keys1]),
-                       np.concatenate([amps * m[0, b], amps * m[1, b]]))
-
-
-_I_POWERS = np.array([1, 1j, -1, -1j])
+    keys2 = [k & ~bit for k in keys] + [k | bit for k in keys]
+    amps2 = ([a * m01 if k & bit else a * m00 for k, a in zip(keys, amps)]
+             + [a * m11 if k & bit else a * m10 for k, a in zip(keys, amps)])
+    return _state(state.n, *_coalesce(keys2, amps2))
 
 
 def apply_phases(state: SparseState, powers) -> SparseState:
     """The diagonal layer diag(1, i^powers[q-1]) on every qubit q in one pass:
     each term |k> is multiplied by i^(sum of powers[q-1] * bit q of k), with
-    the exponent read by bitwise_count from two qubit masks (its 1s and 2s).
+    the exponent read by bit_count from two qubit masks (its 1s and 2s).
     Every factor is an exact unit, so for amplitudes without zero real or
     imaginary parts this equals applying the Z (power 2), S (1) and Sd (3)
     gates one by one, bit for bit."""
@@ -224,9 +238,9 @@ def apply_phases(state: SparseState, powers) -> SparseState:
         raise ValueError(f"{len(powers)} phase powers for {state.n} qubits")
     ones = sum(1 << q for q, k in enumerate(powers) if k & 1)
     twos = sum(1 << q for q, k in enumerate(powers) if k & 2)
-    keys = state.keys
-    exps = np.bitwise_count(keys & np.uint64(ones)) + 2 * np.bitwise_count(keys & np.uint64(twos))
-    return SparseState(state.n, keys, state.amps * _I_POWERS[exps & 3], True)
+    amps = [a * _I_POWERS[((k & ones).bit_count() + 2 * (k & twos).bit_count()) & 3]
+            for k, a in state.items()]
+    return _state(state.n, state.keys, tuple(amps))
 
 
 def apply_cnot(state: SparseState, control: int, target: int) -> SparseState:
@@ -234,56 +248,66 @@ def apply_cnot(state: SparseState, control: int, target: int) -> SparseState:
     state._check_qubit(target)
     if control == target:
         raise ValueError("control and target must differ")
-    cbit = (state.keys >> np.uint64(control - 1)) & np.uint64(1)
-    return state._resorted(state.keys ^ (cbit << np.uint64(target - 1)), state.amps.copy())
+    c, t = control - 1, target - 1
+    return _resorted(state.n, [k ^ (((k >> c) & 1) << t) for k in state.keys], state.amps)
+
+
+def _pauli_image(state: SparseState, p: PauliOperator) -> list:
+    """The amplitudes i^phase (-1)^popcount(k & z) a_k that P = i^phase X(x)
+    Z(z) puts at the keys k ^ x, in key order."""
+    z, ph = p.z, p.phase_value()
+    return [a * _SIGNS[(k & z).bit_count() & 1] * ph for k, a in state.items()]
 
 
 def apply_pauli(state: SparseState, p: PauliOperator) -> SparseState:
     if p.n != state.n:
         raise ValueError(f"dimension mismatch: operator on {p.n}, state on {state.n}")
-    zmask = np.uint64(p.z)
-    xmask = np.uint64(p.x)
-    signs = 1.0 - 2.0 * (np.bitwise_count(state.keys & zmask) & 1)
-    amps = state.amps * signs * p.phase_value()
-    if xmask:
-        return state._resorted(state.keys ^ xmask, amps)
-    return SparseState(state.n, state.keys, amps, True)
+    amps = _pauli_image(state, p)
+    if p.x:
+        return _resorted(state.n, [k ^ p.x for k in state.keys], amps)
+    return _state(state.n, state.keys, tuple(amps))
 
 
-def pauli_eigenvalues(state: SparseState, paulis) -> tuple[np.ndarray, np.ndarray]:
+def pauli_eigenvalues(state: SparseState, paulis) -> tuple[tuple, tuple]:
     """(values, eigen) for a sequence of Paulis: <psi|P|psi> for each P, and
-    whether every term of P|psi> matches lambda|psi> within NORM_TOL, where
-    lambda = value / <psi|psi>.  The zero state is no eigenstate.
+    whether every term of P|psi> matches mu|psi> within NORM_TOL, where
+    mu = value / <psi|psi>.  The zero state is no eigenstate.
 
-    P = i^phase X(x) Z(z) sends a|k> to i^phase (-1)^popcount(k & z) a|k^x>;
-    each flipped key is looked up in the sorted keys (a missing one counts as
-    amplitude 0), in blocks of (Paulis x terms) entries that stay within
-    EIGEN_BLOCK unless a single row is larger.
+    P sends a|k> to its image term at k ^ x (_pauli_image), which is checked
+    against psi at k ^ x, looked up in a dict (a missing key counts as
+    amplitude 0).  A Z-only Pauli keeps every key: P|k> = +-i^phase |k> by
+    the parity of k & z, so the value is i^phase times a signed sum of the
+    weights |a|^2, and a term's squared residual is |a|^2 |+-i^phase - mu|^2,
+    largest at the largest weight of its parity.
     """
     for p in paulis:
         if p.n != state.n:
             raise ValueError(f"dimension mismatch: operator on {p.n}, state on {state.n}")
-    values, eigen = np.zeros(len(paulis), complex), np.zeros(len(paulis), bool)
-    keys, amps = state.keys, state.amps
-    norm2 = float(np.vdot(amps, amps).real)
+    weights = [a.real * a.real + a.imag * a.imag for a in state.amps]
+    norm2 = math.fsum(weights)
     if not paulis or norm2 == 0:
-        return values, eigen
-    xs = np.array([p.x for p in paulis], np.uint64)[:, None]
-    zs = np.array([p.z for p in paulis], np.uint64)[:, None]
-    phases = np.array([p.phase_value() for p in paulis], complex)[:, None]
-    rows = max(1, EIGEN_BLOCK // keys.size)
-    for lo in range(0, len(paulis), rows):
-        block = slice(lo, lo + rows)
-        flipped = keys ^ xs[block]
-        idx = np.minimum(np.searchsorted(keys, flipped), keys.size - 1)
-        # psi and P|psi> at k ^ x, for every stored key k
-        target = np.where(keys[idx] == flipped, amps[idx], 0)
-        image = amps * (1.0 - 2.0 * (np.bitwise_count(keys & zs[block]) & 1)) * phases[block]
-        lam = np.sum(np.conj(target) * image, axis=1)
-        values[block] = lam
-        residual = image - (lam / norm2)[:, None] * target
-        eigen[block] = np.all(np.abs(residual) <= NORM_TOL, axis=1)
-    return values, eigen
+        return (0j,) * len(paulis), (False,) * len(paulis)
+    lookup = dict(state.items())
+    values, eigen = [], []
+    for p in paulis:
+        ph = p.phase_value()
+        if p.x:
+            target = [lookup.get(k ^ p.x, 0j) for k in state.keys]
+            image = _pauli_image(state, p)
+            lam = 0j
+            for t, y in zip(target, image):
+                lam += t.conjugate() * y
+            mu = lam / norm2
+            eigen.append(all(abs(y - mu * t) <= NORM_TOL for t, y in zip(target, image)))
+        else:
+            signed = [-w if (k & p.z).bit_count() & 1 else w for k, w in zip(state.keys, weights)]
+            lam = ph * complex(math.fsum(signed))
+            mu = lam / norm2
+            # the largest weight of each parity sets its largest residual
+            eigen.append(max(max(signed), 0.0) * abs(ph - mu) ** 2 <= NORM_TOL**2
+                         and max(-min(signed), 0.0) * abs(ph + mu) ** 2 <= NORM_TOL**2)
+        values.append(lam)
+    return tuple(values), tuple(eigen)
 
 
 def swap_qubits(state: SparseState, i: int, j: int) -> SparseState:
@@ -291,11 +315,9 @@ def swap_qubits(state: SparseState, i: int, j: int) -> SparseState:
     state._check_qubit(j)
     if i == j:
         return state
-    bi = (state.keys >> np.uint64(i - 1)) & np.uint64(1)
-    bj = (state.keys >> np.uint64(j - 1)) & np.uint64(1)
-    diff = bi ^ bj
-    flip = (diff << np.uint64(i - 1)) | (diff << np.uint64(j - 1))
-    return state._resorted(state.keys ^ flip, state.amps.copy())
+    both = (1 << (i - 1)) | (1 << (j - 1))
+    keys = [k ^ both if ((k >> (i - 1)) ^ (k >> (j - 1))) & 1 else k for k in state.keys]
+    return _resorted(state.n, keys, state.amps)
 
 
 def tensor(a: SparseState, b: SparseState) -> SparseState:
@@ -306,50 +328,45 @@ def tensor(a: SparseState, b: SparseState) -> SparseState:
     if a.num_terms * b.num_terms > TERM_GUARD:
         raise ValueError("tensor result exceeds the term-count guard")
     # b's keys fill the high bits, so b-major order is already sorted
-    keys = ((b.keys[:, None] << np.uint64(a.n)) | a.keys[None, :]).ravel()
-    amps = (b.amps[:, None] * a.amps[None, :]).ravel()
-    return SparseState(n, keys, amps, True)
+    keys = tuple([(kb << a.n) | ka for kb in b.keys for ka in a.keys])
+    return _state(n, keys, tuple([y * x for y in b.amps for x in a.amps]))
 
 
-_BELL_PAIR = SparseState(2, np.array([0b00, 0b11], np.uint64), np.array([_SQ2, _SQ2], complex), True)
-
-
+_BELL_PAIR = _state(2, (0b00, 0b11), (_SQ2, _SQ2))
 _OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _bell_basis_rows(rotation: np.ndarray) -> np.ndarray:
+def _bell_basis_rows(rotation) -> tuple:
     """Row i: the conjugated basis vector (U^dag Z^b X^a (x) I)|Phi> of
     outcome (a, b) = _OUTCOMES[i], at index b1 + 2*b2 (b1 the bit of the
-    first measured qubit).  Entry b1 + 2*b2 is M[b1, b2]/sqrt2, and column j
-    of M = U^dag Z^b X^a is (-1)^(b*(j^a)) times column j^a of U^dag, which
-    is exact; adding 0.0 clears negative zeros, so the rows equal the dense
-    product bit for bit."""
-    u_dag = rotation.conj().T
-    rows = np.empty((4, 4), dtype=complex)
-    for i, (a, b) in enumerate(_OUTCOMES):
-        cols = np.array([a, 1 - a])
-        m = u_dag[:, cols] * (1 - 2 * b * cols)
-        rows[i] = np.conj(m.T.reshape(4) * _SQ2 + 0.0)
-    rows.flags.writeable = False
-    return rows
+    first measured qubit), for the 2x2 matrix `rotation` of U.  Entry
+    b1 + 2*b2 is M[b1, b2]/sqrt2, and column j of M = U^dag Z^b X^a is
+    (-1)^(b*(j^a)) times column j^a of U^dag, which is exact; adding 0j
+    clears negative zeros."""
+    rows = []
+    for a, b in _OUTCOMES:
+        # M[r][j] = U^dag[r][j ^ a] * (-1)^(b*(j ^ a)), U^dag[r][c] = conj(U[c][r])
+        m = [[rotation[j ^ a][r].conjugate() * _SIGNS[b & (j ^ a)] for j in (0, 1)] for r in (0, 1)]
+        rows.append(tuple((m[b1][b2] * _SQ2 + 0j).conjugate() for b2 in (0, 1) for b1 in (0, 1)))
+    return tuple(rows)
 
 
 def _bell_gather(rotation: SingleQubitGate):
     """(flips, entries, zeros) from _bell_basis_rows: outcome i sends data
-    bit d to pair bit e = d ^ flips[i], times entries[i, d] (column d + 2e);
-    zeros[i, d] is the entry its partner meets there (column 1 - d + 2e).
+    bit d to pair bit e = d ^ flips[i], times entries[i][d] (column d + 2e);
+    zeros[i][d] is the entry its partner meets there (column 1 - d + 2e).
     Raises unless the rotation is diagonal or antidiagonal."""
     rows = _bell_basis_rows(rotation.matrix)
-    flips = tuple(int(rows[i, 2] != 0) for i in range(4))
-    entries = np.take_along_axis(rows, np.array([[2, 1] if f else [0, 3] for f in flips]), 1)
-    if np.count_nonzero(entries) != 8 or np.count_nonzero(rows) != 8:
+    flips = tuple(int(r[2] != 0) for r in rows)
+    entries = tuple((r[2], r[1]) if f else (r[0], r[3]) for r, f in zip(rows, flips))
+    zeros = tuple((r[3], r[0]) if f else (r[1], r[2]) for r, f in zip(rows, flips))
+    if sum(x != 0 for e in entries for x in e) != 8 or sum(x != 0 for r in rows for x in r) != 8:
         raise ValueError(f"teleport takes a diagonal or antidiagonal rotation, got {rotation.label!r}")
-    return flips, entries, np.take_along_axis(rows, np.array([[3, 0] if f else [1, 2] for f in flips]), 1)
+    return flips, entries, zeros
 
 
-_ZERO = np.zeros(1)
-# the rotations the T gadgets use (I, S and Sd), keyed by their matrix bytes
-_BELL_GATHERS = {g.matrix.tobytes(): _bell_gather(g) for g in (IDENTITY, _GATES["S"], _GATES["Sd"])}
+# the rotations the T gadgets use (I, S and Sd), keyed by their matrices
+_BELL_GATHERS = {g.matrix: _bell_gather(g) for g in (IDENTITY, _GATES["S"], _GATES["Sd"])}
 
 
 def teleport(state: SparseState, qubit: int, rotation: SingleQubitGate, rng, forced=None,
@@ -360,15 +377,15 @@ def teleport(state: SparseState, qubit: int, rotation: SingleQubitGate, rng, for
     register.  Returns ((r_a, r_b), the collapsed n-qubit state); `forced`
     replaces sampling.  U must be diagonal or antidiagonal: an outcome then
     sends term k to k or k ^ mask alone, with the same |amp| for every
-    outcome, so the collapse is one gather and the probabilities are two
-    sums.  All of it equals the joint register's sort-and-sum bit for bit.
+    outcome, so the collapse is one gather and the four probabilities are
+    one sum.  All of it equals the joint register's sort-and-sum bit for bit.
 
     `diagonal`, a T gadget's T or Td, is applied to `qubit` first, by the
     product apply_single uses, so the result equals teleport(apply_single(
     state, diagonal, qubit), ...) bit for bit; a non-diagonal gate raises."""
-    if diagonal is not None and (diagonal.matrix[0, 1] != 0 or diagonal.matrix[1, 0] != 0):
+    if diagonal is not None and (diagonal.matrix[0][1] != 0 or diagonal.matrix[1][0] != 0):
         raise ValueError(f"teleport takes a diagonal gate, got {diagonal.label!r}")
-    flips, entries, zeros = _BELL_GATHERS.get(rotation.matrix.tobytes()) or _bell_gather(rotation)
+    flips, entries, zeros = _BELL_GATHERS.get(rotation.matrix) or _bell_gather(rotation)
     n = state.n
     if n + 2 > MAX_STATE_QUBITS:
         raise ValueError(f"tensor result on {n + 2} qubits exceeds the {MAX_STATE_QUBITS}-qubit cap")
@@ -379,22 +396,18 @@ def teleport(state: SparseState, qubit: int, rotation: SingleQubitGate, rng, for
         raise ValueError("measurement on a zero-weight state")
 
     keys = state.keys
-    flipped = keys ^ np.uint64(1 << (qubit - 1))
-    bit = (keys > flipped).astype(np.intp)  # the bit is set iff flipping it lowers the key
+    mask = 1 << (qubit - 1)
+    bits = [(k >> (qubit - 1)) & 1 for k in keys]
     amps = state.amps
     if diagonal is not None:
-        amps = amps * np.diagonal(diagonal.matrix)[bit]
-    amps = _BELL_PAIR.amps[0] * amps
-    mags = np.abs(amps * entries[0][bit])
-    kept = mags > PRUNE_TOL
-    order = np.argsort(flipped)
-    # np.sum of the kept |amp|^2, bit for bit: reduceat adds the rest of a
-    # segment to its first entry, so both segments start with a 0
-    sq = mags**2
-    weights = np.concatenate((_ZERO, sq[kept], _ZERO, sq[order][kept[order]]))
-    sums = np.add.reduceat(weights, [0, np.count_nonzero(kept) + 1]).tolist()
-    probs = [sums[f] for f in flips]
-    if sum(probs) < 1e-12:
+        d = (diagonal.matrix[0][0], diagonal.matrix[1][1])
+        amps = [a * d[b] for a, b in zip(amps, bits)]
+    half = _BELL_PAIR.amps[0]
+    amps = [half * a for a in amps]
+    kept = [abs(a * entries[0][b]) > PRUNE_TOL for a, b in zip(amps, bits)]
+    p = _weight([a * entries[0][b] for a, b, k in zip(amps, bits, kept) if k])
+    probs = [p] * 4
+    if 4 * p < 1e-12:
         raise ValueError("measurement on a zero-weight state")
 
     if forced is None:
@@ -404,15 +417,23 @@ def teleport(state: SparseState, qubit: int, rotation: SingleQubitGate, rng, for
             idx = _OUTCOMES.index(tuple(forced))
         except (TypeError, ValueError):
             raise ValueError(f"forced outcome must be a pair of bits, got {forced!r}") from None
-    outcome, p = _OUTCOMES[idx], probs[idx]
+    outcome = _OUTCOMES[idx]
     if p < 1e-12:
         raise ValueError(f"outcome {outcome} has zero probability")
     # where partner k ^ mask is stored, the joint sum adds its zero-entry
     # product too: that sets the signs of zero parts
-    at = np.searchsorted(keys, flipped)
-    partner = keys.take(at, mode="clip") == flipped
-    out = amps * entries[idx][bit]
-    np.add(out, amps.take(at, mode="clip") * zeros[idx][bit], out=out, where=partner)
+    lookup = dict(zip(keys, amps))
+    e, z = entries[idx], zeros[idx]
+    scale = complex(1.0 / math.sqrt(p))
+    out_keys, out_amps = [], []
+    for k, a, b, keep in zip(keys, amps, bits, kept):
+        if keep:
+            x = a * e[b]
+            partner = lookup.get(k ^ mask)
+            if partner is not None:
+                x = x + partner * z[b]
+            out_keys.append(k)
+            out_amps.append(x * scale)
     if flips[idx]:
-        keys, out, kept = flipped[order], out[order], kept[order]
-    return outcome, SparseState(n, keys[kept], out[kept] / np.sqrt(p), True)
+        return outcome, _resorted(n, [k ^ mask for k in out_keys], out_amps)
+    return outcome, _state(n, tuple(out_keys), tuple(out_amps))

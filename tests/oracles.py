@@ -93,6 +93,12 @@ def bell_pair() -> SparseState:
     return _BELL_PAIR
 
 
+def state_bytes(state: SparseState) -> tuple[int, bytes, bytes]:
+    """(n, key bytes, amplitude bytes): equal for two states exactly when
+    they agree bit for bit, signed zeros included."""
+    return state.n, np.array(state.keys, np.uint64).tobytes(), np.array(state.amps, complex).tobytes()
+
+
 def dense_of(state: SparseState) -> np.ndarray:
     vec = np.zeros(1 << state.n, dtype=complex)
     for k, a in state.items():
@@ -140,7 +146,7 @@ def dense_pauli(p: PauliOperator) -> np.ndarray:
     return (1j ** p.phase) * m
 
 
-def dense_rotated_bell_branches(vec: np.ndarray, n: int, pair, u: np.ndarray) -> list[np.ndarray]:
+def dense_rotated_bell_branches(vec: np.ndarray, n: int, pair, u) -> list[np.ndarray]:
     """Unnormalized post-measurement vectors of a rotated Bell measurement,
     one per outcome (a, b) in BELL_OUTCOMES.
 
@@ -150,6 +156,7 @@ def dense_rotated_bell_branches(vec: np.ndarray, n: int, pair, u: np.ndarray) ->
     insertion, independently of the sparse implementation.
     """
     q1, q2 = pair
+    u = np.array(u, dtype=complex)
     rest = [q for q in range(1, n + 1) if q not in pair]
     phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)  # index b1 + 2*b2
     out = []
@@ -217,10 +224,14 @@ def pauli_expectation_terms(p: PauliOperator, terms: dict, tol: float = 1e-10):
 
 
 def intersect_inner(a: SparseState, b: SparseState) -> complex:
-    """<a|b> by np.intersect1d over the keys, the formula states.inner used
-    before it searched one key array in the other."""
-    _, ia, ib = np.intersect1d(a.keys, b.keys, assume_unique=True, return_indices=True)
-    return complex(np.sum(np.conj(a.amps[ia]) * b.amps[ib]))
+    """<a|b> by np.intersect1d over the keys, summed one term at a time in
+    key order, as states.inner sums."""
+    _, ia, ib = np.intersect1d(np.array(a.keys, np.uint64), np.array(b.keys, np.uint64),
+                               assume_unique=True, return_indices=True)
+    total = 0j
+    for i, j in zip(ia.tolist(), ib.tolist()):
+        total += a.amps[i].conjugate() * b.amps[j]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +281,8 @@ def even_support_check(z_supports, x_supports) -> bool:
 
 def apply_diagonal(state: SparseState, phase_per_one: complex) -> SparseState:
     """Multiply each basis amplitude by phase^(number of 1 bits)."""
-    counts = np.bitwise_count(state.keys)
-    amps = state.amps * np.asarray(phase_per_one, complex) ** counts
+    phase = complex(phase_per_one)
+    amps = [a * phase ** k.bit_count() for k, a in state.items()]
     return SparseState(state.n, state.keys, amps, True)
 
 
@@ -305,8 +316,7 @@ def format_code_text(code: StabilizerCode) -> str:
 
 def projection_diagonal_action(code_space, phase_per_one):
     """(leakage, logical phases or None) of a transversal diagonal gate by
-    the state-level route that compat.diagonal_gate_action took before it
-    read the basis arrays: combine (|0> + |1>)/sqrt2, apply_diagonal,
+    the state-level route: combine (|0> + |1>)/sqrt2, apply_diagonal,
     project_onto the basis, the residual's norm, then <i|gate|i> by inner."""
     basis = code_space.basis
     ref = combine(basis, [1 / math.sqrt(2)] * 2)
@@ -395,7 +405,7 @@ def rotated_bell_measure(state, pair, rotation: SingleQubitGate, rng, forced=Non
         raise ValueError("measurement on a zero-weight state")
     rows = _bell_basis_rows(rotation.matrix)
 
-    keys = state.keys
+    keys = np.array(state.keys, np.uint64)
     hi, lo = max(q1, q2) - 1, min(q1, q2) - 1
     rest = _drop_bit(_drop_bit(keys, hi), lo)
     order = np.argsort(rest, kind="stable")
@@ -408,12 +418,15 @@ def rotated_bell_measure(state, pair, rotation: SingleQubitGate, rng, forced=Non
     first[0] = True
     np.not_equal(rest[1:], rest[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    # (4, groups): branch i's amplitude of each remaining basis key
-    branches = np.add.reduceat(state.amps[order] * rows[:, local.astype(np.intp)], starts, axis=1)
+    # (4, groups): branch i's amplitude of each remaining basis key; the
+    # products are Python complex ones, rounded as states.teleport rounds
+    amps = [state.amps[i] for i in order.tolist()]
+    products = np.array([[a * row[j] for a, j in zip(amps, local.tolist())] for row in rows])
+    branches = np.add.reduceat(products, starts, axis=1)
     mags = np.abs(branches)
     kept = mags > PRUNE_TOL
-    probs = [float(np.sum(w[k])) for w, k in zip(mags**2, kept)]
-    total = sum(probs)
+    probs = [math.fsum(w[k].tolist()) for w, k in zip(branches.real**2 + branches.imag**2, kept)]
+    total = math.fsum(probs)
     if total < 1e-12:
         raise ValueError("measurement on a zero-weight state")
 
@@ -427,9 +440,8 @@ def rotated_bell_measure(state, pair, rotation: SingleQubitGate, rng, forced=Non
     if p < 1e-12:
         raise ValueError(f"outcome {outcome} has zero probability")
     keep = kept[idx]
-    amps = branches[idx][keep] / np.sqrt(p)
-    collapsed = SparseState(state.n - 2, rest[starts][keep], amps, True)
-    return outcome, collapsed
+    collapsed = SparseState(state.n - 2, rest[starts][keep], branches[idx][keep], True)
+    return outcome, collapsed.scaled(1 / math.sqrt(p))
 
 
 # ---------------------------------------------------------------------------

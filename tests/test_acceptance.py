@@ -225,8 +225,8 @@ def test_c09_rm15_transversal_t_with_correction():
 
 
 def test_c10_demo_circuit_end_to_end():
-    h, t = gate("H").matrix, gate("T").matrix
-    s, td = gate("S").matrix, gate("Td").matrix
+    h, t = np.array(gate("H").matrix), np.array(gate("T").matrix)
+    s, td = np.array(gate("S").matrix), np.array(gate("Td").matrix)
     want_op = op_on(t @ h, 1, 2) @ op_on(s @ td, 2, 2)
     from hqec.protocol import random_state
 
@@ -283,9 +283,9 @@ def test_c11_logical_t_end_to_end():
 
 
 def test_c12_key_update_matrix_identities():
-    xm = gate("X").matrix
-    zm = gate("Z").matrix
-    mats = {"X": xm, "Z": zm, "H": gate("H").matrix, "S": gate("S").matrix}
+    xm = np.array(gate("X").matrix)
+    zm = np.array(gate("Z").matrix)
+    mats = {"X": xm, "Z": zm, "H": np.array(gate("H").matrix), "S": np.array(gate("S").matrix)}
     from hqec.protocol import clifford_key_update
 
     ok = True

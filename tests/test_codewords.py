@@ -16,7 +16,7 @@ from hqec.codes import (
     validate_code,
 )
 from hqec.pauli import PauliOperator, parse_pauli
-from oracles import coset_state, dense_of, dense_zero_codeword, scan_zero_codeword
+from oracles import coset_state, dense_of, dense_zero_codeword, scan_zero_codeword, state_bytes
 
 # qubit-permuted, H-conjugated and sign-flipped copies of the builtin codes,
 # each with a fresh generating set, and the five-qubit code conjugated by S
@@ -51,9 +51,7 @@ LITERAL_CODES = {
 
 
 def assert_same_bytes(a, b):
-    assert a.n == b.n
-    assert a.keys.tobytes() == b.keys.tobytes()
-    assert a.amps.tobytes() == b.amps.tobytes()
+    assert state_bytes(a) == state_bytes(b)
 
 
 def chain_text(n: int, logical_z: str) -> str:
@@ -141,8 +139,8 @@ class TestConstruction:
         code = parse_code_text(chain_text(24, "Z" + "I" * 23), name="chain24")
         assert validate_code(code).ok
         zero = logical_codewords(code).zero
-        assert zero.keys.tolist() == [(1 << 24) - 2]
-        assert zero.amps.tolist() == [1.0]
+        assert zero.keys == ((1 << 24) - 2,)
+        assert zero.amps == (1.0,)
 
     def test_x_rank_guard(self):
         # phase-flip repetition code on 21 qubits: 2^21 terms per codeword

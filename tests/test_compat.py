@@ -184,7 +184,7 @@ def _exact(action, cs, phase):
     return leakage.hex(), None if phases is None else [(p.real.hex(), p.imag.hex()) for p in phases]
 
 
-def _array_pass(cs, phase):
+def _library_action(cs, phase):
     da = diagonal_gate_action(cs, phase)
     return da.leakage, da.logical_phases
 
@@ -195,19 +195,20 @@ def _fresh(cs):
 
 
 class TestDiagonalActionOracle:
-    """The array pass against the projection route it replaced, bit for bit."""
+    """diagonal_gate_action against the projection route of tests/oracles.py
+    (project_onto and a per-key phase), bit for bit."""
 
     @pytest.mark.parametrize("phase", PHASES)
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_builtins(self, name, phase):
         cs = cached_code_space(name)
-        assert _exact(_array_pass, cs, phase) == _exact(projection_diagonal_action, cs, phase)
+        assert _exact(_library_action, cs, phase) == _exact(projection_diagonal_action, cs, phase)
 
     @settings(max_examples=150, deadline=None)
     @given(clifford_codes(), st.sampled_from(PHASES))
     def test_random_codes(self, code, phase):
         cs = logical_codewords(code)
-        assert _exact(_array_pass, cs, phase) == _exact(projection_diagonal_action, cs, phase)
+        assert _exact(_library_action, cs, phase) == _exact(projection_diagonal_action, cs, phase)
 
     @pytest.mark.parametrize("which", ["repeated", "unnormalized"])
     def test_non_orthonormal_basis(self, which):

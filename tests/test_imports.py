@@ -1,10 +1,11 @@
-"""What each entry point imports: the lazy `hqec` exports, which CLI verbs
-load numpy, and how many OpenBLAS threads a CLI call leaves running.
+"""What each entry point imports: the lazy `hqec` exports, and which
+modules each CLI verb loads.
 
-The static checks (code listing and validation, the mask criterion, the
-CSS criterion, triorthogonality) and every input error must run without
-numpy; only the verbs that build states load it.  The CLI calls run in a
-fresh interpreter, since this process has numpy loaded already.
+No verb loads numpy.  The static checks (code listing and validation, the
+mask criterion, the CSS criterion, triorthogonality) and every input error
+run without the sparse-state layer too; only the verbs that build states
+load it.  The CLI calls run in a fresh interpreter, since this process has
+numpy loaded already.
 """
 
 import importlib
@@ -36,16 +37,13 @@ EXPORTS = {
 }
 HEAVY = ("numpy", "hqec.states", "hqec.protocol")
 
-# runs `prelude`, then each argv through hqec.cli.main in turn, and reports,
-# after each, the exit code and which of HEAVY are loaded; at the end, the
-# thread count (None without /proc), OPENBLAS_NUM_THREADS and whether the
-# environment changed.  The argv lists arrive on stdin
+# imports hqec, then runs each argv through hqec.cli.main in turn, and
+# reports, after each, the exit code and which of HEAVY are loaded.  The
+# argv lists arrive on stdin
 _CHILD = """
-import contextlib, io, json, os, sys
-{prelude}
+import contextlib, io, json, sys
 import hqec
 heavy = {heavy!r}
-environ = dict(os.environ)
 report = {{"after_import": [m for m in heavy if m in sys.modules]}}
 from hqec.cli import main
 report["after_cli_import"] = [m for m in heavy if m in sys.modules]
@@ -54,16 +52,12 @@ for argv in json.load(sys.stdin):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         rc = main(argv)
     report["calls"].append([rc, [m for m in heavy if m in sys.modules]])
-tasks = "/proc/self/task"
-report["threads"] = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
-report["openblas"] = os.environ.get("OPENBLAS_NUM_THREADS")
-report["environ_unchanged"] = dict(os.environ) == environ
 print(json.dumps(report))
 """
 
 
-def _run_child(calls, prelude=""):
-    proc = subprocess.run([sys.executable, "-c", _CHILD.format(heavy=HEAVY, prelude=prelude)],
+def _run_child(calls):
+    proc = subprocess.run([sys.executable, "-c", _CHILD.format(heavy=HEAVY)],
                           input=json.dumps(calls), capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -97,7 +91,9 @@ class TestLazyExports:
         assert hqec.__version__ == "0.1.0"
 
 
-def test_static_verbs_and_input_errors_load_no_numpy(tmp_path):
+@pytest.fixture
+def static_calls(tmp_path):
+    """(argv, exit code) of the static verbs and of input errors."""
     valid = tmp_path / "shor.code"
     valid.write_text(format_code_text(builtin_code("shor")))
     invalid = tmp_path / "invalid.code"
@@ -110,7 +106,7 @@ def test_static_verbs_and_input_errors_load_no_numpy(tmp_path):
     tri = tmp_path / "tri.txt"
     tri.write_text("111111111111111\n000000011111111\n000111100001111\n"
                    "011001100110011\n101010101010101\n")
-    calls = [
+    return [
         (["codes", "list"], 0),
         (["codes", "validate", str(valid)], 0),
         (["codes", "validate", str(invalid)], 1),
@@ -127,14 +123,40 @@ def test_static_verbs_and_input_errors_load_no_numpy(tmp_path):
         (["run", "transversal-t", "--keys", "1,1", "--amps", "0.6,0,0,0.8",
           "--force-outcomes", "00"], 2),
     ]
-    argvs = [argv + ["--json"] if argv != ["frobnicate"] else argv for argv, _ in calls]
-    report = _run_child(argvs + [["run", "a1", "--seed", "3", "--json"]])
+
+
+# the verbs that build states, each with an outcome of every exit code they give
+STATE_CALLS = [
+    (["run", "a1", "--seed", "3"], 0),
+    (["run", "storage", "--code", "shor", "--keys", "1,0", "--error", "IIIIZIIII"], 0),
+    (["run", "storage", "--code", "synthetic_incompatible", "--keys", "1,1"], 1),
+    (["run", "transversal-t", "--keys", "1,1", "--amps", "0.6,0,0,0.8", "--seed", "3"], 0),
+    (["run", "logical-t", "--keys", "1,0", "--amps", "0.6,0,0,0.8", "--seed", "3"], 0),
+    (["check", "diagonal", "--code", "rm15", "--gate", "T"], 0),
+    (["check", "diagonal", "--code", "shor", "--gate", "T"], 1),
+]
+
+
+def _json_argvs(calls):
+    return [argv + ["--json"] if argv != ["frobnicate"] else argv for argv, _ in calls]
+
+
+def test_static_verbs_and_input_errors_load_no_numpy(static_calls):
+    report = _run_child(_json_argvs(static_calls + STATE_CALLS[:1]))
     assert report["after_import"] == []
     assert report["after_cli_import"] == []
-    for (argv, want_rc), (rc, loaded) in zip(calls, report["calls"]):
+    for (argv, want_rc), (rc, loaded) in zip(static_calls, report["calls"]):
         assert (rc, loaded) == (want_rc, []), argv
     # the check is not vacuous: a verb that builds states does load them
-    assert report["calls"][-1] == [0, list(HEAVY)]
+    assert report["calls"][-1] == [0, ["hqec.states", "hqec.protocol"]]
+
+
+def test_every_verb_loads_no_numpy(static_calls):
+    calls = static_calls + STATE_CALLS
+    report = _run_child(_json_argvs(calls))
+    for (argv, want_rc), (rc, loaded) in zip(calls, report["calls"]):
+        assert rc == want_rc and "numpy" not in loaded, argv
+    assert len(report["calls"]) == len(calls)
 
 
 def test_import_hqec_loads_no_submodule():
@@ -143,32 +165,3 @@ def test_import_hqec_loads_no_submodule():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert json.loads(out) == []
-
-
-class TestOpenblasCap:
-    """main() caps OpenBLAS at one thread before a verb loads numpy, unless
-    the user set OPENBLAS_NUM_THREADS or numpy was loaded first."""
-
-    A1 = [["run", "a1", "--seed", "3", "--json"]]
-
-    def test_run_verb_ends_with_one_thread(self, monkeypatch):
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        report = _run_child(self.A1)
-        assert report["calls"] == [[0, list(HEAVY)]]
-        assert report["openblas"] == "1"
-        if report["threads"] is None:
-            pytest.skip("no /proc/self/task to count threads")
-        assert report["threads"] == 1
-
-    def test_user_setting_wins(self, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        report = _run_child(self.A1)
-        assert report["calls"] == [[0, list(HEAVY)]]
-        assert report["openblas"] == "2" and report["environ_unchanged"]
-
-    def test_numpy_loaded_first_is_left_alone(self, monkeypatch):
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        report = _run_child(self.A1, prelude="import numpy")
-        assert report["after_import"] == ["numpy"]
-        assert report["calls"] == [[0, list(HEAVY)]]
-        assert report["openblas"] is None and report["environ_unchanged"]

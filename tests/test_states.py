@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -43,6 +41,7 @@ from oracles import (
     random_pauli,
     rotated_bell_measure,
     sparse_of,
+    state_bytes,
     vacuum,
 )
 
@@ -70,6 +69,22 @@ class TestBasics:
     def test_key_guard(self):
         with pytest.raises(ValueError):
             SparseState.from_terms(2, {7: 1.0})
+        for n, key in ((2, -1), (64, 1 << 64)):
+            with pytest.raises(ValueError, match="bits beyond the register size"):
+                SparseState(n, [key], [1.0])
+
+    def test_numpy_arrays_in_and_out(self):
+        # the benchmark's interface: numpy key and amplitude arrays in, and
+        # .keys/.amps read back through np.asarray and fancy assignment
+        keys = np.array([5, 0, 3, 6], np.uint64)
+        amps = np.array([0.6, 0.8j, 0.0, 1e-13], np.complex128)
+        st_ = SparseState(3, keys, amps)
+        assert (st_.n, st_.num_terms) == (3, 2)
+        assert state_bytes(st_) == state_bytes(SparseState(3, [0, 5], [0.8j, 0.6]))
+        assert {type(k) for k in st_.keys} == {int} and {type(a) for a in st_.amps} == {complex}
+        vec = np.zeros(1 << st_.n, dtype=complex)
+        vec[np.asarray(st_.keys, dtype=np.int64)] = st_.amps
+        assert vec.tolist() == [0.8j, 0, 0, 0, 0, 0.6, 0, 0]
 
     def test_dump_sorted_by_bitstring(self):
         # key 0b10 renders as "01": qubit 1 is the leftmost character
@@ -364,7 +379,7 @@ def _measure_or_error(measure, rng, forced):
         outcome, state = measure(rng, forced)
     except ValueError as exc:
         return ("error", str(exc))
-    return outcome, state.n, state.keys.tobytes(), state.amps.tobytes()
+    return outcome, state_bytes(state)
 
 
 class TestTeleport:
@@ -478,7 +493,7 @@ class TestTeleport:
         want_outcome, want = teleport(state, 1, IDENT, SplitMix64(0), (1, 0))
         assert outcome == want_outcome == (1, 0)
         assert all(type(b) is int for b in outcome)
-        assert out.amps.tobytes() == want.amps.tobytes()
+        assert state_bytes(out) == state_bytes(want)
 
 
 class TestTeleportDiagonal:
@@ -486,7 +501,7 @@ class TestTeleportDiagonal:
     teleport(apply_single(state, g, q), q, U, ...) for g in {T, Td}, every
     rotation of the precomputed table and every outcome, sampled or forced."""
 
-    ROTATIONS = [SingleQubitGate("U", np.frombuffer(m, complex).reshape(2, 2)) for m in states._BELL_GATHERS]
+    ROTATIONS = [SingleQubitGate("U", m) for m in states._BELL_GATHERS]
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -546,8 +561,7 @@ class TestApplyPhases:
             want = apply_single(want, gate(kind), q)
             powers[q - 1] += self.POWERS[kind]
         got = apply_phases(state, powers)
-        assert got.keys.tobytes() == want.keys.tobytes()
-        assert got.amps.tobytes() == want.amps.tobytes()
+        assert state_bytes(got) == state_bytes(want)
 
     def test_zero_parts_equal_in_value(self):
         parts = [0.0, -0.0, 0.5, -0.5]
@@ -563,8 +577,8 @@ class TestApplyPhases:
     def test_phases_by_key(self):
         state = SparseState(2, np.arange(4, dtype=np.uint64), np.ones(4, complex), True)
         # S on qubit 1 (bit 0), Z on qubit 2 (bit 1)
-        assert apply_phases(state, [1, 2]).amps.tolist() == [1, 1j, -1, -1j]
-        assert apply_phases(state, [3, 3]).amps.tolist() == [1, -1j, -1j, -1]
+        assert apply_phases(state, [1, 2]).amps == (1, 1j, -1, -1j)
+        assert apply_phases(state, [3, 3]).amps == (1, -1j, -1j, -1)
 
     def test_power_count_mismatch(self):
         with pytest.raises(ValueError, match="3 phase powers for 2 qubits"):
@@ -607,8 +621,8 @@ _AMP = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=Fal
 
 
 class TestInnerSearchsorted:
-    """inner finds a's keys in b's sorted keys; the shared keys come out in
-    key order, so the sum equals the intersect1d formula bit for bit."""
+    """inner looks a's keys up in b's terms and sums the shared ones in a's
+    key order, so it equals the intersect1d formula bit for bit."""
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -677,10 +691,8 @@ class TestPauliEigenvalues:
         paulis = [base, PauliOperator(n, base.x, base.z, base.phase + j),
                   PauliOperator(n, base.x, base.z, base.phase + 2), PauliOperator.identity(n)]
         paulis += [_random_pauli_n(data, n, f"P{i}") for i in range(data.draw(st.integers(0, 4)))]
-        block = data.draw(st.sampled_from([1, 3, 8, 1 << 16]), label="block")
-        with mock.patch.object(states, "EIGEN_BLOCK", block):
-            values, eigen = pauli_eigenvalues(state, paulis)
-        assert values.shape == eigen.shape == (len(paulis),)
+        values, eigen = pauli_eigenvalues(state, paulis)
+        assert len(values) == len(eigen) == len(paulis)
         for p, val, ok in zip(paulis, values, eigen):
             want, want_ok = pauli_expectation_terms(p, _terms(state))
             assert abs(val - want) < 1e-9
@@ -693,13 +705,13 @@ class TestPauliEigenvalues:
     def test_plus_minus_one_and_y_parts(self):
         bell = SparseState.from_terms(2, {0b00: 0.6, 0b11: 0.8})
         values, eigen = pauli_eigenvalues(bell, [parse_pauli(t) for t in ("ZZ", "-ZZ", "IZ")])
-        assert np.allclose(values, [1, -1, 0.36 - 0.64]) and eigen.tolist() == [True, True, False]
+        assert np.allclose(values, [1, -1, 0.36 - 0.64]) and eigen == (True, True, False)
         phi = SparseState.from_terms(2, {0b00: 1, 0b11: 1}).normalized()
         # XX, YY = -XX ZZ and iXZ phases: eigenvalues +1, -1, and +-i for non-Hermitian
         ops = [parse_pauli(t) for t in ("XX", "YY", "XY", "iXX")]
         values, eigen = pauli_eigenvalues(phi, ops)
         assert np.allclose(values, [1, -1, 0, 1j])
-        assert eigen.tolist() == [True, True, False, True]
+        assert eigen == (True, True, False, True)
 
     def test_bit_63_keys(self):
         n = 64
@@ -713,7 +725,7 @@ class TestPauliEigenvalues:
         for p, val, ok in zip((x, z64, xz), values, eigen):
             want, want_ok = pauli_expectation_terms(p, _terms(cat))
             assert abs(val - want) < 1e-12 and ok == want_ok
-        assert eigen.tolist() == [False, False, True]
+        assert eigen == (False, False, True)
         assert np.allclose(values, [0, 0, -1j])
 
     def test_missing_flipped_key_is_no_eigenstate(self):
@@ -726,27 +738,26 @@ class TestPauliEigenvalues:
     def test_amplitude_ratios_differ(self):
         state = SparseState.from_terms(1, {0: 1, 1: 2}).normalized()
         values, eigen = pauli_eigenvalues(state, [parse_pauli("X"), parse_pauli("Z")])
-        assert np.allclose(values, [0.8, -0.6]) and not eigen.any()
+        assert np.allclose(values, [0.8, -0.6]) and not any(eigen)
 
     def test_more_rows_than_one_block(self):
-        # |+>^15: 2^15 terms, so one block holds two rows and five Paulis take three
+        # |+>^15: 2^15 terms, read by five Paulis with and without X parts
         n = 15
         plus = SparseState(n, np.arange(1 << n, dtype=np.uint64),
                            np.full(1 << n, 2 ** (-n / 2), complex), True)
         ops = [PauliOperator(n, (1 << n) - 1, 0, 0), PauliOperator(n, 5, 0, 2),
                PauliOperator(n, 0, 1, 0), PauliOperator(n, 1 << 14, 0, 0),
                PauliOperator(n, 1, 1, 1)]
-        assert states.EIGEN_BLOCK // plus.num_terms == 2
         values, eigen = pauli_eigenvalues(plus, ops)
         assert np.allclose(values, [1, -1, 0, 1, 0])
-        assert eigen.tolist() == [True, True, False, True, False]
+        assert eigen == (True, True, False, True, False)
 
     def test_zero_state_and_no_paulis(self):
         empty = SparseState(2, np.array([], np.uint64), np.array([], complex))
         values, eigen = pauli_eigenvalues(empty, [parse_pauli("ZZ")])
-        assert values.tolist() == [0] and eigen.tolist() == [False]
+        assert values == (0,) and eigen == (False,)
         values, eigen = pauli_eigenvalues(basis_state(2, 0), [])
-        assert values.shape == eigen.shape == (0,)
+        assert values == eigen == ()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch: operator on 3, state on 2"):
