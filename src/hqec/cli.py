@@ -80,10 +80,9 @@ def _parse_amps(text: str) -> tuple[complex, complex]:
         raise InputError(f"--amps must be numeric, got {text!r}") from exc
     if not all(math.isfinite(v) for v in vals):
         raise InputError(f"--amps must be finite, got {text!r}")
-    c0, c1 = complex(vals[0], vals[1]), complex(vals[2], vals[3])
-    if abs(c0) + abs(c1) == 0:
+    if not any(vals):
         raise InputError("--amps must not be all zero")
-    return c0, c1
+    return complex(vals[0], vals[1]), complex(vals[2], vals[3])
 
 
 def _parse_forced(text: str | None, pairs: int):
@@ -202,7 +201,9 @@ def _cmd_check_diagonal(args) -> int:
     lines = [f"code {code.name}, transversal {args.gate} (phase {_DIAG_PHASES[args.gate]}):",
              f"  leakage: {rep.leakage:.12g}"]
     if rep.logical_phases is None:
-        stays = rep.leakage < compat_mod.LEAKAGE_TOL
+        from .states import TOL
+
+        stays = rep.leakage < TOL
         lines.append("  preserves the code space but is not diagonal on it" if stays
                      else "  does not preserve the code space")
         _emit(args, rep.as_dict(), lines)
@@ -237,7 +238,7 @@ def _cmd_run_a1(args) -> int:
              f"keys final:   {rep.keys_final}",
              f"final fidelity {rep.fidelity:.10f}"]
     _emit(args, rep.as_dict(), lines)
-    return 0 if rep.fidelity >= 1 - protocol.ROUND_TRIP_TOL else 1
+    return 0 if rep.fidelity >= 1 - protocol.TOL else 1
 
 
 def _cmd_run_storage(args) -> int:

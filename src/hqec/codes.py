@@ -29,7 +29,6 @@ from .pauli import MAX_QUBITS, PauliOperator, parse_pauli, transversal_pauli
 if TYPE_CHECKING:
     from .states import SparseState
 
-EIGEN_TOL = 1e-10
 CODE_CACHE_SIZE = 32
 
 
@@ -311,7 +310,7 @@ def logical_codewords(code: StabilizerCode) -> CodeSpace:
     bits at 0, so s0 is the smallest surviving key, where a seed scan stops.
     Each codeword is checked by one pauli_eigenvalues readout.
     """
-    from .states import _SIGNS, MAX_STATE_QUBITS, SparseState, apply_pauli, inner, pauli_eigenvalues
+    from .states import _SIGNS, MAX_STATE_QUBITS, TOL, _state, apply_pauli, inner, pauli_eigenvalues
 
     if code.k != 1:
         raise ValueError(f"codeword construction supports k=1, got k={code.k}")
@@ -345,20 +344,20 @@ def logical_codewords(code: StabilizerCode) -> CodeSpace:
     terms = sorted((x ^ s0, a * _SIGNS[(z & s0).bit_count() & 1] * scale)
                    for x, z, a in zip(xs, zs, amps))
     keys, amps = zip(*terms)
-    zero = SparseState(code.n, keys, amps, True).normalized()
+    zero = _state(code.n, keys, amps).normalized()
     one = apply_pauli(zero, code.logical_x[0])
 
     ops = code.generators + code.logical_z[:1]
     (vals0, eig0), (vals1, eig1) = pauli_eigenvalues(zero, ops), pauli_eigenvalues(one, ops)
     for vals, eig in ((vals0, eig0), (vals1, eig1)):
         for g, val, ok in zip(code.generators, vals, eig):
-            if not ok or abs(val - 1) > EIGEN_TOL:
+            if not ok or abs(val - 1) > TOL:
                 raise ValueError(f"{code.name}: codeword is not fixed by {g}")
-    if not eig0[-1] or abs(vals0[-1] - 1) > EIGEN_TOL:
+    if not eig0[-1] or abs(vals0[-1] - 1) > TOL:
         raise ValueError(f"{code.name}: logical Z does not fix |0>")
-    if not eig1[-1] or abs(vals1[-1] + 1) > EIGEN_TOL:
+    if not eig1[-1] or abs(vals1[-1] + 1) > TOL:
         raise ValueError(f"{code.name}: logical Z does not negate |1>")
-    if abs(inner(zero, one)) > EIGEN_TOL:
+    if abs(inner(zero, one)) > TOL:
         raise ValueError(f"{code.name}: logical basis states are not orthogonal")
     return CodeSpace(code, (zero, one))
 

@@ -29,8 +29,6 @@ from .codes import CODE_CACHE_SIZE, CodeSpace, StabilizerCode, SubcodeError
 from .gf2 import ClassicalCode
 from .pauli import transversal_pauli
 
-LEAKAGE_TOL = 1e-10
-PHASE_MATCH_TOL = 1e-9
 OMEGA = cmath.exp(1j * cmath.pi / 4)
 
 
@@ -142,32 +140,32 @@ def _diagonal_action(code_space: CodeSpace, phase_per_one: complex):
     on each basis state.  The gate acts on (|0> + |1>)/sqrt2, the residual
     image - projection gives the leakage, and <i|gate|i> the phases.
     Memoized by (code space, phase); a raise caches nothing."""
-    from .states import GRAM_TOL, ZERO_WEIGHT, SparseState, combine, inner
+    from .states import TOL, _state, _weight, combine, inner
 
     basis = code_space.basis
     for i, u in enumerate(basis):  # inner raises on basis states of different sizes
         for j, v in enumerate(basis):
-            if abs(inner(u, v) - (1.0 if i == j else 0.0)) > GRAM_TOL:
+            if abs(inner(u, v) - (1.0 if i == j else 0.0)) > TOL:
                 raise ValueError("projection span is not orthonormal")
     powers = [phase_per_one**w for w in range(basis[0].n + 1)]
 
     def apply(state):
         amps = [a * powers[k.bit_count()] for k, a in state.items()]
-        return SparseState(state.n, state.keys, amps, True)
+        return _state(state.n, state.keys, tuple(amps))
 
     out = apply(combine(basis, [1 / math.sqrt(2)] * len(basis)))
     coeffs = [inner(b, out) for b in basis]
     # sqrt(1 - weight) computed as the residual norm: cancellation-free, so
     # an exactly code-space-preserving gate reports leakage 0, not sqrt(eps)
-    if math.fsum([abs(x) ** 2 for x in coeffs]) < ZERO_WEIGHT:
+    if _weight(coeffs) < TOL**2:
         leakage = 1.0
     else:
         leakage = combine([out, combine(basis, coeffs)], [1.0, -1.0]).norm()
-    if leakage >= LEAKAGE_TOL:
+    if leakage >= TOL:
         return leakage, None
     phases = tuple(inner(b, apply(b)) for b in basis)
     # a gate that keeps the code space but mixes its basis states has no phases
-    return leakage, None if any(abs(abs(ph) - 1) > 1e-9 for ph in phases) else phases
+    return leakage, None if any(abs(abs(ph) - 1) > TOL for ph in phases) else phases
 
 
 def diagonal_gate_action(
@@ -208,6 +206,8 @@ def clifford_correction_for_t(code_space: CodeSpace) -> CliffordCorrection | Non
     Reads the memoized transversal-T action that diagonal_gate_action(
     code_space, OMEGA) shares (code spaces hash by their states' identity,
     so the spaces that logical_codewords caches hit)."""
+    from .states import TOL
+
     phases = _diagonal_action(code_space, OMEGA)[1]
     if phases is None:
         return None
@@ -216,7 +216,7 @@ def clifford_correction_for_t(code_space: CodeSpace) -> CliffordCorrection | Non
     target = OMEGA * lam0 / lam1
     for z in (0, 1):
         for s in range(4):
-            if abs(1j**s * (-1) ** z - target) < PHASE_MATCH_TOL:
+            if abs(1j**s * (-1) ** z - target) < TOL:
                 return CliffordCorrection(s, z, complex(gamma))
     return None
 

@@ -76,7 +76,6 @@ def rref(rows, n: int) -> list[int]:
 class ClassicalCode(NamedTuple):
     length: int
     basis: tuple[int, ...]
-    gen_rows: tuple[int, ...]
 
     @property
     def dimension(self) -> int:
@@ -86,7 +85,7 @@ class ClassicalCode(NamedTuple):
 def code_from_rows(matrix: BitMatrix) -> ClassicalCode:
     if matrix.cols == 0:
         raise ValueError("code length must be positive")
-    return ClassicalCode(matrix.cols, tuple(rref(matrix.rows, matrix.cols)), matrix.rows)
+    return ClassicalCode(matrix.cols, tuple(rref(matrix.rows, matrix.cols)))
 
 
 def code_from_strings(lines) -> ClassicalCode:
@@ -108,8 +107,6 @@ def contains(code: ClassicalCode, word: int | str) -> bool:
 
 def all_even_weight(code: ClassicalCode) -> bool:
     """True iff every codeword has even Hamming weight (checked on generators)."""
-    if code.dimension > ENUM_DIM_GUARD:
-        raise GuardExceeded(f"dimension {code.dimension} exceeds guard {ENUM_DIM_GUARD}")
     return all(b.bit_count() % 2 == 0 for b in code.basis)
 
 
@@ -127,7 +124,7 @@ def dual(code: ClassicalCode) -> ClassicalCode:
             if (b >> f) & 1:
                 w |= 1 << p
         basis.append(w)
-    return ClassicalCode(n, tuple(rref(basis, n)), tuple(basis))
+    return ClassicalCode(n, tuple(rref(basis, n)))
 
 
 def is_subcode(inner: ClassicalCode, outer: ClassicalCode) -> bool:

@@ -27,7 +27,6 @@ Conventions shared by all runners:
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -52,7 +51,9 @@ from .compat import (
 from .pauli import PauliOperator, parse_pauli
 from .states import (
     IDENTITY,
+    TOL,
     SparseState,
+    _weight,
     apply_cnot,
     apply_pauli,
     apply_phases,
@@ -63,9 +64,8 @@ from .states import (
     inner,
     pauli_eigenvalues,
     teleport,
+    unit_amplitudes,
 )
-
-ROUND_TRIP_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +386,7 @@ class StorageReport:
 
     @property
     def recovered(self) -> bool:
-        return self.fidelity >= 1 - ROUND_TRIP_TOL
+        return self.fidelity >= 1 - TOL
 
     def as_dict(self) -> dict:
         return {
@@ -406,7 +406,7 @@ def measured_syndrome(state: SparseState, code: StabilizerCode) -> tuple[int, ..
     bits = []
     vals, eigen = pauli_eigenvalues(state, code.generators)
     for g, val, ok in zip(code.generators, vals, eigen):
-        if not ok or abs(abs(val.real) - 1) > 1e-8:
+        if not ok or abs(abs(val.real) - 1) > TOL:
             raise ProtocolError(f"state is not an eigenstate of {g}")
         bits.append(0 if val.real > 0 else 1)
     return tuple(bits)
@@ -494,9 +494,7 @@ def run_transversal_t_protocol(amplitudes, key, rng, forced_outcomes=None) -> Tr
     corr = clifford_correction_for_t(cs)
     if corr is None:
         raise ProtocolError("no diagonal logical correction available for rm15")
-    c0, c1 = amplitudes
-    norm = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
-    c0, c1 = c0 / norm, c1 / norm
+    c0, c1 = unit_amplitudes(amplitudes)
     psi = combine(list(cs.basis), [c0, c1])
     a, b = int(key[0]) & 1, int(key[1]) & 1
     keys = KeyRegister.uniform(code.n, a, b)
@@ -504,7 +502,7 @@ def run_transversal_t_protocol(amplitudes, key, rng, forced_outcomes=None) -> Tr
     run = run_circuit(encrypt(psi, keys), circuit, keys, rng, forced_outcomes)
     target = combine(list(cs.basis), [c0, OMEGA * c1])
     fid = fidelity_up_to_phase(run.state, target)
-    if fid < 1 - ROUND_TRIP_TOL:
+    if fid < 1 - TOL:
         raise ProtocolError(f"transversal-T output fidelity {fid} below tolerance")
     return TransversalTReport(
         (a, b), run.outcomes, corr.as_dict(), fid, code.n, len(run.outcomes), run.max_live_qubits,
@@ -551,9 +549,7 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
     x_bar, z_bar = code.logical_x[0], code.logical_z[0]
     a, b = int(key[0]) & 1, int(key[1]) & 1
 
-    c0, c1 = amplitudes
-    norm = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
-    c0, c1 = c0 / norm, c1 / norm
+    c0, c1 = unit_amplitudes(amplitudes)
     psi = combine([zero, one], [c0, c1])
 
     enc = psi
@@ -565,8 +561,8 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
     chi = combine([enc, one], [1.0, (OMEGA - 1.0) * inner(one, enc)])
 
     x = [inner(zero, chi), inner(one, chi)]
-    total = math.fsum([abs(v) ** 2 for v in x])
-    if abs(total - 1) > 1e-9:
+    total = _weight(x)
+    if abs(total - 1) > TOL:
         raise ProtocolError(f"logical Bell measurement probabilities sum to {total}")
     logical = SparseState(1, (0, 1), x)
     outcome, logical = teleport(logical, 1, _ROTATIONS["T", a][0], rng, forced_outcome)
@@ -582,7 +578,7 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
 
     target = combine([zero, one], [c0, OMEGA * c1])
     fid = fidelity_up_to_phase(state, target)
-    if fid < 1 - ROUND_TRIP_TOL:
+    if fid < 1 - TOL:
         raise ProtocolError(f"logical-T output fidelity {fid} below tolerance")
     resources = resource_report(code.n)
     max_terms = max(st.num_terms for st in (psi, enc, chi, state))

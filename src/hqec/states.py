@@ -5,9 +5,14 @@ q-1, so qubit 1 is the leftmost character of a bitstring like "110") and a
 parallel tuple of complex amplitudes.  States are values: every operation
 returns a new state.
 
-All the amplitudes appearing in the supported protocols (powers of 1/sqrt2
-times eighth roots of unity) are representable to ~1e-16, so comparisons
-use a 1e-10 tolerance and terms below 1e-12 are pruned.  No result depends
+This module decides every numeric question of the library, and ``codes``,
+``compat``, ``protocol`` and ``cli`` read its answers.  The amplitudes of
+the supported protocols (powers of 1/sqrt2 times eighth roots of unity) are
+exact up to rounding, so two numeric decisions suffice: two computed values
+agree within ``TOL`` (squared weights within ``TOL**2``), and a magnitude
+at most ``PRUNE_TOL`` counts as zero (such terms are pruned).  Squared norms
+are ``_weight`` sums, and ``unit_amplitudes`` normalizes a user's
+amplitudes without overflow or underflow.  No result depends
 on the Python version: sums of re*re + im*im are math.fsum sums, complex
 sums run in key order, and every factor is a Python complex (a float or int
 factor multiplies differently on Python 3.14, in the signs of zero parts).
@@ -30,10 +35,8 @@ from .gf2 import format_row, parse_row
 from .pauli import PauliOperator
 
 MAX_STATE_QUBITS = 64
-PRUNE_TOL = 1e-12
-NORM_TOL = 1e-10
-GRAM_TOL = 1e-10
-ZERO_WEIGHT = 1e-20
+TOL = 1e-10  # two computed values agree
+PRUNE_TOL = 1e-12  # a magnitude counts as zero
 TERM_GUARD = 1 << 22
 
 _R2 = 1.0 / math.sqrt(2.0)
@@ -58,7 +61,7 @@ class SingleQubitGate:
         (a, b), (c, d) = m = tuple(tuple(complex(x) for x in row) for row in matrix)
         # the entries of m m^dag - I
         if max(abs(abs(a) ** 2 + abs(b) ** 2 - 1), abs(abs(c) ** 2 + abs(d) ** 2 - 1),
-               abs(a * c.conjugate() + b * d.conjugate())) > 1e-12:
+               abs(a * c.conjugate() + b * d.conjugate())) > PRUNE_TOL:
             raise ValueError(f"gate {label!r} is not unitary")
         self.label = label
         self.matrix = m
@@ -84,7 +87,7 @@ class SparseState:
 
     __slots__ = ("n", "keys", "amps")
 
-    def __init__(self, n: int, keys, amps, already_clean: bool = False):
+    def __init__(self, n: int, keys, amps):
         if not 0 <= n <= MAX_STATE_QUBITS:
             raise ValueError(f"qubit count must be in 0..{MAX_STATE_QUBITS}, got {n}")
         keys = tuple([int(k) for k in keys])
@@ -93,9 +96,8 @@ class SparseState:
             raise ValueError("keys and amplitudes differ in length")
         if keys and (min(keys) < 0 or max(keys) >> n):
             raise ValueError("basis key has bits beyond the register size")
-        if not already_clean:
-            keys, amps = _coalesce(keys, amps)
-        self.n, self.keys, self.amps = n, keys, amps
+        self.n = n
+        self.keys, self.amps = _coalesce(keys, amps)
 
     # -- constructors ---------------------------------------------------
 
@@ -132,7 +134,7 @@ class SparseState:
 
     def normalized(self) -> "SparseState":
         nrm = self.norm()
-        if nrm < 1e-15:
+        if nrm <= PRUNE_TOL:
             raise ValueError("cannot normalize a zero state")
         return self.scaled(1.0 / nrm)
 
@@ -155,6 +157,21 @@ def _state(n: int, keys: tuple, amps: tuple) -> SparseState:
 def _weight(amps) -> float:
     """sum |a|^2 over the amplitudes, correctly rounded."""
     return math.fsum([a.real * a.real + a.imag * a.imag for a in amps])
+
+
+def unit_amplitudes(amps) -> tuple[complex, ...]:
+    """amps / ||amps|| for finite amplitudes that are not all zero.  An exact
+    power-of-two scaling first brings the largest real or imaginary part
+    into [0.5, 1), so the hypot norm neither overflows nor underflows, and
+    amplitudes already of that size are divided by their norm unchanged."""
+    amps = [complex(a) for a in amps]
+    parts = [x for a in amps for x in (a.real, a.imag)]
+    if not any(parts) or not all(map(math.isfinite, parts)):
+        raise ValueError("amplitudes must be finite and not all zero")
+    e = -math.frexp(max(map(abs, parts)))[1]
+    amps = [complex(math.ldexp(a.real, e), math.ldexp(a.imag, e)) for a in amps]
+    norm = math.hypot(*map(abs, amps))
+    return tuple([a / norm for a in amps])
 
 
 def _coalesce(keys, amps):
@@ -270,7 +287,7 @@ def apply_pauli(state: SparseState, p: PauliOperator) -> SparseState:
 
 def pauli_eigenvalues(state: SparseState, paulis) -> tuple[tuple, tuple]:
     """(values, eigen) for a sequence of Paulis: <psi|P|psi> for each P, and
-    whether every term of P|psi> matches mu|psi> within NORM_TOL, where
+    whether every term of P|psi> matches mu|psi> within TOL, where
     mu = value / <psi|psi>.  The zero state is no eigenstate.
 
     P sends a|k> to its image term at k ^ x (_pauli_image), which is checked
@@ -298,14 +315,14 @@ def pauli_eigenvalues(state: SparseState, paulis) -> tuple[tuple, tuple]:
             for t, y in zip(target, image):
                 lam += t.conjugate() * y
             mu = lam / norm2
-            eigen.append(all(abs(y - mu * t) <= NORM_TOL for t, y in zip(target, image)))
+            eigen.append(all(abs(y - mu * t) <= TOL for t, y in zip(target, image)))
         else:
             signed = [-w if (k & p.z).bit_count() & 1 else w for k, w in zip(state.keys, weights)]
             lam = ph * complex(math.fsum(signed))
             mu = lam / norm2
             # the largest weight of each parity sets its largest residual
-            eigen.append(max(max(signed), 0.0) * abs(ph - mu) ** 2 <= NORM_TOL**2
-                         and max(-min(signed), 0.0) * abs(ph + mu) ** 2 <= NORM_TOL**2)
+            eigen.append(max(max(signed), 0.0) * abs(ph - mu) ** 2 <= TOL**2
+                         and max(-min(signed), 0.0) * abs(ph + mu) ** 2 <= TOL**2)
         values.append(lam)
     return tuple(values), tuple(eigen)
 
@@ -407,7 +424,7 @@ def teleport(state: SparseState, qubit: int, rotation: SingleQubitGate, rng, for
     kept = [abs(a * entries[0][b]) > PRUNE_TOL for a, b in zip(amps, bits)]
     p = _weight([a * entries[0][b] for a, b, k in zip(amps, bits, kept) if k])
     probs = [p] * 4
-    if 4 * p < 1e-12:
+    if 4 * p < PRUNE_TOL:
         raise ValueError("measurement on a zero-weight state")
 
     if forced is None:
@@ -418,7 +435,7 @@ def teleport(state: SparseState, qubit: int, rotation: SingleQubitGate, rng, for
         except (TypeError, ValueError):
             raise ValueError(f"forced outcome must be a pair of bits, got {forced!r}") from None
     outcome = _OUTCOMES[idx]
-    if p < 1e-12:
+    if p < PRUNE_TOL:
         raise ValueError(f"outcome {outcome} has zero probability")
     # where partner k ^ mask is stored, the joint sum adds its zero-entry
     # product too: that sets the signs of zero parts

@@ -17,7 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 from hqec.codes import StabilizerCode, builtin_code, logical_codewords
-from hqec.compat import LEAKAGE_TOL
 from hqec.gf2 import ENUM_DIM_GUARD, ClassicalCode, GuardExceeded, parse_row
 from hqec.pauli import PauliOperator
 from hqec.protocol import (
@@ -34,13 +33,13 @@ from hqec.protocol import (
 from hqec.states import (
     _BELL_PAIR,
     _OUTCOMES,
-    GRAM_TOL,
     IDENTITY,
     PRUNE_TOL,
-    ZERO_WEIGHT,
+    TOL,
     SingleQubitGate,
     SparseState,
     _bell_basis_rows,
+    _state,
     apply_pauli,
     apply_single,
     combine,
@@ -79,12 +78,12 @@ def basis_state(n: int, bits: int | str) -> SparseState:
         if len(bits) != n:
             raise ValueError(f"bitstring length {len(bits)} != qubit count {n}")
         bits = parse_row(bits)
-    return SparseState(n, np.array([bits], np.uint64), np.array([1.0], np.complex128), True)
+    return SparseState(n, np.array([bits], np.uint64), np.array([1.0], np.complex128))
 
 
 def vacuum() -> SparseState:
     """The empty register (n=0): a single unit amplitude."""
-    return SparseState(0, np.array([0], np.uint64), np.array([1.0], np.complex128), True)
+    return SparseState(0, np.array([0], np.uint64), np.array([1.0], np.complex128))
 
 
 def bell_pair() -> SparseState:
@@ -283,7 +282,7 @@ def apply_diagonal(state: SparseState, phase_per_one: complex) -> SparseState:
     """Multiply each basis amplitude by phase^(number of 1 bits)."""
     phase = complex(phase_per_one)
     amps = [a * phase ** k.bit_count() for k, a in state.items()]
-    return SparseState(state.n, state.keys, amps, True)
+    return _state(state.n, state.keys, tuple(amps))
 
 
 def project_onto(span, state: SparseState):
@@ -291,16 +290,16 @@ def project_onto(span, state: SparseState):
 
     Returns (projection, weight) where weight is the squared norm of the
     projection; the projection is NOT renormalized and is None when the
-    weight is below 1e-20.
+    weight is below TOL**2.
     """
     for i, u in enumerate(span):
         for j, v in enumerate(span):
             expected = 1.0 if i == j else 0.0
-            if abs(inner(u, v) - expected) > GRAM_TOL:
+            if abs(inner(u, v) - expected) > TOL:
                 raise ValueError("projection span is not orthonormal")
     coeffs = [inner(u, state) for u in span]
     weight = float(sum(abs(c) ** 2 for c in coeffs))
-    if weight < ZERO_WEIGHT:
+    if weight < TOL**2:
         return None, weight
     return combine(span, coeffs), weight
 
@@ -323,10 +322,10 @@ def projection_diagonal_action(code_space, phase_per_one):
     out = apply_diagonal(ref, phase_per_one)
     proj, _ = project_onto(list(basis), out)
     leakage = 1.0 if proj is None else combine([out, proj], [1.0, -1.0]).norm()
-    if leakage >= LEAKAGE_TOL:
+    if leakage >= TOL:
         return leakage, None
     phases = tuple(inner(b, apply_diagonal(b, phase_per_one)) for b in basis)
-    if any(abs(abs(ph) - 1) > 1e-9 for ph in phases):
+    if any(abs(abs(ph) - 1) > TOL for ph in phases):
         return leakage, None
     return leakage, phases
 
@@ -440,7 +439,7 @@ def rotated_bell_measure(state, pair, rotation: SingleQubitGate, rng, forced=Non
     if p < 1e-12:
         raise ValueError(f"outcome {outcome} has zero probability")
     keep = kept[idx]
-    collapsed = SparseState(state.n - 2, rest[starts][keep], branches[idx][keep], True)
+    collapsed = SparseState(state.n - 2, rest[starts][keep], branches[idx][keep])
     return outcome, collapsed.scaled(1 / math.sqrt(p))
 
 

@@ -13,6 +13,7 @@ from hqec.cli import main
 from hqec.codes import BUILTIN_NAMES, builtin_code
 from hqec.pauli import parse_pauli
 from hqec.rng import SplitMix64
+from hqec.states import TOL
 from oracles import format_code_text
 
 
@@ -185,6 +186,18 @@ class TestVerbs:
         assert code == 0
         assert "compatible" in out
 
+    def test_check_css_dimension_above_enumeration_guard(self, capsys, tmp_path):
+        # C1: the 25 unit rows; C2: the 24 adjacent pairs, all of even weight
+        n = 25
+        c1 = tmp_path / "c1.txt"
+        c1.write_text("".join("0" * i + "1" + "0" * (n - 1 - i) + "\n" for i in range(n)))
+        c2 = tmp_path / "c2.txt"
+        c2.write_text("".join("0" * i + "11" + "0" * (n - 2 - i) + "\n" for i in range(n - 1)))
+        code, out, err = run_cli(capsys, "check", "css", "--c1", str(c1), "--c2", str(c2), "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["verdict"] and doc["e_in_c1"] and doc["c2_all_even"]
+
     def test_check_triortho(self, capsys, tmp_path):
         f = tmp_path / "g.txt"
         f.write_text(
@@ -239,6 +252,15 @@ class TestVerbs:
         )
         assert code == 0
         assert "27 qubits" in out
+
+    @pytest.mark.parametrize("verb", ["transversal-t", "logical-t"])
+    @pytest.mark.parametrize("amps", ["1e308,0,1e308,0", "1e-320,0,0,0", "5e-324,0,5e-324,0",
+                                      "1.7e308,0,1.7e308,0"])
+    def test_extreme_amplitudes(self, capsys, verb, amps):
+        # their squared norms overflow or underflow; the runners normalize without squaring
+        code, out, err = run_cli(capsys, "run", verb, "--keys", "1,1", f"--amps={amps}", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["fidelity"] >= 1 - TOL
 
     def test_report_resources(self, capsys):
         code, out, _ = run_cli(capsys, "report", "resources", "--n", "9")
@@ -401,8 +423,9 @@ def _argv(data, root) -> list[str]:
         return pick("0,0", "0,1", "1,0", "1,1", "2,0", "1", "a,b", "")
 
     def amps():
-        floats = st.floats(allow_nan=True, allow_infinity=True, width=32)
-        parts = data.draw(st.lists(floats, min_size=3, max_size=5))
+        # four finite doubles reach overflow and underflow; any doubles, the input errors
+        parts = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4,
+                                   max_size=4) | st.lists(st.floats(), min_size=3, max_size=5))
         return pick("0.6,0,0,0.8", "1,0,1,0", "0,0,0,0", "x,0,0,1", ",".join(map(repr, parts)))
 
     def runner_options():

@@ -13,14 +13,13 @@ from hqec.codes import (
     parse_code_text,
 )
 from hqec.compat import (
-    LEAKAGE_TOL,
     clifford_correction_for_t,
     css_mask_check,
     diagonal_gate_action,
     stabilizer_mask_check,
 )
 from hqec.protocol import KeyRegister, encrypt
-from hqec.states import SparseState, combine
+from hqec.states import TOL, SparseState, combine
 from oracles import (
     apply_diagonal,
     basis_state,
@@ -191,7 +190,7 @@ def _library_action(cs, phase):
 
 def _fresh(cs):
     """An equal code space with new state objects, so no memo entry matches it."""
-    return CodeSpace(cs.code, tuple(SparseState(b.n, b.keys, b.amps, True) for b in cs.basis))
+    return CodeSpace(cs.code, tuple(SparseState(b.n, b.keys, b.amps) for b in cs.basis))
 
 
 class TestDiagonalActionOracle:
@@ -262,7 +261,7 @@ class TestNotDiagonalOnCodeSpace:
         before = compat._diagonal_action.cache_info()
         for _ in range(2):
             da = diagonal_gate_action(cs, -1.0)
-            assert da.leakage < LEAKAGE_TOL and da.logical_phases is None
+            assert da.leakage < TOL and da.logical_phases is None
         after = compat._diagonal_action.cache_info()
         assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
 
@@ -270,7 +269,7 @@ class TestNotDiagonalOnCodeSpace:
         # n = k = 1 with logical Z = X: |0_L> = |+>, and T maps |+> into span{|+>, |->}
         cs = logical_codewords(parse_code_text("1 1\nZ\nX\n", "plus"))
         da = diagonal_gate_action(cs, OMEGA, "T")
-        assert da.leakage < LEAKAGE_TOL and da.logical_phases is None
+        assert da.leakage < TOL and da.logical_phases is None
         assert clifford_correction_for_t(cs) is None
 
 

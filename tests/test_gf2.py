@@ -112,6 +112,15 @@ class TestEvenWeight:
     def test_odd_generator(self):
         assert not gf2.all_even_weight(gf2.code_from_strings(["111"]))
 
+    def test_dimension_above_enumeration_guard(self):
+        # read from the basis rows alone, so no dimension guard applies
+        n = 25
+        pairs = gf2.code_from_rows(gf2.BitMatrix(tuple(3 << i for i in range(n - 1)), n))
+        units = gf2.code_from_rows(gf2.BitMatrix(tuple(1 << i for i in range(n)), n))
+        assert (pairs.dimension, units.dimension) == (24, 25)
+        assert gf2.all_even_weight(pairs)
+        assert not gf2.all_even_weight(units)
+
     def test_matches_enumeration(self):
         rng = np.random.default_rng(6)
         for _ in range(40):

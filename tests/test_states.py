@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,8 +9,10 @@ from hqec import states
 from hqec.pauli import PauliOperator, parse_pauli
 from hqec.rng import SplitMix64
 from hqec.states import (
+    TOL,
     SingleQubitGate,
     SparseState,
+    _state,
     apply_cnot,
     apply_pauli,
     apply_phases,
@@ -21,6 +25,7 @@ from hqec.states import (
     swap_qubits,
     teleport,
     tensor,
+    unit_amplitudes,
 )
 from oracles import (
     BELL_OUTCOMES,
@@ -100,6 +105,32 @@ class TestBasics:
         st_ = SparseState.from_terms(2, {"01": 1.0})
         with pytest.raises(ValueError, match="position 1"):
             st_.amplitude("20")
+
+
+R2 = 2**-0.5
+
+
+class TestUnitAmplitudes:
+    def test_unit_sized_pair_divided_by_its_norm(self):
+        # the golden --amps 0.6,0,0,0.8: bit for bit the plain c / sqrt(|c0|^2 + |c1|^2)
+        c0, c1 = 0.6 + 0j, 0.8j
+        norm = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
+        assert repr(unit_amplitudes([c0, c1])) == repr((c0 / norm, c1 / norm))
+
+    @pytest.mark.parametrize("pair, want", [
+        ((1e308, 1e308), (R2, R2)), ((1.7e308, -1.7e308j), (R2, -1j * R2)),
+        ((5e-324, 5e-324j), (R2, 1j * R2)), ((1e-320, 0), (1, 0)),
+        ((0, 1.7976931348623157e308), (0, 1))])
+    def test_extreme_pairs(self, pair, want):
+        # |c0|^2 + |c1|^2 overflows or underflows here, and hypot alone rounds
+        # the norm of (5e-324, 5e-324) to 2 ulp
+        got = unit_amplitudes(pair)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= TOL
+
+    @pytest.mark.parametrize("pair", [(0, 0), (0j, -0.0), (math.inf, 1), (math.nan, 1)])
+    def test_zero_or_non_finite_raises(self, pair):
+        with pytest.raises(ValueError, match="finite and not all zero"):
+            unit_amplitudes(pair)
 
 
 class TestApplySingle:
@@ -554,7 +585,7 @@ class TestApplyPhases:
     def test_equals_sequential_apply_single(self, n, run, seed):
         rng = np.random.default_rng(seed)
         keys = np.flatnonzero(rng.random(1 << n) < 0.6).astype(np.uint64)
-        state = SparseState(n, keys, _nonzero_parts(rng, keys.size), True)
+        state = SparseState(n, keys, _nonzero_parts(rng, keys.size))
         run = [(kind, (q - 1) % n + 1) for kind, q in run]
         want, powers = state, [0] * n
         for kind, q in run:
@@ -566,7 +597,7 @@ class TestApplyPhases:
     def test_zero_parts_equal_in_value(self):
         parts = [0.0, -0.0, 0.5, -0.5]
         amps = np.array([complex(x, y) for x in parts for y in parts])
-        state = SparseState(4, np.arange(16, dtype=np.uint64), amps, True)
+        state = _state(4, tuple(range(16)), tuple(amps.tolist()))  # zero terms kept
         for run in (["S"], ["Sd", "Z"], ["S", "S", "Sd"]):
             want, powers = state, [0] * 4
             for q, kind in enumerate(run, start=1):
@@ -575,7 +606,7 @@ class TestApplyPhases:
             assert np.array_equal(apply_phases(state, powers).amps, want.amps)
 
     def test_phases_by_key(self):
-        state = SparseState(2, np.arange(4, dtype=np.uint64), np.ones(4, complex), True)
+        state = SparseState(2, np.arange(4, dtype=np.uint64), np.ones(4, complex))
         # S on qubit 1 (bit 0), Z on qubit 2 (bit 1)
         assert apply_phases(state, [1, 2]).amps == (1, 1j, -1, -1j)
         assert apply_phases(state, [3, 3]).amps == (1, -1j, -1j, -1)
@@ -612,7 +643,7 @@ class TestTermGuard:
 
 
 def _sorted_state(n, keys, amps):
-    return SparseState(n, np.array(sorted(keys), np.uint64), np.array(amps, complex), True)
+    return SparseState(n, np.array(sorted(keys), np.uint64), np.array(amps, complex))
 
 
 _AMP = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False).filter(
@@ -716,7 +747,7 @@ class TestPauliEigenvalues:
     def test_bit_63_keys(self):
         n = 64
         top = 1 << 63
-        cat = SparseState(n, np.array([1, top | 2], np.uint64), np.array([1, 1j]) / np.sqrt(2), True)
+        cat = SparseState(n, np.array([1, top | 2], np.uint64), np.array([1, 1j]) / np.sqrt(2))
         # X on qubits 1, 2 and 64 swaps the two keys; Z on qubit 64 tells them apart
         x = PauliOperator(n, top | 3, 0, 0)
         z64 = PauliOperator(n, 0, top, 0)
@@ -744,7 +775,7 @@ class TestPauliEigenvalues:
         # |+>^15: 2^15 terms, read by five Paulis with and without X parts
         n = 15
         plus = SparseState(n, np.arange(1 << n, dtype=np.uint64),
-                           np.full(1 << n, 2 ** (-n / 2), complex), True)
+                           np.full(1 << n, 2 ** (-n / 2), complex))
         ops = [PauliOperator(n, (1 << n) - 1, 0, 0), PauliOperator(n, 5, 0, 2),
                PauliOperator(n, 0, 1, 0), PauliOperator(n, 1 << 14, 0, 0),
                PauliOperator(n, 1, 1, 1)]
