@@ -11,9 +11,9 @@ the single-error syndrome table by the (frozen, hashable) code, in caches
 of at most ``CODE_CACHE_SIZE`` codes.  Everything cached is immutable, and
 a call that raises caches nothing.
 
-Parsing, validation, CSS construction and decoding are GF(2) algebra on
-Python ints; only ``logical_codewords`` imports the ``states`` layer, when
-called.
+Parsing, validation, CSS construction, decoding and the codeword checks
+are GF(2) algebra on Python ints; the codeword construction imports the
+``states`` layer, when called, only to build the two states.
 """
 
 from __future__ import annotations
@@ -80,6 +80,11 @@ def _sympl_vec(p: PauliOperator, n: int) -> int:
     return p.x | (p.z << n)
 
 
+def _hermitian(p: PauliOperator) -> bool:
+    """True iff p squares to +I rather than -I."""
+    return not (p.phase + (p.x & p.z).bit_count()) & 1
+
+
 def _reduce_tracked(vec: int, pauli: PauliOperator, basis: list):
     """Reduce vec against rows (vector, group element with that vector), each
     reduced against the rows before it, multiplying the tracked elements."""
@@ -98,7 +103,7 @@ def validate_code(code: StabilizerCode) -> ValidationReport:
     for i, g in enumerate(gens):
         if g.n != code.n:
             v.append(f"generator {i + 1} acts on {g.n} qubits, expected {code.n}")
-        if (g.phase + (g.x & g.z).bit_count()) & 1:  # its square is -I
+        if not _hermitian(g):
             v.append(f"generator {i + 1} ({g}) is not Hermitian")
     if len(gens) != code.n - code.k:
         v.append(f"expected {code.n - code.k} generators, got {len(gens)}")
@@ -299,38 +304,29 @@ def builtin_code(name: str) -> StabilizerCode:
     raise ValueError(f"unknown builtin code {name!r}")
 
 
-@lru_cache(maxsize=CODE_CACHE_SIZE)
-def logical_codewords(code: StabilizerCode) -> CodeSpace:
-    """Orthonormal {|0>, |1>} logical basis as sparse states (k=1 only).
+def _zero_codeword(code: StabilizerCode) -> tuple[SparseState, list[PauliOperator]]:
+    """(|0>, reducts) by tableau elimination, unchecked; see logical_codewords.
 
-    Tableau elimination (Aaronson and Gottesman, PRA 70, 052328) splits the
-    generators and logical Z into r X-pivots and Z-only elements i^phi Z(z)
-    that fix the seed by z.s0 = phi/2; |0> sums g|s0> over the 2^r pivot
-    products g, exactly.  _solve_f2 puts pivots at the lowest bit and free
-    bits at 0, so s0 is the smallest surviving key, where a seed scan stops.
-    Each codeword is checked by one pauli_eigenvalues readout.
-    """
-    from .states import _SIGNS, MAX_STATE_QUBITS, TOL, _state, apply_pauli, inner, pauli_eigenvalues
+    reducts[j] is the j-th of the generators and logical Z times the earlier
+    X-pivots that clear its X-part down to a new pivot, or to nothing (a
+    Z-only element).  Raises on a non-Hermitian Z-only element, beyond the
+    enumeration guard, and when no seed satisfies the Z-only elements."""
+    from .states import _SIGNS, _state
 
-    if code.k != 1:
-        raise ValueError(f"codeword construction supports k=1, got k={code.k}")
-    if code.n > MAX_STATE_QUBITS:
-        raise ValueError(f"qubit count must be in 0..{MAX_STATE_QUBITS}, got {code.n}")
     pivots: list = []  # (x-part, group element) rows for _reduce_tracked
-    constraints = []
+    reducts = []
     for g in code.generators + code.logical_z[:1]:
         x, p = _reduce_tracked(g.x, g, pivots)
         if x:
             pivots.append((x, p))
         elif p.phase & 1:
             raise ValueError(f"{code.name}: the group holds the non-Hermitian element {p}")
-        else:
-            constraints.append((p.z, p.phase >> 1))
+        reducts.append(p)
     if len(pivots) > gf2.ENUM_DIM_GUARD:
         raise gf2.GuardExceeded(f"{code.name}: codeword of 2^{len(pivots)} terms exceeds "
                                 f"the enumeration guard 2^{gf2.ENUM_DIM_GUARD}")
     try:
-        s0 = _solve_f2(constraints)
+        s0 = _solve_f2([(p.z, p.phase >> 1) for p in reducts if not p.x])
     except ValueError:
         raise ValueError(f"no codeword seed found for {code.name}") from None
     # x-part, z-part and amplitude of every product of pivots acting on |s0>
@@ -344,22 +340,90 @@ def logical_codewords(code: StabilizerCode) -> CodeSpace:
     terms = sorted((x ^ s0, a * _SIGNS[(z & s0).bit_count() & 1] * scale)
                    for x, z, a in zip(xs, zs, amps))
     keys, amps = zip(*terms)
-    zero = _state(code.n, keys, amps).normalized()
-    one = apply_pauli(zero, code.logical_x[0])
+    return _state(code.n, keys, amps).normalized(), reducts
 
-    ops = code.generators + code.logical_z[:1]
-    (vals0, eig0), (vals1, eig1) = pauli_eigenvalues(zero, ops), pauli_eigenvalues(one, ops)
-    for vals, eig in ((vals0, eig0), (vals1, eig1)):
-        for g, val, ok in zip(code.generators, vals, eig):
-            if not ok or abs(val - 1) > TOL:
+
+@lru_cache(maxsize=CODE_CACHE_SIZE)
+def logical_codewords(code: StabilizerCode) -> CodeSpace:
+    """Orthonormal {|0>, |1>} logical basis as sparse states (k=1 only).
+
+    Tableau elimination (Aaronson and Gottesman, PRA 70, 052328) reduces
+    each of the generators and logical Z, in order, against the X-pivots
+    found so far: it becomes a new pivot p, or a Z-only element i^phi Z(z)
+    that fixes the seed by z.s0 = phi/2.  |0> = (I + p_1)...(I + p_r)|s0>
+    normalized: the sum of P_T|s0> over the 2^r ordered pivot products P_T,
+    at the distinct keys s0 ^ x(P_T), exactly.  _solve_f2 puts pivots at
+    the lowest bit and free bits at 0, so s0 is the smallest surviving key,
+    where a seed scan stops.  |1> = X|0> for the logical X.
+
+    Guards, in order: k = 1, n <= 64, a logical X and Z given, every
+    operator on n qubits ("dimension mismatch"), then the construction's (a
+    non-Hermitian Z-only element, the enumeration guard, no seed).  Then the
+    codewords are checked on the operators alone, in the order of an
+    eigenvalue readout of the states, which needs no state read back:
+
+    (a) |0> is fixed by every generator.  This needs the generators
+        Hermitian (g^2 = -I fixes nothing) and commuting (gh = -hg cannot
+        fix a common state); failing that, the first generator that is not
+        Hermitian or anticommutes with an earlier one is named.  Given
+        that, every element of the stabilizer group S squares to I and
+        factors as a pivot product times a Z-only element.  If the logical
+        Z reduces to a Z-only element, |0> is the image of |s0> under the
+        projector onto the fixed space of S (as in (c)).  Otherwise its reduct
+        Zr is the last pivot, |0> ~ Q(I + Zr)|s0> with Q the sum of the S
+        pivot products, a generator g equals its Z-only reduct c_g (I for a
+        pivot) times S pivots, so gQ = Qc_g and g|0> ~ Q|s0> +- QZr|s0>
+        over disjoint keys: g fixes |0> iff c_g commutes with Zr, and the
+        first generator whose c_g does not is named.
+    (b) |1> is fixed by every generator: with (a), g X|0> = +-X g|0>, so
+        the first generator that anticommutes with X is named.
+    (c) the logical Z fixes |0>: with (a), iff Z is Hermitian and commutes
+        with every generator.  Only if: gZ|0> = -Zg|0> gives <0|Z|0> = 0.
+        If: the group G = <S, Z> is then abelian and every element squares
+        to I.  -I is not in G: the Z-only part of G fixes |s0> (or
+        _solve_f2 raised "no codeword seed"), and an element with X-part 0
+        has no pivot factor.  So the projector |G|^-1 sum_{h in G} h sends
+        |s0> to a multiple of the pivot sum, and every h in G fixes |0>.
+    (d) the logical Z negates |1>: with (a)-(c), ZX|0> = +-XZ|0>, so iff
+        X and Z anticommute.
+    The codewords are then orthogonal, as eigenstates of the Hermitian
+    logical Z with eigenvalues +1 and -1.
+    """
+    from .states import MAX_STATE_QUBITS, apply_pauli
+
+    if code.k != 1:
+        raise ValueError(f"codeword construction supports k=1, got k={code.k}")
+    if code.n > MAX_STATE_QUBITS:
+        raise ValueError(f"qubit count must be in 0..{MAX_STATE_QUBITS}, got {code.n}")
+    if not code.logical_x or not code.logical_z:
+        raise ValueError(f"{code.name}: needs a logical X and a logical Z")
+    gens, lx, lz = code.generators, code.logical_x[0], code.logical_z[0]
+    for p in gens + (lx, lz):
+        if p.n != code.n:
+            raise ValueError(f"dimension mismatch: operator on {p.n}, state on {code.n}")
+    zero, reducts = _zero_codeword(code)
+
+    # p anticommutes with generator i iff _sympl_vec(p) & duals[i] has odd
+    # weight; the checks (a)-(d) of the docstring, in its order
+    duals = [g.z | g.x << code.n for g in gens]
+    for i, g in enumerate(gens):
+        v = _sympl_vec(g, code.n)
+        if not _hermitian(g) or any((v & d).bit_count() & 1 for d in duals[:i]):
+            raise ValueError(f"{code.name}: codeword is not fixed by {g}")
+    zr = reducts[-1]
+    if zr.x:  # the logical Z is a pivot
+        for g, c in zip(gens, reducts):
+            if not c.x and (c.z & zr.x).bit_count() & 1:
                 raise ValueError(f"{code.name}: codeword is not fixed by {g}")
-    if not eig0[-1] or abs(vals0[-1] - 1) > TOL:
+    vx, vz = _sympl_vec(lx, code.n), _sympl_vec(lz, code.n)
+    for g, d in zip(gens, duals):
+        if (vx & d).bit_count() & 1:
+            raise ValueError(f"{code.name}: codeword is not fixed by {g}")
+    if not _hermitian(lz) or any((vz & d).bit_count() & 1 for d in duals):
         raise ValueError(f"{code.name}: logical Z does not fix |0>")
-    if not eig1[-1] or abs(vals1[-1] + 1) > TOL:
+    if not (vz & (lx.z | lx.x << code.n)).bit_count() & 1:
         raise ValueError(f"{code.name}: logical Z does not negate |1>")
-    if abs(inner(zero, one)) > TOL:
-        raise ValueError(f"{code.name}: logical basis states are not orthogonal")
-    return CodeSpace(code, (zero, one))
+    return CodeSpace(code, (zero, apply_pauli(zero, lx)))
 
 
 def syndrome(code: StabilizerCode, error: PauliOperator) -> tuple[int, ...]:

@@ -16,7 +16,9 @@ amplitudes without overflow or underflow.  No result depends
 on the Python version: sums of re*re + im*im are math.fsum sums, complex
 sums run in key order, and every factor is a Python complex (a float or int
 factor multiplies differently on Python 3.14, in the signs of zero parts).
-``inner`` and ``pauli_eigenvalues`` look keys up in a dict of the terms.
+``inner`` and ``pauli_eigenvalues`` look keys up in a dict of the terms;
+``pauli_eigenvalues`` is the syndrome readout of ``protocol``.  ``codes``
+reads no state back: it checks its codewords on the operators alone.
 
 ``teleport`` contracts a data qubit, a fresh Bell pair and the pair's
 rotated Bell measurement without building the joint register: an outcome
@@ -54,14 +56,21 @@ _GATE_MATRICES = {
 }
 
 
+def _weight(amps) -> float:
+    """sum |a|^2 over the amplitudes, correctly rounded."""
+    return math.fsum([a.real * a.real + a.imag * a.imag for a in amps])
+
+
 class SingleQubitGate:
     __slots__ = ("label", "matrix")
 
     def __init__(self, label: str, matrix):
         (a, b), (c, d) = m = tuple(tuple(complex(x) for x in row) for row in matrix)
-        # the entries of m m^dag - I
-        if max(abs(abs(a) ** 2 + abs(b) ** 2 - 1), abs(abs(c) ** 2 + abs(d) ** 2 - 1),
-               abs(a * c.conjugate() + b * d.conjugate())) > PRUNE_TOL:
+        # a unitary's entries lie in the unit disc, so larger parts, nan and
+        # inf fail at once, and the entries of m m^dag - I cannot overflow
+        bounded = all(abs(v) <= 2 for x in (a, b, c, d) for v in (x.real, x.imag))
+        if not bounded or max(abs(_weight((a, b)) - 1), abs(_weight((c, d)) - 1),
+                              abs(a * c.conjugate() + b * d.conjugate())) > PRUNE_TOL:
             raise ValueError(f"gate {label!r} is not unitary")
         self.label = label
         self.matrix = m
@@ -152,11 +161,6 @@ def _state(n: int, keys: tuple, amps: tuple) -> SparseState:
     s = object.__new__(SparseState)
     s.n, s.keys, s.amps = n, keys, amps
     return s
-
-
-def _weight(amps) -> float:
-    """sum |a|^2 over the amplitudes, correctly rounded."""
-    return math.fsum([a.real * a.real + a.imag * a.imag for a in amps])
 
 
 def unit_amplitudes(amps) -> tuple[complex, ...]:

@@ -4,9 +4,10 @@ The dense vector index equals the packed sparse key (qubit q at bit q-1),
 so a sparse state and its dense counterpart agree entry-for-entry.
 
 Also here: routes that no runner or CLI verb takes, kept because tests
-compare the library against them (codeword enumeration, the CSS coset
-state, the state-level phase layer and projector, the even-support parity
-check, the code-file writer).
+compare the library against them (codeword enumeration, the eigenvalue
+readout that once checked the codewords, the CSS coset state, the
+state-level phase layer and projector, the even-support parity check, the
+code-file writer).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from hqec.codes import StabilizerCode, builtin_code, logical_codewords
+from hqec.codes import StabilizerCode, _zero_codeword, builtin_code, logical_codewords
 from hqec.gf2 import ENUM_DIM_GUARD, ClassicalCode, GuardExceeded, parse_row
 from hqec.pauli import PauliOperator
 from hqec.protocol import (
@@ -45,6 +46,7 @@ from hqec.states import (
     combine,
     gate,
     inner,
+    pauli_eigenvalues,
     swap_qubits,
     teleport,
     tensor,
@@ -369,6 +371,29 @@ def scan_zero_codeword(code) -> SparseState:
     if zero is None:
         raise ValueError(f"no codeword seed found for {code.name}")
     return zero
+
+
+def readout_codeword_verdict(code) -> str | None:
+    """The eigenvalue readout that once checked the codewords of
+    logical_codewords, run on the states its construction builds: the
+    message of the ValueError it raises, or None when both codewords pass.
+    Construction errors propagate.  Checks, in order: every generator fixes
+    |0>, then |1>; logical Z fixes |0> and negates |1>; <0|1> = 0."""
+    zero, _ = _zero_codeword(code)
+    one = apply_pauli(zero, code.logical_x[0])
+    ops = code.generators + code.logical_z[:1]
+    (vals0, eig0), (vals1, eig1) = pauli_eigenvalues(zero, ops), pauli_eigenvalues(one, ops)
+    for vals, eig in ((vals0, eig0), (vals1, eig1)):
+        for g, val, ok in zip(code.generators, vals, eig):
+            if not ok or abs(val - 1) > TOL:
+                return f"{code.name}: codeword is not fixed by {g}"
+    if not eig0[-1] or abs(vals0[-1] - 1) > TOL:
+        return f"{code.name}: logical Z does not fix |0>"
+    if not eig1[-1] or abs(vals1[-1] + 1) > TOL:
+        return f"{code.name}: logical Z does not negate |1>"
+    if abs(inner(zero, one)) > TOL:
+        return f"{code.name}: logical basis states are not orthogonal"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,14 @@ from hqec.codes import (
     validate_code,
 )
 from hqec.pauli import PauliOperator, parse_pauli
-from oracles import coset_state, dense_of, dense_zero_codeword, scan_zero_codeword, state_bytes
+from oracles import (
+    coset_state,
+    dense_of,
+    dense_zero_codeword,
+    readout_codeword_verdict,
+    scan_zero_codeword,
+    state_bytes,
+)
 
 # qubit-permuted, H-conjugated and sign-flipped copies of the builtin codes,
 # each with a fresh generating set, and the five-qubit code conjugated by S
@@ -133,6 +140,101 @@ class TestRandomCodes:
         assert_same_bytes(zero, scan_zero_codeword(code))
 
 
+@st.composite
+def perturbed_codes(draw):
+    """A clifford_codes code with one generator, the logical X or the
+    logical Z replaced by a random Pauli with a random sign prefix."""
+    code = draw(clifford_codes())
+    n = code.n
+    letters = draw(st.text("IXYZ", min_size=n, max_size=n))
+    p = parse_pauli(draw(st.sampled_from(["", "-", "i", "-i"])) + letters)
+    ops = list(code.generators) + [code.logical_x[0], code.logical_z[0]]
+    ops[draw(st.integers(0, len(ops) - 1))] = p
+    return StabilizerCode("perturbed", n, 1, tuple(ops[:-2]), (ops[-2],), (ops[-1],))
+
+
+def _verdict(check, code):
+    """The message of the ValueError check(code) raises, or None."""
+    try:
+        result = check(code)
+    except ValueError as exc:
+        return str(exc)
+    return result if isinstance(result, str) else None
+
+
+def _first_unfixing_generator(gens):
+    """The generator logical_codewords names when the generators are not
+    Hermitian and commuting: the first that is not Hermitian or
+    anticommutes with an earlier one."""
+    return next(g for i, g in enumerate(gens)
+                if (g.phase + (g.x & g.z).bit_count()) & 1
+                or not all(g.commutes(h) for h in gens[:i]))
+
+
+class TestChecksAgainstReadout:
+    """logical_codewords decides on the operators what an eigenvalue readout
+    of its two states decides (tests/oracles.py readout_codeword_verdict)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_codes())
+    def test_raises_exactly_when_the_readout_does(self, code):
+        got = _verdict(logical_codewords.__wrapped__, code)
+        want = _verdict(readout_codeword_verdict, code)
+        assert (got is None) == (want is None)
+        if got == want:
+            return
+        # only the generator named at the |0> stage may differ, and only
+        # where the generators are not Hermitian and commuting
+        gens = code.generators
+        named = _first_unfixing_generator(gens)
+        assert got == f"perturbed: codeword is not fixed by {named}"
+        assert want.startswith("perturbed: codeword is not fixed by ")
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins_pass_the_readout(self, name):
+        code = builtin_code(name)
+        assert readout_codeword_verdict(code) is None
+        assert _verdict(logical_codewords.__wrapped__, code) is None
+
+    @pytest.mark.parametrize("text, message", [
+        # logical Z = XI anticommutes with ZZ and is a pivot: |0> ~ |00> + |10>
+        ("2 1\nZZ\nZZ\nXI\n", "codeword is not fixed by ZZ"),
+        # logical Z = XXZ anticommutes with XXX but commutes with the
+        # Z-only ZZI: both generators fix |0>, logical Z does not
+        ("3 1\nZZI\nXXX\nXXX\nXXZ\n", "logical Z does not fix |0>"),
+        # a Z-only logical Z that anticommutes with XXI
+        ("3 1\nXXI\nIXX\nXXX\nZII\n", "logical Z does not fix |0>"),
+        # a non-Hermitian logical Z with an X-part
+        ("3 1\nZZI\nIZZ\nXXX\niXXX\n", "logical Z does not fix |0>"),
+        # logical X = XII commutes with logical Z = XXX
+        ("3 1\nXXI\nIXX\nXII\nXXX\n", "logical Z does not negate |1>"),
+        # anticommuting generators: the later one is named
+        ("3 1\nXXI\nZII\nXXX\nZZZ\n", "codeword is not fixed by ZII"),
+    ])
+    def test_stage_and_name(self, text, message):
+        code = parse_code_text(text, name="c")
+        assert _verdict(logical_codewords.__wrapped__, code) == f"c: {message}"
+        assert readout_codeword_verdict(code) == f"c: {message}"
+
+    def test_named_generator_where_generators_anticommute(self):
+        # |0> ~ (I + IXI)|000> is fixed by the pivot IXI and not by ZZI; the
+        # rule names the later generator of the anticommuting pair
+        code = parse_code_text("3 1\nZZI\nIXI\nIIZ\nIIX\n", name="c")
+        assert _verdict(logical_codewords.__wrapped__, code) == "c: codeword is not fixed by IXI"
+        assert readout_codeword_verdict(code) == "c: codeword is not fixed by ZZI"
+
+    def test_codewords_read_no_state_back(self, monkeypatch):
+        from hqec import states
+
+        def forbidden(*args):
+            raise AssertionError("a state readout in logical_codewords")
+
+        monkeypatch.setattr(states, "pauli_eigenvalues", forbidden)
+        monkeypatch.setattr(states, "inner", forbidden)
+        for name in LITERAL_CODES:
+            logical_codewords.__wrapped__(parse_code_text(LITERAL_CODES[name], name=name))
+
+
 class TestConstruction:
     def test_signed_chain_reaches_n24(self):
         # the first surviving seed is 2^24 - 2, which the scan reaches last
@@ -155,6 +257,25 @@ class TestConstruction:
         code = StabilizerCode("iz", 2, 1, (parse_pauli("iZZ"),), (parse_pauli("XX"),),
                               (parse_pauli("ZI"),))
         with pytest.raises(ValueError, match="non-Hermitian"):
+            logical_codewords(code)
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])  # the first generator, logical X, logical Z
+    @pytest.mark.parametrize("wrong", ["ZZ", "XX", "IZZI", "XXXX"])
+    def test_operator_on_the_wrong_qubit_count(self, slot, wrong):
+        # the bit-flip code with one operator on 2 or 4 qubits instead of 3
+        ops = ["ZZI", "XXX", "ZZZ"]
+        ops[slot] = wrong
+        g, x, z = map(parse_pauli, ops)
+        code = StabilizerCode("wide", 3, 1, (g, parse_pauli("IZZ")), (x,), (z,))
+        message = f"^dimension mismatch: operator on {len(wrong)}, state on 3$"
+        with pytest.raises(ValueError, match=message):
+            logical_codewords(code)
+
+    @pytest.mark.parametrize("logical_x, logical_z", [((), ("ZZZ",)), (("XXX",), ())])
+    def test_missing_logical_operator(self, logical_x, logical_z):
+        code = StabilizerCode("bare", 3, 1, (parse_pauli("ZZI"), parse_pauli("IZZ")),
+                              tuple(map(parse_pauli, logical_x)), tuple(map(parse_pauli, logical_z)))
+        with pytest.raises(ValueError, match="^bare: needs a logical X and a logical Z$"):
             logical_codewords(code)
 
     def test_register_cap(self):

@@ -67,6 +67,24 @@ class TestBasics:
         with pytest.raises(ValueError):
             SingleQubitGate("bad", np.array([[1, 1], [0, 1]], dtype=complex))
 
+    @pytest.mark.parametrize("entry", [math.nan, complex(0, math.nan), math.inf, -math.inf])
+    def test_non_finite_gate_is_not_unitary(self, entry):
+        # nan compares false with every bound, so it once passed the check
+        with pytest.raises(ValueError, match="^gate 'g' is not unitary$"):
+            SingleQubitGate("g", [[entry, 0], [0, 1]])
+
+    @pytest.mark.parametrize("matrix", [[[1e200, 0], [0, 1]], [[0, 1e200j], [1, 0]],
+                                        [[1.3e154, 1.3e154], [0, 1]]])
+    def test_huge_gate_is_not_unitary(self, matrix):
+        # |1e200|^2 once raised OverflowError instead of the verdict
+        with pytest.raises(ValueError, match="^gate 'g' is not unitary$"):
+            SingleQubitGate("g", matrix)
+
+    def test_unitary_gates_accepted(self):
+        h = 2**-0.5
+        for m in ([[0, 1j], [-1j, 0]], [[h, h], [1j * h, -1j * h]]):
+            assert SingleQubitGate("u", m).matrix == tuple(tuple(complex(x) for x in r) for r in m)
+
     def test_prune(self):
         st_ = SparseState.from_terms(2, {0: 1.0, 3: 1e-13})
         assert st_.num_terms == 1
