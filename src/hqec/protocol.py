@@ -414,7 +414,12 @@ def measured_syndrome(state: SparseState, code: StabilizerCode) -> tuple[int, ..
 
 def run_storage_protocol(code, amplitudes, key, injected_error=None, rng=None) -> StorageReport:
     """Encode, mask, optionally corrupt, correct on the masked register, and
-    unmask; refuses codes whose generators fail the masking criterion."""
+    unmask; refuses codes whose generators fail the masking criterion.
+
+    The amplitudes are normalized by unit_amplitudes, as in the T runners.
+    The mask U_enc(a,b) = (X^a Z^b)^n is one transversal Pauli for the key
+    bits a = key[0] & 1 and b = key[1] & 1, which the report gives as its
+    keys; the unmask is its adjoint times the correction, one Pauli."""
     if isinstance(code, str):
         code = builtin_code(code)
     compat = stabilizer_mask_check(code)
@@ -425,10 +430,12 @@ def run_storage_protocol(code, amplitudes, key, injected_error=None, rng=None) -
             f"anticommutes with a transversal mask component"
         )
     cs = logical_codewords(code)
-    c0, c1 = amplitudes
+    c0, c1 = unit_amplitudes(amplitudes)
     psi = combine(list(cs.basis), [c0, c1]).normalized()
-    keys = KeyRegister.uniform(code.n, key[0], key[1])
-    state = encrypt(psi, keys)
+    a, b = int(key[0]) & 1, int(key[1]) & 1
+    # -1 has every bit set; the constructor masks it to the n qubits
+    mask = PauliOperator(code.n, -a, -b, 0)
+    state = apply_pauli(psi, mask)
     if injected_error is not None:
         if isinstance(injected_error, str):
             injected_error = parse_pauli(injected_error)
@@ -437,11 +444,11 @@ def run_storage_protocol(code, amplitudes, key, injected_error=None, rng=None) -
     corr = decode_single_error(code, syn)
     if corr is None:
         raise ProtocolError(f"syndrome {syn} matches no weight-<=1 error")
-    state = apply_pauli(state, mask_pauli(keys).adjoint().multiply(corr))
+    state = apply_pauli(state, mask.adjoint().multiply(corr))
     fid = fidelity_up_to_phase(state, psi)
     return StorageReport(
         code.name,
-        (key[0], key[1]),
+        (a, b),
         None if injected_error is None else injected_error.to_string(),
         syn,
         corr.to_string(),

@@ -14,11 +14,16 @@ at most ``PRUNE_TOL`` counts as zero (such terms are pruned).  Squared norms
 are ``_weight`` sums, and ``unit_amplitudes`` normalizes a user's
 amplitudes without overflow or underflow.  No result depends
 on the Python version: sums of re*re + im*im are math.fsum sums, complex
-sums run in key order, and every factor is a Python complex (a float or int
+sums are explicit ``+=`` loops in key order (``sum()`` of floats is
+compensated since Python 3.12, so it would round differently across the
+supported versions), and every factor is a Python complex (a float or int
 factor multiplies differently on Python 3.14, in the signs of zero parts).
 ``inner`` and ``pauli_eigenvalues`` look keys up in a dict of the terms;
-``pauli_eigenvalues`` is the syndrome readout of ``protocol``.  ``codes``
-reads no state back: it checks its codewords on the operators alone.
+``pauli_eigenvalues`` is the syndrome readout of ``protocol``.  It reads a
+Z-only Pauli by the parity classes of the keys: when all keys share one
+parity, as in every eigenstate, the value is +-i^phase times the squared
+norm, with no per-term list.  ``codes`` reads no state back: it checks its
+codewords on the operators alone.
 
 ``teleport`` contracts a data qubit, a fresh Bell pair and the pair's
 rotated Bell measurement without building the joint register: an outcome
@@ -294,39 +299,55 @@ def pauli_eigenvalues(state: SparseState, paulis) -> tuple[tuple, tuple]:
     whether every term of P|psi> matches mu|psi> within TOL, where
     mu = value / <psi|psi>.  The zero state is no eigenstate.
 
-    P sends a|k> to its image term at k ^ x (_pauli_image), which is checked
-    against psi at k ^ x, looked up in a dict (a missing key counts as
-    amplitude 0).  A Z-only Pauli keeps every key: P|k> = +-i^phase |k> by
-    the parity of k & z, so the value is i^phase times a signed sum of the
-    weights |a|^2, and a term's squared residual is |a|^2 |+-i^phase - mu|^2,
-    largest at the largest weight of its parity.
+    P sends a|k> to its image term i^phase (-1)^popcount(k & z) a at k ^ x,
+    which is checked against psi at k ^ x, looked up in a dict (a missing key
+    counts as amplitude 0); the dict is built only when some P has an X part.
+
+    A Z-only Pauli keeps every key: P|k> = +-i^phase |k> by the parity of
+    k & z, so the value is i^phase times a signed sum of the weights |a|^2,
+    and a term's squared residual is |a|^2 |+-i^phase - mu|^2, largest at the
+    largest weight of its parity.  When every key has one parity (every
+    eigenstate, so every syndrome readout of a valid run), the signed sum is
+    +-norm2 and the other parity's largest weight is 0, so no per-term list
+    is built; both results equal the signed-weight path's bit for bit.
+    Mixed parities (no eigenstate) take the signed-weight path.
     """
     for p in paulis:
         if p.n != state.n:
             raise ValueError(f"dimension mismatch: operator on {p.n}, state on {state.n}")
-    weights = [a.real * a.real + a.imag * a.imag for a in state.amps]
+    keys, amps = state.keys, state.amps
+    weights = [a.real * a.real + a.imag * a.imag for a in amps]
     norm2 = math.fsum(weights)
     if not paulis or norm2 == 0:
         return (0j,) * len(paulis), (False,) * len(paulis)
-    lookup = dict(state.items())
+    top = max(weights)
+    lookup = dict(zip(keys, amps)) if any(p.x for p in paulis) else None
     values, eigen = [], []
     for p in paulis:
-        ph = p.phase_value()
-        if p.x:
-            target = [lookup.get(k ^ p.x, 0j) for k in state.keys]
-            image = _pauli_image(state, p)
+        x, z, ph = p.x, p.z, p.phase_value()
+        if x:
+            target = [lookup.get(k ^ x, 0j) for k in keys]
+            image = [a * _SIGNS[(k & z).bit_count() & 1] * ph for k, a in zip(keys, amps)]
             lam = 0j
             for t, y in zip(target, image):
                 lam += t.conjugate() * y
             mu = lam / norm2
-            eigen.append(all(abs(y - mu * t) <= TOL for t, y in zip(target, image)))
+            eigen.append(all([abs(y - mu * t) <= TOL for t, y in zip(target, image)]))
         else:
-            signed = [-w if (k & p.z).bit_count() & 1 else w for k, w in zip(state.keys, weights)]
-            lam = ph * complex(math.fsum(signed))
+            parities = {(k & z).bit_count() & 1 for k in keys}
+            if len(parities) == 1:
+                # the largest weight of the one parity present, 0 for the other
+                if parities.pop():
+                    lam, even, odd = ph * complex(-norm2), 0.0, top
+                else:
+                    lam, even, odd = ph * complex(norm2), top, 0.0
+            else:
+                signed = [-w if (k & z).bit_count() & 1 else w for k, w in zip(keys, weights)]
+                lam = ph * complex(math.fsum(signed))
+                even, odd = max(max(signed), 0.0), max(-min(signed), 0.0)
             mu = lam / norm2
             # the largest weight of each parity sets its largest residual
-            eigen.append(max(max(signed), 0.0) * abs(ph - mu) ** 2 <= TOL**2
-                         and max(-min(signed), 0.0) * abs(ph + mu) ** 2 <= TOL**2)
+            eigen.append(even * abs(ph - mu) ** 2 <= TOL**2 and odd * abs(ph + mu) ** 2 <= TOL**2)
         values.append(lam)
     return tuple(values), tuple(eigen)
 

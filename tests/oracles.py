@@ -5,7 +5,8 @@ so a sparse state and its dense counterpart agree entry-for-entry.
 
 Also here: routes that no runner or CLI verb takes, kept because tests
 compare the library against them (codeword enumeration, the eigenvalue
-readout that once checked the codewords, the CSS coset state, the
+readout that once checked the codewords, the signed-weight syndrome readout
+and the per-qubit-key storage runner, the CSS coset state, the
 state-level phase layer and projector, the even-support parity check, the
 code-file writer).
 """
@@ -17,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from hqec.codes import StabilizerCode, _zero_codeword, builtin_code, logical_codewords
+from hqec.codes import StabilizerCode, _zero_codeword, builtin_code, decode_single_error, logical_codewords
 from hqec.gf2 import ENUM_DIM_GUARD, ClassicalCode, GuardExceeded, parse_row
 from hqec.pauli import PauliOperator
 from hqec.protocol import (
@@ -25,10 +26,12 @@ from hqec.protocol import (
     CircuitRun,
     KeyRegister,
     ProtocolError,
+    StorageReport,
     Transcript,
     _key_rule,
     apply_plain_circuit,
     clifford_key_update,
+    encrypt,
     mask_pauli,
 )
 from hqec.states import (
@@ -40,16 +43,19 @@ from hqec.states import (
     SingleQubitGate,
     SparseState,
     _bell_basis_rows,
+    _pauli_image,
     _state,
     apply_pauli,
     apply_single,
     combine,
+    fidelity_up_to_phase,
     gate,
     inner,
     pauli_eigenvalues,
     swap_qubits,
     teleport,
     tensor,
+    unit_amplitudes,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -394,6 +400,71 @@ def readout_codeword_verdict(code) -> str | None:
     if abs(inner(zero, one)) > TOL:
         return f"{code.name}: logical basis states are not orthogonal"
     return None
+
+
+# ---------------------------------------------------------------------------
+# the signed-weight syndrome readout and the storage runner built on it: the
+# references that states.pauli_eigenvalues and run_storage_protocol must
+# equal bit for bit
+
+
+def signed_weight_eigenvalues(state: SparseState, paulis) -> tuple[tuple, tuple]:
+    """states.pauli_eigenvalues as it was before its single-parity path:
+    every Z-only Pauli builds the list of weights signed by parity, and the
+    key dict is built for every call."""
+    for p in paulis:
+        if p.n != state.n:
+            raise ValueError(f"dimension mismatch: operator on {p.n}, state on {state.n}")
+    weights = [a.real * a.real + a.imag * a.imag for a in state.amps]
+    norm2 = math.fsum(weights)
+    if not paulis or norm2 == 0:
+        return (0j,) * len(paulis), (False,) * len(paulis)
+    lookup = dict(state.items())
+    values, eigen = [], []
+    for p in paulis:
+        ph = p.phase_value()
+        if p.x:
+            target = [lookup.get(k ^ p.x, 0j) for k in state.keys]
+            image = _pauli_image(state, p)
+            lam = 0j
+            for t, y in zip(target, image):
+                lam += t.conjugate() * y
+            mu = lam / norm2
+            eigen.append(all(abs(y - mu * t) <= TOL for t, y in zip(target, image)))
+        else:
+            signed = [-w if (k & p.z).bit_count() & 1 else w for k, w in zip(state.keys, weights)]
+            lam = ph * complex(math.fsum(signed))
+            mu = lam / norm2
+            eigen.append(max(max(signed), 0.0) * abs(ph - mu) ** 2 <= TOL**2
+                         and max(-min(signed), 0.0) * abs(ph + mu) ** 2 <= TOL**2)
+        values.append(lam)
+    return tuple(values), tuple(eigen)
+
+
+def keyed_storage(name: str, amplitudes, key, injected_error=None) -> StorageReport:
+    """The masked storage round trip with a per-qubit key register: encrypt
+    with mask_pauli of the uniform KeyRegister, read the syndrome with
+    signed_weight_eigenvalues, decode, and unmask with the mask's adjoint
+    times the correction.  Takes a mask-compatible builtin code."""
+    code = builtin_code(name)
+    c0, c1 = unit_amplitudes(amplitudes)
+    psi = combine(list(logical_codewords(code).basis), [c0, c1]).normalized()
+    keys = KeyRegister.uniform(code.n, key[0], key[1])
+    state = encrypt(psi, keys)
+    if injected_error is not None:
+        state = apply_pauli(state, injected_error)
+    syn = []
+    vals, eigen = signed_weight_eigenvalues(state, code.generators)
+    for g, val, ok in zip(code.generators, vals, eigen):
+        if not ok or abs(abs(val.real) - 1) > TOL:
+            raise ProtocolError(f"state is not an eigenstate of {g}")
+        syn.append(0 if val.real > 0 else 1)
+    corr = decode_single_error(code, tuple(syn))
+    state = apply_pauli(state, mask_pauli(keys).adjoint().multiply(corr))
+    return StorageReport(
+        code.name, keys.pair(1), None if injected_error is None else injected_error.to_string(),
+        tuple(syn), corr.to_string(), fidelity_up_to_phase(state, psi), final_state=state,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -646,18 +646,40 @@ class TestStorage:
         ],
     )
     def test_all_compatible_codes_round_trip(self, name, kinds):
-        from hqec.codes import builtin_code
-        from hqec.pauli import PauliOperator
-
+        # against oracles.keyed_storage (a per-qubit KeyRegister, encrypt,
+        # mask_pauli and the signed-weight readout): the same final keys and
+        # amplitudes bit for bit, and the same report
         n = builtin_code(name).n
-        for a in (0, 1):
-            for b in (0, 1):
-                errors = [None] + [
-                    PauliOperator.single(n, q, k) for q in range(1, n + 1) for k in kinds
-                ]
+        errors = [None] + [PauliOperator.single(n, q, k) for q in range(1, n + 1) for k in kinds]
+        for amps in ((0.6, 0.8j), (1.5 - 2j, 0.25j)):
+            for key in ((0, 0), (0, 1), (1, 0), (1, 1)):
                 for err in errors:
-                    rep = run_storage_protocol(name, (0.6, 0.8j), (a, b), err, SplitMix64(2))
-                    assert rep.fidelity >= 1 - 1e-10, (name, (a, b), err)
+                    rep = run_storage_protocol(name, amps, key, err, SplitMix64(2))
+                    assert rep.fidelity >= 1 - 1e-10, (name, key, err)
+                    want = oracles.keyed_storage(name, amps, key, err)
+                    assert state_bytes(rep.final_state) == state_bytes(want.final_state), (name, key, err)
+                    assert rep.as_dict() == want.as_dict(), (name, key, err)
+
+
+class TestStorageInputs:
+    def test_reports_the_key_bits_it_used(self):
+        rep = run_storage_protocol("bit_flip", (0.6, 0.8), (3, 2), "IXI")
+        assert rep.keys == (1, 0) and rep.as_dict()["keys"] == [1, 0]
+        same = run_storage_protocol("bit_flip", (0.6, 0.8), (1, 0), "IXI")
+        assert state_bytes(rep.final_state) == state_bytes(same.final_state)
+
+    @pytest.mark.parametrize("amps", [(1e308, 1e308), (1e-320, 0), (-1e-300j, 1e-300)])
+    def test_extreme_amplitudes_recover(self, amps):
+        rep = run_storage_protocol("bit_flip", amps, (1, 1), "IXI")
+        assert rep.recovered and rep.syndrome == (1, 1)
+        c0, c1 = states.unit_amplitudes(amps)
+        zero, one = cached_code_space("bit_flip").basis
+        assert fidelity_up_to_phase(rep.final_state, combine([zero, one], [c0, c1])) >= 1 - 1e-10
+
+    @pytest.mark.parametrize("amps", [(float("nan"), 1), (float("inf"), 0), (0, 0)])
+    def test_bad_amplitudes_raise(self, amps):
+        with pytest.raises(ValueError, match="^amplitudes must be finite and not all zero$"):
+            run_storage_protocol("bit_flip", amps, (0, 0), None)
 
 
 class TestMeasuredSyndrome:

@@ -45,6 +45,7 @@ from oracles import (
     random_dense_state,
     random_pauli,
     rotated_bell_measure,
+    signed_weight_eigenvalues,
     sparse_of,
     state_bytes,
     vacuum,
@@ -811,3 +812,63 @@ class TestPauliEigenvalues:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch: operator on 3, state on 2"):
             pauli_eigenvalues(basis_state(2, 0), [parse_pauli("ZZ"), parse_pauli("ZZZ")])
+
+
+def _readout_bits(values, eigen):
+    """Each value as the reprs of its real and imaginary parts, so that
+    signed zeros count, next to its eigen flag."""
+    return [(repr(v.real), repr(v.imag), ok) for v, ok in zip(values, eigen)]
+
+
+class TestPauliEigenvaluesAgainstSignedWeights:
+    """pauli_eigenvalues equals the signed-weight readout it replaced
+    (oracles.signed_weight_eigenvalues) bit for bit, on eigenstates of Z-only
+    Paulis (one parity class), on mixed parities, and on eigenstates of
+    Paulis with X parts (eigenvalues +-1 and +-i)."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_for_bit(self, data):
+        n = data.draw(st.sampled_from([1, 2, 3, 5, 64]), label="n")
+        keys = data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=8), label="keys")
+        if n == 64 and data.draw(st.booleans(), label="bit 63 set"):
+            keys = {k | 1 << 63 for k in keys}
+        z = data.draw(st.integers(0, (1 << n) - 1), label="z")
+        kind = data.draw(st.sampled_from(["one parity", "any", "X-part eigenstate"]), label="kind")
+        if kind == "one parity":
+            # the keys of min(keys)'s parity under z: one term or more
+            parity = (min(keys) & z).bit_count() & 1
+            keys = {k for k in keys if (k & z).bit_count() & 1 == parity}
+        amps = data.draw(st.lists(_AMP, min_size=len(keys), max_size=len(keys)), label="amps")
+        terms = dict(zip(sorted(keys), amps))
+        base = _random_pauli_n(data, n, "P0")
+        if kind == "X-part eigenstate":
+            base = PauliOperator(n, base.x | 1, base.z, base.phase)
+            # psi + P psi / mu is an eigenstate of P with eigenvalue mu, mu^2 = P^2
+            mu = np.sqrt(complex(base.multiply(base).phase_value())) * data.draw(
+                st.sampled_from([1, -1]), label="sign")
+            image = pauli_image_terms(base, terms)
+            terms = {k: terms.get(k, 0) + image.get(k, 0) / mu for k in set(terms) | set(image)}
+            terms = {k: a for k, a in terms.items() if abs(a) > 1e-6}
+            assume(terms)
+        state = SparseState.from_terms(n, terms)
+        paulis = [PauliOperator(n, 0, z, j) for j in range(4)] + [PauliOperator.identity(n)]
+        paulis += [PauliOperator(n, base.x, base.z, base.phase + j) for j in range(4)]
+        paulis += [_random_pauli_n(data, n, f"P{i}") for i in range(data.draw(st.integers(0, 4)))]
+        for ps in (paulis, paulis[:5]):  # the second with no X part: no key dict
+            got = _readout_bits(*pauli_eigenvalues(state, ps))
+            assert got == _readout_bits(*signed_weight_eigenvalues(state, ps))
+        if kind == "one parity":
+            assert all(_readout_bits(*pauli_eigenvalues(state, paulis[:5]))[j][2] for j in range(5))
+
+    def test_one_term_and_each_parity(self):
+        # one term; then every key even, and every key odd, under ZZZ
+        one = SparseState.from_terms(3, {0b101: -0.0 + 0.5j})
+        even = SparseState.from_terms(3, {0b000: 0.1, 0b011: -0.2j, 0b101: 0.3 - 0.4j})
+        odd = SparseState.from_terms(3, {0b001: 0.3 - 0.4j, 0b010: -0.2j, 0b111: 0.1})
+        ops = [parse_pauli(t) for t in ("ZZZ", "-ZZZ", "iZZZ", "-iZZZ", "ZII", "XXI", "IYY")]
+        for state in (one, even, odd, even.normalized(), odd.normalized()):
+            got = pauli_eigenvalues(state, ops)
+            assert _readout_bits(*got) == _readout_bits(*signed_weight_eigenvalues(state, ops))
+            assert got[1][:4] == (True,) * 4 and got[1][4] == (state is one)
+        assert pauli_eigenvalues(odd.normalized(), ops[:4])[0] == (-1, 1, -1j, 1j)
