@@ -64,7 +64,6 @@ _EXPORTS = {
         "fidelity_up_to_phase",
         "gate",
         "swap_qubits",
-        "teleport",
         "tensor",
     ),
 }

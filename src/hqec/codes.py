@@ -97,59 +97,69 @@ def _reduce_tracked(vec: int, pauli: PauliOperator, basis: list):
 
 
 def validate_code(code: StabilizerCode) -> ValidationReport:
-    """Report every violated code invariant; an empty report means valid."""
+    """Report every violated code invariant; an empty report means valid.
+    p and q anticommute iff vec(p) & dual(q) has odd weight, for vec(p) =
+    x | z << w, dual(p) = z | x << w and a width w no operator exceeds."""
     v: list[str] = []
-    gens = code.generators
+    n, gens = code.n, code.generators
+    w = max([n] + [p.n for p in gens + code.logical_x + code.logical_z])
+    vecs = [g.x | g.z << w for g in gens]
+    duals = [g.z | g.x << w for g in gens]
     for i, g in enumerate(gens):
-        if g.n != code.n:
-            v.append(f"generator {i + 1} acts on {g.n} qubits, expected {code.n}")
+        if g.n != n:
+            v.append(f"generator {i + 1} acts on {g.n} qubits, expected {n}")
         if not _hermitian(g):
             v.append(f"generator {i + 1} ({g}) is not Hermitian")
-    if len(gens) != code.n - code.k:
-        v.append(f"expected {code.n - code.k} generators, got {len(gens)}")
-    for i in range(len(gens)):
+    if len(gens) != n - code.k:
+        v.append(f"expected {n - code.k} generators, got {len(gens)}")
+    for i, g in enumerate(gens):
         for j in range(i + 1, len(gens)):
-            if gens[i].n == gens[j].n and not gens[i].commutes(gens[j]):
-                v.append(f"generators {i + 1} ({gens[i]}) and {j + 1} ({gens[j]}) anticommute")
+            if g.n == gens[j].n and (vecs[i] & duals[j]).bit_count() & 1:
+                v.append(f"generators {i + 1} ({g}) and {j + 1} ({gens[j]}) anticommute")
 
+    # x bits below z bits: the pivots and the reduction are _sympl_vec's
     basis: list = []
     for i, g in enumerate(gens):
-        if g.n != code.n:
+        if g.n != n:
             continue
-        vec, prod = _reduce_tracked(_sympl_vec(g, code.n), g, basis)
-        if vec == 0:
+        r, prod = _reduce_tracked(vecs[i], g, basis)
+        if r == 0:
             # prod is g times a product of earlier generators, equal to a phase
             if prod.phase == 0:
                 v.append(f"generator {i + 1} ({g}) is dependent on earlier generators")
             else:
                 v.append(f"-I is in the group generated (via generator {i + 1})")
         else:
-            basis.append((vec, prod))
+            basis.append((r, prod))
 
     if len(code.logical_x) != code.k or len(code.logical_z) != code.k:
         v.append(f"expected {code.k} logical X and Z operators")
     for label, ops in (("X", code.logical_x), ("Z", code.logical_z)):
         for j, p in enumerate(ops):
-            if p.n != code.n:
-                v.append(f"logical {label}[{j + 1}] acts on {p.n} qubits, expected {code.n}")
+            if p.n != n:
+                v.append(f"logical {label}[{j + 1}] acts on {p.n} qubits, expected {n}")
                 continue
+            r = p.x | p.z << w
             for i, g in enumerate(gens):
-                if g.n == code.n and not p.commutes(g):
+                if g.n == n and (r & duals[i]).bit_count() & 1:
                     v.append(f"logical {label}[{j + 1}] anticommutes with generator {i + 1}")
-            vec, _ = _reduce_tracked(_sympl_vec(p, code.n), PauliOperator.identity(code.n), basis)
-            if vec == 0:
+            for row, _ in basis:
+                if r & row & -row:
+                    r ^= row
+            if r == 0:
                 v.append(f"logical {label}[{j + 1}] lies in the stabilizer group")
     for j, xj in enumerate(code.logical_x):
         for l, zl in enumerate(code.logical_z):
-            if xj.n != code.n or zl.n != code.n:
+            if xj.n != n or zl.n != n:
                 continue
-            if (j == l) == xj.commutes(zl):
+            if (j == l) != ((xj.x | xj.z << w) & (zl.z | zl.x << w)).bit_count() & 1:
                 want = "anticommute" if j == l else "commute"
                 v.append(f"logical X[{j + 1}] and Z[{l + 1}] must {want}")
     for label, ops in (("X", code.logical_x), ("Z", code.logical_z)):
         for j in range(len(ops)):
             for l in range(j + 1, len(ops)):
-                if ops[j].n == code.n and ops[l].n == code.n and not ops[j].commutes(ops[l]):
+                a, b = ops[j], ops[l]
+                if a.n == n and b.n == n and ((a.x | a.z << w) & (b.z | b.x << w)).bit_count() & 1:
                     v.append(f"logical {label}[{j + 1}] and {label}[{l + 1}] anticommute")
     return ValidationReport(code.name, tuple(v))
 

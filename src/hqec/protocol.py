@@ -14,15 +14,15 @@ Conventions shared by all runners:
   measurement outcomes fold in as a -> a^r_a and b -> b ^ (a ^ r_b) with
   the pre-update a.  The other reading of that update breaks the round
   trip (see the negative test in the suite).
-* run_circuit is the one T gadget: one states.teleport call applies the
-  T or Td gate and teleports the data qubit through a fresh Bell pair
-  measured at once, never building the data-plus-pair register.  Measured
-  qubits are never touched again, so this equals keeping every pair until
-  the end.  Z, S and Sd gates are deferred and run as one phase pass
-  (states.apply_phases) before the next other gate, T gadget or the final
-  correction; their key rules and transcript events stay per gate.  The
-  transcript lists the server's events before the client's, with pair i at
-  the positions n+2i-1, n+2i it would hold if every pair were kept.
+* Both T runners go through one primitive: a states.MonomialLayer
+  collects each run of Z, S, Sd gates and T gadgets (a T or Td gate and the
+  teleportation of its qubit through a fresh Bell pair measured at once),
+  and states.apply_monomial applies the run in one pass before the next X,
+  H, CNOT or the final correction.  Measured qubits are never touched
+  again, so this equals keeping every pair until the end.  Key rules,
+  sampling and transcript events stay per gate; the server's events come
+  before the client's, with pair i at the positions n+2i-1, n+2i it would
+  hold if every pair were kept.
 """
 
 from __future__ import annotations
@@ -50,20 +50,19 @@ from .compat import (
 )
 from .pauli import PauliOperator, parse_pauli
 from .states import (
-    IDENTITY,
     TOL,
+    MonomialLayer,
     SparseState,
     _weight,
     apply_cnot,
+    apply_monomial,
     apply_pauli,
-    apply_phases,
     apply_single,
     combine,
     fidelity_up_to_phase,
     gate,
     inner,
     pauli_eigenvalues,
-    teleport,
     unit_amplitudes,
 )
 
@@ -212,15 +211,15 @@ def clifford_key_update(g: CircuitGate, keys: KeyRegister) -> KeyRegister:
 
 # rotated-basis choice for (gadget kind, key bit a): S^a for T, Sd^a for Td
 _ROTATIONS = {
-    ("T", 0): (IDENTITY, "S^0"),
-    ("T", 1): (gate("S"), "S^1"),
-    ("Td", 0): (IDENTITY, "Sd^0"),
-    ("Td", 1): (gate("Sd"), "Sd^1"),
+    ("T", 0): ("I", "S^0"),
+    ("T", 1): ("S", "S^1"),
+    ("Td", 0): ("I", "Sd^0"),
+    ("Td", 1): ("Sd", "Sd^1"),
 }
 
 
-# Z, S and Sd as the power of i they put on |1>, deferred by run_circuit
-_PHASE_POWERS = {"Z": 2, "S": 1, "Sd": 3}
+# the power of omega = exp(i pi/4) that Z, S, Sd, T and Td put on |1>
+_OMEGA_EXPONENTS = {"Z": 4, "S": 2, "Sd": 6, "T": 1, "Td": 7}
 
 
 class CircuitRun(NamedTuple):
@@ -235,18 +234,17 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitR
     """Evaluate a Clifford+T circuit on the encrypted register and decrypt
     it, in one pass over the gates.
 
-    A Clifford gate's key rule is replayed on the keys.  Z, S and Sd gates
-    only add to a pending power of i on their qubit; the pending layer is
-    applied as one phase pass before any other gate, T gadget or the final
-    correction, which equals applying them one by one.  A T/Td gate is
-    applied inside the teleportation of its data qubit through a Bell pair
-    measured in the rotated basis that the qubit's current key (a, b)
-    selects; the outcome folds in as a -> a ^ r_a and b -> b ^ (a ^ r_b),
-    with the pre-update a in both.  Forced outcomes, exactly one per T/Td
-    gate in order, replace sampling; a wrong count raises ValueError before
-    any gate runs.  The final Pauli correction undoes the remaining mask.
-    The peaks count the data-plus-pair register that each teleportation
-    stands for.
+    A Clifford gate's key rule is replayed on the keys.  Z, S, Sd gates and
+    T/Td gadgets join the pending MonomialLayer, which apply_monomial runs
+    as one pass before any X, H or CNOT and before the final correction.  A
+    T/Td gate is applied inside the teleportation of its data qubit through
+    a Bell pair measured in the rotated basis that the qubit's current key
+    (a, b) selects; its outcome is sampled when the gadget joins the layer
+    and folds in as a -> a ^ r_a and b -> b ^ (a ^ r_b), with the pre-update
+    a in both.  Forced outcomes, exactly one per T/Td gate in order, replace
+    sampling; a wrong count raises ValueError before any gate runs.  The
+    final Pauli correction undoes the remaining mask.  The peaks count the
+    data-plus-pair register that each teleportation stands for.
     """
     n = len(keys)
     if n != enc_state.n:
@@ -257,7 +255,7 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitR
         if t != len(forced):
             raise ValueError(f"circuit needs {t} forced outcome pairs, got {len(forced)}")
     cur = list(keys.pairs)
-    pending = [0] * n
+    layer = MonomialLayer(n)
     state = enc_state
     server, client, outcomes = [], [], []
     max_qubits, max_terms = state.n, state.num_terms
@@ -266,15 +264,13 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitR
         for q in qubits:
             if not 1 <= q <= n:
                 raise ValueError(f"qubit {q} out of range 1..{n}")
-        if kind in _PHASE_POWERS:
-            (q,) = qubits
-            pending[q - 1] = (pending[q - 1] + _PHASE_POWERS[kind]) & 3
-        else:
-            if any(pending):
-                state = apply_phases(state, pending)
-                pending = [0] * n
-            if g.is_clifford:
-                state = apply_plain_circuit(state, (g,))
+        if kind in ("Z", "S", "Sd"):
+            layer.phase(qubits[0], _OMEGA_EXPONENTS[kind])
+        elif g.is_clifford:
+            if layer.pending:
+                state = apply_monomial(state, layer)
+                layer = MonomialLayer(n)
+            state = apply_plain_circuit(state, (g,))
         if g.is_clifford:
             server.append({"kind": "gate", "gate": kind, "qubits": list(qubits)})
             if kind not in ("X", "Z"):
@@ -297,7 +293,7 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitR
         pick = None if forced is None else forced[i - 1]
         a, b = cur[w - 1]
         rotation, label = _ROTATIONS[kind, a]
-        outcome, state = teleport(state, w, rotation, rng, pick, gate(kind))
+        outcome = layer.gadget(state, w, rotation, _OMEGA_EXPONENTS[kind], rng, pick)
         r_a, r_b = outcome
         cur[w - 1] = new = (a ^ r_a, b ^ (a ^ r_b))
         outcomes.append(outcome)
@@ -306,8 +302,8 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitR
              "forced": pick is not None},
             {"kind": "key_update", "qubit": w, "old": [a, b], "new": list(new)},
         ]
-    if any(pending):
-        state = apply_phases(state, pending)
+    if layer.pending:
+        state = apply_monomial(state, layer)
     final = KeyRegister(tuple(cur))
     correction = mask_pauli(final).adjoint()
     client += [
@@ -494,8 +490,9 @@ def run_transversal_t_protocol(amplitudes, key, rng, forced_outcomes=None) -> Tr
     """Transversal T on the masked [[15,1,3]] block through run_circuit: T on
     every qubit, each teleported to strip its S-type byproduct, then the
     diagonal logical Clifford correction realized as transversal Sd and Z.
-    Each pair is measured before the next is tensored in, so the 45-qubit
-    joint register is never materialized."""
+    All of it is one monomial layer: the 15 gadgets sample their outcomes in
+    gate order, and one apply_monomial pass applies the gates, so neither
+    the 45-qubit joint register nor any state between gadgets is built."""
     code = builtin_code("rm15")
     cs = logical_codewords(code)
     corr = clifford_correction_for_t(cs)
@@ -546,9 +543,9 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
 
     The measurement reads the masked block chi only through its code-space
     amplitudes x_i = <i_L|chi>, and each Bell block adds |j_L>/sqrt2, so it
-    is states.teleport of the one-qubit register (x0, x1) in the basis that
-    S^a selects; the kept amplitudes (y0, y1) give y0|0_L> + y1|1_L>.  The
-    27-qubit register and the 18-qubit Bell block are never built.
+    is run_circuit's T gadget, without its T, on the one-qubit register
+    (x0, x1) in the basis that S^a selects; the kept amplitudes (y0, y1) give
+    y0|0_L> + y1|1_L>.  The 27-qubit register and Bell block are never built.
     """
     code = builtin_code("shor")
     cs = logical_codewords(code)
@@ -572,7 +569,9 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
     if abs(total - 1) > TOL:
         raise ProtocolError(f"logical Bell measurement probabilities sum to {total}")
     logical = SparseState(1, (0, 1), x)
-    outcome, logical = teleport(logical, 1, _ROTATIONS["T", a][0], rng, forced_outcome)
+    layer = MonomialLayer(1)
+    outcome = layer.gadget(logical, 1, _ROTATIONS["T", a][0], 0, rng, forced_outcome)
+    logical = apply_monomial(logical, layer)
     state = combine([zero, one], [logical.amplitude(0), logical.amplitude(1)])
 
     r_a, r_b = outcome

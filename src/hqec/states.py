@@ -25,11 +25,12 @@ parity, as in every eigenstate, the value is +-i^phase times the squared
 norm, with no per-term list.  ``codes`` reads no state back: it checks its
 codewords on the operators alone.
 
-``teleport`` contracts a data qubit, a fresh Bell pair and the pair's
-rotated Bell measurement without building the joint register: an outcome
-sends each term to one key, so the collapse is one gather and the four
-probabilities are one sum.  ``apply_phases`` runs a layer of Z, S and Sd
-gates on many qubits as one phase pass.
+A T gadget (T or Td on a data qubit, teleported through a fresh Bell pair
+measured at once in a rotated basis) is monomial, as Z, S and Sd are: its
+outcome, of weight 1/4 each, flips the qubit's bit or not and multiplies by
+omega^m from a small table, so no joint register is built.  A
+``MonomialLayer`` collects a run of these gates as a key flip and omega-
+exponents, and ``apply_monomial`` applies the run in one pass.
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ TERM_GUARD = 1 << 22
 _R2 = 1.0 / math.sqrt(2.0)
 _SQ2 = complex(_R2)
 _SIGNS = (1 + 0j, -1 + 0j)  # (-1)^parity
-_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
+# omega^j for omega = exp(i pi/4); the even powers are the exact units
+_OMEGA_POWERS = (1 + 0j, complex(_R2, _R2), 1j, complex(-_R2, _R2),
+                 -1 + 0j, complex(-_R2, -_R2), -1j, complex(_R2, -_R2))
 _GATE_MATRICES = {
     "X": ((0j, 1 + 0j), (1 + 0j, 0j)),
     "Z": ((1 + 0j, 0j), (0j, -1 + 0j)),
@@ -82,7 +85,6 @@ class SingleQubitGate:
 
 
 _GATES = {label: SingleQubitGate(label, m) for label, m in _GATE_MATRICES.items()}
-IDENTITY = SingleQubitGate("I", ((1, 0), (0, 1)))
 
 
 def gate(label: str) -> SingleQubitGate:
@@ -253,22 +255,6 @@ def apply_single(state: SparseState, g: SingleQubitGate, qubit: int) -> SparseSt
     return _state(state.n, *_coalesce(keys2, amps2))
 
 
-def apply_phases(state: SparseState, powers) -> SparseState:
-    """The diagonal layer diag(1, i^powers[q-1]) on every qubit q in one pass:
-    each term |k> is multiplied by i^(sum of powers[q-1] * bit q of k), with
-    the exponent read by bit_count from two qubit masks (its 1s and 2s).
-    Every factor is an exact unit, so for amplitudes without zero real or
-    imaginary parts this equals applying the Z (power 2), S (1) and Sd (3)
-    gates one by one, bit for bit."""
-    if len(powers) != state.n:
-        raise ValueError(f"{len(powers)} phase powers for {state.n} qubits")
-    ones = sum(1 << q for q, k in enumerate(powers) if k & 1)
-    twos = sum(1 << q for q, k in enumerate(powers) if k & 2)
-    amps = [a * _I_POWERS[((k & ones).bit_count() + 2 * (k & twos).bit_count()) & 3]
-            for k, a in state.items()]
-    return _state(state.n, state.keys, tuple(amps))
-
-
 def apply_cnot(state: SparseState, control: int, target: int) -> SparseState:
     state._check_qubit(control)
     state._check_qubit(target)
@@ -374,108 +360,109 @@ def tensor(a: SparseState, b: SparseState) -> SparseState:
     return _state(n, keys, tuple([y * x for y in b.amps for x in a.amps]))
 
 
-_BELL_PAIR = _state(2, (0b00, 0b11), (_SQ2, _SQ2))
 _OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
+# (flip, m0, m1) of outcome (a, b) = _OUTCOMES[i] of a T gadget's rotated
+# Bell measurement in the basis (U^dag Z^b X^a (x) I)|Phi>, U = I, S or Sd:
+# data bit d moves to the key bit d ^ flip, and the entry it meets in the
+# outcome's basis row is omega^(m_d)/sqrt2
+_GADGET_EXPONENTS = {
+    "I": ((0, 0, 0), (0, 0, 4), (1, 0, 0), (1, 0, 4)),
+    "S": ((0, 0, 2), (0, 0, 6), (1, 0, 2), (1, 0, 6)),
+    "Sd": ((0, 0, 6), (0, 0, 2), (1, 0, 6), (1, 0, 2)),
+}
 
 
-def _bell_basis_rows(rotation) -> tuple:
-    """Row i: the conjugated basis vector (U^dag Z^b X^a (x) I)|Phi> of
-    outcome (a, b) = _OUTCOMES[i], at index b1 + 2*b2 (b1 the bit of the
-    first measured qubit), for the 2x2 matrix `rotation` of U.  Entry
-    b1 + 2*b2 is M[b1, b2]/sqrt2, and column j of M = U^dag Z^b X^a is
-    (-1)^(b*(j^a)) times column j^a of U^dag, which is exact; adding 0j
-    clears negative zeros."""
-    rows = []
-    for a, b in _OUTCOMES:
-        # M[r][j] = U^dag[r][j ^ a] * (-1)^(b*(j ^ a)), U^dag[r][c] = conj(U[c][r])
-        m = [[rotation[j ^ a][r].conjugate() * _SIGNS[b & (j ^ a)] for j in (0, 1)] for r in (0, 1)]
-        rows.append(tuple((m[b1][b2] * _SQ2 + 0j).conjugate() for b2 in (0, 1) for b1 in (0, 1)))
-    return tuple(rows)
+class MonomialLayer:
+    """A pending run of Z, S, Sd gates and T gadgets on n qubits, as one
+    monomial map: |k> goes to |k ^ flip> times omega^(c0 + sum_q coeffs[q-1]
+    * bit q of k), with the bits of k as the run found them, over sqrt(norm2)
+    once a gadget has run (norm2: the squared norm of the run's input)."""
+
+    __slots__ = ("n", "flip", "c0", "coeffs", "norm2")
+
+    def __init__(self, n: int):
+        self.n, self.flip, self.c0, self.coeffs, self.norm2 = n, 0, 0, [0] * n, None
+
+    @property
+    def pending(self) -> bool:
+        return self.norm2 is not None or any(c & 7 for c in self.coeffs)
+
+    def phase(self, qubit: int, c: int):
+        """diag(1, omega^c) on `qubit`: where the run has flipped its bit,
+        omega^(c * (1 - bit)) = omega^c * omega^(-c * bit)."""
+        if self.flip >> (qubit - 1) & 1:
+            self.c0 += c
+            c = -c
+        self.coeffs[qubit - 1] += c
+
+    def gadget(self, state: SparseState, qubit: int, rotation: str, t: int, rng, forced=None):
+        """One T gadget on `qubit` of the run's input `state`: diag(1,
+        omega^t) (t = 1 for T, 7 for Td, 0 for none), then the teleportation
+        of the qubit through a fresh Bell pair measured in the basis that
+        rotation I, S or Sd selects.  Returns the outcome (r_a, r_b), drawn
+        by one choice_weighted call unless `forced`.  Every outcome weighs
+        norm2/4 at the run's first gadget and 1/4 after it, since gadgets
+        keep the norm.  The checks, in order: the (n+2)-qubit cap and the
+        term guard of the register a tensored-in pair would make, the qubit
+        range, a zero weight, a malformed forced outcome, a zero-probability
+        outcome."""
+        n = state.n
+        if n + 2 > MAX_STATE_QUBITS:
+            raise ValueError(f"tensor result on {n + 2} qubits exceeds the {MAX_STATE_QUBITS}-qubit cap")
+        if 2 * state.num_terms > TERM_GUARD:
+            raise ValueError("tensor result exceeds the term-count guard")
+        state._check_qubit(qubit)
+        norm2 = _weight(state.amps) if self.norm2 is None else self.norm2
+        p = norm2 / 4 if self.norm2 is None else 0.25
+        if 4 * p < PRUNE_TOL:
+            raise ValueError("measurement on a zero-weight state")
+        if forced is None:
+            idx = rng.choice_weighted([p] * 4)
+        else:
+            try:
+                idx = _OUTCOMES.index(tuple(forced))
+            except (TypeError, ValueError):
+                raise ValueError(f"forced outcome must be a pair of bits, got {forced!r}") from None
+        outcome = _OUTCOMES[idx]
+        if p < PRUNE_TOL:
+            raise ValueError(f"outcome {outcome} has zero probability")
+        self.norm2 = norm2
+        flip, m0, m1 = _GADGET_EXPONENTS[rotation][idx]
+        self.c0 += m0
+        self.phase(qubit, t + m1 - m0)
+        self.flip ^= flip << (qubit - 1)
+        return outcome
 
 
-def _bell_gather(rotation: SingleQubitGate):
-    """(flips, entries, zeros) from _bell_basis_rows: outcome i sends data
-    bit d to pair bit e = d ^ flips[i], times entries[i][d] (column d + 2e);
-    zeros[i][d] is the entry its partner meets there (column 1 - d + 2e).
-    Raises unless the rotation is diagonal or antidiagonal."""
-    rows = _bell_basis_rows(rotation.matrix)
-    flips = tuple(int(r[2] != 0) for r in rows)
-    entries = tuple((r[2], r[1]) if f else (r[0], r[3]) for r, f in zip(rows, flips))
-    zeros = tuple((r[3], r[0]) if f else (r[1], r[2]) for r, f in zip(rows, flips))
-    if sum(x != 0 for e in entries for x in e) != 8 or sum(x != 0 for r in rows for x in r) != 8:
-        raise ValueError(f"teleport takes a diagonal or antidiagonal rotation, got {rotation.label!r}")
-    return flips, entries, zeros
+def _unit_factors(norm2: float | None) -> tuple:
+    """omega^j for j = 0..7, divided by sqrt(norm2) when norm2 is given."""
+    if norm2 is None:
+        return _OMEGA_POWERS
+    s, r = math.sqrt(1.0 / norm2), math.sqrt(0.5 / norm2)
+    return (complex(s, 0.0), complex(r, r), complex(0.0, s), complex(-r, r),
+            complex(-s, 0.0), complex(-r, -r), complex(0.0, -s), complex(r, -r))
 
 
-# the rotations the T gadgets use (I, S and Sd), keyed by their matrices
-_BELL_GATHERS = {g.matrix: _bell_gather(g) for g in (IDENTITY, _GATES["S"], _GATES["Sd"])}
-
-
-def teleport(state: SparseState, qubit: int, rotation: SingleQubitGate, rng, forced=None,
-             diagonal: SingleQubitGate | None = None):
-    """Teleport `qubit` through a fresh Bell pair measured in the basis
-    (U^dag Z^b X^a (x) I)|Phi>: tensor(state, _BELL_PAIR), swap_qubits(qubit,
-    n+1) and a measurement of the pair (n+1, n+2), without the joint
-    register.  Returns ((r_a, r_b), the collapsed n-qubit state); `forced`
-    replaces sampling.  U must be diagonal or antidiagonal: an outcome then
-    sends term k to k or k ^ mask alone, with the same |amp| for every
-    outcome, so the collapse is one gather and the four probabilities are
-    one sum.  All of it equals the joint register's sort-and-sum bit for bit.
-
-    `diagonal`, a T gadget's T or Td, is applied to `qubit` first, by the
-    product apply_single uses, so the result equals teleport(apply_single(
-    state, diagonal, qubit), ...) bit for bit; a non-diagonal gate raises."""
-    if diagonal is not None and (diagonal.matrix[0][1] != 0 or diagonal.matrix[1][0] != 0):
-        raise ValueError(f"teleport takes a diagonal gate, got {diagonal.label!r}")
-    flips, entries, zeros = _BELL_GATHERS.get(rotation.matrix) or _bell_gather(rotation)
-    n = state.n
-    if n + 2 > MAX_STATE_QUBITS:
-        raise ValueError(f"tensor result on {n + 2} qubits exceeds the {MAX_STATE_QUBITS}-qubit cap")
-    if 2 * state.num_terms > TERM_GUARD:
-        raise ValueError("tensor result exceeds the term-count guard")
-    state._check_qubit(qubit)
-    if state.num_terms == 0:
-        raise ValueError("measurement on a zero-weight state")
-
-    keys = state.keys
-    mask = 1 << (qubit - 1)
-    bits = [(k >> (qubit - 1)) & 1 for k in keys]
-    amps = state.amps
-    if diagonal is not None:
-        d = (diagonal.matrix[0][0], diagonal.matrix[1][1])
-        amps = [a * d[b] for a, b in zip(amps, bits)]
-    half = _BELL_PAIR.amps[0]
-    amps = [half * a for a in amps]
-    kept = [abs(a * entries[0][b]) > PRUNE_TOL for a, b in zip(amps, bits)]
-    p = _weight([a * entries[0][b] for a, b, k in zip(amps, bits, kept) if k])
-    probs = [p] * 4
-    if 4 * p < PRUNE_TOL:
-        raise ValueError("measurement on a zero-weight state")
-
-    if forced is None:
-        idx = rng.choice_weighted(probs)
-    else:
-        try:
-            idx = _OUTCOMES.index(tuple(forced))
-        except (TypeError, ValueError):
-            raise ValueError(f"forced outcome must be a pair of bits, got {forced!r}") from None
-    outcome = _OUTCOMES[idx]
-    if p < PRUNE_TOL:
-        raise ValueError(f"outcome {outcome} has zero probability")
-    # where partner k ^ mask is stored, the joint sum adds its zero-entry
-    # product too: that sets the signs of zero parts
-    lookup = dict(zip(keys, amps))
-    e, z = entries[idx], zeros[idx]
-    scale = complex(1.0 / math.sqrt(p))
-    out_keys, out_amps = [], []
-    for k, a, b, keep in zip(keys, amps, bits, kept):
-        if keep:
-            x = a * e[b]
-            partner = lookup.get(k ^ mask)
-            if partner is not None:
-                x = x + partner * z[b]
-            out_keys.append(k)
-            out_amps.append(x * scale)
-    if flips[idx]:
-        return outcome, _resorted(n, [k ^ mask for k in out_keys], out_amps)
-    return outcome, _state(n, tuple(out_keys), tuple(out_amps))
+def apply_monomial(state: SparseState, layer: MonomialLayer) -> SparseState:
+    """The layer's monomial map in one pass: each term is multiplied by one
+    of the eight factors of _unit_factors, its exponent read by bit_count
+    from three qubit masks (the 1s, 2s and 4s of the coefficients).  A layer
+    without a gadget has even exponents and no scale, so its factors are
+    exactly 1, i, -1 and -i: for amplitudes without zero real or imaginary
+    parts it equals applying its Z, S and Sd gates one by one, bit for bit.
+    A layer with a gadget prunes terms of magnitude <= PRUNE_TOL."""
+    if layer.n != state.n:
+        raise ValueError(f"layer on {layer.n} qubits, state on {state.n}")
+    cs = layer.coeffs
+    ones = sum(1 << q for q, c in enumerate(cs) if c & 1)
+    twos = sum(1 << q for q, c in enumerate(cs) if c & 2)
+    fours = sum(1 << q for q, c in enumerate(cs) if c & 4)
+    c0, flip, units = layer.c0, layer.flip, _unit_factors(layer.norm2)
+    terms = [(k ^ flip, a * units[(c0 + (k & ones).bit_count() + 2 * (k & twos).bit_count()
+                                     + 4 * (k & fours).bit_count()) & 7])
+             for k, a in zip(state.keys, state.amps)]
+    if layer.norm2 is not None:
+        terms = [t for t in terms if abs(t[1]) > PRUNE_TOL]
+    if flip:
+        terms.sort()  # the keys are distinct, so no amplitude is compared
+    return _state(state.n, tuple([k for k, _ in terms]), tuple([a for _, a in terms]))

@@ -8,17 +8,30 @@ compare the library against them (codeword enumeration, the eigenvalue
 readout that once checked the codewords, the signed-weight syndrome readout
 and the per-qubit-key storage runner, the CSS coset state, the
 state-level phase layer and projector, the even-support parity check, the
-code-file writer).
+code-file writer, the T gadget as one float teleport per gate, and code
+validation by PauliOperator.commutes calls).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import lru_cache
 
 import numpy as np
 
-from hqec.codes import StabilizerCode, _zero_codeword, builtin_code, decode_single_error, logical_codewords
+from hqec import states as _states
+from hqec.codes import (
+    StabilizerCode,
+    ValidationReport,
+    _hermitian,
+    _reduce_tracked,
+    _sympl_vec,
+    _zero_codeword,
+    builtin_code,
+    decode_single_error,
+    logical_codewords,
+)
 from hqec.gf2 import ENUM_DIM_GUARD, ClassicalCode, GuardExceeded, parse_row
 from hqec.pauli import PauliOperator
 from hqec.protocol import (
@@ -35,16 +48,19 @@ from hqec.protocol import (
     mask_pauli,
 )
 from hqec.states import (
-    _BELL_PAIR,
     _OUTCOMES,
-    IDENTITY,
+    _SIGNS,
+    _SQ2,
+    MAX_STATE_QUBITS,
     PRUNE_TOL,
     TOL,
     SingleQubitGate,
     SparseState,
-    _bell_basis_rows,
     _pauli_image,
+    _resorted,
     _state,
+    _unit_factors,
+    _weight,
     apply_pauli,
     apply_single,
     combine,
@@ -53,7 +69,6 @@ from hqec.states import (
     inner,
     pauli_eigenvalues,
     swap_qubits,
-    teleport,
     tensor,
     unit_amplitudes,
 )
@@ -65,6 +80,8 @@ HM = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 SM = np.array([[1, 0], [0, 1j]], dtype=complex)
 TM = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex)
 BELL_OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
+IDENTITY = SingleQubitGate("I", ((1, 0), (0, 1)))
+_BELL_PAIR = _state(2, (0b00, 0b11), (_SQ2, _SQ2))
 
 
 class PickRng:
@@ -95,8 +112,8 @@ def vacuum() -> SparseState:
 
 
 def bell_pair() -> SparseState:
-    """(|00> + |11>)/sqrt(2), the pair states.teleport contracts; states
-    are immutable, so one instance is shared."""
+    """(|00> + |11>)/sqrt(2), the pair teleport contracts; states are
+    immutable, so one instance is shared."""
     return _BELL_PAIR
 
 
@@ -312,6 +329,66 @@ def project_onto(span, state: SparseState):
     return combine(span, coeffs), weight
 
 
+def pairwise_validate_code(code: StabilizerCode) -> ValidationReport:
+    """codes.validate_code as it was before its popcount form: every pair
+    is a PauliOperator.commutes call, and each logical is reduced against
+    the basis with PauliOperator.identity products."""
+    v: list[str] = []
+    gens = code.generators
+    for i, g in enumerate(gens):
+        if g.n != code.n:
+            v.append(f"generator {i + 1} acts on {g.n} qubits, expected {code.n}")
+        if not _hermitian(g):
+            v.append(f"generator {i + 1} ({g}) is not Hermitian")
+    if len(gens) != code.n - code.k:
+        v.append(f"expected {code.n - code.k} generators, got {len(gens)}")
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            if gens[i].n == gens[j].n and not gens[i].commutes(gens[j]):
+                v.append(f"generators {i + 1} ({gens[i]}) and {j + 1} ({gens[j]}) anticommute")
+
+    basis: list = []
+    for i, g in enumerate(gens):
+        if g.n != code.n:
+            continue
+        vec, prod = _reduce_tracked(_sympl_vec(g, code.n), g, basis)
+        if vec == 0:
+            # prod is g times a product of earlier generators, equal to a phase
+            if prod.phase == 0:
+                v.append(f"generator {i + 1} ({g}) is dependent on earlier generators")
+            else:
+                v.append(f"-I is in the group generated (via generator {i + 1})")
+        else:
+            basis.append((vec, prod))
+
+    if len(code.logical_x) != code.k or len(code.logical_z) != code.k:
+        v.append(f"expected {code.k} logical X and Z operators")
+    for label, ops in (("X", code.logical_x), ("Z", code.logical_z)):
+        for j, p in enumerate(ops):
+            if p.n != code.n:
+                v.append(f"logical {label}[{j + 1}] acts on {p.n} qubits, expected {code.n}")
+                continue
+            for i, g in enumerate(gens):
+                if g.n == code.n and not p.commutes(g):
+                    v.append(f"logical {label}[{j + 1}] anticommutes with generator {i + 1}")
+            vec, _ = _reduce_tracked(_sympl_vec(p, code.n), PauliOperator.identity(code.n), basis)
+            if vec == 0:
+                v.append(f"logical {label}[{j + 1}] lies in the stabilizer group")
+    for j, xj in enumerate(code.logical_x):
+        for l, zl in enumerate(code.logical_z):
+            if xj.n != code.n or zl.n != code.n:
+                continue
+            if (j == l) == xj.commutes(zl):
+                want = "anticommute" if j == l else "commute"
+                v.append(f"logical X[{j + 1}] and Z[{l + 1}] must {want}")
+    for label, ops in (("X", code.logical_x), ("Z", code.logical_z)):
+        for j in range(len(ops)):
+            for l in range(j + 1, len(ops)):
+                if ops[j].n == code.n and ops[l].n == code.n and not ops[j].commutes(ops[l]):
+                    v.append(f"logical {label}[{j + 1}] and {label}[{l + 1}] anticommute")
+    return ValidationReport(code.name, tuple(v))
+
+
 def format_code_text(code: StabilizerCode) -> str:
     """The code-definition file that parse_code_text reads back."""
     lines = [f"{code.n} {code.k}"]
@@ -468,8 +545,111 @@ def keyed_storage(name: str, amplitudes, key, injected_error=None) -> StorageRep
 
 
 # ---------------------------------------------------------------------------
-# rotated Bell measurement on the joint register: the reference for
-# states.teleport, which contracts tensor -> swap -> this measurement
+# the T gadget as one teleport call per gate, and the rotated Bell
+# measurement on the joint register, which teleport contracts (tensor ->
+# swap -> this measurement) bit for bit
+def _bell_basis_rows(rotation) -> tuple:
+    """Row i: the conjugated basis vector (U^dag Z^b X^a (x) I)|Phi> of
+    outcome (a, b) = _OUTCOMES[i], at index b1 + 2*b2 (b1 the bit of the
+    first measured qubit), for the 2x2 matrix `rotation` of U.  Entry
+    b1 + 2*b2 is M[b1, b2]/sqrt2, and column j of M = U^dag Z^b X^a is
+    (-1)^(b*(j^a)) times column j^a of U^dag, which is exact; adding 0j
+    clears negative zeros."""
+    rows = []
+    for a, b in _OUTCOMES:
+        # M[r][j] = U^dag[r][j ^ a] * (-1)^(b*(j ^ a)), U^dag[r][c] = conj(U[c][r])
+        m = [[rotation[j ^ a][r].conjugate() * _SIGNS[b & (j ^ a)] for j in (0, 1)] for r in (0, 1)]
+        rows.append(tuple((m[b1][b2] * _SQ2 + 0j).conjugate() for b2 in (0, 1) for b1 in (0, 1)))
+    return tuple(rows)
+
+
+def _bell_gather(rotation: SingleQubitGate):
+    """(flips, entries, zeros) from _bell_basis_rows: outcome i sends data
+    bit d to pair bit e = d ^ flips[i], times entries[i][d] (column d + 2e);
+    zeros[i][d] is the entry its partner meets there (column 1 - d + 2e).
+    Raises unless the rotation is diagonal or antidiagonal."""
+    rows = _bell_basis_rows(rotation.matrix)
+    flips = tuple(int(r[2] != 0) for r in rows)
+    entries = tuple((r[2], r[1]) if f else (r[0], r[3]) for r, f in zip(rows, flips))
+    zeros = tuple((r[3], r[0]) if f else (r[1], r[2]) for r, f in zip(rows, flips))
+    if sum(x != 0 for e in entries for x in e) != 8 or sum(x != 0 for r in rows for x in r) != 8:
+        raise ValueError(f"teleport takes a diagonal or antidiagonal rotation, got {rotation.label!r}")
+    return flips, entries, zeros
+
+
+# the rotations the T gadgets use (I, S and Sd), keyed by their matrices
+_BELL_GATHERS = {g.matrix: _bell_gather(g) for g in (IDENTITY, gate("S"), gate("Sd"))}
+
+
+def teleport(state: SparseState, qubit: int, rotation: SingleQubitGate, rng, forced=None,
+             diagonal: SingleQubitGate | None = None):
+    """Teleport `qubit` through a fresh Bell pair measured in the basis
+    (U^dag Z^b X^a (x) I)|Phi>: tensor(state, _BELL_PAIR), swap_qubits(qubit,
+    n+1) and a measurement of the pair (n+1, n+2), without the joint
+    register.  Returns ((r_a, r_b), the collapsed n-qubit state); `forced`
+    replaces sampling.  U must be diagonal or antidiagonal: an outcome then
+    sends term k to k or k ^ mask alone, with the same |amp| for every
+    outcome, so the collapse is one gather and the four probabilities are
+    one sum.  All of it equals the joint register's sort-and-sum bit for bit.
+
+    `diagonal`, a T gadget's T or Td, is applied to `qubit` first, by the
+    product apply_single uses, so the result equals teleport(apply_single(
+    state, diagonal, qubit), ...) bit for bit; a non-diagonal gate raises."""
+    if diagonal is not None and (diagonal.matrix[0][1] != 0 or diagonal.matrix[1][0] != 0):
+        raise ValueError(f"teleport takes a diagonal gate, got {diagonal.label!r}")
+    flips, entries, zeros = _BELL_GATHERS.get(rotation.matrix) or _bell_gather(rotation)
+    n = state.n
+    if n + 2 > MAX_STATE_QUBITS:
+        raise ValueError(f"tensor result on {n + 2} qubits exceeds the {MAX_STATE_QUBITS}-qubit cap")
+    if 2 * state.num_terms > _states.TERM_GUARD:
+        raise ValueError("tensor result exceeds the term-count guard")
+    state._check_qubit(qubit)
+    if state.num_terms == 0:
+        raise ValueError("measurement on a zero-weight state")
+
+    keys = state.keys
+    mask = 1 << (qubit - 1)
+    bits = [(k >> (qubit - 1)) & 1 for k in keys]
+    amps = state.amps
+    if diagonal is not None:
+        d = (diagonal.matrix[0][0], diagonal.matrix[1][1])
+        amps = [a * d[b] for a, b in zip(amps, bits)]
+    half = _BELL_PAIR.amps[0]
+    amps = [half * a for a in amps]
+    kept = [abs(a * entries[0][b]) > PRUNE_TOL for a, b in zip(amps, bits)]
+    p = _weight([a * entries[0][b] for a, b, k in zip(amps, bits, kept) if k])
+    probs = [p] * 4
+    if 4 * p < PRUNE_TOL:
+        raise ValueError("measurement on a zero-weight state")
+
+    if forced is None:
+        idx = rng.choice_weighted(probs)
+    else:
+        try:
+            idx = _OUTCOMES.index(tuple(forced))
+        except (TypeError, ValueError):
+            raise ValueError(f"forced outcome must be a pair of bits, got {forced!r}") from None
+    outcome = _OUTCOMES[idx]
+    if p < PRUNE_TOL:
+        raise ValueError(f"outcome {outcome} has zero probability")
+    # where partner k ^ mask is stored, the joint sum adds its zero-entry
+    # product too: that sets the signs of zero parts
+    lookup = dict(zip(keys, amps))
+    e, z = entries[idx], zeros[idx]
+    scale = complex(1.0 / math.sqrt(p))
+    out_keys, out_amps = [], []
+    for k, a, b, keep in zip(keys, amps, bits, kept):
+        if keep:
+            x = a * e[b]
+            partner = lookup.get(k ^ mask)
+            if partner is not None:
+                x = x + partner * z[b]
+            out_keys.append(k)
+            out_amps.append(x * scale)
+    if flips[idx]:
+        return outcome, _resorted(n, [k ^ mask for k in out_keys], out_amps)
+    return outcome, _state(n, tuple(out_keys), tuple(out_amps))
+
 
 
 def _drop_bit(keys: np.ndarray, pos: int) -> np.ndarray:
@@ -716,14 +896,16 @@ def decrypt(client_state, transcript, keys, rng, forced_outcomes=None):
 
 
 # ---------------------------------------------------------------------------
-# per-gate T gadget: the bit-for-bit reference for protocol.run_circuit
+# run_circuit gate by gate: the float teleport chain (the reference for its
+# outcomes, transcript and peaks) and the exact-exponent walk (bit for bit)
 
 
-def per_gate_run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitRun:
-    """run_circuit with every gate applied on its own by apply_plain_circuit
-    (one apply_single per Z, S, Sd, T and Td) and each T/Td gate followed by
-    a plain teleport of its qubit.  Same transcript, outcomes, peaks and
-    forced-outcome count check."""
+def _gate_by_gate(enc_state, circuit, keys, rng, forced_outcomes, chain) -> CircuitRun:
+    """The key replay, transcript, outcomes, peaks and forced-outcome count
+    check of run_circuit, with the state work left to `chain`:
+    chain.gate(g) for each Clifford gate, chain.gadget(kind, w, rotation,
+    rng, pick) -> outcome for each T/Td gate, chain.num_terms, and
+    chain.finish(correction) -> the final state."""
     n = len(keys)
     cur = list(keys.pairs)
     forced = None if forced_outcomes is None else list(forced_outcomes)
@@ -731,13 +913,12 @@ def per_gate_run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) ->
         t = sum(g.kind in ("T", "Td") for g in circuit)
         if t != len(forced):
             raise ValueError(f"circuit needs {t} forced outcome pairs, got {len(forced)}")
-    state = enc_state
     server, client, outcomes = [], [], []
-    max_qubits, max_terms = state.n, state.num_terms
+    max_qubits, max_terms = enc_state.n, chain.num_terms
     for g in circuit:
         kind, qubits = g.kind, g.qubits
-        state = apply_plain_circuit(state, (g,))
         if g.is_clifford:
+            chain.gate(g)
             server.append({"kind": "gate", "gate": kind, "qubits": list(qubits)})
             if kind not in ("X", "Z"):
                 old = [cur[q - 1] for q in qubits]
@@ -754,11 +935,11 @@ def per_gate_run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) ->
             {"kind": "swap", "positions": [w, s_pos]},
         ]
         max_qubits = max(max_qubits, n + 2)
-        max_terms = max(max_terms, 2 * state.num_terms)
+        max_terms = max(max_terms, 2 * chain.num_terms)
         pick = None if forced is None else forced[i - 1]
         a, b = cur[w - 1]
         rotation, label = _ROTATIONS[kind, a]
-        outcome, state = teleport(state, w, rotation, rng, pick)
+        outcome = chain.gadget(kind, w, rotation, rng, pick)
         r_a, r_b = outcome
         cur[w - 1] = new = (a ^ r_a, b ^ (a ^ r_b))
         outcomes.append(outcome)
@@ -773,5 +954,140 @@ def per_gate_run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) ->
         {"kind": "final_keys", "keys": final.as_lists()},
         {"kind": "final_correction", "pauli": correction.to_string()},
     ]
-    state = apply_pauli(state, correction)
-    return CircuitRun(state, Transcript(server + client), outcomes, max_qubits, max_terms)
+    return CircuitRun(chain.finish(correction), Transcript(server + client), outcomes, max_qubits, max_terms)
+
+
+class _TeleportChain:
+    """Every gate on its own: apply_plain_circuit (one apply_single per Z, S,
+    Sd, T and Td), and a plain teleport after each T/Td gate."""
+
+    def __init__(self, state):
+        self.state = state
+
+    @property
+    def num_terms(self):
+        return self.state.num_terms
+
+    def gate(self, g):
+        self.state = apply_plain_circuit(self.state, (g,))
+
+    def gadget(self, kind, w, rotation, rng, pick):
+        self.state = apply_plain_circuit(self.state, (CircuitGate(kind, (w,)),))
+        outcome, self.state = teleport(self.state, w, rotation, rng, pick)
+        return outcome
+
+    def finish(self, correction):
+        return apply_pauli(self.state, correction)
+
+
+def per_gate_run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitRun:
+    """run_circuit as a float chain: every gate applied on its own and each
+    T/Td gate followed by a plain teleport of its qubit, which rounds each
+    amplitude about four times per gadget.  Same transcript, outcomes, peaks
+    and forced-outcome count check."""
+    return _gate_by_gate(enc_state, circuit, keys, rng, forced_outcomes, _TeleportChain(enc_state))
+
+
+# the power of omega each diagonal gate puts on |1>
+_OMEGA_POWER = {"Z": 4, "S": 2, "Sd": 6, "T": 1, "Td": 7}
+
+
+def _row_exponent(entry: complex) -> int:
+    """m with entry = omega^m / sqrt2, for an entry of a Bell basis row."""
+    m = round(cmath.phase(entry * math.sqrt(2)) / (math.pi / 4)) % 8
+    if abs(entry * math.sqrt(2) - cmath.exp(1j * math.pi / 4 * m)) > 1e-15:
+        raise ValueError(f"{entry} is not omega^m / sqrt2")
+    return m
+
+
+def gadget_exponents(rotation: SingleQubitGate) -> tuple:
+    """(flip, m0, m1) per outcome, read from _bell_basis_rows: data bit d
+    meets the one nonzero entry of its row among the columns d + 2e, which
+    moves it to pair bit e = d ^ flip with the factor omega^(m_d)/sqrt2."""
+    table = []
+    for row in _bell_basis_rows(rotation.matrix):
+        moves = []
+        for d in (0, 1):
+            (e,) = [e for e in (0, 1) if row[d + 2 * e] != 0]
+            moves.append((d ^ e, _row_exponent(row[d + 2 * e])))
+        (f0, m0), (f1, m1) = moves
+        if f0 != f1:
+            raise ValueError("the two data bits move differently")
+        table.append((f0, m0, m1))
+    return tuple(table)
+
+
+class _ExponentChain:
+    """Each stored term of a run of Z, S, Sd and T gadgets keeps its current
+    key and an integer omega-exponent, updated gate by gate; an X, H, CNOT
+    or the final correction first multiplies each amplitude by
+    _unit_factors(norm2)[exponent & 7], as apply_monomial does, pruning at
+    PRUNE_TOL after a gadget, and sorts by key."""
+
+    def __init__(self, state):
+        self.state = state
+        self._start()
+
+    def _start(self):
+        self.keys = list(self.state.keys)
+        self.exps = [0] * self.state.num_terms
+        self.sums = [0] * self.state.n  # the gates' exponents on each qubit
+        self.norm2 = None
+
+    @property
+    def num_terms(self):
+        return self.state.num_terms
+
+    def _flush(self):
+        if self.norm2 is None and not any(c & 7 for c in self.sums):
+            return
+        units = _unit_factors(self.norm2)
+        terms = [(k, a * units[e & 7]) for k, a, e in zip(self.keys, self.state.amps, self.exps)]
+        if self.norm2 is not None:
+            terms = [t for t in terms if abs(t[1]) > PRUNE_TOL]
+        terms.sort(key=lambda t: t[0])
+        self.state = _state(self.state.n, tuple(k for k, _ in terms), tuple(a for _, a in terms))
+        self._start()
+
+    def _phase(self, q, c):
+        self.sums[q - 1] += c
+        self.exps = [e + c * ((k >> (q - 1)) & 1) for k, e in zip(self.keys, self.exps)]
+
+    def gate(self, g):
+        if g.kind in ("Z", "S", "Sd"):
+            self._phase(g.qubits[0], _OMEGA_POWER[g.kind])
+        else:
+            self._flush()
+            self.state = apply_plain_circuit(self.state, (g,))
+
+    def gadget(self, kind, w, rotation, rng, pick):
+        self.state._check_qubit(w)
+        if self.norm2 is None:
+            self.norm2 = _weight(self.state.amps)
+            p = self.norm2 / 4
+        else:
+            p = 0.25
+        if 4 * p < PRUNE_TOL:
+            raise ValueError("measurement on a zero-weight state")
+        idx = rng.choice_weighted([p] * 4) if pick is None else _OUTCOMES.index(tuple(pick))
+        flip, m0, m1 = gadget_exponents(rotation)[idx]
+        self._phase(w, _OMEGA_POWER[kind])
+        bit = 1 << (w - 1)
+        self.exps = [e + (m1 if k & bit else m0) for k, e in zip(self.keys, self.exps)]
+        self.keys = [k ^ (flip << (w - 1)) for k in self.keys]
+        return _OUTCOMES[idx]
+
+    def finish(self, correction):
+        self._flush()
+        return apply_pauli(self.state, correction)
+
+
+def per_gate_exponent_run(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitRun:
+    """run_circuit with exact exponents: gate by gate, every stored term
+    keeps its current key and its omega-exponent mod 8 (the gadgets' flips
+    and exponents read from _bell_basis_rows, not from the library's
+    table), and each run of Z, S, Sd and T gadgets ends in the one multiply
+    per term that apply_monomial makes.  Each gadget draws its outcome as
+    run_circuit does: weights of a quarter of the run's input norm for its
+    first gadget, 1/4 after it."""
+    return _gate_by_gate(enc_state, circuit, keys, rng, forced_outcomes, _ExponentChain(enc_state))

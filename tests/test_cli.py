@@ -314,7 +314,7 @@ class TestJsonAndDeterminism:
     def test_sampled_path_is_pinned(self, capsys):
         # literal outcomes, keys and fidelity of seeded runs.  The outcomes
         # follow the sampling probabilities; the a1 fidelity is pinned to the
-        # last bit, so a one-ulp change in those probabilities fails here too
+        # last bit, so a one-ulp change in the amplitudes fails here too
         _, out, _ = run_cli(capsys, "run", "transversal-t", "--keys", "1,1",
                             "--amps", "0.6,0,0,0.8", "--seed", "5", "--json")
         doc = json.loads(out)
@@ -325,7 +325,7 @@ class TestJsonAndDeterminism:
         doc = json.loads(out)
         assert doc["keys_initial"] == [[1, 1], [1, 0]]
         assert doc["keys_final"] == [[0, 1], [0, 0]]
-        assert doc["fidelity"] == 1.0
+        assert doc["fidelity"] == 0.9999999999999999
         events = doc["transcript"]["events"]
         meas = [(e["rotation"], e["outcome"]) for e in events if e["kind"] == "measurement"]
         assert meas == [("S^1", [1, 1]), ("Sd^1", [1, 1])]

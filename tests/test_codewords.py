@@ -1,5 +1,6 @@
 """The polynomial codeword construction against two references: an
-exhaustive seed scan (byte for byte) and dense projectors."""
+exhaustive seed scan (byte for byte) and dense projectors; and code
+validation by popcounts against its PauliOperator.commutes form."""
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from oracles import (
     coset_state,
     dense_of,
     dense_zero_codeword,
+    pairwise_validate_code,
     readout_codeword_verdict,
     scan_zero_codeword,
     state_bytes,
@@ -233,6 +235,45 @@ class TestChecksAgainstReadout:
         monkeypatch.setattr(states, "inner", forbidden)
         for name in LITERAL_CODES:
             logical_codewords.__wrapped__(parse_code_text(LITERAL_CODES[name], name=name))
+
+
+@st.composite
+def resized_codes(draw):
+    """A perturbed_codes code with up to three operators redrawn on n - 1 ..
+    n + 2 qubits, maybe a generator too many or too few, and k drawn from
+    0..2 (the second logical pair random)."""
+    code = draw(perturbed_codes())
+    n = code.n
+    ops = list(code.generators) + [code.logical_x[0], code.logical_z[0]]
+    for i in draw(st.lists(st.integers(0, len(ops) - 1), max_size=3)):
+        m = draw(st.integers(max(1, n - 1), n + 2))
+        ops[i] = parse_pauli(draw(st.sampled_from(["", "-", "i", "-i"])) + draw(st.text("IXYZ", min_size=m, max_size=m)))
+    gens = ops[:-2]
+    if gens and draw(st.booleans()):
+        a, b = gens[0], gens[-1]
+        gens = gens[:-1] if draw(st.booleans()) else gens + [a.multiply(b) if a.n == b.n else a]
+    k = draw(st.integers(0, 2))
+    extra = [parse_pauli(draw(st.text("IXYZ", min_size=n, max_size=n))) for _ in range(2)]
+    return StabilizerCode("resized", n, k, tuple(gens), (ops[-2], extra[0])[:k], (ops[-1], extra[1])[:k])
+
+
+class TestValidateAgainstPairwise:
+    """validate_code by popcounts reports the violations of the commutes-call
+    form in tests/oracles.py, in the same order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(clifford_codes(), perturbed_codes(), resized_codes()))
+    def test_same_violations(self, code):
+        assert validate_code(code) == pairwise_validate_code(code)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins(self, name):
+        assert validate_code(builtin_code(name)) == pairwise_validate_code(builtin_code(name))
+
+    @pytest.mark.parametrize("name", sorted(LITERAL_CODES))
+    def test_literal_codes(self, name):
+        code = parse_code_text(LITERAL_CODES[name], name=name)
+        assert validate_code(code) == pairwise_validate_code(code)
 
 
 class TestConstruction:

@@ -53,6 +53,7 @@ from oracles import (
     dict_logical_bell_branches,
     evaluate_circuit,
     op_on,
+    per_gate_exponent_run,
     per_gate_run_circuit,
     rotated_bell_measure,
     state_bytes,
@@ -225,7 +226,7 @@ class TestKeyUpdates:
         for kind in ("T", "Td"):
             gm = DENSE_1Q[kind]
             for a in (0, 1):
-                r_dag = np.array(protocol._ROTATIONS[kind, a][0].matrix).conj().T
+                r_dag = {"I": np.eye(2), **DENSE_1Q}[protocol._ROTATIONS[kind, a][0]].conj().T
                 for b in (0, 1):
                     lhs = gm @ mp(x, a) @ mp(z, b)
                     rhs = r_dag @ mp(x, a) @ mp(z, a ^ b) @ gm
@@ -332,11 +333,12 @@ class TestEvaluateDecrypt:
     @pytest.mark.parametrize("run", [run_circuit, per_gate_run_circuit])
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_forced_count_checked_before_any_gate(self, monkeypatch, run, count):
-        def no_teleport(*args, **kwargs):
+        def no_gadget(*args, **kwargs):
             raise AssertionError("a T gadget ran before the forced-outcome count check")
 
-        monkeypatch.setattr(protocol, "teleport", no_teleport)
-        monkeypatch.setattr(oracles, "teleport", no_teleport)
+        monkeypatch.setattr(protocol, "apply_monomial", no_gadget)
+        monkeypatch.setattr(states.MonomialLayer, "gadget", no_gadget)
+        monkeypatch.setattr(oracles, "teleport", no_gadget)
         psi = random_state(2, SplitMix64(3))
         keys = KeyRegister.of([(1, 0), (0, 1)])
         circuit = [CircuitGate("T", (1,)), CircuitGate("H", (2,)), CircuitGate("Td", (2,))]
@@ -511,10 +513,12 @@ def diagonal_run_circuits(draw):
 
 
 class TestPerGateReference:
-    """run_circuit, with its T gates inside teleport and its Z/S/Sd layers
-    as phase passes, is bit for bit the per-gate loop of
-    tests/oracles.py: final keys and amplitudes, outcomes, transcript and
-    peaks, with sampled and with forced outcomes."""
+    """run_circuit, with each run of Z/S/Sd gates and T gadgets as one
+    monomial pass, is bit for bit the exact-exponent walk of
+    tests/oracles.py (final keys and amplitudes, outcomes, transcript and
+    peaks), and equals the float teleport chain in keys, outcomes,
+    transcript and peaks, with amplitudes within 1e-12: with sampled and
+    with forced outcomes."""
 
     @given(diagonal_run_circuits(), st.integers(0, 2**32 - 1), st.booleans(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -528,11 +532,15 @@ class TestPerGateReference:
         keys = KeyRegister.random(n, SplitMix64(seed + 1))
         enc = encrypt(psi, keys)
         got = run_circuit(enc, circuit, keys, SplitMix64(seed + 2), forced)
-        want = per_gate_run_circuit(enc, circuit, keys, SplitMix64(seed + 2), forced)
-        assert state_bytes(got.state) == state_bytes(want.state)
-        assert got.outcomes == want.outcomes
-        assert got.transcript.events == want.transcript.events
-        assert (got.max_live_qubits, got.max_terms) == (want.max_live_qubits, want.max_terms)
+        exact = per_gate_exponent_run(enc, circuit, keys, SplitMix64(seed + 2), forced)
+        chain = per_gate_run_circuit(enc, circuit, keys, SplitMix64(seed + 2), forced)
+        assert state_bytes(got.state) == state_bytes(exact.state)
+        for want in (exact, chain):
+            assert got.outcomes == want.outcomes
+            assert got.transcript.events == want.transcript.events
+            assert (got.max_live_qubits, got.max_terms) == (want.max_live_qubits, want.max_terms)
+        assert got.state.keys == chain.state.keys
+        assert np.abs(np.subtract(got.state.amps, chain.state.amps)).max(initial=0) <= 1e-12
 
 
 def _random_circuit(rng, n, max_gates=12, max_t=3):
@@ -738,23 +746,55 @@ class TestTransversalT:
         assert fidelity_up_to_phase(rep.final_state, want) >= 1 - 1e-10
 
 
+class _RecordingRng(SplitMix64):
+    """The generator, keeping every weight list it is asked to sample from."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.weights = []
+
+    def choice_weighted(self, weights):
+        self.weights.append(list(weights))
+        return super().choice_weighted(weights)
+
+
 class TestGadgetWeightsUniform:
-    """The exact half of the uniform-outcome check: every T gadget's four
-    outcome weights are equal, within 1e-12 of a quarter of their total, in
-    each runner, under every key, with sampled and forced outcomes.  Each
-    teleport call is probed with a PickRng first, then run as called."""
+    """The exact half of the uniform-outcome check, in each runner, under
+    every key, with sampled and forced outcomes.  Every weight list a runner
+    passes to its generator has four equal entries.  And every T gadget's
+    four outcome weights, recomputed by the oracle teleport with a PickRng
+    on the states the gadgets meet gate by gate (run_circuit's calls
+    replayed by the float teleport chain, the logical runner's one-qubit
+    register as its gadget receives it), are within 1e-12 of a quarter of
+    their total."""
 
     @pytest.fixture
     def weights(self, monkeypatch):
         seen = []
+        teleport, run, gadget = oracles.teleport, protocol.run_circuit, states.MonomialLayer.gadget
 
-        def probe(state, qubit, rotation, rng, forced=None, diagonal=None):
+        def probe(state, qubit, rotation, rng, forced=None):
             picker = PickRng(0)
-            states.teleport(state, qubit, rotation, picker, None, diagonal)
+            teleport(state, qubit, rotation, picker, None)
             seen.append(picker.weights)
-            return states.teleport(state, qubit, rotation, rng, forced, diagonal)
+            return teleport(state, qubit, rotation, rng, forced)
 
-        monkeypatch.setattr(protocol, "teleport", probe)
+        def replayed(enc, circuit, keys, rng, forced=None):
+            # the gate-by-gate chain, on a copy of the generator, meets the
+            # same outcomes as the run itself
+            chain = per_gate_run_circuit(enc, circuit, keys, SplitMix64(rng.state), forced)
+            got = run(enc, circuit, keys, rng, forced)
+            assert got.outcomes == chain.outcomes
+            return got
+
+        def one_qubit_gadget(layer, state, qubit, rotation, t, rng, forced=None):
+            if state.n == 1:  # the logical runner's register
+                probe(state, qubit, {"I": oracles.IDENTITY, "S": gate("S")}[rotation], None, (0, 0))
+            return gadget(layer, state, qubit, rotation, t, rng, forced)
+
+        monkeypatch.setattr(oracles, "teleport", probe)
+        monkeypatch.setattr(protocol, "run_circuit", replayed)
+        monkeypatch.setattr(states.MonomialLayer, "gadget", one_qubit_gadget)
         return seen
 
     @pytest.mark.parametrize("forced", [False, True])
@@ -762,10 +802,14 @@ class TestGadgetWeightsUniform:
     def test_every_runner(self, weights, key, forced):
         seed = 2 * key[0] + key[1]
         pairs = [BELL_OUTCOMES[(seed + i) % 4] for i in range(15)] if forced else None
-        run_transversal_t_protocol((0.6, 0.8j), key, SplitMix64(seed), pairs)
-        run_logical_t_protocol((0.28, 0.96j), key, SplitMix64(seed), pairs[0] if forced else None)
-        run_demo_circuit(SplitMix64(seed), keys=KeyRegister.uniform(2, *key),
+        rngs = [_RecordingRng(seed) for _ in range(3)]
+        run_transversal_t_protocol((0.6, 0.8j), key, rngs[0], pairs)
+        run_logical_t_protocol((0.28, 0.96j), key, rngs[1], pairs[0] if forced else None)
+        run_demo_circuit(rngs[2], keys=KeyRegister.uniform(2, *key),
                          forced_outcomes=pairs[:2] if forced else None)
+        passed = [w for rng in rngs for w in rng.weights]
+        assert len(passed) == (0 if forced else 15 + 1 + 2)
+        assert all(len(w) == 4 and w == [w[0]] * 4 for w in passed)
         assert len(weights) == 15 + 1 + 2
         for w in weights:
             assert len(w) == 4

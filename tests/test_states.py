@@ -9,13 +9,16 @@ from hqec import states
 from hqec.pauli import PauliOperator, parse_pauli
 from hqec.rng import SplitMix64
 from hqec.states import (
+    PRUNE_TOL,
     TOL,
+    MonomialLayer,
     SingleQubitGate,
     SparseState,
     _state,
+    _unit_factors,
     apply_cnot,
+    apply_monomial,
     apply_pauli,
-    apply_phases,
     apply_single,
     combine,
     fidelity_up_to_phase,
@@ -23,12 +26,13 @@ from hqec.states import (
     inner,
     pauli_eigenvalues,
     swap_qubits,
-    teleport,
     tensor,
     unit_amplitudes,
 )
 from oracles import (
+    _BELL_GATHERS,
     BELL_OUTCOMES,
+    IDENTITY,
     PickRng,
     basis_state,
     bell_pair,
@@ -45,9 +49,11 @@ from oracles import (
     random_dense_state,
     random_pauli,
     rotated_bell_measure,
+    gadget_exponents,
     signed_weight_eigenvalues,
     sparse_of,
     state_bytes,
+    teleport,
     vacuum,
 )
 
@@ -433,7 +439,7 @@ def _measure_or_error(measure, rng, forced):
 
 
 class TestTeleport:
-    """teleport is bit for bit the joint-register chain tensor(state,
+    """The oracle teleport is bit for bit the joint-register chain tensor(state,
     bell_pair()) -> swap_qubits(qubit, n+1) -> rotated_bell_measure on
     (n+1, n+2) from tests/oracles.py: outcome, keys, amplitudes and the
     weights it samples from, for the diagonal rotations (I, S and Sd from
@@ -551,7 +557,7 @@ class TestTeleportDiagonal:
     teleport(apply_single(state, g, q), q, U, ...) for g in {T, Td}, every
     rotation of the precomputed table and every outcome, sampled or forced."""
 
-    ROTATIONS = [SingleQubitGate("U", m) for m in states._BELL_GATHERS]
+    ROTATIONS = [SingleQubitGate("U", m) for m in _BELL_GATHERS]
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -591,12 +597,18 @@ def _nonzero_parts(rng, size):
 
 
 class TestApplyPhases:
-    """apply_phases(state, powers) is the layer of Z (power 2), S (1) and Sd
-    (3) gates applied one by one: bit for bit on amplitudes with nonzero
+    """apply_monomial of a layer of Z (exponent 4), S (2) and Sd (6) gates is
+    those gates applied one by one: bit for bit on amplitudes with nonzero
     parts, and equal in value when a part is zero (only the sign of a zero
     part may differ)."""
 
-    POWERS = {"Z": 2, "S": 1, "Sd": 3}
+    EXPONENTS = {"Z": 4, "S": 2, "Sd": 6}
+
+    def _layer(self, n, run):
+        layer = MonomialLayer(n)
+        for kind, q in run:
+            layer.phase(q, self.EXPONENTS[kind])
+        return layer
 
     @given(st.integers(1, 8), st.lists(st.tuples(st.sampled_from(["Z", "S", "Sd"]), st.integers(1, 8)),
                                        max_size=30), st.integers(0, 2**32 - 1))
@@ -606,11 +618,10 @@ class TestApplyPhases:
         keys = np.flatnonzero(rng.random(1 << n) < 0.6).astype(np.uint64)
         state = SparseState(n, keys, _nonzero_parts(rng, keys.size))
         run = [(kind, (q - 1) % n + 1) for kind, q in run]
-        want, powers = state, [0] * n
+        want = state
         for kind, q in run:
             want = apply_single(want, gate(kind), q)
-            powers[q - 1] += self.POWERS[kind]
-        got = apply_phases(state, powers)
+        got = apply_monomial(state, self._layer(n, run))
         assert state_bytes(got) == state_bytes(want)
 
     def test_zero_parts_equal_in_value(self):
@@ -618,21 +629,136 @@ class TestApplyPhases:
         amps = np.array([complex(x, y) for x in parts for y in parts])
         state = _state(4, tuple(range(16)), tuple(amps.tolist()))  # zero terms kept
         for run in (["S"], ["Sd", "Z"], ["S", "S", "Sd"]):
-            want, powers = state, [0] * 4
+            want = state
             for q, kind in enumerate(run, start=1):
                 want = apply_single(want, gate(kind), q)
-                powers[q - 1] = self.POWERS[kind]
-            assert np.array_equal(apply_phases(state, powers).amps, want.amps)
+            got = apply_monomial(state, self._layer(4, [(kind, q) for q, kind in enumerate(run, start=1)]))
+            assert np.array_equal(got.amps, want.amps)
 
     def test_phases_by_key(self):
         state = SparseState(2, np.arange(4, dtype=np.uint64), np.ones(4, complex))
         # S on qubit 1 (bit 0), Z on qubit 2 (bit 1)
-        assert apply_phases(state, [1, 2]).amps == (1, 1j, -1, -1j)
-        assert apply_phases(state, [3, 3]).amps == (1, -1j, -1j, -1)
+        assert apply_monomial(state, self._layer(2, [("S", 1), ("Z", 2)])).amps == (1, 1j, -1, -1j)
+        assert apply_monomial(state, self._layer(2, [("Sd", 1), ("Sd", 2)])).amps == (1, -1j, -1j, -1)
 
     def test_power_count_mismatch(self):
-        with pytest.raises(ValueError, match="3 phase powers for 2 qubits"):
-            apply_phases(basis_state(2, 0), [0, 1, 2])
+        with pytest.raises(ValueError, match="^layer on 3 qubits, state on 2$"):
+            apply_monomial(basis_state(2, 0), MonomialLayer(3))
+
+
+class TestMonomialGadget:
+    """A T gadget of MonomialLayer followed by apply_monomial is the oracle
+    teleport of the gated qubit within 1e-15, with the same keys and
+    outcome and weights of exactly norm2/4 (1/4 after the layer's first
+    gadget); its checks keep teleport's messages and order."""
+
+    ROTATIONS = {"I": IDENTITY, "S": gate("S"), "Sd": gate("Sd")}
+
+    def test_gadget_table_matches_bell_rows(self):
+        for label, rotation in self.ROTATIONS.items():
+            assert states._GADGET_EXPONENTS[label] == gadget_exponents(rotation), label
+
+    def test_unit_factors(self):
+        assert _unit_factors(None)[::2] == (1, 1j, -1, -1j)
+        for norm2 in (None, 1.0, 0.36, 2.5):
+            scale = 1 if norm2 is None else norm2 ** -0.5
+            for j, u in enumerate(_unit_factors(norm2)):
+                assert abs(u - scale * np.exp(1j * np.pi / 4 * j)) <= 5e-16 * scale
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_teleport(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        keys = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=24, unique=True),
+                         label="keys")
+        amps = data.draw(st.lists(_TELEPORT_AMP, min_size=len(keys), max_size=len(keys)), label="amps")
+        state = SparseState(n, np.array(keys, np.uint64), np.array(amps, complex))
+        assume(state.num_terms > 0)
+        qubit = data.draw(st.integers(1, n), label="qubit")
+        label = data.draw(st.sampled_from(sorted(self.ROTATIONS)), label="rotation")
+        kind = data.draw(st.sampled_from(["T", "Td", None]), label="kind")
+        gated = state if kind is None else apply_single(state, gate(kind), qubit)
+        t = {"T": 1, "Td": 7, None: 0}[kind]
+        for idx, outcome in enumerate(BELL_OUTCOMES):
+            layer, pick = MonomialLayer(n), PickRng(idx)
+            assert layer.gadget(state, qubit, label, t, pick) == outcome
+            assert pick.weights == [states._weight(state.amps) / 4] * 4
+            got = apply_monomial(state, layer)
+            _, want = teleport(gated, qubit, self.ROTATIONS[label], None, outcome)
+            assert got.keys == want.keys
+            assert np.abs(np.subtract(got.amps, want.amps)).max() <= 1e-15 * max(1.0, state.norm() ** -1)
+
+    def test_later_gadgets_sample_a_quarter(self):
+        # squared norm 4: the first gadget's weights are 1, a quarter of it
+        state = SparseState.from_terms(2, {"00": 1.2, "11": 1.6j})
+        layer, picks = MonomialLayer(2), [PickRng(1), PickRng(2)]
+        layer.gadget(state, 1, "S", 1, picks[0])
+        layer.gadget(state, 2, "I", 7, picks[1])
+        assert picks[0].weights == [states._weight(state.amps) / 4] * 4
+        assert picks[1].weights == [0.25] * 4
+        assert abs(apply_monomial(state, layer).norm() - 1) <= 1e-15
+
+    def test_qubit_cap(self):
+        state = SparseState(63, np.array([1 << 62], np.uint64), np.array([1.0 + 0j]))
+        with pytest.raises(ValueError) as want:
+            tensor(state, bell_pair())
+        with pytest.raises(ValueError, match="65 qubits exceeds the 64-qubit cap") as got:
+            MonomialLayer(63).gadget(state, 1, "I", 1, SplitMix64(0))
+        assert str(got.value) == str(want.value)
+
+    def test_term_guard(self, monkeypatch):
+        monkeypatch.setattr(states, "TERM_GUARD", 1 << 12)
+        half = 1 << 11
+        at = SparseState(13, np.arange(half, dtype=np.uint64), np.full(half, half**-0.5))
+        layer = MonomialLayer(13)
+        layer.gadget(at, 1, "I", 1, SplitMix64(0))
+        assert apply_monomial(at, layer).n == 13
+        over = SparseState(13, np.arange(half + 1, dtype=np.uint64), np.ones(half + 1))
+        with pytest.raises(ValueError) as want:
+            tensor(over, bell_pair())
+        with pytest.raises(ValueError, match="term-count guard") as got:
+            MonomialLayer(13).gadget(over, 1, "I", 1, SplitMix64(0))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("amps", [[], [1e-7, 0]])
+    def test_zero_state(self, amps):
+        zero = SparseState(2, list(range(len(amps))), amps)
+        with pytest.raises(ValueError, match="^measurement on a zero-weight state$"):
+            MonomialLayer(2).gadget(zero, 1, "I", 1, SplitMix64(0))
+
+    def test_zero_probability(self):
+        # a squared norm in [PRUNE_TOL, 4 PRUNE_TOL) passes the zero-weight check
+        state = SparseState(1, [0], [(2 * PRUNE_TOL) ** 0.5])
+        with pytest.raises(ValueError, match=r"^outcome \(0, 1\) has zero probability$"):
+            MonomialLayer(1).gadget(state, 1, "I", 1, None, (0, 1))
+
+    def test_qubit_range(self):
+        for qubit in (0, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                MonomialLayer(2).gadget(basis_state(2, 0), qubit, "I", 1, SplitMix64(0))
+
+    @pytest.mark.parametrize("forced", [(2, 0), (0, -1), (0,), (0, 1, 1), (0.5, 1), (None, 1), "01", 3])
+    def test_malformed_forced_outcome(self, forced):
+        state = SparseState.from_terms(1, {"0": 0.6, "1": 0.8})
+        with pytest.raises(ValueError, match=r"^forced outcome must be a pair of bits, got ") as err:
+            MonomialLayer(1).gadget(state, 1, "I", 1, SplitMix64(0), forced)
+        assert str(err.value).endswith(repr(forced))
+
+    @pytest.mark.parametrize("forced", [[1, 0], (np.int64(1), np.uint8(0)), np.array([1, 0]), (True, False)])
+    def test_forced_outcome_forms(self, forced):
+        state = SparseState.from_terms(1, {"0": 0.6, "1": 0.8})
+        got, want = MonomialLayer(1), MonomialLayer(1)
+        outcome = got.gadget(state, 1, "S", 1, SplitMix64(0), forced)
+        assert outcome == want.gadget(state, 1, "S", 1, SplitMix64(0), (1, 0)) == (1, 0)
+        assert all(type(b) is int for b in outcome)
+        assert state_bytes(apply_monomial(state, got)) == state_bytes(apply_monomial(state, want))
+
+    def test_prunes_only_after_a_gadget(self):
+        tiny = _state(1, (0, 1), (1 + 0j, complex(PRUNE_TOL / 2)))
+        assert apply_monomial(tiny, MonomialLayer(1)).keys == (0, 1)
+        layer = MonomialLayer(1)
+        layer.gadget(tiny, 1, "I", 0, None, (0, 0))
+        assert apply_monomial(tiny, layer).keys == (0,)
 
 
 class TestTermGuard:
