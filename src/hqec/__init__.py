@@ -63,8 +63,6 @@ _EXPORTS = {
         "apply_single",
         "fidelity_up_to_phase",
         "gate",
-        "swap_qubits",
-        "tensor",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -54,16 +54,6 @@ class PauliOperator(_PauliFields):
         return cls(n, 0, 0, 0)
 
     @classmethod
-    def from_bits(cls, xs, zs, phase: int = 0) -> "PauliOperator":
-        """From per-qubit 0/1 sequences, qubit 1 first."""
-        xs, zs = list(xs), list(zs)
-        if len(xs) != len(zs):
-            raise ValueError("x and z bit vectors must have equal length")
-        x = sum(1 << q for q, b in enumerate(xs) if b)
-        z = sum(1 << q for q, b in enumerate(zs) if b)
-        return cls(len(xs), x, z, phase)
-
-    @classmethod
     def single(cls, n: int, qubit: int, kind: str) -> "PauliOperator":
         """X, Y or Z acting on one qubit (1-based) of an n-qubit register."""
         if not 1 <= qubit <= n:

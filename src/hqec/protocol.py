@@ -3,8 +3,9 @@ teleportation-based T handling, and the end-to-end runners.
 
 Conventions shared by all runners:
 
-* Encryption applies X^a Z^b per qubit; the key register holds the (a, b)
-  pairs.  Clifford gates update keys through exact 2x2/4x4 identities.
+* Encryption applies X^a Z^b per qubit; the key register holds the mask's
+  bits, qubit q's (a, b) at bit q-1 of its x and z masks.  Clifford gates
+  update keys by the exact symplectic rules on those masks.
 * A T (Td) gate on a masked qubit leaves an S-type byproduct (S-dagger to
   the a-th power for T, S to the a-th power for Td) plus the Pauli mask
   with b replaced by a xor b.  The byproduct is removed by measuring the
@@ -14,15 +15,16 @@ Conventions shared by all runners:
   measurement outcomes fold in as a -> a^r_a and b -> b ^ (a ^ r_b) with
   the pre-update a.  The other reading of that update breaks the round
   trip (see the negative test in the suite).
-* Both T runners go through one primitive: a states.MonomialLayer
-  collects each run of Z, S, Sd gates and T gadgets (a T or Td gate and the
-  teleportation of its qubit through a fresh Bell pair measured at once),
-  and states.apply_monomial applies the run in one pass before the next X,
-  H, CNOT or the final correction.  Measured qubits are never touched
-  again, so this equals keeping every pair until the end.  Key rules,
-  sampling and transcript events stay per gate; the server's events come
-  before the client's, with pair i at the positions n+2i-1, n+2i it would
-  hold if every pair were kept.
+* Both T runners go through run_circuit, the logical one on a one-qubit
+  register of code-space amplitudes.  A states.MonomialLayer collects each
+  run of Z, S, Sd gates and T gadgets (a T or Td gate and the teleportation
+  of its qubit through a fresh Bell pair measured at once), and
+  states.apply_monomial applies the run in one pass before the next X, H,
+  CNOT or the final correction.  Measured qubits are never touched again,
+  so this equals keeping every pair until the end.  Key rules, sampling and
+  transcript events stay per gate; the server's events come before the
+  client's, with pair i at the positions n+2i-1, n+2i it would hold if
+  every pair were kept.
 """
 
 from __future__ import annotations
@@ -73,28 +75,41 @@ from .states import (
 
 @dataclass(frozen=True)
 class KeyRegister:
-    pairs: tuple[tuple[int, int], ...]
+    """The key bits of an n-qubit register, laid out as its mask: qubit q's
+    (a, b) at bit q-1 of x and of z, so the mask is X(x) Z(z)."""
+
+    n: int
+    x: int
+    z: int
 
     @classmethod
     def of(cls, pairs) -> "KeyRegister":
-        return cls(tuple((int(a) & 1, int(b) & 1) for a, b in pairs))
+        bits = [(int(a) & 1, int(b) & 1) for a, b in pairs]
+        return cls(len(bits), sum(a << q for q, (a, _) in enumerate(bits)),
+                   sum(b << q for q, (_, b) in enumerate(bits)))
 
     @classmethod
     def uniform(cls, n: int, a: int, b: int) -> "KeyRegister":
-        return cls.of([(a, b)] * n)
+        full = (1 << n) - 1
+        return cls(n, full * (int(a) & 1), full * (int(b) & 1))
 
     @classmethod
     def random(cls, n: int, rng) -> "KeyRegister":
         return cls.of([(rng.next_u64() & 1, rng.next_u64() & 1) for _ in range(n)])
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.n
 
     def pair(self, qubit: int) -> tuple[int, int]:
-        return self.pairs[qubit - 1]
+        return self.x >> (qubit - 1) & 1, self.z >> (qubit - 1) & 1
 
     def as_lists(self) -> list[list[int]]:
-        return [[a, b] for a, b in self.pairs]
+        return [list(self.pair(q)) for q in range(1, self.n + 1)]
+
+    @property
+    def mask(self) -> PauliOperator:
+        """The full mask: X^a Z^b on each qubit."""
+        return PauliOperator(self.n, self.x, self.z, 0)
 
 
 CLIFFORD_KINDS = ("X", "Z", "H", "S", "Sd", "CNOT")
@@ -172,41 +187,35 @@ class Transcript:
 # key algebra
 
 
-def mask_pauli(keys: KeyRegister) -> PauliOperator:
-    """The full mask: X^a Z^b on each qubit."""
-    return PauliOperator.from_bits([a for a, _ in keys.pairs], [b for _, b in keys.pairs])
-
-
 def encrypt(state: SparseState, keys: KeyRegister) -> SparseState:
     if len(keys) != state.n:
         raise ValueError(f"key register has {len(keys)} pairs, state has {state.n} qubits")
-    return apply_pauli(state, mask_pauli(keys))
+    return apply_pauli(state, keys.mask)
 
 
-def _key_rule(kind: str, pairs):
-    """Clifford key rule on the (a, b) pairs of a gate's qubits: X and Z
-    leave them alone, H swaps a and b, S and Sd fold a into b, and CNOT
-    mixes the two pairs."""
-    if kind in ("X", "Z"):
-        return pairs
+def _key_rule(kind: str, qubits, x: int, z: int) -> tuple[int, int]:
+    """Clifford key rule on the mask bits x, z: X and Z leave them alone, H
+    swaps qubit q's two bits, S and Sd fold its x bit into its z bit, and
+    CNOT(c, t) folds x_c into x_t and z_t into z_c."""
     if kind == "H":
-        ((a, b),) = pairs
-        return ((b, a),)
+        bit = 1 << (qubits[0] - 1)
+        d = (x ^ z) & bit
+        return x ^ d, z ^ d
     if kind in ("S", "Sd"):
-        ((a, b),) = pairs
-        return ((a, a ^ b),)
-    (ai, bi), (aj, bj) = pairs
-    return ((ai, bi ^ bj), (ai ^ aj, bj))
+        return x, z ^ (x & (1 << (qubits[0] - 1)))
+    if kind == "CNOT":
+        c, t = qubits[0] - 1, qubits[1] - 1
+        return x ^ ((x >> c & 1) << t), z ^ ((z >> t & 1) << c)
+    return x, z
 
 
 def clifford_key_update(g: CircuitGate, keys: KeyRegister) -> KeyRegister:
     """The key register after the Clifford gate g, by the exact key rules."""
     if not g.is_clifford:
         raise ValueError(f"{g.kind} is not a Clifford gate")
-    pairs = list(keys.pairs)
-    for q, pair in zip(g.qubits, _key_rule(g.kind, [pairs[q - 1] for q in g.qubits])):
-        pairs[q - 1] = pair
-    return KeyRegister(tuple(pairs))
+    if max(g.qubits) > keys.n:
+        raise ValueError(f"qubit {max(g.qubits)} out of range 1..{keys.n}")
+    return KeyRegister(keys.n, *_key_rule(g.kind, g.qubits, keys.x, keys.z))
 
 
 # rotated-basis choice for (gadget kind, key bit a): S^a for T, Sd^a for Td
@@ -254,7 +263,7 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitR
         t = sum(not g.is_clifford for g in circuit)
         if t != len(forced):
             raise ValueError(f"circuit needs {t} forced outcome pairs, got {len(forced)}")
-    cur = list(keys.pairs)
+    x, z = keys.x, keys.z
     layer = MonomialLayer(n)
     state = enc_state
     server, client, outcomes = [], [], []
@@ -274,10 +283,11 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitR
         if g.is_clifford:
             server.append({"kind": "gate", "gate": kind, "qubits": list(qubits)})
             if kind not in ("X", "Z"):
-                old = [cur[q - 1] for q in qubits]
-                for q, was, new in zip(qubits, old, _key_rule(kind, old)):
-                    client.append({"kind": "key_update", "qubit": q, "old": list(was), "new": list(new)})
-                    cur[q - 1] = new
+                x2, z2 = _key_rule(kind, qubits, x, z)
+                for q in qubits:
+                    client.append({"kind": "key_update", "qubit": q, "old": [x >> q - 1 & 1, z >> q - 1 & 1],
+                                   "new": [x2 >> q - 1 & 1, z2 >> q - 1 & 1]})
+                x, z = x2, z2
             continue
         (w,) = qubits
         i = len(outcomes) + 1
@@ -291,21 +301,22 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitR
         max_qubits = max(max_qubits, n + 2)
         max_terms = max(max_terms, 2 * state.num_terms)
         pick = None if forced is None else forced[i - 1]
-        a, b = cur[w - 1]
+        a, b = x >> w - 1 & 1, z >> w - 1 & 1
         rotation, label = _ROTATIONS[kind, a]
         outcome = layer.gadget(state, w, rotation, _OMEGA_EXPONENTS[kind], rng, pick)
         r_a, r_b = outcome
-        cur[w - 1] = new = (a ^ r_a, b ^ (a ^ r_b))
+        x ^= r_a << w - 1
+        z ^= (a ^ r_b) << w - 1
         outcomes.append(outcome)
         client += [
             {"kind": "measurement", "pair_index": i, "rotation": label, "outcome": list(outcome),
              "forced": pick is not None},
-            {"kind": "key_update", "qubit": w, "old": [a, b], "new": list(new)},
+            {"kind": "key_update", "qubit": w, "old": [a, b], "new": [x >> w - 1 & 1, z >> w - 1 & 1]},
         ]
     if layer.pending:
         state = apply_monomial(state, layer)
-    final = KeyRegister(tuple(cur))
-    correction = mask_pauli(final).adjoint()
+    final = KeyRegister(n, x, z)
+    correction = final.mask.adjoint()
     client += [
         {"kind": "final_keys", "keys": final.as_lists()},
         {"kind": "final_correction", "pauli": correction.to_string()},
@@ -415,7 +426,8 @@ def run_storage_protocol(code, amplitudes, key, injected_error=None, rng=None) -
     The amplitudes are normalized by unit_amplitudes, as in the T runners.
     The mask U_enc(a,b) = (X^a Z^b)^n is one transversal Pauli for the key
     bits a = key[0] & 1 and b = key[1] & 1, which the report gives as its
-    keys; the unmask is its adjoint times the correction, one Pauli."""
+    keys; the unmask is its adjoint times the correction, one Pauli.  Nothing
+    is drawn from rng, so a seed has no effect on the result."""
     if isinstance(code, str):
         code = builtin_code(code)
     compat = stabilizer_mask_check(code)
@@ -429,8 +441,7 @@ def run_storage_protocol(code, amplitudes, key, injected_error=None, rng=None) -
     c0, c1 = unit_amplitudes(amplitudes)
     psi = combine(list(cs.basis), [c0, c1]).normalized()
     a, b = int(key[0]) & 1, int(key[1]) & 1
-    # -1 has every bit set; the constructor masks it to the n qubits
-    mask = PauliOperator(code.n, -a, -b, 0)
+    mask = KeyRegister.uniform(code.n, a, b).mask
     state = apply_pauli(psi, mask)
     if injected_error is not None:
         if isinstance(injected_error, str):
@@ -536,21 +547,24 @@ class LogicalTReport:
         }
 
 
+_LOGICAL_T = (CircuitGate("T", (1,)),)
+
+
 def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> LogicalTReport:
     """Logical-mask protocol on the nine-qubit code: encrypt with logical
     Paulis, apply the projector-extended logical T, block-swap into a logical
     Bell pair, measure in the rotated logical Bell basis, and unmask.
 
-    The measurement reads the masked block chi only through its code-space
-    amplitudes x_i = <i_L|chi>, and each Bell block adds |j_L>/sqrt2, so it
-    is run_circuit's T gadget, without its T, on the one-qubit register
-    (x0, x1) in the basis that S^a selects; the kept amplitudes (y0, y1) give
-    y0|0_L> + y1|1_L>.  The 27-qubit register and Bell block are never built.
+    On the code space the projector-extended T, I + (omega-1)|1_L><1_L|, is
+    diag(1, omega) on the amplitudes x_i = <i_L|enc> of the masked block, and
+    the measurement reads the block only through them (each Bell block adds
+    |j_L>/sqrt2).  So this is run_circuit's T on the one-qubit register
+    (x0, x1) under the key (a, b); its output (y0, y1) gives y0|0_L> +
+    y1|1_L>.  The 27-qubit register and Bell block are never built.
     """
     code = builtin_code("shor")
     cs = logical_codewords(code)
     zero, one = cs.basis
-    x_bar, z_bar = code.logical_x[0], code.logical_z[0]
     a, b = int(key[0]) & 1, int(key[1]) & 1
 
     c0, c1 = unit_amplitudes(amplitudes)
@@ -558,36 +572,24 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
 
     enc = psi
     if b:
-        enc = apply_pauli(enc, z_bar)
+        enc = apply_pauli(enc, code.logical_z[0])
     if a:
-        enc = apply_pauli(enc, x_bar)
-    # logical T extended to I + (omega-1)|1L><1L|; chi sits on s_p after the swap
-    chi = combine([enc, one], [1.0, (OMEGA - 1.0) * inner(one, enc)])
+        enc = apply_pauli(enc, code.logical_x[0])
 
-    x = [inner(zero, chi), inner(one, chi)]
+    x = [inner(zero, enc), inner(one, enc)]
     total = _weight(x)
     if abs(total - 1) > TOL:
         raise ProtocolError(f"logical Bell measurement probabilities sum to {total}")
-    logical = SparseState(1, (0, 1), x)
-    layer = MonomialLayer(1)
-    outcome = layer.gadget(logical, 1, _ROTATIONS["T", a][0], 0, rng, forced_outcome)
-    logical = apply_monomial(logical, layer)
-    state = combine([zero, one], [logical.amplitude(0), logical.amplitude(1)])
-
-    r_a, r_b = outcome
-    a_f, b_f = a ^ r_a, (a ^ b) ^ r_b
-    # undo the residual logical mask X^af Z^bf with Z^bf X^af
-    if a_f:
-        state = apply_pauli(state, x_bar)
-    if b_f:
-        state = apply_pauli(state, z_bar)
+    forced = None if forced_outcome is None else [forced_outcome]
+    run = run_circuit(SparseState(1, (0, 1), x), _LOGICAL_T, KeyRegister(1, a, b), rng, forced)
+    state = combine([zero, one], [run.state.amplitude(0), run.state.amplitude(1)])
 
     target = combine([zero, one], [c0, OMEGA * c1])
     fid = fidelity_up_to_phase(state, target)
     if fid < 1 - TOL:
         raise ProtocolError(f"logical-T output fidelity {fid} below tolerance")
     resources = resource_report(code.n)
-    max_terms = max(st.num_terms for st in (psi, enc, chi, state))
+    max_terms = max(st.num_terms for st in (psi, enc, state))
     return LogicalTReport(
-        (a, b), outcome, fid, resources.q_tot_log, max_terms, resources, final_state=state,
+        (a, b), run.outcomes[0], fid, resources.q_tot_log, max_terms, resources, final_state=state,
     )

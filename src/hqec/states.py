@@ -115,13 +115,6 @@ class SparseState:
         self.n = n
         self.keys, self.amps = _coalesce(keys, amps)
 
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def from_terms(cls, n: int, terms: dict) -> "SparseState":
-        keys = [parse_row(k) if isinstance(k, str) else int(k) for k in terms]
-        return cls(n, keys, terms.values())
-
     # -- inspection -------------------------------------------------------
 
     @property
@@ -336,28 +329,6 @@ def pauli_eigenvalues(state: SparseState, paulis) -> tuple[tuple, tuple]:
             eigen.append(even * abs(ph - mu) ** 2 <= TOL**2 and odd * abs(ph + mu) ** 2 <= TOL**2)
         values.append(lam)
     return tuple(values), tuple(eigen)
-
-
-def swap_qubits(state: SparseState, i: int, j: int) -> SparseState:
-    state._check_qubit(i)
-    state._check_qubit(j)
-    if i == j:
-        return state
-    both = (1 << (i - 1)) | (1 << (j - 1))
-    keys = [k ^ both if ((k >> (i - 1)) ^ (k >> (j - 1))) & 1 else k for k in state.keys]
-    return _resorted(state.n, keys, state.amps)
-
-
-def tensor(a: SparseState, b: SparseState) -> SparseState:
-    """Product state with a's qubits first (leftmost) and b's appended."""
-    n = a.n + b.n
-    if n > MAX_STATE_QUBITS:
-        raise ValueError(f"tensor result on {n} qubits exceeds the {MAX_STATE_QUBITS}-qubit cap")
-    if a.num_terms * b.num_terms > TERM_GUARD:
-        raise ValueError("tensor result exceeds the term-count guard")
-    # b's keys fill the high bits, so b-major order is already sorted
-    keys = tuple([(kb << a.n) | ka for kb in b.keys for ka in a.keys])
-    return _state(n, keys, tuple([y * x for y in b.amps for x in a.amps]))
 
 
 _OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))

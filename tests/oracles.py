@@ -8,8 +8,10 @@ compare the library against them (codeword enumeration, the eigenvalue
 readout that once checked the codewords, the signed-weight syndrome readout
 and the per-qubit-key storage runner, the CSS coset state, the
 state-level phase layer and projector, the even-support parity check, the
-code-file writer, the T gadget as one float teleport per gate, and code
-validation by PauliOperator.commutes calls).
+code-file writer, the T gadget as one float teleport per gate, code
+validation by PauliOperator.commutes calls, the dict constructor, tensor
+product and qubit swap of sparse states, and the Clifford key rule on
+(a, b) pairs).
 """
 
 from __future__ import annotations
@@ -41,11 +43,8 @@ from hqec.protocol import (
     ProtocolError,
     StorageReport,
     Transcript,
-    _key_rule,
     apply_plain_circuit,
-    clifford_key_update,
     encrypt,
-    mask_pauli,
 )
 from hqec.states import (
     _OUTCOMES,
@@ -68,8 +67,6 @@ from hqec.states import (
     gate,
     inner,
     pauli_eigenvalues,
-    swap_qubits,
-    tensor,
     unit_amplitudes,
 )
 
@@ -95,6 +92,58 @@ class PickRng:
     def choice_weighted(self, weights):
         self.weights = list(weights)
         return self.pick
+
+
+def from_terms(n: int, terms: dict) -> SparseState:
+    """A state from {key: amplitude}, each key a packed int or a bitstring."""
+    keys = [parse_row(k) if isinstance(k, str) else int(k) for k in terms]
+    return SparseState(n, keys, terms.values())
+
+
+def tensor(a: SparseState, b: SparseState) -> SparseState:
+    """Product state with a's qubits first (leftmost) and b's appended."""
+    n = a.n + b.n
+    if n > MAX_STATE_QUBITS:
+        raise ValueError(f"tensor result on {n} qubits exceeds the {MAX_STATE_QUBITS}-qubit cap")
+    if a.num_terms * b.num_terms > _states.TERM_GUARD:
+        raise ValueError("tensor result exceeds the term-count guard")
+    # b's keys fill the high bits, so b-major order is already sorted
+    keys = tuple([(kb << a.n) | ka for kb in b.keys for ka in a.keys])
+    return _state(n, keys, tuple([y * x for y in b.amps for x in a.amps]))
+
+
+def swap_qubits(state: SparseState, i: int, j: int) -> SparseState:
+    state._check_qubit(i)
+    state._check_qubit(j)
+    if i == j:
+        return state
+    both = (1 << (i - 1)) | (1 << (j - 1))
+    keys = [k ^ both if ((k >> (i - 1)) ^ (k >> (j - 1))) & 1 else k for k in state.keys]
+    return _resorted(state.n, keys, state.amps)
+
+
+def pair_key_rule(kind: str, pairs):
+    """Clifford key rule on the (a, b) pairs of a gate's qubits: X and Z
+    leave them alone, H swaps a and b, S and Sd fold a into b, and CNOT
+    mixes the two pairs."""
+    if kind in ("X", "Z"):
+        return pairs
+    if kind == "H":
+        ((a, b),) = pairs
+        return ((b, a),)
+    if kind in ("S", "Sd"):
+        ((a, b),) = pairs
+        return ((a, a ^ b),)
+    (ai, bi), (aj, bj) = pairs
+    return ((ai, bi ^ bj), (ai ^ aj, bj))
+
+
+def pair_mask(pairs) -> PauliOperator:
+    """X^a Z^b on each qubit, from its (a, b) pair, qubit 1 first."""
+    pairs = list(pairs)
+    x = sum(1 << q for q, (a, _) in enumerate(pairs) if a)
+    z = sum(1 << q for q, (_, b) in enumerate(pairs) if b)
+    return PauliOperator(len(pairs), x, z, 0)
 
 
 def basis_state(n: int, bits: int | str) -> SparseState:
@@ -293,7 +342,7 @@ def coset_state(code: ClassicalCode, x: int | str) -> SparseState:
         raise GuardExceeded(f"coset of 2^{code.dimension} words exceeds guard")
     words = enumerate_codewords(code)
     amp = 1.0 / (len(words) ** 0.5)
-    return SparseState.from_terms(code.length, {x ^ y: amp for y in words})
+    return from_terms(code.length, {x ^ y: amp for y in words})
 
 
 def even_support_check(z_supports, x_supports) -> bool:
@@ -416,9 +465,10 @@ def projection_diagonal_action(code_space, phase_per_one):
 
 
 def random_pauli(rng: np.random.Generator, n: int) -> PauliOperator:
-    return PauliOperator.from_bits(
-        rng.integers(0, 2, n).tolist(), rng.integers(0, 2, n).tolist(), int(rng.integers(0, 4))
-    )
+    xs, zs = rng.integers(0, 2, n).tolist(), rng.integers(0, 2, n).tolist()
+    x = sum(1 << q for q, b in enumerate(xs) if b)
+    z = sum(1 << q for q, b in enumerate(zs) if b)
+    return PauliOperator(n, x, z, int(rng.integers(0, 4)))
 
 
 def random_dense_state(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -520,9 +570,9 @@ def signed_weight_eigenvalues(state: SparseState, paulis) -> tuple[tuple, tuple]
 
 def keyed_storage(name: str, amplitudes, key, injected_error=None) -> StorageReport:
     """The masked storage round trip with a per-qubit key register: encrypt
-    with mask_pauli of the uniform KeyRegister, read the syndrome with
-    signed_weight_eigenvalues, decode, and unmask with the mask's adjoint
-    times the correction.  Takes a mask-compatible builtin code."""
+    with the uniform KeyRegister, read the syndrome with signed_weight_eigenvalues,
+    decode, and unmask with the adjoint of pair_mask of its pairs times the
+    correction.  Takes a mask-compatible builtin code."""
     code = builtin_code(name)
     c0, c1 = unit_amplitudes(amplitudes)
     psi = combine(list(logical_codewords(code).basis), [c0, c1]).normalized()
@@ -537,7 +587,7 @@ def keyed_storage(name: str, amplitudes, key, injected_error=None) -> StorageRep
             raise ProtocolError(f"state is not an eigenstate of {g}")
         syn.append(0 if val.real > 0 else 1)
     corr = decode_single_error(code, tuple(syn))
-    state = apply_pauli(state, mask_pauli(keys).adjoint().multiply(corr))
+    state = apply_pauli(state, pair_mask(keys.as_lists()).adjoint().multiply(corr))
     return StorageReport(
         code.name, keys.pair(1), None if injected_error is None else injected_error.to_string(),
         tuple(syn), corr.to_string(), fidelity_up_to_phase(state, psi), final_state=state,
@@ -760,7 +810,7 @@ def dict_logical_bell_branches(chi, products, bell, a):
             bz = beta.get(z_part)
             if bz is not None:
                 out[y_part] = out.get(y_part, 0j) + bz * amp
-        st = SparseState.from_terms(n, out) if out else None
+        st = from_terms(n, out) if out else None
         branches.append(st)
         probs.append(0.0 if st is None else st.norm() ** 2)
     return branches, probs
@@ -849,7 +899,7 @@ def decrypt(client_state, transcript, keys, rng, forced_outcomes=None):
     forced_idx = 0
 
     state = client_state
-    cur = keys
+    cur = [tuple(pair) for pair in keys.as_lists()]
     alive = list(range(1, client_state.n + 1))
     for ev in gate_events:
         kind = ev["gate"]
@@ -863,7 +913,7 @@ def decrypt(client_state, transcript, keys, rng, forced_outcomes=None):
                     raise ProtocolError("not enough forced outcomes")
                 pick = forced[forced_idx]
                 forced_idx += 1
-            old = cur.pair(j)
+            old = cur[j - 1]
             outcome, new, rot_label, state = _measure_t_pair(
                 state, (p1, p2), kind, old, rng, pick
             )
@@ -877,19 +927,16 @@ def decrypt(client_state, transcript, keys, rng, forced_outcomes=None):
                 forced=pick is not None,
             )
             transcript.record("key_update", qubit=j, old=list(old), new=list(new))
-            cur = KeyRegister(cur.pairs[: j - 1] + (new,) + cur.pairs[j:])
-        else:
-            g = CircuitGate(kind, tuple(ev["qubits"]))
-            updated = clifford_key_update(g, cur)
-            for q in g.qubits:
-                if updated.pair(q) != cur.pair(q) or g.kind in ("H", "S", "Sd", "CNOT"):
-                    transcript.record(
-                        "key_update", qubit=q, old=list(cur.pair(q)), new=list(updated.pair(q))
-                    )
-            cur = updated
+            cur[j - 1] = new
+        elif kind not in ("X", "Z"):
+            qubits = ev["qubits"]
+            old = [cur[q - 1] for q in qubits]
+            for q, was, new in zip(qubits, old, pair_key_rule(kind, old)):
+                transcript.record("key_update", qubit=q, old=list(was), new=list(new))
+                cur[q - 1] = new
 
-    transcript.record("final_keys", keys=cur.as_lists())
-    correction = mask_pauli(cur).adjoint()
+    transcript.record("final_keys", keys=[list(pair) for pair in cur])
+    correction = pair_mask(cur).adjoint()
     state = apply_pauli(state, correction)
     transcript.record("final_correction", pauli=correction.to_string())
     return state
@@ -907,7 +954,7 @@ def _gate_by_gate(enc_state, circuit, keys, rng, forced_outcomes, chain) -> Circ
     rng, pick) -> outcome for each T/Td gate, chain.num_terms, and
     chain.finish(correction) -> the final state."""
     n = len(keys)
-    cur = list(keys.pairs)
+    cur = [tuple(pair) for pair in keys.as_lists()]
     forced = None if forced_outcomes is None else list(forced_outcomes)
     if forced is not None:
         t = sum(g.kind in ("T", "Td") for g in circuit)
@@ -922,7 +969,7 @@ def _gate_by_gate(enc_state, circuit, keys, rng, forced_outcomes, chain) -> Circ
             server.append({"kind": "gate", "gate": kind, "qubits": list(qubits)})
             if kind not in ("X", "Z"):
                 old = [cur[q - 1] for q in qubits]
-                for q, was, new in zip(qubits, old, _key_rule(kind, old)):
+                for q, was, new in zip(qubits, old, pair_key_rule(kind, old)):
                     client.append({"kind": "key_update", "qubit": q, "old": list(was), "new": list(new)})
                     cur[q - 1] = new
             continue
@@ -948,10 +995,9 @@ def _gate_by_gate(enc_state, circuit, keys, rng, forced_outcomes, chain) -> Circ
              "forced": pick is not None},
             {"kind": "key_update", "qubit": w, "old": [a, b], "new": list(new)},
         ]
-    final = KeyRegister(tuple(cur))
-    correction = mask_pauli(final).adjoint()
+    correction = pair_mask(cur).adjoint()
     client += [
-        {"kind": "final_keys", "keys": final.as_lists()},
+        {"kind": "final_keys", "keys": [list(pair) for pair in cur]},
         {"kind": "final_correction", "pauli": correction.to_string()},
     ]
     return CircuitRun(chain.finish(correction), Transcript(server + client), outcomes, max_qubits, max_terms)

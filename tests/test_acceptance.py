@@ -31,7 +31,6 @@ from hqec.states import (
     combine,
     gate,
     inner,
-    swap_qubits,
 )
 from oracles import (
     apply_diagonal,
@@ -42,9 +41,11 @@ from oracles import (
     dense_pauli,
     dense_swap,
     enumerate_codewords,
+    from_terms,
     op_on,
     project_onto,
     random_pauli,
+    swap_qubits,
     weight_mod,
 )
 
@@ -151,7 +152,7 @@ def test_c04_shor_mask_amplitude_cases():
 def test_c05_bit_flip_mask_table():
     c0 = 0.48 + 0.36j
     c1 = 0.64 - 0.48j
-    psi = SparseState.from_terms(3, {"000": c0, "111": c1})
+    psi = from_terms(3, {"000": c0, "111": c1})
     expected = {
         (0, 0): (c0, c1),
         (0, 1): (c0, -c1),
@@ -309,7 +310,7 @@ def test_c12_key_update_matrix_identities():
                     upd = clifford_key_update(
                         CircuitGate("CNOT", (1, 2)), KeyRegister.of([(ai, bi), (aj, bj)])
                     )
-                    (ai2, bi2), (aj2, bj2) = upd.pairs
+                    (ai2, bi2), (aj2, bj2) = upd.as_lists()
                     m_in = (
                         op_on(np.linalg.matrix_power(xm, ai) @ np.linalg.matrix_power(zm, bi), 1, 2)
                         @ op_on(np.linalg.matrix_power(xm, aj) @ np.linalg.matrix_power(zm, bj), 2, 2)

@@ -423,10 +423,12 @@ def _argv(data, root) -> list[str]:
         return pick("0,0", "0,1", "1,0", "1,1", "2,0", "1", "a,b", "")
 
     def amps():
-        # four finite doubles reach overflow and underflow; any doubles, the input errors
+        # the fixed extremes overflow and underflow a plain norm; four finite
+        # doubles reach them too, and any doubles the input errors
         parts = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4,
                                    max_size=4) | st.lists(st.floats(), min_size=3, max_size=5))
-        return pick("0.6,0,0,0.8", "1,0,1,0", "0,0,0,0", "x,0,0,1", ",".join(map(repr, parts)))
+        return pick("0.6,0,0,0.8", "1,0,1,0", "0,0,0,0", "x,0,0,1", "1e308,0,1e308,0",
+                    "5e-324,0,0,5e-324", ",".join(map(repr, parts)))
 
     def runner_options():
         argv = []

@@ -33,7 +33,7 @@ EXPORTS = {
                  "run_logical_t_protocol", "run_storage_protocol", "run_transversal_t_protocol"),
     "rng": ("SplitMix64",),
     "states": ("SparseState", "apply_cnot", "apply_pauli", "apply_single",
-               "fidelity_up_to_phase", "gate", "swap_qubits", "tensor"),
+               "fidelity_up_to_phase", "gate"),
 }
 HEAVY = ("numpy", "hqec.states", "hqec.protocol")
 

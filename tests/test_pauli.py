@@ -168,8 +168,8 @@ class TestWeightAndTransversal:
 
     def test_multiword_operators(self):
         # spans more than one 64-bit word
-        p = PauliOperator.from_bits([1] * 100, [0] * 100)
-        q = PauliOperator.from_bits([0] * 100, [1] * 100)
+        p = PauliOperator(100, (1 << 100) - 1, 0, 0)
+        q = PauliOperator(100, 0, (1 << 100) - 1, 0)
         assert p.weight == 100
         assert p.commutes(q) == (100 % 2 == 0)
         assert p.multiply(p) == PauliOperator.identity(100)

@@ -15,7 +15,6 @@ from hqec.protocol import (
     clifford_key_update,
     encrypt,
     format_circuit,
-    mask_pauli,
     measured_syndrome,
     parse_circuit,
     random_state,
@@ -27,7 +26,7 @@ from hqec.protocol import (
     run_transversal_t_protocol,
 )
 from hqec.codes import builtin_code, syndrome
-from hqec.pauli import PauliOperator, parse_pauli
+from hqec.pauli import PauliOperator, parse_pauli, transversal_pauli
 from hqec.rng import SplitMix64
 from hqec import states
 from hqec.states import (
@@ -37,8 +36,6 @@ from hqec.states import (
     combine,
     fidelity_up_to_phase,
     gate,
-    swap_qubits,
-    tensor,
 )
 import oracles
 from oracles import (
@@ -50,13 +47,18 @@ from oracles import (
     decrypt,
     dense_cnot,
     dense_of,
+    dense_pauli,
     dict_logical_bell_branches,
     evaluate_circuit,
+    from_terms,
     op_on,
+    pair_key_rule,
     per_gate_exponent_run,
     per_gate_run_circuit,
     rotated_bell_measure,
     state_bytes,
+    swap_qubits,
+    tensor,
 )
 
 OMEGA = np.exp(1j * np.pi / 4)
@@ -92,7 +94,7 @@ class TestEncryption:
     def test_bit_flip_amplitude_table(self):
         # masked amplitudes for the three-qubit repetition code, all keys
         c0, c1 = 0.6, 0.8j
-        psi = SparseState.from_terms(3, {"000": c0, "111": c1})
+        psi = from_terms(3, {"000": c0, "111": c1})
         expected = {
             (0, 0): (c0, c1),
             (0, 1): (c0, -c1),
@@ -105,7 +107,7 @@ class TestEncryption:
             assert enc.amplitude("111") == pytest.approx(e1, abs=1e-15)
 
     def test_zero_keys_identity(self):
-        psi = SparseState.from_terms(2, {"01": 0.6, "10": 0.8})
+        psi = from_terms(2, {"01": 0.6, "10": 0.8})
         enc = encrypt(psi, KeyRegister.uniform(2, 0, 0))
         assert fidelity_up_to_phase(enc, psi) == pytest.approx(1)
 
@@ -117,7 +119,7 @@ class TestEncryption:
         # averaging the masked density over uniform keys mixes the code space;
         # the two magnitude patterns each occur for exactly half the keys
         c0, c1 = 0.6, 0.8
-        psi = SparseState.from_terms(3, {"000": c0, "111": c1})
+        psi = from_terms(3, {"000": c0, "111": c1})
         rho = np.zeros((2, 2), dtype=complex)
         patterns = {"kept": 0, "swapped": 0}
         for a in (0, 1):
@@ -133,27 +135,57 @@ class TestEncryption:
         assert patterns == {"kept": 2, "swapped": 2}
 
 
+class TestKeyRegister:
+    def test_random_draws_a_then_b_per_qubit(self):
+        draws = SplitMix64(7)
+        want = [[draws.next_u64() & 1, draws.next_u64() & 1] for _ in range(5)]
+        assert KeyRegister.random(5, SplitMix64(7)).as_lists() == want
+
+    def test_layout_is_the_mask(self):
+        keys = KeyRegister.of([(1, 0), (0, 1), (1, 1)])
+        assert (keys.n, keys.x, keys.z) == (3, 0b101, 0b110)
+        assert [keys.pair(q) for q in (1, 2, 3)] == [(1, 0), (0, 1), (1, 1)]
+        # X^a Z^b on each qubit, and X Z = -iY
+        assert keys.mask.to_string() == "-iXZY"
+
+    @pytest.mark.parametrize("n", [1, 9, 15])
+    def test_uniform_mask_is_transversal(self, n):
+        for a in (0, 1):
+            for b in (0, 1):
+                want = PauliOperator.identity(n)
+                if a:
+                    want = want.multiply(transversal_pauli("X", n))
+                if b:
+                    want = want.multiply(transversal_pauli("Z", n))
+                assert KeyRegister.uniform(n, a, b).mask == want
+                assert KeyRegister.uniform(n, a, b) == KeyRegister.of([(a, b)] * n)
+
+    def test_update_checks_the_qubit_range(self):
+        with pytest.raises(ValueError, match=r"^qubit 3 out of range 1\.\.2$"):
+            clifford_key_update(CircuitGate("CNOT", (1, 3)), KeyRegister.of([(0, 0), (1, 1)]))
+
+
 class TestKeyUpdates:
     def test_h_swaps(self):
         keys = KeyRegister.of([(1, 0), (0, 1)])
         out = clifford_key_update(CircuitGate("H", (1,)), keys)
-        assert out.pairs == ((0, 1), (0, 1))
+        assert out.as_lists() == [[0, 1], [0, 1]]
 
     def test_s_folds(self):
         keys = KeyRegister.of([(1, 1)])
         out = clifford_key_update(CircuitGate("S", (1,)), keys)
-        assert out.pairs == ((1, 0),)
-        assert clifford_key_update(CircuitGate("S", (1,)), KeyRegister.of([(0, 0)])).pairs == ((0, 0),)
+        assert out.as_lists() == [[1, 0]]
+        assert clifford_key_update(CircuitGate("S", (1,)), KeyRegister.of([(0, 0)])).as_lists() == [[0, 0]]
 
     def test_x_z_identity(self):
         keys = KeyRegister.of([(1, 1)])
         for kind in ("X", "Z"):
-            assert clifford_key_update(CircuitGate(kind, (1,)), keys).pairs == keys.pairs
+            assert clifford_key_update(CircuitGate(kind, (1,)), keys).as_lists() == keys.as_lists()
 
     def test_cnot_rule(self):
         keys = KeyRegister.of([(1, 1), (0, 1)])
         out = clifford_key_update(CircuitGate("CNOT", (1, 2)), keys)
-        assert out.pairs == ((1, 0), (1, 1))
+        assert out.as_lists() == [[1, 0], [1, 1]]
 
     def test_non_clifford_rejected(self):
         with pytest.raises(ValueError):
@@ -202,7 +234,7 @@ class TestKeyUpdates:
                     for bj in (0, 1):
                         keys = KeyRegister.of([(ai, bi), (aj, bj)])
                         upd = clifford_key_update(CircuitGate("CNOT", (1, 2)), keys)
-                        (ai2, bi2), (aj2, bj2) = upd.pairs
+                        (ai2, bi2), (aj2, bj2) = upd.as_lists()
                         mask_in = (
                             np.linalg.matrix_power(x1, ai) @ np.linalg.matrix_power(z1, bi)
                             @ np.linalg.matrix_power(x2, aj) @ np.linalg.matrix_power(z2, bj)
@@ -217,6 +249,38 @@ class TestKeyUpdates:
                         lam = lhs[idx] / rhs[idx]
                         assert abs(abs(lam) - 1) < 1e-12
                         assert np.abs(lhs - lam * rhs).max() < 1e-12
+
+    def test_mask_rules_on_three_qubits(self):
+        # every Clifford kind on every qubit and ordered qubit pair of a
+        # 3-qubit register, under all 64 keys: the mask rule equals the pair
+        # rule, and G mask G^dag is proportional to the updated mask
+        mp = np.linalg.matrix_power
+        x, z = DENSE_1Q["X"], DENSE_1Q["Z"]
+
+        def dense_mask(pairs):
+            return np.linalg.multi_dot([op_on(mp(x, a) @ mp(z, b), q, 3)
+                                        for q, (a, b) in enumerate(pairs, 1)])
+
+        gates = [CircuitGate(kind, (q,)) for kind in ("X", "Z", "H", "S", "Sd") for q in (1, 2, 3)]
+        gates += [CircuitGate("CNOT", (c, t)) for c in (1, 2, 3) for t in (1, 2, 3) if c != t]
+        assert CircuitGate("CNOT", (3, 1)) in gates
+        for g in gates:
+            gm = dense_circuit([g], 3)
+            for bits in range(64):
+                pairs = [(bits >> 2 * q & 1, bits >> 2 * q + 1 & 1) for q in range(3)]
+                want = list(pairs)
+                for q, new in zip(g.qubits, pair_key_rule(g.kind, [pairs[q - 1] for q in g.qubits])):
+                    want[q - 1] = new
+                keys = KeyRegister.of(pairs)
+                out = clifford_key_update(g, keys)
+                assert out.as_lists() == [list(p) for p in want], (g, pairs)
+                assert np.array_equal(dense_pauli(keys.mask), dense_mask(pairs))
+                lhs = gm @ dense_mask(pairs) @ gm.conj().T
+                rhs = dense_pauli(out.mask)
+                idx = np.unravel_index(np.argmax(np.abs(rhs)), rhs.shape)
+                lam = lhs[idx] / rhs[idx]
+                assert abs(abs(lam) - 1) < 1e-12
+                assert np.abs(lhs - lam * rhs).max() < 1e-12, (g, pairs)
 
     def test_t_byproduct_matrix_relation(self):
         # T X^a Z^b == lambda * R^dag X^a Z^(a^b) T, where R is the rotation
@@ -426,7 +490,7 @@ class TestEvaluateDecrypt:
         (r_a, r_b), collapsed = rotated_bell_measure(out, (2, 3), rot, SplitMix64(0), forced)
         a_post = a ^ r_a
         b_wrong = b ^ (a_post ^ r_b)
-        wrong_mask = mask_pauli(KeyRegister.of([(a_post, b_wrong)])).adjoint()
+        wrong_mask = KeyRegister.of([(a_post, b_wrong)]).mask.adjoint()
         dec_bad = apply_pauli(collapsed, wrong_mask)
         assert fidelity_up_to_phase(dec_bad, want) < 1 - 1e-3
 
@@ -655,7 +719,7 @@ class TestStorage:
     )
     def test_all_compatible_codes_round_trip(self, name, kinds):
         # against oracles.keyed_storage (a per-qubit KeyRegister, encrypt,
-        # mask_pauli and the signed-weight readout): the same final keys and
+        # pair_mask and the signed-weight readout): the same final keys and
         # amplitudes bit for bit, and the same report
         n = builtin_code(name).n
         errors = [None] + [PauliOperator.single(n, q, k) for q in range(1, n + 1) for k in kinds]
@@ -763,15 +827,15 @@ class TestGadgetWeightsUniform:
     every key, with sampled and forced outcomes.  Every weight list a runner
     passes to its generator has four equal entries.  And every T gadget's
     four outcome weights, recomputed by the oracle teleport with a PickRng
-    on the states the gadgets meet gate by gate (run_circuit's calls
-    replayed by the float teleport chain, the logical runner's one-qubit
-    register as its gadget receives it), are within 1e-12 of a quarter of
-    their total."""
+    on the states the gadgets meet gate by gate (every runner's run_circuit
+    calls, the logical runner's on its one-qubit register too, replayed by
+    the float teleport chain), are within 1e-12 of a quarter of their
+    total."""
 
     @pytest.fixture
     def weights(self, monkeypatch):
         seen = []
-        teleport, run, gadget = oracles.teleport, protocol.run_circuit, states.MonomialLayer.gadget
+        teleport, run = oracles.teleport, protocol.run_circuit
 
         def probe(state, qubit, rotation, rng, forced=None):
             picker = PickRng(0)
@@ -787,14 +851,8 @@ class TestGadgetWeightsUniform:
             assert got.outcomes == chain.outcomes
             return got
 
-        def one_qubit_gadget(layer, state, qubit, rotation, t, rng, forced=None):
-            if state.n == 1:  # the logical runner's register
-                probe(state, qubit, {"I": oracles.IDENTITY, "S": gate("S")}[rotation], None, (0, 0))
-            return gadget(layer, state, qubit, rotation, t, rng, forced)
-
         monkeypatch.setattr(oracles, "teleport", probe)
         monkeypatch.setattr(protocol, "run_circuit", replayed)
-        monkeypatch.setattr(states.MonomialLayer, "gadget", one_qubit_gadget)
         return seen
 
     @pytest.mark.parametrize("forced", [False, True])

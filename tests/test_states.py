@@ -25,8 +25,6 @@ from hqec.states import (
     gate,
     inner,
     pauli_eigenvalues,
-    swap_qubits,
-    tensor,
     unit_amplitudes,
 )
 from oracles import (
@@ -41,6 +39,7 @@ from oracles import (
     dense_pauli,
     dense_rotated_bell_branches,
     dense_swap,
+    from_terms,
     intersect_inner,
     op_on,
     pauli_expectation_terms,
@@ -53,7 +52,9 @@ from oracles import (
     signed_weight_eigenvalues,
     sparse_of,
     state_bytes,
+    swap_qubits,
     teleport,
+    tensor,
     vacuum,
 )
 
@@ -93,12 +94,12 @@ class TestBasics:
             assert SingleQubitGate("u", m).matrix == tuple(tuple(complex(x) for x in r) for r in m)
 
     def test_prune(self):
-        st_ = SparseState.from_terms(2, {0: 1.0, 3: 1e-13})
+        st_ = from_terms(2, {0: 1.0, 3: 1e-13})
         assert st_.num_terms == 1
 
     def test_key_guard(self):
         with pytest.raises(ValueError):
-            SparseState.from_terms(2, {7: 1.0})
+            from_terms(2, {7: 1.0})
         for n, key in ((2, -1), (64, 1 << 64)):
             with pytest.raises(ValueError, match="bits beyond the register size"):
                 SparseState(n, [key], [1.0])
@@ -118,7 +119,7 @@ class TestBasics:
 
     def test_dump_sorted_by_bitstring(self):
         # key 0b10 renders as "01": qubit 1 is the leftmost character
-        st_ = SparseState.from_terms(2, {0b10: 0.6, 0b01: 0.8})
+        st_ = from_terms(2, {0b10: 0.6, 0b01: 0.8})
         lines = st_.dump_lines()
         assert [ln.split()[0] for ln in lines] == ["01", "10"]
         assert float(lines[0].split()[1]) == pytest.approx(0.6)
@@ -126,8 +127,8 @@ class TestBasics:
 
     def test_bad_bitstring_character(self):
         with pytest.raises(ValueError, match="position 2"):
-            SparseState.from_terms(3, {"0x1": 1.0})
-        st_ = SparseState.from_terms(2, {"01": 1.0})
+            from_terms(3, {"0x1": 1.0})
+        st_ = from_terms(2, {"01": 1.0})
         with pytest.raises(ValueError, match="position 1"):
             st_.amplitude("20")
 
@@ -165,7 +166,7 @@ class TestApplySingle:
         assert abs(out.amplitude(1) - 2**-0.5) < 1e-15
 
     def test_t_on_block_superposition(self):
-        st_ = SparseState.from_terms(3, {"000": 2**-0.5, "111": 2**-0.5})
+        st_ = from_terms(3, {"000": 2**-0.5, "111": 2**-0.5})
         for q in (1, 2, 3):
             st_ = apply_single(st_, gate("T"), q)
         w3 = np.exp(1j * 3 * np.pi / 4)
@@ -198,7 +199,7 @@ class TestCnotSwapTensor:
         assert apply_cnot(basis_state(2, "01"), 1, 2).amplitude("01") == 1
 
     def test_cnot_builds_bell(self):
-        st_ = SparseState.from_terms(2, {"00": 2**-0.5, "10": 2**-0.5})
+        st_ = from_terms(2, {"00": 2**-0.5, "10": 2**-0.5})
         out = apply_cnot(st_, 1, 2)
         assert fidelity_up_to_phase(out, bell_pair()) > 1 - 1e-12
 
@@ -234,7 +235,7 @@ class TestCnotSwapTensor:
         assert abs(out.amplitude("011") - 2**-0.5) < 1e-15
 
     def test_tensor_vacuum(self):
-        st_ = SparseState.from_terms(2, {"01": 0.6, "10": 0.8})
+        st_ = from_terms(2, {"01": 0.6, "10": 0.8})
         assert fidelity_up_to_phase(tensor(st_, vacuum()), st_) > 1 - 1e-12
         assert fidelity_up_to_phase(tensor(vacuum(), st_), st_) > 1 - 1e-12
 
@@ -256,7 +257,7 @@ class TestApplyPauli:
         assert out.amplitude("11") == -1
 
     def test_identity(self):
-        st_ = SparseState.from_terms(2, {"01": 0.6, "10": 0.8})
+        st_ = from_terms(2, {"01": 0.6, "10": 0.8})
         out = apply_pauli(st_, PauliOperator.identity(2))
         assert fidelity_up_to_phase(out, st_) == pytest.approx(1)
 
@@ -302,7 +303,7 @@ class TestInnerProjection:
 
     def test_non_orthonormal_span_rejected(self):
         a = basis_state(2, "00")
-        b = SparseState.from_terms(2, {"00": 0.6, "11": 0.8})
+        b = from_terms(2, {"00": 0.6, "11": 0.8})
         with pytest.raises(ValueError):
             project_onto([a, b], a)
 
@@ -327,7 +328,7 @@ class TestRotatedBellMeasure:
     # the joint-register measurement of tests/oracles.py, the reference for
     # teleport; the uniform-outcome test runs teleport itself
     def test_teleportation_identity_rotation(self):
-        psi = SparseState.from_terms(1, {0: 0.6, 1: 0.8j})
+        psi = from_terms(1, {0: 0.6, 1: 0.8j})
         rng = SplitMix64(0)
         for forced in ((0, 0), (0, 1), (1, 0), (1, 1)):
             st_ = tensor(psi, bell_pair())
@@ -342,7 +343,7 @@ class TestRotatedBellMeasure:
 
     def test_teleportation_rotated(self):
         # measuring in the U-rotated basis applies U before the outcome Paulis
-        psi = SparseState.from_terms(1, {0: 0.28, 1: 0.96})
+        psi = from_terms(1, {0: 0.28, 1: 0.96})
         rng = SplitMix64(0)
         for label in ("S", "T", "H"):
             for forced in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -356,7 +357,7 @@ class TestRotatedBellMeasure:
                 assert fidelity_up_to_phase(col, expect) > 1 - 1e-12
 
     def test_uniform_outcome_probabilities(self):
-        psi = SparseState.from_terms(1, {0: 0.6, 1: 0.8})
+        psi = from_terms(1, {0: 0.6, 1: 0.8})
         counts = {o: 0 for o in ((0, 0), (0, 1), (1, 0), (1, 1))}
         rng = SplitMix64(2024)
         trials = 10_000
@@ -368,7 +369,7 @@ class TestRotatedBellMeasure:
 
     def test_remaining_index_repacking(self):
         # measure middle pair; outer qubits keep relative order
-        psi = SparseState.from_terms(2, {"01": 1.0})
+        psi = from_terms(2, {"01": 1.0})
         st_ = tensor(tensor(basis_state(1, 1), bell_pair()), basis_state(1, 0))
         outcome, col = rotated_bell_measure(st_, (2, 3), IDENT, SplitMix64(1))
         assert col.n == 2
@@ -481,7 +482,7 @@ class TestTeleport:
 
     def test_gadget_states(self):
         # T-gadget inputs: codeword-like superpositions whose branches cancel
-        st_ = SparseState.from_terms(3, {"000": 2**-0.5, "111": 2**-0.5})
+        st_ = from_terms(3, {"000": 2**-0.5, "111": 2**-0.5})
         for q in (1, 2, 3):
             for label in ("I", "S", "Sd"):
                 self._assert_same(apply_single(st_, gate("T"), q), q, self.ROTATIONS[label])
@@ -494,13 +495,13 @@ class TestTeleport:
 
     def test_antidiagonal_rotation(self):
         # X's basis rows have one nonzero per data bit too; outcome a = 0 flips the key
-        state = SparseState.from_terms(2, {"00": 0.6, "10": -0.8j, "11": 0.8})
+        state = from_terms(2, {"00": 0.6, "10": -0.8j, "11": 0.8})
         for qubit in (1, 2):
             self._assert_same(state, qubit, gate("X"))
 
     def test_non_monomial_rotation_rejected(self):
         # H mixes both pair halves into every row entry, so no one-key gather exists
-        state = SparseState.from_terms(1, {"0": 0.6, "1": 0.8})
+        state = from_terms(1, {"0": 0.6, "1": 0.8})
         with pytest.raises(ValueError, match="^teleport takes a diagonal or antidiagonal rotation, got 'H'$"):
             teleport(state, 1, gate("H"), SplitMix64(0))
 
@@ -537,14 +538,14 @@ class TestTeleport:
 
     @pytest.mark.parametrize("forced", [(2, 0), (0, -1), (0,), (0, 1, 1), (0.5, 1), (None, 1), "01", 3])
     def test_malformed_forced_outcome(self, forced):
-        state = SparseState.from_terms(1, {"0": 0.6, "1": 0.8})
+        state = from_terms(1, {"0": 0.6, "1": 0.8})
         with pytest.raises(ValueError, match=r"^forced outcome must be a pair of bits, got ") as err:
             teleport(state, 1, IDENT, SplitMix64(0), forced)
         assert str(err.value).endswith(repr(forced))
 
     @pytest.mark.parametrize("forced", [[1, 0], (np.int64(1), np.uint8(0)), np.array([1, 0]), (True, False)])
     def test_forced_outcome_forms(self, forced):
-        state = SparseState.from_terms(1, {"0": 0.6, "1": 0.8})
+        state = from_terms(1, {"0": 0.6, "1": 0.8})
         outcome, out = teleport(state, 1, IDENT, SplitMix64(0), forced)
         want_outcome, want = teleport(state, 1, IDENT, SplitMix64(0), (1, 0))
         assert outcome == want_outcome == (1, 0)
@@ -690,7 +691,7 @@ class TestMonomialGadget:
 
     def test_later_gadgets_sample_a_quarter(self):
         # squared norm 4: the first gadget's weights are 1, a quarter of it
-        state = SparseState.from_terms(2, {"00": 1.2, "11": 1.6j})
+        state = from_terms(2, {"00": 1.2, "11": 1.6j})
         layer, picks = MonomialLayer(2), [PickRng(1), PickRng(2)]
         layer.gadget(state, 1, "S", 1, picks[0])
         layer.gadget(state, 2, "I", 7, picks[1])
@@ -739,14 +740,14 @@ class TestMonomialGadget:
 
     @pytest.mark.parametrize("forced", [(2, 0), (0, -1), (0,), (0, 1, 1), (0.5, 1), (None, 1), "01", 3])
     def test_malformed_forced_outcome(self, forced):
-        state = SparseState.from_terms(1, {"0": 0.6, "1": 0.8})
+        state = from_terms(1, {"0": 0.6, "1": 0.8})
         with pytest.raises(ValueError, match=r"^forced outcome must be a pair of bits, got ") as err:
             MonomialLayer(1).gadget(state, 1, "I", 1, SplitMix64(0), forced)
         assert str(err.value).endswith(repr(forced))
 
     @pytest.mark.parametrize("forced", [[1, 0], (np.int64(1), np.uint8(0)), np.array([1, 0]), (True, False)])
     def test_forced_outcome_forms(self, forced):
-        state = SparseState.from_terms(1, {"0": 0.6, "1": 0.8})
+        state = from_terms(1, {"0": 0.6, "1": 0.8})
         got, want = MonomialLayer(1), MonomialLayer(1)
         outcome = got.gadget(state, 1, "S", 1, SplitMix64(0), forced)
         assert outcome == want.gadget(state, 1, "S", 1, SplitMix64(0), (1, 0)) == (1, 0)
@@ -823,7 +824,7 @@ class TestInnerSearchsorted:
 
     def test_empty_states(self):
         empty = SparseState(3, np.array([], np.uint64), np.array([], complex))
-        full = SparseState.from_terms(3, {0: 0.6, 7: 0.8})
+        full = from_terms(3, {0: 0.6, 7: 0.8})
         for x, y in ((empty, full), (full, empty), (empty, empty)):
             assert inner(x, y) == 0j == intersect_inner(x, y)
 
@@ -861,7 +862,7 @@ class TestPauliEigenvalues:
             terms = {k: terms.get(k, 0) + image.get(k, 0) / mu for k in set(terms) | set(image)}
             terms = {k: a for k, a in terms.items() if abs(a) > 1e-6}
             assume(terms)
-        state = SparseState.from_terms(n, terms)
+        state = from_terms(n, terms)
         # P0 times i^j (odd phases included), its negative, and unrelated Paulis
         j = data.draw(st.integers(0, 3), label="j")
         paulis = [base, PauliOperator(n, base.x, base.z, base.phase + j),
@@ -879,10 +880,10 @@ class TestPauliEigenvalues:
         assert eigen[3] and abs(values[3] - state.norm() ** 2) < 1e-9
 
     def test_plus_minus_one_and_y_parts(self):
-        bell = SparseState.from_terms(2, {0b00: 0.6, 0b11: 0.8})
+        bell = from_terms(2, {0b00: 0.6, 0b11: 0.8})
         values, eigen = pauli_eigenvalues(bell, [parse_pauli(t) for t in ("ZZ", "-ZZ", "IZ")])
         assert np.allclose(values, [1, -1, 0.36 - 0.64]) and eigen == (True, True, False)
-        phi = SparseState.from_terms(2, {0b00: 1, 0b11: 1}).normalized()
+        phi = from_terms(2, {0b00: 1, 0b11: 1}).normalized()
         # XX, YY = -XX ZZ and iXZ phases: eigenvalues +1, -1, and +-i for non-Hermitian
         ops = [parse_pauli(t) for t in ("XX", "YY", "XY", "iXX")]
         values, eigen = pauli_eigenvalues(phi, ops)
@@ -905,14 +906,14 @@ class TestPauliEigenvalues:
         assert np.allclose(values, [0, 0, -1j])
 
     def test_missing_flipped_key_is_no_eigenstate(self):
-        state = SparseState.from_terms(3, {0b000: 0.6, 0b011: 0.8})
+        state = from_terms(3, {0b000: 0.6, 0b011: 0.8})
         values, eigen = pauli_eigenvalues(state, [parse_pauli("XII"), parse_pauli("XXI")])
         # X1 maps 000 to 001, which is not stored; X1X2 maps the keys onto each other
         assert values[0] == 0 and not eigen[0]
         assert abs(values[1] - 0.96) < 1e-12 and not eigen[1]
 
     def test_amplitude_ratios_differ(self):
-        state = SparseState.from_terms(1, {0: 1, 1: 2}).normalized()
+        state = from_terms(1, {0: 1, 1: 2}).normalized()
         values, eigen = pauli_eigenvalues(state, [parse_pauli("X"), parse_pauli("Z")])
         assert np.allclose(values, [0.8, -0.6]) and not any(eigen)
 
@@ -977,7 +978,7 @@ class TestPauliEigenvaluesAgainstSignedWeights:
             terms = {k: terms.get(k, 0) + image.get(k, 0) / mu for k in set(terms) | set(image)}
             terms = {k: a for k, a in terms.items() if abs(a) > 1e-6}
             assume(terms)
-        state = SparseState.from_terms(n, terms)
+        state = from_terms(n, terms)
         paulis = [PauliOperator(n, 0, z, j) for j in range(4)] + [PauliOperator.identity(n)]
         paulis += [PauliOperator(n, base.x, base.z, base.phase + j) for j in range(4)]
         paulis += [_random_pauli_n(data, n, f"P{i}") for i in range(data.draw(st.integers(0, 4)))]
@@ -989,9 +990,9 @@ class TestPauliEigenvaluesAgainstSignedWeights:
 
     def test_one_term_and_each_parity(self):
         # one term; then every key even, and every key odd, under ZZZ
-        one = SparseState.from_terms(3, {0b101: -0.0 + 0.5j})
-        even = SparseState.from_terms(3, {0b000: 0.1, 0b011: -0.2j, 0b101: 0.3 - 0.4j})
-        odd = SparseState.from_terms(3, {0b001: 0.3 - 0.4j, 0b010: -0.2j, 0b111: 0.1})
+        one = from_terms(3, {0b101: -0.0 + 0.5j})
+        even = from_terms(3, {0b000: 0.1, 0b011: -0.2j, 0b101: 0.3 - 0.4j})
+        odd = from_terms(3, {0b001: 0.3 - 0.4j, 0b010: -0.2j, 0b111: 0.1})
         ops = [parse_pauli(t) for t in ("ZZZ", "-ZZZ", "iZZZ", "-iZZZ", "ZII", "XXI", "IYY")]
         for state in (one, even, odd, even.normalized(), odd.normalized()):
             got = pauli_eigenvalues(state, ops)
