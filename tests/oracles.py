@@ -1,17 +1,19 @@
 """Dense reference implementations used only by the tests.
 
 The dense vector index equals the packed sparse key (qubit q at bit q-1),
-so a sparse state and its dense counterpart agree entry-for-entry.
+so a sparse state and its dense counterpart agree entry-for-entry.  The T
+gadget is checked against dense_gadget_branches, the dense joint register
+of a teleportation through a rotated Bell measurement, and run_circuit bit
+for bit against per_gate_exponent_run.
 
 Also here: routes that no runner or CLI verb takes, kept because tests
 compare the library against them (codeword enumeration, the eigenvalue
 readout that once checked the codewords, the signed-weight syndrome readout
 and the per-qubit-key storage runner, the CSS coset state, the
 state-level phase layer and projector, the even-support parity check, the
-code-file writer, the T gadget as one float teleport per gate, code
-validation by PauliOperator.commutes calls, the dict constructor, tensor
-product and qubit swap of sparse states, and the Clifford key rule on
-(a, b) pairs).
+code-file writer, code validation by PauliOperator.commutes calls, the dict
+constructor, tensor product and qubit swap of sparse states, and the
+Clifford key rule on (a, b) pairs).
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from hqec.codes import (
 from hqec.gf2 import ENUM_DIM_GUARD, ClassicalCode, GuardExceeded, parse_row
 from hqec.pauli import PauliOperator
 from hqec.protocol import (
-    CircuitGate,
     CircuitRun,
     KeyRegister,
     ProtocolError,
@@ -61,7 +62,6 @@ from hqec.states import (
     _unit_factors,
     _weight,
     apply_pauli,
-    apply_single,
     combine,
     fidelity_up_to_phase,
     gate,
@@ -161,8 +161,8 @@ def vacuum() -> SparseState:
 
 
 def bell_pair() -> SparseState:
-    """(|00> + |11>)/sqrt(2), the pair teleport contracts; states are
-    immutable, so one instance is shared."""
+    """(|00> + |11>)/sqrt(2); states are immutable, so one instance is
+    shared."""
     return _BELL_PAIR
 
 
@@ -177,11 +177,6 @@ def dense_of(state: SparseState) -> np.ndarray:
     for k, a in state.items():
         vec[k] = a
     return vec
-
-
-def sparse_of(vec: np.ndarray, n: int) -> SparseState:
-    keys = np.flatnonzero(np.abs(vec) > 0).astype(np.uint64)
-    return SparseState(n, keys, vec[keys.astype(np.int64)])
 
 
 def op_on(u: np.ndarray, qubit: int, n: int) -> np.ndarray:
@@ -231,20 +226,35 @@ def dense_rotated_bell_branches(vec: np.ndarray, n: int, pair, u) -> list[np.nda
     q1, q2 = pair
     u = np.array(u, dtype=complex)
     rest = [q for q in range(1, n + 1) if q not in pair]
+    # the full index of remaining index r with both pair bits 0
+    bases = [sum(((r >> j) & 1) << (q - 1) for j, q in enumerate(rest)) for r in range(1 << (n - 2))]
+    vals = np.asarray(vec, dtype=complex).tolist()
     phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)  # index b1 + 2*b2
     out = []
     for a, b in BELL_OUTCOMES:
         m = u.conj().T @ np.linalg.matrix_power(ZM, b) @ np.linalg.matrix_power(XM, a)
-        basis = op_on(m, 1, 2) @ phi
-        branch = np.zeros(1 << (n - 2), dtype=complex)
-        for r in range(branch.size):
-            base = sum(((r >> j) & 1) << (q - 1) for j, q in enumerate(rest))
+        bra = np.conj(op_on(m, 1, 2) @ phi).tolist()
+        branch = []
+        for base in bases:
+            amp = 0j
             for b1 in (0, 1):
                 for b2 in (0, 1):
-                    full = base | (b1 << (q1 - 1)) | (b2 << (q2 - 1))
-                    branch[r] += np.conj(basis[b1 + 2 * b2]) * vec[full]
-        out.append(branch)
+                    amp += bra[b1 + 2 * b2] * vals[base | (b1 << (q1 - 1)) | (b2 << (q2 - 1))]
+            branch.append(amp)
+        out.append(np.array(branch, dtype=complex))
     return out
+
+
+def dense_gadget_branches(vec: np.ndarray, n: int, qubit: int, rotation, t: int) -> list[np.ndarray]:
+    """The four unnormalized branches, in BELL_OUTCOMES order, of a T gadget
+    on `qubit` of the n-qubit vector vec, from the dense joint register:
+    diag(1, omega^t) on the qubit, a Bell pair tensored in as qubits n+1
+    and n+2, the qubit swapped with n+1, and the pair (n+1, n+2) measured
+    by dense_rotated_bell_branches in the basis that `rotation` selects.
+    Each branch is an n-qubit vector with the teleported qubit at `qubit`."""
+    gated = op_on(np.diag([1, np.exp(1j * np.pi / 4 * t)]), qubit, n) @ vec
+    joint = dense_swap(qubit, n + 1, n + 2) @ np.kron(np.array([1, 0, 0, 1]) / np.sqrt(2), gated)
+    return dense_rotated_bell_branches(joint, n + 2, (n + 1, n + 2), rotation)
 
 
 def dense_zero_codeword(code) -> np.ndarray:
@@ -471,11 +481,6 @@ def random_pauli(rng: np.random.Generator, n: int) -> PauliOperator:
     return PauliOperator(n, x, z, int(rng.integers(0, 4)))
 
 
-def random_dense_state(rng: np.random.Generator, n: int) -> np.ndarray:
-    vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return vec / np.linalg.norm(vec)
-
-
 @lru_cache(maxsize=None)
 def cached_code(name: str):
     return builtin_code(name)
@@ -595,181 +600,6 @@ def keyed_storage(name: str, amplitudes, key, injected_error=None) -> StorageRep
 
 
 # ---------------------------------------------------------------------------
-# the T gadget as one teleport call per gate, and the rotated Bell
-# measurement on the joint register, which teleport contracts (tensor ->
-# swap -> this measurement) bit for bit
-def _bell_basis_rows(rotation) -> tuple:
-    """Row i: the conjugated basis vector (U^dag Z^b X^a (x) I)|Phi> of
-    outcome (a, b) = _OUTCOMES[i], at index b1 + 2*b2 (b1 the bit of the
-    first measured qubit), for the 2x2 matrix `rotation` of U.  Entry
-    b1 + 2*b2 is M[b1, b2]/sqrt2, and column j of M = U^dag Z^b X^a is
-    (-1)^(b*(j^a)) times column j^a of U^dag, which is exact; adding 0j
-    clears negative zeros."""
-    rows = []
-    for a, b in _OUTCOMES:
-        # M[r][j] = U^dag[r][j ^ a] * (-1)^(b*(j ^ a)), U^dag[r][c] = conj(U[c][r])
-        m = [[rotation[j ^ a][r].conjugate() * _SIGNS[b & (j ^ a)] for j in (0, 1)] for r in (0, 1)]
-        rows.append(tuple((m[b1][b2] * _SQ2 + 0j).conjugate() for b2 in (0, 1) for b1 in (0, 1)))
-    return tuple(rows)
-
-
-def _bell_gather(rotation: SingleQubitGate):
-    """(flips, entries, zeros) from _bell_basis_rows: outcome i sends data
-    bit d to pair bit e = d ^ flips[i], times entries[i][d] (column d + 2e);
-    zeros[i][d] is the entry its partner meets there (column 1 - d + 2e).
-    Raises unless the rotation is diagonal or antidiagonal."""
-    rows = _bell_basis_rows(rotation.matrix)
-    flips = tuple(int(r[2] != 0) for r in rows)
-    entries = tuple((r[2], r[1]) if f else (r[0], r[3]) for r, f in zip(rows, flips))
-    zeros = tuple((r[3], r[0]) if f else (r[1], r[2]) for r, f in zip(rows, flips))
-    if sum(x != 0 for e in entries for x in e) != 8 or sum(x != 0 for r in rows for x in r) != 8:
-        raise ValueError(f"teleport takes a diagonal or antidiagonal rotation, got {rotation.label!r}")
-    return flips, entries, zeros
-
-
-# the rotations the T gadgets use (I, S and Sd), keyed by their matrices
-_BELL_GATHERS = {g.matrix: _bell_gather(g) for g in (IDENTITY, gate("S"), gate("Sd"))}
-
-
-def teleport(state: SparseState, qubit: int, rotation: SingleQubitGate, rng, forced=None,
-             diagonal: SingleQubitGate | None = None):
-    """Teleport `qubit` through a fresh Bell pair measured in the basis
-    (U^dag Z^b X^a (x) I)|Phi>: tensor(state, _BELL_PAIR), swap_qubits(qubit,
-    n+1) and a measurement of the pair (n+1, n+2), without the joint
-    register.  Returns ((r_a, r_b), the collapsed n-qubit state); `forced`
-    replaces sampling.  U must be diagonal or antidiagonal: an outcome then
-    sends term k to k or k ^ mask alone, with the same |amp| for every
-    outcome, so the collapse is one gather and the four probabilities are
-    one sum.  All of it equals the joint register's sort-and-sum bit for bit.
-
-    `diagonal`, a T gadget's T or Td, is applied to `qubit` first, by the
-    product apply_single uses, so the result equals teleport(apply_single(
-    state, diagonal, qubit), ...) bit for bit; a non-diagonal gate raises."""
-    if diagonal is not None and (diagonal.matrix[0][1] != 0 or diagonal.matrix[1][0] != 0):
-        raise ValueError(f"teleport takes a diagonal gate, got {diagonal.label!r}")
-    flips, entries, zeros = _BELL_GATHERS.get(rotation.matrix) or _bell_gather(rotation)
-    n = state.n
-    if n + 2 > MAX_STATE_QUBITS:
-        raise ValueError(f"tensor result on {n + 2} qubits exceeds the {MAX_STATE_QUBITS}-qubit cap")
-    if 2 * state.num_terms > _states.TERM_GUARD:
-        raise ValueError("tensor result exceeds the term-count guard")
-    state._check_qubit(qubit)
-    if state.num_terms == 0:
-        raise ValueError("measurement on a zero-weight state")
-
-    keys = state.keys
-    mask = 1 << (qubit - 1)
-    bits = [(k >> (qubit - 1)) & 1 for k in keys]
-    amps = state.amps
-    if diagonal is not None:
-        d = (diagonal.matrix[0][0], diagonal.matrix[1][1])
-        amps = [a * d[b] for a, b in zip(amps, bits)]
-    half = _BELL_PAIR.amps[0]
-    amps = [half * a for a in amps]
-    kept = [abs(a * entries[0][b]) > PRUNE_TOL for a, b in zip(amps, bits)]
-    p = _weight([a * entries[0][b] for a, b, k in zip(amps, bits, kept) if k])
-    probs = [p] * 4
-    if 4 * p < PRUNE_TOL:
-        raise ValueError("measurement on a zero-weight state")
-
-    if forced is None:
-        idx = rng.choice_weighted(probs)
-    else:
-        try:
-            idx = _OUTCOMES.index(tuple(forced))
-        except (TypeError, ValueError):
-            raise ValueError(f"forced outcome must be a pair of bits, got {forced!r}") from None
-    outcome = _OUTCOMES[idx]
-    if p < PRUNE_TOL:
-        raise ValueError(f"outcome {outcome} has zero probability")
-    # where partner k ^ mask is stored, the joint sum adds its zero-entry
-    # product too: that sets the signs of zero parts
-    lookup = dict(zip(keys, amps))
-    e, z = entries[idx], zeros[idx]
-    scale = complex(1.0 / math.sqrt(p))
-    out_keys, out_amps = [], []
-    for k, a, b, keep in zip(keys, amps, bits, kept):
-        if keep:
-            x = a * e[b]
-            partner = lookup.get(k ^ mask)
-            if partner is not None:
-                x = x + partner * z[b]
-            out_keys.append(k)
-            out_amps.append(x * scale)
-    if flips[idx]:
-        return outcome, _resorted(n, [k ^ mask for k in out_keys], out_amps)
-    return outcome, _state(n, tuple(out_keys), tuple(out_amps))
-
-
-
-def _drop_bit(keys: np.ndarray, pos: int) -> np.ndarray:
-    low = keys & np.uint64((1 << pos) - 1)
-    high = (keys >> np.uint64(pos + 1)) << np.uint64(pos)
-    return low | high
-
-
-def rotated_bell_measure(state, pair, rotation: SingleQubitGate, rng, forced=None):
-    """Measure a qubit pair in the rotation-conjugated Bell basis.
-
-    The basis states are (U^dag Z^b X^a (x) I)|Phi> with the single-qubit
-    operators acting on pair[0].  The measured pair is removed from the
-    register (remaining qubits keep their relative order), so the collapsed
-    state has n-2 qubits.  `forced` short-circuits sampling with a given
-    (r_a, r_b); otherwise the outcome is drawn from rng.
-
-    The terms are grouped once by their key with the pair dropped, and all
-    four branch amplitudes of a group are summed in key order, so every
-    branch equals a separate sort-and-sum of that branch.
-    """
-    q1, q2 = pair
-    state._check_qubit(q1)
-    state._check_qubit(q2)
-    if q1 == q2:
-        raise ValueError("measured pair must be two distinct qubits")
-    if state.num_terms == 0:
-        raise ValueError("measurement on a zero-weight state")
-    rows = _bell_basis_rows(rotation.matrix)
-
-    keys = np.array(state.keys, np.uint64)
-    hi, lo = max(q1, q2) - 1, min(q1, q2) - 1
-    rest = _drop_bit(_drop_bit(keys, hi), lo)
-    order = np.argsort(rest, kind="stable")
-    rest = rest[order]
-    keys = keys[order]
-    local = ((keys >> np.uint64(q1 - 1)) & np.uint64(1)) | (
-        ((keys >> np.uint64(q2 - 1)) & np.uint64(1)) << np.uint64(1)
-    )
-    first = np.empty(rest.size, dtype=bool)
-    first[0] = True
-    np.not_equal(rest[1:], rest[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    # (4, groups): branch i's amplitude of each remaining basis key; the
-    # products are Python complex ones, rounded as states.teleport rounds
-    amps = [state.amps[i] for i in order.tolist()]
-    products = np.array([[a * row[j] for a, j in zip(amps, local.tolist())] for row in rows])
-    branches = np.add.reduceat(products, starts, axis=1)
-    mags = np.abs(branches)
-    kept = mags > PRUNE_TOL
-    probs = [math.fsum(w[k].tolist()) for w, k in zip(branches.real**2 + branches.imag**2, kept)]
-    total = math.fsum(probs)
-    if total < 1e-12:
-        raise ValueError("measurement on a zero-weight state")
-
-    if forced is not None:
-        outcome = (int(forced[0]), int(forced[1]))
-        idx = _OUTCOMES.index(outcome)
-    else:
-        idx = rng.choice_weighted(probs)
-        outcome = _OUTCOMES[idx]
-    p = probs[idx]
-    if p < 1e-12:
-        raise ValueError(f"outcome {outcome} has zero probability")
-    keep = kept[idx]
-    collapsed = SparseState(state.n - 2, rest[starts][keep], branches[idx][keep])
-    return outcome, collapsed.scaled(1 / math.sqrt(p))
-
-
-# ---------------------------------------------------------------------------
 # logical Bell measurement by dict loops on the 27-qubit register: the
 # reference for protocol.run_logical_t_protocol
 
@@ -817,221 +647,22 @@ def dict_logical_bell_branches(chi, products, bell, a):
 
 
 # ---------------------------------------------------------------------------
-# deferred T gadget: the reference for protocol.run_circuit
+# run_circuit gate by gate with exact exponents: its bit-for-bit reference
 
 
-class DeferredTranscript(Transcript):
-    def record(self, kind: str, **fields) -> dict:
-        ev = {"kind": kind, **fields}
-        self.events.append(ev)
-        return ev
-
-
-_ROTATIONS = {
-    ("T", 0): (IDENTITY, "S^0"),
-    ("T", 1): (gate("S"), "S^1"),
-    ("Td", 0): (IDENTITY, "Sd^0"),
-    ("Td", 1): (gate("Sd"), "Sd^1"),
-}
-
-
-def _measure_t_pair(state, pair, kind: str, key, rng, forced=None):
-    """Measure a T (Td) gadget's Bell pair in the rotated basis that the
-    qubit's current key (a, b) selects, and fold the outcome into the key:
-    a -> a ^ r_a and b -> b ^ (a ^ r_b), with the pre-update a in both.
-    Returns (outcome, new key, rotation label, collapsed state)."""
-    a, b = key
-    rotation, label = _ROTATIONS[kind, a]
-    outcome, state = rotated_bell_measure(state, pair, rotation, rng, forced)
-    r_a, r_b = outcome
-    return outcome, (a ^ r_a, b ^ (a ^ r_b)), label, state
-
-
-def evaluate_circuit(enc_state, circuit, keys, bell_pool, rng=None):
-    """Server pass: apply Cliffords directly; for each T/Td apply the gate,
-    tensor in a fresh Bell pair, and swap the data qubit with the pair's s
-    half.  Returns (state, transcript).  Key values never enter this pass;
-    they are replayed by decrypt.  Every pair stays in the register, so it
-    grows by two qubits and doubles its terms per T gate."""
-    if len(keys) != enc_state.n:
-        raise ValueError("key register length does not match the data register")
-    state = enc_state
-    transcript = DeferredTranscript()
-    pool = list(bell_pool)
-    for pair in pool:
-        if pair.n != 2:
-            raise ValueError("bell pool entries must be two-qubit states")
-    next_pair = 0
-    for g in circuit:
-        if g.is_clifford:
-            transcript.record("gate", gate=g.kind, qubits=list(g.qubits))
-            state = apply_plain_circuit(state, (g,))
-        else:
-            if next_pair >= len(pool):
-                raise ProtocolError("bell pool exhausted")
-            w = g.qubits[0]
-            state = apply_single(state, gate(g.kind), w)
-            s_pos, c_pos = state.n + 1, state.n + 2
-            state = tensor(state, pool[next_pair])
-            next_pair += 1
-            transcript.record(
-                "gate", gate=g.kind, qubits=[w], pair_index=next_pair, pair_positions=[s_pos, c_pos]
-            )
-            transcript.record("bell_consumed", pair_index=next_pair, positions=[s_pos, c_pos])
-            state = swap_qubits(state, w, s_pos)
-            transcript.record("swap", positions=[w, s_pos])
-    return state, transcript
-
-
-def decrypt(client_state, transcript, keys, rng, forced_outcomes=None):
-    """Client pass: replay the gate sequence updating keys, measure each T
-    pair in its rotated Bell basis (factoring the pair out), and finish with
-    the multi-qubit Pauli correction.  Appends its events to the transcript
-    and returns the decrypted state."""
-    n_data = len(keys)
-    gate_events = [ev for ev in transcript.events if ev["kind"] == "gate"]
-    n_pairs = sum(1 for ev in gate_events if ev["gate"] in ("T", "Td"))
-    if client_state.n != n_data + 2 * n_pairs:
-        raise ProtocolError(
-            f"register has {client_state.n} qubits, transcript implies {n_data + 2 * n_pairs}"
-        )
-    forced = list(forced_outcomes) if forced_outcomes is not None else None
-    forced_idx = 0
-
-    state = client_state
-    cur = [tuple(pair) for pair in keys.as_lists()]
-    alive = list(range(1, client_state.n + 1))
-    for ev in gate_events:
-        kind = ev["gate"]
-        if kind in ("T", "Td"):
-            j = ev["qubits"][0]
-            s_pos, c_pos = ev["pair_positions"]
-            p1, p2 = alive.index(s_pos) + 1, alive.index(c_pos) + 1
-            pick = None
-            if forced is not None:
-                if forced_idx >= len(forced):
-                    raise ProtocolError("not enough forced outcomes")
-                pick = forced[forced_idx]
-                forced_idx += 1
-            old = cur[j - 1]
-            outcome, new, rot_label, state = _measure_t_pair(
-                state, (p1, p2), kind, old, rng, pick
-            )
-            alive.remove(s_pos)
-            alive.remove(c_pos)
-            transcript.record(
-                "measurement",
-                pair_index=ev["pair_index"],
-                rotation=rot_label,
-                outcome=list(outcome),
-                forced=pick is not None,
-            )
-            transcript.record("key_update", qubit=j, old=list(old), new=list(new))
-            cur[j - 1] = new
-        elif kind not in ("X", "Z"):
-            qubits = ev["qubits"]
-            old = [cur[q - 1] for q in qubits]
-            for q, was, new in zip(qubits, old, pair_key_rule(kind, old)):
-                transcript.record("key_update", qubit=q, old=list(was), new=list(new))
-                cur[q - 1] = new
-
-    transcript.record("final_keys", keys=[list(pair) for pair in cur])
-    correction = pair_mask(cur).adjoint()
-    state = apply_pauli(state, correction)
-    transcript.record("final_correction", pauli=correction.to_string())
-    return state
-
-
-# ---------------------------------------------------------------------------
-# run_circuit gate by gate: the float teleport chain (the reference for its
-# outcomes, transcript and peaks) and the exact-exponent walk (bit for bit)
-
-
-def _gate_by_gate(enc_state, circuit, keys, rng, forced_outcomes, chain) -> CircuitRun:
-    """The key replay, transcript, outcomes, peaks and forced-outcome count
-    check of run_circuit, with the state work left to `chain`:
-    chain.gate(g) for each Clifford gate, chain.gadget(kind, w, rotation,
-    rng, pick) -> outcome for each T/Td gate, chain.num_terms, and
-    chain.finish(correction) -> the final state."""
-    n = len(keys)
-    cur = [tuple(pair) for pair in keys.as_lists()]
-    forced = None if forced_outcomes is None else list(forced_outcomes)
-    if forced is not None:
-        t = sum(g.kind in ("T", "Td") for g in circuit)
-        if t != len(forced):
-            raise ValueError(f"circuit needs {t} forced outcome pairs, got {len(forced)}")
-    server, client, outcomes = [], [], []
-    max_qubits, max_terms = enc_state.n, chain.num_terms
-    for g in circuit:
-        kind, qubits = g.kind, g.qubits
-        if g.is_clifford:
-            chain.gate(g)
-            server.append({"kind": "gate", "gate": kind, "qubits": list(qubits)})
-            if kind not in ("X", "Z"):
-                old = [cur[q - 1] for q in qubits]
-                for q, was, new in zip(qubits, old, pair_key_rule(kind, old)):
-                    client.append({"kind": "key_update", "qubit": q, "old": list(was), "new": list(new)})
-                    cur[q - 1] = new
-            continue
-        (w,) = qubits
-        i = len(outcomes) + 1
-        s_pos, c_pos = n + 2 * i - 1, n + 2 * i
-        server += [
-            {"kind": "gate", "gate": kind, "qubits": [w], "pair_index": i, "pair_positions": [s_pos, c_pos]},
-            {"kind": "bell_consumed", "pair_index": i, "positions": [s_pos, c_pos]},
-            {"kind": "swap", "positions": [w, s_pos]},
-        ]
-        max_qubits = max(max_qubits, n + 2)
-        max_terms = max(max_terms, 2 * chain.num_terms)
-        pick = None if forced is None else forced[i - 1]
-        a, b = cur[w - 1]
-        rotation, label = _ROTATIONS[kind, a]
-        outcome = chain.gadget(kind, w, rotation, rng, pick)
-        r_a, r_b = outcome
-        cur[w - 1] = new = (a ^ r_a, b ^ (a ^ r_b))
-        outcomes.append(outcome)
-        client += [
-            {"kind": "measurement", "pair_index": i, "rotation": label, "outcome": list(outcome),
-             "forced": pick is not None},
-            {"kind": "key_update", "qubit": w, "old": [a, b], "new": list(new)},
-        ]
-    correction = pair_mask(cur).adjoint()
-    client += [
-        {"kind": "final_keys", "keys": [list(pair) for pair in cur]},
-        {"kind": "final_correction", "pauli": correction.to_string()},
-    ]
-    return CircuitRun(chain.finish(correction), Transcript(server + client), outcomes, max_qubits, max_terms)
-
-
-class _TeleportChain:
-    """Every gate on its own: apply_plain_circuit (one apply_single per Z, S,
-    Sd, T and Td), and a plain teleport after each T/Td gate."""
-
-    def __init__(self, state):
-        self.state = state
-
-    @property
-    def num_terms(self):
-        return self.state.num_terms
-
-    def gate(self, g):
-        self.state = apply_plain_circuit(self.state, (g,))
-
-    def gadget(self, kind, w, rotation, rng, pick):
-        self.state = apply_plain_circuit(self.state, (CircuitGate(kind, (w,)),))
-        outcome, self.state = teleport(self.state, w, rotation, rng, pick)
-        return outcome
-
-    def finish(self, correction):
-        return apply_pauli(self.state, correction)
-
-
-def per_gate_run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitRun:
-    """run_circuit as a float chain: every gate applied on its own and each
-    T/Td gate followed by a plain teleport of its qubit, which rounds each
-    amplitude about four times per gadget.  Same transcript, outcomes, peaks
-    and forced-outcome count check."""
-    return _gate_by_gate(enc_state, circuit, keys, rng, forced_outcomes, _TeleportChain(enc_state))
+def _bell_basis_rows(rotation) -> tuple:
+    """Row i: the conjugated basis vector (U^dag Z^b X^a (x) I)|Phi> of
+    outcome (a, b) = _OUTCOMES[i], at index b1 + 2*b2 (b1 the bit of the
+    first measured qubit), for the 2x2 matrix `rotation` of U.  Entry
+    b1 + 2*b2 is M[b1, b2]/sqrt2, and column j of M = U^dag Z^b X^a is
+    (-1)^(b*(j^a)) times column j^a of U^dag, which is exact; adding 0j
+    clears negative zeros."""
+    rows = []
+    for a, b in _OUTCOMES:
+        # M[r][j] = U^dag[r][j ^ a] * (-1)^(b*(j ^ a)), U^dag[r][c] = conj(U[c][r])
+        m = [[rotation[j ^ a][r].conjugate() * _SIGNS[b & (j ^ a)] for j in (0, 1)] for r in (0, 1)]
+        rows.append(tuple((m[b1][b2] * _SQ2 + 0j).conjugate() for b2 in (0, 1) for b1 in (0, 1)))
+    return tuple(rows)
 
 
 # the power of omega each diagonal gate puts on |1>
@@ -1127,7 +758,6 @@ class _ExponentChain:
         self._flush()
         return apply_pauli(self.state, correction)
 
-
 def per_gate_exponent_run(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitRun:
     """run_circuit with exact exponents: gate by gate, every stored term
     keeps its current key and its omega-exponent mod 8 (the gadgets' flips
@@ -1135,5 +765,55 @@ def per_gate_exponent_run(enc_state, circuit, keys, rng, forced_outcomes=None) -
     table), and each run of Z, S, Sd and T gadgets ends in the one multiply
     per term that apply_monomial makes.  Each gadget draws its outcome as
     run_circuit does: weights of a quarter of the run's input norm for its
-    first gadget, 1/4 after it."""
-    return _gate_by_gate(enc_state, circuit, keys, rng, forced_outcomes, _ExponentChain(enc_state))
+    first gadget, 1/4 after it.  The keys are replayed by pair_key_rule, and
+    the transcript, outcomes, peaks and forced-outcome count check are
+    run_circuit's."""
+    n = len(keys)
+    chain = _ExponentChain(enc_state)
+    cur = [tuple(pair) for pair in keys.as_lists()]
+    forced = None if forced_outcomes is None else list(forced_outcomes)
+    if forced is not None:
+        t = sum(g.kind in ("T", "Td") for g in circuit)
+        if t != len(forced):
+            raise ValueError(f"circuit needs {t} forced outcome pairs, got {len(forced)}")
+    server, client, outcomes = [], [], []
+    max_qubits, max_terms = enc_state.n, chain.num_terms
+    for g in circuit:
+        kind, qubits = g.kind, g.qubits
+        if g.is_clifford:
+            chain.gate(g)
+            server.append({"kind": "gate", "gate": kind, "qubits": list(qubits)})
+            if kind not in ("X", "Z"):
+                old = [cur[q - 1] for q in qubits]
+                for q, was, new in zip(qubits, old, pair_key_rule(kind, old)):
+                    client.append({"kind": "key_update", "qubit": q, "old": list(was), "new": list(new)})
+                    cur[q - 1] = new
+            continue
+        (w,) = qubits
+        i = len(outcomes) + 1
+        s_pos, c_pos = n + 2 * i - 1, n + 2 * i
+        server += [
+            {"kind": "gate", "gate": kind, "qubits": [w], "pair_index": i, "pair_positions": [s_pos, c_pos]},
+            {"kind": "bell_consumed", "pair_index": i, "positions": [s_pos, c_pos]},
+            {"kind": "swap", "positions": [w, s_pos]},
+        ]
+        max_qubits = max(max_qubits, n + 2)
+        max_terms = max(max_terms, 2 * chain.num_terms)
+        pick = None if forced is None else forced[i - 1]
+        a, b = cur[w - 1]
+        base = "S" if kind == "T" else "Sd"  # the pair is measured in base^a
+        outcome = chain.gadget(kind, w, gate(base) if a else IDENTITY, rng, pick)
+        r_a, r_b = outcome
+        cur[w - 1] = new = (a ^ r_a, b ^ (a ^ r_b))
+        outcomes.append(outcome)
+        client += [
+            {"kind": "measurement", "pair_index": i, "rotation": f"{base}^{a}", "outcome": list(outcome),
+             "forced": pick is not None},
+            {"kind": "key_update", "qubit": w, "old": [a, b], "new": list(new)},
+        ]
+    correction = pair_mask(cur).adjoint()
+    client += [
+        {"kind": "final_keys", "keys": [list(pair) for pair in cur]},
+        {"kind": "final_correction", "pauli": correction.to_string()},
+    ]
+    return CircuitRun(chain.finish(correction), Transcript(server + client), outcomes, max_qubits, max_terms)

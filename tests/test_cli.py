@@ -57,6 +57,18 @@ class TestExitCodes:
         assert code == 1
         assert "ZZZ" in err
 
+    @pytest.mark.parametrize("error, recovered, want_err", [
+        ("XZIIIII", None, "error: syndrome (0, 1, 0, 1, 0, 0) matches no weight-<=1 error\n"),
+        ("XXIIIII", False, ""),
+    ], ids=["no-weight-1-match", "weight-2-misread"])
+    def test_storage_unrecovered_exit_one(self, capsys, error, recovered, want_err):
+        # a syndrome no weight-1 error explains, and a weight-2 error that
+        # the decoder misreads: exit 1 with no traceback either way
+        code, out, err = run_cli(capsys, "run", "storage", "--code", "steane", "--keys", "1,0",
+                                 "--error", error, "--json")
+        assert (code, err) == (1, want_err)
+        assert (json.loads(out)["recovered"] if out else None) is recovered
+
     def test_bad_keys(self, capsys):
         code, _, err = run_cli(capsys, "run", "storage", "--code", "shor", "--keys", "2,0")
         assert code == 2

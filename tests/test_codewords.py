@@ -275,6 +275,14 @@ class TestValidateAgainstPairwise:
         code = parse_code_text(LITERAL_CODES[name], name=name)
         assert validate_code(code) == pairwise_validate_code(code)
 
+    def test_generators_wider_than_the_code(self):
+        # IIIX and XIII commute; packed with the code's width 3 instead of the
+        # widest operator's 4, the X bit of qubit 4 would meet XIII's X bit
+        # shifted into the z half
+        wide = (parse_pauli("IIIX"), parse_pauli("XIII"))
+        code = StabilizerCode("wide", 3, 1, wide, (parse_pauli("XXX"),), (parse_pauli("ZZZ"),))
+        assert validate_code(code) == pairwise_validate_code(code)
+
 
 class TestConstruction:
     def test_signed_chain_reaches_n24(self):

@@ -31,6 +31,7 @@ from hqec.rng import SplitMix64
 from hqec import states
 from hqec.states import (
     SparseState,
+    apply_monomial,
     apply_pauli,
     apply_single,
     combine,
@@ -40,24 +41,18 @@ from hqec.states import (
 import oracles
 from oracles import (
     BELL_OUTCOMES,
-    PickRng,
     basis_state,
-    bell_pair,
     cached_code_space,
-    decrypt,
     dense_cnot,
+    dense_gadget_branches,
     dense_of,
     dense_pauli,
     dict_logical_bell_branches,
-    evaluate_circuit,
     from_terms,
     op_on,
     pair_key_rule,
     per_gate_exponent_run,
-    per_gate_run_circuit,
-    rotated_bell_measure,
     state_bytes,
-    swap_qubits,
     tensor,
 )
 
@@ -346,10 +341,11 @@ class TestCircuitText:
         assert repr(g) == "CircuitGate(kind='CNOT', qubits=(1, 2))"
 
 
-class TestEvaluateDecrypt:
-    """Encrypted evaluation and decryption through run_circuit, with the
-    deferred evaluate_circuit/decrypt of tests/oracles.py, which keeps every
-    Bell pair until decrypt, as its reference."""
+class TestRunCircuit:
+    """Encrypted evaluation and decryption through run_circuit: the final
+    state against the dense circuit, the forced-outcome and range checks,
+    the transcript's Bell pairs and the peaks, and a wrong key-update
+    reading against the dense gadget branches."""
 
     def test_empty_circuit(self):
         psi = random_state(2, SplitMix64(5))
@@ -394,7 +390,7 @@ class TestEvaluateDecrypt:
             run_circuit(encrypt(psi, keys), [CircuitGate("T", (1,))], keys, SplitMix64(0),
                         forced_outcomes=[(0, 0), (1, 1), (0, 1)])
 
-    @pytest.mark.parametrize("run", [run_circuit, per_gate_run_circuit])
+    @pytest.mark.parametrize("run", [run_circuit, per_gate_exponent_run])
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_forced_count_checked_before_any_gate(self, monkeypatch, run, count):
         def no_gadget(*args, **kwargs):
@@ -402,7 +398,7 @@ class TestEvaluateDecrypt:
 
         monkeypatch.setattr(protocol, "apply_monomial", no_gadget)
         monkeypatch.setattr(states.MonomialLayer, "gadget", no_gadget)
-        monkeypatch.setattr(oracles, "teleport", no_gadget)
+        monkeypatch.setattr(oracles._ExponentChain, "gadget", no_gadget)
         psi = random_state(2, SplitMix64(3))
         keys = KeyRegister.of([(1, 0), (0, 1)])
         circuit = [CircuitGate("T", (1,)), CircuitGate("H", (2,)), CircuitGate("Td", (2,))]
@@ -484,19 +480,17 @@ class TestEvaluateDecrypt:
         assert fidelity_up_to_phase(run.state, want) > 1 - 1e-12
 
         # wrong reading: b <- b ^ (a_post ^ r_b) with a_post = a ^ r_a, on
-        # the gadget register (T, Bell pair on qubits 2 and 3, swap 1 and 2)
-        out = swap_qubits(tensor(apply_single(enc, gate("T"), 1), bell_pair()), 1, 2)
-        rot = gate("S") if a else None
-        (r_a, r_b), collapsed = rotated_bell_measure(out, (2, 3), rot, SplitMix64(0), forced)
+        # the dense gadget branch of the forced outcome, measured in S^a
+        branch = dense_gadget_branches(dense_of(enc), 1, 1, DENSE_1Q["S"], 1)[BELL_OUTCOMES.index(forced)]
+        r_a, r_b = forced
         a_post = a ^ r_a
         b_wrong = b ^ (a_post ^ r_b)
-        wrong_mask = KeyRegister.of([(a_post, b_wrong)]).mask.adjoint()
-        dec_bad = apply_pauli(collapsed, wrong_mask)
-        assert fidelity_up_to_phase(dec_bad, want) < 1 - 1e-3
+        dec_bad = dense_pauli(KeyRegister.of([(a_post, b_wrong)]).mask.adjoint()) @ branch
+        assert abs(np.vdot(dense_of(want), dec_bad)) / np.linalg.norm(dec_bad) < 1 - 1e-3
 
-    def test_hundred_t_gates_on_two_qubits(self, monkeypatch):
-        # 100 T/Td gates mixed with H and CNOT: the streamed gadget keeps the
-        # data plus one pair, while the deferred register doubles per T gate
+    def test_hundred_t_gates_on_two_qubits(self):
+        # 100 T/Td gates mixed with H and CNOT: each gadget stands for the
+        # data plus one pair, so the peaks stay at 4 qubits and 16 terms
         rng = np.random.default_rng(100)
         circuit = []
         for _ in range(100):
@@ -513,46 +507,6 @@ class TestEvaluateDecrypt:
         assert run.max_live_qubits == 4
         assert run.max_terms <= 16
         assert fidelity_up_to_phase(run.state, apply_plain_circuit(psi, circuit)) >= 1 - 1e-10
-        # the deferred path stops at the term guard (lowered so the test
-        # stays small; the real 2^22 guard stops it the same way after about
-        # 20 T gates, at over 1 GB resident)
-        monkeypatch.setattr(states, "TERM_GUARD", 1 << 12)
-        with pytest.raises(ValueError, match="term-count guard|qubit cap"):
-            evaluate_circuit(encrypt(psi, keys), circuit, keys, [bell_pair()] * 100)
-
-    def test_bell_pool_exhausted(self):
-        psi = random_state(1, SplitMix64(3))
-        keys = KeyRegister.of([(0, 0)])
-        with pytest.raises(ProtocolError, match="bell pool"):
-            evaluate_circuit(encrypt(psi, keys), [CircuitGate("T", (1,))], keys, [], None)
-
-    def test_register_mismatch_rejected(self):
-        psi = random_state(1, SplitMix64(3))
-        keys = KeyRegister.of([(0, 0)])
-        enc = encrypt(psi, keys)
-        out, tr = evaluate_circuit(enc, [CircuitGate("T", (1,))], keys, [bell_pair()], None)
-        with pytest.raises(ProtocolError):
-            decrypt(psi, tr, keys, SplitMix64(0))  # pair qubits missing
-
-    def test_streamed_equals_deferred(self):
-        rng = np.random.default_rng(4321)
-        kinds = set()
-        for trial in range(240):
-            n = int(rng.integers(1, 4))
-            circuit = _random_circuit(rng, n)
-            kinds.update(g.kind for g in circuit)
-            n_t = sum(1 for g in circuit if g.kind in ("T", "Td"))
-            forced = [tuple(int(r) for r in rng.integers(0, 2, 2)) for _ in range(n_t)]
-            psi = random_state(n, SplitMix64(trial))
-            keys = KeyRegister.random(n, SplitMix64(trial + 10_000))
-            enc = encrypt(psi, keys)
-            for outcomes in (forced, None):
-                run = run_circuit(enc, circuit, keys, SplitMix64(trial), outcomes)
-                out, tr = evaluate_circuit(enc, circuit, keys, [bell_pair()] * n_t)
-                dec = decrypt(out, tr, keys, SplitMix64(trial), outcomes)
-                assert np.abs(dense_of(run.state) - dense_of(dec)).max() <= 1e-12, trial
-                assert run.transcript.events == tr.events, trial
-        assert {"Sd", "CNOT", "T", "Td"} <= kinds
 
 
 @st.composite
@@ -578,11 +532,10 @@ def diagonal_run_circuits(draw):
 
 class TestPerGateReference:
     """run_circuit, with each run of Z/S/Sd gates and T gadgets as one
-    monomial pass, is bit for bit the exact-exponent walk of
-    tests/oracles.py (final keys and amplitudes, outcomes, transcript and
-    peaks), and equals the float teleport chain in keys, outcomes,
-    transcript and peaks, with amplitudes within 1e-12: with sampled and
-    with forced outcomes."""
+    monomial pass, is bit for bit per_gate_exponent_run, the gate-by-gate
+    exact-exponent walk of tests/oracles.py: final keys and amplitudes,
+    outcomes, transcript and peaks, with sampled and with forced
+    outcomes."""
 
     @given(diagonal_run_circuits(), st.integers(0, 2**32 - 1), st.booleans(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -596,15 +549,11 @@ class TestPerGateReference:
         keys = KeyRegister.random(n, SplitMix64(seed + 1))
         enc = encrypt(psi, keys)
         got = run_circuit(enc, circuit, keys, SplitMix64(seed + 2), forced)
-        exact = per_gate_exponent_run(enc, circuit, keys, SplitMix64(seed + 2), forced)
-        chain = per_gate_run_circuit(enc, circuit, keys, SplitMix64(seed + 2), forced)
-        assert state_bytes(got.state) == state_bytes(exact.state)
-        for want in (exact, chain):
-            assert got.outcomes == want.outcomes
-            assert got.transcript.events == want.transcript.events
-            assert (got.max_live_qubits, got.max_terms) == (want.max_live_qubits, want.max_terms)
-        assert got.state.keys == chain.state.keys
-        assert np.abs(np.subtract(got.state.amps, chain.state.amps)).max(initial=0) <= 1e-12
+        want = per_gate_exponent_run(enc, circuit, keys, SplitMix64(seed + 2), forced)
+        assert state_bytes(got.state) == state_bytes(want.state)
+        assert got.outcomes == want.outcomes
+        assert got.transcript.events == want.transcript.events
+        assert (got.max_live_qubits, got.max_terms) == (want.max_live_qubits, want.max_terms)
 
 
 def _random_circuit(rng, n, max_gates=12, max_t=3):
@@ -826,33 +775,31 @@ class TestGadgetWeightsUniform:
     """The exact half of the uniform-outcome check, in each runner, under
     every key, with sampled and forced outcomes.  Every weight list a runner
     passes to its generator has four equal entries.  And every T gadget's
-    four outcome weights, recomputed by the oracle teleport with a PickRng
-    on the states the gadgets meet gate by gate (every runner's run_circuit
-    calls, the logical runner's on its one-qubit register too, replayed by
-    the float teleport chain), are within 1e-12 of a quarter of their
-    total."""
+    four outcome weights, taken from the dense branches of its qubit's
+    reduced 2x2 state in the state the gadget meets (apply_monomial of the
+    layer so far, on every run_circuit call of the runners, the logical
+    runner's one-qubit register included), are within 1e-12 of a quarter
+    of their total."""
 
     @pytest.fixture
     def weights(self, monkeypatch):
-        seen = []
-        teleport, run = oracles.teleport, protocol.run_circuit
+        seen, gadget = [], states.MonomialLayer.gadget
 
-        def probe(state, qubit, rotation, rng, forced=None):
-            picker = PickRng(0)
-            teleport(state, qubit, rotation, picker, None)
-            seen.append(picker.weights)
-            return teleport(state, qubit, rotation, rng, forced)
+        def probe(layer, state, qubit, rotation, t, rng, forced=None):
+            # the qubit's reduced state, as rho = psi psi^dag with one column
+            # of psi per key of the other qubits, branched eigenvector by
+            # eigenvector
+            cols, bit = {}, 1 << (qubit - 1)
+            for k, amp in apply_monomial(state, layer).items():
+                cols.setdefault(k & ~bit, [0j, 0j])[(k & bit) >> (qubit - 1)] = amp
+            psi = np.array(list(cols.values())).T
+            lam, vecs = np.linalg.eigh(psi @ psi.conj().T)
+            u = {"I": np.eye(2), **DENSE_1Q}[rotation]
+            branches = [dense_gadget_branches(v, 1, 1, u, t) for v in vecs.T]
+            seen.append([sum(l * np.vdot(b[j], b[j]).real for l, b in zip(lam, branches)) for j in range(4)])
+            return gadget(layer, state, qubit, rotation, t, rng, forced)
 
-        def replayed(enc, circuit, keys, rng, forced=None):
-            # the gate-by-gate chain, on a copy of the generator, meets the
-            # same outcomes as the run itself
-            chain = per_gate_run_circuit(enc, circuit, keys, SplitMix64(rng.state), forced)
-            got = run(enc, circuit, keys, rng, forced)
-            assert got.outcomes == chain.outcomes
-            return got
-
-        monkeypatch.setattr(oracles, "teleport", probe)
-        monkeypatch.setattr(protocol, "run_circuit", replayed)
+        monkeypatch.setattr(states.MonomialLayer, "gadget", probe)
         return seen
 
     @pytest.mark.parametrize("forced", [False, True])

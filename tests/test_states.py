@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -28,16 +29,15 @@ from hqec.states import (
     unit_amplitudes,
 )
 from oracles import (
-    _BELL_GATHERS,
     BELL_OUTCOMES,
     IDENTITY,
     PickRng,
     basis_state,
     bell_pair,
     dense_cnot,
+    dense_gadget_branches,
     dense_of,
     dense_pauli,
-    dense_rotated_bell_branches,
     dense_swap,
     from_terms,
     intersect_inner,
@@ -45,21 +45,14 @@ from oracles import (
     pauli_expectation_terms,
     pauli_image_terms,
     project_onto,
-    random_dense_state,
     random_pauli,
-    rotated_bell_measure,
     gadget_exponents,
     signed_weight_eigenvalues,
-    sparse_of,
     state_bytes,
     swap_qubits,
-    teleport,
     tensor,
     vacuum,
 )
-
-IDENT = SingleQubitGate("I", np.eye(2, dtype=complex))
-
 
 def random_sparse(rng, n, density=0.5):
     dim = 1 << n
@@ -324,273 +317,6 @@ class TestNormPreservation:
         assert abs(st_.norm() - 1) < 1e-10
 
 
-class TestRotatedBellMeasure:
-    # the joint-register measurement of tests/oracles.py, the reference for
-    # teleport; the uniform-outcome test runs teleport itself
-    def test_teleportation_identity_rotation(self):
-        psi = from_terms(1, {0: 0.6, 1: 0.8j})
-        rng = SplitMix64(0)
-        for forced in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            st_ = tensor(psi, bell_pair())
-            outcome, col = rotated_bell_measure(st_, (1, 2), IDENT, rng, forced)
-            assert outcome == forced
-            expect = psi
-            if forced[1]:
-                expect = apply_pauli(expect, parse_pauli("Z"))
-            if forced[0]:
-                expect = apply_pauli(expect, parse_pauli("X"))
-            assert fidelity_up_to_phase(col, expect) > 1 - 1e-12
-
-    def test_teleportation_rotated(self):
-        # measuring in the U-rotated basis applies U before the outcome Paulis
-        psi = from_terms(1, {0: 0.28, 1: 0.96})
-        rng = SplitMix64(0)
-        for label in ("S", "T", "H"):
-            for forced in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                st_ = tensor(psi, bell_pair())
-                outcome, col = rotated_bell_measure(st_, (1, 2), gate(label), rng, forced)
-                expect = apply_single(psi, gate(label), 1)
-                if forced[1]:
-                    expect = apply_pauli(expect, parse_pauli("Z"))
-                if forced[0]:
-                    expect = apply_pauli(expect, parse_pauli("X"))
-                assert fidelity_up_to_phase(col, expect) > 1 - 1e-12
-
-    def test_uniform_outcome_probabilities(self):
-        psi = from_terms(1, {0: 0.6, 1: 0.8})
-        counts = {o: 0 for o in ((0, 0), (0, 1), (1, 0), (1, 1))}
-        rng = SplitMix64(2024)
-        trials = 10_000
-        for _ in range(trials):
-            outcome, _ = teleport(psi, 1, IDENT, rng)
-            counts[outcome] += 1
-        for o, c in counts.items():
-            assert abs(c / trials - 0.25) < 0.02
-
-    def test_remaining_index_repacking(self):
-        # measure middle pair; outer qubits keep relative order
-        psi = from_terms(2, {"01": 1.0})
-        st_ = tensor(tensor(basis_state(1, 1), bell_pair()), basis_state(1, 0))
-        outcome, col = rotated_bell_measure(st_, (2, 3), IDENT, SplitMix64(1))
-        assert col.n == 2
-        assert abs(abs(col.amplitude("10")) - 1) < 1e-12
-
-    def test_impossible_forced_outcome_rejected(self):
-        # measuring a Bell pair against itself: only the (0,0) branch survives
-        st_ = bell_pair()
-        out, col = rotated_bell_measure(st_, (1, 2), IDENT, SplitMix64(1))
-        assert out == (0, 0)
-        assert col.n == 0
-        for forced in ((0, 1), (1, 0), (1, 1)):
-            with pytest.raises(ValueError):
-                rotated_bell_measure(bell_pair(), (1, 2), IDENT, SplitMix64(1), forced)
-
-
-class TestRotatedBellMeasureOracle:
-    # I, S and Sd are the rotations the T gadgets use; IDENT is an equal
-    # caller-made gate; H and T are rotations outside the precomputed table
-    ROTATIONS = {
-        "I": IDENT,
-        "S": gate("S"),
-        "Sd": gate("Sd"),
-        "H": gate("H"),
-        "T": gate("T"),
-    }
-    # both orders, adjacent and non-adjacent, lowest and highest qubits
-    PAIRS = {3: ((1, 2), (2, 1), (1, 3), (3, 1)),
-             4: ((1, 4), (4, 1), (2, 3), (4, 2)),
-             5: ((1, 5), (5, 3), (2, 4), (4, 1))}
-
-    @pytest.mark.parametrize("label", sorted(ROTATIONS))
-    def test_against_dense_oracle(self, label):
-        rotation = self.ROTATIONS[label]
-        rng = np.random.default_rng(31)
-        for n, pairs in self.PAIRS.items():
-            for pair in pairs:
-                vec = random_dense_state(rng, n)
-                state = sparse_of(vec, n)
-                branches = dense_rotated_bell_branches(vec, n, pair, rotation.matrix)
-                probs = [float(np.vdot(br, br).real) for br in branches]
-                for idx, outcome in enumerate(BELL_OUTCOMES):
-                    picker = PickRng(idx)
-                    got_outcome, col = rotated_bell_measure(state, pair, rotation, picker)
-                    assert got_outcome == outcome
-                    assert np.allclose(picker.weights, probs, atol=1e-12, rtol=0)
-                    want = branches[idx] / np.sqrt(probs[idx])
-                    assert col.n == n - 2
-                    assert np.abs(dense_of(col) - want).max() < 1e-12
-                    forced_outcome, forced = rotated_bell_measure(state, pair, rotation, None, outcome)
-                    assert forced_outcome == outcome
-                    assert np.array_equal(forced.keys, col.keys)
-                    assert np.array_equal(forced.amps, col.amps)
-
-
-_TELEPORT_AMP = st.one_of(
-    st.sampled_from([1, -1, 1j, -1j, 0.5, 1 + 1j]),
-    st.complex_numbers(min_magnitude=1e-3, max_magnitude=2.0, allow_nan=False, allow_infinity=False),
-)
-
-
-def _measure_or_error(measure, rng, forced):
-    try:
-        outcome, state = measure(rng, forced)
-    except ValueError as exc:
-        return ("error", str(exc))
-    return outcome, state_bytes(state)
-
-
-class TestTeleport:
-    """The oracle teleport is bit for bit the joint-register chain tensor(state,
-    bell_pair()) -> swap_qubits(qubit, n+1) -> rotated_bell_measure on
-    (n+1, n+2) from tests/oracles.py: outcome, keys, amplitudes and the
-    weights it samples from, for the diagonal rotations (I, S and Sd from
-    the precomputed table, T computed on the call)."""
-
-    ROTATIONS = {label: TestRotatedBellMeasureOracle.ROTATIONS[label] for label in ("I", "S", "Sd", "T")}
-
-    def _assert_same(self, state, qubit, rotation):
-        n = state.n
-        joint = swap_qubits(tensor(state, bell_pair()), qubit, n + 1)
-
-        def fast(rng, forced):
-            return teleport(state, qubit, rotation, rng, forced)
-
-        def ref(rng, forced):
-            return rotated_bell_measure(joint, (n + 1, n + 2), rotation, rng, forced)
-
-        for idx, outcome in enumerate(BELL_OUTCOMES):
-            got_pick, want_pick = PickRng(idx), PickRng(idx)
-            got = _measure_or_error(fast, got_pick, None)
-            assert got == _measure_or_error(ref, want_pick, None)
-            assert got_pick.weights == want_pick.weights
-            assert _measure_or_error(fast, None, outcome) == _measure_or_error(ref, None, outcome)
-
-    @given(st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_bit_identical_to_joint_register(self, data):
-        n = data.draw(st.integers(1, 8), label="n")
-        keys = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40, unique=True),
-                         label="keys")
-        amps = data.draw(st.lists(_TELEPORT_AMP, min_size=len(keys), max_size=len(keys)), label="amps")
-        state = SparseState(n, np.array(keys, np.uint64), np.array(amps, complex))
-        assume(state.num_terms > 0)
-        if data.draw(st.booleans(), label="normalized"):
-            state = state.normalized()
-        rotation = self.ROTATIONS[data.draw(st.sampled_from(sorted(self.ROTATIONS)), label="rotation")]
-        for qubit in range(1, n + 1):
-            self._assert_same(state, qubit, rotation)
-
-    def test_gadget_states(self):
-        # T-gadget inputs: codeword-like superpositions whose branches cancel
-        st_ = from_terms(3, {"000": 2**-0.5, "111": 2**-0.5})
-        for q in (1, 2, 3):
-            for label in ("I", "S", "Sd"):
-                self._assert_same(apply_single(st_, gate("T"), q), q, self.ROTATIONS[label])
-
-    def test_widest_register(self):
-        # 62 data qubits make the 64-qubit joint register; bit 61 is set
-        state = SparseState(62, np.array([1, (1 << 61) | 1], np.uint64), np.array([0.6, 0.8j]))
-        for qubit in (1, 62):
-            self._assert_same(state, qubit, gate("S"))
-
-    def test_antidiagonal_rotation(self):
-        # X's basis rows have one nonzero per data bit too; outcome a = 0 flips the key
-        state = from_terms(2, {"00": 0.6, "10": -0.8j, "11": 0.8})
-        for qubit in (1, 2):
-            self._assert_same(state, qubit, gate("X"))
-
-    def test_non_monomial_rotation_rejected(self):
-        # H mixes both pair halves into every row entry, so no one-key gather exists
-        state = from_terms(1, {"0": 0.6, "1": 0.8})
-        with pytest.raises(ValueError, match="^teleport takes a diagonal or antidiagonal rotation, got 'H'$"):
-            teleport(state, 1, gate("H"), SplitMix64(0))
-
-    def test_qubit_cap(self):
-        state = SparseState(63, np.array([1 << 62], np.uint64), np.array([1.0 + 0j]))
-        with pytest.raises(ValueError) as want:
-            tensor(state, bell_pair())
-        with pytest.raises(ValueError, match="65 qubits exceeds the 64-qubit cap") as got:
-            teleport(state, 1, IDENT, SplitMix64(0))
-        assert str(got.value) == str(want.value)
-
-    def test_term_guard(self, monkeypatch):
-        monkeypatch.setattr(states, "TERM_GUARD", 1 << 12)
-        half = 1 << 11
-        at = SparseState(13, np.arange(half, dtype=np.uint64), np.full(half, half**-0.5))
-        _, out = teleport(at, 1, IDENT, SplitMix64(0))
-        assert out.n == 13
-        over = SparseState(13, np.arange(half + 1, dtype=np.uint64), np.ones(half + 1))
-        with pytest.raises(ValueError) as want:
-            tensor(over, bell_pair())
-        with pytest.raises(ValueError, match="term-count guard") as got:
-            teleport(over, 1, IDENT, SplitMix64(0))
-        assert str(got.value) == str(want.value)
-
-    def test_zero_state(self):
-        zero = SparseState(2, np.array([], np.uint64), np.array([], complex))
-        with pytest.raises(ValueError, match="zero-weight state"):
-            teleport(zero, 1, IDENT, SplitMix64(0))
-
-    def test_qubit_range(self):
-        for qubit in (0, 3):
-            with pytest.raises(ValueError, match="out of range"):
-                teleport(basis_state(2, 0), qubit, IDENT, SplitMix64(0))
-
-    @pytest.mark.parametrize("forced", [(2, 0), (0, -1), (0,), (0, 1, 1), (0.5, 1), (None, 1), "01", 3])
-    def test_malformed_forced_outcome(self, forced):
-        state = from_terms(1, {"0": 0.6, "1": 0.8})
-        with pytest.raises(ValueError, match=r"^forced outcome must be a pair of bits, got ") as err:
-            teleport(state, 1, IDENT, SplitMix64(0), forced)
-        assert str(err.value).endswith(repr(forced))
-
-    @pytest.mark.parametrize("forced", [[1, 0], (np.int64(1), np.uint8(0)), np.array([1, 0]), (True, False)])
-    def test_forced_outcome_forms(self, forced):
-        state = from_terms(1, {"0": 0.6, "1": 0.8})
-        outcome, out = teleport(state, 1, IDENT, SplitMix64(0), forced)
-        want_outcome, want = teleport(state, 1, IDENT, SplitMix64(0), (1, 0))
-        assert outcome == want_outcome == (1, 0)
-        assert all(type(b) is int for b in outcome)
-        assert state_bytes(out) == state_bytes(want)
-
-
-class TestTeleportDiagonal:
-    """teleport(state, q, U, ..., diagonal=g) is bit for bit
-    teleport(apply_single(state, g, q), q, U, ...) for g in {T, Td}, every
-    rotation of the precomputed table and every outcome, sampled or forced."""
-
-    ROTATIONS = [SingleQubitGate("U", m) for m in _BELL_GATHERS]
-
-    @given(st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_equals_gate_then_teleport(self, data):
-        n = data.draw(st.integers(1, 6), label="n")
-        keys = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=24, unique=True),
-                         label="keys")
-        amps = data.draw(st.lists(_TELEPORT_AMP, min_size=len(keys), max_size=len(keys)), label="amps")
-        state = SparseState(n, np.array(keys, np.uint64), np.array(amps, complex))
-        assume(state.num_terms > 0)
-        qubit = data.draw(st.integers(1, n), label="qubit")
-        for g in (gate("T"), gate("Td")):
-            gated = apply_single(state, g, qubit)
-            for rotation in self.ROTATIONS:
-                def fast(rng, forced):
-                    return teleport(state, qubit, rotation, rng, forced, g)
-
-                def ref(rng, forced):
-                    return teleport(gated, qubit, rotation, rng, forced)
-
-                for idx, outcome in enumerate(BELL_OUTCOMES):
-                    got_pick, want_pick = PickRng(idx), PickRng(idx)
-                    assert _measure_or_error(fast, got_pick, None) == _measure_or_error(ref, want_pick, None)
-                    assert got_pick.weights == want_pick.weights
-                    assert _measure_or_error(fast, None, outcome) == _measure_or_error(ref, None, outcome)
-
-    @pytest.mark.parametrize("label", ["H", "X"])
-    def test_non_diagonal_gate_rejected(self, label):
-        with pytest.raises(ValueError, match="diagonal gate"):
-            teleport(basis_state(1, 0), 1, IDENT, SplitMix64(0), None, gate(label))
-
-
 def _nonzero_parts(rng, size):
     """Amplitudes whose real and imaginary parts are all nonzero."""
     parts = rng.uniform(0.1, 1.0, (2, size)) * rng.choice([-1.0, 1.0], (2, size))
@@ -648,10 +374,12 @@ class TestApplyPhases:
 
 
 class TestMonomialGadget:
-    """A T gadget of MonomialLayer followed by apply_monomial is the oracle
-    teleport of the gated qubit within 1e-15, with the same keys and
-    outcome and weights of exactly norm2/4 (1/4 after the layer's first
-    gadget); its checks keep teleport's messages and order."""
+    """A T gadget of MonomialLayer followed by apply_monomial is the dense
+    joint register of dense_gadget_branches: the same outcome and keys, the
+    amplitudes within 1e-15 * max(1, 1/|psi|) with the global phase, and
+    weights of exactly norm2/4 (1/4 after the layer's first gadget) that
+    equal the dense branch weights; its checks keep the messages and order
+    of the tensor product the gadget stands for."""
 
     ROTATIONS = {"I": IDENTITY, "S": gate("S"), "Sd": gate("Sd")}
 
@@ -666,28 +394,32 @@ class TestMonomialGadget:
             for j, u in enumerate(_unit_factors(norm2)):
                 assert abs(u - scale * np.exp(1j * np.pi / 4 * j)) <= 5e-16 * scale
 
-    @given(st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_matches_oracle_teleport(self, data):
-        n = data.draw(st.integers(1, 6), label="n")
-        keys = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=24, unique=True),
-                         label="keys")
-        amps = data.draw(st.lists(_TELEPORT_AMP, min_size=len(keys), max_size=len(keys)), label="amps")
-        state = SparseState(n, np.array(keys, np.uint64), np.array(amps, complex))
-        assume(state.num_terms > 0)
-        qubit = data.draw(st.integers(1, n), label="qubit")
-        label = data.draw(st.sampled_from(sorted(self.ROTATIONS)), label="rotation")
-        kind = data.draw(st.sampled_from(["T", "Td", None]), label="kind")
-        gated = state if kind is None else apply_single(state, gate(kind), qubit)
-        t = {"T": 1, "Td": 7, None: 0}[kind]
-        for idx, outcome in enumerate(BELL_OUTCOMES):
-            layer, pick = MonomialLayer(n), PickRng(idx)
-            assert layer.gadget(state, qubit, label, t, pick) == outcome
-            assert pick.weights == [states._weight(state.amps) / 4] * 4
-            got = apply_monomial(state, layer)
-            _, want = teleport(gated, qubit, self.ROTATIONS[label], None, outcome)
-            assert got.keys == want.keys
-            assert np.abs(np.subtract(got.amps, want.amps)).max() <= 1e-15 * max(1.0, state.norm() ** -1)
+    def test_matches_dense_branches(self):
+        # every n <= 6, qubit, rotation, T (t = 1), Td (7) or no gate (0) and
+        # outcome, on four states: normalized, with zero real or imaginary
+        # parts and norm2 > 1, of norm 1e-3, and (|0..0> + |1..1>)/sqrt2
+        rng = np.random.default_rng(22)
+        for n in range(1, 7):
+            keys = sorted(set(rng.integers(0, 1 << n, 1 << n).tolist()))
+            exact = SparseState(n, keys, rng.choice([1, -1, 1j, -1j, 0.5, 1 + 1j], len(keys)))
+            cat = from_terms(n, {0: 2**-0.5, (1 << n) - 1: 2**-0.5})
+            for state in (random_sparse(rng, n), exact, random_sparse(rng, n).scaled(1e-3), cat):
+                vec, bound = dense_of(state), 1e-15 * max(1.0, state.norm() ** -1)
+                for qubit, label, t in itertools.product(range(1, n + 1), self.ROTATIONS, (1, 7, 0)):
+                    branches = dense_gadget_branches(vec, n, qubit, self.ROTATIONS[label].matrix, t)
+                    probs = [np.vdot(b, b).real for b in branches]
+                    for idx, outcome in enumerate(BELL_OUTCOMES):
+                        layer, pick = MonomialLayer(n), PickRng(idx)
+                        assert layer.gadget(state, qubit, label, t, pick) == outcome
+                        assert pick.weights == [states._weight(state.amps) / 4] * 4
+                        assert np.abs(np.subtract(pick.weights, probs)).max() <= 1e-12
+                        got = apply_monomial(state, layer)
+                        want = branches[idx] / np.sqrt(probs[idx])
+                        assert got.keys == tuple(np.flatnonzero(np.abs(want) > PRUNE_TOL).tolist())
+                        assert np.abs(dense_of(got) - want).max() <= bound
+                        forced = MonomialLayer(n)
+                        forced.gadget(state, qubit, label, t, None, outcome)
+                        assert state_bytes(apply_monomial(state, forced)) == state_bytes(got)
 
     def test_later_gadgets_sample_a_quarter(self):
         # squared norm 4: the first gadget's weights are 1, a quarter of it
