@@ -469,11 +469,7 @@ def _single_error_table(code: StabilizerCode) -> dict[tuple[int, ...], PauliOper
 def parse_code_text(text: str, name: str = "user") -> StabilizerCode:
     """Code-definition file: header 'n k', then n-k generators, k logical
     X strings, k logical Z strings; '#' starts a comment."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = gf2.content_lines(text)
     if not lines:
         raise CodeFileError("empty code definition")
     header = lines[0].split()

@@ -27,6 +27,13 @@ def parse_row(text: str) -> int:
     return word
 
 
+def content_lines(text: str) -> list[str]:
+    """The stripped lines of text that are not blank once a '#' comment
+    is cut off."""
+    lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
+    return [line for line in lines if line]
+
+
 def format_row(word: int, n: int) -> str:
     return "".join("1" if (word >> q) & 1 else "0" for q in range(n))
 
@@ -49,12 +56,7 @@ class BitMatrix(NamedTuple):
     @classmethod
     def from_text(cls, text: str) -> "BitMatrix":
         """Parse the ASCII matrix file format: 0/1 rows, '#' comments."""
-        lines = []
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                lines.append(line)
-        return cls.from_strings(lines)
+        return cls.from_strings(content_lines(text))
 
 
 def rref(rows, n: int) -> list[int]:

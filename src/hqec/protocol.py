@@ -61,10 +61,10 @@ from .states import (
     apply_pauli,
     apply_single,
     combine,
+    eigen_bit,
     fidelity_up_to_phase,
     gate,
     inner,
-    pauli_eigenvalues,
     unit_amplitudes,
 )
 
@@ -270,17 +270,18 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitR
     max_qubits, max_terms = state.n, state.num_terms
     for g in circuit:
         kind, qubits = g.kind, g.qubits
+        clifford = kind in CLIFFORD_KINDS
         for q in qubits:
             if not 1 <= q <= n:
                 raise ValueError(f"qubit {q} out of range 1..{n}")
         if kind in ("Z", "S", "Sd"):
             layer.phase(qubits[0], _OMEGA_EXPONENTS[kind])
-        elif g.is_clifford:
+        elif clifford:
             if layer.pending:
                 state = apply_monomial(state, layer)
                 layer = MonomialLayer(n)
             state = apply_plain_circuit(state, (g,))
-        if g.is_clifford:
+        if clifford:
             server.append({"kind": "gate", "gate": kind, "qubits": list(qubits)})
             if kind not in ("X", "Z"):
                 x2, z2 = _key_rule(kind, qubits, x, z)
@@ -408,14 +409,18 @@ class StorageReport:
 
 
 def measured_syndrome(state: SparseState, code: StabilizerCode) -> tuple[int, ...]:
-    """Stabilizer eigenvalues read off the (eigenstate) register in one
-    pauli_eigenvalues pass; raises naming the first generator that fails."""
+    """The eigen_bit of each generator on the register, which must be a unit
+    vector; raises naming the first generator that fails (the first one when
+    the squared norm is not 1 within TOL)."""
+    gens = code.generators
+    if gens and abs(_weight(state.amps) - 1) > TOL:
+        raise ProtocolError(f"state is not an eigenstate of {gens[0]}")
     bits = []
-    vals, eigen = pauli_eigenvalues(state, code.generators)
-    for g, val, ok in zip(code.generators, vals, eigen):
-        if not ok or abs(abs(val.real) - 1) > TOL:
+    for g in gens:
+        bit = eigen_bit(state, g)
+        if bit is None:
             raise ProtocolError(f"state is not an eigenstate of {g}")
-        bits.append(0 if val.real > 0 else 1)
+        bits.append(bit)
     return tuple(bits)
 
 

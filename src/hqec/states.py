@@ -18,12 +18,12 @@ sums are explicit ``+=`` loops in key order (``sum()`` of floats is
 compensated since Python 3.12, so it would round differently across the
 supported versions), and every factor is a Python complex (a float or int
 factor multiplies differently on Python 3.14, in the signs of zero parts).
-``inner`` and ``pauli_eigenvalues`` look keys up in a dict of the terms;
-``pauli_eigenvalues`` is the syndrome readout of ``protocol``.  It reads a
-Z-only Pauli by the parity classes of the keys: when all keys share one
-parity, as in every eigenstate, the value is +-i^phase times the squared
-norm, with no per-term list.  ``codes`` reads no state back: it checks its
-codewords on the operators alone.
+``inner`` and ``eigen_bit`` look keys up in a dict of the terms.
+``eigen_bit`` is the syndrome readout of ``protocol``: it answers whether
+P|psi> = +|psi> or -|psi>, amplitude by amplitude within ``TOL``, and reads
+a Z-only Pauli on keys of one parity class, as in every eigenstate, from
+that class alone.  ``codes`` reads no state back: it checks its codewords
+on the operators alone.
 
 A T gadget (T or Td on a data qubit, teleported through a fresh Bell pair
 measured at once in a rotated basis) is monomial, as Z, S and Sd are: its
@@ -273,62 +273,32 @@ def apply_pauli(state: SparseState, p: PauliOperator) -> SparseState:
     return _state(state.n, state.keys, tuple(amps))
 
 
-def pauli_eigenvalues(state: SparseState, paulis) -> tuple[tuple, tuple]:
-    """(values, eigen) for a sequence of Paulis: <psi|P|psi> for each P, and
-    whether every term of P|psi> matches mu|psi> within TOL, where
-    mu = value / <psi|psi>.  The zero state is no eigenstate.
+def eigen_bit(state: SparseState, p: PauliOperator) -> int | None:
+    """b when P|psi> = (-1)^b |psi>, else None: for the zero state, for a
+    non-Hermitian P (eigenvalues +-i) and for a state that is no eigenstate.
 
-    P sends a|k> to its image term i^phase (-1)^popcount(k & z) a at k ^ x,
-    which is checked against psi at k ^ x, looked up in a dict (a missing key
-    counts as amplitude 0); the dict is built only when some P has an X part.
-
-    A Z-only Pauli keeps every key: P|k> = +-i^phase |k> by the parity of
-    k & z, so the value is i^phase times a signed sum of the weights |a|^2,
-    and a term's squared residual is |a|^2 |+-i^phase - mu|^2, largest at the
-    largest weight of its parity.  When every key has one parity (every
-    eigenstate, so every syndrome readout of a valid run), the signed sum is
-    +-norm2 and the other parity's largest weight is 0, so no per-term list
-    is built; both results equal the signed-weight path's bit for bit.
-    Mixed parities (no eigenstate) take the signed-weight path.
-    """
-    for p in paulis:
-        if p.n != state.n:
-            raise ValueError(f"dimension mismatch: operator on {p.n}, state on {state.n}")
+    P = i^phase X(x) Z(z) sends a_k|k> to i^phase s_k a_k |k ^ x>, with s_k =
+    (-1)^popcount(k & z), so the bit is b when s_k a_k matches (-1)^b
+    conj(i^phase) a_(k^x) within TOL at every key k (a missing key counts as
+    amplitude 0).  A Z-only P on keys of one parity class under z is exactly
+    +-1 times the identity there, so that class decides the bit."""
+    if p.n != state.n:
+        raise ValueError(f"dimension mismatch: operator on {p.n}, state on {state.n}")
     keys, amps = state.keys, state.amps
-    weights = [a.real * a.real + a.imag * a.imag for a in amps]
-    norm2 = math.fsum(weights)
-    if not paulis or norm2 == 0:
-        return (0j,) * len(paulis), (False,) * len(paulis)
-    top = max(weights)
-    lookup = dict(zip(keys, amps)) if any(p.x for p in paulis) else None
-    values, eigen = [], []
-    for p in paulis:
-        x, z, ph = p.x, p.z, p.phase_value()
-        if x:
-            target = [lookup.get(k ^ x, 0j) for k in keys]
-            image = [a * _SIGNS[(k & z).bit_count() & 1] * ph for k, a in zip(keys, amps)]
-            lam = 0j
-            for t, y in zip(target, image):
-                lam += t.conjugate() * y
-            mu = lam / norm2
-            eigen.append(all([abs(y - mu * t) <= TOL for t, y in zip(target, image)]))
-        else:
-            parities = {(k & z).bit_count() & 1 for k in keys}
-            if len(parities) == 1:
-                # the largest weight of the one parity present, 0 for the other
-                if parities.pop():
-                    lam, even, odd = ph * complex(-norm2), 0.0, top
-                else:
-                    lam, even, odd = ph * complex(norm2), top, 0.0
-            else:
-                signed = [-w if (k & z).bit_count() & 1 else w for k, w in zip(keys, weights)]
-                lam = ph * complex(math.fsum(signed))
-                even, odd = max(max(signed), 0.0), max(-min(signed), 0.0)
-            mu = lam / norm2
-            # the largest weight of each parity sets its largest residual
-            eigen.append(even * abs(ph - mu) ** 2 <= TOL**2 and odd * abs(ph + mu) ** 2 <= TOL**2)
-        values.append(lam)
-    return tuple(values), tuple(eigen)
+    x, z = p.x, p.z
+    if not keys or (p.phase + (x & z).bit_count()) & 1:
+        return None
+    if not x:
+        parities = {(k & z).bit_count() & 1 for k in keys}
+        if len(parities) == 1:
+            return (p.phase >> 1) ^ parities.pop()
+    lookup = dict(zip(keys, amps))
+    c = p.phase_value().conjugate()
+    for bit, u in ((0, c), (1, -c)):
+        if all(abs(a * _SIGNS[(k & z).bit_count() & 1] - u * lookup.get(k ^ x, 0j)) <= TOL
+               for k, a in zip(keys, amps)):
+            return bit
+    return None
 
 
 _OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))

@@ -63,10 +63,10 @@ from hqec.states import (
     _weight,
     apply_pauli,
     combine,
+    eigen_bit,
     fidelity_up_to_phase,
     gate,
     inner,
-    pauli_eigenvalues,
     unit_amplitudes,
 )
 
@@ -292,18 +292,18 @@ def pauli_image_terms(p: PauliOperator, terms: dict) -> dict:
     return out
 
 
-def pauli_expectation_terms(p: PauliOperator, terms: dict, tol: float = 1e-10):
-    """(<psi|P|psi>, eigen): eigen holds when every amplitude of P|psi>
-    matches mu * psi within tol, mu = <psi|P|psi> / <psi|psi>; the zero
-    state is no eigenstate."""
+def eigen_bit_terms(p: PauliOperator, terms: dict, tol: float = 1e-10):
+    """b when every amplitude of P|psi> (pauli_image_terms) matches (-1)^b
+    psi within tol, over the keys of both; None otherwise and for the zero
+    state."""
+    if not terms:
+        return None
     image = pauli_image_terms(p, terms)
-    value = complex(sum(np.conj(terms.get(k, 0)) * a for k, a in image.items()))
-    norm2 = sum(abs(a) ** 2 for a in terms.values())
-    if norm2 == 0:
-        return value, False
-    mu = value / norm2
     keys = set(terms) | set(image)
-    return value, all(abs(image.get(k, 0) - mu * terms.get(k, 0)) <= tol for k in keys)
+    for bit, sign in ((0, 1), (1, -1)):
+        if all(abs(image.get(k, 0) - sign * terms.get(k, 0)) <= tol for k in keys):
+            return bit
+    return None
 
 
 def intersect_inner(a: SparseState, b: SparseState) -> complex:
@@ -512,22 +512,20 @@ def scan_zero_codeword(code) -> SparseState:
 
 
 def readout_codeword_verdict(code) -> str | None:
-    """The eigenvalue readout that once checked the codewords of
-    logical_codewords, run on the states its construction builds: the
+    """The check that logical_codewords once ran on its two states, as
+    eigen_bit readouts of the states its construction builds: the
     message of the ValueError it raises, or None when both codewords pass.
     Construction errors propagate.  Checks, in order: every generator fixes
     |0>, then |1>; logical Z fixes |0> and negates |1>; <0|1> = 0."""
     zero, _ = _zero_codeword(code)
     one = apply_pauli(zero, code.logical_x[0])
-    ops = code.generators + code.logical_z[:1]
-    (vals0, eig0), (vals1, eig1) = pauli_eigenvalues(zero, ops), pauli_eigenvalues(one, ops)
-    for vals, eig in ((vals0, eig0), (vals1, eig1)):
-        for g, val, ok in zip(code.generators, vals, eig):
-            if not ok or abs(val - 1) > TOL:
+    for state in (zero, one):
+        for g in code.generators:
+            if eigen_bit(state, g) != 0:
                 return f"{code.name}: codeword is not fixed by {g}"
-    if not eig0[-1] or abs(vals0[-1] - 1) > TOL:
+    if eigen_bit(zero, code.logical_z[0]) != 0:
         return f"{code.name}: logical Z does not fix |0>"
-    if not eig1[-1] or abs(vals1[-1] + 1) > TOL:
+    if eigen_bit(one, code.logical_z[0]) != 1:
         return f"{code.name}: logical Z does not negate |1>"
     if abs(inner(zero, one)) > TOL:
         return f"{code.name}: logical basis states are not orthogonal"
@@ -536,14 +534,13 @@ def readout_codeword_verdict(code) -> str | None:
 
 # ---------------------------------------------------------------------------
 # the signed-weight syndrome readout and the storage runner built on it: the
-# references that states.pauli_eigenvalues and run_storage_protocol must
-# equal bit for bit
+# reference that run_storage_protocol must equal bit for bit
 
 
 def signed_weight_eigenvalues(state: SparseState, paulis) -> tuple[tuple, tuple]:
-    """states.pauli_eigenvalues as it was before its single-parity path:
-    every Z-only Pauli builds the list of weights signed by parity, and the
-    key dict is built for every call."""
+    """(<psi|P|psi>, eigen) for each P: eigen holds when every amplitude of
+    P|psi> matches mu psi within TOL, mu = <psi|P|psi> / <psi|psi>.  A Z-only
+    P reads the weights signed by parity; the zero state is no eigenstate."""
     for p in paulis:
         if p.n != state.n:
             raise ValueError(f"dimension mismatch: operator on {p.n}, state on {state.n}")

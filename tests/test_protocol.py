@@ -25,7 +25,7 @@ from hqec.protocol import (
     run_storage_protocol,
     run_transversal_t_protocol,
 )
-from hqec.codes import builtin_code, syndrome
+from hqec.codes import builtin_code, parse_code_text, syndrome
 from hqec.pauli import PauliOperator, parse_pauli, transversal_pauli
 from hqec.rng import SplitMix64
 from hqec import states
@@ -725,6 +725,34 @@ class TestMeasuredSyndrome:
         mixed = combine([zero, apply_pauli(zero, parse_pauli(error))], [0.6, 0.8])
         with pytest.raises(ProtocolError, match=f"^state is not an eigenstate of {generator}$"):
             measured_syndrome(mixed, builtin_code("bit_flip"))
+
+    @pytest.mark.parametrize("scale", [2, 0], ids=["unnormalized", "zero"])
+    def test_not_a_unit_vector_names_the_first_generator(self, scale):
+        # |0> times 2 is an eigenstate of every generator; times 0, no term is left
+        state = cached_code_space("bit_flip").zero.scaled(scale)
+        with pytest.raises(ProtocolError, match="^state is not an eigenstate of ZZI$"):
+            measured_syndrome(state, builtin_code("bit_flip"))
+
+    @pytest.mark.parametrize("text, keys, generator", [
+        ("3 1\nZZI\niIZZ\nXXX\nZZZ\n", [0b000], "iIZZ"),
+        ("3 1\niXXX\nZZI\nXXX\nZZZ\n", [0b000, 0b111], "iXXX"),
+    ])
+    def test_non_hermitian_generator(self, text, keys, generator):
+        # |000> and the GHZ state are eigenstates of IZZ and XXX, so of the
+        # generator with eigenvalue i
+        state = from_terms(3, dict.fromkeys(keys, 1)).normalized()
+        with pytest.raises(ProtocolError, match=f"^state is not an eigenstate of {generator}$"):
+            measured_syndrome(state, parse_code_text(text))
+
+    def test_off_parity_term_below_tolerance(self):
+        # qubit 1 set makes ZZI odd and keeps IZZ even; a term of 1e-11
+        # differs from its ZZI image by 2e-11 <= TOL, one of 1e-10 does not
+        code = builtin_code("bit_flip")
+        near = from_terms(3, {0b000: 1.0, 0b001: 1e-11})
+        assert measured_syndrome(near, code) == (0, 0)
+        far = from_terms(3, {0b000: 1.0, 0b001: 1e-10})
+        with pytest.raises(ProtocolError, match="^state is not an eigenstate of ZZI$"):
+            measured_syndrome(far, code)
 
 
 class TestTransversalT:

@@ -22,10 +22,10 @@ from hqec.states import (
     apply_pauli,
     apply_single,
     combine,
+    eigen_bit,
     fidelity_up_to_phase,
     gate,
     inner,
-    pauli_eigenvalues,
     unit_amplitudes,
 )
 from oracles import (
@@ -39,15 +39,14 @@ from oracles import (
     dense_of,
     dense_pauli,
     dense_swap,
+    eigen_bit_terms,
     from_terms,
     intersect_inner,
     op_on,
-    pauli_expectation_terms,
     pauli_image_terms,
     project_onto,
     random_pauli,
     gadget_exponents,
-    signed_weight_eigenvalues,
     state_bytes,
     swap_qubits,
     tensor,
@@ -575,7 +574,18 @@ def _random_pauli_n(data, n, label):
     return PauliOperator(n, x, z, data.draw(st.integers(0, 3), label=f"{label} phase"))
 
 
+def _dense_eigen_bit(state, p):
+    """b when the dense P times psi equals (-1)^b psi within TOL, else None."""
+    vec = dense_of(state)
+    image = dense_pauli(p) @ vec
+    bits = [b for b, sign in ((0, 1), (1, -1)) if np.abs(image - sign * vec).max() <= TOL]
+    return bits[0] if bits and vec.any() else None
+
+
 class TestPauliEigenvalues:
+    """states.eigen_bit against the letterwise image (every n) and the dense
+    Pauli matrix (n <= 5), for all four phases."""
+
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_against_letterwise_and_dense_oracles(self, data):
@@ -583,10 +593,15 @@ class TestPauliEigenvalues:
         keys = data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=8), label="keys")
         if n == 64 and data.draw(st.booleans(), label="bit 63 set"):
             keys = {k | 1 << 63 for k in keys}
+        z = data.draw(st.integers(0, (1 << n) - 1), label="z")
+        if data.draw(st.booleans(), label="one parity class under z"):
+            parity = (min(keys) & z).bit_count() & 1
+            keys = {k for k in keys if (k & z).bit_count() & 1 == parity}
         amps = data.draw(st.lists(_AMP, min_size=len(keys), max_size=len(keys)), label="amps")
         terms = dict(zip(sorted(keys), amps))
         base = _random_pauli_n(data, n, "P0")
-        if data.draw(st.booleans(), label="eigenstate of P0"):
+        eigenstate = data.draw(st.booleans(), label="eigenstate of P0")
+        if eigenstate:
             # (psi + P psi / mu) is an eigenstate of P with eigenvalue mu, mu^2 = P^2
             sq = base.multiply(base).phase_value()
             mu = np.sqrt(complex(sq)) * data.draw(st.sampled_from([1, -1]), label="sign")
@@ -595,59 +610,58 @@ class TestPauliEigenvalues:
             terms = {k: a for k, a in terms.items() if abs(a) > 1e-6}
             assume(terms)
         state = from_terms(n, terms)
-        # P0 times i^j (odd phases included), its negative, and unrelated Paulis
-        j = data.draw(st.integers(0, 3), label="j")
-        paulis = [base, PauliOperator(n, base.x, base.z, base.phase + j),
-                  PauliOperator(n, base.x, base.z, base.phase + 2), PauliOperator.identity(n)]
+        # P0 and the Z-only Pauli times i^j, the identity and unrelated Paulis
+        paulis = [PauliOperator(n, base.x, base.z, base.phase + j) for j in range(4)]
+        paulis += [PauliOperator(n, 0, z, j) for j in range(4)] + [PauliOperator.identity(n)]
         paulis += [_random_pauli_n(data, n, f"P{i}") for i in range(data.draw(st.integers(0, 4)))]
-        values, eigen = pauli_eigenvalues(state, paulis)
-        assert len(values) == len(eigen) == len(paulis)
-        for p, val, ok in zip(paulis, values, eigen):
-            want, want_ok = pauli_expectation_terms(p, _terms(state))
-            assert abs(val - want) < 1e-9
-            assert ok == want_ok, p
+        bits = [eigen_bit(state, p) for p in paulis]
+        for p, bit in zip(paulis, bits):
+            assert bit == eigen_bit_terms(p, _terms(state)), p
             if n <= 5:
-                vec = dense_of(state)
-                assert abs(val - np.vdot(vec, dense_pauli(p) @ vec)) < 1e-9
-        assert eigen[3] and abs(values[3] - state.norm() ** 2) < 1e-9
+                assert bit == _dense_eigen_bit(state, p), p
+        # i^j mu is +1 for one j and -1 for another
+        if eigenstate:
+            assert sorted(b for b in bits[:4] if b is not None) == [0, 1]
+        assert bits[8] == 0
 
     def test_plus_minus_one_and_y_parts(self):
         bell = from_terms(2, {0b00: 0.6, 0b11: 0.8})
-        values, eigen = pauli_eigenvalues(bell, [parse_pauli(t) for t in ("ZZ", "-ZZ", "IZ")])
-        assert np.allclose(values, [1, -1, 0.36 - 0.64]) and eigen == (True, True, False)
+        assert [eigen_bit(bell, parse_pauli(t)) for t in ("ZZ", "-ZZ", "IZ")] == [0, 1, None]
         phi = from_terms(2, {0b00: 1, 0b11: 1}).normalized()
-        # XX, YY = -XX ZZ and iXZ phases: eigenvalues +1, -1, and +-i for non-Hermitian
-        ops = [parse_pauli(t) for t in ("XX", "YY", "XY", "iXX")]
-        values, eigen = pauli_eigenvalues(phi, ops)
-        assert np.allclose(values, [1, -1, 0, 1j])
-        assert eigen == (True, True, False, True)
+        # XX, YY = -XX ZZ, and XY and iXX with eigenvalues 0 and i
+        ops = [parse_pauli(t) for t in ("XX", "YY", "XY", "iXX", "-XX")]
+        assert [eigen_bit(phi, p) for p in ops] == [0, 1, None, None, 1]
 
     def test_bit_63_keys(self):
         n = 64
         top = 1 << 63
         cat = SparseState(n, np.array([1, top | 2], np.uint64), np.array([1, 1j]) / np.sqrt(2))
-        # X on qubits 1, 2 and 64 swaps the two keys; Z on qubit 64 tells them apart
+        # X on qubits 1, 2 and 64 swaps the two keys; Z on qubit 64 tells them
+        # apart; X1 X2 (XZ)64 has eigenvalue -i, so i and -i times it +1 and -1
         x = PauliOperator(n, top | 3, 0, 0)
         z64 = PauliOperator(n, 0, top, 0)
-        xz = PauliOperator(n, top | 3, top, 0)  # X1 X2 (XZ)64: eigenvalue -i on this state
-        values, eigen = pauli_eigenvalues(cat, [x, z64, xz])
-        for p, val, ok in zip((x, z64, xz), values, eigen):
-            want, want_ok = pauli_expectation_terms(p, _terms(cat))
-            assert abs(val - want) < 1e-12 and ok == want_ok
-        assert eigen == (False, False, True)
-        assert np.allclose(values, [0, 0, -1j])
+        ops = [x, z64] + [PauliOperator(n, top | 3, top, j) for j in range(4)]
+        bits = [eigen_bit(cat, p) for p in ops]
+        assert bits == [eigen_bit_terms(p, _terms(cat)) for p in ops]
+        assert bits == [None, None, None, 0, None, 1]
 
     def test_missing_flipped_key_is_no_eigenstate(self):
         state = from_terms(3, {0b000: 0.6, 0b011: 0.8})
-        values, eigen = pauli_eigenvalues(state, [parse_pauli("XII"), parse_pauli("XXI")])
         # X1 maps 000 to 001, which is not stored; X1X2 maps the keys onto each other
-        assert values[0] == 0 and not eigen[0]
-        assert abs(values[1] - 0.96) < 1e-12 and not eigen[1]
+        assert eigen_bit(state, parse_pauli("XII")) is None
+        assert eigen_bit(state, parse_pauli("XXI")) is None
+
+    def test_missing_flipped_key_counts_as_zero(self):
+        # |+> on qubit 1, and a term at 010 whose X1 partner 011 is not stored:
+        # within TOL of 0 at 2e-11, not at 2e-10
+        for amp, want in ((2e-11, 0), (2e-10, None)):
+            state = from_terms(3, {0b000: math.sqrt(0.5), 0b001: math.sqrt(0.5), 0b010: amp})
+            assert eigen_bit(state, parse_pauli("XII")) == want
 
     def test_amplitude_ratios_differ(self):
         state = from_terms(1, {0: 1, 1: 2}).normalized()
-        values, eigen = pauli_eigenvalues(state, [parse_pauli("X"), parse_pauli("Z")])
-        assert np.allclose(values, [0.8, -0.6]) and not any(eigen)
+        assert eigen_bit(state, parse_pauli("X")) is None
+        assert eigen_bit(state, parse_pauli("Z")) is None
 
     def test_more_rows_than_one_block(self):
         # |+>^15: 2^15 terms, read by five Paulis with and without X parts
@@ -657,77 +671,23 @@ class TestPauliEigenvalues:
         ops = [PauliOperator(n, (1 << n) - 1, 0, 0), PauliOperator(n, 5, 0, 2),
                PauliOperator(n, 0, 1, 0), PauliOperator(n, 1 << 14, 0, 0),
                PauliOperator(n, 1, 1, 1)]
-        values, eigen = pauli_eigenvalues(plus, ops)
-        assert np.allclose(values, [1, -1, 0, 1, 0])
-        assert eigen == (True, True, False, True, False)
+        assert [eigen_bit(plus, p) for p in ops] == [0, 1, None, 0, None]
 
-    def test_zero_state_and_no_paulis(self):
-        empty = SparseState(2, np.array([], np.uint64), np.array([], complex))
-        values, eigen = pauli_eigenvalues(empty, [parse_pauli("ZZ")])
-        assert values == (0,) and eigen == (False,)
-        values, eigen = pauli_eigenvalues(basis_state(2, 0), [])
-        assert values == eigen == ()
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch: operator on 3, state on 2"):
-            pauli_eigenvalues(basis_state(2, 0), [parse_pauli("ZZ"), parse_pauli("ZZZ")])
-
-
-def _readout_bits(values, eigen):
-    """Each value as the reprs of its real and imaginary parts, so that
-    signed zeros count, next to its eigen flag."""
-    return [(repr(v.real), repr(v.imag), ok) for v, ok in zip(values, eigen)]
-
-
-class TestPauliEigenvaluesAgainstSignedWeights:
-    """pauli_eigenvalues equals the signed-weight readout it replaced
-    (oracles.signed_weight_eigenvalues) bit for bit, on eigenstates of Z-only
-    Paulis (one parity class), on mixed parities, and on eigenstates of
-    Paulis with X parts (eigenvalues +-1 and +-i)."""
-
-    @given(st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_bit_for_bit(self, data):
-        n = data.draw(st.sampled_from([1, 2, 3, 5, 64]), label="n")
-        keys = data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=8), label="keys")
-        if n == 64 and data.draw(st.booleans(), label="bit 63 set"):
-            keys = {k | 1 << 63 for k in keys}
-        z = data.draw(st.integers(0, (1 << n) - 1), label="z")
-        kind = data.draw(st.sampled_from(["one parity", "any", "X-part eigenstate"]), label="kind")
-        if kind == "one parity":
-            # the keys of min(keys)'s parity under z: one term or more
-            parity = (min(keys) & z).bit_count() & 1
-            keys = {k for k in keys if (k & z).bit_count() & 1 == parity}
-        amps = data.draw(st.lists(_AMP, min_size=len(keys), max_size=len(keys)), label="amps")
-        terms = dict(zip(sorted(keys), amps))
-        base = _random_pauli_n(data, n, "P0")
-        if kind == "X-part eigenstate":
-            base = PauliOperator(n, base.x | 1, base.z, base.phase)
-            # psi + P psi / mu is an eigenstate of P with eigenvalue mu, mu^2 = P^2
-            mu = np.sqrt(complex(base.multiply(base).phase_value())) * data.draw(
-                st.sampled_from([1, -1]), label="sign")
-            image = pauli_image_terms(base, terms)
-            terms = {k: terms.get(k, 0) + image.get(k, 0) / mu for k in set(terms) | set(image)}
-            terms = {k: a for k, a in terms.items() if abs(a) > 1e-6}
-            assume(terms)
-        state = from_terms(n, terms)
-        paulis = [PauliOperator(n, 0, z, j) for j in range(4)] + [PauliOperator.identity(n)]
-        paulis += [PauliOperator(n, base.x, base.z, base.phase + j) for j in range(4)]
-        paulis += [_random_pauli_n(data, n, f"P{i}") for i in range(data.draw(st.integers(0, 4)))]
-        for ps in (paulis, paulis[:5]):  # the second with no X part: no key dict
-            got = _readout_bits(*pauli_eigenvalues(state, ps))
-            assert got == _readout_bits(*signed_weight_eigenvalues(state, ps))
-        if kind == "one parity":
-            assert all(_readout_bits(*pauli_eigenvalues(state, paulis[:5]))[j][2] for j in range(5))
-
-    def test_one_term_and_each_parity(self):
+    def test_one_parity_class(self):
         # one term; then every key even, and every key odd, under ZZZ
         one = from_terms(3, {0b101: -0.0 + 0.5j})
         even = from_terms(3, {0b000: 0.1, 0b011: -0.2j, 0b101: 0.3 - 0.4j})
         odd = from_terms(3, {0b001: 0.3 - 0.4j, 0b010: -0.2j, 0b111: 0.1})
-        ops = [parse_pauli(t) for t in ("ZZZ", "-ZZZ", "iZZZ", "-iZZZ", "ZII", "XXI", "IYY")]
-        for state in (one, even, odd, even.normalized(), odd.normalized()):
-            got = pauli_eigenvalues(state, ops)
-            assert _readout_bits(*got) == _readout_bits(*signed_weight_eigenvalues(state, ops))
-            assert got[1][:4] == (True,) * 4 and got[1][4] == (state is one)
-        assert pauli_eigenvalues(odd.normalized(), ops[:4])[0] == (-1, 1, -1j, 1j)
+        ops = [parse_pauli(t) for t in ("ZZZ", "-ZZZ", "iZZZ", "-iZZZ", "ZII")]
+        assert [eigen_bit(one, p) for p in ops] == [0, 1, None, None, 1]
+        assert [eigen_bit(even, p) for p in ops] == [0, 1, None, None, None]
+        assert [eigen_bit(odd, p) for p in ops] == [1, 0, None, None, None]
+
+    def test_zero_state(self):
+        empty = SparseState(2, np.array([], np.uint64), np.array([], complex))
+        for t in ("II", "ZZ", "XX", "-YY"):
+            assert eigen_bit(empty, parse_pauli(t)) is None
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch: operator on 3, state on 2"):
+            eigen_bit(basis_state(2, 0), parse_pauli("ZZZ"))
