@@ -366,7 +366,7 @@ def logical_codewords(code: StabilizerCode) -> CodeSpace:
     the lowest bit and free bits at 0, so s0 is the smallest surviving key,
     where a seed scan stops.  |1> = X|0> for the logical X.
 
-    Guards, in order: k = 1, n <= 64, a logical X and Z given, every
+    Guards, in order: k = 1, a logical X and Z given, every
     operator on n qubits ("dimension mismatch"), then the construction's (a
     non-Hermitian Z-only element, the enumeration guard, no seed).  Then the
     codewords are checked on the operators alone, in the order of an
@@ -399,12 +399,10 @@ def logical_codewords(code: StabilizerCode) -> CodeSpace:
     The codewords are then orthogonal, as eigenstates of the Hermitian
     logical Z with eigenvalues +1 and -1.
     """
-    from .states import MAX_STATE_QUBITS, apply_pauli
+    from .states import apply_pauli
 
     if code.k != 1:
         raise ValueError(f"codeword construction supports k=1, got k={code.k}")
-    if code.n > MAX_STATE_QUBITS:
-        raise ValueError(f"qubit count must be in 0..{MAX_STATE_QUBITS}, got {code.n}")
     if not code.logical_x or not code.logical_z:
         raise ValueError(f"{code.name}: needs a logical X and a logical Z")
     gens, lx, lz = code.generators, code.logical_x[0], code.logical_z[0]

@@ -73,8 +73,7 @@ from .states import (
 # keys, gates, transcripts
 
 
-@dataclass(frozen=True)
-class KeyRegister:
+class KeyRegister(NamedTuple):
     """The key bits of an n-qubit register, laid out as its mask: qubit q's
     (a, b) at bit q-1 of x and of z, so the mask is X(x) Z(z)."""
 
@@ -96,9 +95,6 @@ class KeyRegister:
     @classmethod
     def random(cls, n: int, rng) -> "KeyRegister":
         return cls.of([(rng.next_u64() & 1, rng.next_u64() & 1) for _ in range(n)])
-
-    def __len__(self) -> int:
-        return self.n
 
     def pair(self, qubit: int) -> tuple[int, int]:
         return self.x >> (qubit - 1) & 1, self.z >> (qubit - 1) & 1
@@ -188,8 +184,8 @@ class Transcript:
 
 
 def encrypt(state: SparseState, keys: KeyRegister) -> SparseState:
-    if len(keys) != state.n:
-        raise ValueError(f"key register has {len(keys)} pairs, state has {state.n} qubits")
+    if keys.n != state.n:
+        raise ValueError(f"key register has {keys.n} pairs, state has {state.n} qubits")
     return apply_pauli(state, keys.mask)
 
 
@@ -216,15 +212,6 @@ def clifford_key_update(g: CircuitGate, keys: KeyRegister) -> KeyRegister:
     if max(g.qubits) > keys.n:
         raise ValueError(f"qubit {max(g.qubits)} out of range 1..{keys.n}")
     return KeyRegister(keys.n, *_key_rule(g.kind, g.qubits, keys.x, keys.z))
-
-
-# rotated-basis choice for (gadget kind, key bit a): S^a for T, Sd^a for Td
-_ROTATIONS = {
-    ("T", 0): ("I", "S^0"),
-    ("T", 1): ("S", "S^1"),
-    ("Td", 0): ("I", "Sd^0"),
-    ("Td", 1): ("Sd", "Sd^1"),
-}
 
 
 # the power of omega = exp(i pi/4) that Z, S, Sd, T and Td put on |1>
@@ -255,7 +242,7 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitR
     final Pauli correction undoes the remaining mask.  The peaks count the
     data-plus-pair register that each teleportation stands for.
     """
-    n = len(keys)
+    n = keys.n
     if n != enc_state.n:
         raise ValueError("key register length does not match the data register")
     forced = None if forced_outcomes is None else list(forced_outcomes)
@@ -303,15 +290,16 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitR
         max_terms = max(max_terms, 2 * state.num_terms)
         pick = None if forced is None else forced[i - 1]
         a, b = x >> w - 1 & 1, z >> w - 1 & 1
-        rotation, label = _ROTATIONS[kind, a]
-        outcome = layer.gadget(state, w, rotation, _OMEGA_EXPONENTS[kind], rng, pick)
+        # the pair is measured in S^a for T and Sd^a for Td, diag(1, omega^(2ta))
+        t = _OMEGA_EXPONENTS[kind]
+        outcome = layer.gadget(state, w, 2 * t * a, t, rng, pick)
         r_a, r_b = outcome
         x ^= r_a << w - 1
         z ^= (a ^ r_b) << w - 1
         outcomes.append(outcome)
         client += [
-            {"kind": "measurement", "pair_index": i, "rotation": label, "outcome": list(outcome),
-             "forced": pick is not None},
+            {"kind": "measurement", "pair_index": i, "rotation": f"{'S' if kind == 'T' else 'Sd'}^{a}",
+             "outcome": list(outcome), "forced": pick is not None},
             {"kind": "key_update", "qubit": w, "old": [a, b], "new": [x >> w - 1 & 1, z >> w - 1 & 1]},
         ]
     if layer.pending:

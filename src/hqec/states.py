@@ -1,4 +1,5 @@
-"""Exact sparse state vectors on up to 64 qubits, in plain Python.
+"""Exact sparse state vectors on up to 1024 qubits (pauli.MAX_QUBITS), in
+plain Python.
 
 A state holds a sorted tuple of basis keys (Python ints with qubit q at bit
 q-1, so qubit 1 is the leftmost character of a bitstring like "110") and a
@@ -25,10 +26,12 @@ a Z-only Pauli on keys of one parity class, as in every eigenstate, from
 that class alone.  ``codes`` reads no state back: it checks its codewords
 on the operators alone.
 
-A T gadget (T or Td on a data qubit, teleported through a fresh Bell pair
-measured at once in a rotated basis) is monomial, as Z, S and Sd are: its
-outcome, of weight 1/4 each, flips the qubit's bit or not and multiplies by
-omega^m from a small table, so no joint register is built.  A
+A T gadget (diag(1, omega^t) on a data qubit, which is then teleported
+through a fresh Bell pair measured at once in the basis rotated by U =
+diag(1, omega^u)) is monomial, as Z, S and Sd are: by the key rule of
+Broadbent and Jeffery (CRYPTO 2015, arXiv:1412.8766), outcome (r_a, r_b),
+of weight 1/4 each, puts diag(1, omega^(t + u + 4 r_b)) on the qubit and
+then flips its bit if r_a, so no joint register is built.  A
 ``MonomialLayer`` collects a run of these gates as a key flip and omega-
 exponents, and ``apply_monomial`` applies the run in one pass.
 """
@@ -40,9 +43,8 @@ import math
 from bisect import bisect_left
 
 from .gf2 import format_row, parse_row
-from .pauli import PauliOperator
+from .pauli import MAX_QUBITS, PauliOperator
 
-MAX_STATE_QUBITS = 64
 TOL = 1e-10  # two computed values agree
 PRUNE_TOL = 1e-12  # a magnitude counts as zero
 TERM_GUARD = 1 << 22
@@ -104,8 +106,8 @@ class SparseState:
     __slots__ = ("n", "keys", "amps")
 
     def __init__(self, n: int, keys, amps):
-        if not 0 <= n <= MAX_STATE_QUBITS:
-            raise ValueError(f"qubit count must be in 0..{MAX_STATE_QUBITS}, got {n}")
+        if not 0 <= n <= MAX_QUBITS:
+            raise ValueError(f"qubit count must be in 0..{MAX_QUBITS}, got {n}")
         keys = tuple([int(k) for k in keys])
         amps = tuple([complex(a) for a in amps])
         if len(keys) != len(amps):
@@ -302,15 +304,6 @@ def eigen_bit(state: SparseState, p: PauliOperator) -> int | None:
 
 
 _OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
-# (flip, m0, m1) of outcome (a, b) = _OUTCOMES[i] of a T gadget's rotated
-# Bell measurement in the basis (U^dag Z^b X^a (x) I)|Phi>, U = I, S or Sd:
-# data bit d moves to the key bit d ^ flip, and the entry it meets in the
-# outcome's basis row is omega^(m_d)/sqrt2
-_GADGET_EXPONENTS = {
-    "I": ((0, 0, 0), (0, 0, 4), (1, 0, 0), (1, 0, 4)),
-    "S": ((0, 0, 2), (0, 0, 6), (1, 0, 2), (1, 0, 6)),
-    "Sd": ((0, 0, 6), (0, 0, 2), (1, 0, 6), (1, 0, 2)),
-}
 
 
 class MonomialLayer:
@@ -336,22 +329,17 @@ class MonomialLayer:
             c = -c
         self.coeffs[qubit - 1] += c
 
-    def gadget(self, state: SparseState, qubit: int, rotation: str, t: int, rng, forced=None):
+    def gadget(self, state: SparseState, qubit: int, u: int, t: int, rng, forced=None):
         """One T gadget on `qubit` of the run's input `state`: diag(1,
         omega^t) (t = 1 for T, 7 for Td, 0 for none), then the teleportation
-        of the qubit through a fresh Bell pair measured in the basis that
-        rotation I, S or Sd selects.  Returns the outcome (r_a, r_b), drawn
-        by one choice_weighted call unless `forced`.  Every outcome weighs
-        norm2/4 at the run's first gadget and 1/4 after it, since gadgets
-        keep the norm.  The checks, in order: the (n+2)-qubit cap and the
-        term guard of the register a tensored-in pair would make, the qubit
-        range, a zero weight, a malformed forced outcome, a zero-probability
-        outcome."""
-        n = state.n
-        if n + 2 > MAX_STATE_QUBITS:
-            raise ValueError(f"tensor result on {n + 2} qubits exceeds the {MAX_STATE_QUBITS}-qubit cap")
-        if 2 * state.num_terms > TERM_GUARD:
-            raise ValueError("tensor result exceeds the term-count guard")
+        of the qubit through a fresh Bell pair measured in the basis (U^dag
+        Z^r_b X^r_a (x) I)|Phi>, U = diag(1, omega^u) (u = 0, 2, 6 for I, S,
+        Sd, read mod 8).  Outcome (r_a, r_b) adds t + u + 4 r_b to the qubit's exponent
+        and then flips its bit if r_a.  Returns the outcome, drawn by one
+        choice_weighted call unless `forced`.  Every outcome weighs norm2/4
+        at the run's first gadget and 1/4 after it, since gadgets keep the
+        norm.  The checks, in order: the qubit range, a zero weight, a
+        malformed forced outcome, a zero-probability outcome."""
         state._check_qubit(qubit)
         norm2 = _weight(state.amps) if self.norm2 is None else self.norm2
         p = norm2 / 4 if self.norm2 is None else 0.25
@@ -368,10 +356,9 @@ class MonomialLayer:
         if p < PRUNE_TOL:
             raise ValueError(f"outcome {outcome} has zero probability")
         self.norm2 = norm2
-        flip, m0, m1 = _GADGET_EXPONENTS[rotation][idx]
-        self.c0 += m0
-        self.phase(qubit, t + m1 - m0)
-        self.flip ^= flip << (qubit - 1)
+        r_a, r_b = outcome
+        self.phase(qubit, t + u + 4 * r_b)
+        self.flip ^= r_a << (qubit - 1)
         return outcome
 
 

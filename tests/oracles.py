@@ -37,7 +37,7 @@ from hqec.codes import (
     logical_codewords,
 )
 from hqec.gf2 import ENUM_DIM_GUARD, ClassicalCode, GuardExceeded, parse_row
-from hqec.pauli import PauliOperator
+from hqec.pauli import MAX_QUBITS, PauliOperator
 from hqec.protocol import (
     CircuitRun,
     KeyRegister,
@@ -51,7 +51,6 @@ from hqec.states import (
     _OUTCOMES,
     _SIGNS,
     _SQ2,
-    MAX_STATE_QUBITS,
     PRUNE_TOL,
     TOL,
     SingleQubitGate,
@@ -103,8 +102,8 @@ def from_terms(n: int, terms: dict) -> SparseState:
 def tensor(a: SparseState, b: SparseState) -> SparseState:
     """Product state with a's qubits first (leftmost) and b's appended."""
     n = a.n + b.n
-    if n > MAX_STATE_QUBITS:
-        raise ValueError(f"tensor result on {n} qubits exceeds the {MAX_STATE_QUBITS}-qubit cap")
+    if n > MAX_QUBITS:
+        raise ValueError(f"tensor result on {n} qubits exceeds the {MAX_QUBITS}-qubit cap")
     if a.num_terms * b.num_terms > _states.TERM_GUARD:
         raise ValueError("tensor result exceeds the term-count guard")
     # b's keys fill the high bits, so b-major order is already sorted
@@ -152,12 +151,12 @@ def basis_state(n: int, bits: int | str) -> SparseState:
         if len(bits) != n:
             raise ValueError(f"bitstring length {len(bits)} != qubit count {n}")
         bits = parse_row(bits)
-    return SparseState(n, np.array([bits], np.uint64), np.array([1.0], np.complex128))
+    return SparseState(n, [bits], [1.0])
 
 
 def vacuum() -> SparseState:
     """The empty register (n=0): a single unit amplitude."""
-    return SparseState(0, np.array([0], np.uint64), np.array([1.0], np.complex128))
+    return SparseState(0, [0], [1.0])
 
 
 def bell_pair() -> SparseState:
@@ -166,10 +165,10 @@ def bell_pair() -> SparseState:
     return _BELL_PAIR
 
 
-def state_bytes(state: SparseState) -> tuple[int, bytes, bytes]:
-    """(n, key bytes, amplitude bytes): equal for two states exactly when
-    they agree bit for bit, signed zeros included."""
-    return state.n, np.array(state.keys, np.uint64).tobytes(), np.array(state.amps, complex).tobytes()
+def state_bytes(state: SparseState) -> tuple[int, tuple, bytes]:
+    """(n, keys, amplitude bytes): equal for two states exactly when they
+    agree bit for bit, signed zeros included, at any key width."""
+    return state.n, tuple(state.keys), np.array(state.amps, complex).tobytes()
 
 
 def dense_of(state: SparseState) -> np.ndarray:
@@ -309,7 +308,8 @@ def eigen_bit_terms(p: PauliOperator, terms: dict, tol: float = 1e-10):
 def intersect_inner(a: SparseState, b: SparseState) -> complex:
     """<a|b> by np.intersect1d over the keys, summed one term at a time in
     key order, as states.inner sums."""
-    _, ia, ib = np.intersect1d(np.array(a.keys, np.uint64), np.array(b.keys, np.uint64),
+    # object arrays hold the keys as Python ints, of any width
+    _, ia, ib = np.intersect1d(np.array(a.keys, object), np.array(b.keys, object),
                                assume_unique=True, return_indices=True)
     total = 0j
     for i, j in zip(ia.tolist(), ib.tolist()):
@@ -733,6 +733,7 @@ class _ExponentChain:
         else:
             self._flush()
             self.state = apply_plain_circuit(self.state, (g,))
+            self._start()  # the gate moved the keys
 
     def gadget(self, kind, w, rotation, rng, pick):
         self.state._check_qubit(w)
@@ -759,13 +760,13 @@ def per_gate_exponent_run(enc_state, circuit, keys, rng, forced_outcomes=None) -
     """run_circuit with exact exponents: gate by gate, every stored term
     keeps its current key and its omega-exponent mod 8 (the gadgets' flips
     and exponents read from _bell_basis_rows, not from the library's
-    table), and each run of Z, S, Sd and T gadgets ends in the one multiply
-    per term that apply_monomial makes.  Each gadget draws its outcome as
-    run_circuit does: weights of a quarter of the run's input norm for its
-    first gadget, 1/4 after it.  The keys are replayed by pair_key_rule, and
+    closed form), and each run of Z, S, Sd and T gadgets ends in the one
+    multiply per term that apply_monomial makes.  Each gadget draws its
+    outcome as run_circuit does: weights of a quarter of the run's input
+    norm for its first gadget, 1/4 after it.  The keys are replayed by pair_key_rule, and
     the transcript, outcomes, peaks and forced-outcome count check are
     run_circuit's."""
-    n = len(keys)
+    n = keys.n
     chain = _ExponentChain(enc_state)
     cur = [tuple(pair) for pair in keys.as_lists()]
     forced = None if forced_outcomes is None else list(forced_outcomes)

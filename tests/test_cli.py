@@ -168,6 +168,22 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["leakage"] < 1e-12
 
+    def test_check_diagonal_past_64_qubits(self, capsys, tmp_path):
+        # ZZ chain on 65 qubits, logical X = X^65 and Z = Z1: transversal T
+        # is logical T, omega^65 = omega on |1_L> = |1...1>
+        n = 65
+        chain = ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 1)]
+        f = tmp_path / "chain65.code"
+        f.write_text("\n".join([f"{n} 1", *chain, "X" * n, "Z" + "I" * (n - 1)]) + "\n")
+        assert run_cli(capsys, "codes", "validate", str(f))[0] == 0
+        code, out, err = run_cli(capsys, "check", "diagonal", "--code", str(f), "--gate", "T", "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        phases = [complex(*p) for p in doc["logical_phases"]]
+        assert max(abs(phases[0] - 1), abs(phases[1] - (1 + 1j) / 2**0.5)) < 1e-12
+        correction = doc["correction"]
+        assert (correction["logical_s_power"], correction["logical_z_power"]) == (0, 0)
+
 
 class TestVerbs:
     def test_codes_list(self, capsys):

@@ -18,6 +18,7 @@ from hqec.codes import (
 )
 from hqec.pauli import PauliOperator, parse_pauli
 from oracles import (
+    basis_state,
     coset_state,
     dense_of,
     dense_zero_codeword,
@@ -328,9 +329,12 @@ class TestConstruction:
             logical_codewords(code)
 
     def test_register_cap(self):
+        # states share the operators' qubit cap, so a code past 64 qubits
+        # has codewords: Z1..Z64 fixed, qubit 65 the logical qubit
         n = 65
         gens = tuple(PauliOperator.single(n, q, "Z") for q in range(1, n))
         code = StabilizerCode("big", n, 1, gens, (PauliOperator.single(n, n, "X"),),
                               (PauliOperator.single(n, n, "Z"),))
-        with pytest.raises(ValueError, match="qubit count"):
-            logical_codewords(code)
+        space = logical_codewords(code)
+        assert state_bytes(space.zero) == state_bytes(basis_state(n, "0" * n))
+        assert state_bytes(space.one) == state_bytes(basis_state(n, "0" * 64 + "1"))

@@ -279,13 +279,18 @@ class TestKeyUpdates:
 
     def test_t_byproduct_matrix_relation(self):
         # T X^a Z^b == lambda * R^dag X^a Z^(a^b) T, where R is the rotation
-        # that run_circuit measures the gadget's Bell pair in for key bit a
+        # that run_circuit measures the gadget's Bell pair in for key bit a,
+        # as its transcript names it: S^a for T, Sd^a for Td
         mp = np.linalg.matrix_power
         x, z = DENSE_1Q["X"], DENSE_1Q["Z"]
-        for kind in ("T", "Td"):
+        for kind, base in (("T", "S"), ("Td", "Sd")):
             gm = DENSE_1Q[kind]
             for a in (0, 1):
-                r_dag = {"I": np.eye(2), **DENSE_1Q}[protocol._ROTATIONS[kind, a][0]].conj().T
+                keys = KeyRegister.of([(a, 0)])
+                run = run_circuit(basis_state(1, 0), [CircuitGate(kind, (1,))], keys, SplitMix64(0))
+                (label,) = [ev["rotation"] for ev in run.transcript.events if ev["kind"] == "measurement"]
+                assert label == f"{base}^{a}"
+                r_dag = mp(DENSE_1Q[base], a).conj().T
                 for b in (0, 1):
                     lhs = gm @ mp(x, a) @ mp(z, b)
                     rhs = r_dag @ mp(x, a) @ mp(z, a ^ b) @ gm
@@ -530,12 +535,30 @@ def diagonal_run_circuits(draw):
     return n, circuit
 
 
+def _sparse_state(n, keys, rng):
+    """A normalized state on the given keys, amplitudes drawn as random_state
+    draws them."""
+    amps = [complex(2 * rng.random() - 1, 2 * rng.random() - 1) for _ in keys]
+    return SparseState(n, sorted(keys), amps).normalized()
+
+
 class TestPerGateReference:
     """run_circuit, with each run of Z/S/Sd gates and T gadgets as one
     monomial pass, is bit for bit per_gate_exponent_run, the gate-by-gate
     exact-exponent walk of tests/oracles.py: final keys and amplitudes,
-    outcomes, transcript and peaks, with sampled and with forced
-    outcomes."""
+    outcomes, transcript and peaks, with sampled and with forced outcomes,
+    on dense and on sparse support (where an X, H or CNOT moves the keys)
+    and beyond 64 qubits."""
+
+    @staticmethod
+    def _assert_same(enc, circuit, keys, seed, forced):
+        got = run_circuit(enc, circuit, keys, SplitMix64(seed), forced)
+        want = per_gate_exponent_run(enc, circuit, keys, SplitMix64(seed), forced)
+        assert state_bytes(got.state) == state_bytes(want.state)
+        assert got.outcomes == want.outcomes
+        assert got.transcript.events == want.transcript.events
+        assert (got.max_live_qubits, got.max_terms) == (want.max_live_qubits, want.max_terms)
+        return got
 
     @given(diagonal_run_circuits(), st.integers(0, 2**32 - 1), st.booleans(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -545,15 +568,27 @@ class TestPerGateReference:
         forced = None
         if force:
             forced = data.draw(st.lists(st.sampled_from(BELL_OUTCOMES), min_size=n_t, max_size=n_t))
-        psi = random_state(n, SplitMix64(seed))
+        if data.draw(st.booleans(), label="sparse support"):
+            support = st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=max(1, (1 << n) // 2))
+            psi = _sparse_state(n, data.draw(support, label="keys"), SplitMix64(seed))
+        else:
+            psi = random_state(n, SplitMix64(seed))
         keys = KeyRegister.random(n, SplitMix64(seed + 1))
-        enc = encrypt(psi, keys)
-        got = run_circuit(enc, circuit, keys, SplitMix64(seed + 2), forced)
-        want = per_gate_exponent_run(enc, circuit, keys, SplitMix64(seed + 2), forced)
-        assert state_bytes(got.state) == state_bytes(want.state)
-        assert got.outcomes == want.outcomes
-        assert got.transcript.events == want.transcript.events
-        assert (got.max_live_qubits, got.max_terms) == (want.max_live_qubits, want.max_terms)
+        self._assert_same(encrypt(psi, keys), circuit, keys, seed + 2, forced)
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_seventy_qubits(self, force):
+        # gates on both sides of the 64-bit word edge, on a 4-term register
+        n = 70
+        circuit = parse_circuit("H1 CX1,64 T64 H65 Td65 CX65,70 Sd70 T70 X64 T1 CX70,1 Td1 H70 T70")
+        for seed in range(5):
+            draws = SplitMix64(seed)
+            support = {sum((draws.next_u64() & 1) << q for q in range(n)) for _ in range(4)}
+            psi = _sparse_state(n, support, draws)
+            keys = KeyRegister.random(n, SplitMix64(seed + 1))
+            forced = [BELL_OUTCOMES[(seed + i) % 4] for i in range(6)] if force else None
+            run = self._assert_same(encrypt(psi, keys), circuit, keys, seed + 2, forced)
+            assert fidelity_up_to_phase(run.state, apply_plain_circuit(psi, circuit)) >= 1 - 1e-10
 
 
 def _random_circuit(rng, n, max_gates=12, max_t=3):
@@ -813,7 +848,7 @@ class TestGadgetWeightsUniform:
     def weights(self, monkeypatch):
         seen, gadget = [], states.MonomialLayer.gadget
 
-        def probe(layer, state, qubit, rotation, t, rng, forced=None):
+        def probe(layer, state, qubit, u, t, rng, forced=None):
             # the qubit's reduced state, as rho = psi psi^dag with one column
             # of psi per key of the other qubits, branched eigenvector by
             # eigenvector
@@ -822,10 +857,10 @@ class TestGadgetWeightsUniform:
                 cols.setdefault(k & ~bit, [0j, 0j])[(k & bit) >> (qubit - 1)] = amp
             psi = np.array(list(cols.values())).T
             lam, vecs = np.linalg.eigh(psi @ psi.conj().T)
-            u = {"I": np.eye(2), **DENSE_1Q}[rotation]
-            branches = [dense_gadget_branches(v, 1, 1, u, t) for v in vecs.T]
+            rotation = np.diag([1, OMEGA ** u])
+            branches = [dense_gadget_branches(v, 1, 1, rotation, t) for v in vecs.T]
             seen.append([sum(l * np.vdot(b[j], b[j]).real for l, b in zip(lam, branches)) for j in range(4)])
-            return gadget(layer, state, qubit, rotation, t, rng, forced)
+            return gadget(layer, state, qubit, u, t, rng, forced)
 
         monkeypatch.setattr(states.MonomialLayer, "gadget", probe)
         return seen

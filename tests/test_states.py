@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hqec import states
-from hqec.pauli import PauliOperator, parse_pauli
+from hqec.pauli import MAX_QUBITS, PauliOperator, parse_pauli
 from hqec.rng import SplitMix64
 from hqec.states import (
     PRUNE_TOL,
@@ -88,6 +88,13 @@ class TestBasics:
     def test_prune(self):
         st_ = from_terms(2, {0: 1.0, 3: 1e-13})
         assert st_.num_terms == 1
+
+    def test_qubit_cap(self):
+        # one cap with operators and codes: pauli.MAX_QUBITS
+        assert SparseState(MAX_QUBITS, [1 << (MAX_QUBITS - 1)], [1.0]).n == 1024
+        for n in (-1, MAX_QUBITS + 1):
+            with pytest.raises(ValueError, match=rf"^qubit count must be in 0\.\.1024, got {n}$"):
+                SparseState(n, [], [])
 
     def test_key_guard(self):
         with pytest.raises(ValueError):
@@ -377,14 +384,22 @@ class TestMonomialGadget:
     joint register of dense_gadget_branches: the same outcome and keys, the
     amplitudes within 1e-15 * max(1, 1/|psi|) with the global phase, and
     weights of exactly norm2/4 (1/4 after the layer's first gadget) that
-    equal the dense branch weights; its checks keep the messages and order
-    of the tensor product the gadget stands for."""
+    equal the dense branch weights."""
 
-    ROTATIONS = {"I": IDENTITY, "S": gate("S"), "Sd": gate("Sd")}
+    # the rotation's omega-exponent u, and its gate
+    ROTATIONS = {0: IDENTITY, 2: gate("S"), 6: gate("Sd")}
 
     def test_gadget_table_matches_bell_rows(self):
-        for label, rotation in self.ROTATIONS.items():
-            assert states._GADGET_EXPONENTS[label] == gadget_exponents(rotation), label
+        # the closed form: outcome (r_a, r_b) sends |d> to omega^(m_d)
+        # |d ^ flip> with (flip, m0, m1) the Bell rows' entry of the outcome
+        state = from_terms(1, {0: 0.6, 1: 0.8})
+        for u, rotation in self.ROTATIONS.items():
+            table = []
+            for outcome in BELL_OUTCOMES:
+                layer = MonomialLayer(1)
+                layer.gadget(state, 1, u, 0, None, outcome)
+                table.append((layer.flip, layer.c0 % 8, (layer.c0 + layer.coeffs[0]) % 8))
+            assert tuple(table) == gadget_exponents(rotation), u
 
     def test_unit_factors(self):
         assert _unit_factors(None)[::2] == (1, 1j, -1, -1j)
@@ -404,12 +419,12 @@ class TestMonomialGadget:
             cat = from_terms(n, {0: 2**-0.5, (1 << n) - 1: 2**-0.5})
             for state in (random_sparse(rng, n), exact, random_sparse(rng, n).scaled(1e-3), cat):
                 vec, bound = dense_of(state), 1e-15 * max(1.0, state.norm() ** -1)
-                for qubit, label, t in itertools.product(range(1, n + 1), self.ROTATIONS, (1, 7, 0)):
-                    branches = dense_gadget_branches(vec, n, qubit, self.ROTATIONS[label].matrix, t)
+                for qubit, u, t in itertools.product(range(1, n + 1), self.ROTATIONS, (1, 7, 0)):
+                    branches = dense_gadget_branches(vec, n, qubit, self.ROTATIONS[u].matrix, t)
                     probs = [np.vdot(b, b).real for b in branches]
                     for idx, outcome in enumerate(BELL_OUTCOMES):
                         layer, pick = MonomialLayer(n), PickRng(idx)
-                        assert layer.gadget(state, qubit, label, t, pick) == outcome
+                        assert layer.gadget(state, qubit, u, t, pick) == outcome
                         assert pick.weights == [states._weight(state.amps) / 4] * 4
                         assert np.abs(np.subtract(pick.weights, probs)).max() <= 1e-12
                         got = apply_monomial(state, layer)
@@ -417,71 +432,72 @@ class TestMonomialGadget:
                         assert got.keys == tuple(np.flatnonzero(np.abs(want) > PRUNE_TOL).tolist())
                         assert np.abs(dense_of(got) - want).max() <= bound
                         forced = MonomialLayer(n)
-                        forced.gadget(state, qubit, label, t, None, outcome)
+                        forced.gadget(state, qubit, u, t, None, outcome)
                         assert state_bytes(apply_monomial(state, forced)) == state_bytes(got)
 
     def test_later_gadgets_sample_a_quarter(self):
         # squared norm 4: the first gadget's weights are 1, a quarter of it
         state = from_terms(2, {"00": 1.2, "11": 1.6j})
         layer, picks = MonomialLayer(2), [PickRng(1), PickRng(2)]
-        layer.gadget(state, 1, "S", 1, picks[0])
-        layer.gadget(state, 2, "I", 7, picks[1])
+        layer.gadget(state, 1, 2, 1, picks[0])
+        layer.gadget(state, 2, 0, 7, picks[1])
         assert picks[0].weights == [states._weight(state.amps) / 4] * 4
         assert picks[1].weights == [0.25] * 4
         assert abs(apply_monomial(state, layer).norm() - 1) <= 1e-15
 
     def test_qubit_cap(self):
-        state = SparseState(63, np.array([1 << 62], np.uint64), np.array([1.0 + 0j]))
-        with pytest.raises(ValueError) as want:
-            tensor(state, bell_pair())
-        with pytest.raises(ValueError, match="65 qubits exceeds the 64-qubit cap") as got:
-            MonomialLayer(63).gadget(state, 1, "I", 1, SplitMix64(0))
-        assert str(got.value) == str(want.value)
+        # no register of n + 2 qubits is built, so no cap below MAX_QUBITS
+        # applies: (T then S) on the top qubit, outcome (1, 1) flips it and
+        # puts omega^(1 + 2 + 4) on its 1
+        for n in (63, MAX_QUBITS):
+            top = 1 << (n - 1)
+            state = from_terms(n, {1: 0.6, top | 1: 0.8})
+            layer = MonomialLayer(n)
+            assert layer.gadget(state, n, 2, 1, None, (1, 1)) == (1, 1)
+            got = apply_monomial(state, layer)
+            assert got.keys == (1, top | 1)
+            assert np.allclose(got.amps, [0.8 * np.exp(7j * np.pi / 4), 0.6], rtol=0, atol=1e-15)
 
     def test_term_guard(self, monkeypatch):
+        # a gadget keeps the term count, so it runs on states above half
+        # of TERM_GUARD (lowered to 2^12 to stay small)
         monkeypatch.setattr(states, "TERM_GUARD", 1 << 12)
-        half = 1 << 11
-        at = SparseState(13, np.arange(half, dtype=np.uint64), np.full(half, half**-0.5))
+        terms = (1 << 11) + 1
+        over = SparseState(13, np.arange(terms, dtype=np.uint64), np.ones(terms))
         layer = MonomialLayer(13)
-        layer.gadget(at, 1, "I", 1, SplitMix64(0))
-        assert apply_monomial(at, layer).n == 13
-        over = SparseState(13, np.arange(half + 1, dtype=np.uint64), np.ones(half + 1))
-        with pytest.raises(ValueError) as want:
-            tensor(over, bell_pair())
-        with pytest.raises(ValueError, match="term-count guard") as got:
-            MonomialLayer(13).gadget(over, 1, "I", 1, SplitMix64(0))
-        assert str(got.value) == str(want.value)
+        layer.gadget(over, 1, 0, 1, SplitMix64(0))
+        assert apply_monomial(over, layer).num_terms == terms
 
     @pytest.mark.parametrize("amps", [[], [1e-7, 0]])
     def test_zero_state(self, amps):
         zero = SparseState(2, list(range(len(amps))), amps)
         with pytest.raises(ValueError, match="^measurement on a zero-weight state$"):
-            MonomialLayer(2).gadget(zero, 1, "I", 1, SplitMix64(0))
+            MonomialLayer(2).gadget(zero, 1, 0, 1, SplitMix64(0))
 
     def test_zero_probability(self):
         # a squared norm in [PRUNE_TOL, 4 PRUNE_TOL) passes the zero-weight check
         state = SparseState(1, [0], [(2 * PRUNE_TOL) ** 0.5])
         with pytest.raises(ValueError, match=r"^outcome \(0, 1\) has zero probability$"):
-            MonomialLayer(1).gadget(state, 1, "I", 1, None, (0, 1))
+            MonomialLayer(1).gadget(state, 1, 0, 1, None, (0, 1))
 
     def test_qubit_range(self):
         for qubit in (0, 3):
             with pytest.raises(ValueError, match="out of range"):
-                MonomialLayer(2).gadget(basis_state(2, 0), qubit, "I", 1, SplitMix64(0))
+                MonomialLayer(2).gadget(basis_state(2, 0), qubit, 0, 1, SplitMix64(0))
 
     @pytest.mark.parametrize("forced", [(2, 0), (0, -1), (0,), (0, 1, 1), (0.5, 1), (None, 1), "01", 3])
     def test_malformed_forced_outcome(self, forced):
         state = from_terms(1, {"0": 0.6, "1": 0.8})
         with pytest.raises(ValueError, match=r"^forced outcome must be a pair of bits, got ") as err:
-            MonomialLayer(1).gadget(state, 1, "I", 1, SplitMix64(0), forced)
+            MonomialLayer(1).gadget(state, 1, 0, 1, SplitMix64(0), forced)
         assert str(err.value).endswith(repr(forced))
 
     @pytest.mark.parametrize("forced", [[1, 0], (np.int64(1), np.uint8(0)), np.array([1, 0]), (True, False)])
     def test_forced_outcome_forms(self, forced):
         state = from_terms(1, {"0": 0.6, "1": 0.8})
         got, want = MonomialLayer(1), MonomialLayer(1)
-        outcome = got.gadget(state, 1, "S", 1, SplitMix64(0), forced)
-        assert outcome == want.gadget(state, 1, "S", 1, SplitMix64(0), (1, 0)) == (1, 0)
+        outcome = got.gadget(state, 1, 2, 1, SplitMix64(0), forced)
+        assert outcome == want.gadget(state, 1, 2, 1, SplitMix64(0), (1, 0)) == (1, 0)
         assert all(type(b) is int for b in outcome)
         assert state_bytes(apply_monomial(state, got)) == state_bytes(apply_monomial(state, want))
 
@@ -489,7 +505,7 @@ class TestMonomialGadget:
         tiny = _state(1, (0, 1), (1 + 0j, complex(PRUNE_TOL / 2)))
         assert apply_monomial(tiny, MonomialLayer(1)).keys == (0, 1)
         layer = MonomialLayer(1)
-        layer.gadget(tiny, 1, "I", 0, None, (0, 0))
+        layer.gadget(tiny, 1, 0, 0, None, (0, 0))
         assert apply_monomial(tiny, layer).keys == (0,)
 
 
@@ -520,7 +536,7 @@ class TestTermGuard:
 
 
 def _sorted_state(n, keys, amps):
-    return SparseState(n, np.array(sorted(keys), np.uint64), np.array(amps, complex))
+    return SparseState(n, sorted(keys), amps)
 
 
 _AMP = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False).filter(
@@ -535,8 +551,10 @@ class TestInnerSearchsorted:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_intersect1d_bit_for_bit(self, data):
-        n = data.draw(st.sampled_from([1, 3, 6, 64]), label="n")
+        n = data.draw(st.sampled_from([1, 3, 6, 64, 65, MAX_QUBITS]), label="n")
         keys = st.integers(0, (1 << n) - 1)
+        if n >= 64 and data.draw(st.booleans(), label="top bit set"):
+            keys = keys.map(lambda k: k | 1 << (n - 1))
         ka = data.draw(st.sets(keys, max_size=12), label="a keys")
         relation = data.draw(st.sampled_from(["overlap", "disjoint", "identical"]), label="rel")
         if relation == "identical":
@@ -589,10 +607,10 @@ class TestPauliEigenvalues:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_against_letterwise_and_dense_oracles(self, data):
-        n = data.draw(st.sampled_from([1, 2, 3, 4, 5, 64]), label="n")
+        n = data.draw(st.sampled_from([1, 2, 3, 4, 5, 64, 65, MAX_QUBITS]), label="n")
         keys = data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=8), label="keys")
-        if n == 64 and data.draw(st.booleans(), label="bit 63 set"):
-            keys = {k | 1 << 63 for k in keys}
+        if n >= 64 and data.draw(st.booleans(), label="top bit set"):
+            keys = {k | 1 << (n - 1) for k in keys}
         z = data.draw(st.integers(0, (1 << n) - 1), label="z")
         if data.draw(st.booleans(), label="one parity class under z"):
             parity = (min(keys) & z).bit_count() & 1
