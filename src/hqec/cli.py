@@ -57,8 +57,9 @@ def _load_valid_code(name_or_path: str) -> codes_mod.StabilizerCode:
 
 
 def _load_classical(path: str) -> gf2.ClassicalCode:
+    text = _load_text(path)
     try:
-        return gf2.code_from_rows(gf2.BitMatrix.from_text(_load_text(path)))
+        return gf2.code_from_rows(gf2.BitMatrix.from_text(text))
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -172,8 +173,9 @@ def _cmd_check_css(args) -> int:
 
 
 def _cmd_check_triortho(args) -> int:
+    text = _load_text(args.matrix)
     try:
-        matrix = gf2.BitMatrix.from_text(_load_text(args.matrix))
+        matrix = gf2.BitMatrix.from_text(text)
         rep = gf2.triorthogonality_check(matrix)
     except ValueError as exc:
         raise InputError(f"{args.matrix}: {exc}") from exc

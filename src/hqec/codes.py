@@ -6,14 +6,16 @@ n plus one term per basis key.  Builtin names cover the repetition codes,
 the nine-qubit code, the Steane code, the [[15,1,3]] punctured Reed-Muller
 code, and a deliberately mask-incompatible three-qubit code.
 
-Per-code data is memoized: ``builtin_code`` by name, and the codewords and
-the single-error syndrome table by the (frozen, hashable) code, in caches
-of at most ``CODE_CACHE_SIZE`` codes.  Everything cached is immutable, and
-a call that raises caches nothing.
+Per-code data is memoized: ``builtin_code`` by name, and the validation
+report, the codewords and the single-error syndrome table by the (frozen,
+hashable) code, in caches of at most ``CODE_CACHE_SIZE`` codes.  Everything
+cached is immutable, and a call that raises caches nothing.
 
-Parsing, validation, CSS construction, decoding and the codeword checks
-are GF(2) algebra on Python ints; the codeword construction imports the
-``states`` layer, when called, only to build the two states.
+``validate_code`` is the one validity decision: the codewords are built
+only for a code it accepts.  Parsing, validation, CSS construction,
+decoding and the codeword construction are GF(2) algebra on Python ints;
+the codeword construction imports the ``states`` layer, when called, only
+to build the two states.
 """
 
 from __future__ import annotations
@@ -76,10 +78,6 @@ class CodeSpace:
         return self.basis[1]
 
 
-def _sympl_vec(p: PauliOperator, n: int) -> int:
-    return p.x | (p.z << n)
-
-
 def _hermitian(p: PauliOperator) -> bool:
     """True iff p squares to +I rather than -I."""
     return not (p.phase + (p.x & p.z).bit_count()) & 1
@@ -96,6 +94,7 @@ def _reduce_tracked(vec: int, pauli: PauliOperator, basis: list):
     return vec, pauli
 
 
+@lru_cache(maxsize=CODE_CACHE_SIZE)
 def validate_code(code: StabilizerCode) -> ValidationReport:
     """Report every violated code invariant; an empty report means valid.
     p and q anticommute iff vec(p) & dual(q) has odd weight, for vec(p) =
@@ -117,7 +116,6 @@ def validate_code(code: StabilizerCode) -> ValidationReport:
             if g.n == gens[j].n and (vecs[i] & duals[j]).bit_count() & 1:
                 v.append(f"generators {i + 1} ({g}) and {j + 1} ({gens[j]}) anticommute")
 
-    # x bits below z bits: the pivots and the reduction are _sympl_vec's
     basis: list = []
     for i, g in enumerate(gens):
         if g.n != n:
@@ -139,6 +137,8 @@ def validate_code(code: StabilizerCode) -> ValidationReport:
             if p.n != n:
                 v.append(f"logical {label}[{j + 1}] acts on {p.n} qubits, expected {n}")
                 continue
+            if not _hermitian(p):
+                v.append(f"logical {label}[{j + 1}] ({p}) is not Hermitian")
             r = p.x | p.z << w
             for i, g in enumerate(gens):
                 if g.n == n and (r & duals[i]).bit_count() & 1:
@@ -314,31 +314,28 @@ def builtin_code(name: str) -> StabilizerCode:
     raise ValueError(f"unknown builtin code {name!r}")
 
 
-def _zero_codeword(code: StabilizerCode) -> tuple[SparseState, list[PauliOperator]]:
-    """(|0>, reducts) by tableau elimination, unchecked; see logical_codewords.
+def _zero_codeword(code: StabilizerCode) -> SparseState:
+    """|0> by tableau elimination, for a code validate_code accepts; see
+    logical_codewords.  Raises only beyond the enumeration guard.
 
-    reducts[j] is the j-th of the generators and logical Z times the earlier
-    X-pivots that clear its X-part down to a new pivot, or to nothing (a
-    Z-only element).  Raises on a non-Hermitian Z-only element, beyond the
-    enumeration guard, and when no seed satisfies the Z-only elements."""
+    For a valid code, G = <S, Z> is abelian, every element is Hermitian,
+    and -I is not in G (-I = sZ would put Z's vector in span(S)).  So no
+    Z-only element of G has an odd phase, and the seed equations that the
+    Z-only elements pose are consistent: _solve_f2 always finds s0."""
     from .states import _SIGNS, _state
 
     pivots: list = []  # (x-part, group element) rows for _reduce_tracked
-    reducts = []
+    seed_equations = []  # z.s0 = phi/2 for each Z-only element i^phi Z(z)
     for g in code.generators + code.logical_z[:1]:
         x, p = _reduce_tracked(g.x, g, pivots)
         if x:
             pivots.append((x, p))
-        elif p.phase & 1:
-            raise ValueError(f"{code.name}: the group holds the non-Hermitian element {p}")
-        reducts.append(p)
+        else:
+            seed_equations.append((p.z, p.phase >> 1))
     if len(pivots) > gf2.ENUM_DIM_GUARD:
         raise gf2.GuardExceeded(f"{code.name}: codeword of 2^{len(pivots)} terms exceeds "
                                 f"the enumeration guard 2^{gf2.ENUM_DIM_GUARD}")
-    try:
-        s0 = _solve_f2([(p.z, p.phase >> 1) for p in reducts if not p.x])
-    except ValueError:
-        raise ValueError(f"no codeword seed found for {code.name}") from None
+    s0 = _solve_f2(seed_equations)
     # x-part, z-part and amplitude of every product of pivots acting on |s0>
     xs, zs, amps = [0], [0], [1 + 0j]
     for x, p in pivots:
@@ -350,7 +347,7 @@ def _zero_codeword(code: StabilizerCode) -> tuple[SparseState, list[PauliOperato
     terms = sorted((x ^ s0, a * _SIGNS[(z & s0).bit_count() & 1] * scale)
                    for x, z, a in zip(xs, zs, amps))
     keys, amps = zip(*terms)
-    return _state(code.n, keys, amps).normalized(), reducts
+    return _state(code.n, keys, amps).normalized()
 
 
 @lru_cache(maxsize=CODE_CACHE_SIZE)
@@ -366,72 +363,22 @@ def logical_codewords(code: StabilizerCode) -> CodeSpace:
     the lowest bit and free bits at 0, so s0 is the smallest surviving key,
     where a seed scan stops.  |1> = X|0> for the logical X.
 
-    Guards, in order: k = 1, a logical X and Z given, every
-    operator on n qubits ("dimension mismatch"), then the construction's (a
-    non-Hermitian Z-only element, the enumeration guard, no seed).  Then the
-    codewords are checked on the operators alone, in the order of an
-    eigenvalue readout of the states, which needs no state read back:
-
-    (a) |0> is fixed by every generator.  This needs the generators
-        Hermitian (g^2 = -I fixes nothing) and commuting (gh = -hg cannot
-        fix a common state); failing that, the first generator that is not
-        Hermitian or anticommutes with an earlier one is named.  Given
-        that, every element of the stabilizer group S squares to I and
-        factors as a pivot product times a Z-only element.  If the logical
-        Z reduces to a Z-only element, |0> is the image of |s0> under the
-        projector onto the fixed space of S (as in (c)).  Otherwise its reduct
-        Zr is the last pivot, |0> ~ Q(I + Zr)|s0> with Q the sum of the S
-        pivot products, a generator g equals its Z-only reduct c_g (I for a
-        pivot) times S pivots, so gQ = Qc_g and g|0> ~ Q|s0> +- QZr|s0>
-        over disjoint keys: g fixes |0> iff c_g commutes with Zr, and the
-        first generator whose c_g does not is named.
-    (b) |1> is fixed by every generator: with (a), g X|0> = +-X g|0>, so
-        the first generator that anticommutes with X is named.
-    (c) the logical Z fixes |0>: with (a), iff Z is Hermitian and commutes
-        with every generator.  Only if: gZ|0> = -Zg|0> gives <0|Z|0> = 0.
-        If: the group G = <S, Z> is then abelian and every element squares
-        to I.  -I is not in G: the Z-only part of G fixes |s0> (or
-        _solve_f2 raised "no codeword seed"), and an element with X-part 0
-        has no pivot factor.  So the projector |G|^-1 sum_{h in G} h sends
-        |s0> to a multiple of the pivot sum, and every h in G fixes |0>.
-    (d) the logical Z negates |1>: with (a)-(c), ZX|0> = +-XZ|0>, so iff
-        X and Z anticommute.
-    The codewords are then orthogonal, as eigenstates of the Hermitian
-    logical Z with eigenvalues +1 and -1.
+    Guards, in order: k = 1, the first violation validate_code reports,
+    then the enumeration guard.  No state is read back: for a valid code,
+    |0> is proportional to the sum of g|s0> over G = <S, Z>, so every
+    element of G fixes it; |1> = X|0> is fixed by S and negated by Z, as X
+    commutes with S and anticommutes with Z.  The two are orthogonal as
+    eigenstates of the Hermitian Z with eigenvalues +1 and -1.
     """
     from .states import apply_pauli
 
     if code.k != 1:
         raise ValueError(f"codeword construction supports k=1, got k={code.k}")
-    if not code.logical_x or not code.logical_z:
-        raise ValueError(f"{code.name}: needs a logical X and a logical Z")
-    gens, lx, lz = code.generators, code.logical_x[0], code.logical_z[0]
-    for p in gens + (lx, lz):
-        if p.n != code.n:
-            raise ValueError(f"dimension mismatch: operator on {p.n}, state on {code.n}")
-    zero, reducts = _zero_codeword(code)
-
-    # p anticommutes with generator i iff _sympl_vec(p) & duals[i] has odd
-    # weight; the checks (a)-(d) of the docstring, in its order
-    duals = [g.z | g.x << code.n for g in gens]
-    for i, g in enumerate(gens):
-        v = _sympl_vec(g, code.n)
-        if not _hermitian(g) or any((v & d).bit_count() & 1 for d in duals[:i]):
-            raise ValueError(f"{code.name}: codeword is not fixed by {g}")
-    zr = reducts[-1]
-    if zr.x:  # the logical Z is a pivot
-        for g, c in zip(gens, reducts):
-            if not c.x and (c.z & zr.x).bit_count() & 1:
-                raise ValueError(f"{code.name}: codeword is not fixed by {g}")
-    vx, vz = _sympl_vec(lx, code.n), _sympl_vec(lz, code.n)
-    for g, d in zip(gens, duals):
-        if (vx & d).bit_count() & 1:
-            raise ValueError(f"{code.name}: codeword is not fixed by {g}")
-    if not _hermitian(lz) or any((vz & d).bit_count() & 1 for d in duals):
-        raise ValueError(f"{code.name}: logical Z does not fix |0>")
-    if not (vz & (lx.z | lx.x << code.n)).bit_count() & 1:
-        raise ValueError(f"{code.name}: logical Z does not negate |1>")
-    return CodeSpace(code, (zero, apply_pauli(zero, lx)))
+    violations = validate_code(code).violations
+    if violations:
+        raise ValueError(f"{code.name}: {violations[0]}")
+    zero = _zero_codeword(code)
+    return CodeSpace(code, (zero, apply_pauli(zero, code.logical_x[0])))
 
 
 def syndrome(code: StabilizerCode, error: PauliOperator) -> tuple[int, ...]:

@@ -198,7 +198,7 @@ class CliffordCorrection(NamedTuple):
 
 
 def clifford_correction_for_t(code_space: CodeSpace) -> CliffordCorrection | None:
-    """Diagonal logical Clifford (S-power, Z-power, global phase) turning the
+    """Diagonal logical Clifford (S-power, Z-power 0, global phase) turning the
     transversal T action into the exact logical T; None when the transversal
     gate leaks out of the code space, is not diagonal on it, or no diagonal
     correction exists.
@@ -214,10 +214,9 @@ def clifford_correction_for_t(code_space: CodeSpace) -> CliffordCorrection | Non
     lam0, lam1 = phases
     gamma = 1.0 / lam0
     target = OMEGA * lam0 / lam1
-    for z in (0, 1):
-        for s in range(4):
-            if abs(1j**s * (-1) ** z - target) < TOL:
-                return CliffordCorrection(s, z, complex(gamma))
+    for s in range(4):  # i^s takes all of +-1, +-i, so no Z-power is needed
+        if abs(1j**s - target) < TOL:
+            return CliffordCorrection(s, 0, complex(gamma))
     return None
 
 

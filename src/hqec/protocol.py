@@ -484,16 +484,16 @@ class TransversalTReport:
 
 
 @lru_cache(maxsize=CODE_CACHE_SIZE)
-def _transversal_t_circuit(n: int, s_power: int, z_power: int) -> tuple[CircuitGate, ...]:
-    """T on every qubit, then transversal Sd^s_power and Z^z_power."""
-    layers = ["T"] + ["Sd"] * s_power + ["Z"] * z_power
+def _transversal_t_circuit(n: int, s_power: int) -> tuple[CircuitGate, ...]:
+    """T on every qubit, then transversal Sd^s_power."""
+    layers = ["T"] + ["Sd"] * s_power
     return tuple(CircuitGate(kind, (q,)) for kind in layers for q in range(1, n + 1))
 
 
 def run_transversal_t_protocol(amplitudes, key, rng, forced_outcomes=None) -> TransversalTReport:
     """Transversal T on the masked [[15,1,3]] block through run_circuit: T on
     every qubit, each teleported to strip its S-type byproduct, then the
-    diagonal logical Clifford correction realized as transversal Sd and Z.
+    diagonal logical Clifford correction realized as transversal Sd.
     All of it is one monomial layer: the 15 gadgets sample their outcomes in
     gate order, and one apply_monomial pass applies the gates, so neither
     the 45-qubit joint register nor any state between gadgets is built."""
@@ -506,7 +506,7 @@ def run_transversal_t_protocol(amplitudes, key, rng, forced_outcomes=None) -> Tr
     psi = combine(list(cs.basis), [c0, c1])
     a, b = int(key[0]) & 1, int(key[1]) & 1
     keys = KeyRegister.uniform(code.n, a, b)
-    circuit = _transversal_t_circuit(code.n, corr.logical_s_power % 4, corr.logical_z_power % 2)
+    circuit = _transversal_t_circuit(code.n, corr.logical_s_power % 4)
     run = run_circuit(encrypt(psi, keys), circuit, keys, rng, forced_outcomes)
     target = combine(list(cs.basis), [c0, OMEGA * c1])
     fid = fidelity_up_to_phase(run.state, target)

@@ -30,7 +30,6 @@ from hqec.codes import (
     ValidationReport,
     _hermitian,
     _reduce_tracked,
-    _sympl_vec,
     _zero_codeword,
     builtin_code,
     decode_single_error,
@@ -388,10 +387,16 @@ def project_onto(span, state: SparseState):
     return combine(span, coeffs), weight
 
 
+def sympl_vec(p: PauliOperator, n: int) -> int:
+    """The symplectic vector x | z << n of p."""
+    return p.x | (p.z << n)
+
+
 def pairwise_validate_code(code: StabilizerCode) -> ValidationReport:
-    """codes.validate_code as it was before its popcount form: every pair
-    is a PauliOperator.commutes call, and each logical is reduced against
-    the basis with PauliOperator.identity products."""
+    """codes.validate_code in its pairwise form: every pair is a
+    PauliOperator.commutes call, each logical is reduced against the basis
+    with PauliOperator.identity products, and a logical is Hermitian when
+    it squares to the identity by PauliOperator.multiply."""
     v: list[str] = []
     gens = code.generators
     for i, g in enumerate(gens):
@@ -410,7 +415,7 @@ def pairwise_validate_code(code: StabilizerCode) -> ValidationReport:
     for i, g in enumerate(gens):
         if g.n != code.n:
             continue
-        vec, prod = _reduce_tracked(_sympl_vec(g, code.n), g, basis)
+        vec, prod = _reduce_tracked(sympl_vec(g, code.n), g, basis)
         if vec == 0:
             # prod is g times a product of earlier generators, equal to a phase
             if prod.phase == 0:
@@ -427,10 +432,12 @@ def pairwise_validate_code(code: StabilizerCode) -> ValidationReport:
             if p.n != code.n:
                 v.append(f"logical {label}[{j + 1}] acts on {p.n} qubits, expected {code.n}")
                 continue
+            if p.multiply(p) != PauliOperator.identity(code.n):
+                v.append(f"logical {label}[{j + 1}] ({p}) is not Hermitian")
             for i, g in enumerate(gens):
                 if g.n == code.n and not p.commutes(g):
                     v.append(f"logical {label}[{j + 1}] anticommutes with generator {i + 1}")
-            vec, _ = _reduce_tracked(_sympl_vec(p, code.n), PauliOperator.identity(code.n), basis)
+            vec, _ = _reduce_tracked(sympl_vec(p, code.n), PauliOperator.identity(code.n), basis)
             if vec == 0:
                 v.append(f"logical {label}[{j + 1}] lies in the stabilizer group")
     for j, xj in enumerate(code.logical_x):
@@ -517,7 +524,7 @@ def readout_codeword_verdict(code) -> str | None:
     message of the ValueError it raises, or None when both codewords pass.
     Construction errors propagate.  Checks, in order: every generator fixes
     |0>, then |1>; logical Z fixes |0> and negates |1>; <0|1> = 0."""
-    zero, _ = _zero_codeword(code)
+    zero = _zero_codeword(code)
     one = apply_pauli(zero, code.logical_x[0])
     for state in (zero, one):
         for g in code.generators:

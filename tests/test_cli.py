@@ -43,6 +43,26 @@ class TestExitCodes:
         assert code == 2
         assert "missing.txt" in err
 
+    def test_missing_matrix_file_named_once(self, capsys, tmp_path):
+        present = tmp_path / "present.txt"
+        present.write_text("11\n")
+        missing = str(tmp_path / "nope.txt")
+        for argv in (("css", "--c1", missing, "--c2", str(present)),
+                     ("triortho", "--matrix", missing)):
+            assert run_cli(capsys, "check", *argv) == (2, "", f"error: no such file: {missing}\n")
+
+    def test_non_hermitian_logical_is_invalid(self, capsys, tmp_path):
+        # logical Z = iZZZ squares to -I: every verb that reads the code refuses it
+        f = tmp_path / "izzz.code"
+        f.write_text("3 1\nZZI\nIZZ\nXXX\niZZZ\n")
+        violation = "logical Z[1] (iZZZ) is not Hermitian"
+        code, out, err = run_cli(capsys, "codes", "validate", str(f))
+        assert (code, err) == (1, "") and f"  violation: {violation}\n" in out
+        for argv in (("theorem1",), ("diagonal", "--gate", "T")):
+            code, out, err = run_cli(capsys, "check", *argv, "--code", str(f))
+            assert (code, out) == (2, "")
+            assert err == f"error: {f} is not a valid stabilizer code: {violation}\n"
+
     def test_malformed_matrix(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("11\n1x\n")

@@ -9,7 +9,6 @@ from hqec.codes import (
     StabilizerCode,
     SubcodeError,
     _single_error_table,
-    _sympl_vec,
     builtin_code,
     css_from_classical,
     decode_single_error,
@@ -21,7 +20,13 @@ from hqec.codes import (
 from hqec.compat import clifford_correction_for_t, stabilizer_mask_check
 from hqec.pauli import PauliOperator, parse_pauli
 from hqec.states import apply_pauli, fidelity_up_to_phase, inner
-from oracles import cached_code, cached_code_space, enumerate_codewords, format_code_text
+from oracles import (
+    cached_code,
+    cached_code_space,
+    enumerate_codewords,
+    format_code_text,
+    sympl_vec,
+)
 
 STEANE_ZERO_WORDS = [
     "0000000", "1010101", "0110011", "1100110", "0001111", "1011010", "0111100", "1101001",
@@ -32,11 +37,11 @@ STEANE_ONE_WORDS = [
 
 
 def stabilizer_group_span(code):
-    return gf2.rref([_sympl_vec(g, code.n) for g in code.generators], 2 * code.n)
+    return gf2.rref([sympl_vec(g, code.n) for g in code.generators], 2 * code.n)
 
 
 def in_stabilizer_group(code, p):
-    vec = _sympl_vec(p, code.n)
+    vec = sympl_vec(p, code.n)
     for b in stabilizer_group_span(code):
         if vec & (b & -b):
             vec ^= b
@@ -73,6 +78,19 @@ class TestValidate:
                               (parse_pauli("XX"),), (parse_pauli("ZI"),))
         flagged = f"generator 1 ({gen}) is not Hermitian" in validate_code(code).violations
         assert flagged != hermitian
+
+    @pytest.mark.parametrize("label, logical, hermitian",
+                             [("X", "-XXX", True), ("Z", "iZZZ", False), ("Z", "-iZZZ", False),
+                              ("Z", "-ZZZ", True), ("X", "iYYY", False), ("X", "YYY", True)])
+    def test_non_hermitian_logical_flagged(self, label, logical, hermitian):
+        # the bit-flip code with one logical operator replaced by a Pauli that
+        # meets every other invariant; iZZZ squares to -I, so it has no codewords
+        ops = {"X": parse_pauli("XXX"), "Z": parse_pauli("ZZZ")}
+        ops[label] = parse_pauli(logical)
+        code = StabilizerCode("herm", 3, 1, (parse_pauli("ZZI"), parse_pauli("IZZ")),
+                              (ops["X"],), (ops["Z"],))
+        flagged = (f"logical {label}[1] ({logical}) is not Hermitian",)
+        assert validate_code(code).violations == (() if hermitian else flagged)
 
     def test_two_qubit_toy_valid(self):
         code = StabilizerCode(
@@ -195,14 +213,16 @@ class TestCodewords:
         # XII anticommutes with ZZI, so |1> = XII|000> is not fixed by it
         code = StabilizerCode("bf_bad_x", 3, 1, (parse_pauli("ZZI"), parse_pauli("IZZ")),
                               (parse_pauli("XII"),), (parse_pauli("ZZZ"),))
-        with pytest.raises(ValueError, match="^bf_bad_x: codeword is not fixed by ZZI$"):
+        with pytest.raises(ValueError,
+                           match=r"^bf_bad_x: logical X\[1\] anticommutes with generator 1$"):
             logical_codewords(code)
 
     def test_logical_x_commuting_with_logical_z(self):
         # ZII commutes with everything, so |1> = |0> and logical Z fixes it
         code = StabilizerCode("bf_z_x", 3, 1, (parse_pauli("ZZI"), parse_pauli("IZZ")),
                               (parse_pauli("ZII"),), (parse_pauli("ZZZ"),))
-        with pytest.raises(ValueError, match=r"^bf_z_x: logical Z does not negate \|1>$"):
+        with pytest.raises(ValueError,
+                           match=r"^bf_z_x: logical X\[1\] and Z\[1\] must anticommute$"):
             logical_codewords(code)
 
     def test_k_not_one_rejected(self):
@@ -246,9 +266,14 @@ class TestPerCodeCaches:
         # product of generators, so no codeword seed survives the projectors
         text = "4 1\n-ZZII\nIZZI\nIIZZ\nXXXX\nZZZZ\n"
         code = parse_code_text(text, name="signed_chain")
+        before = logical_codewords.cache_info()
         for _ in range(3):
-            with pytest.raises(ValueError, match="no codeword seed"):
+            with pytest.raises(ValueError,
+                               match=r"^signed_chain: logical Z\[1\] lies in the stabilizer group$"):
                 logical_codewords(code)
+        after = logical_codewords.cache_info()
+        assert after.misses == before.misses + 3
+        assert after.currsize == before.currsize
 
     def test_mask_check_is_memoized(self):
         for name in BUILTIN_NAMES:
@@ -275,8 +300,8 @@ class TestPerCodeCaches:
             clifford_correction_for_t(logical_codewords(code))
             decode_single_error(code, (1, 0))
             stabilizer_mask_check(code)
-        for cached in (logical_codewords, compat._diagonal_action, _single_error_table,
-                       stabilizer_mask_check):
+        for cached in (validate_code, logical_codewords, compat._diagonal_action,
+                       _single_error_table, stabilizer_mask_check):
             info = cached.cache_info()
             assert info.maxsize == CODE_CACHE_SIZE
             assert info.currsize == CODE_CACHE_SIZE
@@ -363,7 +388,7 @@ class TestCssConstruction:
             parse_pauli("IIIZZZZ"), parse_pauli("IZZIIZZ"), parse_pauli("ZIZIZIZ"),
         ]
         ours = stabilizer_group_span(code)
-        theirs = gf2.rref([_sympl_vec(g, 7) for g in textbook_gens], 14)
+        theirs = gf2.rref([sympl_vec(g, 7) for g in textbook_gens], 14)
         assert ours == theirs
         assert code.logical_x[0].to_string() == "XXXXXXX"
         assert code.logical_z[0].to_string() == "ZZZZZZZ"

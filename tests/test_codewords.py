@@ -165,33 +165,42 @@ def _verdict(check, code):
     return result if isinstance(result, str) else None
 
 
-def _first_unfixing_generator(gens):
-    """The generator logical_codewords names when the generators are not
-    Hermitian and commuting: the first that is not Hermitian or
-    anticommutes with an earlier one."""
-    return next(g for i, g in enumerate(gens)
-                if (g.phase + (g.x & g.z).bit_count()) & 1
-                or not all(g.commutes(h) for h in gens[:i]))
+# (code text, the readout's verdict on the states, validate_code's first
+# violation); the readout's verdict names each case
+STAGE_CASES = [
+    # logical X = ZZ is the generator; logical Z = XI anticommutes with it
+    ("2 1\nZZ\nZZ\nXI\n", "codeword is not fixed by ZZ", "logical X[1] lies in the stabilizer group"),
+    # logical X = XXX is the second generator; logical Z = XXZ anticommutes with it
+    ("3 1\nZZI\nXXX\nXXX\nXXZ\n", "logical Z does not fix |0>",
+     "logical X[1] lies in the stabilizer group"),
+    # a Z-only logical Z that anticommutes with XXI
+    ("3 1\nXXI\nIXX\nXXX\nZII\n", "logical Z does not fix |0>",
+     "logical Z[1] anticommutes with generator 1"),
+    # a non-Hermitian logical Z with an X-part
+    ("3 1\nZZI\nIZZ\nXXX\niXXX\n", "logical Z does not fix |0>",
+     "logical Z[1] (iXXX) is not Hermitian"),
+    # logical X = XII commutes with logical Z = XXX
+    ("3 1\nXXI\nIXX\nXII\nXXX\n", "logical Z does not negate |1>",
+     "logical X[1] and Z[1] must anticommute"),
+    # anticommuting generators
+    ("3 1\nXXI\nZII\nXXX\nZZZ\n", "codeword is not fixed by ZII",
+     "generators 1 (XXI) and 2 (ZII) anticommute"),
+]
 
 
 class TestChecksAgainstReadout:
-    """logical_codewords decides on the operators what an eigenvalue readout
-    of its two states decides (tests/oracles.py readout_codeword_verdict)."""
+    """logical_codewords builds exactly the codes validate_code accepts, and
+    an eigenvalue readout of the states it builds passes (tests/oracles.py
+    readout_codeword_verdict)."""
 
     @settings(max_examples=300, deadline=None)
     @given(perturbed_codes())
-    def test_raises_exactly_when_the_readout_does(self, code):
+    def test_raises_exactly_when_validate_code_reports(self, code):
+        violations = validate_code(code).violations
         got = _verdict(logical_codewords.__wrapped__, code)
-        want = _verdict(readout_codeword_verdict, code)
-        assert (got is None) == (want is None)
-        if got == want:
-            return
-        # only the generator named at the |0> stage may differ, and only
-        # where the generators are not Hermitian and commuting
-        gens = code.generators
-        named = _first_unfixing_generator(gens)
-        assert got == f"perturbed: codeword is not fixed by {named}"
-        assert want.startswith("perturbed: codeword is not fixed by ")
+        assert got == (f"perturbed: {violations[0]}" if violations else None)
+        if got is None:
+            assert readout_codeword_verdict(code) is None
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_builtins_pass_the_readout(self, name):
@@ -199,32 +208,13 @@ class TestChecksAgainstReadout:
         assert readout_codeword_verdict(code) is None
         assert _verdict(logical_codewords.__wrapped__, code) is None
 
-    @pytest.mark.parametrize("text, message", [
-        # logical Z = XI anticommutes with ZZ and is a pivot: |0> ~ |00> + |10>
-        ("2 1\nZZ\nZZ\nXI\n", "codeword is not fixed by ZZ"),
-        # logical Z = XXZ anticommutes with XXX but commutes with the
-        # Z-only ZZI: both generators fix |0>, logical Z does not
-        ("3 1\nZZI\nXXX\nXXX\nXXZ\n", "logical Z does not fix |0>"),
-        # a Z-only logical Z that anticommutes with XXI
-        ("3 1\nXXI\nIXX\nXXX\nZII\n", "logical Z does not fix |0>"),
-        # a non-Hermitian logical Z with an X-part
-        ("3 1\nZZI\nIZZ\nXXX\niXXX\n", "logical Z does not fix |0>"),
-        # logical X = XII commutes with logical Z = XXX
-        ("3 1\nXXI\nIXX\nXII\nXXX\n", "logical Z does not negate |1>"),
-        # anticommuting generators: the later one is named
-        ("3 1\nXXI\nZII\nXXX\nZZZ\n", "codeword is not fixed by ZII"),
-    ])
-    def test_stage_and_name(self, text, message):
+    @pytest.mark.parametrize("text, readout, violation", STAGE_CASES,
+                             ids=[f"{text}-{readout}" for text, readout, _ in STAGE_CASES])
+    def test_stage_and_name(self, text, readout, violation):
+        # the states of each code fail the readout too, at the stage its id names
         code = parse_code_text(text, name="c")
-        assert _verdict(logical_codewords.__wrapped__, code) == f"c: {message}"
-        assert readout_codeword_verdict(code) == f"c: {message}"
-
-    def test_named_generator_where_generators_anticommute(self):
-        # |0> ~ (I + IXI)|000> is fixed by the pivot IXI and not by ZZI; the
-        # rule names the later generator of the anticommuting pair
-        code = parse_code_text("3 1\nZZI\nIXI\nIIZ\nIIX\n", name="c")
-        assert _verdict(logical_codewords.__wrapped__, code) == "c: codeword is not fixed by IXI"
-        assert readout_codeword_verdict(code) == "c: codeword is not fixed by ZZI"
+        assert _verdict(logical_codewords.__wrapped__, code) == f"c: {violation}"
+        assert readout_codeword_verdict(code) == f"c: {readout}"
 
     def test_codewords_read_no_state_back(self, monkeypatch):
         from hqec import states
@@ -306,7 +296,7 @@ class TestConstruction:
     def test_non_hermitian_element_rejected(self):
         code = StabilizerCode("iz", 2, 1, (parse_pauli("iZZ"),), (parse_pauli("XX"),),
                               (parse_pauli("ZI"),))
-        with pytest.raises(ValueError, match="non-Hermitian"):
+        with pytest.raises(ValueError, match=r"^iz: generator 1 \(iZZ\) is not Hermitian$"):
             logical_codewords(code)
 
     @pytest.mark.parametrize("slot", [0, 1, 2])  # the first generator, logical X, logical Z
@@ -317,7 +307,8 @@ class TestConstruction:
         ops[slot] = wrong
         g, x, z = map(parse_pauli, ops)
         code = StabilizerCode("wide", 3, 1, (g, parse_pauli("IZZ")), (x,), (z,))
-        message = f"^dimension mismatch: operator on {len(wrong)}, state on 3$"
+        operator = ("generator 1", r"logical X\[1\]", r"logical Z\[1\]")[slot]
+        message = f"^wide: {operator} acts on {len(wrong)} qubits, expected 3$"
         with pytest.raises(ValueError, match=message):
             logical_codewords(code)
 
@@ -325,7 +316,7 @@ class TestConstruction:
     def test_missing_logical_operator(self, logical_x, logical_z):
         code = StabilizerCode("bare", 3, 1, (parse_pauli("ZZI"), parse_pauli("IZZ")),
                               tuple(map(parse_pauli, logical_x)), tuple(map(parse_pauli, logical_z)))
-        with pytest.raises(ValueError, match="^bare: needs a logical X and a logical Z$"):
+        with pytest.raises(ValueError, match="^bare: expected 1 logical X and Z operators$"):
             logical_codewords(code)
 
     def test_register_cap(self):
