@@ -246,15 +246,18 @@ def _cmd_run_a1(args) -> int:
 def _cmd_run_storage(args) -> int:
     rng = _rng(args.seed)
     keys = _parse_keys(args.keys)
+    code = _load_valid_code(args.code)
     error = None
     if args.error.lower() != "none":
         try:
             error = parse_pauli(args.error)
         except ValueError as exc:
             raise InputError(f"--error: {exc}") from exc
+        if error.n != code.n:
+            raise InputError(f"--error acts on {error.n} qubits, {code.name} has {code.n}")
     from . import protocol
 
-    rep = protocol.run_storage_protocol(args.code_name, (0.6, 0.8), keys, error, rng)
+    rep = protocol.run_storage_protocol(code, (0.6, 0.8), keys, error, rng)
     _dump_state(args, rep.final_state)
     lines = [f"storage on {rep.code_name}, keys {rep.keys}, error {rep.injected_error or 'none'}",
              f"syndrome: {list(rep.syndrome)}",
@@ -273,7 +276,7 @@ def _cmd_run_transversal_t(args) -> int:
 
     rep = protocol.run_transversal_t_protocol(amps, keys, rng, forced)
     _dump_state(args, rep.final_state)
-    lines = [f"transversal T on rm15, keys {rep.keys}",
+    lines = [f"transversal T on {rep.code_name}, keys {rep.keys}",
              f"teleportation outcomes: {[list(o) for o in rep.outcomes]}",
              f"correction: S-power {rep.correction['logical_s_power']}",
              f"register peak {rep.max_live_qubits} qubits, {rep.max_terms} terms",
@@ -291,7 +294,7 @@ def _cmd_run_logical_t(args) -> int:
 
     rep = protocol.run_logical_t_protocol(amps, keys, rng, forced[0] if forced else None)
     _dump_state(args, rep.final_state)
-    lines = [f"logical T on shor, keys {rep.keys}",
+    lines = [f"logical T on {rep.code_name}, keys {rep.keys}",
              f"logical Bell outcome: {list(rep.outcome)}",
              f"register {rep.register_qubits} qubits, peak {rep.max_terms} stored terms",
              f"final fidelity {rep.fidelity:.10f}"]
@@ -368,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, runner=True, forced=True)
     p.set_defaults(func=_cmd_run_a1)
     p = run_sub.add_parser("storage", help="masked storage with error correction")
-    p.add_argument("--code", dest="code_name", required=True)
+    p.add_argument("--code", required=True, help="builtin name or code file")
     p.add_argument("--keys", required=True, help="a,b")
     p.add_argument("--error", default="none", help="Pauli string or 'none'")
     _add_common(p, runner=True)

@@ -25,6 +25,10 @@ Conventions shared by all runners:
   transcript events stay per gate; the server's events come before the
   client's, with pair i at the positions n+2i-1, n+2i it would hold if
   every pair were kept.
+* The runners share one encode step (_encode), keys built as
+  KeyRegister.uniform(n, key[0], key[1]) and reported as keys.pair(1), and
+  one logical-T check (_checked_logical_t); syndrome decoding, the
+  transversal circuit and the logical mask stay in their own runner.
 """
 
 from __future__ import annotations
@@ -370,6 +374,22 @@ def run_demo_circuit(rng, keys=None, state=None, forced_outcomes=None):
     return report, run.state, expected
 
 
+def _encode(code: StabilizerCode, amplitudes):
+    """The code space, unit_amplitudes (c0, c1) and c0|0_L> + c1|1_L>, normalized."""
+    space = logical_codewords(code)
+    amps = unit_amplitudes(amplitudes)
+    return space, amps, combine(list(space.basis), amps).normalized()
+
+
+def _checked_logical_t(state: SparseState, space, amps, what: str) -> float:
+    """The fidelity of state with c0|0_L> + omega c1|1_L>; raises below 1 - TOL."""
+    c0, c1 = amps
+    fid = fidelity_up_to_phase(state, combine(list(space.basis), [c0, OMEGA * c1]))
+    if fid < 1 - TOL:
+        raise ProtocolError(f"{what} output fidelity {fid} below tolerance")
+    return fid
+
+
 @dataclass(frozen=True)
 class StorageReport:
     code_name: str
@@ -416,11 +436,9 @@ def run_storage_protocol(code, amplitudes, key, injected_error=None, rng=None) -
     """Encode, mask, optionally corrupt, correct on the masked register, and
     unmask; refuses codes whose generators fail the masking criterion.
 
-    The amplitudes are normalized by unit_amplitudes, as in the T runners.
-    The mask U_enc(a,b) = (X^a Z^b)^n is one transversal Pauli for the key
-    bits a = key[0] & 1 and b = key[1] & 1, which the report gives as its
-    keys; the unmask is its adjoint times the correction, one Pauli.  Nothing
-    is drawn from rng, so a seed has no effect on the result."""
+    The mask U_enc(a,b) = (X^a Z^b)^n is one transversal Pauli, and the
+    unmask is its adjoint times the correction, one Pauli.  Nothing is drawn
+    from rng, so a seed has no effect on the result."""
     if isinstance(code, str):
         code = builtin_code(code)
     compat = stabilizer_mask_check(code)
@@ -430,12 +448,9 @@ def run_storage_protocol(code, amplitudes, key, injected_error=None, rng=None) -
             f"{code.name} is not mask-compatible: generator {bad.index} ({bad.generator}) "
             f"anticommutes with a transversal mask component"
         )
-    cs = logical_codewords(code)
-    c0, c1 = unit_amplitudes(amplitudes)
-    psi = combine(list(cs.basis), [c0, c1]).normalized()
-    a, b = int(key[0]) & 1, int(key[1]) & 1
-    mask = KeyRegister.uniform(code.n, a, b).mask
-    state = apply_pauli(psi, mask)
+    _, _, psi = _encode(code, amplitudes)
+    keys = KeyRegister.uniform(code.n, key[0], key[1])
+    state = encrypt(psi, keys)
     if injected_error is not None:
         if isinstance(injected_error, str):
             injected_error = parse_pauli(injected_error)
@@ -444,21 +459,16 @@ def run_storage_protocol(code, amplitudes, key, injected_error=None, rng=None) -
     corr = decode_single_error(code, syn)
     if corr is None:
         raise ProtocolError(f"syndrome {syn} matches no weight-<=1 error")
-    state = apply_pauli(state, mask.adjoint().multiply(corr))
-    fid = fidelity_up_to_phase(state, psi)
+    state = apply_pauli(state, keys.mask.adjoint().multiply(corr))
     return StorageReport(
-        code.name,
-        (a, b),
-        None if injected_error is None else injected_error.to_string(),
-        syn,
-        corr.to_string(),
-        fid,
-        final_state=state,
+        code.name, keys.pair(1), None if injected_error is None else injected_error.to_string(), syn,
+        corr.to_string(), fidelity_up_to_phase(state, psi), final_state=state,
     )
 
 
 @dataclass(frozen=True)
 class TransversalTReport:
+    code_name: str
     keys: tuple[int, int]
     outcomes: list
     correction: dict
@@ -471,7 +481,7 @@ class TransversalTReport:
 
     def as_dict(self) -> dict:
         return {
-            "code": "rm15",
+            "code": self.code_name,
             "keys": list(self.keys),
             "outcomes": [list(o) for o in self.outcomes],
             "correction": self.correction,
@@ -498,28 +508,23 @@ def run_transversal_t_protocol(amplitudes, key, rng, forced_outcomes=None) -> Tr
     gate order, and one apply_monomial pass applies the gates, so neither
     the 45-qubit joint register nor any state between gadgets is built."""
     code = builtin_code("rm15")
-    cs = logical_codewords(code)
-    corr = clifford_correction_for_t(cs)
+    space, amps, psi = _encode(code, amplitudes)
+    corr = clifford_correction_for_t(space)
     if corr is None:
-        raise ProtocolError("no diagonal logical correction available for rm15")
-    c0, c1 = unit_amplitudes(amplitudes)
-    psi = combine(list(cs.basis), [c0, c1])
-    a, b = int(key[0]) & 1, int(key[1]) & 1
-    keys = KeyRegister.uniform(code.n, a, b)
+        raise ProtocolError(f"no diagonal logical correction available for {code.name}")
+    keys = KeyRegister.uniform(code.n, key[0], key[1])
     circuit = _transversal_t_circuit(code.n, corr.logical_s_power % 4)
     run = run_circuit(encrypt(psi, keys), circuit, keys, rng, forced_outcomes)
-    target = combine(list(cs.basis), [c0, OMEGA * c1])
-    fid = fidelity_up_to_phase(run.state, target)
-    if fid < 1 - TOL:
-        raise ProtocolError(f"transversal-T output fidelity {fid} below tolerance")
+    fid = _checked_logical_t(run.state, space, amps, "transversal-T")
     return TransversalTReport(
-        (a, b), run.outcomes, corr.as_dict(), fid, code.n, len(run.outcomes), run.max_live_qubits,
-        run.max_terms, final_state=run.state,
+        code.name, keys.pair(1), run.outcomes, corr.as_dict(), fid, code.n, len(run.outcomes),
+        run.max_live_qubits, run.max_terms, final_state=run.state,
     )
 
 
 @dataclass(frozen=True)
 class LogicalTReport:
+    code_name: str
     keys: tuple[int, int]
     outcome: tuple[int, int]
     fidelity: float
@@ -530,7 +535,7 @@ class LogicalTReport:
 
     def as_dict(self) -> dict:
         return {
-            "code": "shor",
+            "code": self.code_name,
             "keys": list(self.keys),
             "outcome": list(self.outcome),
             "fidelity": self.fidelity,
@@ -538,9 +543,6 @@ class LogicalTReport:
             "max_terms": self.max_terms,
             "resources": self.resources.as_dict(),
         }
-
-
-_LOGICAL_T = (CircuitGate("T", (1,)),)
 
 
 def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> LogicalTReport:
@@ -556,33 +558,26 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
     y1|1_L>.  The 27-qubit register and Bell block are never built.
     """
     code = builtin_code("shor")
-    cs = logical_codewords(code)
-    zero, one = cs.basis
-    a, b = int(key[0]) & 1, int(key[1]) & 1
-
-    c0, c1 = unit_amplitudes(amplitudes)
-    psi = combine([zero, one], [c0, c1])
-
+    space, amps, psi = _encode(code, amplitudes)
+    zero, one = space.basis
+    keys = KeyRegister.uniform(1, key[0], key[1])
+    a, b = keys.pair(1)
     enc = psi
     if b:
         enc = apply_pauli(enc, code.logical_z[0])
     if a:
         enc = apply_pauli(enc, code.logical_x[0])
-
     x = [inner(zero, enc), inner(one, enc)]
     total = _weight(x)
     if abs(total - 1) > TOL:
         raise ProtocolError(f"logical Bell measurement probabilities sum to {total}")
     forced = None if forced_outcome is None else [forced_outcome]
-    run = run_circuit(SparseState(1, (0, 1), x), _LOGICAL_T, KeyRegister(1, a, b), rng, forced)
+    run = run_circuit(SparseState(1, (0, 1), x), (CircuitGate("T", (1,)),), keys, rng, forced)
     state = combine([zero, one], [run.state.amplitude(0), run.state.amplitude(1)])
-
-    target = combine([zero, one], [c0, OMEGA * c1])
-    fid = fidelity_up_to_phase(state, target)
-    if fid < 1 - TOL:
-        raise ProtocolError(f"logical-T output fidelity {fid} below tolerance")
+    fid = _checked_logical_t(state, space, amps, "logical-T")
     resources = resource_report(code.n)
     max_terms = max(st.num_terms for st in (psi, enc, state))
     return LogicalTReport(
-        (a, b), run.outcomes[0], fid, resources.q_tot_log, max_terms, resources, final_state=state,
+        code.name, keys.pair(1), run.outcomes[0], fid, resources.q_tot_log, max_terms, resources,
+        final_state=state,
     )

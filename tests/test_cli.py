@@ -93,6 +93,27 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "run", "storage", "--code", "shor", "--keys", "2,0")
         assert code == 2
 
+    def test_storage_reads_a_code_file(self, capsys, tmp_path):
+        # a file copy of bit_flip stores as the builtin does, under the file's name
+        f = tmp_path / "copy.code"
+        f.write_text(format_code_text(builtin_code("bit_flip")))
+        argv = ("run", "storage", "--keys", "0,1", "--error", "IXI", "--json")
+        _, builtin, _ = run_cli(capsys, *argv, "--code", "bit_flip")
+        code, out, err = run_cli(capsys, *argv, "--code", str(f))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {**json.loads(builtin), "code": "copy"}
+
+    def test_storage_error_length(self, capsys):
+        argv = ("run", "storage", "--code", "rm15", "--keys", "1,1", "--error", "XX")
+        assert run_cli(capsys, *argv) == (2, "", "error: --error acts on 2 qubits, rm15 has 15\n")
+
+    def test_storage_needs_one_logical_qubit(self, capsys, tmp_path):
+        f = tmp_path / "k0.code"
+        f.write_text("2 0\nZZ\nXX\n")
+        code, out, err = run_cli(capsys, "run", "storage", "--code", str(f), "--keys", "1,1")
+        assert (code, out) == (2, "")
+        assert err == "error: codeword construction supports k=1, got k=0\n"
+
     @pytest.mark.parametrize("verb", [("codes", "validate"), ("check", "theorem1", "--code")])
     @pytest.mark.parametrize("text", ["0 0\n", "3 5\nZZI\nIZZ\nXXX\nZZZ\nXXX\nZZZ\n",
                                       "2 -1\nZZ\n"])
@@ -505,7 +526,7 @@ def _argv(data, root) -> list[str]:
     elif verb == "run a1":
         argv += runner_options()
     elif verb == "run storage":
-        argv += ["--code", pick(*BUILTIN_NAMES, "no_such_code"), "--keys", keys(),
+        argv += ["--code", code(), "--keys", keys(),
                  "--error", pick("none", "XII", "IYI", "IIIIZIIII", "ZZ", "Q", "")]
         argv += runner_options()
     elif verb in ("run transversal-t", "run logical-t"):

@@ -146,13 +146,21 @@ class TestRandomCodes:
 @st.composite
 def perturbed_codes(draw):
     """A clifford_codes code with one generator, the logical X or the
-    logical Z replaced by a random Pauli with a random sign prefix."""
+    logical Z replaced by a random Pauli with a random sign prefix, or, so
+    that the code stays valid, negated or multiplied by another generator."""
     code = draw(clifford_codes())
     n = code.n
-    letters = draw(st.text("IXYZ", min_size=n, max_size=n))
-    p = parse_pauli(draw(st.sampled_from(["", "-", "i", "-i"])) + letters)
     ops = list(code.generators) + [code.logical_x[0], code.logical_z[0]]
-    ops[draw(st.integers(0, len(ops) - 1))] = p
+    i = draw(st.integers(0, len(ops) - 1))
+    others = [g for j, g in enumerate(code.generators) if j != i]
+    how = draw(st.sampled_from(("replace", "negate", "multiply") if others else ("replace", "negate")))
+    if how == "replace":
+        letters = draw(st.text("IXYZ", min_size=n, max_size=n))
+        ops[i] = parse_pauli(draw(st.sampled_from(["", "-", "i", "-i"])) + letters)
+    elif how == "negate":
+        ops[i] = PauliOperator(n, ops[i].x, ops[i].z, ops[i].phase + 2)
+    else:
+        ops[i] = ops[i].multiply(draw(st.sampled_from(others)))
     return StabilizerCode("perturbed", n, 1, tuple(ops[:-2]), (ops[-2],), (ops[-1],))
 
 

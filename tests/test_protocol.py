@@ -718,10 +718,17 @@ class TestStorage:
 
 
 class TestStorageInputs:
-    def test_reports_the_key_bits_it_used(self):
-        rep = run_storage_protocol("bit_flip", (0.6, 0.8), (3, 2), "IXI")
+    @pytest.mark.parametrize("name, run", [
+        ("bit_flip", lambda key: run_storage_protocol("bit_flip", (0.6, 0.8), key, "IXI")),
+        ("rm15", lambda key: run_transversal_t_protocol((0.6, 0.8j), key, SplitMix64(1))),
+        ("shor", lambda key: run_logical_t_protocol((0.6, 0.8j), key, SplitMix64(1))),
+    ], ids=["storage", "transversal-t", "logical-t"])
+    def test_reports_the_key_bits_it_used(self, name, run):
+        # every runner reads the low bit of each key entry and names its code
+        rep = run((3, 2))
         assert rep.keys == (1, 0) and rep.as_dict()["keys"] == [1, 0]
-        same = run_storage_protocol("bit_flip", (0.6, 0.8), (1, 0), "IXI")
+        assert rep.as_dict()["code"] == rep.code_name == name
+        same = run((1, 0))
         assert state_bytes(rep.final_state) == state_bytes(same.final_state)
 
     @pytest.mark.parametrize("amps", [(1e308, 1e308), (1e-320, 0), (-1e-300j, 1e-300)])
@@ -813,6 +820,15 @@ class TestTransversalT:
     def test_wrong_forced_outcome_count(self, pairs):
         with pytest.raises(ValueError, match="15 forced outcome pairs"):
             run_transversal_t_protocol((0.6, 0.8), (1, 1), SplitMix64(0), [(0, 0)] * pairs)
+
+    @pytest.mark.parametrize("runner, what", [(run_transversal_t_protocol, "transversal-T"),
+                                              (run_logical_t_protocol, "logical-T")],
+                             ids=["transversal-t", "logical-t"])
+    def test_output_below_tolerance_raises(self, monkeypatch, runner, what):
+        # checked against 0.6|0_L> + 0.8|1_L>, the logical T output has fidelity 0.93
+        monkeypatch.setattr(protocol, "OMEGA", 1)
+        with pytest.raises(ProtocolError, match=f"^{what} output fidelity 0.93.* below tolerance$"):
+            runner((0.6, 0.8), (1, 0), SplitMix64(1))
 
     def test_final_state_matches_logical_t(self):
         cs = cached_code_space("rm15")
