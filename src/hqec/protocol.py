@@ -10,21 +10,12 @@ Conventions shared by all runners:
   the a-th power for T, S to the a-th power for Td) plus the Pauli mask
   with b replaced by a xor b.  The byproduct is removed by measuring the
   gate's Bell pair in the matching rotated Bell basis.
-* The key replay walks the gate sequence in order, so every rotation
-  exponent and key update uses the key values current at that point;
-  measurement outcomes fold in as a -> a^r_a and b -> b ^ (a ^ r_b) with
-  the pre-update a.  The other reading of that update breaks the round
-  trip (see the negative test in the suite).
-* Both T runners go through run_circuit, the logical one on a one-qubit
-  register of code-space amplitudes.  A states.MonomialLayer collects each
-  run of Z, S, Sd gates and T gadgets (a T or Td gate and the teleportation
-  of its qubit through a fresh Bell pair measured at once), and
-  states.apply_monomial applies the run in one pass before the next X, H,
-  CNOT or the final correction.  Measured qubits are never touched again,
-  so this equals keeping every pair until the end.  Key rules, sampling and
-  transcript events stay per gate; the server's events come before the
-  client's, with pair i at the positions n+2i-1, n+2i it would hold if
-  every pair were kept.
+* Both T runners and the demo go through run_circuit (the logical runner
+  on a one-qubit register of code-space amplitudes), which replays the key
+  rules gate by gate; its docstring gives the outcome fold-in, whose other
+  reading breaks the round trip (see the negative test in the suite).  It
+  builds transcript events only into a Transcript sink that its caller
+  passes: the demo does, the T runners do not.
 * The runners share one encode step (_encode), keys built as
   KeyRegister.uniform(n, key[0], key[1]) and reported as keys.pair(1), and
   one logical-T check (_checked_logical_t); syndrome decoding, the
@@ -224,34 +215,39 @@ _OMEGA_EXPONENTS = {"Z": 4, "S": 2, "Sd": 6, "T": 1, "Td": 7}
 
 class CircuitRun(NamedTuple):
     state: SparseState
-    transcript: Transcript
+    transcript: Transcript | None
     outcomes: list
     max_live_qubits: int
     max_terms: int
 
 
-def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitRun:
+def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None, transcript=None) -> CircuitRun:
     """Evaluate a Clifford+T circuit on the encrypted register and decrypt
     it, in one pass over the gates.
 
     A Clifford gate's key rule is replayed on the keys.  Z, S, Sd gates and
     T/Td gadgets join the pending MonomialLayer, which apply_monomial runs
-    as one pass before any X, H or CNOT and before the final correction.  A
-    T/Td gate is applied inside the teleportation of its data qubit through
-    a Bell pair measured in the rotated basis that the qubit's current key
-    (a, b) selects; its outcome is sampled when the gadget joins the layer
-    and folds in as a -> a ^ r_a and b -> b ^ (a ^ r_b), with the pre-update
-    a in both.  Forced outcomes, exactly one per T/Td gate in order, replace
-    sampling; a wrong count raises ValueError before any gate runs.  The
-    final Pauli correction undoes the remaining mask.  The peaks count the
-    data-plus-pair register that each teleportation stands for.
+    as one pass before any X, H or CNOT and before the final correction
+    (measured qubits are never touched again, so this equals keeping every
+    pair until the end).  A T/Td gate is applied inside the teleportation
+    of its data qubit through a Bell pair measured in the rotated basis
+    that the qubit's current key (a, b) selects; its outcome is sampled
+    when the gadget joins the layer and folds in as a -> a ^ r_a and b -> b
+    ^ (a ^ r_b), with the pre-update a in both.  Forced outcomes, one per
+    T/Td gate in order, replace sampling; a wrong count raises ValueError
+    before any gate runs.  The final Pauli correction undoes the remaining
+    mask.  The peaks count the data-plus-pair register each teleportation
+    stands for.  With a Transcript sink, the run appends its events to it
+    when done, the server's before the client's (pair i at the positions
+    n+2i-1, n+2i it would hold if every pair were kept), and returns it as
+    CircuitRun.transcript; without one, no event is built and that is None.
     """
     n = keys.n
     if n != enc_state.n:
         raise ValueError("key register length does not match the data register")
     forced = None if forced_outcomes is None else list(forced_outcomes)
     if forced is not None:
-        t = sum(not g.is_clifford for g in circuit)
+        t = sum(g.kind not in CLIFFORD_KINDS for g in circuit)
         if t != len(forced):
             raise ValueError(f"circuit needs {t} forced outcome pairs, got {len(forced)}")
     x, z = keys.x, keys.z
@@ -261,61 +257,59 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitR
     max_qubits, max_terms = state.n, state.num_terms
     for g in circuit:
         kind, qubits = g.kind, g.qubits
-        clifford = kind in CLIFFORD_KINDS
         for q in qubits:
             if not 1 <= q <= n:
                 raise ValueError(f"qubit {q} out of range 1..{n}")
-        if kind in ("Z", "S", "Sd"):
-            layer.phase(qubits[0], _OMEGA_EXPONENTS[kind])
-        elif clifford:
-            if layer.pending:
-                state = apply_monomial(state, layer)
-                layer = MonomialLayer(n)
-            state = apply_plain_circuit(state, (g,))
-        if clifford:
-            server.append({"kind": "gate", "gate": kind, "qubits": list(qubits)})
-            if kind not in ("X", "Z"):
+        if kind in CLIFFORD_KINDS:
+            if kind in ("Z", "S", "Sd"):
+                layer.phase(qubits[0], _OMEGA_EXPONENTS[kind])
+                x2, z2 = x, (z if kind == "Z" else z ^ (x & (1 << (qubits[0] - 1))))  # _key_rule's S rule
+            else:
+                if layer.pending:
+                    state = apply_monomial(state, layer)
+                    layer = MonomialLayer(n)
+                state = apply_plain_circuit(state, (g,))
                 x2, z2 = _key_rule(kind, qubits, x, z)
-                for q in qubits:
-                    client.append({"kind": "key_update", "qubit": q, "old": [x >> q - 1 & 1, z >> q - 1 & 1],
-                                   "new": [x2 >> q - 1 & 1, z2 >> q - 1 & 1]})
-                x, z = x2, z2
+            if transcript is not None:
+                server.append({"kind": "gate", "gate": kind, "qubits": list(qubits)})
+                client += [{"kind": "key_update", "qubit": q, "old": [x >> q - 1 & 1, z >> q - 1 & 1],
+                            "new": [x2 >> q - 1 & 1, z2 >> q - 1 & 1]} for q in qubits if kind not in ("X", "Z")]
+            x, z = x2, z2
             continue
         (w,) = qubits
-        i = len(outcomes) + 1
-        s_pos, c_pos = n + 2 * i - 1, n + 2 * i
-        server += [
-            {"kind": "gate", "gate": kind, "qubits": [w], "pair_index": i, "pair_positions": [s_pos, c_pos]},
-            {"kind": "bell_consumed", "pair_index": i, "positions": [s_pos, c_pos]},
-            {"kind": "swap", "positions": [w, s_pos]},
-        ]
-        # the joint register a tensored-in pair would make
-        max_qubits = max(max_qubits, n + 2)
-        max_terms = max(max_terms, 2 * state.num_terms)
-        pick = None if forced is None else forced[i - 1]
+        # the joint register a tensored-in pair would make (state.n == n)
+        max_qubits, max_terms = n + 2, max(max_terms, 2 * state.num_terms)
+        pick = None if forced is None else forced[len(outcomes)]
         a, b = x >> w - 1 & 1, z >> w - 1 & 1
         # the pair is measured in S^a for T and Sd^a for Td, diag(1, omega^(2ta))
         t = _OMEGA_EXPONENTS[kind]
-        outcome = layer.gadget(state, w, 2 * t * a, t, rng, pick)
-        r_a, r_b = outcome
-        x ^= r_a << w - 1
-        z ^= (a ^ r_b) << w - 1
+        r_a, r_b = outcome = layer.gadget(state, w, 2 * t * a, t, rng, pick)
+        x, z = x ^ r_a << w - 1, z ^ (a ^ r_b) << w - 1
         outcomes.append(outcome)
-        client += [
-            {"kind": "measurement", "pair_index": i, "rotation": f"{'S' if kind == 'T' else 'Sd'}^{a}",
-             "outcome": list(outcome), "forced": pick is not None},
-            {"kind": "key_update", "qubit": w, "old": [a, b], "new": [x >> w - 1 & 1, z >> w - 1 & 1]},
-        ]
+        if transcript is not None:
+            i = len(outcomes)
+            s_pos, c_pos = n + 2 * i - 1, n + 2 * i
+            server += [
+                {"kind": "gate", "gate": kind, "qubits": [w], "pair_index": i, "pair_positions": [s_pos, c_pos]},
+                {"kind": "bell_consumed", "pair_index": i, "positions": [s_pos, c_pos]},
+                {"kind": "swap", "positions": [w, s_pos]},
+            ]
+            client += [
+                {"kind": "measurement", "pair_index": i, "rotation": f"{'S' if kind == 'T' else 'Sd'}^{a}",
+                 "outcome": list(outcome), "forced": pick is not None},
+                {"kind": "key_update", "qubit": w, "old": [a, b], "new": [x >> w - 1 & 1, z >> w - 1 & 1]},
+            ]
     if layer.pending:
         state = apply_monomial(state, layer)
     final = KeyRegister(n, x, z)
     correction = final.mask.adjoint()
-    client += [
-        {"kind": "final_keys", "keys": final.as_lists()},
-        {"kind": "final_correction", "pauli": correction.to_string()},
-    ]
+    if transcript is not None:
+        transcript.events += server + client + [
+            {"kind": "final_keys", "keys": final.as_lists()},
+            {"kind": "final_correction", "pauli": correction.to_string()},
+        ]
     state = apply_pauli(state, correction)
-    return CircuitRun(state, Transcript(server + client), outcomes, max_qubits, max_terms)
+    return CircuitRun(state, transcript, outcomes, max_qubits, max_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +328,7 @@ DEMO_CIRCUIT = (
     CircuitGate("Td", (2,)),
     CircuitGate("S", (2,)),
 )
+_LOGICAL_T_CIRCUIT = (CircuitGate("T", (1,)),)  # what run_logical_t_protocol runs on its one-qubit register
 
 
 def apply_plain_circuit(state: SparseState, circuit) -> SparseState:
@@ -366,7 +361,7 @@ def run_demo_circuit(rng, keys=None, state=None, forced_outcomes=None):
     encrypt -> run_circuit.  Returns (report, decrypted, expected)."""
     psi = state if state is not None else random_state(2, rng)
     kr = keys if keys is not None else KeyRegister.random(2, rng)
-    run = run_circuit(encrypt(psi, kr), DEMO_CIRCUIT, kr, rng, forced_outcomes)
+    run = run_circuit(encrypt(psi, kr), DEMO_CIRCUIT, kr, rng, forced_outcomes, Transcript())
     expected = apply_plain_circuit(psi, DEMO_CIRCUIT)
     fid = fidelity_up_to_phase(run.state, expected)
     final_keys = next(ev for ev in run.transcript.events if ev["kind"] == "final_keys")["keys"]
@@ -572,7 +567,7 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
     if abs(total - 1) > TOL:
         raise ProtocolError(f"logical Bell measurement probabilities sum to {total}")
     forced = None if forced_outcome is None else [forced_outcome]
-    run = run_circuit(SparseState(1, (0, 1), x), (CircuitGate("T", (1,)),), keys, rng, forced)
+    run = run_circuit(SparseState(1, (0, 1), x), _LOGICAL_T_CIRCUIT, keys, rng, forced)
     state = combine([zero, one], [run.state.amplitude(0), run.state.amplitude(1)])
     fid = _checked_logical_t(state, space, amps, "logical-T")
     resources = resource_report(code.n)

@@ -340,7 +340,8 @@ class MonomialLayer:
         at the run's first gadget and 1/4 after it, since gadgets keep the
         norm.  The checks, in order: the qubit range, a zero weight, a
         malformed forced outcome, a zero-probability outcome."""
-        state._check_qubit(qubit)
+        if not 1 <= qubit <= state.n:
+            raise ValueError(f"qubit {qubit} out of range 1..{state.n}")
         norm2 = _weight(state.amps) if self.norm2 is None else self.norm2
         p = norm2 / 4 if self.norm2 is None else 0.25
         if 4 * p < PRUNE_TOL:
@@ -357,8 +358,11 @@ class MonomialLayer:
             raise ValueError(f"outcome {outcome} has zero probability")
         self.norm2 = norm2
         r_a, r_b = outcome
-        self.phase(qubit, t + u + 4 * r_b)
-        self.flip ^= r_a << (qubit - 1)
+        bit, c = qubit - 1, t + u + 4 * r_b  # self.phase(qubit, c), then the flip
+        if self.flip >> bit & 1:
+            self.c0, c = self.c0 + c, -c
+        self.coeffs[bit] += c
+        self.flip ^= r_a << bit
         return outcome
 
 

@@ -771,8 +771,8 @@ def per_gate_exponent_run(enc_state, circuit, keys, rng, forced_outcomes=None) -
     multiply per term that apply_monomial makes.  Each gadget draws its
     outcome as run_circuit does: weights of a quarter of the run's input
     norm for its first gadget, 1/4 after it.  The keys are replayed by pair_key_rule, and
-    the transcript, outcomes, peaks and forced-outcome count check are
-    run_circuit's."""
+    the transcript (always built: what run_circuit appends to a sink),
+    outcomes, peaks and forced-outcome count check are run_circuit's."""
     n = keys.n
     chain = _ExponentChain(enc_state)
     cur = [tuple(pair) for pair in keys.as_lists()]

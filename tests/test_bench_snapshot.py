@@ -1,0 +1,59 @@
+"""tools/bench_snapshot.py writes a BENCH_<PR>.json of the documented shape,
+and every function it names exists in src/hqec.  Times are not checked."""
+
+import importlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+RUNNERS = {"transversal_t", "logical_t", "demo", "storage_shor", "storage_rm15"}
+
+
+def _is_function(dotted: str) -> bool:
+    """Whether module.Class.function names a function or property under hqec."""
+    module, *attrs = dotted.split(".")
+    obj = importlib.import_module(f"hqec.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return callable(obj) or isinstance(obj, property)
+
+
+def test_snapshot_schema(tmp_path):
+    out = tmp_path / "BENCH_0.json"
+    proc = subprocess.run(
+        [sys.executable, "tools/bench_snapshot.py", "--pr", "0", "--label", "schema test", "--out", str(out),
+         "--repeat", "1", "--number", "1", "--cli-runs", "1", "--profile-calls", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    snap = json.loads(out.read_text())
+    assert {"pr", "label", "commit", "host", "runners", "cli", "profile"} <= set(snap)
+    assert (snap["pr"], snap["label"]) == (0, "schema test")
+
+    timed = snap["runners"]
+    assert (timed["repeat"], timed["number"]) == (1, 1)
+    assert set(timed["us_per_run"]) == RUNNERS
+    for entry in timed["us_per_run"].values():
+        assert entry["best_us"] > 0 and len(entry["all_us"]) == 1
+
+    cli = snap["cli"]
+    assert cli["runs"] == 1
+    assert {"python -c pass", "codes list", "run a1"} <= set(cli["median_ms"])
+    assert all(ms > 0 for ms in cli["median_ms"].values())
+
+    profiled = snap["profile"]
+    assert profiled["runs"] == 1 and set(profiled["runners"]) == RUNNERS
+    for name, entry in profiled["runners"].items():
+        assert 0 < entry["src_share"] <= 1 and entry["profiled_ms_per_run"] > 0
+        funcs = entry["functions"]
+        assert funcs, name
+        assert sum(f["self_share"] for f in funcs.values()) <= entry["src_share"] + 1e-9
+        for dotted, f in funcs.items():
+            assert "<" not in dotted, dotted  # comprehension frames are folded
+            assert _is_function(dotted), dotted
+            assert f["self_share"] >= 0 and f["calls_per_run"] >= 0
+    # the runner itself shows up in its own profile
+    assert "protocol.run_transversal_t_protocol" in profiled["runners"]["transversal_t"]["functions"]
+    assert "protocol.run_circuit" in profiled["runners"]["transversal_t"]["functions"]

@@ -11,6 +11,7 @@ from hqec.protocol import (
     IncompatibleCodeError,
     KeyRegister,
     ProtocolError,
+    Transcript,
     apply_plain_circuit,
     clifford_key_update,
     encrypt,
@@ -287,7 +288,8 @@ class TestKeyUpdates:
             gm = DENSE_1Q[kind]
             for a in (0, 1):
                 keys = KeyRegister.of([(a, 0)])
-                run = run_circuit(basis_state(1, 0), [CircuitGate(kind, (1,))], keys, SplitMix64(0))
+                run = run_circuit(basis_state(1, 0), [CircuitGate(kind, (1,))], keys, SplitMix64(0),
+                                  transcript=Transcript())
                 (label,) = [ev["rotation"] for ev in run.transcript.events if ev["kind"] == "measurement"]
                 assert label == f"{base}^{a}"
                 r_dag = mp(DENSE_1Q[base], a).conj().T
@@ -355,7 +357,7 @@ class TestRunCircuit:
     def test_empty_circuit(self):
         psi = random_state(2, SplitMix64(5))
         keys = KeyRegister.of([(1, 0), (0, 1)])
-        run = run_circuit(encrypt(psi, keys), [], keys, SplitMix64(6))
+        run = run_circuit(encrypt(psi, keys), [], keys, SplitMix64(6), transcript=Transcript())
         assert [e["kind"] for e in run.transcript.events] == ["final_keys", "final_correction"]
         assert fidelity_up_to_phase(run.state, psi) > 1 - 1e-12
 
@@ -442,6 +444,33 @@ class TestRunCircuit:
         with pytest.raises(ValueError, match="key register length"):
             run_circuit(psi, [], KeyRegister.of([(0, 0), (1, 1)]), SplitMix64(0))
 
+    def test_sink_keeps_its_events(self):
+        # a sink that already holds events gets the run's events after them
+        psi = random_state(2, SplitMix64(12))
+        keys = KeyRegister.of([(1, 1), (0, 1)])
+        circuit = parse_circuit("H1 T1 Td2 S2")
+        earlier = [{"kind": "note", "text": "before the run"}]
+        sink = Transcript(list(earlier))
+        run = run_circuit(encrypt(psi, keys), circuit, keys, SplitMix64(13), transcript=sink)
+        alone = run_circuit(encrypt(psi, keys), circuit, keys, SplitMix64(13), transcript=Transcript())
+        assert run.transcript is sink
+        assert sink.events == earlier + alone.transcript.events
+        assert len(alone.transcript.events) > 0
+
+    def test_t_runners_pass_no_sink(self, monkeypatch):
+        sinks, inner_run = [], protocol.run_circuit
+
+        def spy(enc_state, circuit, keys, rng, forced_outcomes=None, transcript=None):
+            sinks.append(transcript)
+            return inner_run(enc_state, circuit, keys, rng, forced_outcomes, transcript)
+
+        monkeypatch.setattr(protocol, "run_circuit", spy)
+        run_transversal_t_protocol((0.6, 0.8j), (1, 1), SplitMix64(3))
+        run_logical_t_protocol((0.6, 0.8j), (1, 0), SplitMix64(3))
+        assert sinks == [None, None]
+        run_demo_circuit(SplitMix64(5))
+        assert len(sinks) == 3 and isinstance(sinks[2], Transcript) and sinks[2].events
+
     def test_transcript_bell_count_matches_t_count(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
@@ -450,7 +479,7 @@ class TestRunCircuit:
             n_t = sum(1 for g in circuit if g.kind in ("T", "Td"))
             psi = random_state(n, SplitMix64(int(rng.integers(0, 2**32))))
             keys = KeyRegister.random(n, SplitMix64(int(rng.integers(0, 2**32))))
-            run = run_circuit(encrypt(psi, keys), circuit, keys, SplitMix64(1))
+            run = run_circuit(encrypt(psi, keys), circuit, keys, SplitMix64(1), transcript=Transcript())
             assert sum(ev["kind"] == "bell_consumed" for ev in run.transcript.events) == n_t
             assert len(run.outcomes) == n_t
             assert run.max_live_qubits == n + 2 * (n_t > 0)
@@ -545,19 +574,25 @@ def _sparse_state(n, keys, rng):
 class TestPerGateReference:
     """run_circuit, with each run of Z/S/Sd gates and T gadgets as one
     monomial pass, is bit for bit per_gate_exponent_run, the gate-by-gate
-    exact-exponent walk of tests/oracles.py: final keys and amplitudes,
-    outcomes, transcript and peaks, with sampled and with forced outcomes,
+    exact-exponent walk of tests/oracles.py, with a transcript sink and
+    without one: final keys and amplitudes, outcomes, peaks and (with the
+    sink) the transcript, with sampled and with forced outcomes,
     on dense and on sparse support (where an X, H or CNOT moves the keys)
     and beyond 64 qubits."""
 
     @staticmethod
     def _assert_same(enc, circuit, keys, seed, forced):
-        got = run_circuit(enc, circuit, keys, SplitMix64(seed), forced)
         want = per_gate_exponent_run(enc, circuit, keys, SplitMix64(seed), forced)
-        assert state_bytes(got.state) == state_bytes(want.state)
-        assert got.outcomes == want.outcomes
+        sink = Transcript()
+        got = run_circuit(enc, circuit, keys, SplitMix64(seed), forced, sink)
+        bare = run_circuit(enc, circuit, keys, SplitMix64(seed), forced)
+        for run in (got, bare):
+            assert state_bytes(run.state) == state_bytes(want.state)
+            assert run.outcomes == want.outcomes
+            assert (run.max_live_qubits, run.max_terms) == (want.max_live_qubits, want.max_terms)
+        assert got.transcript is sink
         assert got.transcript.events == want.transcript.events
-        assert (got.max_live_qubits, got.max_terms) == (want.max_live_qubits, want.max_terms)
+        assert bare.transcript is None
         return got
 
     @given(diagonal_run_circuits(), st.integers(0, 2**32 - 1), st.booleans(), st.data())
