@@ -158,10 +158,7 @@ def _cmd_check_theorem1(args) -> int:
 def _cmd_check_css(args) -> int:
     c1 = _load_classical(args.c1)
     c2 = _load_classical(args.c2)
-    try:
-        rep = compat_mod.css_mask_check(c1, c2)
-    except codes_mod.SubcodeError as exc:
-        raise InputError(str(exc)) from exc
+    rep = compat_mod.css_mask_check(c1, c2)
     lines = [
         f"css pair (n={c1.length}, k1={c1.dimension}, k2={c2.dimension}): "
         f"{'compatible' if rep.verdict else 'INCOMPATIBLE'}",
@@ -203,10 +200,7 @@ def _cmd_check_diagonal(args) -> int:
     lines = [f"code {code.name}, transversal {args.gate} (phase {_DIAG_PHASES[args.gate]}):",
              f"  leakage: {rep.leakage:.12g}"]
     if rep.logical_phases is None:
-        from .states import TOL
-
-        stays = rep.leakage < TOL
-        lines.append("  preserves the code space but is not diagonal on it" if stays
+        lines.append("  preserves the code space but is not diagonal on it" if rep.preserves_code_space
                      else "  does not preserve the code space")
         _emit(args, rep.as_dict(), lines)
         return 1

@@ -12,10 +12,10 @@ hashable) code, in caches of at most ``CODE_CACHE_SIZE`` codes.  Everything
 cached is immutable, and a call that raises caches nothing.
 
 ``validate_code`` is the one validity decision: the codewords are built
-only for a code it accepts.  Parsing, validation, CSS construction,
-decoding and the codeword construction are GF(2) algebra on Python ints;
-the codeword construction imports the ``states`` layer, when called, only
-to build the two states.
+only for a code it accepts; ``check_css_pair`` is the one check of a
+classical pair.  All of it is GF(2) algebra on Python ints, reduced and
+solved by ``gf2``; the codeword construction imports the ``states`` layer,
+when called, only to build the two states.
 """
 
 from __future__ import annotations
@@ -78,11 +78,6 @@ class CodeSpace:
         return self.basis[1]
 
 
-def _hermitian(p: PauliOperator) -> bool:
-    """True iff p squares to +I rather than -I."""
-    return not (p.phase + (p.x & p.z).bit_count()) & 1
-
-
 def _reduce_tracked(vec: int, pauli: PauliOperator, basis: list):
     """Reduce vec against rows (vector, group element with that vector), each
     reduced against the rows before it, multiplying the tracked elements."""
@@ -107,7 +102,7 @@ def validate_code(code: StabilizerCode) -> ValidationReport:
     for i, g in enumerate(gens):
         if g.n != n:
             v.append(f"generator {i + 1} acts on {g.n} qubits, expected {n}")
-        if not _hermitian(g):
+        if not g.is_hermitian:
             v.append(f"generator {i + 1} ({g}) is not Hermitian")
     if len(gens) != n - code.k:
         v.append(f"expected {n - code.k} generators, got {len(gens)}")
@@ -137,16 +132,13 @@ def validate_code(code: StabilizerCode) -> ValidationReport:
             if p.n != n:
                 v.append(f"logical {label}[{j + 1}] acts on {p.n} qubits, expected {n}")
                 continue
-            if not _hermitian(p):
+            if not p.is_hermitian:
                 v.append(f"logical {label}[{j + 1}] ({p}) is not Hermitian")
             r = p.x | p.z << w
             for i, g in enumerate(gens):
                 if g.n == n and (r & duals[i]).bit_count() & 1:
                     v.append(f"logical {label}[{j + 1}] anticommutes with generator {i + 1}")
-            for row, _ in basis:
-                if r & row & -row:
-                    r ^= row
-            if r == 0:
+            if gf2.reduce(r, [row for row, _ in basis]) == 0:
                 v.append(f"logical {label}[{j + 1}] lies in the stabilizer group")
     for j, xj in enumerate(code.logical_x):
         for l, zl in enumerate(code.logical_z):
@@ -164,33 +156,17 @@ def validate_code(code: StabilizerCode) -> ValidationReport:
     return ValidationReport(code.name, tuple(v))
 
 
-def _solve_f2(equations: list[tuple[int, int]]) -> int:
-    """One solution x of the F2 system {(coeffs, rhs)}; raises if inconsistent."""
-    pivots = []  # (pivot_bit, coeffs, rhs)
-    for c, r in equations:
-        for pb, pc, pr in pivots:
-            if c & pb:
-                c ^= pc
-                r ^= pr
-        if c == 0:
-            if r:
-                raise ValueError("inconsistent F2 system")
-            continue
-        pivots.append((c & -c, c, r))
-    x = 0
-    for pb, pc, pr in sorted(pivots, key=lambda t: -t[0]):
-        acc = (pc & x).bit_count() & 1
-        if acc ^ pr:
-            x |= pb
-    return x
-
-
-def css_from_classical(c1: ClassicalCode, c2: ClassicalCode, name: str | None = None) -> StabilizerCode:
-    """CSS code from nested classical codes: X checks from C2, Z checks from C1-dual."""
+def check_css_pair(c1: ClassicalCode, c2: ClassicalCode) -> None:
+    """Raise unless C1 and C2 have one length and C2 lies in C1."""
     if c1.length != c2.length:
         raise ValueError("classical codes differ in length")
     if not gf2.is_subcode(c2, c1):
         raise SubcodeError("C2 is not a subcode of C1")
+
+
+def css_from_classical(c1: ClassicalCode, c2: ClassicalCode, name: str | None = None) -> StabilizerCode:
+    """CSS code from nested classical codes: X checks from C2, Z checks from C1-dual."""
+    check_css_pair(c1, c2)
     if c1.dimension <= c2.dimension:
         raise ValueError("need dim C1 > dim C2")
     n = c1.length
@@ -205,34 +181,26 @@ def css_from_classical(c1: ClassicalCode, c2: ClassicalCode, name: str | None = 
     if k == 1 and gf2.contains(c1, e) and not gf2.contains(c2, e):
         f_rows = [e]
     else:
-        mod_basis = list(c2.basis)
+        mod_basis = gf2.rref(c2.basis)  # of C2 and the representatives so far
         for row in c1.basis:
-            r = row
-            for b in gf2.rref(mod_basis, n):
-                if r & (b & -b):
-                    r ^= b
+            r = gf2.reduce(row, mod_basis)
             if r:
                 f_rows.append(r)
-                mod_basis.append(r)
+                mod_basis = gf2.rref(mod_basis + [r])
         f_rows = f_rows[:k]
-    # logical Z duals: h_j in C2-dual with h_j . f_l = delta_jl
-    c2_dual = gf2.dual(c2).basis
+    # logical Z duals: h_j in C2-dual with h_j . f_l = delta_jl; bit d of
+    # coeffs[l] is the parity of (C2-dual row d) . f_l
+    c2_dual = gf2.dual(c2)
+    coeffs = [sum(((bd & f).bit_count() & 1) << d for d, bd in enumerate(c2_dual.basis)) for f in f_rows]
     h_rows = []
     for j in range(k):
-        eqs = []
-        for l in range(k):
-            coeffs = 0
-            for d, bd in enumerate(c2_dual):
-                if (bd & f_rows[l]).bit_count() & 1:
-                    coeffs |= 1 << d
-            eqs.append((coeffs, 1 if j == l else 0))
-        sol = _solve_f2(eqs)
+        sol = gf2.solve([(coeffs[l], int(j == l)) for l in range(k)])
         h = 0
-        for d, bd in enumerate(c2_dual):
+        for d, bd in enumerate(c2_dual.basis):
             if (sol >> d) & 1:
                 h ^= bd
         h_rows.append(h)
-    if k == 1 and gf2.contains(gf2.dual(c2), e) and (e & f_rows[0]).bit_count() & 1:
+    if k == 1 and gf2.contains(c2_dual, e) and (e & f_rows[0]).bit_count() & 1:
         h_rows = [e]
 
     return StabilizerCode(
@@ -321,7 +289,7 @@ def _zero_codeword(code: StabilizerCode) -> SparseState:
     For a valid code, G = <S, Z> is abelian, every element is Hermitian,
     and -I is not in G (-I = sZ would put Z's vector in span(S)).  So no
     Z-only element of G has an odd phase, and the seed equations that the
-    Z-only elements pose are consistent: _solve_f2 always finds s0."""
+    Z-only elements pose are consistent: gf2.solve always finds s0."""
     from .states import _SIGNS, _state
 
     pivots: list = []  # (x-part, group element) rows for _reduce_tracked
@@ -335,7 +303,7 @@ def _zero_codeword(code: StabilizerCode) -> SparseState:
     if len(pivots) > gf2.ENUM_DIM_GUARD:
         raise gf2.GuardExceeded(f"{code.name}: codeword of 2^{len(pivots)} terms exceeds "
                                 f"the enumeration guard 2^{gf2.ENUM_DIM_GUARD}")
-    s0 = _solve_f2(seed_equations)
+    s0 = gf2.solve(seed_equations)
     # x-part, z-part and amplitude of every product of pivots acting on |s0>
     xs, zs, amps = [0], [0], [1 + 0j]
     for x, p in pivots:
@@ -359,7 +327,7 @@ def logical_codewords(code: StabilizerCode) -> CodeSpace:
     found so far: it becomes a new pivot p, or a Z-only element i^phi Z(z)
     that fixes the seed by z.s0 = phi/2.  |0> = (I + p_1)...(I + p_r)|s0>
     normalized: the sum of P_T|s0> over the 2^r ordered pivot products P_T,
-    at the distinct keys s0 ^ x(P_T), exactly.  _solve_f2 puts pivots at
+    at the distinct keys s0 ^ x(P_T), exactly.  gf2.solve puts pivots at
     the lowest bit and free bits at 0, so s0 is the smallest surviving key,
     where a seed scan stops.  |1> = X|0> for the logical X.
 

@@ -6,14 +6,15 @@ of the same criterion (`check css`), the logical action of transversal
 diagonal gates, and the search for a diagonal logical Clifford correction
 that turns a transversal T into the exact logical T.
 
-The mask checks are symplectic and GF(2) algebra on Python ints; only the
-diagonal-gate functions import the ``states`` layer, when called.  A
-diagonal gate's action is memoized by (code space, phase), so
-clifford_correction_for_t reads the transversal-T action that
-diagonal_gate_action computed, and vice versa; stabilizer_mask_check is
-memoized by code.  The protocol error classes, OMEGA and the register-cost
-report live here too, so the CLI maps errors to exit codes and answers
-``report resources`` without importing ``protocol``.
+The mask checks are symplectic and GF(2) algebra on Python ints, the CSS
+pair checked by ``codes.check_css_pair``; only the diagonal-gate functions
+import the ``states`` layer, when called.  A diagonal gate's action is
+memoized by (code space, phase), so clifford_correction_for_t reads the
+transversal-T action that diagonal_gate_action computed, and vice versa;
+stabilizer_mask_check is memoized by code.  The protocol error classes,
+OMEGA and the register-cost report live here too, so the CLI maps errors
+to exit codes and answers ``report resources`` without importing
+``protocol``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import gf2
-from .codes import CODE_CACHE_SIZE, CodeSpace, StabilizerCode, SubcodeError
+from .codes import CODE_CACHE_SIZE, CodeSpace, StabilizerCode, check_css_pair
 from .gf2 import ClassicalCode
 from .pauli import transversal_pauli
 
@@ -107,10 +108,7 @@ def stabilizer_mask_check(code: StabilizerCode) -> CompatReport:
 def css_mask_check(c1: ClassicalCode, c2: ClassicalCode, name: str = "css") -> CompatReport:
     """Classical form of the masking criterion: the all-ones word must lie in
     C1 and every word of C2 must have even weight."""
-    if c1.length != c2.length:
-        raise ValueError("classical codes differ in length")
-    if not gf2.is_subcode(c2, c1):
-        raise SubcodeError("C2 is not a subcode of C1")
+    check_css_pair(c1, c2)
     e = (1 << c1.length) - 1
     e_in_c1 = gf2.contains(c1, e)
     c2_even = gf2.all_even_weight(c2)
@@ -131,6 +129,12 @@ class DiagonalAction(NamedTuple):
             if self.logical_phases is None
             else [[p.real, p.imag] for p in self.logical_phases],
         }
+
+    @property
+    def preserves_code_space(self) -> bool:  # by _diagonal_action's bound
+        from .states import TOL
+
+        return self.leakage < TOL
 
 
 @lru_cache(maxsize=CODE_CACHE_SIZE)

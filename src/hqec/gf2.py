@@ -1,4 +1,5 @@
-"""GF(2) linear algebra on int bitsets, plus classical-code checks.
+"""GF(2) linear algebra on int bitsets, plus classical-code checks: the
+library's one row reduction (reduce, rref) and F2 solver (solve).
 
 A row is a Python int: bit (q-1) holds the entry for position q, the same
 layout as sparse-state keys and Pauli words, so position 1 is the leftmost
@@ -59,20 +60,49 @@ class BitMatrix(NamedTuple):
         return cls.from_strings(content_lines(text))
 
 
-def rref(rows, n: int) -> list[int]:
+def reduce(row: int, basis) -> int:
+    """row with each basis row whose pivot (lowest set bit) it holds XORed
+    in, in basis order: its remainder modulo span(basis) when each basis
+    row is free of the pivots of the rows before it."""
+    for b in basis:
+        if row & b & -b:
+            row ^= b
+    return row
+
+
+def rref(rows) -> list[int]:
     """Reduced row-echelon basis (nonzero rows, ascending pivot)."""
     basis: list[int] = []  # kept reduced; pivot of basis[i] increases with i
     for row in rows:
-        for b in basis:
-            p = b & -b
-            if row & p:
-                row ^= b
+        row = reduce(row, basis)
         if row:
             p = row & -row
             basis = [b ^ row if b & p else b for b in basis]
             basis.append(row)
     basis.sort(key=lambda r: r & -r)
     return basis
+
+
+def solve(equations: list[tuple[int, int]]) -> int:
+    """The smallest solution x of the F2 system {(coeffs, rhs)}: pivots at
+    the lowest bit, every non-pivot bit 0; raises if inconsistent."""
+    pivots = []  # (pivot_bit, coeffs, rhs)
+    for c, r in equations:
+        for pb, pc, pr in pivots:
+            if c & pb:
+                c ^= pc
+                r ^= pr
+        if c == 0:
+            if r:
+                raise ValueError("inconsistent F2 system")
+            continue
+        pivots.append((c & -c, c, r))
+    x = 0
+    for pb, pc, pr in sorted(pivots, key=lambda t: -t[0]):
+        acc = (pc & x).bit_count() & 1
+        if acc ^ pr:
+            x |= pb
+    return x
 
 
 class ClassicalCode(NamedTuple):
@@ -87,7 +117,7 @@ class ClassicalCode(NamedTuple):
 def code_from_rows(matrix: BitMatrix) -> ClassicalCode:
     if matrix.cols == 0:
         raise ValueError("code length must be positive")
-    return ClassicalCode(matrix.cols, tuple(rref(matrix.rows, matrix.cols)))
+    return ClassicalCode(matrix.cols, tuple(rref(matrix.rows)))
 
 
 def code_from_strings(lines) -> ClassicalCode:
@@ -101,10 +131,7 @@ def contains(code: ClassicalCode, word: int | str) -> bool:
         word = parse_row(word)
     if word >> code.length:
         raise ValueError("word has bits beyond the code length")
-    for b in code.basis:
-        if word & (b & -b):
-            word ^= b
-    return word == 0
+    return reduce(word, code.basis) == 0
 
 
 def all_even_weight(code: ClassicalCode) -> bool:
@@ -126,7 +153,7 @@ def dual(code: ClassicalCode) -> ClassicalCode:
             if (b >> f) & 1:
                 w |= 1 << p
         basis.append(w)
-    return ClassicalCode(n, tuple(rref(basis, n)))
+    return ClassicalCode(n, tuple(rref(basis)))
 
 
 def is_subcode(inner: ClassicalCode, outer: ClassicalCode) -> bool:

@@ -87,6 +87,11 @@ class PauliOperator(_PauliFields):
         return not ((self.x & other.z) ^ (self.z & other.x)).bit_count() & 1
 
     @property
+    def is_hermitian(self) -> bool:
+        """True iff the operator squares to +I rather than -I."""
+        return not (self.phase + (self.x & self.z).bit_count()) & 1
+
+    @property
     def weight(self) -> int:
         """Number of qubits acted on non-trivially."""
         return (self.x | self.z).bit_count()

@@ -215,6 +215,7 @@ _OMEGA_EXPONENTS = {"Z": 4, "S": 2, "Sd": 6, "T": 1, "Td": 7}
 
 class CircuitRun(NamedTuple):
     state: SparseState
+    keys: KeyRegister  # the final keys, undone by the final correction
     transcript: Transcript | None
     outcomes: list
     max_live_qubits: int
@@ -309,7 +310,7 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None, transcript=
             {"kind": "final_correction", "pauli": correction.to_string()},
         ]
     state = apply_pauli(state, correction)
-    return CircuitRun(state, transcript, outcomes, max_qubits, max_terms)
+    return CircuitRun(state, final, transcript, outcomes, max_qubits, max_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +365,7 @@ def run_demo_circuit(rng, keys=None, state=None, forced_outcomes=None):
     run = run_circuit(encrypt(psi, kr), DEMO_CIRCUIT, kr, rng, forced_outcomes, Transcript())
     expected = apply_plain_circuit(psi, DEMO_CIRCUIT)
     fid = fidelity_up_to_phase(run.state, expected)
-    final_keys = next(ev for ev in run.transcript.events if ev["kind"] == "final_keys")["keys"]
-    report = DemoReport(kr.as_lists(), final_keys, fid, run.transcript)
+    report = DemoReport(kr.as_lists(), run.keys.as_lists(), fid, run.transcript)
     return report, run.state, expected
 
 

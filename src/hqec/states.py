@@ -288,7 +288,7 @@ def eigen_bit(state: SparseState, p: PauliOperator) -> int | None:
         raise ValueError(f"dimension mismatch: operator on {p.n}, state on {state.n}")
     keys, amps = state.keys, state.amps
     x, z = p.x, p.z
-    if not keys or (p.phase + (x & z).bit_count()) & 1:
+    if not keys or not p.is_hermitian:
         return None
     if not x:
         parities = {(k & z).bit_count() & 1 for k in keys}

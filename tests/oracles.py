@@ -28,7 +28,6 @@ from hqec import states as _states
 from hqec.codes import (
     StabilizerCode,
     ValidationReport,
-    _hermitian,
     _reduce_tracked,
     _zero_codeword,
     builtin_code,
@@ -402,7 +401,7 @@ def pairwise_validate_code(code: StabilizerCode) -> ValidationReport:
     for i, g in enumerate(gens):
         if g.n != code.n:
             v.append(f"generator {i + 1} acts on {g.n} qubits, expected {code.n}")
-        if not _hermitian(g):
+        if not g.is_hermitian:
             v.append(f"generator {i + 1} ({g}) is not Hermitian")
     if len(gens) != code.n - code.k:
         v.append(f"expected {code.n - code.k} generators, got {len(gens)}")
@@ -772,7 +771,8 @@ def per_gate_exponent_run(enc_state, circuit, keys, rng, forced_outcomes=None) -
     outcome as run_circuit does: weights of a quarter of the run's input
     norm for its first gadget, 1/4 after it.  The keys are replayed by pair_key_rule, and
     the transcript (always built: what run_circuit appends to a sink),
-    outcomes, peaks and forced-outcome count check are run_circuit's."""
+    final keys, outcomes, peaks and forced-outcome count check are
+    run_circuit's."""
     n = keys.n
     chain = _ExponentChain(enc_state)
     cur = [tuple(pair) for pair in keys.as_lists()]
@@ -821,4 +821,5 @@ def per_gate_exponent_run(enc_state, circuit, keys, rng, forced_outcomes=None) -
         {"kind": "final_keys", "keys": [list(pair) for pair in cur]},
         {"kind": "final_correction", "pauli": correction.to_string()},
     ]
-    return CircuitRun(chain.finish(correction), Transcript(server + client), outcomes, max_qubits, max_terms)
+    return CircuitRun(chain.finish(correction), KeyRegister.of(cur), Transcript(server + client), outcomes,
+                      max_qubits, max_terms)

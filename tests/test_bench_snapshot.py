@@ -2,22 +2,29 @@
 and every function it names exists in src/hqec.  Times are not checked."""
 
 import importlib
+import inspect
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-RUNNERS = {"transversal_t", "logical_t", "demo", "storage_shor", "storage_rm15"}
+RUNNERS = {"transversal_t", "logical_t", "demo", "storage_shor", "storage_rm15", "codes_analysis"}
 
 
 def _is_function(dotted: str) -> bool:
-    """Whether module.Class.function names a function or property under hqec."""
+    """Whether module.Class.function names a function or property under hqec,
+    or a def nested in a function's body (a code object among its constants)."""
     module, *attrs = dotted.split(".")
     obj = importlib.import_module(f"hqec.{module}")
     for attr in attrs:
-        obj = getattr(obj, attr)
-    return callable(obj) or isinstance(obj, property)
+        if hasattr(obj, attr):
+            obj = getattr(obj, attr)
+        else:
+            consts = inspect.unwrap(obj).__code__.co_consts
+            obj = next(c for c in consts if isinstance(c, types.CodeType) and c.co_name == attr)
+    return callable(obj) or isinstance(obj, (property, types.CodeType))
 
 
 def test_snapshot_schema(tmp_path):
@@ -57,3 +64,5 @@ def test_snapshot_schema(tmp_path):
     # the runner itself shows up in its own profile
     assert "protocol.run_transversal_t_protocol" in profiled["runners"]["transversal_t"]["functions"]
     assert "protocol.run_circuit" in profiled["runners"]["transversal_t"]["functions"]
+    # the cold analysis rebuilds the codewords every call
+    assert profiled["runners"]["codes_analysis"]["functions"]["codes._zero_codeword"]["calls_per_run"] == 3

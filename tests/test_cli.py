@@ -255,6 +255,14 @@ class TestVerbs:
         assert code == 0
         assert "compatible" in out
 
+    def test_check_css_not_a_subcode(self, capsys, tmp_path):
+        c1 = tmp_path / "c1.txt"
+        c1.write_text("1100\n")
+        c2 = tmp_path / "c2.txt"
+        c2.write_text("0011\n")
+        code, out, err = run_cli(capsys, "check", "css", "--c1", str(c1), "--c2", str(c2))
+        assert (code, out, err) == (2, "", "error: C2 is not a subcode of C1\n")
+
     def test_check_css_dimension_above_enumeration_guard(self, capsys, tmp_path):
         # C1: the 25 unit rows; C2: the 24 adjacent pairs, all of even weight
         n = 25

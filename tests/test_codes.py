@@ -37,7 +37,7 @@ STEANE_ONE_WORDS = [
 
 
 def stabilizer_group_span(code):
-    return gf2.rref([sympl_vec(g, code.n) for g in code.generators], 2 * code.n)
+    return gf2.rref([sympl_vec(g, code.n) for g in code.generators])
 
 
 def in_stabilizer_group(code, p):
@@ -388,7 +388,7 @@ class TestCssConstruction:
             parse_pauli("IIIZZZZ"), parse_pauli("IZZIIZZ"), parse_pauli("ZIZIZIZ"),
         ]
         ours = stabilizer_group_span(code)
-        theirs = gf2.rref([sympl_vec(g, 7) for g in textbook_gens], 14)
+        theirs = gf2.rref([sympl_vec(g, 7) for g in textbook_gens])
         assert ours == theirs
         assert code.logical_x[0].to_string() == "XXXXXXX"
         assert code.logical_z[0].to_string() == "ZZZZZZZ"
@@ -412,6 +412,12 @@ class TestCssConstruction:
         c1 = gf2.code_from_strings(["1100"])
         c2 = gf2.code_from_strings(["0011"])
         with pytest.raises(SubcodeError):
+            css_from_classical(c1, c2)
+
+    def test_length_mismatch(self):
+        c1 = gf2.code_from_strings(["111"])
+        c2 = gf2.code_from_strings(["0000"])
+        with pytest.raises(ValueError, match="^classical codes differ in length$"):
             css_from_classical(c1, c2)
 
     def test_css_validates_for_k2(self):

@@ -83,6 +83,12 @@ class TestCssMaskCheck:
         with pytest.raises(SubcodeError):
             css_mask_check(c1, c2)
 
+    def test_length_mismatch(self):
+        c1 = gf2.code_from_strings(["1111"])
+        c2 = gf2.code_from_strings(["000"])
+        with pytest.raises(ValueError, match="^classical codes differ in length$"):
+            css_mask_check(c1, c2)
+
     @pytest.mark.parametrize(
         "c1_rows,c2_rows",
         [

@@ -231,6 +231,50 @@ class TestClosureProperty:
                 assert gf2.contains(code, a ^ b)
 
 
+class TestSolve:
+    """gf2.solve against every x of up to 8 unknowns: the smallest solution
+    (pivot bits only), and the error exactly when there is none."""
+
+    @given(st.integers(1, 8), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_against_brute_force(self, n, data):
+        full = (1 << n) - 1
+        eqs = data.draw(st.lists(st.tuples(st.integers(0, full), st.integers(0, 1)), max_size=10))
+        solutions = [x for x in range(1 << n) if all((c & x).bit_count() & 1 == r for c, r in eqs)]
+        if not solutions:
+            with pytest.raises(ValueError, match="^inconsistent F2 system$"):
+                gf2.solve(eqs)
+        else:
+            assert gf2.solve(eqs) == min(solutions)
+
+    def test_inconsistent_pair(self):
+        with pytest.raises(ValueError, match="^inconsistent F2 system$"):
+            gf2.solve([(0b11, 0), (0b11, 1)])
+
+    def test_free_bits_are_zero(self):
+        # x1 + x3 = 1, x2 = 1: bit 1 is the pivot of the first equation, bit 3 is free
+        assert gf2.solve([(0b101, 1), (0b010, 1)]) == 0b011
+
+    def test_no_equations(self):
+        assert gf2.solve([]) == 0
+
+
+class TestReduce:
+    @given(st.integers(1, 10), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_remainder_is_zero_iff_in_span(self, n, data):
+        rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=5))
+        word = data.draw(st.integers(0, (1 << n) - 1))
+        basis = gf2.rref(rows)
+        span = {0}
+        for b in basis:
+            span |= {w ^ b for w in span}
+        r = gf2.reduce(word, basis)
+        assert (r == 0) == (word in span)
+        assert r ^ word in span
+        assert not any(r & b & -b for b in basis)
+
+
 class TestMatrixFileFormat:
     def test_comments_and_blanks(self):
         text = "# header\n110  \n\n011\n# done\n"

@@ -112,6 +112,19 @@ class TestMultiply:
             assert sq.phase in (0, 2)
 
 
+class TestHermitian:
+    def test_against_square(self):
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            p = random_pauli(rng, int(rng.integers(1, 9)))
+            assert p.is_hermitian == (p.multiply(p) == PauliOperator.identity(p.n))
+
+    @pytest.mark.parametrize("text,hermitian", [("XYZ", True), ("-Y", True), ("iZ", False),
+                                                ("-iXX", False), ("iY", False)])
+    def test_literals(self, text, hermitian):
+        assert parse_pauli(text).is_hermitian is hermitian
+
+
 class TestCommutes:
     def test_transversal_z_with_shor_x_generator(self):
         g7 = parse_pauli("XXXXXXIII")

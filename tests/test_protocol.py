@@ -588,6 +588,7 @@ class TestPerGateReference:
         bare = run_circuit(enc, circuit, keys, SplitMix64(seed), forced)
         for run in (got, bare):
             assert state_bytes(run.state) == state_bytes(want.state)
+            assert run.keys == want.keys
             assert run.outcomes == want.outcomes
             assert (run.max_live_qubits, run.max_terms) == (want.max_live_qubits, want.max_terms)
         assert got.transcript is sink

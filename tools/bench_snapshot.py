@@ -5,7 +5,10 @@
 
 The snapshot has three parts:
 
-* ``runners``: each protocol runner called in-process, the best of
+* ``runners``: each protocol runner called in-process, and the cold
+  code analysis (``codes_analysis``: parse, validate, mask check,
+  codewords, T action and T correction of qubit-permuted steane, rm15 and
+  shor texts, with the per-code caches cleared first), the best of
   ``repeat`` timeit calls of ``number`` runs each, in microseconds per run;
 * ``cli``: the median wall time of fresh ``python -m hqec.cli`` processes,
   with ``python -c pass`` beside them as the host's interpreter start-up;
@@ -30,6 +33,7 @@ import json
 import os
 import platform
 import pstats
+import random
 import statistics
 import subprocess
 import sys
@@ -52,8 +56,49 @@ CLI_CALLS = {
 }
 
 
+def permuted_code_text(name: str) -> str:
+    """A builtin code as code-file text, its qubits in an order shuffled by
+    a generator seeded with n."""
+    from hqec.codes import builtin_code
+
+    code = builtin_code(name)
+    order = list(range(code.n))
+    random.Random(code.n).shuffle(order)
+    lines = [f"{code.n} {code.k}"]
+    for p in code.generators + code.logical_x + code.logical_z:
+        text = p.to_string()
+        cut = len(text) - p.n  # the sign prefix comes before the letters
+        lines.append(text[:cut] + "".join(text[cut + q] for q in order))
+    return "\n".join(lines) + "\n"
+
+
+def codes_analysis():
+    """A call that analyses permuted steane, rm15 and shor texts from
+    parsing to the T correction, with every per-code cache on that path
+    cleared first, so no call reuses another's work."""
+    from hqec import codes, compat
+
+    texts = [permuted_code_text(name) for name in ("steane", "rm15", "shor")]
+    caches = (codes.validate_code, compat.stabilizer_mask_check, codes.logical_codewords,
+              compat._diagonal_action)
+
+    def call():
+        for cache in caches:
+            cache.cache_clear()
+        for text in texts:
+            code = codes.parse_code_text(text)
+            codes.validate_code(code)
+            compat.stabilizer_mask_check(code)
+            space = codes.logical_codewords(code)
+            compat.diagonal_gate_action(space, compat.OMEGA, label="T")
+            compat.clifford_correction_for_t(space)
+
+    return call
+
+
 def runners() -> dict:
-    """name -> a call of one runner on fixed inputs, each with its own seed."""
+    """name -> a call of one runner on fixed inputs, each with its own seed;
+    codes_analysis comes last, as it empties the caches the others fill."""
     from hqec.protocol import (
         run_demo_circuit,
         run_logical_t_protocol,
@@ -68,6 +113,7 @@ def runners() -> dict:
         "demo": lambda: run_demo_circuit(SplitMix64(5)),
         "storage_shor": lambda: run_storage_protocol("shor", (0.6, 0.8), (0, 1), "IIIIZIIII"),
         "storage_rm15": lambda: run_storage_protocol("rm15", (0.6, 0.8j), (1, 1), "IIIIIIIIIIXIIII"),
+        "codes_analysis": codes_analysis(),
     }
 
 
