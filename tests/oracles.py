@@ -823,3 +823,69 @@ def per_gate_exponent_run(enc_state, circuit, keys, rng, forced_outcomes=None) -
     ]
     return CircuitRun(chain.finish(correction), KeyRegister.of(cur), Transcript(server + client), outcomes,
                       max_qubits, max_terms)
+
+
+# ---------------------------------------------------------------------------
+# the routes that the code-space merge plan, the fused trailing Pauli of
+# apply_monomial, the zip sort of _resorted and the paired general branch of
+# apply_single replaced; the new paths must equal them byte for byte
+
+
+def combine_encode(code, amplitudes):
+    """_encode by combine: (space, unit amplitudes, c0|0_L> + c1|1_L> normalized)."""
+    space = logical_codewords(code)
+    amps = unit_amplitudes(amplitudes)
+    return space, amps, combine(list(space.basis), amps).normalized()
+
+
+def combine_coords(space, state) -> list:
+    return [inner(space.zero, state), inner(space.one, state)]
+
+
+def combine_overlap(space, state, c0, c1) -> complex:
+    return inner(state, combine(list(space.basis), [c0, c1]))
+
+
+def index_sort_resorted(n: int, keys, amps) -> SparseState:
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return _state(n, tuple([keys[i] for i in order]), tuple([amps[i] for i in order]))
+
+
+def two_pass_monomial(state: SparseState, layer, then: PauliOperator | None = None) -> SparseState:
+    """The layer's monomial pass, then apply_pauli(then) as a second pass."""
+    cs = layer.coeffs
+    ones = sum(1 << q for q, c in enumerate(cs) if c & 1)
+    twos = sum(1 << q for q, c in enumerate(cs) if c & 2)
+    fours = sum(1 << q for q, c in enumerate(cs) if c & 4)
+    c0, flip, units = layer.c0, layer.flip, _unit_factors(layer.norm2)
+    terms = [(k ^ flip, a * units[(c0 + (k & ones).bit_count() + 2 * (k & twos).bit_count()
+                                     + 4 * (k & fours).bit_count()) & 7])
+             for k, a in zip(state.keys, state.amps)]
+    if layer.norm2 is not None:
+        terms = [t for t in terms if abs(t[1]) > PRUNE_TOL]
+    if flip:
+        terms.sort()
+    out = _state(state.n, tuple([k for k, _ in terms]), tuple([a for _, a in terms]))
+    if then is None:
+        return out
+    z, ph = then.z, then.phase_value()
+    amps = [a * _SIGNS[(k & z).bit_count() & 1] * ph for k, a in out.items()]
+    if then.x:
+        return index_sort_resorted(out.n, [k ^ then.x for k in out.keys], amps)
+    return _state(out.n, out.keys, tuple(amps))
+
+
+def coalescing_apply_single(state: SparseState, g: SingleQubitGate, qubit: int) -> SparseState:
+    """apply_single with the general branch as 2n terms summed by _coalesce."""
+    (m00, m01), (m10, m11) = g.matrix
+    bit = 1 << (qubit - 1)
+    keys, amps = state.keys, state.amps
+    if m01 == 0 and m10 == 0:
+        return _state(state.n, keys, tuple([a * m11 if k & bit else a * m00 for k, a in zip(keys, amps)]))
+    if m00 == 0 and m11 == 0:
+        return index_sort_resorted(state.n, [k ^ bit for k in keys],
+                                   [a * m01 if k & bit else a * m10 for k, a in zip(keys, amps)])
+    keys2 = [k & ~bit for k in keys] + [k | bit for k in keys]
+    amps2 = ([a * m01 if k & bit else a * m00 for k, a in zip(keys, amps)]
+             + [a * m11 if k & bit else a * m10 for k, a in zip(keys, amps)])
+    return _state(state.n, *_states._coalesce(keys2, amps2))
