@@ -14,14 +14,15 @@ cached is immutable, and a call that raises caches nothing.
 ``validate_code`` is the one validity decision: the codewords are built
 only for a code it accepts; ``check_css_pair`` is the one check of a
 classical pair.  All of it is GF(2) algebra on Python ints, reduced and
-solved by ``gf2``; the codeword construction imports the ``states`` layer,
-when called, only to build the two states.
+solved by ``gf2``; the codeword construction and ``CodeSpace`` import the
+``states`` layer, when first called, only to build and read states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import gf2
@@ -64,8 +65,20 @@ class ValidationReport(NamedTuple):
         return {"code": self.code_name, "ok": self.ok, "violations": list(self.violations)}
 
 
+@lru_cache(maxsize=None)
+def _states():
+    from . import states  # on first use: codes loads without the states layer
+    return states
+
+
 @dataclass(frozen=True)
 class CodeSpace:
+    """The logical basis (|0_L>, |1_L>) of a k = 1 code.  Through its merge
+    plan (built on first use and kept; dataclasses.replace gives a fresh
+    one), state(c0, c1) is combine(basis, [c0, c1]), and for psi on the
+    code's qubits, coords(psi) is [inner(|0_L>, psi), inner(|1_L>, psi)]
+    and overlap(psi, c0, c1) is inner(psi, state(c0, c1)), bit for bit."""
+
     code: StabilizerCode
     basis: tuple[SparseState, ...]
 
@@ -76,6 +89,56 @@ class CodeSpace:
     @property
     def one(self) -> SparseState:
         return self.basis[1]
+
+    @cached_property
+    def plan(self) -> tuple:
+        """(keys, pick, shared): the sorted union of the basis keys; an
+        itemgetter of each key's first term in |0_L>'s products, then |1_L>'s
+        (a tuple: orthogonal states hold two keys or more); and (position,
+        product index) of |1_L>'s term at each key both states hold."""
+        both = self.zero.keys + self.one.keys
+        first = {k: i for i, k in reversed(list(enumerate(both)))}
+        last = {k: i for i, k in enumerate(both)}
+        keys = tuple(sorted(first))
+        shared = tuple((p, last[k]) for p, k in enumerate(keys) if last[k] != first[k])
+        return keys, itemgetter(*map(first.get, keys)), shared
+
+    def _combined(self, c0, c1) -> list:
+        """c0|0_L> + c1|1_L> at each plan key, unpruned, summed as combine sums."""
+        (_, pick, shared), c0, c1 = self.plan, complex(c0), complex(c1)
+        products = [c0 * a for a in self.zero.amps] + [c1 * a for a in self.one.amps]
+        amps = list(pick(products))
+        for p, i in shared:
+            amps[p] += products[i]
+        return amps
+
+    def state(self, c0, c1) -> SparseState:
+        """c0|0_L> + c1|1_L> (not normalized), pruned as combine prunes."""
+        st, keys, amps = _states(), self.plan[0], self._combined(c0, c1)
+        if min(map(abs, amps)) > st.PRUNE_TOL:
+            return st._state(self.zero.n, keys, tuple(amps))
+        return st._terms_state(self.zero.n, [t for t in zip(keys, amps) if abs(t[1]) > st.PRUNE_TOL])
+
+    def coords(self, psi: SparseState) -> list[complex]:
+        """[<0_L|psi>, <1_L|psi>], summed as inner sums, from one dict of psi."""
+        lookup, out = dict(zip(psi.keys, psi.amps)), []
+        for b in self.basis:
+            total = 0j
+            for a, v in zip(b.amps, map(lookup.get, b.keys)):
+                if v is not None:
+                    total += a.conjugate() * v
+            out.append(total)
+        return out
+
+    def overlap(self, psi: SparseState, c0, c1) -> complex:
+        """<psi|state(c0, c1)>, summed in key order as inner sums; a psi on
+        the plan's keys (as the T runners' outputs are) needs no dict."""
+        keys, floor, total = self.plan[0], _states().PRUNE_TOL, 0j
+        values = psi.amps if psi.keys == keys else map(dict(zip(psi.keys, psi.amps)).get, keys)
+        for a, v in zip(self._combined(c0, c1), values):
+            if v is not None and abs(a) > floor:
+                total += v.conjugate() * a
+        return total
 
 
 def _reduce_tracked(vec: int, pauli: PauliOperator, basis: list):
@@ -167,6 +230,9 @@ def check_css_pair(c1: ClassicalCode, c2: ClassicalCode) -> None:
 def css_from_classical(c1: ClassicalCode, c2: ClassicalCode, name: str | None = None) -> StabilizerCode:
     """CSS code from nested classical codes: X checks from C2, Z checks from C1-dual."""
     check_css_pair(c1, c2)
+    for label, c in (("C1", c1), ("C2", c2)):
+        if len(gf2.rref(c.basis)) < c.dimension:
+            raise ValueError(f"{label} has linearly dependent basis rows")
     if c1.dimension <= c2.dimension:
         raise ValueError("need dim C1 > dim C2")
     n = c1.length

@@ -19,7 +19,8 @@ Conventions shared by all runners:
 * The runners share one encode step (_encode), keys built as
   KeyRegister.uniform(n, key[0], key[1]) and reported as keys.pair(1), and
   one logical-T check (_checked_logical_t); syndrome decoding, the
-  transversal circuit and the logical mask stay in their own runner.
+  transversal circuit and the logical mask stay in their own runner.  They
+  build and read code-space states by CodeSpace.state, coords and overlap.
 """
 
 from __future__ import annotations
@@ -55,11 +56,9 @@ from .states import (
     apply_monomial,
     apply_pauli,
     apply_single,
-    combine,
     eigen_bit,
     fidelity_up_to_phase,
     gate,
-    inner,
     unit_amplitudes,
 )
 
@@ -228,9 +227,9 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None, transcript=
 
     A Clifford gate's key rule is replayed on the keys.  Z, S, Sd gates and
     T/Td gadgets join the pending MonomialLayer, which apply_monomial runs
-    as one pass before any X, H or CNOT and before the final correction
-    (measured qubits are never touched again, so this equals keeping every
-    pair until the end).  A T/Td gate is applied inside the teleportation
+    as one pass before any X, H or CNOT, and at the end with the final
+    correction as its trailing Pauli (measured qubits are never touched
+    again, so this equals keeping every pair until the end).  A T/Td gate is applied inside the teleportation
     of its data qubit through a Bell pair measured in the rotated basis
     that the qubit's current key (a, b) selects; its outcome is sampled
     when the gadget joins the layer and folds in as a -> a ^ r_a and b -> b
@@ -300,8 +299,6 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None, transcript=
                  "outcome": list(outcome), "forced": pick is not None},
                 {"kind": "key_update", "qubit": w, "old": [a, b], "new": [x >> w - 1 & 1, z >> w - 1 & 1]},
             ]
-    if layer.pending:
-        state = apply_monomial(state, layer)
     final = KeyRegister(n, x, z)
     correction = final.mask.adjoint()
     if transcript is not None:
@@ -309,7 +306,7 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None, transcript=
             {"kind": "final_keys", "keys": final.as_lists()},
             {"kind": "final_correction", "pauli": correction.to_string()},
         ]
-    state = apply_pauli(state, correction)
+    state = apply_monomial(state, layer, correction) if layer.pending else apply_pauli(state, correction)
     return CircuitRun(state, final, transcript, outcomes, max_qubits, max_terms)
 
 
@@ -373,13 +370,13 @@ def _encode(code: StabilizerCode, amplitudes):
     """The code space, unit_amplitudes (c0, c1) and c0|0_L> + c1|1_L>, normalized."""
     space = logical_codewords(code)
     amps = unit_amplitudes(amplitudes)
-    return space, amps, combine(list(space.basis), amps).normalized()
+    return space, amps, space.state(*amps).normalized()
 
 
 def _checked_logical_t(state: SparseState, space, amps, what: str) -> float:
     """The fidelity of state with c0|0_L> + omega c1|1_L>; raises below 1 - TOL."""
     c0, c1 = amps
-    fid = fidelity_up_to_phase(state, combine(list(space.basis), [c0, OMEGA * c1]))
+    fid = abs(space.overlap(state, c0, OMEGA * c1))
     if fid < 1 - TOL:
         raise ProtocolError(f"{what} output fidelity {fid} below tolerance")
     return fid
@@ -554,7 +551,6 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
     """
     code = builtin_code("shor")
     space, amps, psi = _encode(code, amplitudes)
-    zero, one = space.basis
     keys = KeyRegister.uniform(1, key[0], key[1])
     a, b = keys.pair(1)
     enc = psi
@@ -562,13 +558,13 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
         enc = apply_pauli(enc, code.logical_z[0])
     if a:
         enc = apply_pauli(enc, code.logical_x[0])
-    x = [inner(zero, enc), inner(one, enc)]
+    x = space.coords(enc)
     total = _weight(x)
     if abs(total - 1) > TOL:
         raise ProtocolError(f"logical Bell measurement probabilities sum to {total}")
     forced = None if forced_outcome is None else [forced_outcome]
     run = run_circuit(SparseState(1, (0, 1), x), _LOGICAL_T_CIRCUIT, keys, rng, forced)
-    state = combine([zero, one], [run.state.amplitude(0), run.state.amplitude(1)])
+    state = space.state(run.state.amplitude(0), run.state.amplitude(1))
     fid = _checked_logical_t(state, space, amps, "logical-T")
     resources = resource_report(code.n)
     max_terms = max(st.num_terms for st in (psi, enc, state))

@@ -19,7 +19,8 @@ sums are explicit ``+=`` loops in key order (``sum()`` of floats is
 compensated since Python 3.12, so it would round differently across the
 supported versions), and every factor is a Python complex (a float or int
 factor multiplies differently on Python 3.14, in the signs of zero parts).
-``inner`` and ``eigen_bit`` look keys up in a dict of the terms.
+``inner``, ``eigen_bit`` and the general (H) branch of ``apply_single``
+(which pairs key k with k ^ bit) look keys up in a dict of the terms.
 ``eigen_bit`` is the syndrome readout of ``protocol``: it answers whether
 P|psi> = +|psi> or -|psi>, amplitude by amplitude within ``TOL``, and reads
 a Z-only Pauli on keys of one parity class, as in every eigenstate, from
@@ -33,7 +34,8 @@ Broadbent and Jeffery (CRYPTO 2015, arXiv:1412.8766), outcome (r_a, r_b),
 of weight 1/4 each, puts diag(1, omega^(t + u + 4 r_b)) on the qubit and
 then flips its bit if r_a, so no joint register is built.  A
 ``MonomialLayer`` collects a run of these gates as a key flip and omega-
-exponents, and ``apply_monomial`` applies the run in one pass.
+exponents, and ``apply_monomial`` applies the run, and a trailing Pauli
+(a circuit's final key correction) if given, in one pass with one sort.
 """
 
 from __future__ import annotations
@@ -192,10 +194,14 @@ def _coalesce(keys, amps):
     return tuple(kept), tuple([acc[k] for k in kept])
 
 
+def _terms_state(n: int, terms) -> SparseState:
+    """A state from (key, amplitude) pairs with sorted, distinct keys, unchecked."""
+    return _state(n, tuple([k for k, _ in terms]), tuple([a for _, a in terms]))
+
+
 def _resorted(n: int, keys, amps) -> SparseState:
     """A state from distinct keys in any order."""
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return _state(n, tuple([keys[i] for i in order]), tuple([amps[i] for i in order]))
+    return _terms_state(n, sorted(zip(keys, amps)))
 
 
 def combine(states, coeffs) -> SparseState:
@@ -241,13 +247,19 @@ def apply_single(state: SparseState, g: SingleQubitGate, qubit: int) -> SparseSt
         # antidiagonal: basis permutation
         return _resorted(state.n, [k ^ bit for k in keys],
                          [a * m01 if k & bit else a * m10 for k, a in zip(keys, amps)])
-    # general: each term branches into bit=0 and bit=1 components
+    # general: keys k and k ^ bit map to each other, and the one with the bit
+    # clear adds its term first where both are present
     if 2 * state.num_terms > TERM_GUARD:
         raise ValueError(f"gate {g.label} result exceeds the term-count guard")
-    keys2 = [k & ~bit for k in keys] + [k | bit for k in keys]
-    amps2 = ([a * m01 if k & bit else a * m00 for k, a in zip(keys, amps)]
-             + [a * m11 if k & bit else a * m10 for k, a in zip(keys, amps)])
-    return _state(state.n, *_coalesce(keys2, amps2))
+    lookup, terms = dict(zip(keys, amps)), []
+    for k, a in zip(keys, amps):
+        b = lookup.get(k ^ bit)
+        if not k & bit:
+            terms += ((k, a * m00 if b is None else a * m00 + b * m01),
+                      (k | bit, a * m10 if b is None else a * m10 + b * m11))
+        elif b is None:
+            terms += ((k ^ bit, a * m01), (k, a * m11))
+    return _terms_state(state.n, sorted(t for t in terms if abs(t[1]) > PRUNE_TOL))
 
 
 def apply_cnot(state: SparseState, control: int, target: int) -> SparseState:
@@ -375,14 +387,16 @@ def _unit_factors(norm2: float | None) -> tuple:
             complex(-s, 0.0), complex(-r, -r), complex(0.0, -s), complex(r, -r))
 
 
-def apply_monomial(state: SparseState, layer: MonomialLayer) -> SparseState:
+def apply_monomial(state: SparseState, layer: MonomialLayer, then: PauliOperator | None = None) -> SparseState:
     """The layer's monomial map in one pass: each term is multiplied by one
     of the eight factors of _unit_factors, its exponent read by bit_count
     from three qubit masks (the 1s, 2s and 4s of the coefficients).  A layer
     without a gadget has even exponents and no scale, so its factors are
     exactly 1, i, -1 and -i: for amplitudes without zero real or imaginary
     parts it equals applying its Z, S and Sd gates one by one, bit for bit.
-    A layer with a gadget prunes terms of magnitude <= PRUNE_TOL."""
+    A layer with a gadget prunes terms of magnitude <= PRUNE_TOL.  A Pauli
+    `then` on the same qubits is applied to the survivors before the one
+    sort, as a * unit * sign * phase: bit for bit apply_pauli after it."""
     if layer.n != state.n:
         raise ValueError(f"layer on {layer.n} qubits, state on {state.n}")
     cs = layer.coeffs
@@ -395,6 +409,10 @@ def apply_monomial(state: SparseState, layer: MonomialLayer) -> SparseState:
              for k, a in zip(state.keys, state.amps)]
     if layer.norm2 is not None:
         terms = [t for t in terms if abs(t[1]) > PRUNE_TOL]
+    if then is not None:
+        z, ph = then.z, then.phase_value()
+        terms = [(k ^ then.x, a * _SIGNS[(k & z).bit_count() & 1] * ph) for k, a in terms]
+        flip ^= then.x
     if flip:
         terms.sort()  # the keys are distinct, so no amplitude is compared
-    return _state(state.n, tuple([k for k, _ in terms]), tuple([a for _, a in terms]))
+    return _terms_state(state.n, terms)

@@ -12,8 +12,11 @@ readout that once checked the codewords, the signed-weight syndrome readout
 and the per-qubit-key storage runner, the CSS coset state, the
 state-level phase layer and projector, the even-support parity check, the
 code-file writer, code validation by PauliOperator.commutes calls, the dict
-constructor, tensor product and qubit swap of sparse states, and the
-Clifford key rule on (a, b) pairs).
+constructor, tensor product and qubit swap of sparse states, the
+Clifford key rule on (a, b) pairs, and the combine/inner, two-pass,
+index-sort and coalescing routes that the code-space merge plan, the
+trailing Pauli of apply_monomial, the zip sort of _resorted and the paired
+general branch of apply_single replaced).
 """
 
 from __future__ import annotations

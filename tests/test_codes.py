@@ -420,6 +420,16 @@ class TestCssConstruction:
         with pytest.raises(ValueError, match="^classical codes differ in length$"):
             css_from_classical(c1, c2)
 
+    @pytest.mark.parametrize("which", ["C1", "C2"])
+    def test_dependent_basis_rows(self, which):
+        # ClassicalCode.dimension counts rows, so dependent rows once made
+        # the coset-representative step come up short (an IndexError)
+        c1, c2 = gf2.ClassicalCode(6, (7, 30, 7)), gf2.ClassicalCode(6, (7,))
+        if which == "C2":
+            c1, c2 = gf2.ClassicalCode(6, (7, 30, 1)), gf2.ClassicalCode(6, (7, 7))
+        with pytest.raises(ValueError, match=f"^{which} has linearly dependent basis rows$"):
+            css_from_classical(c1, c2)
+
     def test_css_validates_for_k2(self):
         c1 = gf2.code_from_strings(["1100", "0011", "1010"])
         c2 = gf2.code_from_strings(["1111"])

@@ -1,0 +1,198 @@
+"""The code-space merge plan, the trailing Pauli of apply_monomial, the zip
+sort of _resorted and the paired general branch of apply_single, each
+against the route it replaced (kept in tests/oracles.py), in keys and in
+float.hex of both parts of every amplitude, so signed zeros count."""
+
+import random
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from hqec.codes import BUILTIN_NAMES, builtin_code, logical_codewords
+from hqec.pauli import PauliOperator
+from hqec.protocol import _encode
+from hqec.states import (
+    PRUNE_TOL,
+    MonomialLayer,
+    SingleQubitGate,
+    SparseState,
+    _resorted,
+    apply_monomial,
+    apply_single,
+    combine,
+    gate,
+)
+from oracles import (
+    coalescing_apply_single,
+    combine_coords,
+    combine_encode,
+    combine_overlap,
+    index_sort_resorted,
+    two_pass_monomial,
+)
+from test_codewords import clifford_codes
+
+PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.6, -0.6, 0.8, -0.8, 1e-300]),
+    st.builds(lambda seed: random.Random(seed).gauss(0.0, 1.0), st.integers(0, 2**32 - 1)),
+)
+AMPS = st.builds(complex, PARTS, PARTS)
+BUILTIN_SPACES = [logical_codewords(builtin_code(name)) for name in BUILTIN_NAMES]
+
+
+def hex_of(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def hex_terms(state: SparseState):
+    return state.n, [(k, *hex_of(a)) for k, a in state.items()]
+
+
+@st.composite
+def nearby_states(draw, space):
+    """A state on some keys of the code space's plan and some others, each
+    amplitude drawn from AMPS (the constructor prunes exact zeros)."""
+    n = space.zero.n
+    plan_keys = list(space.plan[0])
+    keys = set(draw(st.lists(st.sampled_from(plan_keys), max_size=len(plan_keys))))
+    keys |= set(draw(st.lists(st.integers(0, (1 << n) - 1), max_size=4)))
+    keys = sorted(keys)
+    return SparseState(n, keys, draw(st.lists(AMPS, min_size=len(keys), max_size=len(keys))))
+
+
+def assert_plan_matches(space, psi, c0, c1):
+    assert hex_terms(space.state(c0, c1)) == hex_terms(combine(list(space.basis), [c0, c1]))
+    assert [hex_of(v) for v in space.coords(psi)] == [hex_of(v) for v in combine_coords(space, psi)]
+    assert hex_of(space.overlap(psi, c0, c1)) == hex_of(combine_overlap(space, psi, c0, c1))
+
+
+class TestCodeSpacePlan:
+    @pytest.mark.parametrize("space", BUILTIN_SPACES, ids=BUILTIN_NAMES)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_builtin_spaces(self, space, data):
+        assert_plan_matches(space, data.draw(nearby_states(space)), data.draw(AMPS), data.draw(AMPS))
+
+    @given(clifford_codes(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_codes(self, code, data):
+        space = logical_codewords(code)
+        assert_plan_matches(space, data.draw(nearby_states(space)), data.draw(AMPS), data.draw(AMPS))
+
+    def test_plan_is_the_sorted_union(self):
+        for space in BUILTIN_SPACES:
+            zero, one = space.basis
+            keys, pick, shared = space.plan
+            assert list(keys) == sorted(set(zero.keys) | set(one.keys))
+            # pick takes each key's first term from |0_L>'s keys, then |1_L>'s
+            firsts = pick(range(2 * len(keys)))
+            assert [(zero.keys + one.keys)[i] for i in firsts] == list(keys)
+            assert all((i < zero.num_terms) == (k in zero.keys) for i, k in zip(firsts, keys))
+            assert [keys[p] for p, _ in shared] == sorted(set(zero.keys) & set(one.keys))
+            assert all(i >= zero.num_terms and (zero.keys + one.keys)[i] == keys[p] for p, i in shared)
+
+    def test_pruning(self):
+        # shor's |1_L> is Z^9|0_L>, on the same keys with amplitudes +-x, so
+        # c1 = -c0 + 1e-14j leaves 1e-14 x <= PRUNE_TOL on half of them
+        space = logical_codewords(builtin_code("shor"))
+        c0, c1 = 1 + 0j, -1 + 1e-14j
+        got = space.state(c0, c1)
+        keys = space.plan[0]
+        assert 0 < got.num_terms < len(keys)
+        raw = [c0 * space.zero.amplitude(k) + c1 * space.one.amplitude(k) for k in keys]
+        assert sum(abs(a) <= PRUNE_TOL for a in raw) == len(keys) - got.num_terms
+        psi = SparseState(9, keys, [0.6 - 0.8j] * len(keys))
+        assert_plan_matches(space, psi, c0, c1)
+        assert hex_terms(space.state(1e-300, 0.6)) == hex_terms(combine(list(space.basis), [1e-300, 0.6]))
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    @given(c0=AMPS, c1=AMPS)
+    @settings(max_examples=40, deadline=None)
+    def test_encode(self, name, c0, c1):
+        assume(c0 != 0 or c1 != 0)
+        code = builtin_code(name)
+        space, amps, psi = _encode(code, (c0, c1))
+        want_space, want_amps, want = combine_encode(code, (c0, c1))
+        assert space is want_space and amps == want_amps
+        assert hex_terms(psi) == hex_terms(want)
+
+
+def _random_pauli(draw, n):
+    bits = st.integers(0, (1 << n) - 1)
+    return PauliOperator(n, draw(bits), draw(bits), draw(st.integers(0, 3)))
+
+
+@st.composite
+def layers_and_states(draw):
+    """(state, layer, Pauli): a state on random keys, a layer of phases and
+    forced T gadgets, and a trailing Pauli on the same qubits."""
+    n = draw(st.integers(1, 6))
+    keys = sorted(set(draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=20))))
+    state = SparseState(n, keys, draw(st.lists(AMPS, min_size=len(keys), max_size=len(keys))))
+    layer, qubit = MonomialLayer(n), st.integers(1, n)
+    measurable = state.norm() > 1e-3
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()) or not measurable:
+            layer.phase(draw(qubit), draw(st.sampled_from([2, 4, 6])))
+        else:
+            layer.gadget(state, draw(qubit), draw(st.sampled_from([0, 2, 6, 14])), draw(st.sampled_from([0, 1, 7])),
+                         None, draw(st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)])))
+    return state, layer, _random_pauli(draw, n)
+
+
+class TestTrailingPauli:
+    @given(layers_and_states())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_two_passes(self, case):
+        state, layer, then = case
+        assert hex_terms(apply_monomial(state, layer, then)) == hex_terms(two_pass_monomial(state, layer, then))
+        assert hex_terms(apply_monomial(state, layer)) == hex_terms(two_pass_monomial(state, layer))
+
+    @pytest.mark.parametrize("space", BUILTIN_SPACES, ids=BUILTIN_NAMES)
+    @given(c0=AMPS, c1=AMPS, outcomes=st.lists(st.integers(0, 3), min_size=15, max_size=15), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_code_space_states(self, space, c0, c1, outcomes, data):
+        # transversal T gadgets on the encoded state, then a random Pauli;
+        # the gadgets prune terms of magnitude <= PRUNE_TOL (from 1e-300 parts)
+        state = space.state(c0, c1)
+        n = state.n
+        assume(state.norm() > 1e-3)
+        layer = MonomialLayer(n)
+        for q, o in zip(range(1, n + 1), outcomes):
+            layer.gadget(state, q, 2 * (o & 1), 1, None, divmod(o, 2))
+        then = _random_pauli(data.draw, n)
+        assert hex_terms(apply_monomial(state, layer, then)) == hex_terms(two_pass_monomial(state, layer, then))
+
+
+class TestResorted:
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=40))), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_index_sort(self, n_keys, data):
+        n, keys = n_keys
+        amps = data.draw(st.lists(AMPS, min_size=len(keys), max_size=len(keys)))
+        assert hex_terms(_resorted(n, keys, amps)) == hex_terms(index_sort_resorted(n, keys, amps))
+
+
+ROTATION = SingleQubitGate("R", ((0.6, 0.8), (0.8j, -0.6j)))
+
+
+class TestPairedApplySingle:
+    @given(st.integers(1, 6), st.sampled_from(["H", "X", "S", "R"]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_coalescing(self, n, label, data):
+        g = ROTATION if label == "R" else gate(label)
+        keys = sorted(set(data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=30))))
+        state = SparseState(n, keys, data.draw(st.lists(AMPS, min_size=len(keys), max_size=len(keys))))
+        qubit = data.draw(st.integers(1, n))
+        assert hex_terms(apply_single(state, g, qubit)) == hex_terms(coalescing_apply_single(state, g, qubit))
+
+    def test_pruning(self):
+        # H|+> cancels |1> exactly, and (0.6, 0.6 + 1e-13) leaves 7e-14 there;
+        # (0.6, -0.6 - 1e-13j) leaves 7e-14 at |0>
+        for amps, kept in (([0.6, 0.6], 0), ([0.6, 0.6 + 1e-13], 0), ([0.6, -0.6 - 1e-13j], 1)):
+            state = SparseState(1, [0, 1], amps)
+            got = apply_single(state, gate("H"), 1)
+            assert got.keys == (kept,)
+            assert hex_terms(got) == hex_terms(coalescing_apply_single(state, gate("H"), 1))
