@@ -422,8 +422,7 @@ class TestCssConstruction:
 
     @pytest.mark.parametrize("which", ["C1", "C2"])
     def test_dependent_basis_rows(self, which):
-        # ClassicalCode.dimension counts rows, so dependent rows once made
-        # the coset-representative step come up short (an IndexError)
+        # ClassicalCode.dimension counts rows, not rank
         c1, c2 = gf2.ClassicalCode(6, (7, 30, 7)), gf2.ClassicalCode(6, (7,))
         if which == "C2":
             c1, c2 = gf2.ClassicalCode(6, (7, 30, 1)), gf2.ClassicalCode(6, (7, 7))
