@@ -1,6 +1,6 @@
-"""End-to-end byte pins of the four runners.
+"""End-to-end byte pins of the four runners and of the diagonal-gate action.
 
-Each test hashes, over a fixed grid of seeds, keys and amplitudes (with
+Each runner test hashes, over a fixed grid of seeds, keys and amplitudes (with
 zero and negative-zero parts), every final state byte for byte (keys, and
 float.hex of both parts of every amplitude, so the sign of zero counts),
 the fidelity in float.hex and the report's as_dict().  A runner that raises
@@ -8,13 +8,27 @@ contributes its exception type and message.  The digests were generated
 from the code before the code-space merge plan and the fused final
 correction of apply_monomial existed, so they hold those paths to the
 results of the combine/_coalesce and two-pass routes they replaced.
+
+The diagonal-action pin hashes compat._diagonal_action's leakage and
+logical phases in float.hex (or the message it raises) on the builtin code
+spaces, on seeded code texts shaped like the benchmark's cold codes
+(permuted steane, rm15 and shor; steane and shor with one qubit conjugated
+by H; ZZ chains with a negated first link), and on hand-built rotated bases
+a|0> + b e^(i phi)|1>, -b e^(-i phi)|0> + a|1>, some at angles whose terms
+fall near PRUNE_TOL.  Its digest was generated from the state-level route
+(combine and inner) that the per-codeword dict route replaced.
 """
 
+import cmath
 import hashlib
 import json
+import math
+import random
 
 import pytest
 
+from hqec.codes import BUILTIN_NAMES, CodeSpace, builtin_code, logical_codewords, parse_code_text
+from hqec.compat import OMEGA, _diagonal_action
 from hqec.protocol import (
     KeyRegister,
     run_demo_circuit,
@@ -23,7 +37,8 @@ from hqec.protocol import (
     run_transversal_t_protocol,
 )
 from hqec.rng import SplitMix64
-from hqec.states import SparseState, unit_amplitudes
+from hqec.states import SparseState, combine, unit_amplitudes
+from oracles import basis_state
 
 SEEDS = (0, 3, 11)
 KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -130,3 +145,97 @@ STORAGE_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(STORAGE_DIGESTS))
 def test_storage_pin(name):
     assert _digest(_storage_lines(name)) == STORAGE_DIGESTS[name]
+
+
+PHASES = (OMEGA, OMEGA.conjugate(), -1j, 1j, 1.0, -1.0, cmath.exp(1j * cmath.pi / 8))
+ANGLES = (0.0, 1e-13, 1e-12, 3e-12, 1e-11, 1e-6, 0.3, math.pi / 4, math.pi / 4 - 1e-13, math.pi / 4 + 1e-12,
+          math.pi / 2 - 1e-13)
+TWISTS = (0.0, 0.7, math.pi / 2, math.pi)
+
+
+def _action_text(space, phase) -> str:
+    def run():
+        leakage, phases = _diagonal_action(space, complex(phase))
+        shown = "none" if phases is None else " ".join(f"{p.real.hex()},{p.imag.hex()}" for p in phases)
+        return f"{leakage.hex()} {shown}"
+    return _guarded(run)
+
+
+def _signed_product(a: str, b: str) -> str:
+    """Product of two signed X-only or two signed Z-only Pauli strings."""
+    sign = "-" if a.startswith("-") != b.startswith("-") else ""
+    a, b = a.lstrip("-"), b.lstrip("-")
+    return sign + "".join("I" if p == q else (p if q == "I" else q) for p, q in zip(a, b))
+
+
+def _cold_text(rng, gens, lx: str, lz: str, hadamard: bool = False) -> str:
+    """A code text with qubits permuted, each generator times a random subset
+    of the later ones of its own type, and one qubit conjugated by H if asked."""
+    n = len(lx)
+    perm = list(range(n))
+    rng.shuffle(perm)
+
+    def permuted(text):
+        sign, body = ("-", text[1:]) if text.startswith("-") else ("", text)
+        out = [""] * n
+        for q, ch in enumerate(body):
+            out[perm[q]] = ch
+        return sign + "".join(out)
+
+    gens = [permuted(g) for g in gens]
+    lx, lz = permuted(lx), permuted(lz)
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            if len(set(gens[i] + gens[j]) - set("-I")) == 1 and rng.random() < 0.5:
+                gens[i] = _signed_product(gens[i], gens[j])
+    if hadamard:
+        q, swap = rng.randrange(n), {"X": "Z", "Z": "X"}
+
+        def conj(text):
+            cut = len(text) - n
+            return text[:cut + q] + swap.get(text[cut + q], text[cut + q]) + text[cut + q + 1:]
+
+        gens, lx, lz = [conj(g) for g in gens], conj(lx), conj(lz)
+    return "\n".join([f"{n} 1", *gens, lx, lz]) + "\n"
+
+
+def _cold_spaces():
+    for name, hadamard in (("steane", False), ("rm15", False), ("shor", False), ("steane", True), ("shor", True)):
+        code = builtin_code(name)
+        gens = [g.to_string() for g in code.generators]
+        for seed in range(7):
+            text = _cold_text(random.Random(seed), gens, code.logical_x[0].to_string(),
+                              code.logical_z[0].to_string(), hadamard)
+            yield logical_codewords(parse_code_text(text))
+    for n in (8, 10):
+        chain = [("-" if i == 0 else "") + "I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 1)]
+        for seed in range(7):
+            text = _cold_text(random.Random(seed), chain, "X" * n, "Z" + "I" * (n - 1))
+            yield logical_codewords(parse_code_text(text))
+
+
+def _rotated_spaces():
+    code = builtin_code("bit_flip")
+    pairs = [(basis_state(1, 0), basis_state(1, 1)), (basis_state(2, 0), basis_state(2, 3))]
+    pairs += [logical_codewords(builtin_code(name)).basis for name in ("bit_flip", "steane")]
+    for zero, one in pairs:
+        for theta in ANGLES:
+            for phi in TWISTS:
+                a, b = complex(math.cos(theta)), math.sin(theta) * cmath.exp(1j * phi)
+                yield CodeSpace(code, (combine([zero, one], [a, b]), combine([zero, one], [-b.conjugate(), a])))
+    zero, one = pairs[2]
+    yield CodeSpace(code, (zero.scaled(1.5), basis_state(4, 0)))  # not orthonormal before the size check
+    yield CodeSpace(code, (zero, basis_state(4, 0)))  # a size mismatch
+    yield CodeSpace(code, (zero, zero))
+
+
+def _diagonal_lines():
+    spaces = [logical_codewords(builtin_code(name)) for name in BUILTIN_NAMES]
+    for space in spaces + list(_cold_spaces()) + list(_rotated_spaces()):
+        for phase in PHASES:
+            yield _action_text(space, phase)
+
+
+def test_diagonal_action_pin():
+    assert _digest(_diagonal_lines()) == (
+        "a38fac30e72372f6ae5b7e82561e13c39b376f0a93e3afba261b8b20629d6533")
