@@ -8,7 +8,11 @@ that turns a transversal T into the exact logical T.
 
 The mask checks are symplectic and GF(2) algebra on Python ints, the CSS
 pair checked by ``codes.check_css_pair``; only the diagonal-gate functions
-import the ``states`` layer, when called.  A diagonal gate's action is
+read the ``states`` layer (its tolerances and squared-weight sum, through
+``codes._states()``, which imports it on first use).  A diagonal gate's
+action is computed from one key -> amplitude dict per codeword, with no
+intermediate state, bit for bit as the state-level route that
+tests/oracles.py keeps (projection_diagonal_action).  It is
 memoized by (code space, phase), so clifford_correction_for_t reads the
 transversal-T action that diagonal_gate_action computed, and vice versa;
 stabilizer_mask_check is memoized by code.  The protocol error classes,
@@ -26,7 +30,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import gf2
-from .codes import CODE_CACHE_SIZE, CodeSpace, StabilizerCode, check_css_pair
+from .codes import CODE_CACHE_SIZE, CodeSpace, StabilizerCode, _states, check_css_pair
 from .gf2 import ClassicalCode
 from .pauli import transversal_pauli
 
@@ -132,9 +136,17 @@ class DiagonalAction(NamedTuple):
 
     @property
     def preserves_code_space(self) -> bool:  # by _diagonal_action's bound
-        from .states import TOL
+        return self.leakage < _states().TOL
 
-        return self.leakage < TOL
+
+def _bracket(u, lookup: dict) -> complex:
+    """<u|psi> for psi as a key -> amplitude dict, summed in u's key order
+    (as the states layer sums a bracket)."""
+    total = 0j
+    for x, y in zip(u.amps, map(lookup.get, u.keys)):
+        if y is not None:
+            total += x.conjugate() * y
+    return total
 
 
 @lru_cache(maxsize=CODE_CACHE_SIZE)
@@ -143,33 +155,63 @@ def _diagonal_action(code_space: CodeSpace, phase_per_one: complex):
     space; the phases are None when the gate leaks or is not a pure phase
     on each basis state.  The gate acts on (|0> + |1>)/sqrt2, the residual
     image - projection gives the leakage, and <i|gate|i> the phases.
-    Memoized by (code space, phase); a raise caches nothing."""
-    from .states import TOL, _state, _weight, combine, inner
+    Memoized by (code space, phase); a raise caches nothing.
 
-    basis = code_space.basis
-    for i, u in enumerate(basis):  # inner raises on basis states of different sizes
-        for j, v in enumerate(basis):
-            if abs(inner(u, v) - (1.0 if i == j else 0.0)) > TOL:
-                raise ValueError("projection span is not orthonormal")
-    powers = [phase_per_one**w for w in range(basis[0].n + 1)]
+    Each codeword is read through one key -> amplitude dict and no state is
+    built, yet every number is bit for bit that of the state-level route
+    (linear combinations, brackets and a per-key phase on SparseStates),
+    which tests/oracles.py keeps as projection_diagonal_action: brackets
+    sum in the codeword's key order, a key both codewords hold adds |0>'s
+    term first, and terms are pruned at PRUNE_TOL where a combination of
+    states prunes them."""
+    st = _states()
+    tol, floor = st.TOL, st.PRUNE_TOL
+    zero, one = code_space.basis
+    d0, d1 = dict(zip(zero.keys, zero.amps)), dict(zip(one.keys, one.amps))
 
-    def apply(state):
-        amps = [a * powers[k.bit_count()] for k, a in state.items()]
-        return _state(state.n, state.keys, tuple(amps))
+    def check(u, lookup, want):
+        if abs(_bracket(u, lookup) - want) > tol:
+            raise ValueError("projection span is not orthonormal")
 
-    out = apply(combine(basis, [1 / math.sqrt(2)] * len(basis)))
-    coeffs = [inner(b, out) for b in basis]
+    check(zero, d0, 1.0)
+    if zero.n != one.n:
+        raise ValueError(f"dimension mismatch: {zero.n} vs {one.n}")
+    check(zero, d1, 0.0)
+    check(one, d0, 0.0)
+    check(one, d1, 1.0)
+    powers = [phase_per_one**w for w in range(zero.n + 1)]
+
+    def spanned(c0, c1) -> dict:
+        """c0|0> + c1|1> with terms of magnitude <= PRUNE_TOL dropped."""
+        acc = {k: c0 * a for k, a in zip(zero.keys, zero.amps)}
+        for k, a in zip(one.keys, one.amps):
+            a = c1 * a
+            acc[k] = acc[k] + a if k in acc else a
+        return {k: a for k, a in acc.items() if abs(a) > floor}
+
+    c = complex(1 / math.sqrt(2))
+    out = {k: a * powers[k.bit_count()] for k, a in spanned(c, c).items()}
+    coeffs = (_bracket(zero, out), _bracket(one, out))
     # sqrt(1 - weight) computed as the residual norm: cancellation-free, so
     # an exactly code-space-preserving gate reports leakage 0, not sqrt(eps)
-    if _weight(coeffs) < TOL**2:
+    if st._weight(coeffs) < tol**2:
         leakage = 1.0
     else:
-        leakage = combine([out, combine(basis, coeffs)], [1.0, -1.0]).norm()
-    if leakage >= TOL:
+        proj = spanned(*coeffs)
+        # o - p, o or p: each has the magnitude of the state route's
+        # (1+0j)*o + (-1+0j)*p, and fsum needs no order
+        resid = [o - proj.pop(k) if k in proj else o for k, o in out.items()]
+        leakage = math.sqrt(st._weight([r for r in resid + list(proj.values()) if abs(r) > floor]))
+    if leakage >= tol:
         return leakage, None
-    phases = tuple(inner(b, apply(b)) for b in basis)
+    phases = []
+    for b in (zero, one):
+        total = 0j
+        for k, a in zip(b.keys, b.amps):
+            total += a.conjugate() * (a * powers[k.bit_count()])
+        phases.append(total)
     # a gate that keeps the code space but mixes its basis states has no phases
-    return leakage, None if any(abs(abs(ph) - 1) > TOL for ph in phases) else phases
+    return leakage, None if any(abs(abs(ph) - 1) > tol for ph in phases) else tuple(phases)
 
 
 def diagonal_gate_action(
@@ -210,8 +252,7 @@ def clifford_correction_for_t(code_space: CodeSpace) -> CliffordCorrection | Non
     Reads the memoized transversal-T action that diagonal_gate_action(
     code_space, OMEGA) shares (code spaces hash by their states' identity,
     so the spaces that logical_codewords caches hit)."""
-    from .states import TOL
-
+    tol = _states().TOL
     phases = _diagonal_action(code_space, OMEGA)[1]
     if phases is None:
         return None
@@ -219,7 +260,7 @@ def clifford_correction_for_t(code_space: CodeSpace) -> CliffordCorrection | Non
     gamma = 1.0 / lam0
     target = OMEGA * lam0 / lam1
     for s in range(4):  # i^s takes all of +-1, +-i, so no Z-power is needed
-        if abs(1j**s - target) < TOL:
+        if abs(1j**s - target) < tol:
             return CliffordCorrection(s, 0, complex(gamma))
     return None
 

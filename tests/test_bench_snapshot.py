@@ -1,6 +1,7 @@
 """tools/bench_snapshot.py writes a BENCH_<PR>.json of the documented shape,
 and every function it names exists in src/hqec.  Times are not checked."""
 
+import functools
 import importlib
 import inspect
 import json
@@ -14,8 +15,9 @@ RUNNERS = {"transversal_t", "logical_t", "demo", "storage_shor", "storage_rm15",
 
 
 def _is_function(dotted: str) -> bool:
-    """Whether module.Class.function names a function or property under hqec,
-    or a def nested in a function's body (a code object among its constants)."""
+    """Whether module.Class.function names a function under hqec, the getter
+    of a property or functools.cached_property, or a def nested in a
+    function's body (a code object among its constants)."""
     module, *attrs = dotted.split(".")
     obj = importlib.import_module(f"hqec.{module}")
     for attr in attrs:
@@ -24,7 +26,19 @@ def _is_function(dotted: str) -> bool:
         else:
             consts = inspect.unwrap(obj).__code__.co_consts
             obj = next(c for c in consts if isinstance(c, types.CodeType) and c.co_name == attr)
-    return callable(obj) or isinstance(obj, (property, types.CodeType))
+        if isinstance(obj, property):
+            obj = obj.fget
+        elif isinstance(obj, functools.cached_property):
+            obj = obj.func
+    return callable(obj) or isinstance(obj, types.CodeType)
+
+
+def test_is_function_reads_getters():
+    assert _is_function("codes.CodeSpace.plan")  # a functools.cached_property
+    assert _is_function("codes.CodeSpace.zero")  # a property
+    assert _is_function("compat.DiagonalAction.preserves_code_space")
+    assert _is_function("compat._diagonal_action")  # an lru_cache wrapper
+    assert not _is_function("states.TOL")
 
 
 def test_snapshot_schema(tmp_path):
@@ -44,6 +58,7 @@ def test_snapshot_schema(tmp_path):
     assert set(timed["us_per_run"]) == RUNNERS
     for entry in timed["us_per_run"].values():
         assert entry["best_us"] > 0 and len(entry["all_us"]) == 1
+        assert entry["yardstick_us"] > 0
 
     cli = snap["cli"]
     assert cli["runs"] == 1
@@ -64,5 +79,8 @@ def test_snapshot_schema(tmp_path):
     # the runner itself shows up in its own profile
     assert "protocol.run_transversal_t_protocol" in profiled["runners"]["transversal_t"]["functions"]
     assert "protocol.run_circuit" in profiled["runners"]["transversal_t"]["functions"]
-    # the cold analysis rebuilds the codewords every call
-    assert profiled["runners"]["codes_analysis"]["functions"]["codes._zero_codeword"]["calls_per_run"] == 3
+    # the cold analysis rebuilds the codewords every call, and reads their
+    # diagonal-gate action without combining or bracketing states
+    cold = profiled["runners"]["codes_analysis"]["functions"]
+    assert cold["codes._zero_codeword"]["calls_per_run"] == 3
+    assert not {"states.combine", "states.inner", "states._coalesce"} & set(cold)

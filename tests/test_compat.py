@@ -232,6 +232,24 @@ class TestDiagonalActionOracle:
             with pytest.raises(ValueError, match="^dimension mismatch"):
                 action(bad, OMEGA)
 
+    def test_unnormalized_zero_raises_before_the_size_check(self):
+        # <0|0> is checked first, then the qubit counts, then the other
+        # brackets (the oracle route fails in its combination instead)
+        cs = cached_code_space("bit_flip")
+        bad = CodeSpace(cs.code, (cs.zero.scaled(1.5), basis_state(4, "1110")))
+        with pytest.raises(ValueError, match="^projection span is not orthonormal$"):
+            diagonal_gate_action(bad, OMEGA)
+        with pytest.raises(ValueError, match="^projection span is not orthonormal$"):
+            clifford_correction_for_t(bad)
+
+    def test_normalized_zero_size_mismatch_message(self):
+        cs = cached_code_space("bit_flip")
+        bad = CodeSpace(cs.code, (cs.zero, basis_state(4, "1110").scaled(3.0)))
+        with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 4$"):
+            diagonal_gate_action(bad, OMEGA)
+        with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 4$"):
+            clifford_correction_for_t(bad)
+
 
 class TestDiagonalActionMemo:
     def test_t_action_shared_with_correction(self):
@@ -255,6 +273,18 @@ class TestDiagonalActionMemo:
         after = compat._diagonal_action.cache_info()
         assert after.misses == before.misses + 4
         assert after.hits == before.hits
+
+    @pytest.mark.parametrize("which", ["unnormalized", "sizes"])
+    def test_raise_on_sizes_caches_nothing(self, which):
+        cs = cached_code_space("bit_flip")
+        zero = cs.zero.scaled(1.5) if which == "unnormalized" else cs.zero
+        bad = CodeSpace(cs.code, (zero, basis_state(4, "1110")))
+        for calls in range(1, 4):
+            before = compat._diagonal_action.cache_info()
+            with pytest.raises(ValueError):
+                diagonal_gate_action(bad, OMEGA)
+            after = compat._diagonal_action.cache_info()
+            assert (after.misses, after.hits) == (before.misses + 1, before.hits), calls
 
 
 class TestNotDiagonalOnCodeSpace:

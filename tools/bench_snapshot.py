@@ -9,7 +9,10 @@ The snapshot has three parts:
   code analysis (``codes_analysis``: parse, validate, mask check,
   codewords, T action and T correction of qubit-permuted steane, rm15 and
   shor texts, with the per-code caches cleared first), the best of
-  ``repeat`` timeit calls of ``number`` runs each, in microseconds per run;
+  ``repeat`` timeit calls of ``number`` runs each, in microseconds per run,
+  with ``yardstick_us`` beside it: the best time of a fixed pure-Python
+  loop (``yardstick``) timed the same way just before that runner, so a
+  runner's time can be read relative to the host's speed at that moment;
 * ``cli``: the median wall time of fresh ``python -m hqec.cli`` processes,
   with ``python -c pass`` beside them as the host's interpreter start-up;
 * ``profile``: per runner, the cProfile self time of every function under
@@ -117,12 +120,24 @@ def runners() -> dict:
     }
 
 
+def yardstick() -> int:
+    """A fixed pure-Python loop (int arithmetic, a dict and a list) that no
+    hqec change touches, timed beside each runner as the host's speed."""
+    acc, seen = 0, {}
+    for i in range(400):
+        acc = (acc * 31 + i) & 0xFFFF
+        seen[acc & 63] = seen.get(acc & 63, 0) + 1
+    return acc + len(sorted(seen.values()))
+
+
 def time_runners(calls: dict, repeat: int, number: int) -> dict:
     out = {}
     for name, call in calls.items():
         call()  # fill the per-code caches first
+        stick = min(timeit.repeat(yardstick, repeat=repeat, number=number))
         runs = timeit.repeat(call, repeat=repeat, number=number)
-        out[name] = {"best_us": min(runs) / number * 1e6, "all_us": [r / number * 1e6 for r in runs]}
+        out[name] = {"best_us": min(runs) / number * 1e6, "all_us": [r / number * 1e6 for r in runs],
+                     "yardstick_us": stick / number * 1e6}
     return out
 
 
