@@ -8,6 +8,11 @@ contributes its exception type and message.  The digests were generated
 from the code before the code-space merge plan and the fused final
 correction of apply_monomial existed, so they hold those paths to the
 results of the combine/_coalesce and two-pass routes they replaced.
+The wide storage pin runs every compatible builtin and two code files
+(a ZZ chain with a negated link, a qubit-permuted steane) under every
+single error, two weight-2 errors, a phased error and one of the wrong
+size; its digest was generated while the runner still read each syndrome
+bit back from the state.
 
 The diagonal-action pin hashes compat._diagonal_action's leakage and
 logical phases in float.hex (or the message it raises) on the builtin code
@@ -28,7 +33,7 @@ import random
 import pytest
 
 from hqec.codes import BUILTIN_NAMES, CodeSpace, builtin_code, logical_codewords, parse_code_text
-from hqec.compat import OMEGA, _diagonal_action
+from hqec.compat import OMEGA, ProtocolError, _diagonal_action
 from hqec.protocol import (
     KeyRegister,
     run_demo_circuit,
@@ -88,7 +93,7 @@ def _digest(lines) -> str:
 def _guarded(fn):
     try:
         return fn()
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, ProtocolError) as exc:
         return f"raised {type(exc).__name__}: {exc}"
 
 
@@ -145,6 +150,43 @@ STORAGE_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(STORAGE_DIGESTS))
 def test_storage_pin(name):
     assert _digest(_storage_lines(name)) == STORAGE_DIGESTS[name]
+
+
+WIDE_AMPLITUDES = ((0.6, 0.8), (complex(-0.0, 0.6), complex(0.8, -0.0)))
+STORAGE_CODE_TEXTS = (
+    # the 8-qubit ZZ chain with its first link negated
+    "8 1\n-ZZIIIIII\nIZZIIIII\nIIZZIIII\nIIIZZIII\nIIIIZZII\nIIIIIZZI\nIIIIIIZZ\nXXXXXXXX\nZIIIIIII\n",
+    # steane with its qubits permuted
+    "7 1\nIXXIXIX\nXIIXXIX\nIXIXIXX\nZIZIIZZ\nZZIIZZI\nZZZZIII\nXXXXXXX\nZZZZZZZ\n",
+)
+
+
+def _wide_errors(n: int):
+    """No error, every single X, Y and Z, two weight-2 errors, one with a
+    -i prefix and one of the wrong size."""
+    yield None
+    for q in range(n):
+        for letter in "XYZ":
+            yield "I" * q + letter + "I" * (n - q - 1)
+    yield "XX" + "I" * (n - 2)
+    yield "Z" + "I" * (n - 2) + "Y"
+    yield "-iIY" + "I" * (n - 2)
+    yield "X" * (n + 1)
+
+
+def _storage_wide_lines():
+    codes = sorted(STORAGE_ERRORS) + [parse_code_text(text, f"file{i}") for i, text in enumerate(STORAGE_CODE_TEXTS)]
+    for code in codes:
+        n = builtin_code(code).n if isinstance(code, str) else code.n
+        for key in KEYS:
+            for amps in WIDE_AMPLITUDES:
+                for error in _wide_errors(n):
+                    yield _guarded(lambda: _report_text(run_storage_protocol(code, amps, key, error)))
+
+
+def test_storage_wide_pin():
+    assert _digest(_storage_wide_lines()) == (
+        "49aadca0f4038b0e00919fd79eac5a95d58af89b896da422fcfbf88e3b2fe619")
 
 
 PHASES = (OMEGA, OMEGA.conjugate(), -1j, 1j, 1.0, -1.0, cmath.exp(1j * cmath.pi / 8))
