@@ -75,9 +75,10 @@ def _states():
 class CodeSpace:
     """The logical basis (|0_L>, |1_L>) of a k = 1 code.  Through its merge
     plan (built on first use and kept; dataclasses.replace gives a fresh
-    one), state(c0, c1) is combine(basis, [c0, c1]), and for psi on the
-    code's qubits, coords(psi) is [inner(|0_L>, psi), inner(|1_L>, psi)]
-    and overlap(psi, c0, c1) is inner(psi, state(c0, c1)), bit for bit."""
+    one), state(c0, c1) is the linear combination that tests/oracles.py
+    keeps as combine(basis, [c0, c1]), and for psi on the code's qubits,
+    coords(psi) is [inner(|0_L>, psi), inner(|1_L>, psi)] and overlap(psi,
+    c0, c1) is inner(psi, state(c0, c1)), bit for bit."""
 
     code: StabilizerCode
     basis: tuple[SparseState, ...]
@@ -104,7 +105,8 @@ class CodeSpace:
         return keys, itemgetter(*map(first.get, keys)), shared
 
     def _combined(self, c0, c1) -> list:
-        """c0|0_L> + c1|1_L> at each plan key, unpruned, summed as combine sums."""
+        """c0|0_L> + c1|1_L> at each plan key, unpruned: c0 * |0_L>'s term,
+        then + c1 * |1_L>'s term where both states hold the key."""
         (_, pick, shared), c0, c1 = self.plan, complex(c0), complex(c1)
         products = [c0 * a for a in self.zero.amps] + [c1 * a for a in self.one.amps]
         amps = list(pick(products))
@@ -113,7 +115,7 @@ class CodeSpace:
         return amps
 
     def state(self, c0, c1) -> SparseState:
-        """c0|0_L> + c1|1_L> (not normalized), pruned as combine prunes."""
+        """c0|0_L> + c1|1_L> (not normalized), terms of magnitude <= PRUNE_TOL dropped."""
         st, keys, amps = _states(), self.plan[0], self._combined(c0, c1)
         if min(map(abs, amps)) > st.PRUNE_TOL:
             return st._state(self.zero.n, keys, tuple(amps))
@@ -121,14 +123,8 @@ class CodeSpace:
 
     def coords(self, psi: SparseState) -> list[complex]:
         """[<0_L|psi>, <1_L|psi>], summed as inner sums, from one dict of psi."""
-        lookup, out = dict(zip(psi.keys, psi.amps)), []
-        for b in self.basis:
-            total = 0j
-            for a, v in zip(b.amps, map(lookup.get, b.keys)):
-                if v is not None:
-                    total += a.conjugate() * v
-            out.append(total)
-        return out
+        lookup, bracket = dict(zip(psi.keys, psi.amps)), _states().bracket
+        return [bracket(b, lookup) for b in self.basis]
 
     def overlap(self, psi: SparseState, c0, c1) -> complex:
         """<psi|state(c0, c1)>, summed in key order as inner sums; a psi on

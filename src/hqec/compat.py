@@ -8,11 +8,11 @@ that turns a transversal T into the exact logical T.
 
 The mask checks are symplectic and GF(2) algebra on Python ints, the CSS
 pair checked by ``codes.check_css_pair``; only the diagonal-gate functions
-read the ``states`` layer (its tolerances and squared-weight sum, through
-``codes._states()``, which imports it on first use).  A diagonal gate's
-action is computed from one key -> amplitude dict per codeword, with no
-intermediate state, bit for bit as the state-level route that
-tests/oracles.py keeps (projection_diagonal_action).  It is
+read the ``states`` layer (its tolerances, squared-weight sum and bracket
+sum, through ``codes._states()``, which imports it on first use).  A
+diagonal gate's action is computed from one key -> amplitude dict per
+codeword, with no intermediate state, bit for bit as the state-level route
+that tests/oracles.py keeps (projection_diagonal_action).  It is
 memoized by (code space, phase), so clifford_correction_for_t reads the
 transversal-T action that diagonal_gate_action computed, and vice versa;
 stabilizer_mask_check is memoized by code.  The protocol error classes,
@@ -139,16 +139,6 @@ class DiagonalAction(NamedTuple):
         return self.leakage < _states().TOL
 
 
-def _bracket(u, lookup: dict) -> complex:
-    """<u|psi> for psi as a key -> amplitude dict, summed in u's key order
-    (as the states layer sums a bracket)."""
-    total = 0j
-    for x, y in zip(u.amps, map(lookup.get, u.keys)):
-        if y is not None:
-            total += x.conjugate() * y
-    return total
-
-
 @lru_cache(maxsize=CODE_CACHE_SIZE)
 def _diagonal_action(code_space: CodeSpace, phase_per_one: complex):
     """(leakage, logical phases) of phase^(number of 1 bits) on a code
@@ -165,12 +155,12 @@ def _diagonal_action(code_space: CodeSpace, phase_per_one: complex):
     term first, and terms are pruned at PRUNE_TOL where a combination of
     states prunes them."""
     st = _states()
-    tol, floor = st.TOL, st.PRUNE_TOL
+    tol, floor, bracket = st.TOL, st.PRUNE_TOL, st.bracket
     zero, one = code_space.basis
     d0, d1 = dict(zip(zero.keys, zero.amps)), dict(zip(one.keys, one.amps))
 
     def check(u, lookup, want):
-        if abs(_bracket(u, lookup) - want) > tol:
+        if abs(bracket(u, lookup) - want) > tol:
             raise ValueError("projection span is not orthonormal")
 
     check(zero, d0, 1.0)
@@ -191,7 +181,7 @@ def _diagonal_action(code_space: CodeSpace, phase_per_one: complex):
 
     c = complex(1 / math.sqrt(2))
     out = {k: a * powers[k.bit_count()] for k, a in spanned(c, c).items()}
-    coeffs = (_bracket(zero, out), _bracket(one, out))
+    coeffs = (bracket(zero, out), bracket(one, out))
     # sqrt(1 - weight) computed as the residual norm: cancellation-free, so
     # an exactly code-space-preserving gate reports leakage 0, not sqrt(eps)
     if st._weight(coeffs) < tol**2:

@@ -21,6 +21,9 @@ Conventions shared by all runners:
   one logical-T check (_checked_logical_t); syndrome decoding, the
   transversal circuit and the logical mask stay in their own runner.  They
   build and read code-space states by CodeSpace.state, coords and overlap.
+* The storage runner takes its syndrome from the error (codes.syndrome),
+  not from the state: on a compatible code the mask commutes with every
+  generator, so it leaves each syndrome bit as the error sets it.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .codes import (
     builtin_code,
     decode_single_error,
     logical_codewords,
+    syndrome,
 )
 from .compat import (
     OMEGA,
@@ -56,7 +60,6 @@ from .states import (
     apply_monomial,
     apply_pauli,
     apply_single,
-    eigen_bit,
     fidelity_up_to_phase,
     gate,
     unit_amplitudes,
@@ -408,29 +411,16 @@ class StorageReport:
         }
 
 
-def measured_syndrome(state: SparseState, code: StabilizerCode) -> tuple[int, ...]:
-    """The eigen_bit of each generator on the register, which must be a unit
-    vector; raises naming the first generator that fails (the first one when
-    the squared norm is not 1 within TOL)."""
-    gens = code.generators
-    if gens and abs(_weight(state.amps) - 1) > TOL:
-        raise ProtocolError(f"state is not an eigenstate of {gens[0]}")
-    bits = []
-    for g in gens:
-        bit = eigen_bit(state, g)
-        if bit is None:
-            raise ProtocolError(f"state is not an eigenstate of {g}")
-        bits.append(bit)
-    return tuple(bits)
-
-
 def run_storage_protocol(code, amplitudes, key, injected_error=None, rng=None) -> StorageReport:
     """Encode, mask, optionally corrupt, correct on the masked register, and
     unmask; refuses codes whose generators fail the masking criterion.
 
     The mask U_enc(a,b) = (X^a Z^b)^n is one transversal Pauli, and the
-    unmask is its adjoint times the correction, one Pauli.  Nothing is drawn
-    from rng, so a seed has no effect on the result."""
+    unmask is its adjoint times the correction, one Pauli.  On a compatible
+    code the mask commutes with every generator, so the syndrome of the
+    masked, corrupted register is the error's own: codes.syndrome, and all
+    zeros without an error.  Nothing is drawn from rng, so a seed has no
+    effect on the result."""
     if isinstance(code, str):
         code = builtin_code(code)
     compat = stabilizer_mask_check(code)
@@ -447,7 +437,7 @@ def run_storage_protocol(code, amplitudes, key, injected_error=None, rng=None) -
         if isinstance(injected_error, str):
             injected_error = parse_pauli(injected_error)
         state = apply_pauli(state, injected_error)
-    syn = measured_syndrome(state, code)
+    syn = (0,) * len(code.generators) if injected_error is None else syndrome(code, injected_error)
     corr = decode_single_error(code, syn)
     if corr is None:
         raise ProtocolError(f"syndrome {syn} matches no weight-<=1 error")

@@ -19,13 +19,13 @@ sums are explicit ``+=`` loops in key order (``sum()`` of floats is
 compensated since Python 3.12, so it would round differently across the
 supported versions), and every factor is a Python complex (a float or int
 factor multiplies differently on Python 3.14, in the signs of zero parts).
-``inner``, ``eigen_bit`` and the general (H) branch of ``apply_single``
-(which pairs key k with k ^ bit) look keys up in a dict of the terms.
-``eigen_bit`` is the syndrome readout of ``protocol``: it answers whether
-P|psi> = +|psi> or -|psi>, amplitude by amplitude within ``TOL``, and reads
-a Z-only Pauli on keys of one parity class, as in every eigenstate, from
-that class alone.  ``codes`` reads no state back: it checks its codewords
-on the operators alone.
+``bracket`` is the one bracket sum <u|psi>, in u's key order over a dict
+of psi's terms; ``inner``, ``codes.CodeSpace.coords`` and ``compat``'s
+diagonal-gate action all sum through it.  The general (H) branch of
+``apply_single`` (which pairs key k with k ^ bit) looks keys up in a dict
+of the terms too.  No module reads a syndrome or an eigenvalue back from a
+state: ``codes`` checks its codewords on the operators alone, and
+``protocol`` takes each storage syndrome from the error.
 
 A T gadget (diag(1, omega^t) on a data qubit, which is then teleported
 through a fresh Bell pair measured at once in the basis rotated by U =
@@ -204,30 +204,20 @@ def _resorted(n: int, keys, amps) -> SparseState:
     return _terms_state(n, sorted(zip(keys, amps)))
 
 
-def combine(states, coeffs) -> SparseState:
-    """Linear combination sum_i coeffs[i] * states[i] (not normalized)."""
-    n = states[0].n
-    for s in states:
-        if s.n != n:
-            raise ValueError("dimension mismatch in combine")
-    if sum(s.num_terms for s in states) > TERM_GUARD:
-        raise ValueError("combine result exceeds the term-count guard")
-    keys = [k for s in states for k in s.keys]
-    amps = [c * a for s, c in zip(states, map(complex, coeffs)) for a in s.amps]
-    return _state(n, *_coalesce(keys, amps))
+def bracket(u: SparseState, lookup: dict) -> complex:
+    """<u|psi> for psi as a key -> amplitude dict, summed in u's key order."""
+    total = 0j
+    for x, y in zip(u.amps, map(lookup.get, u.keys)):
+        if y is not None:
+            total += x.conjugate() * y
+    return total
 
 
 def inner(a: SparseState, b: SparseState) -> complex:
     """<a|b> over the shared basis keys, summed in key order."""
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    lookup = dict(b.items())
-    total = 0j
-    for k, x in a.items():
-        y = lookup.get(k)
-        if y is not None:
-            total += x.conjugate() * y
-    return total
+    return bracket(a, dict(zip(b.keys, b.amps)))
 
 
 def fidelity_up_to_phase(a: SparseState, b: SparseState) -> float:
@@ -285,34 +275,6 @@ def apply_pauli(state: SparseState, p: PauliOperator) -> SparseState:
     if p.x:
         return _resorted(state.n, [k ^ p.x for k in state.keys], amps)
     return _state(state.n, state.keys, tuple(amps))
-
-
-def eigen_bit(state: SparseState, p: PauliOperator) -> int | None:
-    """b when P|psi> = (-1)^b |psi>, else None: for the zero state, for a
-    non-Hermitian P (eigenvalues +-i) and for a state that is no eigenstate.
-
-    P = i^phase X(x) Z(z) sends a_k|k> to i^phase s_k a_k |k ^ x>, with s_k =
-    (-1)^popcount(k & z), so the bit is b when s_k a_k matches (-1)^b
-    conj(i^phase) a_(k^x) within TOL at every key k (a missing key counts as
-    amplitude 0).  A Z-only P on keys of one parity class under z is exactly
-    +-1 times the identity there, so that class decides the bit."""
-    if p.n != state.n:
-        raise ValueError(f"dimension mismatch: operator on {p.n}, state on {state.n}")
-    keys, amps = state.keys, state.amps
-    x, z = p.x, p.z
-    if not keys or not p.is_hermitian:
-        return None
-    if not x:
-        parities = {(k & z).bit_count() & 1 for k in keys}
-        if len(parities) == 1:
-            return (p.phase >> 1) ^ parities.pop()
-    lookup = dict(zip(keys, amps))
-    c = p.phase_value().conjugate()
-    for bit, u in ((0, c), (1, -c)):
-        if all(abs(a * _SIGNS[(k & z).bit_count() & 1] - u * lookup.get(k ^ x, 0j)) <= TOL
-               for k, a in zip(keys, amps)):
-            return bit
-    return None
 
 
 _OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))

@@ -53,17 +53,17 @@ from hqec.states import (
     _SIGNS,
     _SQ2,
     PRUNE_TOL,
+    TERM_GUARD,
     TOL,
     SingleQubitGate,
     SparseState,
+    _coalesce,
     _pauli_image,
     _resorted,
     _state,
     _unit_factors,
     _weight,
     apply_pauli,
-    combine,
-    eigen_bit,
     fidelity_up_to_phase,
     gate,
     inner,
@@ -98,6 +98,19 @@ def from_terms(n: int, terms: dict) -> SparseState:
     """A state from {key: amplitude}, each key a packed int or a bitstring."""
     keys = [parse_row(k) if isinstance(k, str) else int(k) for k in terms]
     return SparseState(n, keys, terms.values())
+
+
+def combine(states, coeffs) -> SparseState:
+    """Linear combination sum_i coeffs[i] * states[i] (not normalized)."""
+    n = states[0].n
+    for s in states:
+        if s.n != n:
+            raise ValueError("dimension mismatch in combine")
+    if sum(s.num_terms for s in states) > TERM_GUARD:
+        raise ValueError("combine result exceeds the term-count guard")
+    keys = [k for s in states for k in s.keys]
+    amps = [c * a for s, c in zip(states, map(complex, coeffs)) for a in s.amps]
+    return _state(n, *_coalesce(keys, amps))
 
 
 def tensor(a: SparseState, b: SparseState) -> SparseState:
@@ -524,19 +537,20 @@ def scan_zero_codeword(code) -> SparseState:
 
 def readout_codeword_verdict(code) -> str | None:
     """The check that logical_codewords once ran on its two states, as
-    eigen_bit readouts of the states its construction builds: the
+    eigen_bit_terms readouts of the states its construction builds: the
     message of the ValueError it raises, or None when both codewords pass.
     Construction errors propagate.  Checks, in order: every generator fixes
     |0>, then |1>; logical Z fixes |0> and negates |1>; <0|1> = 0."""
     zero = _zero_codeword(code)
     one = apply_pauli(zero, code.logical_x[0])
-    for state in (zero, one):
+    zero_terms, one_terms = dict(zero.items()), dict(one.items())
+    for terms in (zero_terms, one_terms):
         for g in code.generators:
-            if eigen_bit(state, g) != 0:
+            if eigen_bit_terms(g, terms) != 0:
                 return f"{code.name}: codeword is not fixed by {g}"
-    if eigen_bit(zero, code.logical_z[0]) != 0:
+    if eigen_bit_terms(code.logical_z[0], zero_terms) != 0:
         return f"{code.name}: logical Z does not fix |0>"
-    if eigen_bit(one, code.logical_z[0]) != 1:
+    if eigen_bit_terms(code.logical_z[0], one_terms) != 1:
         return f"{code.name}: logical Z does not negate |1>"
     if abs(inner(zero, one)) > TOL:
         return f"{code.name}: logical basis states are not orthogonal"

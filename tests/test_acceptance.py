@@ -28,7 +28,6 @@ from hqec.states import (
     apply_cnot,
     apply_pauli,
     apply_single,
-    combine,
     gate,
     inner,
 )
@@ -36,6 +35,7 @@ from oracles import (
     apply_diagonal,
     cached_code,
     cached_code_space,
+    combine,
     dense_cnot,
     dense_of,
     dense_pauli,

@@ -19,12 +19,13 @@ from hqec.compat import (
     stabilizer_mask_check,
 )
 from hqec.protocol import KeyRegister, encrypt
-from hqec.states import TOL, SparseState, combine
+from hqec.states import TOL, SparseState
 from oracles import (
     apply_diagonal,
     basis_state,
     cached_code,
     cached_code_space,
+    combine,
     dense_of,
     even_support_check,
     project_onto,

@@ -42,8 +42,8 @@ from hqec.protocol import (
     run_transversal_t_protocol,
 )
 from hqec.rng import SplitMix64
-from hqec.states import SparseState, combine, unit_amplitudes
-from oracles import basis_state
+from hqec.states import SparseState, unit_amplitudes
+from oracles import basis_state, combine
 
 SEEDS = (0, 3, 11)
 KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))

@@ -16,7 +16,6 @@ from hqec.protocol import (
     clifford_key_update,
     encrypt,
     format_circuit,
-    measured_syndrome,
     parse_circuit,
     random_state,
     resource_report,
@@ -26,7 +25,7 @@ from hqec.protocol import (
     run_storage_protocol,
     run_transversal_t_protocol,
 )
-from hqec.codes import builtin_code, parse_code_text, syndrome
+from hqec.codes import builtin_code, logical_codewords, parse_code_text, syndrome
 from hqec.pauli import PauliOperator, parse_pauli, transversal_pauli
 from hqec.rng import SplitMix64
 from hqec import states
@@ -35,7 +34,6 @@ from hqec.states import (
     apply_monomial,
     apply_pauli,
     apply_single,
-    combine,
     fidelity_up_to_phase,
     gate,
 )
@@ -44,6 +42,7 @@ from oracles import (
     BELL_OUTCOMES,
     basis_state,
     cached_code_space,
+    combine,
     dense_cnot,
     dense_gadget_branches,
     dense_of,
@@ -781,56 +780,29 @@ class TestStorageInputs:
             run_storage_protocol("bit_flip", amps, (0, 0), None)
 
 
+CHAIN8_TEXT = "8 1\n-ZZIIIIII\nIZZIIIII\nIIZZIIII\nIIIZZIII\nIIIIZZII\nIIIIIZZI\nIIIIIIZZ\nXXXXXXXX\nZIIIIIII\n"
+
+
 class TestMeasuredSyndrome:
-    @pytest.mark.parametrize("name", ["bit_flip", "phase_flip", "steane", "shor", "rm15"])
+    @pytest.mark.parametrize("name", ["bit_flip", "phase_flip", "steane", "shor", "rm15", "chain8"])
     def test_every_weight_one_error(self, name):
-        code = builtin_code(name)
-        errors = [PauliOperator.identity(code.n)] + [
-            PauliOperator.single(code.n, q, k) for q in range(1, code.n + 1) for k in "XYZ"
-        ]
+        # Theorem 1 on states: every generator reads off the masked,
+        # corrupted codeword exactly the bit that codes.syndrome gives the
+        # error, which is what run_storage_protocol decodes
+        code = parse_code_text(CHAIN8_TEXT, name) if name == "chain8" else builtin_code(name)
+        n = code.n
+        errors = [PauliOperator.identity(n)] + [
+            PauliOperator.single(n, q, k) for q in range(1, n + 1) for k in "XYZ"
+        ] + [parse_pauli("XX" + "I" * (n - 2)), parse_pauli("Z" + "I" * (n - 2) + "Y")]
         for a in (0, 1):
             for b in (0, 1):
-                keys = KeyRegister.uniform(code.n, a, b)
-                for basis_state in cached_code_space(name).basis:
+                keys = KeyRegister.uniform(n, a, b)
+                for basis_state in logical_codewords(code).basis:
                     masked = encrypt(basis_state, keys)
                     for err in errors:
-                        got = measured_syndrome(apply_pauli(masked, err), code)
+                        terms = dict(apply_pauli(masked, err).items())
+                        got = tuple(oracles.eigen_bit_terms(g, terms) for g in code.generators)
                         assert got == syndrome(code, err), (name, (a, b), err)
-
-    @pytest.mark.parametrize("error,generator", [("XII", "ZZI"), ("IIX", "IZZ")])
-    def test_superposed_syndromes_name_the_generator(self, error, generator):
-        zero = cached_code_space("bit_flip").zero
-        mixed = combine([zero, apply_pauli(zero, parse_pauli(error))], [0.6, 0.8])
-        with pytest.raises(ProtocolError, match=f"^state is not an eigenstate of {generator}$"):
-            measured_syndrome(mixed, builtin_code("bit_flip"))
-
-    @pytest.mark.parametrize("scale", [2, 0], ids=["unnormalized", "zero"])
-    def test_not_a_unit_vector_names_the_first_generator(self, scale):
-        # |0> times 2 is an eigenstate of every generator; times 0, no term is left
-        state = cached_code_space("bit_flip").zero.scaled(scale)
-        with pytest.raises(ProtocolError, match="^state is not an eigenstate of ZZI$"):
-            measured_syndrome(state, builtin_code("bit_flip"))
-
-    @pytest.mark.parametrize("text, keys, generator", [
-        ("3 1\nZZI\niIZZ\nXXX\nZZZ\n", [0b000], "iIZZ"),
-        ("3 1\niXXX\nZZI\nXXX\nZZZ\n", [0b000, 0b111], "iXXX"),
-    ])
-    def test_non_hermitian_generator(self, text, keys, generator):
-        # |000> and the GHZ state are eigenstates of IZZ and XXX, so of the
-        # generator with eigenvalue i
-        state = from_terms(3, dict.fromkeys(keys, 1)).normalized()
-        with pytest.raises(ProtocolError, match=f"^state is not an eigenstate of {generator}$"):
-            measured_syndrome(state, parse_code_text(text))
-
-    def test_off_parity_term_below_tolerance(self):
-        # qubit 1 set makes ZZI odd and keeps IZZ even; a term of 1e-11
-        # differs from its ZZI image by 2e-11 <= TOL, one of 1e-10 does not
-        code = builtin_code("bit_flip")
-        near = from_terms(3, {0b000: 1.0, 0b001: 1e-11})
-        assert measured_syndrome(near, code) == (0, 0)
-        far = from_terms(3, {0b000: 1.0, 0b001: 1e-10})
-        with pytest.raises(ProtocolError, match="^state is not an eigenstate of ZZI$"):
-            measured_syndrome(far, code)
 
 
 class TestTransversalT:

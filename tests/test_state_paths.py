@@ -20,11 +20,11 @@ from hqec.states import (
     _resorted,
     apply_monomial,
     apply_single,
-    combine,
     gate,
 )
 from oracles import (
     coalescing_apply_single,
+    combine,
     combine_coords,
     combine_encode,
     combine_overlap,

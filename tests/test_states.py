@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqec import states
@@ -21,8 +21,6 @@ from hqec.states import (
     apply_monomial,
     apply_pauli,
     apply_single,
-    combine,
-    eigen_bit,
     fidelity_up_to_phase,
     gate,
     inner,
@@ -39,11 +37,9 @@ from oracles import (
     dense_of,
     dense_pauli,
     dense_swap,
-    eigen_bit_terms,
     from_terms,
     intersect_inner,
     op_on,
-    pauli_image_terms,
     project_onto,
     random_pauli,
     gadget_exponents,
@@ -510,8 +506,8 @@ class TestMonomialGadget:
 
 
 class TestTermGuard:
-    """Gates that branch terms and combine raise before building a state
-    above TERM_GUARD, as tensor does (lowered to 2^12 to stay small)."""
+    """Gates that branch terms raise before building a state above
+    TERM_GUARD, as tensor does (lowered to 2^12 to stay small)."""
 
     def test_branching_gate(self, monkeypatch):
         monkeypatch.setattr(states, "TERM_GUARD", 1 << 12)
@@ -524,15 +520,6 @@ class TestTermGuard:
         # diagonal and permuting gates keep the term count
         assert apply_single(over, gate("T"), 1).num_terms == half + 1
         assert apply_single(over, gate("X"), 1).num_terms == half + 1
-
-    def test_combine(self, monkeypatch):
-        monkeypatch.setattr(states, "TERM_GUARD", 1 << 12)
-        half = 1 << 11
-        low = SparseState(13, np.arange(half, dtype=np.uint64), np.ones(half))
-        high = SparseState(13, np.arange(half, dtype=np.uint64) + np.uint64(half), np.ones(half))
-        assert combine([low, high], [1.0, 1.0]).num_terms == 1 << 12
-        with pytest.raises(ValueError, match="combine result exceeds the term-count guard"):
-            combine([low, high, basis_state(13, 0)], [1.0, 1.0, 1.0])
 
 
 def _sorted_state(n, keys, amps):
@@ -582,130 +569,3 @@ class TestInnerSearchsorted:
             inner(basis_state(2, 0), basis_state(3, 0))
 
 
-def _terms(state):
-    return dict(state.items())
-
-
-def _random_pauli_n(data, n, label):
-    x = data.draw(st.integers(0, (1 << n) - 1), label=f"{label} x")
-    z = data.draw(st.integers(0, (1 << n) - 1), label=f"{label} z")
-    return PauliOperator(n, x, z, data.draw(st.integers(0, 3), label=f"{label} phase"))
-
-
-def _dense_eigen_bit(state, p):
-    """b when the dense P times psi equals (-1)^b psi within TOL, else None."""
-    vec = dense_of(state)
-    image = dense_pauli(p) @ vec
-    bits = [b for b, sign in ((0, 1), (1, -1)) if np.abs(image - sign * vec).max() <= TOL]
-    return bits[0] if bits and vec.any() else None
-
-
-class TestPauliEigenvalues:
-    """states.eigen_bit against the letterwise image (every n) and the dense
-    Pauli matrix (n <= 5), for all four phases."""
-
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_against_letterwise_and_dense_oracles(self, data):
-        n = data.draw(st.sampled_from([1, 2, 3, 4, 5, 64, 65, MAX_QUBITS]), label="n")
-        keys = data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=8), label="keys")
-        if n >= 64 and data.draw(st.booleans(), label="top bit set"):
-            keys = {k | 1 << (n - 1) for k in keys}
-        z = data.draw(st.integers(0, (1 << n) - 1), label="z")
-        if data.draw(st.booleans(), label="one parity class under z"):
-            parity = (min(keys) & z).bit_count() & 1
-            keys = {k for k in keys if (k & z).bit_count() & 1 == parity}
-        amps = data.draw(st.lists(_AMP, min_size=len(keys), max_size=len(keys)), label="amps")
-        terms = dict(zip(sorted(keys), amps))
-        base = _random_pauli_n(data, n, "P0")
-        eigenstate = data.draw(st.booleans(), label="eigenstate of P0")
-        if eigenstate:
-            # (psi + P psi / mu) is an eigenstate of P with eigenvalue mu, mu^2 = P^2
-            sq = base.multiply(base).phase_value()
-            mu = np.sqrt(complex(sq)) * data.draw(st.sampled_from([1, -1]), label="sign")
-            image = pauli_image_terms(base, terms)
-            terms = {k: terms.get(k, 0) + image.get(k, 0) / mu for k in set(terms) | set(image)}
-            terms = {k: a for k, a in terms.items() if abs(a) > 1e-6}
-            assume(terms)
-        state = from_terms(n, terms)
-        # P0 and the Z-only Pauli times i^j, the identity and unrelated Paulis
-        paulis = [PauliOperator(n, base.x, base.z, base.phase + j) for j in range(4)]
-        paulis += [PauliOperator(n, 0, z, j) for j in range(4)] + [PauliOperator.identity(n)]
-        paulis += [_random_pauli_n(data, n, f"P{i}") for i in range(data.draw(st.integers(0, 4)))]
-        bits = [eigen_bit(state, p) for p in paulis]
-        for p, bit in zip(paulis, bits):
-            assert bit == eigen_bit_terms(p, _terms(state)), p
-            if n <= 5:
-                assert bit == _dense_eigen_bit(state, p), p
-        # i^j mu is +1 for one j and -1 for another
-        if eigenstate:
-            assert sorted(b for b in bits[:4] if b is not None) == [0, 1]
-        assert bits[8] == 0
-
-    def test_plus_minus_one_and_y_parts(self):
-        bell = from_terms(2, {0b00: 0.6, 0b11: 0.8})
-        assert [eigen_bit(bell, parse_pauli(t)) for t in ("ZZ", "-ZZ", "IZ")] == [0, 1, None]
-        phi = from_terms(2, {0b00: 1, 0b11: 1}).normalized()
-        # XX, YY = -XX ZZ, and XY and iXX with eigenvalues 0 and i
-        ops = [parse_pauli(t) for t in ("XX", "YY", "XY", "iXX", "-XX")]
-        assert [eigen_bit(phi, p) for p in ops] == [0, 1, None, None, 1]
-
-    def test_bit_63_keys(self):
-        n = 64
-        top = 1 << 63
-        cat = SparseState(n, np.array([1, top | 2], np.uint64), np.array([1, 1j]) / np.sqrt(2))
-        # X on qubits 1, 2 and 64 swaps the two keys; Z on qubit 64 tells them
-        # apart; X1 X2 (XZ)64 has eigenvalue -i, so i and -i times it +1 and -1
-        x = PauliOperator(n, top | 3, 0, 0)
-        z64 = PauliOperator(n, 0, top, 0)
-        ops = [x, z64] + [PauliOperator(n, top | 3, top, j) for j in range(4)]
-        bits = [eigen_bit(cat, p) for p in ops]
-        assert bits == [eigen_bit_terms(p, _terms(cat)) for p in ops]
-        assert bits == [None, None, None, 0, None, 1]
-
-    def test_missing_flipped_key_is_no_eigenstate(self):
-        state = from_terms(3, {0b000: 0.6, 0b011: 0.8})
-        # X1 maps 000 to 001, which is not stored; X1X2 maps the keys onto each other
-        assert eigen_bit(state, parse_pauli("XII")) is None
-        assert eigen_bit(state, parse_pauli("XXI")) is None
-
-    def test_missing_flipped_key_counts_as_zero(self):
-        # |+> on qubit 1, and a term at 010 whose X1 partner 011 is not stored:
-        # within TOL of 0 at 2e-11, not at 2e-10
-        for amp, want in ((2e-11, 0), (2e-10, None)):
-            state = from_terms(3, {0b000: math.sqrt(0.5), 0b001: math.sqrt(0.5), 0b010: amp})
-            assert eigen_bit(state, parse_pauli("XII")) == want
-
-    def test_amplitude_ratios_differ(self):
-        state = from_terms(1, {0: 1, 1: 2}).normalized()
-        assert eigen_bit(state, parse_pauli("X")) is None
-        assert eigen_bit(state, parse_pauli("Z")) is None
-
-    def test_more_rows_than_one_block(self):
-        # |+>^15: 2^15 terms, read by five Paulis with and without X parts
-        n = 15
-        plus = SparseState(n, np.arange(1 << n, dtype=np.uint64),
-                           np.full(1 << n, 2 ** (-n / 2), complex))
-        ops = [PauliOperator(n, (1 << n) - 1, 0, 0), PauliOperator(n, 5, 0, 2),
-               PauliOperator(n, 0, 1, 0), PauliOperator(n, 1 << 14, 0, 0),
-               PauliOperator(n, 1, 1, 1)]
-        assert [eigen_bit(plus, p) for p in ops] == [0, 1, None, 0, None]
-
-    def test_one_parity_class(self):
-        # one term; then every key even, and every key odd, under ZZZ
-        one = from_terms(3, {0b101: -0.0 + 0.5j})
-        even = from_terms(3, {0b000: 0.1, 0b011: -0.2j, 0b101: 0.3 - 0.4j})
-        odd = from_terms(3, {0b001: 0.3 - 0.4j, 0b010: -0.2j, 0b111: 0.1})
-        ops = [parse_pauli(t) for t in ("ZZZ", "-ZZZ", "iZZZ", "-iZZZ", "ZII")]
-        assert [eigen_bit(one, p) for p in ops] == [0, 1, None, None, 1]
-        assert [eigen_bit(even, p) for p in ops] == [0, 1, None, None, None]
-        assert [eigen_bit(odd, p) for p in ops] == [1, 0, None, None, None]
-
-    def test_zero_state(self):
-        empty = SparseState(2, np.array([], np.uint64), np.array([], complex))
-        for t in ("II", "ZZ", "XX", "-YY"):
-            assert eigen_bit(empty, parse_pauli(t)) is None
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch: operator on 3, state on 2"):
-            eigen_bit(basis_state(2, 0), parse_pauli("ZZZ"))
