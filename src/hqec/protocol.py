@@ -23,7 +23,8 @@ Conventions shared by all runners:
   build and read code-space states by CodeSpace.state, coords and overlap.
 * The storage runner takes its syndrome from the error (codes.syndrome),
   not from the state: on a compatible code the mask commutes with every
-  generator, so it leaves each syndrome bit as the error sets it.
+  generator, so it leaves each syndrome bit as the error sets it, and
+  the mask, error and unmask times correction are one apply_paulis pass.
 """
 
 from __future__ import annotations
@@ -55,10 +56,12 @@ from .states import (
     TOL,
     MonomialLayer,
     SparseState,
+    _check_widths,
     _weight,
     apply_cnot,
     apply_monomial,
     apply_pauli,
+    apply_paulis,
     apply_single,
     fidelity_up_to_phase,
     gate,
@@ -415,12 +418,11 @@ def run_storage_protocol(code, amplitudes, key, injected_error=None, rng=None) -
     """Encode, mask, optionally corrupt, correct on the masked register, and
     unmask; refuses codes whose generators fail the masking criterion.
 
-    The mask U_enc(a,b) = (X^a Z^b)^n is one transversal Pauli, and the
-    unmask is its adjoint times the correction, one Pauli.  On a compatible
-    code the mask commutes with every generator, so the syndrome of the
-    masked, corrupted register is the error's own: codes.syndrome, and all
-    zeros without an error.  Nothing is drawn from rng, so a seed has no
-    effect on the result."""
+    The mask U_enc(a,b) = (X^a Z^b)^n is one transversal Pauli that, on a
+    compatible code, commutes with every generator: so the syndrome is the
+    error's own (codes.syndrome; all zeros without one), and one pass applies
+    the mask, the error and the unmask (its adjoint) times the correction.
+    Nothing is drawn from rng, so a seed has no effect on the result."""
     if isinstance(code, str):
         code = builtin_code(code)
     compat = stabilizer_mask_check(code)
@@ -432,16 +434,17 @@ def run_storage_protocol(code, amplitudes, key, injected_error=None, rng=None) -
         )
     _, _, psi = _encode(code, amplitudes)
     keys = KeyRegister.uniform(code.n, key[0], key[1])
-    state = encrypt(psi, keys)
+    paulis = [keys.mask]
     if injected_error is not None:
         if isinstance(injected_error, str):
             injected_error = parse_pauli(injected_error)
-        state = apply_pauli(state, injected_error)
+        paulis.append(injected_error)
+        _check_widths(code.n, paulis)  # before codes.syndrome's own width check
     syn = (0,) * len(code.generators) if injected_error is None else syndrome(code, injected_error)
     corr = decode_single_error(code, syn)
     if corr is None:
         raise ProtocolError(f"syndrome {syn} matches no weight-<=1 error")
-    state = apply_pauli(state, keys.mask.adjoint().multiply(corr))
+    state = apply_paulis(psi, paulis + [keys.mask.adjoint().multiply(corr)])
     return StorageReport(
         code.name, keys.pair(1), None if injected_error is None else injected_error.to_string(), syn,
         corr.to_string(), fidelity_up_to_phase(state, psi), final_state=state,
@@ -543,11 +546,7 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
     space, amps, psi = _encode(code, amplitudes)
     keys = KeyRegister.uniform(1, key[0], key[1])
     a, b = keys.pair(1)
-    enc = psi
-    if b:
-        enc = apply_pauli(enc, code.logical_z[0])
-    if a:
-        enc = apply_pauli(enc, code.logical_x[0])
+    enc = apply_paulis(psi, code.logical_z[:b] + code.logical_x[:a])
     x = space.coords(enc)
     total = _weight(x)
     if abs(total - 1) > TOL:

@@ -25,7 +25,8 @@ diagonal-gate action all sum through it.  The general (H) branch of
 ``apply_single`` (which pairs key k with k ^ bit) looks keys up in a dict
 of the terms too.  No module reads a syndrome or an eigenvalue back from a
 state: ``codes`` checks its codewords on the operators alone, and
-``protocol`` takes each storage syndrome from the error.
+``protocol`` takes each storage syndrome from the error.  The one Pauli
+kernel, ``apply_paulis``, applies a run of Paulis in one sweep and one sort.
 
 A T gadget (diag(1, omega^t) on a data qubit, which is then teleported
 through a fresh Bell pair measured at once in the basis rotated by U =
@@ -261,20 +262,30 @@ def apply_cnot(state: SparseState, control: int, target: int) -> SparseState:
     return _resorted(state.n, [k ^ (((k >> c) & 1) << t) for k in state.keys], state.amps)
 
 
-def _pauli_image(state: SparseState, p: PauliOperator) -> list:
-    """The amplitudes i^phase (-1)^popcount(k & z) a_k that P = i^phase X(x)
-    Z(z) puts at the keys k ^ x, in key order."""
-    z, ph = p.z, p.phase_value()
-    return [a * _SIGNS[(k & z).bit_count() & 1] * ph for k, a in state.items()]
+def _check_widths(n: int, paulis):
+    for p in paulis:
+        if p.n != n:
+            raise ValueError(f"dimension mismatch: operator on {p.n}, state on {n}")
+
+
+def apply_paulis(state: SparseState, paulis) -> SparseState:
+    """P_m ... P_1|psi> for paulis P_1..P_m, bit for bit apply_pauli in turn:
+    each P = i^phase X(x) Z(z) multiplies a_k by its sign at the key as
+    flipped so far, then by i^phase; one sort when the total flip is not 0."""
+    _check_widths(state.n, paulis)
+    amps, flip = state.amps, 0
+    for p in paulis:
+        z, ph = p.z, p.phase_value()
+        signs = _SIGNS[::-1] if (flip & z).bit_count() & 1 else _SIGNS  # (-1)^popcount((k ^ flip) & z)
+        amps = [a * signs[(k & z).bit_count() & 1] * ph for k, a in zip(state.keys, amps)]
+        flip ^= p.x
+    if flip:
+        return _resorted(state.n, [k ^ flip for k in state.keys], amps)
+    return _state(state.n, state.keys, tuple(amps))
 
 
 def apply_pauli(state: SparseState, p: PauliOperator) -> SparseState:
-    if p.n != state.n:
-        raise ValueError(f"dimension mismatch: operator on {p.n}, state on {state.n}")
-    amps = _pauli_image(state, p)
-    if p.x:
-        return _resorted(state.n, [k ^ p.x for k in state.keys], amps)
-    return _state(state.n, state.keys, tuple(amps))
+    return apply_paulis(state, (p,))
 
 
 _OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))

@@ -14,9 +14,11 @@ state-level phase layer and projector, the even-support parity check, the
 code-file writer, code validation by PauliOperator.commutes calls, the dict
 constructor, tensor product and qubit swap of sparse states, the
 Clifford key rule on (a, b) pairs, and the combine/inner, two-pass,
-index-sort and coalescing routes that the code-space merge plan, the
-trailing Pauli of apply_monomial, the zip sort of _resorted and the paired
-general branch of apply_single replaced).
+index-sort, coalescing and per-Pauli image routes that the code-space
+merge plan, the trailing Pauli of apply_monomial, the zip sort of
+_resorted, the paired general branch of apply_single and the one sweep of
+apply_paulis replaced).  No oracle applies a Pauli through apply_paulis:
+each goes through image_apply_pauli, one pass and one sort per Pauli.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from hqec.protocol import (
     StorageReport,
     Transcript,
     apply_plain_circuit,
-    encrypt,
 )
 from hqec.states import (
     _OUTCOMES,
@@ -58,12 +59,10 @@ from hqec.states import (
     SingleQubitGate,
     SparseState,
     _coalesce,
-    _pauli_image,
     _resorted,
     _state,
     _unit_factors,
     _weight,
-    apply_pauli,
     fidelity_up_to_phase,
     gate,
     inner,
@@ -523,7 +522,7 @@ def scan_zero_codeword(code) -> SparseState:
     for seed in range(1 << code.n):
         st = basis_state(code.n, seed)
         for g in list(code.generators) + [code.logical_z[0]]:
-            st = combine([st, apply_pauli(st, g)], [0.5, 0.5])
+            st = combine([st, image_apply_pauli(st, g)], [0.5, 0.5])
             if st.norm() < 1e-9:
                 st = None
                 break
@@ -542,7 +541,7 @@ def readout_codeword_verdict(code) -> str | None:
     Construction errors propagate.  Checks, in order: every generator fixes
     |0>, then |1>; logical Z fixes |0> and negates |1>; <0|1> = 0."""
     zero = _zero_codeword(code)
-    one = apply_pauli(zero, code.logical_x[0])
+    one = image_apply_pauli(zero, code.logical_x[0])
     zero_terms, one_terms = dict(zero.items()), dict(one.items())
     for terms in (zero_terms, one_terms):
         for g in code.generators:
@@ -596,17 +595,18 @@ def signed_weight_eigenvalues(state: SparseState, paulis) -> tuple[tuple, tuple]
 
 
 def keyed_storage(name: str, amplitudes, key, injected_error=None) -> StorageReport:
-    """The masked storage round trip with a per-qubit key register: encrypt
-    with the uniform KeyRegister, read the syndrome with signed_weight_eigenvalues,
-    decode, and unmask with the adjoint of pair_mask of its pairs times the
-    correction.  Takes a mask-compatible builtin code."""
+    """The masked storage round trip with a per-qubit key register: mask
+    with the uniform KeyRegister's Pauli, corrupt, read the syndrome with
+    signed_weight_eigenvalues, decode, and unmask with the adjoint of
+    pair_mask of its pairs times the correction, one image_apply_pauli pass
+    per Pauli.  Takes a mask-compatible builtin code."""
     code = builtin_code(name)
     c0, c1 = unit_amplitudes(amplitudes)
     psi = combine(list(logical_codewords(code).basis), [c0, c1]).normalized()
     keys = KeyRegister.uniform(code.n, key[0], key[1])
-    state = encrypt(psi, keys)
+    state = image_apply_pauli(psi, keys.mask)
     if injected_error is not None:
-        state = apply_pauli(state, injected_error)
+        state = image_apply_pauli(state, injected_error)
     syn = []
     vals, eigen = signed_weight_eigenvalues(state, code.generators)
     for g, val, ok in zip(code.generators, vals, eigen):
@@ -614,7 +614,7 @@ def keyed_storage(name: str, amplitudes, key, injected_error=None) -> StorageRep
             raise ProtocolError(f"state is not an eigenstate of {g}")
         syn.append(0 if val.real > 0 else 1)
     corr = decode_single_error(code, tuple(syn))
-    state = apply_pauli(state, pair_mask(keys.as_lists()).adjoint().multiply(corr))
+    state = image_apply_pauli(state, pair_mask(keys.as_lists()).adjoint().multiply(corr))
     return StorageReport(
         code.name, keys.pair(1), None if injected_error is None else injected_error.to_string(),
         tuple(syn), corr.to_string(), fidelity_up_to_phase(state, psi), final_state=state,
@@ -779,7 +779,7 @@ class _ExponentChain:
 
     def finish(self, correction):
         self._flush()
-        return apply_pauli(self.state, correction)
+        return image_apply_pauli(self.state, correction)
 
 def per_gate_exponent_run(enc_state, circuit, keys, rng, forced_outcomes=None) -> CircuitRun:
     """run_circuit with exact exponents: gate by gate, every stored term
@@ -846,8 +846,26 @@ def per_gate_exponent_run(enc_state, circuit, keys, rng, forced_outcomes=None) -
 
 # ---------------------------------------------------------------------------
 # the routes that the code-space merge plan, the fused trailing Pauli of
-# apply_monomial, the zip sort of _resorted and the paired general branch of
-# apply_single replaced; the new paths must equal them byte for byte
+# apply_monomial, the zip sort of _resorted, the paired general branch of
+# apply_single and the one sweep of apply_paulis replaced; the new paths
+# must equal them byte for byte
+
+
+def _pauli_image(state: SparseState, p: PauliOperator) -> list:
+    """The amplitudes i^phase (-1)^popcount(k & z) a_k that P = i^phase X(x)
+    Z(z) puts at the keys k ^ x, in key order."""
+    z, ph = p.z, p.phase_value()
+    return [a * _SIGNS[(k & z).bit_count() & 1] * ph for k, a in state.items()]
+
+
+def image_apply_pauli(state: SparseState, p: PauliOperator) -> SparseState:
+    """apply_pauli as one pass and one sort for its one Pauli."""
+    if p.n != state.n:
+        raise ValueError(f"dimension mismatch: operator on {p.n}, state on {state.n}")
+    amps = _pauli_image(state, p)
+    if p.x:
+        return _resorted(state.n, [k ^ p.x for k in state.keys], amps)
+    return _state(state.n, state.keys, tuple(amps))
 
 
 def combine_encode(code, amplitudes):
@@ -871,7 +889,7 @@ def index_sort_resorted(n: int, keys, amps) -> SparseState:
 
 
 def two_pass_monomial(state: SparseState, layer, then: PauliOperator | None = None) -> SparseState:
-    """The layer's monomial pass, then apply_pauli(then) as a second pass."""
+    """The layer's monomial pass, then image_apply_pauli(then) as a second pass."""
     cs = layer.coeffs
     ones = sum(1 << q for q, c in enumerate(cs) if c & 1)
     twos = sum(1 << q for q, c in enumerate(cs) if c & 2)
@@ -885,13 +903,7 @@ def two_pass_monomial(state: SparseState, layer, then: PauliOperator | None = No
     if flip:
         terms.sort()
     out = _state(state.n, tuple([k for k, _ in terms]), tuple([a for _, a in terms]))
-    if then is None:
-        return out
-    z, ph = then.z, then.phase_value()
-    amps = [a * _SIGNS[(k & z).bit_count() & 1] * ph for k, a in out.items()]
-    if then.x:
-        return index_sort_resorted(out.n, [k ^ then.x for k in out.keys], amps)
-    return _state(out.n, out.keys, tuple(amps))
+    return out if then is None else image_apply_pauli(out, then)
 
 
 def coalescing_apply_single(state: SparseState, g: SingleQubitGate, qubit: int) -> SparseState:

@@ -737,9 +737,10 @@ class TestStorage:
         ],
     )
     def test_all_compatible_codes_round_trip(self, name, kinds):
-        # against oracles.keyed_storage (a per-qubit KeyRegister, encrypt,
-        # pair_mask and the signed-weight readout): the same final keys and
-        # amplitudes bit for bit, and the same report
+        # against oracles.keyed_storage (a per-qubit KeyRegister, one
+        # image_apply_pauli pass per Pauli, pair_mask and the signed-weight
+        # readout): the same final keys and amplitudes bit for bit, and the
+        # same report
         n = builtin_code(name).n
         errors = [None] + [PauliOperator.single(n, q, k) for q in range(1, n + 1) for k in kinds]
         for amps in ((0.6, 0.8j), (1.5 - 2j, 0.25j)):
@@ -778,6 +779,47 @@ class TestStorageInputs:
     def test_bad_amplitudes_raise(self, amps):
         with pytest.raises(ValueError, match="^amplitudes must be finite and not all zero$"):
             run_storage_protocol("bit_flip", amps, (0, 0), None)
+
+
+class TestOnePauliSweep:
+    """Each runner applies its run of Paulis as one apply_paulis call."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls, real = [], states.apply_paulis
+
+        def counted(state, paulis):
+            calls.append(list(paulis))
+            return real(state, paulis)
+
+        def forbidden(*args):
+            raise AssertionError("encrypt in run_storage_protocol")
+
+        # apply_pauli reaches apply_paulis through states, the runners through protocol
+        monkeypatch.setattr(states, "apply_paulis", counted)
+        monkeypatch.setattr(protocol, "apply_paulis", counted)
+        monkeypatch.setattr(protocol, "encrypt", forbidden)
+        return calls
+
+    @pytest.mark.parametrize("name, err", [("bit_flip", None), ("steane", "IIYIIII"), ("rm15", "IIIIIIIIIIXIIII")])
+    def test_storage(self, monkeypatch, name, err):
+        run_storage_protocol(name, (0.6, 0.8j), (1, 1), err)  # fills the per-code caches
+        calls = self._count(monkeypatch)
+        for key in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            calls.clear()
+            rep = run_storage_protocol(name, (0.6, 0.8j), key, err)
+            mask = KeyRegister.uniform(rep.final_state.n, *key).mask
+            corr = mask.adjoint().multiply(parse_pauli(rep.correction))
+            assert calls == [[mask] + ([] if err is None else [parse_pauli(err)]) + [corr]], (name, key)
+
+    def test_logical_t(self, monkeypatch):
+        run_logical_t_protocol((0.6, 0.8j), (1, 1), SplitMix64(1))
+        calls = self._count(monkeypatch)
+        code = builtin_code("shor")
+        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            calls.clear()
+            run_logical_t_protocol((0.6, 0.8j), (a, b), SplitMix64(1))
+            assert calls == [list(code.logical_z[:b] + code.logical_x[:a])], (a, b)
 
 
 CHAIN8_TEXT = "8 1\n-ZZIIIIII\nIZZIIIII\nIIZZIIII\nIIIZZIII\nIIIIZZII\nIIIIIZZI\nIIIIIIZZ\nXXXXXXXX\nZIIIIIII\n"

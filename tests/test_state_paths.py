@@ -1,8 +1,10 @@
 """The code-space merge plan, the trailing Pauli of apply_monomial, the zip
-sort of _resorted and the paired general branch of apply_single, each
-against the route it replaced (kept in tests/oracles.py), in keys and in
-float.hex of both parts of every amplitude, so signed zeros count."""
+sort of _resorted, the paired general branch of apply_single and the one
+sweep of apply_paulis, each against the route it replaced (kept in
+tests/oracles.py), in keys and in float.hex of both parts of every
+amplitude, so signed zeros count."""
 
+import itertools
 import random
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hqec.codes import BUILTIN_NAMES, builtin_code, logical_codewords
-from hqec.pauli import PauliOperator
+from hqec.pauli import PauliOperator, parse_pauli
 from hqec.protocol import _encode
 from hqec.states import (
     PRUNE_TOL,
@@ -19,6 +21,7 @@ from hqec.states import (
     SparseState,
     _resorted,
     apply_monomial,
+    apply_paulis,
     apply_single,
     gate,
 )
@@ -28,6 +31,7 @@ from oracles import (
     combine_coords,
     combine_encode,
     combine_overlap,
+    image_apply_pauli,
     index_sort_resorted,
     two_pass_monomial,
 )
@@ -173,6 +177,80 @@ class TestResorted:
         n, keys = n_keys
         amps = data.draw(st.lists(AMPS, min_size=len(keys), max_size=len(keys)))
         assert hex_terms(_resorted(n, keys, amps)) == hex_terms(index_sort_resorted(n, keys, amps))
+
+
+def successive(state, paulis):
+    for p in paulis:
+        state = image_apply_pauli(state, p)
+    return state
+
+
+@st.composite
+def pauli_runs(draw, n):
+    """0 to 4 Paulis on n qubits, each with a drawn phase; a run of two or
+    more may end in a Pauli whose flip undoes the flips before it."""
+    paulis = [_random_pauli(draw, n) for _ in range(draw(st.integers(0, 4)))]
+    if len(paulis) > 1 and draw(st.booleans()):
+        flip = 0
+        for p in paulis[:-1]:
+            flip ^= p.x
+        paulis[-1] = PauliOperator(n, flip, paulis[-1].z, paulis[-1].phase)
+    return paulis
+
+
+# X, Y and Z mixes on three qubits: the first two flip qubits 1 and 2 and
+# together cancel, the third flips qubit 3, and the fourth flips nothing
+LETTERS = ("XYZ", "YXI", "ZZX", "ZIZ")
+PREFIXES = ("", "i", "-", "-i")
+# all eight keys, with +-0.0 in one or both parts of most amplitudes
+SIGNED_ZEROS = SparseState(3, range(8), [complex(0.0, 0.6), complex(-0.0, -0.8), complex(0.6, 0.0),
+                                         complex(-0.6, -0.0), complex(0.0, 1e-300), complex(-0.0, 0.6),
+                                         complex(0.8, -0.0), complex(-0.8, 0.6)])
+
+
+class TestApplyPaulis:
+    def test_every_phase_prefix(self):
+        # 0 to 4 Paulis, every assignment of phase prefixes to them
+        runs = [[]]
+        for m in range(1, 5):
+            runs += [[parse_pauli(pre + LETTERS[i]) for i, pre in enumerate(pres)]
+                     for pres in itertools.product(PREFIXES, repeat=m)]
+        assert len(runs) == 1 + 4 + 16 + 64 + 256
+        xs = [parse_pauli(text).x for text in LETTERS]
+        assert xs[0] and xs[0] ^ xs[1] == 0 and xs[2] and not xs[3]
+        for run in runs:
+            assert hex_terms(apply_paulis(SIGNED_ZEROS, run)) == hex_terms(successive(SIGNED_ZEROS, run)), run
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=20))), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_states(self, n_keys, data):
+        n, keys = n_keys
+        state = SparseState(n, keys, data.draw(st.lists(AMPS, min_size=len(keys), max_size=len(keys))))
+        paulis = data.draw(pauli_runs(n))
+        assert hex_terms(apply_paulis(state, paulis)) == hex_terms(successive(state, paulis))
+
+    @pytest.mark.parametrize("space", BUILTIN_SPACES, ids=BUILTIN_NAMES)
+    @given(c0=AMPS, c1=AMPS, data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_code_space_states(self, space, c0, c1, data):
+        state = space.state(c0, c1)
+        paulis = data.draw(pauli_runs(state.n))
+        assert hex_terms(apply_paulis(state, paulis)) == hex_terms(successive(state, paulis))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_width_mismatch(self, m):
+        # a wrong-size Pauli at each position raises the message that
+        # successive passes raise, before any pass runs
+        for pos in range(m):
+            for wrong in ("XY", "XYZI"):
+                run = [parse_pauli(LETTERS[i]) for i in range(m)]
+                run[pos] = parse_pauli(wrong)
+                with pytest.raises(ValueError) as want:
+                    successive(SIGNED_ZEROS, run)
+                with pytest.raises(ValueError, match=f"^dimension mismatch: operator on {len(wrong)}, state on 3$") as got:
+                    apply_paulis(SIGNED_ZEROS, run)
+                assert str(got.value) == str(want.value)
 
 
 ROTATION = SingleQubitGate("R", ((0.6, 0.8), (0.8j, -0.6j)))
