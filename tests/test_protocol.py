@@ -793,7 +793,7 @@ class TestOnePauliSweep:
             return real(state, paulis)
 
         def forbidden(*args):
-            raise AssertionError("encrypt in run_storage_protocol")
+            raise AssertionError("a runner called encrypt")
 
         # apply_pauli reaches apply_paulis through states, the runners through protocol
         monkeypatch.setattr(states, "apply_paulis", counted)
