@@ -14,8 +14,9 @@ cached is immutable, and a call that raises caches nothing.
 ``validate_code`` is the one validity decision: the codewords are built
 only for a code it accepts; ``check_css_pair`` is the one check of a
 classical pair.  All of it is GF(2) algebra on Python ints, reduced and
-solved by ``gf2``; the codeword construction and ``CodeSpace`` import the
-``states`` layer, when first called, only to build and read states.
+solved by ``gf2``, with each PauliOperator read as its (x, z, phase) ints
+and no PauliOperator built; the codeword construction and ``CodeSpace``
+import the ``states`` layer, when first called, only to build and read states.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import gf2
 from .gf2 import ClassicalCode
-from .pauli import MAX_QUBITS, PauliOperator, parse_pauli, transversal_pauli
+from .pauli import _PHASE_VALUE, MAX_QUBITS, PauliOperator, parse_pauli, transversal_pauli
 
 if TYPE_CHECKING:
     from .states import SparseState
@@ -137,15 +138,17 @@ class CodeSpace:
         return total
 
 
-def _reduce_tracked(vec: int, pauli: PauliOperator, basis: list):
-    """Reduce vec against rows (vector, group element with that vector), each
-    reduced against the rows before it, multiplying the tracked elements."""
-    for bvec, bp in basis:
-        piv = bvec & -bvec
-        if vec & piv:
+def _reduce_tracked(vec: int, x: int, z: int, phase: int, basis: list) -> tuple:
+    """Reduce vec against rows (vector, x, z, phase), each reduced against the
+    rows before it, multiplying the tracked element i^phase X(x) Z(z) by each
+    row's element used as PauliOperator.multiply does; the phase ends mod 4."""
+    for bvec, bx, bz, bph in basis:
+        if vec & bvec & -bvec:
             vec ^= bvec
-            pauli = pauli.multiply(bp)
-    return vec, pauli
+            phase += bph + 2 * ((z & bx).bit_count() & 1)
+            x ^= bx
+            z ^= bz
+    return vec, x, z, phase & 3
 
 
 @lru_cache(maxsize=CODE_CACHE_SIZE)
@@ -154,10 +157,14 @@ def validate_code(code: StabilizerCode) -> ValidationReport:
     p and q anticommute iff vec(p) & dual(q) has odd weight, for vec(p) =
     x | z << w, dual(p) = z | x << w and a width w no operator exceeds."""
     v: list[str] = []
-    n, gens = code.n, code.generators
-    w = max([n] + [p.n for p in gens + code.logical_x + code.logical_z])
+    n, gens, lx, lz = code.n, code.generators, code.logical_x, code.logical_z
+    w = max([n] + [p.n for p in gens + lx + lz])
     vecs = [g.x | g.z << w for g in gens]
     duals = [g.z | g.x << w for g in gens]
+
+    def anti(a, b) -> int:
+        return ((a.x | a.z << w) & (b.z | b.x << w)).bit_count() & 1
+
     for i, g in enumerate(gens):
         if g.n != n:
             v.append(f"generator {i + 1} acts on {g.n} qubits, expected {n}")
@@ -165,28 +172,27 @@ def validate_code(code: StabilizerCode) -> ValidationReport:
             v.append(f"generator {i + 1} ({g}) is not Hermitian")
     if len(gens) != n - code.k:
         v.append(f"expected {n - code.k} generators, got {len(gens)}")
-    for i, g in enumerate(gens):
-        for j in range(i + 1, len(gens)):
-            if g.n == gens[j].n and (vecs[i] & duals[j]).bit_count() & 1:
-                v.append(f"generators {i + 1} ({g}) and {j + 1} ({gens[j]}) anticommute")
+    for i, (g, vec) in enumerate(zip(gens, vecs)):
+        v += [f"generators {i + 1} ({g}) and {j + 1} ({gens[j]}) anticommute"
+              for j in range(i + 1, len(gens)) if (vec & duals[j]).bit_count() & 1 and g.n == gens[j].n]
 
     basis: list = []
     for i, g in enumerate(gens):
         if g.n != n:
             continue
-        r, prod = _reduce_tracked(vecs[i], g, basis)
-        if r == 0:
-            # prod is g times a product of earlier generators, equal to a phase
-            if prod.phase == 0:
+        row = _reduce_tracked(vecs[i], g.x, g.z, g.phase, basis)
+        if row[0] == 0:
+            # the row is g times a product of earlier generators, equal to a phase
+            if row[3] == 0:
                 v.append(f"generator {i + 1} ({g}) is dependent on earlier generators")
             else:
                 v.append(f"-I is in the group generated (via generator {i + 1})")
         else:
-            basis.append((r, prod))
+            basis.append(row)
 
-    if len(code.logical_x) != code.k or len(code.logical_z) != code.k:
+    if len(lx) != code.k or len(lz) != code.k:
         v.append(f"expected {code.k} logical X and Z operators")
-    for label, ops in (("X", code.logical_x), ("Z", code.logical_z)):
+    for label, ops in (("X", lx), ("Z", lz)):
         for j, p in enumerate(ops):
             if p.n != n:
                 v.append(f"logical {label}[{j + 1}] acts on {p.n} qubits, expected {n}")
@@ -197,21 +203,13 @@ def validate_code(code: StabilizerCode) -> ValidationReport:
             for i, g in enumerate(gens):
                 if g.n == n and (r & duals[i]).bit_count() & 1:
                     v.append(f"logical {label}[{j + 1}] anticommutes with generator {i + 1}")
-            if gf2.reduce(r, [row for row, _ in basis]) == 0:
+            if gf2.reduce(r, [row[0] for row in basis]) == 0:
                 v.append(f"logical {label}[{j + 1}] lies in the stabilizer group")
-    for j, xj in enumerate(code.logical_x):
-        for l, zl in enumerate(code.logical_z):
-            if xj.n != n or zl.n != n:
-                continue
-            if (j == l) != ((xj.x | xj.z << w) & (zl.z | zl.x << w)).bit_count() & 1:
-                want = "anticommute" if j == l else "commute"
-                v.append(f"logical X[{j + 1}] and Z[{l + 1}] must {want}")
-    for label, ops in (("X", code.logical_x), ("Z", code.logical_z)):
-        for j in range(len(ops)):
-            for l in range(j + 1, len(ops)):
-                a, b = ops[j], ops[l]
-                if a.n == n and b.n == n and ((a.x | a.z << w) & (b.z | b.x << w)).bit_count() & 1:
-                    v.append(f"logical {label}[{j + 1}] and {label}[{l + 1}] anticommute")
+    v += [f"logical X[{j + 1}] and Z[{l + 1}] must {'anticommute' if j == l else 'commute'}"
+          for j, a in enumerate(lx) for l, b in enumerate(lz) if a.n == n == b.n and (j == l) != anti(a, b)]
+    for label, ops in (("X", lx), ("Z", lz)):
+        v += [f"logical {label}[{j + 1}] and {label}[{l + 1}] anticommute" for j, a in enumerate(ops)
+              for l in range(j + 1, len(ops)) if a.n == n == ops[l].n and anti(a, ops[l])]
     return ValidationReport(code.name, tuple(v))
 
 
@@ -354,25 +352,25 @@ def _zero_codeword(code: StabilizerCode) -> SparseState:
     Z-only elements pose are consistent: gf2.solve always finds s0."""
     from .states import _SIGNS, _state
 
-    pivots: list = []  # (x-part, group element) rows for _reduce_tracked
+    pivots: list = []  # (x-part, x, z, phase) rows for _reduce_tracked
     seed_equations = []  # z.s0 = phi/2 for each Z-only element i^phi Z(z)
     for g in code.generators + code.logical_z[:1]:
-        x, p = _reduce_tracked(g.x, g, pivots)
-        if x:
-            pivots.append((x, p))
+        row = _reduce_tracked(g.x, g.x, g.z, g.phase, pivots)
+        if row[0]:
+            pivots.append(row)
         else:
-            seed_equations.append((p.z, p.phase >> 1))
+            seed_equations.append((row[2], row[3] >> 1))
     if len(pivots) > gf2.ENUM_DIM_GUARD:
         raise gf2.GuardExceeded(f"{code.name}: codeword of 2^{len(pivots)} terms exceeds "
                                 f"the enumeration guard 2^{gf2.ENUM_DIM_GUARD}")
     s0 = gf2.solve(seed_equations)
     # x-part, z-part and amplitude of every product of pivots acting on |s0>
     xs, zs, amps = [0], [0], [1 + 0j]
-    for x, p in pivots:
-        ph = p.phase_value()
+    for _, x, pz, phase in pivots:
+        ph = _PHASE_VALUE[phase]
         amps += [a * _SIGNS[(z & x).bit_count() & 1] * ph for z, a in zip(zs, amps)]
         xs += [v ^ x for v in xs]
-        zs += [v ^ p.z for v in zs]
+        zs += [v ^ pz for v in zs]
     scale = complex(0.5 ** len(pivots))
     terms = sorted((x ^ s0, a * _SIGNS[(z & s0).bit_count() & 1] * scale)
                    for x, z, a in zip(xs, zs, amps))
@@ -412,10 +410,12 @@ def logical_codewords(code: StabilizerCode) -> CodeSpace:
 
 
 def syndrome(code: StabilizerCode, error: PauliOperator) -> tuple[int, ...]:
-    """Bit i is 1 iff the error anticommutes with generator i."""
+    """Bit i is 1 iff the error anticommutes with generator i: the parity of
+    the symplectic product x(e).z(g) + z(e).x(g)."""
     if error.n != code.n:
         raise ValueError(f"error acts on {error.n} qubits, code has {code.n}")
-    return tuple(0 if error.commutes(g) else 1 for g in code.generators)
+    x, z = error.x, error.z
+    return tuple(((x & g.z) ^ (z & g.x)).bit_count() & 1 for g in code.generators)
 
 
 def decode_single_error(code: StabilizerCode, s) -> PauliOperator | None:

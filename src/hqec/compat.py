@@ -6,15 +6,16 @@ of the same criterion (`check css`), the logical action of transversal
 diagonal gates, and the search for a diagonal logical Clifford correction
 that turns a transversal T into the exact logical T.
 
-The mask checks are symplectic and GF(2) algebra on Python ints, the CSS
-pair checked by ``codes.check_css_pair``; only the diagonal-gate functions
-read the ``states`` layer (its tolerances, squared-weight sum and bracket
-sum, through ``codes._states()``, which imports it on first use).  A
-diagonal gate's action is computed from one key -> amplitude dict per
-codeword, with no intermediate state, bit for bit as the state-level route
-that tests/oracles.py keeps (projection_diagonal_action).  It is
-memoized by (code space, phase), so clifford_correction_for_t reads the
-transversal-T action that diagonal_gate_action computed, and vice versa;
+The mask checks are parities of Python ints (X^n commutes with g iff
+|z(g)| is even, Z^n iff |x(g)| is even), the CSS pair checked by
+``codes.check_css_pair``; only the diagonal-gate functions read the
+``states`` layer (its tolerances, squared-weight sum and bracket sum,
+through ``codes._states()``, which imports it on first use).  A diagonal
+gate's action is computed from the codewords' amplitudes, with no
+intermediate state, bit for bit as the state-level route that
+tests/oracles.py keeps (projection_diagonal_action), and memoized by
+(code space, phase), so clifford_correction_for_t reads the transversal-T
+action that diagonal_gate_action computed, and vice versa;
 stabilizer_mask_check is memoized by code.  The protocol error classes,
 OMEGA and the register-cost report live here too, so the CLI maps errors
 to exit codes and answers ``report resources`` without importing
@@ -26,7 +27,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import NamedTuple
 
 from . import gf2
@@ -86,27 +88,21 @@ class CompatReport:
 @lru_cache(maxsize=CODE_CACHE_SIZE)
 def stabilizer_mask_check(code: StabilizerCode) -> CompatReport:
     """Transversal X/Z masking preserves the code space iff both transversal
-    operators commute with every generator.  Memoized by code (frozen report)."""
-    tx = transversal_pauli("X", code.n)
-    tz = transversal_pauli("Z", code.n)
-    checks = tuple(
-        GeneratorCheck(i + 1, g.to_string(), tx.commutes(g), tz.commutes(g))
-        for i, g in enumerate(code.generators)
-    )
-    verdict = all(c.ok for c in checks)
-    if code.css_origin is not None:
-        c1, c2 = code.css_origin
-        css = css_mask_check(c1, c2, name=code.name)
-        return CompatReport(
-            code.name,
-            checks,
-            verdict,
-            e_in_c1=css.e_in_c1,
-            c2_all_even=css.c2_all_even,
-            css_verdict=css.verdict,
-            cross_check_ok=(css.verdict == verdict),
-        )
-    return CompatReport(code.name, checks, verdict)
+    operators commute with every generator; it raises as transversal_pauli(
+    kind, n).commutes(g) would, for n out of range or g on another n.
+    Memoized by code (frozen report); a raise caches nothing."""
+    n = transversal_pauli("X", code.n).n
+    checks = []
+    for i, g in enumerate(code.generators):
+        if g.n != n:
+            raise ValueError(f"dimension mismatch: {n} vs {g.n}")
+        checks.append(GeneratorCheck(i + 1, g.to_string(), not g.z.bit_count() & 1, not g.x.bit_count() & 1))
+    checks, verdict = tuple(checks), all(c.ok for c in checks)
+    if code.css_origin is None:
+        return CompatReport(code.name, checks, verdict)
+    css = css_mask_check(*code.css_origin, name=code.name)
+    return CompatReport(code.name, checks, verdict, e_in_c1=css.e_in_c1, c2_all_even=css.c2_all_even,
+                        css_verdict=css.verdict, cross_check_ok=(css.verdict == verdict))
 
 
 def css_mask_check(c1: ClassicalCode, c2: ClassicalCode, name: str = "css") -> CompatReport:
@@ -147,8 +143,9 @@ def _diagonal_action(code_space: CodeSpace, phase_per_one: complex):
     image - projection gives the leakage, and <i|gate|i> the phases.
     Memoized by (code space, phase); a raise caches nothing.
 
-    Each codeword is read through one key -> amplitude dict and no state is
-    built, yet every number is bit for bit that of the state-level route
+    <0|0> and <1|1> are sums of conj(a) * a, <0|1> and <1|0> read one key ->
+    amplitude dict per codeword, and no state is built, yet every number is
+    bit for bit that of the state-level route
     (linear combinations, brackets and a per-key phase on SparseStates),
     which tests/oracles.py keeps as projection_diagonal_action: brackets
     sum in the codeword's key order, a key both codewords hold adds |0>'s
@@ -157,18 +154,20 @@ def _diagonal_action(code_space: CodeSpace, phase_per_one: complex):
     st = _states()
     tol, floor, bracket = st.TOL, st.PRUNE_TOL, st.bracket
     zero, one = code_space.basis
-    d0, d1 = dict(zip(zero.keys, zero.amps)), dict(zip(one.keys, one.amps))
 
-    def check(u, lookup, want):
-        if abs(bracket(u, lookup) - want) > tol:
+    def check(value, want):
+        if abs(value - want) > tol:
             raise ValueError("projection span is not orthonormal")
 
-    check(zero, d0, 1.0)
+    def norm2(u):  # <u|u>, summed in u's key order from 0j as bracket sums it
+        return reduce(add, [a.conjugate() * a for a in u.amps], 0j)
+
+    check(norm2(zero), 1.0)
     if zero.n != one.n:
         raise ValueError(f"dimension mismatch: {zero.n} vs {one.n}")
-    check(zero, d1, 0.0)
-    check(one, d0, 0.0)
-    check(one, d1, 1.0)
+    check(bracket(zero, dict(zip(one.keys, one.amps))), 0.0)
+    check(bracket(one, dict(zip(zero.keys, zero.amps))), 0.0)
+    check(norm2(one), 1.0)
     powers = [phase_per_one**w for w in range(zero.n + 1)]
 
     def spanned(c0, c1) -> dict:

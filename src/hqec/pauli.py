@@ -19,6 +19,8 @@ MAX_QUBITS = 1024
 _PREFIX_PHASE = {"": 0, "+": 0, "i": 1, "-": 2, "-i": 3}
 _PHASE_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
 _PHASE_VALUE = (1 + 0j, 1j, -1 + 0j, -1j)
+_X_BITS, _Z_BITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
+_NOT_LETTERS = str.maketrans("", "", "IXYZ")  # deletes every valid letter
 # letters of four consecutive qubits, indexed by (x nibble) | (z nibble) << 4
 _NIBBLE_LETTERS = tuple(
     "".join("IXZY"[((xn >> q) & 1) | ((zn >> q) & 1) << 1] for q in range(4))
@@ -126,15 +128,14 @@ def parse_pauli(text: str) -> PauliOperator:
             break
     if not body:
         raise PauliParseError("empty Pauli string")
-    x = z = 0
-    for q, ch in enumerate(body):
-        if ch in "XY":
-            x |= 1 << q
-        if ch in "ZY":
-            z |= 1 << q
-        if ch not in "IXYZ":
-            raise PauliParseError(f"invalid character {ch!r} at position {q + 1}")
-    return PauliOperator(len(body), x, z, phase + body.count("Y"))
+    if body.translate(_NOT_LETTERS):
+        q, ch = next(t for t in enumerate(body) if t[1] not in "IXYZ")
+        raise PauliParseError(f"invalid character {ch!r} at position {q + 1}")
+    if len(body) > MAX_QUBITS:
+        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {len(body)}")
+    bits = body[::-1]  # qubit 1, the leftmost letter, is the lowest bit
+    x, z = int(bits.translate(_X_BITS), 2), int(bits.translate(_Z_BITS), 2)
+    return tuple.__new__(PauliOperator, (len(body), x, z, (phase + body.count("Y")) % 4))
 
 
 def transversal_pauli(kind: str, n: int) -> PauliOperator:

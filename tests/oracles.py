@@ -11,7 +11,8 @@ compare the library against them (codeword enumeration, the eigenvalue
 readout that once checked the codewords, the signed-weight syndrome readout
 and the per-qubit-key storage runner, the CSS coset state, the
 state-level phase layer and projector, the even-support parity check, the
-code-file writer, code validation by PauliOperator.commutes calls, the dict
+code-file writer, code validation by PauliOperator.commutes calls with
+the reduction tracked by PauliOperator.multiply products, the dict
 constructor, tensor product and qubit swap of sparse states, the
 Clifford key rule on (a, b) pairs, and the combine/inner, two-pass,
 index-sort, coalescing and per-Pauli image routes that the code-space
@@ -33,7 +34,6 @@ from hqec import states as _states
 from hqec.codes import (
     StabilizerCode,
     ValidationReport,
-    _reduce_tracked,
     _zero_codeword,
     builtin_code,
     decode_single_error,
@@ -406,6 +406,17 @@ def sympl_vec(p: PauliOperator, n: int) -> int:
     return p.x | (p.z << n)
 
 
+def pauli_reduce_tracked(vec: int, pauli: PauliOperator, basis: list):
+    """Reduce vec against rows (vector, group element with that vector), each
+    reduced against the rows before it, multiplying the tracked elements."""
+    for bvec, bp in basis:
+        piv = bvec & -bvec
+        if vec & piv:
+            vec ^= bvec
+            pauli = pauli.multiply(bp)
+    return vec, pauli
+
+
 def pairwise_validate_code(code: StabilizerCode) -> ValidationReport:
     """codes.validate_code in its pairwise form: every pair is a
     PauliOperator.commutes call, each logical is reduced against the basis
@@ -429,7 +440,7 @@ def pairwise_validate_code(code: StabilizerCode) -> ValidationReport:
     for i, g in enumerate(gens):
         if g.n != code.n:
             continue
-        vec, prod = _reduce_tracked(sympl_vec(g, code.n), g, basis)
+        vec, prod = pauli_reduce_tracked(sympl_vec(g, code.n), g, basis)
         if vec == 0:
             # prod is g times a product of earlier generators, equal to a phase
             if prod.phase == 0:
@@ -451,7 +462,7 @@ def pairwise_validate_code(code: StabilizerCode) -> ValidationReport:
             for i, g in enumerate(gens):
                 if g.n == code.n and not p.commutes(g):
                     v.append(f"logical {label}[{j + 1}] anticommutes with generator {i + 1}")
-            vec, _ = _reduce_tracked(sympl_vec(p, code.n), PauliOperator.identity(code.n), basis)
+            vec, _ = pauli_reduce_tracked(sympl_vec(p, code.n), PauliOperator.identity(code.n), basis)
             if vec == 0:
                 v.append(f"logical {label}[{j + 1}] lies in the stabilizer group")
     for j, xj in enumerate(code.logical_x):

@@ -1,14 +1,19 @@
 """tools/bench_snapshot.py writes a BENCH_<PR>.json of the documented shape,
-and every function it names exists in src/hqec.  Times are not checked."""
+and every function it names exists in src/hqec; with --base, both trees'
+workers ran.  Times are not checked."""
 
 import functools
 import importlib
 import inspect
 import json
+import os
+import shutil
 import subprocess
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNNERS = {"transversal_t", "logical_t", "demo", "storage_shor", "storage_rm15", "codes_analysis"}
@@ -89,3 +94,48 @@ def test_snapshot_schema(tmp_path):
     rm15 = profiled["runners"]["storage_rm15"]["functions"]
     assert "states.apply_paulis" in rm15
     assert not {"protocol.encrypt", "states._pauli_image"} & set(rm15)
+
+
+def _git(*args) -> str | None:
+    """git's stdout in the repository root, or None where git fails."""
+    try:
+        proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _in_checkout() -> bool:
+    top = shutil.which("git") and _git("rev-parse", "--show-toplevel")
+    return bool(top) and Path(top).resolve() == ROOT.resolve()
+
+
+@pytest.mark.skipif(not _in_checkout(), reason="needs a git checkout of this repository")
+def test_base_ab_schema(tmp_path):
+    # HEAD against this checkout: one commit, so no history is needed
+    worktrees = _git("worktree", "list", "--porcelain")
+    out = tmp_path / "BENCH_0.json"
+    proc = subprocess.run(
+        [sys.executable, "tools/bench_snapshot.py", "--pr", "0", "--out", str(out), "--repeat", "1",
+         "--number", "2", "--cli-runs", "1", "--profile-calls", "1", "--base", "HEAD", "--rounds", "3"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert _git("worktree", "list", "--porcelain") == worktrees  # the base worktree is gone
+
+    ab = json.loads(out.read_text())["base"]
+    assert (ab["rev"], ab["rounds"], ab["number"]) == ("HEAD", 3, 2)
+    assert ab["commit"] == _git("rev-parse", "HEAD")
+    base, change = ab["workers"]["base"], ab["workers"]["change"]
+    assert base["pid"] != change["pid"] and os.getpid() not in (base["pid"], change["pid"])
+    assert Path(change["hqec"]).resolve() == (ROOT / "src" / "hqec" / "__init__.py").resolve()
+    assert Path(base["hqec"]).parts[-3:] == ("src", "hqec", "__init__.py")
+    assert not Path(base["hqec"]).resolve().is_relative_to(ROOT.resolve())
+    assert not Path(base["hqec"]).exists()  # the temporary tree is removed
+    assert set(ab["runners"]) == RUNNERS
+    for name, r in ab["runners"].items():
+        assert len(r["base_us"]) == len(r["change_us"]) == 3
+        assert all(us > 0 for us in r["base_us"] + r["change_us"])
+        assert r["ratio_q1"] <= r["ratio_median"] <= r["ratio_q3"]
+        assert 0 <= r["won"] <= 3
+        assert f"  {name} " in proc.stdout  # one printed line per runner

@@ -18,7 +18,7 @@ from hqec.codes import (
     validate_code,
 )
 from hqec.compat import clifford_correction_for_t, stabilizer_mask_check
-from hqec.pauli import PauliOperator, parse_pauli
+from hqec.pauli import PauliOperator, parse_pauli, transversal_pauli
 from hqec.states import apply_pauli, fidelity_up_to_phase, inner
 from oracles import (
     cached_code,
@@ -157,8 +157,6 @@ class TestBuiltins:
 
     def test_synthetic_incompatible_shape(self):
         code = cached_code("synthetic_incompatible")
-        from hqec.pauli import transversal_pauli
-
         assert not code.generators[0].commutes(transversal_pauli("X", 3))
 
     def test_unknown_name(self):
@@ -281,16 +279,22 @@ class TestPerCodeCaches:
             assert stabilizer_mask_check(code) is stabilizer_mask_check(code)
 
     def test_mask_check_failures_are_not_cached(self):
-        # a generator on two qubits of a three-qubit code cannot be checked
-        code = StabilizerCode("short_gen", 3, 1, (parse_pauli("ZZ"), parse_pauli("IZZ")),
-                              (parse_pauli("XXX"),), (parse_pauli("ZZZ"),))
-        before = stabilizer_mask_check.cache_info()
-        for _ in range(3):
-            with pytest.raises(ValueError, match="dimension mismatch"):
-                stabilizer_mask_check(code)
-        after = stabilizer_mask_check.cache_info()
-        assert after.misses == before.misses + 3
-        assert after.currsize == before.currsize
+        # a generator on two or four qubits of a three-qubit code cannot be
+        # checked; the message is transversal_pauli("X", 3).commutes(g)'s
+        for gens, message in ((("ZZ", "IZZ"), "dimension mismatch: 3 vs 2"),
+                              (("ZZI", "IZZI"), "dimension mismatch: 3 vs 4")):
+            code = StabilizerCode("short_gen", 3, 1, tuple(map(parse_pauli, gens)),
+                                  (parse_pauli("XXX"),), (parse_pauli("ZZZ"),))
+            bad = next(g for g in code.generators if g.n != 3)
+            with pytest.raises(ValueError, match=rf"^{message}$"):
+                transversal_pauli("X", 3).commutes(bad)
+            before = stabilizer_mask_check.cache_info()
+            for _ in range(3):
+                with pytest.raises(ValueError, match=rf"^{message}$"):
+                    stabilizer_mask_check(code)
+            after = stabilizer_mask_check.cache_info()
+            assert after.misses == before.misses + 3
+            assert after.currsize == before.currsize
 
     def test_caches_stay_at_their_bound(self):
         # distinct names make distinct codes
@@ -469,6 +473,11 @@ class TestCodeFile:
     def test_wrong_counts(self):
         with pytest.raises(CodeFileError):
             parse_code_text("3 1\nZZI\nIZZ\nXXX\n")
+
+    def test_operator_over_the_qubit_cap(self):
+        # parse_pauli's cap message, passed on as a CodeFileError
+        with pytest.raises(CodeFileError, match=r"^qubit count must be in 1\.\.1024, got 1025$"):
+            parse_code_text("3 1\nZZI\nIZZ\n" + "X" * 1025 + "\nZZZ\n")
 
     def test_bad_operator_length(self):
         with pytest.raises(CodeFileError):

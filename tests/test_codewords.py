@@ -1,6 +1,7 @@
 """The polynomial codeword construction against two references: an
-exhaustive seed scan (byte for byte) and dense projectors; and code
-validation by popcounts against its PauliOperator.commutes form."""
+exhaustive seed scan (byte for byte) and dense projectors; code validation
+by popcounts against its PauliOperator.commutes form; and the reduction on
+(x, z, phase) ints against its PauliOperator.multiply form."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hqec import gf2
 from hqec.codes import (
     BUILTIN_NAMES,
     StabilizerCode,
+    _reduce_tracked,
     builtin_code,
     logical_codewords,
     parse_code_text,
@@ -23,9 +25,11 @@ from oracles import (
     dense_of,
     dense_zero_codeword,
     pairwise_validate_code,
+    pauli_reduce_tracked,
     readout_codeword_verdict,
     scan_zero_codeword,
     state_bytes,
+    sympl_vec,
 )
 
 # qubit-permuted, H-conjugated and sign-flipped copies of the builtin codes,
@@ -281,6 +285,35 @@ class TestValidateAgainstPairwise:
         wide = (parse_pauli("IIIX"), parse_pauli("XIII"))
         code = StabilizerCode("wide", 3, 1, wide, (parse_pauli("XXX"),), (parse_pauli("ZZZ"),))
         assert validate_code(code) == pairwise_validate_code(code)
+
+
+class TestReduceTrackedAgainstProducts:
+    """codes._reduce_tracked on (x, z, phase) ints gives the vector and the
+    tracked element that PauliOperator.multiply products give (tests/oracles.py
+    pauli_reduce_tracked), against the rows of every prefix of the
+    generators, in validate_code's symplectic form and _zero_codeword's
+    x-part form."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(clifford_codes(), perturbed_codes()), st.sampled_from(["symplectic", "x_part"]))
+    def test_same_vector_and_element(self, code, form):
+        n = code.n
+        int_rows, pauli_rows = [], []
+        for p in code.generators + code.logical_x + code.logical_z:
+            vec = sympl_vec(p, n) if form == "symplectic" else p.x
+            got = _reduce_tracked(vec, p.x, p.z, p.phase, int_rows)
+            want_vec, want = pauli_reduce_tracked(vec, p, pauli_rows)
+            assert got == (want_vec, want.x, want.z, want.phase)
+            if want_vec and p in code.generators:
+                int_rows.append(got)
+                pauli_rows.append((want_vec, want))
+
+    def test_phase_wraps_mod_4(self):
+        # (i^3 XZ) * (i^3 X): phases 3 + 3 and the Z-past-X sign 2 make 8 = 0 mod 4
+        a, b = PauliOperator(1, 1, 1, 3), PauliOperator(1, 1, 0, 3)
+        want_vec, want = pauli_reduce_tracked(a.x, a, [(b.x, b)])
+        assert (want_vec, want) == (0, PauliOperator(1, 0, 1, 0))
+        assert _reduce_tracked(a.x, a.x, a.z, a.phase, [(b.x, b.x, b.z, b.phase)]) == (0, 0, 1, 0)
 
 
 class TestConstruction:

@@ -18,6 +18,7 @@ from hqec.compat import (
     diagonal_gate_action,
     stabilizer_mask_check,
 )
+from hqec.pauli import transversal_pauli
 from hqec.protocol import KeyRegister, encrypt
 from hqec.states import TOL, SparseState
 from oracles import (
@@ -31,7 +32,7 @@ from oracles import (
     project_onto,
     projection_diagonal_action,
 )
-from test_codewords import clifford_codes
+from test_codewords import clifford_codes, perturbed_codes
 
 OMEGA = np.exp(1j * np.pi / 4)
 
@@ -52,6 +53,16 @@ class TestStabilizerMaskCheck:
         assert bad[0].generator == "ZZZ"
         assert not bad[0].x_commutes
         assert bad[0].z_commutes
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(clifford_codes(), perturbed_codes()))
+    def test_flags_are_transversal_commutations(self, code):
+        # the parity flags against the transversal operators' commutes calls
+        tx, tz = transversal_pauli("X", code.n), transversal_pauli("Z", code.n)
+        rep = stabilizer_mask_check.__wrapped__(code)
+        assert [(c.index, c.generator, c.x_commutes, c.z_commutes) for c in rep.generator_checks] == [
+            (i + 1, g.to_string(), tx.commutes(g), tz.commutes(g)) for i, g in enumerate(code.generators)]
+        assert rep.verdict == all(tx.commutes(g) and tz.commutes(g) for g in code.generators)
 
     def test_css_cross_check_populated(self):
         for name in ("steane", "rm15"):

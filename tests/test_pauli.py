@@ -52,6 +52,35 @@ class TestParse:
         assert parse_pauli(p.to_string()) == p
 
 
+    @given(st.sampled_from(["", "+", "-", "i", "-i"]), st.text("IXYZ", min_size=1, max_size=70))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_checked_constructor(self, prefix, letters):
+        # parse_pauli builds its tuple unchecked; the checked constructor on
+        # letterwise x, z and phase must give the same fields and type
+        x = sum(1 << q for q, ch in enumerate(letters) if ch in "XY")
+        z = sum(1 << q for q, ch in enumerate(letters) if ch in "ZY")
+        phase = {"": 0, "+": 0, "i": 1, "-": 2, "-i": 3}[prefix] + letters.count("Y")
+        p, want = parse_pauli(prefix + letters), PauliOperator(len(letters), x, z, phase)
+        assert p == want and type(p) is PauliOperator
+        assert (p.n, p.x, p.z, p.phase) == (want.n, want.x, want.z, want.phase)
+        assert 0 <= p.phase < 4 and hash(p) == hash(want)
+
+    @pytest.mark.parametrize("prefix", ["", "+", "-", "i", "-i"])
+    def test_qubit_cap(self, prefix):
+        assert parse_pauli(prefix + "Y" * 1024).n == 1024
+        with pytest.raises(ValueError, match=r"^qubit count must be in 1\.\.1024, got 1025$"):
+            parse_pauli(prefix + "X" * 1025)
+        # a bad letter is named before the count
+        with pytest.raises(PauliParseError, match=r"^invalid character 'Q' at position 1025$"):
+            parse_pauli(prefix + "X" * 1024 + "Q")
+
+    def test_invalid_character_is_the_first(self):
+        with pytest.raises(PauliParseError, match=r"^invalid character 'q' at position 2$"):
+            parse_pauli("-iXqZ_")
+        with pytest.raises(PauliParseError, match=r"^invalid character 'i' at position 1$"):
+            parse_pauli("iiX")
+
+
 class TestMultiply:
     def test_x_times_z(self):
         xz = parse_pauli("X").multiply(parse_pauli("Z"))

@@ -2,8 +2,9 @@
 
     python tools/bench_snapshot.py --pr 27 [--label TEXT] [--out PATH]
         [--repeat 5] [--number 200] [--cli-runs 11] [--profile-calls 500]
+        [--base REV [--rounds 20]]
 
-The snapshot has three parts:
+The snapshot has three parts, and a fourth with ``--base``:
 
 * ``runners``: each protocol runner called in-process, and the cold
   code analysis (``codes_analysis``: parse, validate, mask check,
@@ -18,7 +19,16 @@ The snapshot has three parts:
 * ``profile``: per runner, the cProfile self time of every function under
   src/hqec as a share of all profiled time, with its calls per run.
   Comprehension and lambda frames (``<listcomp>``, ``<genexpr>``, ...)
-  count as self time of the function whose body holds them.
+  count as self time of the function whose body holds them;
+* ``base`` (with ``--base REV``): an interleaved A/B run of the same
+  runners against the commit REV.  REV is checked out with ``git worktree
+  add`` into a temporary directory (local, no network) and removed at the
+  end.  One worker process per tree, each importing its own src/, times
+  batches of ``number`` calls (each batch after one untimed call), runner
+  by runner, the two trees in the order A B in even rounds and B A in odd
+  ones.  Per runner it records every batch's microseconds per call and the
+  change/base time ratio of each round: its median and quartiles, and the
+  rounds the change won (ratio below 1).  The same summary is printed.
 
 Plain timings and profiled shares come from separate runs and are never
 mixed: profiling makes each run two to three times slower.  The hqec
@@ -37,9 +47,11 @@ import os
 import platform
 import pstats
 import random
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import timeit
 from pathlib import Path
 
@@ -226,6 +238,86 @@ def profile_runners(calls: dict, number: int) -> dict:
     return out
 
 
+def start_worker(tree: Path) -> tuple:
+    """(process, hello) of a worker serving the runners of tree/src; the
+    hello names its pid and the hqec it imported."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}  # only tree/src on the path
+    proc = subprocess.Popen([sys.executable, str(Path(__file__).resolve()), "--worker", str(tree / "src")],
+                            cwd=tree, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    return proc, read_reply(proc, tree)
+
+
+def read_reply(proc, tree: Path):
+    line = proc.stdout.readline()
+    if not line:
+        raise RuntimeError(f"the worker for {tree} exited {proc.wait()}")
+    return json.loads(line)
+
+
+def serve(src: str) -> int:
+    """The worker's loop: each stdin line "NAME NUMBER" is answered with the
+    seconds that NUMBER calls of runner NAME took, after one untimed call."""
+    sys.path.insert(0, src)
+    calls = runners()
+    import hqec
+
+    print(json.dumps({"pid": os.getpid(), "hqec": hqec.__file__, "runners": list(calls)}), flush=True)
+    for line in sys.stdin:
+        name, number = line.split()
+        calls[name]()
+        print(json.dumps(timeit.timeit(calls[name], number=int(number))), flush=True)
+    return 0
+
+
+def ab_compare(rev: str, rounds: int, number: int) -> dict:
+    """The ``base`` part: this checkout (the change) against a worktree of rev."""
+    tmp = Path(tempfile.mkdtemp(prefix="bench-base-"))
+    tree = tmp / "tree"
+    workers = {}
+    try:
+        subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(tree), rev], cwd=ROOT, check=True)
+        commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True, text=True,
+                                check=True).stdout.strip()
+        trees = {"base": tree, "change": ROOT}
+        for side in trees:
+            workers[side] = start_worker(trees[side])
+        names = workers["change"][1]["runners"]
+        us = {side: {name: [] for name in names} for side in trees}
+        for r in range(rounds):
+            for name in names:
+                for side in ("base", "change") if r % 2 == 0 else ("change", "base"):
+                    proc = workers[side][0]
+                    proc.stdin.write(f"{name} {number}\n")
+                    proc.stdin.flush()
+                    us[side][name].append(read_reply(proc, trees[side]) / number * 1e6)
+    finally:
+        for proc, _ in workers.values():
+            proc.stdin.close()
+            proc.wait(timeout=60)
+        if tree.exists():
+            subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, check=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+    out = {}
+    for name in names:
+        base_us, change_us = us["base"][name], us["change"][name]
+        ratios = [c / b for b, c in zip(base_us, change_us)]
+        q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if rounds > 1 else ratios * 3
+        out[name] = {"ratio_median": median, "ratio_q1": q1, "ratio_q3": q3,
+                     "won": sum(r < 1 for r in ratios), "base_us": base_us, "change_us": change_us}
+    return {"rev": rev, "commit": commit, "rounds": rounds, "number": number,
+            "workers": {side: {k: hello[k] for k in ("pid", "hqec")} for side, (_, hello) in workers.items()},
+            "ratio": "change time / base time per round", "runners": out}
+
+
+def print_ab(ab: dict) -> None:
+    print(f"A/B against {ab['rev']} ({ab['commit'][:12]}): {ab['rounds']} rounds of {ab['number']} calls, "
+          f"time ratio change/base")
+    print(f"  {'runner':<16}{'median':>8}{'q1':>8}{'q3':>8}  won")
+    for name, r in ab["runners"].items():
+        print(f"  {name:<16}{r['ratio_median']:8.3f}{r['ratio_q1']:8.3f}{r['ratio_q3']:8.3f}  "
+              f"{r['won']}/{ab['rounds']}")
+
+
 def git_commit() -> str | None:
     """The checkout's commit, with "-dirty" when its tracked files differ from it."""
     try:
@@ -237,6 +329,9 @@ def git_commit() -> str | None:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--worker"]:  # started by start_worker, not by hand
+        return serve(argv[1])
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pr", type=int, required=True, help="number for the file name BENCH_<PR>.json")
     ap.add_argument("--label", default="", help="free text saying which tree was measured")
@@ -245,6 +340,8 @@ def main(argv=None) -> int:
     ap.add_argument("--number", type=int, default=200)
     ap.add_argument("--cli-runs", type=int, default=11)
     ap.add_argument("--profile-calls", type=int, default=500)
+    ap.add_argument("--base", metavar="REV", help="also time the runners A/B against commit REV")
+    ap.add_argument("--rounds", type=int, default=20, help="A/B rounds with --base")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(SRC))
     calls = runners()
@@ -258,8 +355,12 @@ def main(argv=None) -> int:
         "cli": time_cli(args.cli_runs),
         "profile": {"runs": args.profile_calls, "runners": profile_runners(calls, args.profile_calls)},
     }
+    if args.base:
+        snapshot["base"] = ab_compare(args.base, args.rounds, args.number)
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(snapshot, indent=1) + "\n")
+    if args.base:
+        print_ab(snapshot["base"])
     print(f"wrote {out}")
     return 0
 
