@@ -51,7 +51,6 @@ class TestParse:
         assert p.to_string() == text
         assert parse_pauli(p.to_string()) == p
 
-
     @given(st.sampled_from(["", "+", "-", "i", "-i"]), st.text("IXYZ", min_size=1, max_size=70))
     @settings(max_examples=300, deadline=None)
     def test_equals_the_checked_constructor(self, prefix, letters):
