@@ -157,14 +157,10 @@ def validate_code(code: StabilizerCode) -> ValidationReport:
     p and q anticommute iff vec(p) & dual(q) has odd weight, for vec(p) =
     x | z << w, dual(p) = z | x << w and a width w no operator exceeds."""
     v: list[str] = []
-    n, gens, lx, lz = code.n, code.generators, code.logical_x, code.logical_z
-    w = max([n] + [p.n for p in gens + lx + lz])
+    n, gens = code.n, code.generators
+    w = max([n] + [p.n for p in gens + code.logical_x + code.logical_z])
     vecs = [g.x | g.z << w for g in gens]
     duals = [g.z | g.x << w for g in gens]
-
-    def anti(a, b) -> int:
-        return ((a.x | a.z << w) & (b.z | b.x << w)).bit_count() & 1
-
     for i, g in enumerate(gens):
         if g.n != n:
             v.append(f"generator {i + 1} acts on {g.n} qubits, expected {n}")
@@ -172,9 +168,9 @@ def validate_code(code: StabilizerCode) -> ValidationReport:
             v.append(f"generator {i + 1} ({g}) is not Hermitian")
     if len(gens) != n - code.k:
         v.append(f"expected {n - code.k} generators, got {len(gens)}")
-    for i, (g, vec) in enumerate(zip(gens, vecs)):
+    for i, g in enumerate(gens):
         v += [f"generators {i + 1} ({g}) and {j + 1} ({gens[j]}) anticommute"
-              for j in range(i + 1, len(gens)) if (vec & duals[j]).bit_count() & 1 and g.n == gens[j].n]
+              for j in range(i + 1, len(gens)) if g.n == gens[j].n and (vecs[i] & duals[j]).bit_count() & 1]
 
     basis: list = []
     for i, g in enumerate(gens):
@@ -190,9 +186,9 @@ def validate_code(code: StabilizerCode) -> ValidationReport:
         else:
             basis.append(row)
 
-    if len(lx) != code.k or len(lz) != code.k:
+    if len(code.logical_x) != code.k or len(code.logical_z) != code.k:
         v.append(f"expected {code.k} logical X and Z operators")
-    for label, ops in (("X", lx), ("Z", lz)):
+    for label, ops in (("X", code.logical_x), ("Z", code.logical_z)):
         for j, p in enumerate(ops):
             if p.n != n:
                 v.append(f"logical {label}[{j + 1}] acts on {p.n} qubits, expected {n}")
@@ -205,11 +201,19 @@ def validate_code(code: StabilizerCode) -> ValidationReport:
                     v.append(f"logical {label}[{j + 1}] anticommutes with generator {i + 1}")
             if gf2.reduce(r, [row[0] for row in basis]) == 0:
                 v.append(f"logical {label}[{j + 1}] lies in the stabilizer group")
-    v += [f"logical X[{j + 1}] and Z[{l + 1}] must {'anticommute' if j == l else 'commute'}"
-          for j, a in enumerate(lx) for l, b in enumerate(lz) if a.n == n == b.n and (j == l) != anti(a, b)]
-    for label, ops in (("X", lx), ("Z", lz)):
-        v += [f"logical {label}[{j + 1}] and {label}[{l + 1}] anticommute" for j, a in enumerate(ops)
-              for l in range(j + 1, len(ops)) if a.n == n == ops[l].n and anti(a, ops[l])]
+    for j, xj in enumerate(code.logical_x):
+        for l, zl in enumerate(code.logical_z):
+            if xj.n != n or zl.n != n:
+                continue
+            if (j == l) != ((xj.x | xj.z << w) & (zl.z | zl.x << w)).bit_count() & 1:
+                want = "anticommute" if j == l else "commute"
+                v.append(f"logical X[{j + 1}] and Z[{l + 1}] must {want}")
+    for label, ops in (("X", code.logical_x), ("Z", code.logical_z)):
+        for j in range(len(ops)):
+            for l in range(j + 1, len(ops)):
+                a, b = ops[j], ops[l]
+                if a.n == n and b.n == n and ((a.x | a.z << w) & (b.z | b.x << w)).bit_count() & 1:
+                    v.append(f"logical {label}[{j + 1}] and {label}[{l + 1}] anticommute")
     return ValidationReport(code.name, tuple(v))
 
 
@@ -411,9 +415,13 @@ def logical_codewords(code: StabilizerCode) -> CodeSpace:
 
 def syndrome(code: StabilizerCode, error: PauliOperator) -> tuple[int, ...]:
     """Bit i is 1 iff the error anticommutes with generator i: the parity of
-    the symplectic product x(e).z(g) + z(e).x(g)."""
+    the symplectic product x(e).z(g) + z(e).x(g).  A generator on another
+    number of qubits raises as PauliOperator.commutes would."""
     if error.n != code.n:
         raise ValueError(f"error acts on {error.n} qubits, code has {code.n}")
+    for g in code.generators:
+        if g.n != code.n:
+            raise ValueError(f"dimension mismatch: {code.n} vs {g.n}")
     x, z = error.x, error.z
     return tuple(((x & g.z) ^ (z & g.x)).bit_count() & 1 for g in code.generators)
 

@@ -6,16 +6,15 @@ of the same criterion (`check css`), the logical action of transversal
 diagonal gates, and the search for a diagonal logical Clifford correction
 that turns a transversal T into the exact logical T.
 
-The mask checks are parities of Python ints (X^n commutes with g iff
-|z(g)| is even, Z^n iff |x(g)| is even), the CSS pair checked by
-``codes.check_css_pair``; only the diagonal-gate functions read the
-``states`` layer (its tolerances, squared-weight sum and bracket sum,
-through ``codes._states()``, which imports it on first use).  A diagonal
-gate's action is computed from the codewords' amplitudes, with no
-intermediate state, bit for bit as the state-level route that
-tests/oracles.py keeps (projection_diagonal_action), and memoized by
-(code space, phase), so clifford_correction_for_t reads the transversal-T
-action that diagonal_gate_action computed, and vice versa;
+The mask checks are syndromes of X^n and Z^n (``codes.syndrome``, parities
+of Python ints), the CSS pair checked by ``codes.check_css_pair``; only the
+diagonal-gate functions read the ``states`` layer (its tolerances,
+squared-weight sum and bracket sum, through ``codes._states()``, which
+imports it on first use).  A diagonal gate's action is computed from the
+codewords' amplitudes, with no intermediate state, bit for bit as the
+state-level route that tests/oracles.py keeps (projection_diagonal_action).
+It is memoized by (code space, phase), so clifford_correction_for_t reads
+the transversal-T action that diagonal_gate_action computed, and vice versa;
 stabilizer_mask_check is memoized by code.  The protocol error classes,
 OMEGA and the register-cost report live here too, so the CLI maps errors
 to exit codes and answers ``report resources`` without importing
@@ -32,7 +31,7 @@ from operator import add
 from typing import NamedTuple
 
 from . import gf2
-from .codes import CODE_CACHE_SIZE, CodeSpace, StabilizerCode, _states, check_css_pair
+from .codes import CODE_CACHE_SIZE, CodeSpace, StabilizerCode, _states, check_css_pair, syndrome
 from .gf2 import ClassicalCode
 from .pauli import transversal_pauli
 
@@ -88,21 +87,29 @@ class CompatReport:
 @lru_cache(maxsize=CODE_CACHE_SIZE)
 def stabilizer_mask_check(code: StabilizerCode) -> CompatReport:
     """Transversal X/Z masking preserves the code space iff both transversal
-    operators commute with every generator; it raises as transversal_pauli(
-    kind, n).commutes(g) would, for n out of range or g on another n.
-    Memoized by code (frozen report); a raise caches nothing."""
-    n = transversal_pauli("X", code.n).n
-    checks = []
-    for i, g in enumerate(code.generators):
-        if g.n != n:
-            raise ValueError(f"dimension mismatch: {n} vs {g.n}")
-        checks.append(GeneratorCheck(i + 1, g.to_string(), not g.z.bit_count() & 1, not g.x.bit_count() & 1))
-    checks, verdict = tuple(checks), all(c.ok for c in checks)
-    if code.css_origin is None:
-        return CompatReport(code.name, checks, verdict)
-    css = css_mask_check(*code.css_origin, name=code.name)
-    return CompatReport(code.name, checks, verdict, e_in_c1=css.e_in_c1, c2_all_even=css.c2_all_even,
-                        css_verdict=css.verdict, cross_check_ok=(css.verdict == verdict))
+    operators commute with every generator, read from their syndromes (X^n
+    commutes with g iff |z(g)| is even, Z^n iff |x(g)| is even).  Memoized
+    by code (frozen report); a raise caches nothing."""
+    sx = syndrome(code, transversal_pauli("X", code.n))
+    sz = syndrome(code, transversal_pauli("Z", code.n))
+    checks = tuple(
+        GeneratorCheck(i + 1, g.to_string(), not sx[i], not sz[i])
+        for i, g in enumerate(code.generators)
+    )
+    verdict = all(c.ok for c in checks)
+    if code.css_origin is not None:
+        c1, c2 = code.css_origin
+        css = css_mask_check(c1, c2, name=code.name)
+        return CompatReport(
+            code.name,
+            checks,
+            verdict,
+            e_in_c1=css.e_in_c1,
+            c2_all_even=css.c2_all_even,
+            css_verdict=css.verdict,
+            cross_check_ok=(css.verdict == verdict),
+        )
+    return CompatReport(code.name, checks, verdict)
 
 
 def css_mask_check(c1: ClassicalCode, c2: ClassicalCode, name: str = "css") -> CompatReport:

@@ -131,11 +131,9 @@ def parse_pauli(text: str) -> PauliOperator:
     if body.translate(_NOT_LETTERS):
         q, ch = next(t for t in enumerate(body) if t[1] not in "IXYZ")
         raise PauliParseError(f"invalid character {ch!r} at position {q + 1}")
-    if len(body) > MAX_QUBITS:
-        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {len(body)}")
     bits = body[::-1]  # qubit 1, the leftmost letter, is the lowest bit
     x, z = int(bits.translate(_X_BITS), 2), int(bits.translate(_Z_BITS), 2)
-    return tuple.__new__(PauliOperator, (len(body), x, z, (phase + body.count("Y")) % 4))
+    return PauliOperator(len(body), x, z, phase + body.count("Y"))
 
 
 def transversal_pauli(kind: str, n: int) -> PauliOperator:

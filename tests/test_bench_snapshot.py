@@ -117,14 +117,14 @@ def test_base_ab_schema(tmp_path):
     out = tmp_path / "BENCH_0.json"
     proc = subprocess.run(
         [sys.executable, "tools/bench_snapshot.py", "--pr", "0", "--out", str(out), "--repeat", "1",
-         "--number", "2", "--cli-runs", "1", "--profile-calls", "1", "--base", "HEAD", "--rounds", "3"],
+         "--number", "2", "--cli-runs", "1", "--profile-calls", "1", "--base", "HEAD"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert _git("worktree", "list", "--porcelain") == worktrees  # the base worktree is gone
 
     ab = json.loads(out.read_text())["base"]
-    assert (ab["rev"], ab["rounds"], ab["number"]) == ("HEAD", 3, 2)
+    assert (ab["rev"], ab["rounds"], ab["number"]) == ("HEAD", 20, 2)
     assert ab["commit"] == _git("rev-parse", "HEAD")
     base, change = ab["workers"]["base"], ab["workers"]["change"]
     assert base["pid"] != change["pid"] and os.getpid() not in (base["pid"], change["pid"])
@@ -134,8 +134,8 @@ def test_base_ab_schema(tmp_path):
     assert not Path(base["hqec"]).exists()  # the temporary tree is removed
     assert set(ab["runners"]) == RUNNERS
     for name, r in ab["runners"].items():
-        assert len(r["base_us"]) == len(r["change_us"]) == 3
+        assert len(r["base_us"]) == len(r["change_us"]) == 20
         assert all(us > 0 for us in r["base_us"] + r["change_us"])
         assert r["ratio_q1"] <= r["ratio_median"] <= r["ratio_q3"]
-        assert 0 <= r["won"] <= 3
+        assert 0 <= r["won"] <= 20
         assert f"  {name} " in proc.stdout  # one printed line per runner

@@ -278,21 +278,42 @@ class TestPerCodeCaches:
             code = builtin_code(name)
             assert stabilizer_mask_check(code) is stabilizer_mask_check(code)
 
-    def test_mask_check_failures_are_not_cached(self):
-        # a generator on two or four qubits of a three-qubit code cannot be
-        # checked; the message is transversal_pauli("X", 3).commutes(g)'s
-        for gens, message in ((("ZZ", "IZZ"), "dimension mismatch: 3 vs 2"),
-                              (("ZZI", "IZZI"), "dimension mismatch: 3 vs 4")):
+    # a generator on two or four qubits of a three-qubit code, and the
+    # message commutes gives for it against an operator on three qubits
+    WRONG_WIDTH = ((("ZZ", "IZZ"), "dimension mismatch: 3 vs 2"),
+                   (("ZZI", "IZZI"), "dimension mismatch: 3 vs 4"))
+
+    def _wrong_width_codes(self):
+        for gens, message in self.WRONG_WIDTH:
             code = StabilizerCode("short_gen", 3, 1, tuple(map(parse_pauli, gens)),
                                   (parse_pauli("XXX"),), (parse_pauli("ZZZ"),))
             bad = next(g for g in code.generators if g.n != 3)
             with pytest.raises(ValueError, match=rf"^{message}$"):
                 transversal_pauli("X", 3).commutes(bad)
+            yield code, message
+
+    def test_mask_check_failures_are_not_cached(self):
+        for code, message in self._wrong_width_codes():
             before = stabilizer_mask_check.cache_info()
             for _ in range(3):
                 with pytest.raises(ValueError, match=rf"^{message}$"):
                     stabilizer_mask_check(code)
             after = stabilizer_mask_check.cache_info()
+            assert after.misses == before.misses + 3
+            assert after.currsize == before.currsize
+
+    def test_syndrome_failures_are_not_cached(self):
+        # the error meets every generator, so syndrome and the decoder's
+        # table raise the same message
+        for code, message in self._wrong_width_codes():
+            for error in ("III", "XII", "IIZ"):
+                with pytest.raises(ValueError, match=rf"^{message}$"):
+                    syndrome(code, parse_pauli(error))
+            before = _single_error_table.cache_info()
+            for _ in range(3):
+                with pytest.raises(ValueError, match=rf"^{message}$"):
+                    decode_single_error(code, (0, 0))
+            after = _single_error_table.cache_info()
             assert after.misses == before.misses + 3
             assert after.currsize == before.currsize
 

@@ -2,7 +2,7 @@
 
     python tools/bench_snapshot.py --pr 27 [--label TEXT] [--out PATH]
         [--repeat 5] [--number 200] [--cli-runs 11] [--profile-calls 500]
-        [--base REV [--rounds 20]]
+        [--base REV]
 
 The snapshot has three parts, and a fourth with ``--base``:
 
@@ -25,10 +25,11 @@ The snapshot has three parts, and a fourth with ``--base``:
   add`` into a temporary directory (local, no network) and removed at the
   end.  One worker process per tree, each importing its own src/, times
   batches of ``number`` calls (each batch after one untimed call), runner
-  by runner, the two trees in the order A B in even rounds and B A in odd
-  ones.  Per runner it records every batch's microseconds per call and the
-  change/base time ratio of each round: its median and quartiles, and the
-  rounds the change won (ratio below 1).  The same summary is printed.
+  by runner, over AB_ROUNDS rounds, the two trees in the order A B in even
+  rounds and B A in odd ones.  Per runner it records every batch's
+  microseconds per call and the change/base time ratio of each round: its
+  median and quartiles, and the rounds the change won (ratio below 1).
+  The same summary is printed.
 
 Plain timings and profiled shares come from separate runs and are never
 mixed: profiling makes each run two to three times slower.  The hqec
@@ -58,6 +59,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PACKAGE = SRC / "hqec"
+AB_ROUNDS = 20  # interleaved rounds of the --base run
 
 # (argv after "python -m hqec.cli"); each must exit 0
 CLI_CALLS = {
@@ -269,7 +271,7 @@ def serve(src: str) -> int:
     return 0
 
 
-def ab_compare(rev: str, rounds: int, number: int) -> dict:
+def ab_compare(rev: str, number: int) -> dict:
     """The ``base`` part: this checkout (the change) against a worktree of rev."""
     tmp = Path(tempfile.mkdtemp(prefix="bench-base-"))
     tree = tmp / "tree"
@@ -283,7 +285,7 @@ def ab_compare(rev: str, rounds: int, number: int) -> dict:
             workers[side] = start_worker(trees[side])
         names = workers["change"][1]["runners"]
         us = {side: {name: [] for name in names} for side in trees}
-        for r in range(rounds):
+        for r in range(AB_ROUNDS):
             for name in names:
                 for side in ("base", "change") if r % 2 == 0 else ("change", "base"):
                     proc = workers[side][0]
@@ -301,10 +303,10 @@ def ab_compare(rev: str, rounds: int, number: int) -> dict:
     for name in names:
         base_us, change_us = us["base"][name], us["change"][name]
         ratios = [c / b for b, c in zip(base_us, change_us)]
-        q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if rounds > 1 else ratios * 3
+        q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
         out[name] = {"ratio_median": median, "ratio_q1": q1, "ratio_q3": q3,
                      "won": sum(r < 1 for r in ratios), "base_us": base_us, "change_us": change_us}
-    return {"rev": rev, "commit": commit, "rounds": rounds, "number": number,
+    return {"rev": rev, "commit": commit, "rounds": AB_ROUNDS, "number": number,
             "workers": {side: {k: hello[k] for k in ("pid", "hqec")} for side, (_, hello) in workers.items()},
             "ratio": "change time / base time per round", "runners": out}
 
@@ -341,7 +343,6 @@ def main(argv=None) -> int:
     ap.add_argument("--cli-runs", type=int, default=11)
     ap.add_argument("--profile-calls", type=int, default=500)
     ap.add_argument("--base", metavar="REV", help="also time the runners A/B against commit REV")
-    ap.add_argument("--rounds", type=int, default=20, help="A/B rounds with --base")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(SRC))
     calls = runners()
@@ -356,7 +357,7 @@ def main(argv=None) -> int:
         "profile": {"runs": args.profile_calls, "runners": profile_runners(calls, args.profile_calls)},
     }
     if args.base:
-        snapshot["base"] = ab_compare(args.base, args.rounds, args.number)
+        snapshot["base"] = ab_compare(args.base, args.number)
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(snapshot, indent=1) + "\n")
     if args.base:
