@@ -14,9 +14,10 @@ cached is immutable, and a call that raises caches nothing.
 ``validate_code`` is the one validity decision: the codewords are built
 only for a code it accepts; ``check_css_pair`` is the one check of a
 classical pair.  All of it is GF(2) algebra on Python ints, reduced and
-solved by ``gf2``, with each PauliOperator read as its (x, z, phase) ints
-and no PauliOperator built; the codeword construction and ``CodeSpace``
-import the ``states`` layer, when first called, only to build and read states.
+solved by ``gf2``; validation, codewords and syndromes read each
+PauliOperator as its (x, z, phase) ints and build none.  The codeword
+construction and ``CodeSpace`` import the ``states`` layer, when first
+called, only to build and read states.
 """
 
 from __future__ import annotations
@@ -413,15 +414,20 @@ def logical_codewords(code: StabilizerCode) -> CodeSpace:
     return CodeSpace(code, (zero, apply_pauli(zero, code.logical_x[0])))
 
 
-def syndrome(code: StabilizerCode, error: PauliOperator) -> tuple[int, ...]:
-    """Bit i is 1 iff the error anticommutes with generator i: the parity of
-    the symplectic product x(e).z(g) + z(e).x(g).  A generator on another
-    number of qubits raises as PauliOperator.commutes would."""
-    if error.n != code.n:
-        raise ValueError(f"error acts on {error.n} qubits, code has {code.n}")
+def check_generator_widths(code: StabilizerCode) -> None:
+    """Raise as PauliOperator.commutes would for a generator on another
+    number of qubits than the code."""
     for g in code.generators:
         if g.n != code.n:
             raise ValueError(f"dimension mismatch: {code.n} vs {g.n}")
+
+
+def syndrome(code: StabilizerCode, error: PauliOperator) -> tuple[int, ...]:
+    """Bit i is 1 iff the error anticommutes with generator i: the parity of
+    the symplectic product x(e).z(g) + z(e).x(g)."""
+    if error.n != code.n:
+        raise ValueError(f"error acts on {error.n} qubits, code has {code.n}")
+    check_generator_widths(code)
     x, z = error.x, error.z
     return tuple(((x & g.z) ^ (z & g.x)).bit_count() & 1 for g in code.generators)
 

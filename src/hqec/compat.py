@@ -6,8 +6,8 @@ of the same criterion (`check css`), the logical action of transversal
 diagonal gates, and the search for a diagonal logical Clifford correction
 that turns a transversal T into the exact logical T.
 
-The mask checks are syndromes of X^n and Z^n (``codes.syndrome``, parities
-of Python ints), the CSS pair checked by ``codes.check_css_pair``; only the
+The mask checks are parities of Python ints (X^n commutes with g iff |z(g)|
+is even), the CSS pair checked by ``codes.check_css_pair``; only the
 diagonal-gate functions read the ``states`` layer (its tolerances,
 squared-weight sum and bracket sum, through ``codes._states()``, which
 imports it on first use).  A diagonal gate's action is computed from the
@@ -31,7 +31,7 @@ from operator import add
 from typing import NamedTuple
 
 from . import gf2
-from .codes import CODE_CACHE_SIZE, CodeSpace, StabilizerCode, _states, check_css_pair, syndrome
+from .codes import CODE_CACHE_SIZE, CodeSpace, StabilizerCode, _states, check_css_pair, check_generator_widths
 from .gf2 import ClassicalCode
 from .pauli import transversal_pauli
 
@@ -87,13 +87,14 @@ class CompatReport:
 @lru_cache(maxsize=CODE_CACHE_SIZE)
 def stabilizer_mask_check(code: StabilizerCode) -> CompatReport:
     """Transversal X/Z masking preserves the code space iff both transversal
-    operators commute with every generator, read from their syndromes (X^n
-    commutes with g iff |z(g)| is even, Z^n iff |x(g)| is even).  Memoized
-    by code (frozen report); a raise caches nothing."""
-    sx = syndrome(code, transversal_pauli("X", code.n))
-    sz = syndrome(code, transversal_pauli("Z", code.n))
+    operators commute with every generator: X^n iff |z(g)| is even, Z^n iff
+    |x(g)| is even.  It raises as transversal_pauli(kind, n).commutes(g)
+    would, for n out of range or g on another n.  Memoized by code (frozen
+    report); a raise caches nothing."""
+    transversal_pauli("X", code.n)  # the qubit-count check
+    check_generator_widths(code)
     checks = tuple(
-        GeneratorCheck(i + 1, g.to_string(), not sx[i], not sz[i])
+        GeneratorCheck(i + 1, g.to_string(), not g.z.bit_count() & 1, not g.x.bit_count() & 1)
         for i, g in enumerate(code.generators)
     )
     verdict = all(c.ok for c in checks)

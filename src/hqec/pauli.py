@@ -33,6 +33,13 @@ class PauliParseError(ValueError):
     """Malformed Pauli string."""
 
 
+def _qubit_count(n: int) -> int:
+    """n, checked as the number of qubits of a PauliOperator."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
+    return n
+
+
 class _PauliFields(NamedTuple):
     n: int
     x: int
@@ -44,9 +51,7 @@ class PauliOperator(_PauliFields):
     __slots__ = ()
 
     def __new__(cls, n: int, x: int, z: int, phase: int):
-        if not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
-        mask = (1 << n) - 1
+        mask = (1 << _qubit_count(n)) - 1
         return tuple.__new__(cls, (n, int(x) & mask, int(z) & mask, int(phase) % 4))
 
     # -- construction -------------------------------------------------
@@ -133,7 +138,8 @@ def parse_pauli(text: str) -> PauliOperator:
         raise PauliParseError(f"invalid character {ch!r} at position {q + 1}")
     bits = body[::-1]  # qubit 1, the leftmost letter, is the lowest bit
     x, z = int(bits.translate(_X_BITS), 2), int(bits.translate(_Z_BITS), 2)
-    return PauliOperator(len(body), x, z, phase + body.count("Y"))
+    # x and z fit in the body's letters, so only the count needs checking
+    return tuple.__new__(PauliOperator, (_qubit_count(len(body)), x, z, (phase + body.count("Y")) % 4))
 
 
 def transversal_pauli(kind: str, n: int) -> PauliOperator:
