@@ -197,28 +197,22 @@ def _cmd_check_diagonal(args) -> int:
     omega = compat_mod.OMEGA
     phase = {"T": omega, "Td": omega.conjugate(), "Sd": -1j}[args.gate]
     rep = compat_mod.diagonal_gate_action(cs, phase, label=f"{args.gate}^x{code.n}")
+    doc = rep.as_dict()
     lines = [f"code {code.name}, transversal {args.gate} (phase {_DIAG_PHASES[args.gate]}):",
              f"  leakage: {rep.leakage:.12g}"]
     if rep.logical_phases is None:
         lines.append("  preserves the code space but is not diagonal on it" if rep.preserves_code_space
                      else "  does not preserve the code space")
-        _emit(args, rep.as_dict(), lines)
-        return 1
-    for i, p in enumerate(rep.logical_phases):
-        lines.append(f"  logical phase on |{i}>: {p.real:+.12f}{p.imag:+.12f}i")
-    if args.gate == "T":
-        corr = compat_mod.clifford_correction_for_t(cs)
+    else:
+        for i, p in enumerate(rep.logical_phases):
+            lines.append(f"  logical phase on |{i}>: {p.real:+.12f}{p.imag:+.12f}i")
+        corr = compat_mod.clifford_correction_for_t(cs) if args.gate == "T" else None
         if corr is not None:
-            lines.append(
-                f"  logical correction: S-power {corr.logical_s_power}, "
-                f"Z-power {corr.logical_z_power}"
-            )
-            doc = rep.as_dict()
+            lines.append(f"  logical correction: S-power {corr.logical_s_power}, "
+                         f"Z-power {corr.logical_z_power}")
             doc["correction"] = corr.as_dict()
-            _emit(args, doc, lines)
-            return 0
-    _emit(args, rep.as_dict(), lines)
-    return 0
+    _emit(args, doc, lines)
+    return 1 if rep.logical_phases is None else 0
 
 
 def _cmd_run_a1(args) -> int:
@@ -401,7 +395,7 @@ def main(argv=None) -> int:
     except compat_mod.ProtocolError as exc:  # IncompatibleCodeError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InputError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # InputError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,8 +16,8 @@ only for a code it accepts; ``check_css_pair`` is the one check of a
 classical pair.  All of it is GF(2) algebra on Python ints, reduced and
 solved by ``gf2``; validation, codewords and syndromes read each
 PauliOperator as its (x, z, phase) ints and build none.  The codeword
-construction and ``CodeSpace`` import the ``states`` layer, when first
-called, only to build and read states.
+construction and ``CodeSpace`` reach the ``states`` layer only through
+``_states()``, which imports it on first use, to build and read states.
 """
 
 from __future__ import annotations
@@ -355,8 +355,7 @@ def _zero_codeword(code: StabilizerCode) -> SparseState:
     and -I is not in G (-I = sZ would put Z's vector in span(S)).  So no
     Z-only element of G has an odd phase, and the seed equations that the
     Z-only elements pose are consistent: gf2.solve always finds s0."""
-    from .states import _SIGNS, _state
-
+    signs = _states()._SIGNS
     pivots: list = []  # (x-part, x, z, phase) rows for _reduce_tracked
     seed_equations = []  # z.s0 = phi/2 for each Z-only element i^phi Z(z)
     for g in code.generators + code.logical_z[:1]:
@@ -373,14 +372,14 @@ def _zero_codeword(code: StabilizerCode) -> SparseState:
     xs, zs, amps = [0], [0], [1 + 0j]
     for _, x, pz, phase in pivots:
         ph = _PHASE_VALUE[phase]
-        amps += [a * _SIGNS[(z & x).bit_count() & 1] * ph for z, a in zip(zs, amps)]
+        amps += [a * signs[(z & x).bit_count() & 1] * ph for z, a in zip(zs, amps)]
         xs += [v ^ x for v in xs]
         zs += [v ^ pz for v in zs]
     scale = complex(0.5 ** len(pivots))
-    terms = sorted((x ^ s0, a * _SIGNS[(z & s0).bit_count() & 1] * scale)
+    terms = sorted((x ^ s0, a * signs[(z & s0).bit_count() & 1] * scale)
                    for x, z, a in zip(xs, zs, amps))
     keys, amps = zip(*terms)
-    return _state(code.n, keys, amps).normalized()
+    return _states()._state(code.n, keys, amps).normalized()
 
 
 @lru_cache(maxsize=CODE_CACHE_SIZE)
@@ -403,15 +402,13 @@ def logical_codewords(code: StabilizerCode) -> CodeSpace:
     commutes with S and anticommutes with Z.  The two are orthogonal as
     eigenstates of the Hermitian Z with eigenvalues +1 and -1.
     """
-    from .states import apply_pauli
-
     if code.k != 1:
         raise ValueError(f"codeword construction supports k=1, got k={code.k}")
     violations = validate_code(code).violations
     if violations:
         raise ValueError(f"{code.name}: {violations[0]}")
     zero = _zero_codeword(code)
-    return CodeSpace(code, (zero, apply_pauli(zero, code.logical_x[0])))
+    return CodeSpace(code, (zero, _states().apply_pauli(zero, code.logical_x[0])))
 
 
 def check_generator_widths(code: StabilizerCode) -> None:

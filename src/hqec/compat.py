@@ -11,14 +11,14 @@ is even), the CSS pair checked by ``codes.check_css_pair``; only the
 diagonal-gate functions read the ``states`` layer (its tolerances,
 squared-weight sum and bracket sum, through ``codes._states()``, which
 imports it on first use).  A diagonal gate's action is computed from the
-codewords' amplitudes, with no intermediate state, bit for bit as the
-state-level route that tests/oracles.py keeps (projection_diagonal_action).
-It is memoized by (code space, phase), so clifford_correction_for_t reads
-the transversal-T action that diagonal_gate_action computed, and vice versa;
-stabilizer_mask_check is memoized by code.  The protocol error classes,
-OMEGA and the register-cost report live here too, so the CLI maps errors
-to exit codes and answers ``report resources`` without importing
-``protocol``.
+codewords' amplitudes and one dict of |1>, with no intermediate state, bit
+for bit as the state-level route that tests/oracles.py keeps
+(projection_diagonal_action).  It is memoized by (code space, phase), so
+clifford_correction_for_t reads the transversal-T action that
+diagonal_gate_action computed, and vice versa; stabilizer_mask_check is
+memoized by code.  The protocol error classes, OMEGA and the register-cost
+report live here too, so the CLI maps errors to exit codes and answers
+``report resources`` without importing ``protocol``.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import add
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import gf2
@@ -100,7 +99,7 @@ def stabilizer_mask_check(code: StabilizerCode) -> CompatReport:
     verdict = all(c.ok for c in checks)
     if code.css_origin is not None:
         c1, c2 = code.css_origin
-        css = css_mask_check(c1, c2, name=code.name)
+        css = css_mask_check(c1, c2)
         return CompatReport(
             code.name,
             checks,
@@ -113,7 +112,7 @@ def stabilizer_mask_check(code: StabilizerCode) -> CompatReport:
     return CompatReport(code.name, checks, verdict)
 
 
-def css_mask_check(c1: ClassicalCode, c2: ClassicalCode, name: str = "css") -> CompatReport:
+def css_mask_check(c1: ClassicalCode, c2: ClassicalCode) -> CompatReport:
     """Classical form of the masking criterion: the all-ones word must lie in
     C1 and every word of C2 must have even weight."""
     check_css_pair(c1, c2)
@@ -121,7 +120,7 @@ def css_mask_check(c1: ClassicalCode, c2: ClassicalCode, name: str = "css") -> C
     e_in_c1 = gf2.contains(c1, e)
     c2_even = gf2.all_even_weight(c2)
     verdict = e_in_c1 and c2_even
-    return CompatReport(name, (), verdict, e_in_c1=e_in_c1, c2_all_even=c2_even, css_verdict=verdict)
+    return CompatReport("css", (), verdict, e_in_c1=e_in_c1, c2_all_even=c2_even, css_verdict=verdict)
 
 
 class DiagonalAction(NamedTuple):
@@ -151,9 +150,10 @@ def _diagonal_action(code_space: CodeSpace, phase_per_one: complex):
     image - projection gives the leakage, and <i|gate|i> the phases.
     Memoized by (code space, phase); a raise caches nothing.
 
-    <0|0> and <1|1> are sums of conj(a) * a, <0|1> and <1|0> read one key ->
-    amplitude dict per codeword, and no state is built, yet every number is
-    bit for bit that of the state-level route
+    <0|0> and <1|1> are states._weight sums and <0|1> reads one key ->
+    amplitude dict of |1> (<1|0> sums the same shared keys in the same order
+    with conjugate terms, so it needs no check of its own); no state is
+    built, yet every number is bit for bit that of the state-level route
     (linear combinations, brackets and a per-key phase on SparseStates),
     which tests/oracles.py keeps as projection_diagonal_action: brackets
     sum in the codeword's key order, a key both codewords hold adds |0>'s
@@ -167,15 +167,11 @@ def _diagonal_action(code_space: CodeSpace, phase_per_one: complex):
         if abs(value - want) > tol:
             raise ValueError("projection span is not orthonormal")
 
-    def norm2(u):  # <u|u>, summed in u's key order from 0j as bracket sums it
-        return reduce(add, [a.conjugate() * a for a in u.amps], 0j)
-
-    check(norm2(zero), 1.0)
+    check(st._weight(zero.amps), 1.0)
     if zero.n != one.n:
         raise ValueError(f"dimension mismatch: {zero.n} vs {one.n}")
-    check(bracket(zero, dict(zip(one.keys, one.amps))), 0.0)
-    check(bracket(one, dict(zip(zero.keys, zero.amps))), 0.0)
-    check(norm2(one), 1.0)
+    check(bracket(zero, dict(zip(one.keys, one.amps))), 0.0)  # |<1|0>| is |<0|1>|
+    check(st._weight(one.amps), 1.0)
     powers = [phase_per_one**w for w in range(zero.n + 1)]
 
     def spanned(c0, c1) -> dict:

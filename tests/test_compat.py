@@ -235,6 +235,8 @@ class TestDiagonalActionOracle:
         for action in (diagonal_gate_action, projection_diagonal_action):
             with pytest.raises(ValueError, match="^projection span is not orthonormal$"):
                 action(bad, OMEGA)
+        with pytest.raises(ValueError, match="^projection span is not orthonormal$"):
+            clifford_correction_for_t(bad)
 
 
     def test_basis_on_different_qubit_counts(self):
@@ -292,11 +294,12 @@ class TestDiagonalActionMemo:
         zero = cs.zero.scaled(1.5) if which == "unnormalized" else cs.zero
         bad = CodeSpace(cs.code, (zero, basis_state(4, "1110")))
         for calls in range(1, 4):
-            before = compat._diagonal_action.cache_info()
-            with pytest.raises(ValueError):
-                diagonal_gate_action(bad, OMEGA)
-            after = compat._diagonal_action.cache_info()
-            assert (after.misses, after.hits) == (before.misses + 1, before.hits), calls
+            for action in (lambda: diagonal_gate_action(bad, OMEGA), lambda: clifford_correction_for_t(bad)):
+                before = compat._diagonal_action.cache_info()
+                with pytest.raises(ValueError):
+                    action()
+                after = compat._diagonal_action.cache_info()
+                assert (after.misses, after.hits) == (before.misses + 1, before.hits), calls
 
 
 class TestNotDiagonalOnCodeSpace:

@@ -704,6 +704,13 @@ class TestStorage:
         assert rep.correction == "IIIZIIIII"  # block representative
         assert rep.fidelity > 1 - 1e-10
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the X < Y < Z tie-break answers Z1 on phase_flip "
+                                           "with Y1, which leaves a logical error (fidelity 0.28)")
+    def test_phase_flip_corrects_a_phase_flip(self):
+        rep = run_storage_protocol("phase_flip", (0.6, 0.8), (0, 0), "ZII")
+        assert rep.correction == "ZII"
+        assert rep.fidelity > 1 - 1e-10
+
     def test_incompatible_code_refused(self):
         with pytest.raises(IncompatibleCodeError, match="ZZZ"):
             run_storage_protocol("synthetic_incompatible", (1, 0), (0, 0), None, SplitMix64(1))

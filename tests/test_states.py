@@ -569,3 +569,27 @@ class TestInnerSearchsorted:
             inner(basis_state(2, 0), basis_state(3, 0))
 
 
+# real and imaginary parts, signed zeros among them
+_PART = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0, allow_nan=False))
+
+
+class TestBracketSymmetry:
+    """<b|a> sums the keys a and b share in the same (sorted) order as
+    <a|b>, each term the conjugate of <a|b>'s, so the two have the same
+    magnitude bit for bit; compat._diagonal_action checks <0|1> alone."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_swapped_brackets_have_equal_magnitude(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+        keys = st.integers(0, (1 << n) - 1)
+        ka = data.draw(st.sets(keys, max_size=12), label="a keys")
+        kb = data.draw(st.sets(keys, max_size=12), label="b keys") | set(list(ka)[: len(ka) // 2])
+        a, b = (_state(n, tuple(sorted(k)), tuple(complex(*data.draw(st.tuples(_PART, _PART))) for _ in k))
+                for k in (ka, kb))
+        ab = states.bracket(a, dict(zip(b.keys, b.amps)))
+        ba = states.bracket(b, dict(zip(a.keys, a.amps)))
+        assert abs(ab).hex() == abs(ba).hex()
+        assert ab == ba.conjugate()
+
+
