@@ -591,5 +591,3 @@ class TestBracketSymmetry:
         ba = states.bracket(b, dict(zip(a.keys, a.amps)))
         assert abs(ab).hex() == abs(ba).hex()
         assert ab == ba.conjugate()
-
-
