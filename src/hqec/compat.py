@@ -170,7 +170,7 @@ def _diagonal_action(code_space: CodeSpace, phase_per_one: complex):
     check(st._weight(zero.amps), 1.0)
     if zero.n != one.n:
         raise ValueError(f"dimension mismatch: {zero.n} vs {one.n}")
-    check(bracket(zero, dict(zip(one.keys, one.amps))), 0.0)  # |<1|0>| is |<0|1>|
+    check(bracket(zero, dict(zip(one.keys, one.amps))), 0.0)
     check(st._weight(one.amps), 1.0)
     powers = [phase_per_one**w for w in range(zero.n + 1)]
 
