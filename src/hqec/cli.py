@@ -9,20 +9,21 @@ run verbs take --seed and --dump-state, the T verbs --force-outcomes too.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
 
-from . import codes as codes_mod
-from . import compat as compat_mod
-from . import gf2
-from .pauli import parse_pauli
-from .rng import SplitMix64
+import hqec
 
-# `protocol` and `states` load only with `check diagonal` and the run verbs,
-# each after checking its arguments: the other verbs and every input error
-# run without them.  No verb loads numpy.
+# `import hqec.cli` loads no library module: each verb loads the ones it
+# uses, on first use, through the package's lazy attributes (hqec.codes,
+# hqec.gf2, ...).  `check triortho` loads gf2 alone, the codes verbs codes
+# (with gf2 and pauli); `check theorem1`, `check css` and `report resources`
+# add compat, `check diagonal` states, and the run verbs states, protocol
+# and rng, each after checking its arguments (`run a1` reads protocol's
+# demo circuit to check --force-outcomes).  Any other input error caught
+# before a code or matrix is read loads no library module, and no
+# dataclasses; json loads only for --json output.  No verb loads numpy.
 
 _DIAG_PHASES = {"T": "e^(i*pi/4)", "Td": "e^(-i*pi/4)", "Sd": "-i"}
 
@@ -38,28 +39,28 @@ def _load_text(path: str) -> str:
     return p.read_text()
 
 
-def _load_code(name_or_path: str) -> codes_mod.StabilizerCode:
-    if name_or_path in codes_mod.BUILTIN_NAMES:
-        return codes_mod.builtin_code(name_or_path)
+def _load_code(name_or_path: str) -> hqec.codes.StabilizerCode:
+    if name_or_path in hqec.codes.BUILTIN_NAMES:
+        return hqec.codes.builtin_code(name_or_path)
     text = _load_text(name_or_path)
     try:
-        return codes_mod.parse_code_text(text, name=Path(name_or_path).stem)
+        return hqec.codes.parse_code_text(text, name=Path(name_or_path).stem)
     except ValueError as exc:
         raise InputError(f"{name_or_path}: {exc}") from exc
 
 
-def _load_valid_code(name_or_path: str) -> codes_mod.StabilizerCode:
+def _load_valid_code(name_or_path: str) -> hqec.codes.StabilizerCode:
     code = _load_code(name_or_path)
-    val = codes_mod.validate_code(code)
+    val = hqec.codes.validate_code(code)
     if not val.ok:
         raise InputError(f"{name_or_path} is not a valid stabilizer code: {val.violations[0]}")
     return code
 
 
-def _load_classical(path: str) -> gf2.ClassicalCode:
+def _load_classical(path: str) -> hqec.gf2.ClassicalCode:
     text = _load_text(path)
     try:
-        return gf2.code_from_rows(gf2.BitMatrix.from_text(text))
+        return hqec.gf2.code_from_rows(hqec.gf2.BitMatrix.from_text(text))
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -98,14 +99,17 @@ def _parse_forced(text: str | None, pairs: int):
     return [tuple(bits[i: i + 2]) for i in range(0, len(bits), 2)]
 
 
-def _rng(seed: int) -> SplitMix64:
-    if not 0 <= seed < 1 << 64:
-        raise InputError(f"--seed must be in 0..2^64-1, got {seed}")
-    return SplitMix64(seed)
+def _seed(args) -> int:
+    """--seed, which each run verb checks before its other arguments."""
+    if not 0 <= args.seed < 1 << 64:
+        raise InputError(f"--seed must be in 0..2^64-1, got {args.seed}")
+    return args.seed
 
 
 def _emit(args, doc: dict, human_lines) -> None:
     if args.json:
+        import json
+
         print(json.dumps(doc))
     else:
         for line in human_lines:
@@ -123,8 +127,8 @@ def _dump_state(args, state) -> None:
 
 def _cmd_codes_list(args) -> int:
     rows = []
-    for name in codes_mod.BUILTIN_NAMES:
-        c = codes_mod.builtin_code(name)
+    for name in hqec.codes.BUILTIN_NAMES:
+        c = hqec.codes.builtin_code(name)
         rows.append({"name": name, "n": c.n, "k": c.k, "css": c.css_origin is not None})
     _emit(args, {"codes": rows}, [f"{r['name']}  [[{r['n']},{r['k']}]]" for r in rows])
     return 0
@@ -132,7 +136,7 @@ def _cmd_codes_list(args) -> int:
 
 def _cmd_codes_validate(args) -> int:
     code = _load_code(args.file)
-    rep = codes_mod.validate_code(code)
+    rep = hqec.codes.validate_code(code)
     lines = [f"code {code.name}: {'valid' if rep.ok else 'INVALID'}"]
     lines += [f"  violation: {v}" for v in rep.violations]
     _emit(args, rep.as_dict(), lines)
@@ -141,7 +145,7 @@ def _cmd_codes_validate(args) -> int:
 
 def _cmd_check_theorem1(args) -> int:
     code = _load_valid_code(args.code)
-    rep = compat_mod.stabilizer_mask_check(code)
+    rep = hqec.compat.stabilizer_mask_check(code)
     lines = [f"code {code.name}: {'compatible' if rep.verdict else 'INCOMPATIBLE'}"]
     for g in rep.generator_checks:
         lines.append(
@@ -158,7 +162,7 @@ def _cmd_check_theorem1(args) -> int:
 def _cmd_check_css(args) -> int:
     c1 = _load_classical(args.c1)
     c2 = _load_classical(args.c2)
-    rep = compat_mod.css_mask_check(c1, c2)
+    rep = hqec.compat.css_mask_check(c1, c2)
     lines = [
         f"css pair (n={c1.length}, k1={c1.dimension}, k2={c2.dimension}): "
         f"{'compatible' if rep.verdict else 'INCOMPATIBLE'}",
@@ -172,8 +176,8 @@ def _cmd_check_css(args) -> int:
 def _cmd_check_triortho(args) -> int:
     text = _load_text(args.matrix)
     try:
-        matrix = gf2.BitMatrix.from_text(text)
-        rep = gf2.triorthogonality_check(matrix)
+        matrix = hqec.gf2.BitMatrix.from_text(text)
+        rep = hqec.gf2.triorthogonality_check(matrix)
     except ValueError as exc:
         raise InputError(f"{args.matrix}: {exc}") from exc
     lines = [
@@ -193,10 +197,10 @@ def _cmd_check_triortho(args) -> int:
 
 def _cmd_check_diagonal(args) -> int:
     code = _load_valid_code(args.code)
-    cs = codes_mod.logical_codewords(code)
-    omega = compat_mod.OMEGA
+    cs = hqec.codes.logical_codewords(code)
+    omega = hqec.compat.OMEGA
     phase = {"T": omega, "Td": omega.conjugate(), "Sd": -1j}[args.gate]
-    rep = compat_mod.diagonal_gate_action(cs, phase, label=f"{args.gate}^x{code.n}")
+    rep = hqec.compat.diagonal_gate_action(cs, phase, label=f"{args.gate}^x{code.n}")
     doc = rep.as_dict()
     lines = [f"code {code.name}, transversal {args.gate} (phase {_DIAG_PHASES[args.gate]}):",
              f"  leakage: {rep.leakage:.12g}"]
@@ -206,7 +210,7 @@ def _cmd_check_diagonal(args) -> int:
     else:
         for i, p in enumerate(rep.logical_phases):
             lines.append(f"  logical phase on |{i}>: {p.real:+.12f}{p.imag:+.12f}i")
-        corr = compat_mod.clifford_correction_for_t(cs) if args.gate == "T" else None
+        corr = hqec.compat.clifford_correction_for_t(cs) if args.gate == "T" else None
         if corr is not None:
             lines.append(f"  logical correction: S-power {corr.logical_s_power}, "
                          f"Z-power {corr.logical_z_power}")
@@ -216,12 +220,11 @@ def _cmd_check_diagonal(args) -> int:
 
 
 def _cmd_run_a1(args) -> int:
-    rng = _rng(args.seed)
-    from . import protocol  # the demo circuit sets the --force-outcomes length
-
+    seed = _seed(args)
+    protocol = hqec.protocol  # the demo circuit sets the --force-outcomes length
     t_gates = sum(1 for g in protocol.DEMO_CIRCUIT if not g.is_clifford)
     forced = _parse_forced(args.force_outcomes, t_gates)
-    rep, dec, _ = protocol.run_demo_circuit(rng, forced_outcomes=forced)
+    rep, dec, _ = protocol.run_demo_circuit(hqec.rng.SplitMix64(seed), forced_outcomes=forced)
     _dump_state(args, dec)
     lines = [f"demo circuit {protocol.format_circuit(protocol.DEMO_CIRCUIT)}",
              f"keys initial: {rep.keys_initial}",
@@ -232,20 +235,18 @@ def _cmd_run_a1(args) -> int:
 
 
 def _cmd_run_storage(args) -> int:
-    rng = _rng(args.seed)
+    seed = _seed(args)
     keys = _parse_keys(args.keys)
     code = _load_valid_code(args.code)
     error = None
     if args.error.lower() != "none":
         try:
-            error = parse_pauli(args.error)
+            error = hqec.pauli.parse_pauli(args.error)
         except ValueError as exc:
             raise InputError(f"--error: {exc}") from exc
         if error.n != code.n:
             raise InputError(f"--error acts on {error.n} qubits, {code.name} has {code.n}")
-    from . import protocol
-
-    rep = protocol.run_storage_protocol(code, (0.6, 0.8), keys, error, rng)
+    rep = hqec.protocol.run_storage_protocol(code, (0.6, 0.8), keys, error, hqec.rng.SplitMix64(seed))
     _dump_state(args, rep.final_state)
     lines = [f"storage on {rep.code_name}, keys {rep.keys}, error {rep.injected_error or 'none'}",
              f"syndrome: {list(rep.syndrome)}",
@@ -256,13 +257,11 @@ def _cmd_run_storage(args) -> int:
 
 
 def _cmd_run_transversal_t(args) -> int:
-    rng = _rng(args.seed)
+    seed = _seed(args)
     keys = _parse_keys(args.keys)
     amps = _parse_amps(args.amps)
     forced = _parse_forced(args.force_outcomes, 15)  # one pair per rm15 qubit
-    from . import protocol
-
-    rep = protocol.run_transversal_t_protocol(amps, keys, rng, forced)
+    rep = hqec.protocol.run_transversal_t_protocol(amps, keys, hqec.rng.SplitMix64(seed), forced)
     _dump_state(args, rep.final_state)
     lines = [f"transversal T on {rep.code_name}, keys {rep.keys}",
              f"teleportation outcomes: {[list(o) for o in rep.outcomes]}",
@@ -274,13 +273,12 @@ def _cmd_run_transversal_t(args) -> int:
 
 
 def _cmd_run_logical_t(args) -> int:
-    rng = _rng(args.seed)
+    seed = _seed(args)
     keys = _parse_keys(args.keys)
     amps = _parse_amps(args.amps)
     forced = _parse_forced(args.force_outcomes, 1)
-    from . import protocol
-
-    rep = protocol.run_logical_t_protocol(amps, keys, rng, forced[0] if forced else None)
+    rep = hqec.protocol.run_logical_t_protocol(amps, keys, hqec.rng.SplitMix64(seed),
+                                               forced[0] if forced else None)
     _dump_state(args, rep.final_state)
     lines = [f"logical T on {rep.code_name}, keys {rep.keys}",
              f"logical Bell outcome: {list(rep.outcome)}",
@@ -293,7 +291,7 @@ def _cmd_run_logical_t(args) -> int:
 def _cmd_report_resources(args) -> int:
     if args.n < 1:
         raise InputError(f"--n must be positive, got {args.n}")
-    rep = compat_mod.resource_report(args.n)
+    rep = hqec.compat.resource_report(args.n)
     lines = [f"block size n = {rep.n}",
              f"data qubits:          {rep.q_data}",
              f"physical aux qubits:  {rep.q_aux_phys} (n Bell pairs)",
@@ -392,12 +390,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except compat_mod.ProtocolError as exc:  # IncompatibleCodeError included
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:  # InputError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except hqec.compat.ProtocolError as exc:  # IncompatibleCodeError included; not a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

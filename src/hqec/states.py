@@ -70,8 +70,12 @@ _GATE_MATRICES = {
 
 
 def _weight(amps) -> float:
-    """sum |a|^2 over the amplitudes, correctly rounded."""
-    return math.fsum([a.real * a.real + a.imag * a.imag for a in amps])
+    """sum |a|^2 over the amplitudes, correctly rounded; inf where the sum
+    passes the float range (fsum raises on that rather than return inf)."""
+    try:
+        return math.fsum([a.real * a.real + a.imag * a.imag for a in amps])
+    except OverflowError:
+        return math.inf
 
 
 class SingleQubitGate:
@@ -150,6 +154,8 @@ class SparseState:
         nrm = self.norm()
         if nrm <= PRUNE_TOL:
             raise ValueError("cannot normalize a zero state")
+        if not math.isfinite(nrm):
+            raise ValueError("cannot normalize a state whose norm is not finite")
         return self.scaled(1.0 / nrm)
 
     def scaled(self, factor: complex) -> "SparseState":
@@ -323,14 +329,17 @@ class MonomialLayer:
         and then flips its bit if r_a.  Returns the outcome, drawn by one
         choice_weighted call unless `forced`.  Every outcome weighs norm2/4
         at the run's first gadget and 1/4 after it, since gadgets keep the
-        norm.  The checks, in order: the qubit range, a zero weight, a
-        malformed forced outcome, a zero-probability outcome."""
+        norm.  The checks, in order: the qubit range, a zero weight, a weight
+        that is not finite, a malformed forced outcome, a zero-probability
+        outcome."""
         if not 1 <= qubit <= state.n:
             raise ValueError(f"qubit {qubit} out of range 1..{state.n}")
         norm2 = _weight(state.amps) if self.norm2 is None else self.norm2
         p = norm2 / 4 if self.norm2 is None else 0.25
         if 4 * p < PRUNE_TOL:
             raise ValueError("measurement on a zero-weight state")
+        if not math.isfinite(norm2):
+            raise ValueError("measurement on a state whose weight is not finite")
         if forced is None:
             idx = rng.choice_weighted([p] * 4)
         else:

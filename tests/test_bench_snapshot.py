@@ -67,7 +67,7 @@ def test_snapshot_schema(tmp_path):
 
     cli = snap["cli"]
     assert cli["runs"] == 1
-    assert {"python -c pass", "codes list", "run a1"} <= set(cli["median_ms"])
+    assert {"python -c pass", "codes list", "run a1", "frobnicate", "run storage --keys 2,0"} <= set(cli["median_ms"])
     assert all(ms > 0 for ms in cli["median_ms"].values())
 
     profiled = snap["profile"]

@@ -239,6 +239,15 @@ class TestDiagonalActionOracle:
             clifford_correction_for_t(bad)
 
 
+    def test_overflowing_zero_is_not_orthonormal(self):
+        # <0|0> past the float range reads inf, not an OverflowError of fsum
+        cs = cached_code_space("bit_flip")
+        bad = CodeSpace(cs.code, (SparseState(3, [0, 7], [1e154, 1e154]), cs.one))
+        with pytest.raises(ValueError, match="^projection span is not orthonormal$"):
+            diagonal_gate_action(bad, OMEGA)
+        with pytest.raises(ValueError, match="^projection span is not orthonormal$"):
+            clifford_correction_for_t(bad)
+
     def test_basis_on_different_qubit_counts(self):
         cs = cached_code_space("bit_flip")
         bad = CodeSpace(cs.code, (cs.zero, basis_state(4, "1110")))

@@ -4,8 +4,10 @@ modules each CLI verb loads.
 No verb loads numpy.  The static checks (code listing and validation, the
 mask criterion, the CSS criterion, triorthogonality) and every input error
 run without the sparse-state layer too; only the verbs that build states
-load it.  The CLI calls run in a fresh interpreter, since this process has
-numpy loaded already.
+load it.  `import hqec.cli` loads no library module, a verb loads the ones
+it uses, and an input error caught before a code or matrix is read loads
+none.  The CLI calls run in a fresh interpreter, since this process has
+numpy loaded already, and the per-call pins run each call in its own.
 """
 
 import importlib
@@ -165,3 +167,86 @@ def test_import_hqec_loads_no_submodule():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert json.loads(out) == []
+
+
+# runs hqec.cli.main on its arguments and prints, as its last line, the exit
+# code and the loaded hqec submodules, dataclasses and json
+_FRESH = """
+import sys
+from hqec.cli import main
+rc = main(sys.argv[1:])
+print(rc, *sorted(m for m in sys.modules if m.startswith("hqec.") or m in ("dataclasses", "json")))
+"""
+
+
+def _fresh_call(argv):
+    """(exit code, loaded modules, stderr) of one CLI call in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", _FRESH, *argv], capture_output=True, text=True,
+                          check=True)
+    rc, *loaded = proc.stdout.splitlines()[-1].split()
+    return int(rc), set(loaded), proc.stderr
+
+
+@pytest.fixture
+def files(tmp_path):
+    """Input files by name; `missing` names no file."""
+    paths = {name: tmp_path / f"{name}.txt" for name in ("missing", "bad", "tri", "valid")}
+    paths["bad"].write_text("11\n1x\n")
+    paths["tri"].write_text("111111111111111\n000000011111111\n000111100001111\n"
+                            "011001100110011\n101010101010101\n")
+    paths["valid"].write_text(format_code_text(builtin_code("shor")))
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["frobnicate"],
+    ["check", "triortho", "--matrix", "{missing}", "--json"],
+    ["run", "transversal-t", "--keys", "1,1", "--amps", "0.6,0,0,0.8", "--force-outcomes", "00",
+     "--json"],
+    ["run", "storage", "--code", "shor", "--keys", "2,0", "--json"],
+    ["run", "a1", "--seed", "-1", "--json"],
+])
+def test_input_errors_before_a_code_load_no_library_module(argv, files):
+    # nor dataclasses: the seed is checked first, and its generator is
+    # built only once every argument has passed
+    rc, loaded, err = _fresh_call([a.format(**files) for a in argv])
+    assert (rc, loaded) == (2, {"hqec.cli"})
+    assert "error: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, want_rc", [
+    (["check", "triortho", "--matrix", "{tri}"], 0),
+    (["check", "triortho", "--matrix", "{tri}", "--json"], 0),
+    (["check", "triortho", "--matrix", "{bad}", "--json"], 2),
+    (["check", "css", "--c1", "{bad}", "--c2", "{tri}", "--json"], 2),
+])
+def test_matrix_verbs_load_gf2_alone(argv, want_rc, files):
+    # and json only when a report is printed as JSON
+    rc, loaded, _ = _fresh_call([a.format(**files) for a in argv])
+    want = {"hqec.cli", "hqec.gf2", "dataclasses"} | ({"json"} if rc == 0 and "--json" in argv else set())
+    assert (rc, loaded) == (want_rc, want)
+
+
+@pytest.mark.parametrize("argv", [["codes", "list", "--json"], ["codes", "validate", "{valid}"]])
+def test_codes_verbs_load_no_compat_or_rng(argv, files):
+    rc, loaded, _ = _fresh_call([a.format(**files) for a in argv])
+    assert rc == 0 and "hqec.codes" in loaded
+    assert not loaded & {"hqec.compat", "hqec.rng", "hqec.states", "hqec.protocol"}
+
+
+def test_protocol_error_still_exits_one():
+    # main matches ValueError and OSError first, and reaches compat's
+    # ProtocolError only for an error that is neither
+    rc, loaded, err = _fresh_call(["run", "storage", "--code", "synthetic_incompatible",
+                                   "--keys", "1,1"])
+    assert rc == 1 and "hqec.compat" in loaded
+    assert err.startswith("error: synthetic_incompatible is not mask-compatible")
+    assert "Traceback" not in err
+
+
+def test_import_cli_loads_no_library_module():
+    code = ("import sys, hqec.cli; print(*sorted(m for m in sys.modules "
+            "if m.startswith('hqec.') or m in ('dataclasses', 'json', 'numpy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["hqec.cli"]

@@ -120,6 +120,21 @@ class TestBasics:
         assert float(lines[0].split()[1]) == pytest.approx(0.6)
         assert float(lines[1].split()[1]) == pytest.approx(0.8)
 
+    def test_weight_past_the_float_range_is_inf(self):
+        # parts near 1e154 square to finite floats whose fsum overflows
+        # (fsum raises OverflowError there); one square past the range is inf
+        assert states._weight([1e154, 1e154]) == math.inf
+        assert states._weight([complex(1e154, 1e154)]) == math.inf
+        assert states._weight([1e200]) == math.inf
+        assert states._weight([0.6, 0.8j]) == 1.0
+
+    @pytest.mark.parametrize("keys, amps", [([0], [1e200]), ([0, 3], [1e154, 1e154]),
+                                            ([1], [complex(0, math.inf)])])
+    def test_normalize_refuses_a_norm_that_is_not_finite(self, keys, amps):
+        # 1e200 once normalized to amplitude 0j, and 1e154 raised OverflowError
+        with pytest.raises(ValueError, match="^cannot normalize a state whose norm is not finite$"):
+            SparseState(2, keys, amps).normalized()
+
     def test_bad_bitstring_character(self):
         with pytest.raises(ValueError, match="position 2"):
             from_terms(3, {"0x1": 1.0})
@@ -469,6 +484,15 @@ class TestMonomialGadget:
         zero = SparseState(2, list(range(len(amps))), amps)
         with pytest.raises(ValueError, match="^measurement on a zero-weight state$"):
             MonomialLayer(2).gadget(zero, 1, 0, 1, SplitMix64(0))
+
+    @pytest.mark.parametrize("amps", [[1e200, 0], [1e154, 1e154]])
+    def test_weight_that_is_not_finite(self, amps):
+        # refused as a zero weight is, before a forced outcome is read
+        state = SparseState(2, [0, 3], amps)
+        with pytest.raises(ValueError, match="^measurement on a state whose weight is not finite$"):
+            MonomialLayer(2).gadget(state, 1, 0, 1, SplitMix64(0))
+        with pytest.raises(ValueError, match="^measurement on a state whose weight is not finite$"):
+            MonomialLayer(2).gadget(state, 1, 0, 1, None, "bad")
 
     def test_zero_probability(self):
         # a squared norm in [PRUNE_TOL, 4 PRUNE_TOL) passes the zero-weight check

@@ -14,8 +14,10 @@ The snapshot has three parts, and a fourth with ``--base``:
   with ``yardstick_us`` beside it: the best time of a fixed pure-Python
   loop (``yardstick``) timed the same way just before that runner, so a
   runner's time can be read relative to the host's speed at that moment;
-* ``cli``: the median wall time of fresh ``python -m hqec.cli`` processes,
-  with ``python -c pass`` beside them as the host's interpreter start-up;
+* ``cli``: the median wall time of fresh ``python -m hqec.cli`` processes
+  (five verbs and two input errors, each held to its exit code in
+  ``CLI_CALLS``), with ``python -c pass`` beside them as the host's
+  interpreter start-up;
 * ``profile``: per runner, the cProfile self time of every function under
   src/hqec as a share of all profiled time, with its calls per run.
   Comprehension and lambda frames (``<listcomp>``, ``<genexpr>``, ...)
@@ -61,15 +63,19 @@ SRC = ROOT / "src"
 PACKAGE = SRC / "hqec"
 AB_ROUNDS = 20  # interleaved rounds of the --base run
 
-# (argv after "python -m hqec.cli"); each must exit 0
+# name -> (argv after "python -m hqec.cli", the exit code it must give); the
+# input errors time a call that stops before it reads a code
 CLI_CALLS = {
-    "codes list": ["codes", "list", "--json"],
-    "run storage rm15": ["run", "storage", "--code", "rm15", "--keys", "1,1", "--error", "IIIIIIIIIIXIIII",
-                         "--json"],
-    "run transversal-t": ["run", "transversal-t", "--keys", "1,1", "--amps", "0.6,0,0,0.8", "--seed", "3",
-                          "--json"],
-    "run logical-t": ["run", "logical-t", "--keys", "1,0", "--amps", "0.6,0,0,0.8", "--seed", "3", "--json"],
-    "run a1": ["run", "a1", "--seed", "5", "--json"],
+    "codes list": (["codes", "list", "--json"], 0),
+    "run storage rm15": (["run", "storage", "--code", "rm15", "--keys", "1,1", "--error", "IIIIIIIIIIXIIII",
+                          "--json"], 0),
+    "run transversal-t": (["run", "transversal-t", "--keys", "1,1", "--amps", "0.6,0,0,0.8", "--seed", "3",
+                           "--json"], 0),
+    "run logical-t": (["run", "logical-t", "--keys", "1,0", "--amps", "0.6,0,0,0.8", "--seed", "3", "--json"],
+                      0),
+    "run a1": (["run", "a1", "--seed", "5", "--json"], 0),
+    "frobnicate": (["frobnicate"], 2),
+    "run storage --keys 2,0": (["run", "storage", "--code", "shor", "--keys", "2,0", "--json"], 2),
 }
 
 
@@ -157,16 +163,16 @@ def time_runners(calls: dict, repeat: int, number: int) -> dict:
 
 def time_cli(runs: int) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    argvs = {"python -c pass": [sys.executable, "-c", "pass"]}
-    argvs.update({name: [sys.executable, "-m", "hqec.cli", *argv] for name, argv in CLI_CALLS.items()})
-    wall = {name: [] for name in argvs}
+    calls = {"python -c pass": ([sys.executable, "-c", "pass"], 0)}
+    calls.update({name: ([sys.executable, "-m", "hqec.cli", *argv], rc) for name, (argv, rc) in CLI_CALLS.items()})
+    wall = {name: [] for name in calls}
     for _ in range(runs):  # round robin, so drift on the host hits every call alike
-        for name, argv in argvs.items():
+        for name, (argv, want_rc) in calls.items():
             start = timeit.default_timer()
             proc = subprocess.run(argv, env=env, cwd=ROOT, capture_output=True, text=True)
             wall[name].append((timeit.default_timer() - start) * 1e3)
-            if proc.returncode != 0:
-                raise RuntimeError(f"{name} exited {proc.returncode}: {proc.stderr.strip()}")
+            if proc.returncode != want_rc:
+                raise RuntimeError(f"{name} exited {proc.returncode}, not {want_rc}: {proc.stderr.strip()}")
     return {
         "runs": runs,
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
