@@ -71,8 +71,8 @@ CLI_CALLS = {
                           "--json"], 0),
     "run transversal-t": (["run", "transversal-t", "--keys", "1,1", "--amps", "0.6,0,0,0.8", "--seed", "3",
                            "--json"], 0),
-    "run logical-t": (["run", "logical-t", "--keys", "1,0", "--amps", "0.6,0,0,0.8", "--seed", "3", "--json"],
-                      0),
+    "run logical-t": (["run", "logical-t", "--keys", "1,0", "--amps", "0.6,0,0,0.8", "--seed", "3",
+                       "--json"], 0),
     "run a1": (["run", "a1", "--seed", "5", "--json"], 0),
     "frobnicate": (["frobnicate"], 2),
     "run storage --keys 2,0": (["run", "storage", "--code", "shor", "--keys", "2,0", "--json"], 2),
