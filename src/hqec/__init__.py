@@ -4,16 +4,19 @@ exact sparse simulation of the masked storage and computation protocols.
 The names below, and the submodules that define them, resolve lazily
 (PEP 562): ``import hqec`` loads no submodule, and ``hqec.<name>`` or
 ``from hqec import <name>`` imports the submodule that defines the name on
-first use.  No module imports numpy: the sparse states are Python ints
+first use.  ``BUILTIN_NAMES``, the builtin code names, is defined here and
+re-exported by ``codes``, so the CLI refuses an unknown name without
+loading a submodule.  No module imports numpy: the sparse states are Python ints
 and tuples, and the GF(2) and Pauli algebra (``gf2``, ``pauli``,
 ``codes``, ``compat``) runs without loading them.
 """
 
 from importlib import import_module
 
+BUILTIN_NAMES = ("bit_flip", "phase_flip", "shor", "steane", "rm15", "synthetic_incompatible")
+
 _EXPORTS = {
     "codes": (
-        "BUILTIN_NAMES",
         "CodeSpace",
         "StabilizerCode",
         "builtin_code",
@@ -67,7 +70,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted(_MODULE_OF)
+__all__ = sorted([*_MODULE_OF, "BUILTIN_NAMES"])
 __version__ = "0.1.0"
 
 

@@ -22,8 +22,10 @@ import hqec
 # add compat, `check diagonal` states, and the run verbs states, protocol
 # and rng, each after checking its arguments (`run a1` reads protocol's
 # demo circuit to check --force-outcomes).  Any other input error caught
-# before a code or matrix is read loads no library module, and no
-# dataclasses; json loads only for --json output.  No verb loads numpy.
+# before a code or matrix is read, an unknown code name or a missing code
+# file included (the builtin names are hqec.BUILTIN_NAMES), loads no
+# library module, and no dataclasses; json loads only for --json output.
+# No verb loads numpy.
 
 _DIAG_PHASES = {"T": "e^(i*pi/4)", "Td": "e^(-i*pi/4)", "Sd": "-i"}
 
@@ -40,7 +42,7 @@ def _load_text(path: str) -> str:
 
 
 def _load_code(name_or_path: str) -> hqec.codes.StabilizerCode:
-    if name_or_path in hqec.codes.BUILTIN_NAMES:
+    if name_or_path in hqec.BUILTIN_NAMES:
         return hqec.codes.builtin_code(name_or_path)
     text = _load_text(name_or_path)
     try:
@@ -127,7 +129,7 @@ def _dump_state(args, state) -> None:
 
 def _cmd_codes_list(args) -> int:
     rows = []
-    for name in hqec.codes.BUILTIN_NAMES:
+    for name in hqec.BUILTIN_NAMES:
         c = hqec.codes.builtin_code(name)
         rows.append({"name": name, "n": c.n, "k": c.k, "css": c.css_origin is not None})
     _emit(args, {"codes": rows}, [f"{r['name']}  [[{r['n']},{r['k']}]]" for r in rows])

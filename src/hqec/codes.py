@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import gf2
+from . import BUILTIN_NAMES, gf2  # the names are the package's, for the CLI to read without codes
 from .gf2 import ClassicalCode
 from .pauli import _PHASE_VALUE, MAX_QUBITS, PauliOperator, parse_pauli, transversal_pauli
 
@@ -106,14 +106,17 @@ class CodeSpace:
         shared = tuple((p, last[k]) for p, k in enumerate(keys) if last[k] != first[k])
         return keys, itemgetter(*map(first.get, keys)), shared
 
-    def _combined(self, c0, c1) -> list:
+    def _combined(self, c0, c1) -> tuple | list:
         """c0|0_L> + c1|1_L> at each plan key, unpruned: c0 * |0_L>'s term,
-        then + c1 * |1_L>'s term where both states hold the key."""
+        then + c1 * |1_L>'s term where both states hold the key (a list
+        then, else the picked tuple)."""
         (_, pick, shared), c0, c1 = self.plan, complex(c0), complex(c1)
         products = [c0 * a for a in self.zero.amps] + [c1 * a for a in self.one.amps]
-        amps = list(pick(products))
-        for p, i in shared:
-            amps[p] += products[i]
+        amps = pick(products)
+        if shared:
+            amps = list(amps)
+            for p, i in shared:
+                amps[p] += products[i]
         return amps
 
     def state(self, c0, c1) -> SparseState:
@@ -301,8 +304,6 @@ _RM15_ROWS = (
     "101010101010101",
 )
 
-BUILTIN_NAMES = ("bit_flip", "phase_flip", "shor", "steane", "rm15", "synthetic_incompatible")
-
 
 @lru_cache(maxsize=None)
 def builtin_code(name: str) -> StabilizerCode:
@@ -425,17 +426,27 @@ def syndrome(code: StabilizerCode, error: PauliOperator) -> tuple[int, ...]:
     if error.n != code.n:
         raise ValueError(f"error acts on {error.n} qubits, code has {code.n}")
     check_generator_widths(code)
+    return _syndrome(code, error)
+
+
+def _syndrome(code: StabilizerCode, error: PauliOperator) -> tuple[int, ...]:
+    """syndrome without its width checks, for an error and generators on
+    code.n qubits (as stabilizer_mask_check has checked them)."""
     x, z = error.x, error.z
-    return tuple(((x & g.z) ^ (z & g.x)).bit_count() & 1 for g in code.generators)
+    return tuple([((x & g.z) ^ (z & g.x)).bit_count() & 1 for g in code.generators])
 
 
 def decode_single_error(code: StabilizerCode, s) -> PauliOperator | None:
     """Minimum-weight error matching the syndrome among weight <= 1 Paulis.
 
     Ties break by (qubit index, X < Y < Z); returns None for syndromes no
-    single error produces.
+    single error produces.  A tuple the table holds (a syndrome as
+    ``syndrome`` returns it) is looked up as it is, anything else after
+    converting its bits to int.
     """
-    return _single_error_table(code).get(tuple(int(b) for b in s))
+    table = _single_error_table(code)
+    hit = table.get(s) if type(s) is tuple else None
+    return table.get(tuple([int(b) for b in s])) if hit is None else hit
 
 
 @lru_cache(maxsize=CODE_CACHE_SIZE)

@@ -5,9 +5,12 @@ Python ints with qubit q at bit q-1, the layout that GF(2) rows and sparse
 state keys use too, and the phase is an exponent of i kept modulo 4.  Y is
 i*X*Z, so parsing "Y" yields x=1, z=1, phase=1.
 
-Values are immutable and every operation is a pure function.  User-facing
-qubit indices are 1-based; qubit 1 is the leftmost character of a Pauli
-string.
+Values are immutable and every operation is a pure function.  The
+constructor checks the qubit count and masks x and z to it; ``multiply``
+and ``adjoint`` build their results unchecked, as valid operands give
+valid results (x and z stay within n bits, and ``& 3`` is the phase mod
+4).  User-facing qubit indices are 1-based; qubit 1 is the leftmost
+character of a Pauli string.
 """
 
 from __future__ import annotations
@@ -80,12 +83,12 @@ class PauliOperator(_PauliFields):
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
         # moving Z(z1) past X(x2) costs (-1)^(z1.x2)
         swap = (self.z & other.x).bit_count() & 1
-        phase = self.phase + other.phase + 2 * swap
-        return PauliOperator(self.n, self.x ^ other.x, self.z ^ other.z, phase)
+        phase = (self.phase + other.phase + 2 * swap) & 3
+        return tuple.__new__(PauliOperator, (self.n, self.x ^ other.x, self.z ^ other.z, phase))
 
     def adjoint(self) -> "PauliOperator":
         swap = (self.x & self.z).bit_count() & 1
-        return PauliOperator(self.n, self.x, self.z, -self.phase + 2 * swap)
+        return tuple.__new__(PauliOperator, (self.n, self.x, self.z, (2 * swap - self.phase) & 3))
 
     def commutes(self, other: "PauliOperator") -> bool:
         """True iff the symplectic inner product x1.z2 + z1.x2 is even."""
@@ -124,13 +127,11 @@ class PauliOperator(_PauliFields):
 
 def parse_pauli(text: str) -> PauliOperator:
     """Parse an optional sign prefix ('', '+', '-', 'i', '-i') plus I/X/Y/Z letters."""
-    body = text
-    phase = 0
-    for prefix in ("-i", "-", "+", "i"):
-        if text.startswith(prefix):
-            phase = _PREFIX_PHASE[prefix]
-            body = text[len(prefix):]
-            break
+    prefix = text[:2] if text.startswith("-i") else text[:1]
+    phase = _PREFIX_PHASE.get(prefix)
+    if phase is None:  # the text starts with a letter
+        prefix, phase = "", 0
+    body = text[len(prefix):]
     if not body:
         raise PauliParseError("empty Pauli string")
     if body.translate(_NOT_LETTERS):

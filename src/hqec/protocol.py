@@ -37,10 +37,10 @@ from typing import NamedTuple
 from .codes import (
     CODE_CACHE_SIZE,
     StabilizerCode,
+    _syndrome,
     builtin_code,
     decode_single_error,
     logical_codewords,
-    syndrome,
 )
 from .compat import (
     OMEGA,
@@ -434,17 +434,19 @@ def run_storage_protocol(code, amplitudes, key, injected_error=None, rng=None) -
         )
     _, _, psi = _encode(code, amplitudes)
     keys = KeyRegister.uniform(code.n, key[0], key[1])
-    paulis = [keys.mask]
-    if injected_error is not None:
+    mask = keys.mask
+    if injected_error is None:
+        paulis, syn = [mask], (0,) * len(code.generators)
+    else:
         if isinstance(injected_error, str):
             injected_error = parse_pauli(injected_error)
-        paulis.append(injected_error)
-        _check_widths(code.n, paulis)  # before codes.syndrome's own width check
-    syn = (0,) * len(code.generators) if injected_error is None else syndrome(code, injected_error)
+        _check_widths(code.n, (injected_error,))
+        # stabilizer_mask_check has checked the generators' widths
+        paulis, syn = [mask, injected_error], _syndrome(code, injected_error)
     corr = decode_single_error(code, syn)
     if corr is None:
         raise ProtocolError(f"syndrome {syn} matches no weight-<=1 error")
-    state = apply_paulis(psi, paulis + [keys.mask.adjoint().multiply(corr)])
+    state = apply_paulis(psi, paulis + [mask.adjoint().multiply(corr)])
     return StorageReport(
         code.name, keys.pair(1), None if injected_error is None else injected_error.to_string(), syn,
         corr.to_string(), fidelity_up_to_phase(state, psi), final_state=state,

@@ -20,8 +20,11 @@ compensated since Python 3.12, so it would round differently across the
 supported versions), and every factor is a Python complex (a float or int
 factor multiplies differently on Python 3.14, in the signs of zero parts).
 ``bracket`` is the one bracket sum <u|psi>, in u's key order over a dict
-of psi's terms; ``inner``, ``codes.CodeSpace.coords`` and ``compat``'s
-diagonal-gate action all sum through it.  The general (H) branch of
+of psi's terms; ``codes.CodeSpace.coords``, ``compat``'s diagonal-gate
+action and ``inner`` of states whose keys differ all sum through it.
+``inner`` of two states on one key tuple (as a storage round trip's output
+and input are) sums pair by pair with no dict, the same sum bit for bit,
+as ``CodeSpace.overlap`` does on its plan's keys.  The general (H) branch of
 ``apply_single`` (which pairs key k with k ^ bit) looks keys up in a dict
 of the terms too.  No module reads a syndrome or an eigenvalue back from a
 state: ``codes`` checks its codewords on the operators alone, and
@@ -46,7 +49,7 @@ import math
 from bisect import bisect_left
 
 from .gf2 import format_row, parse_row
-from .pauli import MAX_QUBITS, PauliOperator
+from .pauli import _PHASE_VALUE, MAX_QUBITS, PauliOperator
 
 TOL = 1e-10  # two computed values agree
 PRUNE_TOL = 1e-12  # a magnitude counts as zero
@@ -151,6 +154,9 @@ class SparseState:
         return [f"{b} {a.real:.17g} {a.imag:.17g}" for b, a in rows]
 
     def normalized(self) -> "SparseState":
+        """The state over its norm.  A norm of exactly 1.0 is divided out
+        too: a * (1+0j) can flip the sign of a zero part (complex(-0.0,
+        -0.5) * (1+0j) is 0-0.5j), and dumps and pins read those signs."""
         nrm = self.norm()
         if nrm <= PRUNE_TOL:
             raise ValueError("cannot normalize a zero state")
@@ -184,7 +190,8 @@ def unit_amplitudes(amps) -> tuple[complex, ...]:
     if not any(parts) or not all(map(math.isfinite, parts)):
         raise ValueError("amplitudes must be finite and not all zero")
     e = -math.frexp(max(map(abs, parts)))[1]
-    amps = [complex(math.ldexp(a.real, e), math.ldexp(a.imag, e)) for a in amps]
+    if e:  # ldexp by 0 returns its argument, bit for bit
+        amps = [complex(math.ldexp(a.real, e), math.ldexp(a.imag, e)) for a in amps]
     norm = math.hypot(*map(abs, amps))
     return tuple([a / norm for a in amps])
 
@@ -221,10 +228,16 @@ def bracket(u: SparseState, lookup: dict) -> complex:
 
 
 def inner(a: SparseState, b: SparseState) -> complex:
-    """<a|b> over the shared basis keys, summed in key order."""
+    """<a|b> over the shared basis keys, summed in key order: pair by pair
+    where a and b hold the same keys, else by bracket over a dict of b."""
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    return bracket(a, dict(zip(b.keys, b.amps)))
+    if a.keys != b.keys:
+        return bracket(a, dict(zip(b.keys, b.amps)))
+    total = 0j
+    for x, y in zip(a.amps, b.amps):
+        total += x.conjugate() * y
+    return total
 
 
 def fidelity_up_to_phase(a: SparseState, b: SparseState) -> float:
@@ -281,7 +294,7 @@ def apply_paulis(state: SparseState, paulis) -> SparseState:
     _check_widths(state.n, paulis)
     amps, flip = state.amps, 0
     for p in paulis:
-        z, ph = p.z, p.phase_value()
+        z, ph = p.z, _PHASE_VALUE[p.phase]
         signs = _SIGNS[::-1] if (flip & z).bit_count() & 1 else _SIGNS  # (-1)^popcount((k ^ flip) & z)
         amps = [a * signs[(k & z).bit_count() & 1] * ph for k, a in zip(state.keys, amps)]
         flip ^= p.x

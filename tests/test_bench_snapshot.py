@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-RUNNERS = {"transversal_t", "logical_t", "demo", "storage_shor", "storage_rm15", "codes_analysis"}
+RUNNERS = {"transversal_t", "logical_t", "demo", "storage_bit_flip", "storage_shor", "storage_rm15",
+           "codes_analysis"}
 
 
 def _is_function(dotted: str) -> bool:
@@ -94,6 +95,8 @@ def test_snapshot_schema(tmp_path):
     rm15 = profiled["runners"]["storage_rm15"]["functions"]
     assert "states.apply_paulis" in rm15
     assert not {"protocol.encrypt", "states._pauli_image"} & set(rm15)
+    # and reads its fidelity pair by pair, its output on its input's keys
+    assert "states.inner" in rm15 and "states.bracket" not in rm15
 
 
 def _git(*args) -> str | None:

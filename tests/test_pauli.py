@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqec.pauli import PauliOperator, PauliParseError, parse_pauli, transversal_pauli
+from hqec.pauli import MAX_QUBITS, PauliOperator, PauliParseError, parse_pauli, transversal_pauli
 from oracles import dense_pauli, random_pauli
 
 
@@ -130,6 +130,28 @@ class TestMultiply:
         for _ in range(100):
             p = random_pauli(rng, int(rng.integers(1, 5)))
             assert np.abs(dense_pauli(p.adjoint()) - dense_pauli(p).conj().T).max() < 1e-12
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_results_equal_the_checked_constructor(self, data):
+        # multiply and adjoint build their tuples unchecked; the checked
+        # constructor on the unreduced phase must give the same fields and
+        # type, for every pair of phases
+        n = data.draw(st.sampled_from([1, 2, 63, 64, 65, MAX_QUBITS]) | st.integers(1, MAX_QUBITS), label="n")
+        bits = st.integers(0, (1 << n) - 1)
+        x1, z1, x2, z2 = (data.draw(bits) for _ in range(4))
+        for pa in range(4):
+            a = PauliOperator(n, x1, z1, pa)
+            want = PauliOperator(n, x1, z1, -pa + 2 * ((x1 & z1).bit_count() & 1))
+            got = a.adjoint()
+            assert got == want and type(got) is PauliOperator
+            assert 0 <= got.phase < 4 and hash(got) == hash(want)
+            for pb in range(4):
+                b = PauliOperator(n, x2, z2, pb)
+                want = PauliOperator(n, x1 ^ x2, z1 ^ z2, pa + pb + 2 * ((z1 & x2).bit_count() & 1))
+                got = a.multiply(b)
+                assert got == want and type(got) is PauliOperator
+                assert 0 <= got.phase < 4 and hash(got) == hash(want)
 
     def test_square_phase_consistency(self):
         rng = np.random.default_rng(14)

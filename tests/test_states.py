@@ -135,6 +135,15 @@ class TestBasics:
         with pytest.raises(ValueError, match="^cannot normalize a state whose norm is not finite$"):
             SparseState(2, keys, amps).normalized()
 
+    def test_normalized_divides_out_a_unit_norm(self):
+        # the norm is exactly 1.0, and each amplitude is still multiplied by
+        # 1+0j, which turns these negative-zero parts positive; returning the
+        # state unchanged at norm 1.0 would keep them
+        unit = SparseState(1, [0, 1], [complex(-0.0, -0.6), complex(0.8, -0.0)])
+        assert unit.norm() == 1.0
+        assert [(a.real.hex(), a.imag.hex()) for a in unit.normalized().amps] == [
+            ("0x0.0p+0", "-0x1.3333333333333p-1"), ("0x1.999999999999ap-1", "0x0.0p+0")]
+
     def test_bad_bitstring_character(self):
         with pytest.raises(ValueError, match="position 2"):
             from_terms(3, {"0x1": 1.0})
@@ -615,3 +624,34 @@ class TestBracketSymmetry:
         ba = states.bracket(b, dict(zip(a.keys, a.amps)))
         assert abs(ab).hex() == abs(ba).hex()
         assert ab == ba.conjugate()
+
+
+def _parts(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+class TestInnerFastPath:
+    """inner sums two states on one key tuple pair by pair, without the
+    dict that bracket looks b's terms up in: the same sum bit for bit."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_key_tuple_equals_the_bracket_sum(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+        keys = tuple(sorted(data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=12), label="keys")))
+        a, b = (_state(n, k, tuple(complex(*data.draw(st.tuples(_PART, _PART))) for _ in keys))
+                for k in (keys, tuple(list(keys))))  # equal key tuples, not one object
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert _parts(inner(x, y)) == _parts(states.bracket(x, dict(zip(y.keys, y.amps))))
+
+    def test_differing_keys_go_through_the_bracket(self, monkeypatch):
+        a = _state(2, (0, 1, 3), (complex(-0.0, 0.5), complex(0.6, -0.0), complex(-0.0, -0.8)))
+        b = _state(2, (1, 2, 3), (complex(0.6, -0.0), 1j, complex(-0.0, -0.8)))
+        want = states.bracket(a, dict(zip(b.keys, b.amps)))
+        assert want == pytest.approx(1.0)  # 0.6 * 0.6 + 0.8 * 0.8 over keys 1 and 3
+        bracket, calls = states.bracket, []
+        monkeypatch.setattr(states, "bracket", lambda u, lookup: calls.append(u) or bracket(u, lookup))
+        assert _parts(inner(a, b)) == _parts(want) and calls == [a]
+        inner(a, a)
+        assert calls == [a]  # one key tuple: no bracket
+

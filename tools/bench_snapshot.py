@@ -134,6 +134,7 @@ def runners() -> dict:
         "transversal_t": lambda: run_transversal_t_protocol((0.6, 0.8j), (1, 1), SplitMix64(3)),
         "logical_t": lambda: run_logical_t_protocol((0.6, 0.8j), (1, 0), SplitMix64(3)),
         "demo": lambda: run_demo_circuit(SplitMix64(5)),
+        "storage_bit_flip": lambda: run_storage_protocol("bit_flip", (0.6, 0.8), (1, 0), "IXI"),
         "storage_shor": lambda: run_storage_protocol("shor", (0.6, 0.8), (0, 1), "IIIIZIIII"),
         "storage_rm15": lambda: run_storage_protocol("rm15", (0.6, 0.8j), (1, 1), "IIIIIIIIIIXIIII"),
         "codes_analysis": codes_analysis(),
