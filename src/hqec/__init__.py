@@ -6,9 +6,9 @@ The names below, and the submodules that define them, resolve lazily
 ``from hqec import <name>`` imports the submodule that defines the name on
 first use.  ``BUILTIN_NAMES``, the builtin code names, is defined here and
 re-exported by ``codes``, so the CLI refuses an unknown name without
-loading a submodule.  No module imports numpy: the sparse states are Python ints
-and tuples, and the GF(2) and Pauli algebra (``gf2``, ``pauli``,
-``codes``, ``compat``) runs without loading them.
+loading a submodule.  No module imports numpy: the sparse states are
+Python ints and tuples, and the GF(2) and Pauli algebra (``gf2``,
+``pauli``, ``codes``, ``compat``) runs without loading them.
 """
 
 from importlib import import_module

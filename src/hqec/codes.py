@@ -430,8 +430,8 @@ def syndrome(code: StabilizerCode, error: PauliOperator) -> tuple[int, ...]:
 
 
 def _syndrome(code: StabilizerCode, error: PauliOperator) -> tuple[int, ...]:
-    """syndrome without its width checks, for an error and generators on
-    code.n qubits (as stabilizer_mask_check has checked them)."""
+    """syndrome without its width checks, for an error and generators
+    already known to act on code.n qubits."""
     x, z = error.x, error.z
     return tuple([((x & g.z) ^ (z & g.x)).bit_count() & 1 for g in code.generators])
 

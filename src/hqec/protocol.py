@@ -21,10 +21,11 @@ Conventions shared by all runners:
   one logical-T check (_checked_logical_t); syndrome decoding, the
   transversal circuit and the logical mask stay in their own runner.  They
   build and read code-space states by CodeSpace.state, coords and overlap.
-* The storage runner takes its syndrome from the error (codes.syndrome),
-  not from the state: on a compatible code the mask commutes with every
-  generator, so it leaves each syndrome bit as the error sets it, and
-  the mask, error and unmask times correction are one apply_paulis pass.
+* The storage runner takes its syndrome from the error (as codes.syndrome
+  computes it), not from the state: on a compatible code the mask commutes
+  with every generator, so it leaves each syndrome bit as the error sets
+  it, and the mask, error and unmask times correction are one apply_paulis
+  pass.
 """
 
 from __future__ import annotations
