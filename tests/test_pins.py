@@ -12,7 +12,11 @@ The wide storage pin runs every compatible builtin and two code files
 (a ZZ chain with a negated link, a qubit-permuted steane) under every
 single error, two weight-2 errors, a phased error and one of the wrong
 size; its digest was generated while the runner still read each syndrome
-bit back from the state.
+bit back from the state.  The wide teleport pin runs both T runners under
+every key at 16 seeds, sampled and forced, on amplitudes with signed-zero
+parts, and the demo at the same seeds on its own random state and keys and
+on a signed-zero state; its digest was generated before run_circuit
+checked every gate's qubit range ahead of the first gate.
 
 The diagonal-action pin hashes compat._diagonal_action's leakage and
 logical phases in float.hex (or the message it raises) on the builtin code
@@ -187,6 +191,50 @@ def _storage_wide_lines():
 def test_storage_wide_pin():
     assert _digest(_storage_wide_lines()) == (
         "49aadca0f4038b0e00919fd79eac5a95d58af89b896da422fcfbf88e3b2fe619")
+
+
+WIDE_SEEDS = range(16)
+WIDE_T_AMPLITUDES = (
+    (-0.6, 0.8j),
+    (complex(-0.6, -0.0), complex(-0.0, 0.8)),
+    (complex(0.28, -0.0), complex(-0.96, 0.0)),
+)
+
+
+def _forced_pairs(seed: int, count: int) -> list:
+    """count outcome pairs drawn from a generator of its own, seeded apart from the run's."""
+    draw = SplitMix64(1000 + seed)
+    return [divmod(draw.next_u64() & 3, 2) for _ in range(count)]
+
+
+def _teleport_wide_lines():
+    # both T runners under every key, sampled and forced, then the demo on
+    # its own random state and keys and on a state with signed-zero parts
+    for seed in WIDE_SEEDS:
+        for key in KEYS:
+            for amps in WIDE_T_AMPLITUDES:
+                yield _guarded(lambda: _report_text(run_transversal_t_protocol(amps, key, SplitMix64(seed))))
+                yield _guarded(lambda: _report_text(
+                    run_transversal_t_protocol(amps, key, SplitMix64(seed), _forced_pairs(seed, 15))))
+                yield _guarded(lambda: _report_text(run_logical_t_protocol(amps, key, SplitMix64(seed))))
+                yield _guarded(lambda: _report_text(
+                    run_logical_t_protocol(amps, key, SplitMix64(seed), _forced_pairs(seed, 1)[0])))
+    signed = SparseState(2, range(4), unit_amplitudes((complex(-0.6, -0.0), complex(-0.0, 0.8), 0.0,
+                                                       complex(0.0, -0.0))))
+    for seed in WIDE_SEEDS:
+        for keys in (None, KeyRegister.uniform(2, seed & 1, seed >> 1 & 1)):
+            for state in (None, signed):
+                for forced in (None, _forced_pairs(seed, 2)):
+                    def run():
+                        report, decrypted, expected = run_demo_circuit(SplitMix64(seed), keys, state, forced)
+                        return "\n".join([_state_text(decrypted), _state_text(expected), report.fidelity.hex(),
+                                          json.dumps(report.as_dict(), sort_keys=True)])
+                    yield _guarded(run)
+
+
+def test_teleport_wide_pin():
+    assert _digest(_teleport_wide_lines()) == (
+        "7b0f9c51065f786e1155df9b93c5c7c1ede185537cd5da6f6553cb47dd4dc8c2")
 
 
 PHASES = (OMEGA, OMEGA.conjugate(), -1j, 1j, 1.0, -1.0, cmath.exp(1j * cmath.pi / 8))
