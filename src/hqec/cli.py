@@ -17,15 +17,15 @@ import hqec
 
 # `import hqec.cli` loads no library module: each verb loads the ones it
 # uses, on first use, through the package's lazy attributes (hqec.codes,
-# hqec.gf2, ...).  `check triortho` loads gf2 alone, the codes verbs codes
-# (with gf2 and pauli); `check theorem1`, `check css` and `report resources`
-# add compat, `check diagonal` states, and the run verbs states, protocol
-# and rng, each after checking its arguments (`run a1` reads protocol's
-# demo circuit to check --force-outcomes).  Any other input error caught
-# before a code or matrix is read, an unknown code name or a missing code
-# file included (the builtin names are hqec.BUILTIN_NAMES), loads no
-# library module, and no dataclasses; json loads only for --json output.
-# No verb loads numpy.
+# hqec.gf2, ...).  `report resources` loads none (hqec.resource_report is
+# the package's), `check triortho` loads gf2 alone, the codes verbs codes
+# (with gf2 and pauli); `check theorem1` and `check css` add compat,
+# `check diagonal` states, and the run verbs states, protocol and rng, each
+# after checking its arguments (`run a1` reads protocol's demo circuit to
+# check --force-outcomes).  Any other input error caught before a code or
+# matrix is read, an unknown code name or a missing code file included (the
+# builtin names are hqec.BUILTIN_NAMES), loads no library module, and no
+# dataclasses; json loads only for --json output.  No verb loads numpy.
 
 _DIAG_PHASES = {"T": "e^(i*pi/4)", "Td": "e^(-i*pi/4)", "Sd": "-i"}
 
@@ -293,7 +293,7 @@ def _cmd_run_logical_t(args) -> int:
 def _cmd_report_resources(args) -> int:
     if args.n < 1:
         raise InputError(f"--n must be positive, got {args.n}")
-    rep = hqec.compat.resource_report(args.n)
+    rep = hqec.resource_report(args.n)
     lines = [f"block size n = {rep.n}",
              f"data qubits:          {rep.q_data}",
              f"physical aux qubits:  {rep.q_aux_phys} (n Bell pairs)",

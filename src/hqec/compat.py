@@ -16,9 +16,9 @@ for bit as the state-level route that tests/oracles.py keeps
 (projection_diagonal_action).  It is memoized by (code space, phase), so
 clifford_correction_for_t reads the transversal-T action that
 diagonal_gate_action computed, and vice versa; stabilizer_mask_check is
-memoized by code.  The protocol error classes, OMEGA and the register-cost
-report live here too, so the CLI maps errors to exit codes and answers
-``report resources`` without importing ``protocol``.
+memoized by code.  The protocol error classes and OMEGA live here too, so
+the CLI maps errors to exit codes without importing ``protocol``; the
+register-cost report is the package's, re-exported here.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import gf2
+from . import ResourceReport, gf2, resource_report  # the report is the package's, for the CLI to run without compat
 from .codes import CODE_CACHE_SIZE, CodeSpace, StabilizerCode, _states, check_css_pair, check_generator_widths
 from .gf2 import ClassicalCode
 from .pauli import transversal_pauli
@@ -256,24 +256,3 @@ def clifford_correction_for_t(code_space: CodeSpace) -> CliffordCorrection | Non
         if abs(1j**s - target) < tol:
             return CliffordCorrection(s, 0, complex(gamma))
     return None
-
-
-class ResourceReport(NamedTuple):
-    n: int
-    q_data: int
-    q_aux_phys: int
-    q_tot_phys: int
-    q_aux_log: int
-    q_tot_log: int
-
-    def as_dict(self) -> dict:
-        return self._asdict()
-
-
-def resource_report(n: int) -> ResourceReport:
-    """Register cost of one teleported non-Clifford gate on an n-qubit block:
-    n data qubits plus n physical Bell pairs, or one logical Bell pair of two
-    n-qubit blocks; both total 3n."""
-    if n < 1:
-        raise ValueError("block size must be positive")
-    return ResourceReport(n, n, 2 * n, 3 * n, 2 * n, 3 * n)

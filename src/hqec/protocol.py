@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
+from . import ResourceReport, resource_report
 from .codes import (
     CODE_CACHE_SIZE,
     StabilizerCode,
@@ -47,17 +48,17 @@ from .compat import (
     OMEGA,
     IncompatibleCodeError,
     ProtocolError,
-    ResourceReport,
     clifford_correction_for_t,
-    resource_report,
     stabilizer_mask_check,
 )
-from .pauli import PauliOperator, parse_pauli
+from .pauli import PauliOperator, _qubit_count, parse_pauli
 from .states import (
+    PRUNE_TOL,
     TOL,
     MonomialLayer,
     SparseState,
     _check_widths,
+    _terms_state,
     _weight,
     apply_cnot,
     apply_monomial,
@@ -101,7 +102,7 @@ class KeyRegister(NamedTuple):
         return self.x >> (qubit - 1) & 1, self.z >> (qubit - 1) & 1
 
     def as_lists(self) -> list[list[int]]:
-        return [list(self.pair(q)) for q in range(1, self.n + 1)]
+        return [[self.x >> q & 1, self.z >> q & 1] for q in range(self.n)]
 
     @property
     def mask(self) -> PauliOperator:
@@ -233,21 +234,21 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None, transcript=
     it, in one pass over the gates.
 
     A Clifford gate's key rule is replayed on the keys.  Z, S, Sd gates and
-    T/Td gadgets join the pending MonomialLayer, which apply_monomial runs
-    as one pass before any X, H or CNOT, and at the end with the final
-    correction as its trailing Pauli (measured qubits are never touched
-    again, so this equals keeping every pair until the end).  A T/Td gate is applied inside the teleportation
-    of its data qubit through a Bell pair measured in the rotated basis
-    that the qubit's current key (a, b) selects; its outcome is sampled
-    when the gadget joins the layer and folds in as a -> a ^ r_a and b -> b
-    ^ (a ^ r_b), with the pre-update a in both.  Forced outcomes, one per
-    T/Td gate in order, replace sampling; a wrong count raises ValueError
-    before any gate runs.  The final Pauli correction undoes the remaining
-    mask.  The peaks count the data-plus-pair register each teleportation
-    stands for.  With a Transcript sink, the run appends its events to it
-    when done, the server's before the client's (pair i at the positions
-    n+2i-1, n+2i it would hold if every pair were kept), and returns it as
-    CircuitRun.transcript; without one, no event is built and that is None.
+    T/Td gadgets join the pending MonomialLayer, which apply_monomial runs as
+    one pass before any X, H or CNOT, and at the end with the final correction
+    as its trailing Pauli (measured qubits are never touched again, so this
+    equals keeping every pair until the end).  A T/Td gate is applied inside
+    the teleportation of its data qubit through a Bell pair measured in the
+    rotated basis that the qubit's current key (a, b) selects; its outcome is
+    sampled when the gadget joins the layer and folds in as a -> a ^ r_a and b
+    -> b ^ (a ^ r_b), with the pre-update a in both.  Forced outcomes, one per
+    T/Td gate in order, replace sampling.  A wrong forced count, then a qubit
+    outside 1..n, raises ValueError before any gate runs.  The final Pauli
+    correction undoes the remaining mask.  The peaks count the data-plus-pair
+    register each teleportation stands for.  With a Transcript sink, the run
+    appends its events to it when done, the server's before the client's (pair
+    i at the positions n+2i-1, n+2i it would hold if every pair were kept), and
+    returns it as CircuitRun.transcript (None without one: no event is built).
     """
     n = keys.n
     if n != enc_state.n:
@@ -257,26 +258,26 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None, transcript=
         t = sum(g.kind not in CLIFFORD_KINDS for g in circuit)
         if t != len(forced):
             raise ValueError(f"circuit needs {t} forced outcome pairs, got {len(forced)}")
+    bad = [q for g in circuit for q in g.qubits if not 1 <= q <= n]
+    if bad:
+        raise ValueError(f"qubit {bad[0]} out of range 1..{n}")
     x, z = keys.x, keys.z
-    layer = MonomialLayer(n)
-    state = enc_state
-    server, client, outcomes = [], [], []
-    max_qubits, max_terms = state.n, state.num_terms
+    gadget = (layer := MonomialLayer(n)).gadget
+    state, server, client, outcomes = enc_state, [], [], []
+    max_qubits, max_terms = n, len(state.keys)
     for g in circuit:
         kind, qubits = g.kind, g.qubits
-        for q in qubits:
-            if not 1 <= q <= n:
-                raise ValueError(f"qubit {q} out of range 1..{n}")
-        if kind in CLIFFORD_KINDS:
-            if kind in ("Z", "S", "Sd"):
-                layer.phase(qubits[0], _OMEGA_EXPONENTS[kind])
-                x2, z2 = x, (z if kind == "Z" else z ^ (x & (1 << (qubits[0] - 1))))  # _key_rule's S rule
-            else:
+        t = _OMEGA_EXPONENTS.get(kind)
+        if t is None or not t & 1:  # a Clifford gate
+            if t is None:  # X, H or CNOT
                 if layer.pending:
                     state = apply_monomial(state, layer)
-                    layer = MonomialLayer(n)
+                    gadget = (layer := MonomialLayer(n)).gadget
                 state = apply_plain_circuit(state, (g,))
                 x2, z2 = _key_rule(kind, qubits, x, z)
+            else:  # Z, S or Sd; S and Sd (t & 2) fold x_q into z_q, _key_rule's S rule
+                layer.phase(qubits[0], t)
+                x2, z2 = x, (z ^ (x & (1 << qubits[0] - 1)) if t & 2 else z)
             if transcript is not None:
                 server.append({"kind": "gate", "gate": kind, "qubits": list(qubits)})
                 client += [{"kind": "key_update", "qubit": q, "old": [x >> q - 1 & 1, z >> q - 1 & 1],
@@ -285,13 +286,13 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None, transcript=
             continue
         (w,) = qubits
         # the joint register a tensored-in pair would make (state.n == n)
-        max_qubits, max_terms = n + 2, max(max_terms, 2 * state.num_terms)
+        max_qubits, max_terms = n + 2, max(max_terms, 2 * len(state.keys))
         pick = None if forced is None else forced[len(outcomes)]
+        bit = 1 << w - 1
         a, b = x >> w - 1 & 1, z >> w - 1 & 1
         # the pair is measured in S^a for T and Sd^a for Td, diag(1, omega^(2ta))
-        t = _OMEGA_EXPONENTS[kind]
-        r_a, r_b = outcome = layer.gadget(state, w, 2 * t * a, t, rng, pick)
-        x, z = x ^ r_a << w - 1, z ^ (a ^ r_b) << w - 1
+        r_a, r_b = outcome = gadget(state, w, 2 * t * a, t, rng, pick)
+        x, z = x ^ (r_a and bit), z ^ (a ^ r_b and bit)
         outcomes.append(outcome)
         if transcript is not None:
             i = len(outcomes)
@@ -307,7 +308,8 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None, transcript=
                 {"kind": "key_update", "qubit": w, "old": [a, b], "new": [x >> w - 1 & 1, z >> w - 1 & 1]},
             ]
     final = KeyRegister(n, x, z)
-    correction = final.mask.adjoint()
+    # the mask's adjoint, X(x) Z(z) times (-1)^|x & z|, built once and unchecked
+    correction = tuple.__new__(PauliOperator, (_qubit_count(n), x, z, 2 * ((x & z).bit_count() & 1)))
     if transcript is not None:
         transcript.events += server + client + [
             {"kind": "final_keys", "keys": final.as_lists()},
@@ -324,7 +326,7 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None, transcript=
 def random_state(n: int, rng) -> SparseState:
     """Deterministic pseudo-random n-qubit state (dense support)."""
     amps = [complex(2 * rng.random() - 1, 2 * rng.random() - 1) for _ in range(1 << n)]
-    return SparseState(n, range(1 << n), amps).normalized()
+    return _terms_state(n, [t for t in enumerate(amps) if abs(t[1]) > PRUNE_TOL]).normalized()  # as SparseState
 
 
 DEMO_CIRCUIT = (
@@ -555,7 +557,8 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
     if abs(total - 1) > TOL:
         raise ProtocolError(f"logical Bell measurement probabilities sum to {total}")
     forced = None if forced_outcome is None else [forced_outcome]
-    run = run_circuit(SparseState(1, (0, 1), x), _LOGICAL_T_CIRCUIT, keys, rng, forced)
+    register = _terms_state(1, [t for t in zip((0, 1), x) if abs(t[1]) > PRUNE_TOL])  # SparseState(1, (0, 1), x)
+    run = run_circuit(register, _LOGICAL_T_CIRCUIT, keys, rng, forced)
     state = space.state(run.state.amplitude(0), run.state.amplitude(1))
     fid = _checked_logical_t(state, space, amps, "logical-T")
     resources = resource_report(code.n)

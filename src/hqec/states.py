@@ -342,29 +342,30 @@ class MonomialLayer:
         and then flips its bit if r_a.  Returns the outcome, drawn by one
         choice_weighted call unless `forced`.  Every outcome weighs norm2/4
         at the run's first gadget and 1/4 after it, since gadgets keep the
-        norm.  The checks, in order: the qubit range, a zero weight, a weight
-        that is not finite, a malformed forced outcome, a zero-probability
-        outcome."""
+        norm.  The checks, in order: the qubit range, then (at the first
+        gadget only) a zero or non-finite weight, a malformed forced
+        outcome, then (at the first only) a zero-probability outcome."""
         if not 1 <= qubit <= state.n:
             raise ValueError(f"qubit {qubit} out of range 1..{state.n}")
-        norm2 = _weight(state.amps) if self.norm2 is None else self.norm2
-        p = norm2 / 4 if self.norm2 is None else 0.25
-        if 4 * p < PRUNE_TOL:
-            raise ValueError("measurement on a zero-weight state")
-        if not math.isfinite(norm2):
-            raise ValueError("measurement on a state whose weight is not finite")
+        if first := self.norm2 is None:
+            norm2 = _weight(state.amps)
+            p = norm2 / 4
+            if 4 * p < PRUNE_TOL:
+                raise ValueError("measurement on a zero-weight state")
+            if not math.isfinite(norm2):
+                raise ValueError("measurement on a state whose weight is not finite")
         if forced is None:
-            idx = rng.choice_weighted([p] * 4)
+            idx = rng.choice_weighted([p] * 4 if first else (0.25, 0.25, 0.25, 0.25))
         else:
             try:
                 idx = _OUTCOMES.index(tuple(forced))
             except (TypeError, ValueError):
                 raise ValueError(f"forced outcome must be a pair of bits, got {forced!r}") from None
-        outcome = _OUTCOMES[idx]
-        if p < PRUNE_TOL:
-            raise ValueError(f"outcome {outcome} has zero probability")
-        self.norm2 = norm2
-        r_a, r_b = outcome
+        r_a, r_b = outcome = _OUTCOMES[idx]
+        if first:
+            if p < PRUNE_TOL:
+                raise ValueError(f"outcome {outcome} has zero probability")
+            self.norm2 = norm2
         bit, c = qubit - 1, t + u + 4 * r_b  # self.phase(qubit, c), then the flip
         if self.flip >> bit & 1:
             self.c0, c = self.c0 + c, -c
@@ -394,20 +395,22 @@ def apply_monomial(state: SparseState, layer: MonomialLayer, then: PauliOperator
     sort, as a * unit * sign * phase: bit for bit apply_pauli after it."""
     if layer.n != state.n:
         raise ValueError(f"layer on {layer.n} qubits, state on {state.n}")
-    cs = layer.coeffs
-    ones = sum(1 << q for q, c in enumerate(cs) if c & 1)
-    twos = sum(1 << q for q, c in enumerate(cs) if c & 2)
-    fours = sum(1 << q for q, c in enumerate(cs) if c & 4)
-    c0, flip, units = layer.c0, layer.flip, _unit_factors(layer.norm2)
-    terms = [(k ^ flip, a * units[(c0 + (k & ones).bit_count() + 2 * (k & twos).bit_count()
-                                     + 4 * (k & fours).bit_count()) & 7])
-             for k, a in zip(state.keys, state.amps)]
-    if layer.norm2 is not None:
-        terms = [t for t in terms if abs(t[1]) > PRUNE_TOL]
-    if then is not None:
+    ones = twos = fours = 0
+    for q, c in enumerate(layer.coeffs):
+        bit = 1 << q
+        ones, twos, fours = ones | (bit if c & 1 else 0), twos | (bit if c & 2 else 0), fours | (bit if c & 4 else 0)
+    c0, flip, units, keep_all = layer.c0, layer.flip, _unit_factors(layer.norm2), layer.norm2 is None
+    if then is None:
+        terms = [(k ^ flip, b) for k, a in zip(state.keys, state.amps)
+                 for b in [a * units[(c0 + (k & ones).bit_count() + 2 * (k & twos).bit_count()
+                                      + 4 * (k & fours).bit_count()) & 7]] if keep_all or abs(b) > PRUNE_TOL]
+    else:
         z, ph = then.z, then.phase_value()
-        terms = [(k ^ then.x, a * _SIGNS[(k & z).bit_count() & 1] * ph) for k, a in terms]
+        signs = _SIGNS[::-1] if (flip & z).bit_count() & 1 else _SIGNS  # (-1)^popcount((k ^ flip) & z)
         flip ^= then.x
+        terms = [(k ^ flip, b * signs[(k & z).bit_count() & 1] * ph) for k, a in zip(state.keys, state.amps)
+                 for b in [a * units[(c0 + (k & ones).bit_count() + 2 * (k & twos).bit_count()
+                                      + 4 * (k & fours).bit_count()) & 7]] if keep_all or abs(b) > PRUNE_TOL]
     if flip:
         terms.sort()  # the keys are distinct, so no amplitude is compared
     return _terms_state(state.n, terms)

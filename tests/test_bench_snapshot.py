@@ -4,6 +4,7 @@ workers ran.  Times are not checked."""
 
 import functools
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -111,6 +112,38 @@ def _git(*args) -> str | None:
 def _in_checkout() -> bool:
     top = shutil.which("git") and _git("rev-parse", "--show-toplevel")
     return bool(top) and Path(top).resolve() == ROOT.resolve()
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("bench_snapshot", ROOT / "tools" / "bench_snapshot.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.skipif(not shutil.which("git"), reason="needs git")
+def test_commit_is_dirty_only_where_src_or_tools_differ(tmp_path, monkeypatch):
+    # a throwaway repository shaped like this one: a note at the root, src/, tools/
+    tool = _load_tool()
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    files = {name: tmp_path / name for name in ("NOTES.md", "src/mod.py", "tools/tool.py")}
+    for path in files.values():
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("one\n")
+    env = dict(os.environ, GIT_AUTHOR_NAME="t", GIT_AUTHOR_EMAIL="t@t", GIT_COMMITTER_NAME="t",
+               GIT_COMMITTER_EMAIL="t@t")
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "one"]):
+        subprocess.run(["git", *args], cwd=tmp_path, env=env, check=True)
+    head = subprocess.run(["git", "rev-parse", "--short=12", "HEAD"], cwd=tmp_path, capture_output=True,
+                          text=True, check=True).stdout.strip()
+    assert tool.git_commit() == head
+    files["NOTES.md"].write_text("two\n")  # a change outside src/ and tools/
+    assert tool.git_commit() == head
+    for name in ("src/mod.py", "tools/tool.py"):
+        files[name].write_text("two\n")
+        assert tool.git_commit() == head + "-dirty", name
+        files[name].write_text("one\n")
+    assert tool.git_commit() == head
 
 
 @pytest.mark.skipif(not _in_checkout(), reason="needs a git checkout of this repository")

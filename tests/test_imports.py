@@ -219,6 +219,15 @@ def test_input_errors_before_a_code_load_no_library_module(argv, files):
     assert "error: " in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["report", "resources", "--n", "9"],
+                                  ["report", "resources", "--n", "9", "--json"]])
+def test_report_resources_loads_no_library_module(argv):
+    # resource_report is the package's: arithmetic on n, with no code,
+    # state or compat module behind it; json only for the JSON report
+    rc, loaded, _ = _fresh_call(argv)
+    assert (rc, loaded) == (0, {"hqec.cli"} | ({"json"} if "--json" in argv else set()))
+
+
 @pytest.mark.parametrize("argv, want_rc", [
     (["check", "triortho", "--matrix", "{tri}"], 0),
     (["check", "triortho", "--matrix", "{tri}", "--json"], 0),

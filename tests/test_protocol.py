@@ -411,6 +411,23 @@ class TestRunCircuit:
         with pytest.raises(ValueError, match=f"^circuit needs 2 forced outcome pairs, got {count}$"):
             run(encrypt(psi, keys), circuit, keys, SplitMix64(0), forced_outcomes=[(0, 1)] * count)
 
+    def test_qubit_range_checked_before_any_gate(self, monkeypatch):
+        def no_gadget(*args, **kwargs):
+            raise AssertionError("a gate ran before the qubit range check")
+
+        class NoDraw:
+            def __getattr__(self, name):
+                raise AssertionError(f"the generator was read ({name}) before the qubit range check")
+
+        monkeypatch.setattr(protocol, "apply_monomial", no_gadget)
+        monkeypatch.setattr(protocol, "apply_plain_circuit", no_gadget)
+        monkeypatch.setattr(states.MonomialLayer, "gadget", no_gadget)
+        psi = random_state(2, SplitMix64(3))
+        keys = KeyRegister.of([(1, 0), (0, 1)])
+        for forced in (None, [(0, 1), (1, 0)]):
+            with pytest.raises(ValueError, match="^qubit 3 out of range 1..2$"):
+                run_circuit(encrypt(psi, keys), parse_circuit("T1 H2 T3"), keys, NoDraw(), forced)
+
     @pytest.mark.parametrize("kind,qubit", [("S", 0), ("Sd", 3), ("Z", 3)])
     def test_deferred_gate_qubit_range(self, kind, qubit):
         # a deferred phase gate is range-checked when it is read, not when

@@ -328,13 +328,19 @@ def print_ab(ab: dict) -> None:
 
 
 def git_commit() -> str | None:
-    """The checkout's commit, with "-dirty" when its tracked files differ from it."""
+    """The checkout's commit, with "-dirty" when src/ or tools/ differ from
+    it: the code measured and the script measuring it.  Other files, notes
+    at the root included, leave a snapshot clean."""
     try:
-        proc = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=12"], cwd=ROOT,
+        proc = subprocess.run(["git", "describe", "--always", "--abbrev=12"], cwd=ROOT,
                               capture_output=True, text=True)
+        commit = proc.stdout.strip()
+        if not commit:
+            return None
+        diff = subprocess.run(["git", "diff", "--quiet", "HEAD", "--", "src", "tools"], cwd=ROOT)
     except OSError:
         return None
-    return proc.stdout.strip() or None
+    return commit + ("-dirty" if diff.returncode else "")
 
 
 def main(argv=None) -> int:
