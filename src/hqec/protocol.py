@@ -326,7 +326,7 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None, transcript=
 def random_state(n: int, rng) -> SparseState:
     """Deterministic pseudo-random n-qubit state (dense support)."""
     amps = [complex(2 * rng.random() - 1, 2 * rng.random() - 1) for _ in range(1 << n)]
-    return _terms_state(n, [t for t in enumerate(amps) if abs(t[1]) > PRUNE_TOL]).normalized()  # as SparseState
+    return _terms_state(n, [t for t in enumerate(amps) if abs(t[1]) > PRUNE_TOL]).normalized()  # SparseState's prune
 
 
 DEMO_CIRCUIT = (
@@ -557,7 +557,7 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
     if abs(total - 1) > TOL:
         raise ProtocolError(f"logical Bell measurement probabilities sum to {total}")
     forced = None if forced_outcome is None else [forced_outcome]
-    register = _terms_state(1, [t for t in zip((0, 1), x) if abs(t[1]) > PRUNE_TOL])  # SparseState(1, (0, 1), x)
+    register = _terms_state(1, [t for t in zip((0, 1), x) if abs(t[1]) > PRUNE_TOL])  # SparseState's prune
     run = run_circuit(register, _LOGICAL_T_CIRCUIT, keys, rng, forced)
     state = space.state(run.state.amplitude(0), run.state.amplitude(1))
     fid = _checked_logical_t(state, space, amps, "logical-T")
