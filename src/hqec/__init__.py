@@ -5,9 +5,11 @@ The names below, and the submodules that define them, resolve lazily
 (PEP 562): ``import hqec`` loads no submodule, and ``hqec.<name>`` or
 ``from hqec import <name>`` imports the submodule that defines the name on
 first use.  ``BUILTIN_NAMES`` (the builtin code names) and ``resource_report``
-are defined here and re-exported by ``codes`` and ``compat``, so the CLI
-refuses an unknown name and answers ``report resources`` without loading a
-submodule.  No module imports numpy: the sparse states are
+are defined here and re-exported by ``codes`` and ``compat``, and the demo
+circuit's text ``DEMO_CIRCUIT_TEXT`` is defined here and parsed by
+``protocol``, so the CLI refuses an unknown name or a wrong-length
+``run a1 --force-outcomes`` and answers ``report resources`` without
+loading a submodule.  No module imports numpy: the sparse states are
 Python ints and tuples, and the GF(2) and Pauli algebra (``gf2``,
 ``pauli``, ``codes``, ``compat``) runs without loading them.
 """
@@ -16,6 +18,7 @@ from importlib import import_module
 from typing import NamedTuple
 
 BUILTIN_NAMES = ("bit_flip", "phase_flip", "shor", "steane", "rm15", "synthetic_incompatible")
+DEMO_CIRCUIT_TEXT = "H1 T1 Td2 S2"  # run a1's circuit, parsed by protocol
 
 
 class ResourceReport(NamedTuple):

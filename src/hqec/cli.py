@@ -21,11 +21,12 @@ import hqec
 # the package's), `check triortho` loads gf2 alone, the codes verbs codes
 # (with gf2 and pauli); `check theorem1` and `check css` add compat,
 # `check diagonal` states, and the run verbs states, protocol and rng, each
-# after checking its arguments (`run a1` reads protocol's demo circuit to
-# check --force-outcomes).  Any other input error caught before a code or
-# matrix is read, an unknown code name or a missing code file included (the
-# builtin names are hqec.BUILTIN_NAMES), loads no library module, and no
-# dataclasses; json loads only for --json output.  No verb loads numpy.
+# after checking its arguments.  Any input error caught before a code or
+# matrix is read, an unknown code name, a missing code file and a `run a1`
+# --force-outcomes of the wrong length included (the builtin names are
+# hqec.BUILTIN_NAMES, the demo circuit's text hqec.DEMO_CIRCUIT_TEXT), loads
+# no library module, and no dataclasses; json loads only for --json output.
+# No verb loads numpy.
 
 _DIAG_PHASES = {"T": "e^(i*pi/4)", "Td": "e^(-i*pi/4)", "Sd": "-i"}
 
@@ -223,9 +224,9 @@ def _cmd_check_diagonal(args) -> int:
 
 def _cmd_run_a1(args) -> int:
     seed = _seed(args)
-    protocol = hqec.protocol  # the demo circuit sets the --force-outcomes length
-    t_gates = sum(1 for g in protocol.DEMO_CIRCUIT if not g.is_clifford)
+    t_gates = sum(tok[0] == "T" for tok in hqec.DEMO_CIRCUIT_TEXT.split())  # T and Td set the length
     forced = _parse_forced(args.force_outcomes, t_gates)
+    protocol = hqec.protocol
     rep, dec, _ = protocol.run_demo_circuit(hqec.rng.SplitMix64(seed), forced_outcomes=forced)
     _dump_state(args, dec)
     lines = [f"demo circuit {protocol.format_circuit(protocol.DEMO_CIRCUIT)}",

@@ -15,7 +15,10 @@ cached is immutable, and a call that raises caches nothing.
 only for a code it accepts; ``check_css_pair`` is the one check of a
 classical pair.  All of it is GF(2) algebra on Python ints, reduced and
 solved by ``gf2``; validation, codewords and syndromes read each
-PauliOperator as its (x, z, phase) ints and build none.  The codeword
+PauliOperator as its (x, z, phase) ints and build none.  |0_L> lies on
+an affine space s0 + V and |1_L> = X|0_L> on s0 + x(X) + V, so the two
+codewords hold the same keys or none in common, and ``CodeSpace`` combines
+them pair by pair or by one pick into key order.  The codeword
 construction and ``CodeSpace`` reach the ``states`` layer only through
 ``_states()``, which imports it on first use, to build and read states.
 """
@@ -75,12 +78,13 @@ def _states():
 
 @dataclass(frozen=True)
 class CodeSpace:
-    """The logical basis (|0_L>, |1_L>) of a k = 1 code.  Through its merge
+    """The logical basis (|0_L>, |1_L>) of a k = 1 code.  |0_L> lies on a
+    coset s0 + V and |1_L> = X|0_L> on s0 + x(X) + V, two cosets of one
+    space, so the two hold the same keys or no key in common.  Through its
     plan (built on first use and kept; dataclasses.replace gives a fresh
     one), state(c0, c1) is the linear combination that tests/oracles.py
-    keeps as combine(basis, [c0, c1]), and for psi on the code's qubits,
-    coords(psi) is [inner(|0_L>, psi), inner(|1_L>, psi)] and overlap(psi,
-    c0, c1) is inner(psi, state(c0, c1)), bit for bit."""
+    keeps as combine(basis, [c0, c1]), bit for bit, and coords(psi) is
+    [inner(|0_L>, psi), inner(|1_L>, psi)]."""
 
     code: StabilizerCode
     basis: tuple[SparseState, ...]
@@ -95,51 +99,36 @@ class CodeSpace:
 
     @cached_property
     def plan(self) -> tuple:
-        """(keys, pick, shared): the sorted union of the basis keys; an
-        itemgetter of each key's first term in |0_L>'s products, then |1_L>'s
-        (a tuple: orthogonal states hold two keys or more); and (position,
-        product index) of |1_L>'s term at each key both states hold."""
-        both = self.zero.keys + self.one.keys
-        first = {k: i for i, k in reversed(list(enumerate(both)))}
-        last = {k: i for i, k in enumerate(both)}
-        keys = tuple(sorted(first))
-        shared = tuple((p, last[k]) for p, k in enumerate(keys) if last[k] != first[k])
-        return keys, itemgetter(*map(first.get, keys)), shared
-
-    def _combined(self, c0, c1) -> tuple | list:
-        """c0|0_L> + c1|1_L> at each plan key, unpruned: c0 * |0_L>'s term,
-        then + c1 * |1_L>'s term where both states hold the key (a list
-        then, else the picked tuple)."""
-        (_, pick, shared), c0, c1 = self.plan, complex(c0), complex(c1)
-        products = [c0 * a for a in self.zero.amps] + [c1 * a for a in self.one.amps]
-        amps = pick(products)
-        if shared:
-            amps = list(amps)
-            for p, i in shared:
-                amps[p] += products[i]
-        return amps
+        """(keys, pick): the sorted union of the basis keys, and None where
+        the two states hold one key tuple, else an itemgetter of the sorted
+        order of |0_L>'s products, then |1_L>'s (a tuple: orthogonal states
+        on disjoint keys hold two keys or more).  A basis whose states share
+        some keys but not all, which no code space holds, raises."""
+        zero, one = self.zero.keys, self.one.keys
+        if zero == one:
+            return zero, None
+        if not set(zero).isdisjoint(one):
+            raise ValueError("code-space basis states share some keys but not all")
+        both = zero + one
+        pick = itemgetter(*sorted(range(len(both)), key=both.__getitem__))
+        return pick(both), pick
 
     def state(self, c0, c1) -> SparseState:
-        """c0|0_L> + c1|1_L> (not normalized), terms of magnitude <= PRUNE_TOL dropped."""
-        st, keys, amps = _states(), self.plan[0], self._combined(c0, c1)
+        """c0|0_L> + c1|1_L> (not normalized), terms of magnitude <= PRUNE_TOL
+        dropped: c0 a + c1 b at each key on one key tuple, else each term
+        scaled and picked into key order."""
+        (keys, pick), c0, c1, st = self.plan, complex(c0), complex(c1), _states()
+        if pick is None:
+            amps = [c0 * a + c1 * b for a, b in zip(self.zero.amps, self.one.amps)]
+        else:
+            amps = pick([c0 * a for a in self.zero.amps] + [c1 * a for a in self.one.amps])
         if min(map(abs, amps)) > st.PRUNE_TOL:
             return st._state(self.zero.n, keys, tuple(amps))
         return st._terms_state(self.zero.n, [t for t in zip(keys, amps) if abs(t[1]) > st.PRUNE_TOL])
 
     def coords(self, psi: SparseState) -> list[complex]:
-        """[<0_L|psi>, <1_L|psi>], summed as inner sums, from one dict of psi."""
-        lookup, bracket = dict(zip(psi.keys, psi.amps)), _states().bracket
-        return [bracket(b, lookup) for b in self.basis]
-
-    def overlap(self, psi: SparseState, c0, c1) -> complex:
-        """<psi|state(c0, c1)>, summed in key order as inner sums; a psi on
-        the plan's keys (as the T runners' outputs are) needs no dict."""
-        keys, floor, total = self.plan[0], _states().PRUNE_TOL, 0j
-        values = psi.amps if psi.keys == keys else map(dict(zip(psi.keys, psi.amps)).get, keys)
-        for a, v in zip(self._combined(c0, c1), values):
-            if v is not None and abs(a) > floor:
-                total += v.conjugate() * a
-        return total
+        """[<0_L|psi>, <1_L|psi>]."""
+        return [_states().inner(b, psi) for b in self.basis]
 
 
 def _reduce_tracked(vec: int, x: int, z: int, phase: int, basis: list) -> tuple:

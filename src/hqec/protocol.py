@@ -20,7 +20,8 @@ Conventions shared by all runners:
   KeyRegister.uniform(n, key[0], key[1]) and reported as keys.pair(1), and
   one logical-T check (_checked_logical_t); syndrome decoding, the
   transversal circuit and the logical mask stay in their own runner.  They
-  build and read code-space states by CodeSpace.state, coords and overlap.
+  build code-space states by CodeSpace.state and read them by
+  CodeSpace.coords and states.inner.
 * The storage runner takes its syndrome from the error (as codes.syndrome
   computes it), not from the state: on a compatible code the mask commutes
   with every generator, so it leaves each syndrome bit as the error sets
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import ResourceReport, resource_report
+from . import DEMO_CIRCUIT_TEXT, ResourceReport, resource_report
 from .codes import (
     CODE_CACHE_SIZE,
     StabilizerCode,
@@ -329,12 +330,7 @@ def random_state(n: int, rng) -> SparseState:
     return _terms_state(n, [t for t in enumerate(amps) if abs(t[1]) > PRUNE_TOL]).normalized()  # SparseState's prune
 
 
-DEMO_CIRCUIT = (
-    CircuitGate("H", (1,)),
-    CircuitGate("T", (1,)),
-    CircuitGate("Td", (2,)),
-    CircuitGate("S", (2,)),
-)
+DEMO_CIRCUIT = tuple(parse_circuit(DEMO_CIRCUIT_TEXT))
 _LOGICAL_T_CIRCUIT = (CircuitGate("T", (1,)),)  # what run_logical_t_protocol runs on its one-qubit register
 
 
@@ -385,7 +381,7 @@ def _encode(code: StabilizerCode, amplitudes):
 def _checked_logical_t(state: SparseState, space, amps, what: str) -> float:
     """The fidelity of state with c0|0_L> + omega c1|1_L>; raises below 1 - TOL."""
     c0, c1 = amps
-    fid = abs(space.overlap(state, c0, OMEGA * c1))
+    fid = fidelity_up_to_phase(state, space.state(c0, OMEGA * c1))
     if fid < 1 - TOL:
         raise ProtocolError(f"{what} output fidelity {fid} below tolerance")
     return fid

@@ -20,11 +20,12 @@ compensated since Python 3.12, so it would round differently across the
 supported versions), and every factor is a Python complex (a float or int
 factor multiplies differently on Python 3.14, in the signs of zero parts).
 ``bracket`` is the one bracket sum <u|psi>, in u's key order over a dict
-of psi's terms; ``codes.CodeSpace.coords``, ``compat``'s diagonal-gate
-action and ``inner`` of states whose keys differ all sum through it.
-``inner`` of two states on one key tuple (as a storage round trip's output
-and input are) sums pair by pair with no dict, the same sum bit for bit,
-as ``CodeSpace.overlap`` does on its plan's keys.  The general (H) branch of
+of psi's terms; ``compat``'s diagonal-gate action and ``inner`` of states
+whose keys differ sum through it.  ``inner`` of two states on one key tuple
+(as a storage round trip's output and input are, and a T run's output and
+its target code-space state unless a term was pruned) sums pair by pair
+with no dict, the same sum bit for bit.  ``codes.CodeSpace.coords`` and the T runners' fidelity are
+``inner`` sums.  The general (H) branch of
 ``apply_single`` (which pairs key k with k ^ bit) looks keys up in a dict
 of the terms too.  No module reads a syndrome or an eigenvalue back from a
 state: ``codes`` checks its codewords on the operators alone, and

@@ -90,7 +90,7 @@ def test_snapshot_schema(tmp_path):
     # diagonal-gate action without combining or bracketing states
     cold = profiled["runners"]["codes_analysis"]["functions"]
     assert cold["codes._zero_codeword"]["calls_per_run"] == 3
-    unused = {"codes.CodeSpace.state", "codes.CodeSpace._combined", "states.inner", "states._coalesce"}
+    unused = {"codes.CodeSpace.state", "states.inner", "states._coalesce"}
     assert all(map(_is_function, unused)) and not unused & set(cold)  # live names, so the guard can fail
     # storage applies its mask, error and unmask times correction in one sweep
     rm15 = profiled["runners"]["storage_rm15"]["functions"]

@@ -205,6 +205,7 @@ def files(tmp_path):
      "--json"],
     ["run", "storage", "--code", "shor", "--keys", "2,0", "--json"],
     ["run", "a1", "--seed", "-1", "--json"],
+    ["run", "a1", "--force-outcomes", "0", "--json"],
     ["check", "theorem1", "--code", "no_such_code", "--json"],
     ["check", "diagonal", "--code", "{missing}", "--gate", "T", "--json"],
     ["run", "storage", "--code", "{missing}", "--keys", "1,0", "--json"],
@@ -213,7 +214,9 @@ def files(tmp_path):
 def test_input_errors_before_a_code_load_no_library_module(argv, files):
     # nor dataclasses: the seed is checked first, and its generator is
     # built only once every argument has passed; an unknown code name is
-    # refused from hqec.BUILTIN_NAMES, without the codes module
+    # refused from hqec.BUILTIN_NAMES, without the codes module, and run
+    # a1's --force-outcomes length comes from hqec.DEMO_CIRCUIT_TEXT,
+    # without protocol
     rc, loaded, err = _fresh_call([a.format(**files) for a in argv])
     assert (rc, loaded) == (2, {"hqec.cli"})
     assert "error: " in err and "Traceback" not in err

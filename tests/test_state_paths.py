@@ -1,8 +1,13 @@
-"""The code-space merge plan, the trailing Pauli of apply_monomial, the zip
-sort of _resorted, the paired general branch of apply_single and the one
-sweep of apply_paulis, each against the route it replaced (kept in
+"""The code-space plan, the trailing Pauli of apply_monomial, the zip sort
+of _resorted, the paired general branch of apply_single and the one sweep
+of apply_paulis, each against the route it replaced (kept in
 tests/oracles.py), in keys and in float.hex of both parts of every
-amplitude, so signed zeros count."""
+amplitude, so signed zeros count.  CodeSpace.state is held to combine, and
+coords and inner of a psi against a code-space state (the T runners'
+fidelity) to the combine/inner oracles.  The two codewords are two cosets
+of one space, so they hold the same keys or none in common: every code
+space checked here is one of the two, and a hand-built basis that is
+neither is refused."""
 
 import itertools
 import random
@@ -11,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hqec.codes import BUILTIN_NAMES, builtin_code, logical_codewords
+from hqec.codes import BUILTIN_NAMES, CodeSpace, builtin_code, logical_codewords
 from hqec.pauli import PauliOperator, parse_pauli
 from hqec.protocol import _encode
 from hqec.states import (
@@ -24,6 +29,7 @@ from hqec.states import (
     apply_paulis,
     apply_single,
     gate,
+    inner,
 )
 from oracles import (
     coalescing_apply_single,
@@ -68,7 +74,17 @@ def nearby_states(draw, space):
 def assert_plan_matches(space, psi, c0, c1):
     assert hex_terms(space.state(c0, c1)) == hex_terms(combine(list(space.basis), [c0, c1]))
     assert [hex_of(v) for v in space.coords(psi)] == [hex_of(v) for v in combine_coords(space, psi)]
-    assert hex_of(space.overlap(psi, c0, c1)) == hex_of(combine_overlap(space, psi, c0, c1))
+    assert hex_of(inner(psi, space.state(c0, c1))) == hex_of(combine_overlap(space, psi, c0, c1))
+
+
+def assert_two_cosets(space):
+    """The basis holds one key tuple (and no pick) or two disjoint key sets."""
+    zero, one = space.basis
+    keys, pick = space.plan
+    if zero.keys == one.keys:
+        assert pick is None
+    else:
+        assert pick is not None and set(zero.keys).isdisjoint(one.keys)
 
 
 class TestCodeSpacePlan:
@@ -82,19 +98,41 @@ class TestCodeSpacePlan:
     @settings(max_examples=100, deadline=None)
     def test_random_codes(self, code, data):
         space = logical_codewords(code)
+        assert_two_cosets(space)
         assert_plan_matches(space, data.draw(nearby_states(space)), data.draw(AMPS), data.draw(AMPS))
 
     def test_plan_is_the_sorted_union(self):
-        for space in BUILTIN_SPACES:
+        shared = set()
+        for name, space in zip(BUILTIN_NAMES, BUILTIN_SPACES):
+            assert_two_cosets(space)
             zero, one = space.basis
-            keys, pick, shared = space.plan
+            keys, pick = space.plan
             assert list(keys) == sorted(set(zero.keys) | set(one.keys))
-            # pick takes each key's first term from |0_L>'s keys, then |1_L>'s
-            firsts = pick(range(2 * len(keys)))
-            assert [(zero.keys + one.keys)[i] for i in firsts] == list(keys)
-            assert all((i < zero.num_terms) == (k in zero.keys) for i, k in zip(firsts, keys))
-            assert [keys[p] for p, _ in shared] == sorted(set(zero.keys) & set(one.keys))
-            assert all(i >= zero.num_terms and (zero.keys + one.keys)[i] == keys[p] for p, i in shared)
+            if pick is None:
+                shared.add(name)
+                continue
+            # pick puts |0_L>'s products, then |1_L>'s, in key order
+            both = zero.keys + one.keys
+            assert [both[i] for i in pick(range(len(both)))] == list(keys)
+        assert shared == {"phase_flip", "shor"}
+
+    def test_partly_shared_keys_are_refused(self):
+        # no code space holds such a basis: |1_L> = X|0_L> lies on another
+        # coset of |0_L>'s space, or on the same one
+        zero = SparseState(2, [0, 3], [0.6, 0.8])
+        for one in (SparseState(2, [0, 1], [0.8, -0.6]), SparseState(2, [0], [1.0]),
+                    SparseState(2, [0, 1, 3], [0.6, 0.6, -0.53])):
+            space = CodeSpace(builtin_code("bit_flip"), (zero, one))
+            with pytest.raises(ValueError, match="share some keys but not all"):
+                space.state(1, 0)
+
+    def test_coords_refuse_another_qubit_count(self):
+        space = logical_codewords(builtin_code("bit_flip"))
+        for n in (2, 4):
+            # a psi on the codewords' keys, on another qubit count
+            psi = SparseState(n, [0], [1.0])
+            with pytest.raises(ValueError, match=f"^dimension mismatch: 3 vs {n}$"):
+                space.coords(psi)
 
     def test_pruning(self):
         # shor's |1_L> is Z^9|0_L>, on the same keys with amplitudes +-x, so
