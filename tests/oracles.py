@@ -16,7 +16,7 @@ the reduction tracked by PauliOperator.multiply products, the dict
 constructor, tensor product and qubit swap of sparse states, the
 Clifford key rule on (a, b) pairs, and the combine/inner, two-pass,
 index-sort, coalescing and per-Pauli image routes that the code-space
-merge plan, the trailing Pauli of apply_monomial, the zip sort of
+plan, the trailing Pauli of apply_monomial, the zip sort of
 _resorted, the paired general branch of apply_single and the one sweep of
 apply_paulis replaced).  No oracle applies a Pauli through apply_paulis:
 each goes through image_apply_pauli, one pass and one sort per Pauli.
@@ -856,7 +856,7 @@ def per_gate_exponent_run(enc_state, circuit, keys, rng, forced_outcomes=None) -
 
 
 # ---------------------------------------------------------------------------
-# the routes that the code-space merge plan, the fused trailing Pauli of
+# the routes that the code-space plan, the fused trailing Pauli of
 # apply_monomial, the zip sort of _resorted, the paired general branch of
 # apply_single and the one sweep of apply_paulis replaced; the new paths
 # must equal them byte for byte
