@@ -16,12 +16,14 @@ Conventions shared by all runners:
   reading breaks the round trip (see the negative test in the suite).  It
   builds transcript events only into a Transcript sink that its caller
   passes: the demo does, the T runners do not.
-* The runners share one encode step (_encode), keys built as
-  KeyRegister.uniform(n, key[0], key[1]) and reported as keys.pair(1), and
-  one logical-T check (_checked_logical_t); syndrome decoding, the
-  transversal circuit and the logical mask stay in their own runner.  They
-  build code-space states by CodeSpace.state and read them by
-  CodeSpace.coords and states.inner.
+* The runners share one encode step (_encode, on a code space) and one
+  logical-T check (_checked_logical_t).  The T runners build keys as
+  KeyRegister.uniform(n, key[0], key[1]) and report keys.pair(1); storage
+  builds its mask from (int(a) & 1, int(b) & 1) and reports that pair.
+  Storage and transversal T read one cached plan per code (_storage_plan,
+  _transversal_t_plan); syndrome decoding, the transversal circuit and the
+  logical mask stay in their own runner.  They build code-space states by
+  CodeSpace.state and read them by CodeSpace.coords and states.inner.
 * The storage runner takes its syndrome from the error (as codes.syndrome
   computes it), not from the state: on a compatible code the mask commutes
   with every generator, so it leaves each syndrome bit as the error sets
@@ -40,9 +42,9 @@ from . import DEMO_CIRCUIT_TEXT, ResourceReport, resource_report
 from .codes import (
     CODE_CACHE_SIZE,
     StabilizerCode,
+    _single_error_table,
     _syndrome,
     builtin_code,
-    decode_single_error,
     logical_codewords,
 )
 from .compat import (
@@ -371,11 +373,10 @@ def run_demo_circuit(rng, keys=None, state=None, forced_outcomes=None):
     return report, run.state, expected
 
 
-def _encode(code: StabilizerCode, amplitudes):
-    """The code space, unit_amplitudes (c0, c1) and c0|0_L> + c1|1_L>, normalized."""
-    space = logical_codewords(code)
+def _encode(space, amplitudes):
+    """unit_amplitudes (c0, c1) and c0|0_L> + c1|1_L> on the code space, normalized."""
     amps = unit_amplitudes(amplitudes)
-    return space, amps, space.state(*amps).normalized()
+    return amps, space.state(*amps).normalized()
 
 
 def _checked_logical_t(state: SparseState, space, amps, what: str) -> float:
@@ -389,13 +390,24 @@ def _checked_logical_t(state: SparseState, space, amps, what: str) -> float:
 
 @dataclass(frozen=True)
 class StorageReport:
+    """A masked storage round trip; injected_error and correction format its
+    two PauliOperators, error_op and correction_op, as text when read."""
+
     code_name: str
     keys: tuple[int, int]
-    injected_error: str | None
+    error_op: PauliOperator | None
     syndrome: tuple[int, ...]
-    correction: str
+    correction_op: PauliOperator
     fidelity: float
     final_state: SparseState | None = None
+
+    @property
+    def injected_error(self) -> str | None:
+        return None if self.error_op is None else self.error_op.to_string()
+
+    @property
+    def correction(self) -> str:
+        return self.correction_op.to_string()
 
     @property
     def recovered(self) -> bool:
@@ -413,6 +425,18 @@ class StorageReport:
         }
 
 
+@lru_cache(maxsize=CODE_CACHE_SIZE)
+def _storage_plan(code: StabilizerCode):
+    """(code space, single-error table) of a mask-compatible code; raises
+    IncompatibleCodeError otherwise, and a raise caches nothing."""
+    compat = stabilizer_mask_check(code)
+    if not compat.verdict:
+        bad = compat.failing_generators()[0]
+        raise IncompatibleCodeError(f"{code.name} is not mask-compatible: generator {bad.index} "
+                                    f"({bad.generator}) anticommutes with a transversal mask component")
+    return logical_codewords(code), _single_error_table(code)
+
+
 def run_storage_protocol(code, amplitudes, key, injected_error=None, rng=None) -> StorageReport:
     """Encode, mask, optionally corrupt, correct on the masked register, and
     unmask; refuses codes whose generators fail the masking criterion.
@@ -424,31 +448,24 @@ def run_storage_protocol(code, amplitudes, key, injected_error=None, rng=None) -
     Nothing is drawn from rng, so a seed has no effect on the result."""
     if isinstance(code, str):
         code = builtin_code(code)
-    compat = stabilizer_mask_check(code)
-    if not compat.verdict:
-        bad = compat.failing_generators()[0]
-        raise IncompatibleCodeError(
-            f"{code.name} is not mask-compatible: generator {bad.index} ({bad.generator}) "
-            f"anticommutes with a transversal mask component"
-        )
-    _, _, psi = _encode(code, amplitudes)
-    keys = KeyRegister.uniform(code.n, key[0], key[1])
-    mask = keys.mask
+    space, table = _storage_plan(code)
+    _, psi = _encode(space, amplitudes)
+    a, b, full = int(key[0]) & 1, int(key[1]) & 1, (1 << code.n) - 1  # the plan has checked code.n
+    mask = tuple.__new__(PauliOperator, (code.n, full * a, full * b, 0))
     if injected_error is None:
         paulis, syn = [mask], (0,) * len(code.generators)
     else:
         if isinstance(injected_error, str):
             injected_error = parse_pauli(injected_error)
         _check_widths(code.n, (injected_error,))
-        # stabilizer_mask_check has checked the generators' widths
+        # the plan's mask check has checked the generators' widths
         paulis, syn = [mask, injected_error], _syndrome(code, injected_error)
-    corr = decode_single_error(code, syn)
+    corr = table.get(syn)
     if corr is None:
         raise ProtocolError(f"syndrome {syn} matches no weight-<=1 error")
     state = apply_paulis(psi, paulis + [mask.adjoint().multiply(corr)])
     return StorageReport(
-        code.name, keys.pair(1), None if injected_error is None else injected_error.to_string(), syn,
-        corr.to_string(), fidelity_up_to_phase(state, psi), final_state=state,
+        code.name, (a, b), injected_error, syn, corr, fidelity_up_to_phase(state, psi), final_state=state,
     )
 
 
@@ -480,10 +497,15 @@ class TransversalTReport:
 
 
 @lru_cache(maxsize=CODE_CACHE_SIZE)
-def _transversal_t_circuit(n: int, s_power: int) -> tuple[CircuitGate, ...]:
-    """T on every qubit, then transversal Sd^s_power."""
-    layers = ["T"] + ["Sd"] * s_power
-    return tuple(CircuitGate(kind, (q,)) for kind in layers for q in range(1, n + 1))
+def _transversal_t_plan(code: StabilizerCode):
+    """(code space, T correction, circuit of T then Sd^s on every qubit, s the
+    correction's S-power); no correction raises ProtocolError, caching nothing."""
+    space = logical_codewords(code)
+    corr = clifford_correction_for_t(space)
+    if corr is None:
+        raise ProtocolError(f"no diagonal logical correction available for {code.name}")
+    layers = ["T"] + ["Sd"] * (corr.logical_s_power % 4)
+    return space, corr, tuple(CircuitGate(kind, (q,)) for kind in layers for q in range(1, code.n + 1))
 
 
 def run_transversal_t_protocol(amplitudes, key, rng, forced_outcomes=None) -> TransversalTReport:
@@ -494,12 +516,9 @@ def run_transversal_t_protocol(amplitudes, key, rng, forced_outcomes=None) -> Tr
     gate order, and one apply_monomial pass applies the gates, so neither
     the 45-qubit joint register nor any state between gadgets is built."""
     code = builtin_code("rm15")
-    space, amps, psi = _encode(code, amplitudes)
-    corr = clifford_correction_for_t(space)
-    if corr is None:
-        raise ProtocolError(f"no diagonal logical correction available for {code.name}")
+    space, corr, circuit = _transversal_t_plan(code)
+    amps, psi = _encode(space, amplitudes)
     keys = KeyRegister.uniform(code.n, key[0], key[1])
-    circuit = _transversal_t_circuit(code.n, corr.logical_s_power % 4)
     run = run_circuit(encrypt(psi, keys), circuit, keys, rng, forced_outcomes)
     fid = _checked_logical_t(run.state, space, amps, "transversal-T")
     return TransversalTReport(
@@ -544,7 +563,8 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
     y1|1_L>.  The 27-qubit register and Bell block are never built.
     """
     code = builtin_code("shor")
-    space, amps, psi = _encode(code, amplitudes)
+    space = logical_codewords(code)
+    amps, psi = _encode(space, amplitudes)
     keys = KeyRegister.uniform(1, key[0], key[1])
     a, b = keys.pair(1)
     enc = apply_paulis(psi, code.logical_z[:b] + code.logical_x[:a])

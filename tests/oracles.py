@@ -627,8 +627,8 @@ def keyed_storage(name: str, amplitudes, key, injected_error=None) -> StorageRep
     corr = decode_single_error(code, tuple(syn))
     state = image_apply_pauli(state, pair_mask(keys.as_lists()).adjoint().multiply(corr))
     return StorageReport(
-        code.name, keys.pair(1), None if injected_error is None else injected_error.to_string(),
-        tuple(syn), corr.to_string(), fidelity_up_to_phase(state, psi), final_state=state,
+        code.name, keys.pair(1), injected_error, tuple(syn), corr, fidelity_up_to_phase(state, psi),
+        final_state=state,
     )
 
 
@@ -880,7 +880,8 @@ def image_apply_pauli(state: SparseState, p: PauliOperator) -> SparseState:
 
 
 def combine_encode(code, amplitudes):
-    """_encode by combine: (space, unit amplitudes, c0|0_L> + c1|1_L> normalized)."""
+    """The code space and _encode on it by combine: (space, unit amplitudes,
+    c0|0_L> + c1|1_L> normalized)."""
     space = logical_codewords(code)
     amps = unit_amplitudes(amplitudes)
     return space, amps, combine(list(space.basis), amps).normalized()

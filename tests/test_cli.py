@@ -316,6 +316,28 @@ class TestVerbs:
         assert code == 0
         assert "recovered" in out
 
+    # the human lines of run storage, exactly as the CLI printed them when
+    # the report still held its error and correction as strings
+    @pytest.mark.parametrize("argv, want_code, want", [
+        (("--code", "steane", "--keys", "1,1", "--error", "IIYIIII"), 0,
+         "storage on steane, keys (1, 1), error IIYIIII\n"
+         "syndrome: [1, 1, 0, 1, 1, 0]\n"
+         "correction applied: IIYIIII\n"
+         "final fidelity 1.0000000000 (recovered)\n"),
+        (("--code", "bit_flip", "--keys", "0,1", "--error", "none"), 0,
+         "storage on bit_flip, keys (0, 1), error none\n"
+         "syndrome: [0, 0]\n"
+         "correction applied: III\n"
+         "final fidelity 1.0000000000 (recovered)\n"),
+        (("--code", "steane", "--keys", "1,1", "--error", "XXIIIII"), 1,
+         "storage on steane, keys (1, 1), error XXIIIII\n"
+         "syndrome: [0, 0, 0, 1, 1, 0]\n"
+         "correction applied: IIXIIII\n"
+         "final fidelity 0.9600000000 (FAILED)\n"),
+    ], ids=["steane-y", "bit-flip-none", "steane-xx-failed"])
+    def test_run_storage_human_lines(self, capsys, argv, want_code, want):
+        assert run_cli(capsys, "run", "storage", *argv) == (want_code, want, "")
+
     def test_run_transversal_t(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "transversal-t", "--keys", "1,0", "--amps", "0.6,0,0,0.8", "--seed", "5",

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -803,6 +805,95 @@ class TestStorageInputs:
     def test_bad_amplitudes_raise(self, amps):
         with pytest.raises(ValueError, match="^amplitudes must be finite and not all zero$"):
             run_storage_protocol("bit_flip", amps, (0, 0), None)
+
+
+class TestStoragePlan:
+    """One cached plan per code: the mask check, code space and single-error
+    table, read by one lookup per run; Pauli text formatted only when read."""
+
+    COMPATIBLE = ("bit_flip", "phase_flip", "shor", "steane", "rm15")
+    KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
+    # sha256 of the report lines below, generated before the report held
+    # its error and correction as PauliOperators
+    REPORT_DIGEST = "d81ba0edd69d40f2421686831368418f9beafb92d71e5bebac918574297df0b8"
+
+    def test_no_pauli_text_until_read(self, monkeypatch):
+        for name in self.COMPATIBLE:  # the mask check formats each generator once per code
+            run_storage_protocol(name, (0.6, 0.8j), (0, 0))
+        real, calls = PauliOperator.to_string, []
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(PauliOperator, "to_string", counted)
+        reports = []
+        for name in self.COMPATIBLE:
+            n = builtin_code(name).n
+            errors = [None] + [PauliOperator.single(n, q, k) for q in range(1, n + 1) for k in "XYZ"]
+            reports += [run_storage_protocol(name, (0.6, 0.8j), key, err) for key in self.KEYS for err in errors]
+        assert calls == []
+        lines = [f"{rep.injected_error}|{rep.correction}|{json.dumps(rep.as_dict())}" for rep in reports]
+        assert len(lines) == 464 and len(calls) == 4 * 464 - 2 * 5 * 4  # no text for a missing error
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.REPORT_DIGEST
+        rep = reports[1]  # bit_flip, keys (0, 0), X on qubit 1
+        assert (rep.injected_error, rep.correction) == ("XII", "XII")
+        assert (rep.error_op, rep.correction_op) == (parse_pauli("XII"), parse_pauli("XII"))
+
+    def test_second_run_adds_no_cache_entry(self):
+        run_storage_protocol("steane", (0.6, 0.8), (0, 1), "XIIIIII")
+        caches = (protocol._storage_plan, protocol.stabilizer_mask_check, protocol.logical_codewords,
+                  protocol._single_error_table)
+        before = [c.cache_info() for c in caches]
+        run_storage_protocol("steane", (0.6, 0.8j), (1, 1), "IIIIIIZ")
+        after = [c.cache_info() for c in caches]
+        assert after[0]._replace(hits=after[0].hits - 1) == before[0]
+        assert after[1:] == before[1:]
+
+    def test_incompatible_code_caches_nothing(self):
+        protocol._storage_plan.cache_clear()
+        message = ("synthetic_incompatible is not mask-compatible: generator 1 (ZZZ) "
+                   "anticommutes with a transversal mask component")
+        for _ in range(2):
+            with pytest.raises(IncompatibleCodeError) as info:
+                run_storage_protocol("synthetic_incompatible", (1, 0), (0, 0))
+            assert str(info.value) == message
+        assert protocol._storage_plan.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("key", [(np.int64(3), np.int64(2)), (True, False), (np.bool_(True), np.int64(0))],
+                             ids=["int64", "bool", "numpy-bool"])
+    def test_keys_are_python_ints(self, key):
+        rep = run_storage_protocol("shor", (0.6, 0.8), key, "IIIIZIIII")
+        assert rep.keys == (1, 0) and all(type(k) is int for k in rep.keys)
+        assert json.loads(json.dumps(rep.as_dict()))["keys"] == [1, 0]
+        same = run_storage_protocol("shor", (0.6, 0.8), (1, 0), "IIIIZIIII")
+        assert rep.as_dict() == same.as_dict()
+        assert state_bytes(rep.final_state) == state_bytes(same.final_state)
+
+
+class TestTransversalTPlan:
+    def test_second_run_reuses_the_plan(self, monkeypatch):
+        first = run_transversal_t_protocol((0.6, 0.8), (1, 1), SplitMix64(1))
+        want = protocol.clifford_correction_for_t(logical_codewords(builtin_code("rm15"))).as_dict()
+        before = protocol._transversal_t_plan.cache_info()
+
+        def forbidden(*args):
+            raise AssertionError("the runner searched for the T correction again")
+
+        monkeypatch.setattr(protocol, "clifford_correction_for_t", forbidden)
+        rep = run_transversal_t_protocol((0.6, 0.8j), (0, 1), SplitMix64(2))
+        after = protocol._transversal_t_plan.cache_info()
+        assert after._replace(hits=after.hits - 1) == before
+        assert rep.correction == first.correction == want
+
+    @pytest.mark.parametrize("name", ["shor", "steane"])
+    def test_missing_correction_caches_nothing(self, name):
+        before = protocol._transversal_t_plan.cache_info()
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match=f"^no diagonal logical correction available for {name}$"):
+                protocol._transversal_t_plan(builtin_code(name))
+        after = protocol._transversal_t_plan.cache_info()
+        assert after.currsize == before.currsize and after.misses == before.misses + 2
 
 
 class TestOnePauliSweep:
