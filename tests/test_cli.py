@@ -124,6 +124,16 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.count("error:") == 1 and "header needs" in err
 
+    @pytest.mark.parametrize("argv", [("codes", "validate", "{}"), ("check", "theorem1", "--code", "{}"),
+                                      ("run", "storage", "--code", "{}", "--keys", "0,0")],
+                             ids=["validate", "theorem1", "storage"])
+    def test_operator_on_the_wrong_qubit_count(self, capsys, tmp_path, argv):
+        # the first generator acts on 2 qubits of a 3-qubit code
+        f = tmp_path / "narrow.code"
+        f.write_text("3 1\nZZ\nIZZ\nXXX\nZZZ\n")
+        want = f"error: {f}: operator ZZ acts on 2 qubits, expected 3\n"
+        assert run_cli(capsys, *(a.format(f) for a in argv)) == (2, "", want)
+
     @pytest.mark.parametrize(
         "argv, pairs",
         [
