@@ -11,14 +11,15 @@ report, the codewords and the single-error syndrome table by the (frozen,
 hashable) code, in caches of at most ``CODE_CACHE_SIZE`` codes.  Everything
 cached is immutable, and a call that raises caches nothing.
 
-``validate_code`` is the one validity decision: the codewords are built
-only for a code it accepts; ``check_css_pair`` is the one check of a
-classical pair.  All of it is GF(2) algebra on Python ints, reduced and
-solved by ``gf2``; validation, codewords and syndromes read each
-PauliOperator as its (x, z, phase) ints and build none.  |0_L> lies on
-an affine space s0 + V and |1_L> = X|0_L> on s0 + x(X) + V, so the two
-codewords hold the same keys or none in common, and ``CodeSpace`` combines
-them pair by pair or by one pick into key order.  The codeword
+A ``StabilizerCode`` refuses, when it is built, an operator on another
+number of qubits than its n.  ``validate_code`` decides the algebra: the
+codewords are built only for a code it accepts; ``check_css_pair`` is the
+one check of a classical pair.  All of it is GF(2) algebra on Python
+ints, reduced and solved by ``gf2``; validation, codewords and syndromes
+read each PauliOperator as its (x, z, phase) ints and build none.  |0_L>
+lies on an affine space s0 + V and |1_L> = X|0_L> on s0 + x(X) + V, so
+the two codewords hold the same keys or none in common, and ``CodeSpace``
+combines them pair by pair or by one pick into key order.  The codeword
 construction and ``CodeSpace`` reach the ``states`` layer only through
 ``_states()``, which imports it on first use, to build and read states.
 """
@@ -32,7 +33,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import BUILTIN_NAMES, gf2  # the names are the package's, for the CLI to read without codes
 from .gf2 import ClassicalCode
-from .pauli import _PHASE_VALUE, MAX_QUBITS, PauliOperator, parse_pauli, transversal_pauli
+from .pauli import _PHASE_VALUE, MAX_QUBITS, PauliOperator, _qubit_count, parse_pauli, transversal_pauli
 
 if TYPE_CHECKING:
     from .states import SparseState
@@ -48,7 +49,7 @@ class SubcodeError(ValueError):
     """C2 is not contained in C1."""
 
 
-class StabilizerCode(NamedTuple):
+class _CodeFields(NamedTuple):
     name: str
     n: int
     k: int
@@ -56,6 +57,23 @@ class StabilizerCode(NamedTuple):
     logical_x: tuple[PauliOperator, ...]
     logical_z: tuple[PauliOperator, ...]
     css_origin: tuple[ClassicalCode, ClassicalCode] | None = None
+
+
+class StabilizerCode(_CodeFields):
+    """Generators and logical X/Z representatives of an [[n, k]] code.  The
+    constructor checks 1 <= n <= MAX_QUBITS and that every operator acts on
+    n qubits, and stores each operator sequence as a tuple; validate_code
+    decides the rest."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, n: int, k: int, generators, logical_x, logical_z, css_origin=None):
+        _qubit_count(n)
+        ops = tuple(generators), tuple(logical_x), tuple(logical_z)
+        for p in (*ops[0], *ops[1], *ops[2]):
+            if p.n != n:
+                raise ValueError(f"operator {p} acts on {p.n} qubits, expected {n}")
+        return tuple.__new__(cls, (name, n, k, *ops, css_origin))
 
 
 class ValidationReport(NamedTuple):
@@ -148,27 +166,22 @@ def _reduce_tracked(vec: int, x: int, z: int, phase: int, basis: list) -> tuple:
 def validate_code(code: StabilizerCode) -> ValidationReport:
     """Report every violated code invariant; an empty report means valid.
     p and q anticommute iff vec(p) & dual(q) has odd weight, for vec(p) =
-    x | z << w, dual(p) = z | x << w and a width w no operator exceeds."""
+    x | z << n and dual(p) = z | x << n (every operator acts on n qubits)."""
     v: list[str] = []
     n, gens = code.n, code.generators
-    w = max([n] + [p.n for p in gens + code.logical_x + code.logical_z])
-    vecs = [g.x | g.z << w for g in gens]
-    duals = [g.z | g.x << w for g in gens]
+    vecs = [g.x | g.z << n for g in gens]
+    duals = [g.z | g.x << n for g in gens]
     for i, g in enumerate(gens):
-        if g.n != n:
-            v.append(f"generator {i + 1} acts on {g.n} qubits, expected {n}")
         if not g.is_hermitian:
             v.append(f"generator {i + 1} ({g}) is not Hermitian")
     if len(gens) != n - code.k:
         v.append(f"expected {n - code.k} generators, got {len(gens)}")
     for i, g in enumerate(gens):
         v += [f"generators {i + 1} ({g}) and {j + 1} ({gens[j]}) anticommute"
-              for j in range(i + 1, len(gens)) if g.n == gens[j].n and (vecs[i] & duals[j]).bit_count() & 1]
+              for j in range(i + 1, len(gens)) if (vecs[i] & duals[j]).bit_count() & 1]
 
     basis: list = []
     for i, g in enumerate(gens):
-        if g.n != n:
-            continue
         row = _reduce_tracked(vecs[i], g.x, g.z, g.phase, basis)
         if row[0] == 0:
             # the row is g times a product of earlier generators, equal to a phase
@@ -183,29 +196,23 @@ def validate_code(code: StabilizerCode) -> ValidationReport:
         v.append(f"expected {code.k} logical X and Z operators")
     for label, ops in (("X", code.logical_x), ("Z", code.logical_z)):
         for j, p in enumerate(ops):
-            if p.n != n:
-                v.append(f"logical {label}[{j + 1}] acts on {p.n} qubits, expected {n}")
-                continue
             if not p.is_hermitian:
                 v.append(f"logical {label}[{j + 1}] ({p}) is not Hermitian")
-            r = p.x | p.z << w
-            for i, g in enumerate(gens):
-                if g.n == n and (r & duals[i]).bit_count() & 1:
-                    v.append(f"logical {label}[{j + 1}] anticommutes with generator {i + 1}")
+            r = p.x | p.z << n
+            v += [f"logical {label}[{j + 1}] anticommutes with generator {i + 1}"
+                  for i, d in enumerate(duals) if (r & d).bit_count() & 1]
             if gf2.reduce(r, [row[0] for row in basis]) == 0:
                 v.append(f"logical {label}[{j + 1}] lies in the stabilizer group")
     for j, xj in enumerate(code.logical_x):
         for l, zl in enumerate(code.logical_z):
-            if xj.n != n or zl.n != n:
-                continue
-            if (j == l) != ((xj.x | xj.z << w) & (zl.z | zl.x << w)).bit_count() & 1:
+            if (j == l) != ((xj.x | xj.z << n) & (zl.z | zl.x << n)).bit_count() & 1:
                 want = "anticommute" if j == l else "commute"
                 v.append(f"logical X[{j + 1}] and Z[{l + 1}] must {want}")
     for label, ops in (("X", code.logical_x), ("Z", code.logical_z)):
         for j in range(len(ops)):
             for l in range(j + 1, len(ops)):
                 a, b = ops[j], ops[l]
-                if a.n == n and b.n == n and ((a.x | a.z << w) & (b.z | b.x << w)).bit_count() & 1:
+                if ((a.x | a.z << n) & (b.z | b.x << n)).bit_count() & 1:
                     v.append(f"logical {label}[{j + 1}] and {label}[{l + 1}] anticommute")
     return ValidationReport(code.name, tuple(v))
 
@@ -401,26 +408,17 @@ def logical_codewords(code: StabilizerCode) -> CodeSpace:
     return CodeSpace(code, (zero, _states().apply_pauli(zero, code.logical_x[0])))
 
 
-def check_generator_widths(code: StabilizerCode) -> None:
-    """Raise as PauliOperator.commutes would for a generator on another
-    number of qubits than the code."""
-    for g in code.generators:
-        if g.n != code.n:
-            raise ValueError(f"dimension mismatch: {code.n} vs {g.n}")
-
-
 def syndrome(code: StabilizerCode, error: PauliOperator) -> tuple[int, ...]:
     """Bit i is 1 iff the error anticommutes with generator i: the parity of
     the symplectic product x(e).z(g) + z(e).x(g)."""
     if error.n != code.n:
         raise ValueError(f"error acts on {error.n} qubits, code has {code.n}")
-    check_generator_widths(code)
     return _syndrome(code, error)
 
 
 def _syndrome(code: StabilizerCode, error: PauliOperator) -> tuple[int, ...]:
-    """syndrome without its width checks, for an error and generators
-    already known to act on code.n qubits."""
+    """syndrome without its width check, for an error known to act on
+    code.n qubits."""
     x, z = error.x, error.z
     return tuple([((x & g.z) ^ (z & g.x)).bit_count() & 1 for g in code.generators])
 
@@ -429,13 +427,9 @@ def decode_single_error(code: StabilizerCode, s) -> PauliOperator | None:
     """Minimum-weight error matching the syndrome among weight <= 1 Paulis.
 
     Ties break by (qubit index, X < Y < Z); returns None for syndromes no
-    single error produces.  A tuple the table holds (a syndrome as
-    ``syndrome`` returns it) is looked up as it is, anything else after
-    converting its bits to int.
+    single error produces.  The syndrome's bits are read as ints.
     """
-    table = _single_error_table(code)
-    hit = table.get(s) if type(s) is tuple else None
-    return table.get(tuple([int(b) for b in s])) if hit is None else hit
+    return _single_error_table(code).get(tuple([int(b) for b in s]))
 
 
 @lru_cache(maxsize=CODE_CACHE_SIZE)
@@ -448,7 +442,7 @@ def _single_error_table(code: StabilizerCode) -> dict[tuple[int, ...], PauliOper
         for kind in ("X", "Y", "Z"):
             candidates.append(PauliOperator.single(code.n, q, kind))
     for err in candidates:
-        table.setdefault(syndrome(code, err), err)
+        table.setdefault(_syndrome(code, err), err)
     return table
 
 
@@ -475,13 +469,7 @@ def parse_code_text(text: str, name: str = "user") -> StabilizerCode:
         raise CodeFileError(f"expected {expected} operator lines, got {len(body)}")
     try:
         ops = [parse_pauli(s) for s in body]
+        return StabilizerCode(name, n, k, ops[: n - k], ops[n - k: n], ops[n:])
     except ValueError as exc:
         raise CodeFileError(str(exc)) from exc
-    for p in ops:
-        if p.n != n:
-            raise CodeFileError(f"operator {p} acts on {p.n} qubits, expected {n}")
-    gens = tuple(ops[: n - k])
-    lx = tuple(ops[n - k: n - k + k])
-    lz = tuple(ops[n - k + k:])
-    return StabilizerCode(name, n, k, gens, lx, lz)
 

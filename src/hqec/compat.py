@@ -7,12 +7,13 @@ diagonal gates, and the search for a diagonal logical Clifford correction
 that turns a transversal T into the exact logical T.
 
 The mask checks are parities of Python ints (X^n commutes with g iff |z(g)|
-is even), the CSS pair checked by ``codes.check_css_pair``; only the
-diagonal-gate functions read the ``states`` layer (its tolerances,
-squared-weight sum and bracket sum, through ``codes._states()``, which
-imports it on first use).  A diagonal gate's action is computed from the
-codewords' amplitudes and one dict of |1>, with no intermediate state, bit
-for bit as the state-level route that tests/oracles.py keeps
+is even, g on the code's n qubits as every StabilizerCode holds it), the
+CSS pair checked by ``codes.check_css_pair``; only the diagonal-gate
+functions read the ``states`` layer (its tolerances, squared-weight sum
+and bracket sum, through ``codes._states()``, which imports it on first
+use).  A diagonal gate's action is computed from the codewords'
+amplitudes and one dict of |1>, with no intermediate state, bit for bit
+as the state-level route that tests/oracles.py keeps
 (projection_diagonal_action).  It is memoized by (code space, phase), so
 clifford_correction_for_t reads the transversal-T action that
 diagonal_gate_action computed, and vice versa; stabilizer_mask_check is
@@ -30,9 +31,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import ResourceReport, gf2, resource_report  # the report is the package's, for the CLI to run without compat
-from .codes import CODE_CACHE_SIZE, CodeSpace, StabilizerCode, _states, check_css_pair, check_generator_widths
+from .codes import CODE_CACHE_SIZE, CodeSpace, StabilizerCode, _states, check_css_pair
 from .gf2 import ClassicalCode
-from .pauli import transversal_pauli
 
 OMEGA = cmath.exp(1j * cmath.pi / 4)
 
@@ -87,11 +87,8 @@ class CompatReport:
 def stabilizer_mask_check(code: StabilizerCode) -> CompatReport:
     """Transversal X/Z masking preserves the code space iff both transversal
     operators commute with every generator: X^n iff |z(g)| is even, Z^n iff
-    |x(g)| is even.  It raises as transversal_pauli(kind, n).commutes(g)
-    would, for n out of range or g on another n.  Memoized by code (frozen
-    report); a raise caches nothing."""
-    transversal_pauli("X", code.n)  # the qubit-count check
-    check_generator_widths(code)
+    |x(g)| is even (a StabilizerCode's generators act on its n qubits).
+    Memoized by code (frozen report)."""
     checks = tuple(
         GeneratorCheck(i + 1, g.to_string(), not g.z.bit_count() & 1, not g.x.bit_count() & 1)
         for i, g in enumerate(code.generators)

@@ -450,7 +450,7 @@ def run_storage_protocol(code, amplitudes, key, injected_error=None, rng=None) -
         code = builtin_code(code)
     space, table = _storage_plan(code)
     _, psi = _encode(space, amplitudes)
-    a, b, full = int(key[0]) & 1, int(key[1]) & 1, (1 << code.n) - 1  # the plan has checked code.n
+    a, b, full = int(key[0]) & 1, int(key[1]) & 1, (1 << code.n) - 1  # StabilizerCode has checked n
     mask = tuple.__new__(PauliOperator, (code.n, full * a, full * b, 0))
     if injected_error is None:
         paulis, syn = [mask], (0,) * len(code.generators)
@@ -458,7 +458,6 @@ def run_storage_protocol(code, amplitudes, key, injected_error=None, rng=None) -
         if isinstance(injected_error, str):
             injected_error = parse_pauli(injected_error)
         _check_widths(code.n, (injected_error,))
-        # the plan's mask check has checked the generators' widths
         paulis, syn = [mask, injected_error], _syndrome(code, injected_error)
     corr = table.get(syn)
     if corr is None:

@@ -425,21 +425,17 @@ def pairwise_validate_code(code: StabilizerCode) -> ValidationReport:
     v: list[str] = []
     gens = code.generators
     for i, g in enumerate(gens):
-        if g.n != code.n:
-            v.append(f"generator {i + 1} acts on {g.n} qubits, expected {code.n}")
         if not g.is_hermitian:
             v.append(f"generator {i + 1} ({g}) is not Hermitian")
     if len(gens) != code.n - code.k:
         v.append(f"expected {code.n - code.k} generators, got {len(gens)}")
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            if gens[i].n == gens[j].n and not gens[i].commutes(gens[j]):
+            if not gens[i].commutes(gens[j]):
                 v.append(f"generators {i + 1} ({gens[i]}) and {j + 1} ({gens[j]}) anticommute")
 
     basis: list = []
     for i, g in enumerate(gens):
-        if g.n != code.n:
-            continue
         vec, prod = pauli_reduce_tracked(sympl_vec(g, code.n), g, basis)
         if vec == 0:
             # prod is g times a product of earlier generators, equal to a phase
@@ -454,28 +450,23 @@ def pairwise_validate_code(code: StabilizerCode) -> ValidationReport:
         v.append(f"expected {code.k} logical X and Z operators")
     for label, ops in (("X", code.logical_x), ("Z", code.logical_z)):
         for j, p in enumerate(ops):
-            if p.n != code.n:
-                v.append(f"logical {label}[{j + 1}] acts on {p.n} qubits, expected {code.n}")
-                continue
             if p.multiply(p) != PauliOperator.identity(code.n):
                 v.append(f"logical {label}[{j + 1}] ({p}) is not Hermitian")
             for i, g in enumerate(gens):
-                if g.n == code.n and not p.commutes(g):
+                if not p.commutes(g):
                     v.append(f"logical {label}[{j + 1}] anticommutes with generator {i + 1}")
             vec, _ = pauli_reduce_tracked(sympl_vec(p, code.n), PauliOperator.identity(code.n), basis)
             if vec == 0:
                 v.append(f"logical {label}[{j + 1}] lies in the stabilizer group")
     for j, xj in enumerate(code.logical_x):
         for l, zl in enumerate(code.logical_z):
-            if xj.n != code.n or zl.n != code.n:
-                continue
             if (j == l) == xj.commutes(zl):
                 want = "anticommute" if j == l else "commute"
                 v.append(f"logical X[{j + 1}] and Z[{l + 1}] must {want}")
     for label, ops in (("X", code.logical_x), ("Z", code.logical_z)):
         for j in range(len(ops)):
             for l in range(j + 1, len(ops)):
-                if ops[j].n == code.n and ops[l].n == code.n and not ops[j].commutes(ops[l]):
+                if not ops[j].commutes(ops[l]):
                     v.append(f"logical {label}[{j + 1}] and {label}[{l + 1}] anticommute")
     return ValidationReport(code.name, tuple(v))
 

@@ -242,22 +242,16 @@ class TestChecksAgainstReadout:
 
 @st.composite
 def resized_codes(draw):
-    """A perturbed_codes code with up to three operators redrawn on n - 1 ..
-    n + 2 qubits, maybe a generator too many or too few, and k drawn from
-    0..2 (the second logical pair random)."""
+    """A perturbed_codes code with maybe a generator too many or too few,
+    and k drawn from 0..2 (the second logical pair random)."""
     code = draw(perturbed_codes())
-    n = code.n
-    ops = list(code.generators) + [code.logical_x[0], code.logical_z[0]]
-    for i in draw(st.lists(st.integers(0, len(ops) - 1), max_size=3)):
-        m = draw(st.integers(max(1, n - 1), n + 2))
-        ops[i] = parse_pauli(draw(st.sampled_from(["", "-", "i", "-i"])) + draw(st.text("IXYZ", min_size=m, max_size=m)))
-    gens = ops[:-2]
+    n, gens = code.n, list(code.generators)
     if gens and draw(st.booleans()):
-        a, b = gens[0], gens[-1]
-        gens = gens[:-1] if draw(st.booleans()) else gens + [a.multiply(b) if a.n == b.n else a]
+        gens = gens[:-1] if draw(st.booleans()) else gens + [gens[0].multiply(gens[-1])]
     k = draw(st.integers(0, 2))
     extra = [parse_pauli(draw(st.text("IXYZ", min_size=n, max_size=n))) for _ in range(2)]
-    return StabilizerCode("resized", n, k, tuple(gens), (ops[-2], extra[0])[:k], (ops[-1], extra[1])[:k])
+    return StabilizerCode("resized", n, k, gens, (code.logical_x[0], extra[0])[:k],
+                          (code.logical_z[0], extra[1])[:k])
 
 
 class TestValidateAgainstPairwise:
@@ -279,12 +273,10 @@ class TestValidateAgainstPairwise:
         assert validate_code(code) == pairwise_validate_code(code)
 
     def test_generators_wider_than_the_code(self):
-        # IIIX and XIII commute; packed with the code's width 3 instead of the
-        # widest operator's 4, the X bit of qubit 4 would meet XIII's X bit
-        # shifted into the z half
+        # no code holds them, so validate_code packs every operator with n
         wide = (parse_pauli("IIIX"), parse_pauli("XIII"))
-        code = StabilizerCode("wide", 3, 1, wide, (parse_pauli("XXX"),), (parse_pauli("ZZZ"),))
-        assert validate_code(code) == pairwise_validate_code(code)
+        with pytest.raises(ValueError, match="^operator IIIX acts on 4 qubits, expected 3$"):
+            StabilizerCode("wide", 3, 1, wide, (parse_pauli("XXX"),), (parse_pauli("ZZZ"),))
 
 
 class TestReduceTrackedAgainstProducts:
@@ -347,11 +339,22 @@ class TestConstruction:
         ops = ["ZZI", "XXX", "ZZZ"]
         ops[slot] = wrong
         g, x, z = map(parse_pauli, ops)
-        code = StabilizerCode("wide", 3, 1, (g, parse_pauli("IZZ")), (x,), (z,))
-        operator = ("generator 1", r"logical X\[1\]", r"logical Z\[1\]")[slot]
-        message = f"^wide: {operator} acts on {len(wrong)} qubits, expected 3$"
-        with pytest.raises(ValueError, match=message):
-            logical_codewords(code)
+        with pytest.raises(ValueError, match=f"^operator {wrong} acts on {len(wrong)} qubits, expected 3$"):
+            StabilizerCode("wide", 3, 1, (g, parse_pauli("IZZ")), (x,), (z,))
+
+    @settings(max_examples=100, deadline=None)
+    @given(clifford_codes(), st.data())
+    def test_operator_redrawn_on_another_qubit_count(self, code, data):
+        # one generator, the logical X or the logical Z on m != n qubits
+        n = code.n
+        ops = [*code.generators, *code.logical_x, *code.logical_z]
+        i = data.draw(st.integers(0, len(ops) - 1))
+        m = data.draw(st.integers(1, n + 2).filter(lambda m: m != n))
+        ops[i] = parse_pauli(data.draw(st.sampled_from(["", "-", "i", "-i"]))
+                             + data.draw(st.text("IXYZ", min_size=m, max_size=m)))
+        with pytest.raises(ValueError) as refused:
+            StabilizerCode("redrawn", n, 1, ops[:-2], ops[-2:-1], ops[-1:])
+        assert str(refused.value) == f"operator {ops[i]} acts on {m} qubits, expected {n}"
 
     @pytest.mark.parametrize("logical_x, logical_z", [((), ("ZZZ",)), (("XXX",), ())])
     def test_missing_logical_operator(self, logical_x, logical_z):
