@@ -75,6 +75,8 @@ class StabilizerCode(_CodeFields):
                 raise ValueError(f"operator {p} acts on {p.n} qubits, expected {n}")
         return tuple.__new__(cls, (name, n, k, *ops, css_origin))
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # NamedTuple._replace calls it: checked too
+
 
 class ValidationReport(NamedTuple):
     code_name: str

@@ -8,18 +8,20 @@ that turns a transversal T into the exact logical T.
 
 The mask checks are parities of Python ints (X^n commutes with g iff |z(g)|
 is even, g on the code's n qubits as every StabilizerCode holds it), the
-CSS pair checked by ``codes.check_css_pair``; only the diagonal-gate
-functions read the ``states`` layer (its tolerances, squared-weight sum
-and bracket sum, through ``codes._states()``, which imports it on first
-use).  A diagonal gate's action is computed from the codewords'
-amplitudes and one dict of |1>, with no intermediate state, bit for bit
-as the state-level route that tests/oracles.py keeps
-(projection_diagonal_action).  It is memoized by (code space, phase), so
+CSS pair checked by ``codes.check_css_pair``; stabilizer_mask_check is
+memoized by code.  A diagonal gate's action is exact: its leakage,
+verdict, logical phases (entries of ``states._OMEGA_POWERS``) and T
+correction follow from integer counts of omega-exponents read from the
+codewords, with no state built; ``TOL``, read like the table through
+``codes._states()``, only maps a gate's phase to its exponent and checks
+the basis normalization.  tests/oracles.py keeps the float state-level
+route (projection_diagonal_action) that the tests compare it with.  The
+action is memoized by (code space, omega exponent), so
 clifford_correction_for_t reads the transversal-T action that
-diagonal_gate_action computed, and vice versa; stabilizer_mask_check is
-memoized by code.  The protocol error classes and OMEGA live here too, so
-the CLI maps errors to exit codes without importing ``protocol``; the
-register-cost report is the package's, re-exported here.
+diagonal_gate_action computed, and vice versa.  The protocol error classes
+and OMEGA live here too, so the CLI maps errors to exit codes without
+importing ``protocol``; the register-cost report is the package's,
+re-exported here.
 """
 
 from __future__ import annotations
@@ -135,89 +137,88 @@ class DiagonalAction(NamedTuple):
         }
 
     @property
-    def preserves_code_space(self) -> bool:  # by _diagonal_action's bound
-        return self.leakage < _states().TOL
+    def preserves_code_space(self) -> bool:  # _diagonal_action's leakage is exactly 0 then
+        return self.leakage == 0
+
+
+def _omega_sum(exponents: list) -> list:
+    """[a, b, c, d]: the sum of omega^t over exponents t is a + b omega + c omega^2 + d omega^3."""
+    counts = [exponents.count(t) for t in range(8)]
+    return [counts[t] - counts[t + 4] for t in range(4)]
 
 
 @lru_cache(maxsize=CODE_CACHE_SIZE)
-def _diagonal_action(code_space: CodeSpace, phase_per_one: complex):
-    """(leakage, logical phases) of phase^(number of 1 bits) on a code
-    space; the phases are None when the gate leaks or is not a pure phase
-    on each basis state.  The gate acts on (|0> + |1>)/sqrt2, the residual
-    image - projection gives the leakage, and <i|gate|i> the phases.
-    Memoized by (code space, phase); a raise caches nothing.
+def _diagonal_action(code_space: CodeSpace, p: int):
+    """(leakage, omega-exponents of the two logical phases, or None where the
+    gate leaks or is not diagonal on the code space) of diag(1, omega^p) on
+    every qubit; memoized by (code space, p), and a raise caches nothing.
 
-    <0|0> and <1|1> are states._weight sums and <0|1> reads one key ->
-    amplitude dict of |1> (<1|0> sums the same shared keys in the same order
-    with conjugate terms, so it needs no check of its own); no state is
-    built, yet every number is bit for bit that of the state-level route
-    (linear combinations, brackets and a per-key phase on SparseStates),
-    which tests/oracles.py keeps as projection_diagonal_action: brackets
-    sum in the codeword's key order, a key both codewords hold adds |0>'s
-    term first, and terms are pruned at PRUNE_TOL where a combination of
-    states prunes them."""
-    st = _states()
-    tol, floor, bracket = st.TOL, st.PRUNE_TOL, st.bracket
+    A code-space state on N keys has amplitudes i^e / sqrt(N), so N
+    <i|gate|j> sums omega^(2 (e_j - e_i) + p wt(key)) over the keys both
+    states hold: a + b omega + c omega^2 + d omega^3 from counts of
+    exponents, of squared modulus a^2 + b^2 + c^2 + d^2 + sqrt2 (ab + bc +
+    cd - da).  So the squared leakage of |+> = (|0> + |1>)/sqrt2, 1 -
+    |<0|gate|+>|^2 - |<1|gate|+>|^2, is (P - Q sqrt2) / (2 N^2) for integers
+    P and Q, exactly 0 iff P = Q = 0.  The phases are reported when, too,
+    both off-diagonal entries vanish; each diagonal entry then has modulus
+    1, so its N terms share one exponent.
+
+    The basis is checked in this order: |0>'s amplitudes are i^e m with N
+    m^2 = 1 (within TOL), the qubit counts agree, and |1> holds N
+    amplitudes i^e m with <0|1>'s count of each power of i balanced.  A
+    basis that fails, or has other amplitudes (no stabilizer code space
+    has), is refused as not orthonormal."""
     zero, one = code_space.basis
-
-    def check(value, want):
-        if abs(value - want) > tol:
-            raise ValueError("projection span is not orthonormal")
-
-    check(st._weight(zero.amps), 1.0)
+    size = len(zero.amps)
+    m = size and (abs(zero.amps[0].real) or abs(zero.amps[0].imag))
+    units = {complex(m, 0.0): 0, complex(0.0, m): 1, complex(-m, 0.0): 2, complex(0.0, -m): 3}
+    e0, e1 = (list(map(units.get, b.amps)) for b in (zero, one))
+    if not abs(size * m * m - 1) <= _states().TOL or None in e0:
+        raise ValueError("projection span is not orthonormal")
     if zero.n != one.n:
         raise ValueError(f"dimension mismatch: {zero.n} vs {one.n}")
-    check(bracket(zero, dict(zip(one.keys, one.amps))), 0.0)
-    check(st._weight(one.amps), 1.0)
-    powers = [phase_per_one**w for w in range(zero.n + 1)]
-
-    def spanned(c0, c1) -> dict:
-        """c0|0> + c1|1> with terms of magnitude <= PRUNE_TOL dropped."""
-        acc = {k: c0 * a for k, a in zip(zero.keys, zero.amps)}
-        for k, a in zip(one.keys, one.amps):
-            a = c1 * a
-            acc[k] = acc[k] + a if k in acc else a
-        return {k: a for k, a in acc.items() if abs(a) > floor}
-
-    c = complex(1 / math.sqrt(2))
-    out = {k: a * powers[k.bit_count()] for k, a in spanned(c, c).items()}
-    coeffs = (bracket(zero, out), bracket(one, out))
-    # sqrt(1 - weight) computed as the residual norm: cancellation-free, so
-    # an exactly code-space-preserving gate reports leakage 0, not sqrt(eps)
-    if st._weight(coeffs) < tol**2:
-        leakage = 1.0
-    else:
-        proj = spanned(*coeffs)
-        # o - p, o or p: each has the magnitude of the state route's
-        # (1+0j)*o + (-1+0j)*p, and fsum needs no order
-        resid = [o - proj.pop(k) if k in proj else o for k, o in out.items()]
-        leakage = math.sqrt(st._weight([r for r in resid + list(proj.values()) if abs(r) > floor]))
-    if leakage >= tol:
-        return leakage, None
-    phases = []
-    for b in (zero, one):
-        total = 0j
-        for k, a in zip(b.keys, b.amps):
-            total += a.conjugate() * (a * powers[k.bit_count()])
-        phases.append(total)
-    # a gate that keeps the code space but mixes its basis states has no phases
-    return leakage, None if any(abs(abs(ph) - 1) > tol for ph in phases) else tuple(phases)
+    t0 = [p * k.bit_count() & 7 for k in zero.keys]
+    if zero.keys == one.keys:
+        t1, shared = t0, list(zip(e0, e1, t0))
+    else:  # a code space's two states share no key, a hand-built basis may share some
+        at = dict(zip(one.keys, e1))
+        t1 = [p * k.bit_count() & 7 for k in one.keys]
+        shared = [(e, at[k], t) for k, e, t in zip(zero.keys, e0, t0) if k in at]
+    if len(e1) != size or None in e1 or any(_omega_sum([2 * (f - e) & 7 for e, f, _ in shared])):
+        raise ValueError("projection span is not orthonormal")
+    d01 = [(2 * (f - e) + t) & 7 for e, f, t in shared]
+    d10 = [(2 * (e - f) + t) & 7 for e, f, t in shared]
+    rows = (_omega_sum(t0 + d01), _omega_sum(d10 + t1))  # N sqrt2 <i|gate|+>
+    P = 2 * size * size - sum(x * x for row in rows for x in row)
+    Q = sum(a * b + b * c + c * d - d * a for a, b, c, d in rows)
+    if P == Q == 0:
+        return 0.0, None if any(_omega_sum(d01) + _omega_sum(d10)) else (t0[0], t1[0])
+    # P - Q sqrt2 without cancellation: where Q > 0, P > Q sqrt2 > 0
+    num = (P * P - 2 * Q * Q) / (P + Q * math.sqrt(2)) if Q > 0 else P - Q * math.sqrt(2)
+    return math.sqrt(num / (2 * size * size)), None
 
 
 def diagonal_gate_action(
     code_space: CodeSpace, phase_per_one: complex, label: str | None = None
 ) -> DiagonalAction:
-    """Logical effect of a transversal diagonal gate on a code space.
+    """Logical effect of the transversal gate diag(1, phase_per_one), the
+    phase a power of omega = exp(i pi/4) within TOL (any other raises
+    ValueError), on a code space.
 
     Leakage is the out-of-code-space norm for the uniform logical
-    superposition input; logical phases are reported only when the gate
-    preserves the code space and is diagonal on it.  The numbers are
-    memoized by (code space, phase), so clifford_correction_for_t reuses a
-    T action asked for here.
+    superposition input; logical phases, entries of states._OMEGA_POWERS,
+    are reported only when the gate preserves the code space and is
+    diagonal on it.  They are memoized by (code space, omega exponent), so
+    clifford_correction_for_t reuses a T action asked for here.
     """
-    if label is None:
-        label = f"diag({complex(phase_per_one):.4g})^x{code_space.code.n}"
-    return DiagonalAction(label, *_diagonal_action(code_space, complex(phase_per_one)))
+    st, phase = _states(), complex(phase_per_one)
+    p = next((j for j, w in enumerate(st._OMEGA_POWERS) if abs(phase - w) < st.TOL), None)
+    if p is None:
+        raise ValueError(f"phase {phase} is not a power of omega = exp(i pi/4)")
+    leakage, exponents = _diagonal_action(code_space, p)
+    # + 0j (here and in the T correction) outputs the table's -1j as (0.0, -1.0)
+    phases = None if exponents is None else tuple(st._OMEGA_POWERS[e] + 0j for e in exponents)
+    return DiagonalAction(f"diag({phase:.4g})^x{code_space.code.n}" if label is None else label, leakage, phases)
 
 
 class CliffordCorrection(NamedTuple):
@@ -237,19 +238,15 @@ def clifford_correction_for_t(code_space: CodeSpace) -> CliffordCorrection | Non
     """Diagonal logical Clifford (S-power, Z-power 0, global phase) turning the
     transversal T action into the exact logical T; None when the transversal
     gate leaks out of the code space, is not diagonal on it, or no diagonal
-    correction exists.
+    correction exists.  For T phases omega^e0, omega^e1, S^s needs i^s =
+    omega^(1 + e0 - e1) (i^s takes all of +-1, +-i, so no Z-power is
+    needed), and the global phase is omega^(-e0).
 
     Reads the memoized transversal-T action that diagonal_gate_action(
     code_space, OMEGA) shares (code spaces hash by their states' identity,
     so the spaces that logical_codewords caches hit)."""
-    tol = _states().TOL
-    phases = _diagonal_action(code_space, OMEGA)[1]
-    if phases is None:
+    exponents = _diagonal_action(code_space, 1)[1]
+    if exponents is None or (1 + exponents[0] - exponents[1]) & 1:
         return None
-    lam0, lam1 = phases
-    gamma = 1.0 / lam0
-    target = OMEGA * lam0 / lam1
-    for s in range(4):  # i^s takes all of +-1, +-i, so no Z-power is needed
-        if abs(1j**s - target) < tol:
-            return CliffordCorrection(s, 0, complex(gamma))
-    return None
+    e0, e1 = exponents
+    return CliffordCorrection((1 + e0 - e1) // 2 & 3, 0, _states()._OMEGA_POWERS[-e0 & 7] + 0j)

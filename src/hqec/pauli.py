@@ -57,6 +57,8 @@ class PauliOperator(_PauliFields):
         mask = (1 << _qubit_count(n)) - 1
         return tuple.__new__(cls, (n, int(x) & mask, int(z) & mask, int(phase) % 4))
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # NamedTuple._replace calls it: checked too
+
     # -- construction -------------------------------------------------
 
     @classmethod

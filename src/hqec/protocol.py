@@ -137,6 +137,8 @@ class CircuitGate(_GateFields):
             raise ValueError("CNOT qubits must be distinct")
         return tuple.__new__(cls, (kind, qubits))
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # NamedTuple._replace calls it: checked too
+
     @property
     def is_clifford(self) -> bool:
         return self.kind in CLIFFORD_KINDS

@@ -6,8 +6,10 @@ q-1, so qubit 1 is the leftmost character of a bitstring like "110") and a
 parallel tuple of complex amplitudes.  States are values: every operation
 returns a new state.
 
-This module decides every numeric question of the library, and ``codes``,
-``compat``, ``protocol`` and ``cli`` read its answers.  The amplitudes of
+This module decides every float question of the library, and ``codes``,
+``protocol`` and ``cli`` read its answers; ``compat`` decides a diagonal
+gate's action on integer counts and reads ``TOL`` and ``_OMEGA_POWERS``,
+the one table of omega's powers, from here.  The amplitudes of
 the supported protocols (powers of 1/sqrt2 times eighth roots of unity) are
 exact up to rounding, so two numeric decisions suffice: two computed values
 agree within ``TOL`` (squared weights within ``TOL**2``), and a magnitude
@@ -19,13 +21,11 @@ sums are explicit ``+=`` loops in key order (``sum()`` of floats is
 compensated since Python 3.12, so it would round differently across the
 supported versions), and every factor is a Python complex (a float or int
 factor multiplies differently on Python 3.14, in the signs of zero parts).
-``bracket`` is the one bracket sum <u|psi>, in u's key order over a dict
-of psi's terms; ``compat``'s diagonal-gate action and ``inner`` of states
-whose keys differ sum through it.  ``inner`` of two states on one key tuple
-(as a storage round trip's output and input are, and a T run's output and
-its target code-space state unless a term was pruned) sums pair by pair
-with no dict, the same sum bit for bit.  ``codes.CodeSpace.coords`` and the T runners' fidelity are
-``inner`` sums.  The general (H) branch of
+``inner`` is the one bracket sum <a|b>, in a's key order: pair by pair
+where the two states hold one key tuple (as a storage round trip's output
+and input do, and a T run's output and its target unless a term was
+pruned), else over a dict of b's terms.  ``codes.CodeSpace.coords`` and
+the T runners' fidelity are ``inner`` sums.  The general (H) branch of
 ``apply_single`` (which pairs key k with k ^ bit) looks keys up in a dict
 of the terms too.  No module reads a syndrome or an eigenvalue back from a
 state: ``codes`` checks its codewords on the operators alone, and
@@ -59,9 +59,10 @@ TERM_GUARD = 1 << 22
 _R2 = 1.0 / math.sqrt(2.0)
 _SQ2 = complex(_R2)
 _SIGNS = (1 + 0j, -1 + 0j)  # (-1)^parity
-# omega^j for omega = exp(i pi/4); the even powers are the exact units
-_OMEGA_POWERS = (1 + 0j, complex(_R2, _R2), 1j, complex(-_R2, _R2),
-                 -1 + 0j, complex(-_R2, -_R2), -1j, complex(_R2, -_R2))
+# omega^j for omega = exp(i pi/4): the even powers are the exact units, the
+# odd ones have parts sqrt(0.5), as _unit_factors(1.0) has them
+_W = math.sqrt(0.5)
+_OMEGA_POWERS = (1 + 0j, complex(_W, _W), 1j, complex(-_W, _W), -1 + 0j, complex(-_W, -_W), -1j, complex(_W, -_W))
 _GATE_MATRICES = {
     "X": ((0j, 1 + 0j), (1 + 0j, 0j)),
     "Z": ((1 + 0j, 0j), (0j, -1 + 0j)),
@@ -219,25 +220,20 @@ def _resorted(n: int, keys, amps) -> SparseState:
     return _terms_state(n, sorted(zip(keys, amps)))
 
 
-def bracket(u: SparseState, lookup: dict) -> complex:
-    """<u|psi> for psi as a key -> amplitude dict, summed in u's key order."""
-    total = 0j
-    for x, y in zip(u.amps, map(lookup.get, u.keys)):
-        if y is not None:
-            total += x.conjugate() * y
-    return total
-
-
 def inner(a: SparseState, b: SparseState) -> complex:
     """<a|b> over the shared basis keys, summed in key order: pair by pair
-    where a and b hold the same keys, else by bracket over a dict of b."""
+    where a and b hold the same keys, else over a dict of b's terms."""
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    if a.keys != b.keys:
-        return bracket(a, dict(zip(b.keys, b.amps)))
     total = 0j
-    for x, y in zip(a.amps, b.amps):
-        total += x.conjugate() * y
+    if a.keys == b.keys:
+        for x, y in zip(a.amps, b.amps):
+            total += x.conjugate() * y
+        return total
+    lookup = dict(zip(b.keys, b.amps))
+    for x, y in zip(a.amps, map(lookup.get, a.keys)):
+        if y is not None:
+            total += x.conjugate() * y
     return total
 
 

@@ -484,8 +484,8 @@ def projection_diagonal_action(code_space, phase_per_one):
     """(leakage, logical phases or None) of a transversal diagonal gate by
     the state-level route: combine (|0> + |1>)/sqrt2, apply_diagonal,
     project_onto the basis, the residual's norm, then <i|gate|i> by inner.
-    compat._diagonal_action computes the same numbers, bit for bit, from
-    one dict per codeword without building these states."""
+    compat._diagonal_action decides the same verdicts exactly, on counts of
+    omega-exponents, with numbers within 1e-12 of these."""
     basis = code_space.basis
     ref = combine(basis, [1 / math.sqrt(2)] * 2)
     out = apply_diagonal(ref, phase_per_one)

@@ -96,8 +96,8 @@ def test_snapshot_schema(tmp_path):
     rm15 = profiled["runners"]["storage_rm15"]["functions"]
     assert "states.apply_paulis" in rm15
     assert not {"protocol.encrypt", "states._pauli_image"} & set(rm15)
-    # and reads its fidelity pair by pair, its output on its input's keys
-    assert "states.inner" in rm15 and "states.bracket" not in rm15
+    # and reads its fidelity with states.inner
+    assert "states.inner" in rm15
 
 
 def _git(*args) -> str | None:

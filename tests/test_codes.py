@@ -67,6 +67,13 @@ class TestConstructor:
             StabilizerCode("c", n, 0, (), (), ())
         assert StabilizerCode("c", 1024, 0, (), (), ()).n == 1024
 
+    def test_replace_goes_through_the_checks(self):
+        code = builtin_code("bit_flip")
+        with pytest.raises(ValueError, match="^operator ZZI acts on 3 qubits, expected 5$"):
+            code._replace(n=5)
+        listed = code._replace(generators=list(code.generators))
+        assert listed == code and type(listed.generators) is tuple
+
 
 class TestValidate:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)

@@ -234,7 +234,6 @@ class TestChecksAgainstReadout:
         def forbidden(*args):
             raise AssertionError("a state readout in logical_codewords")
 
-        monkeypatch.setattr(states, "bracket", forbidden)
         monkeypatch.setattr(states, "inner", forbidden)
         for name in LITERAL_CODES:
             logical_codewords.__wrapped__(parse_code_text(LITERAL_CODES[name], name=name))

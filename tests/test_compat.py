@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +23,7 @@ from hqec.compat import (
 )
 from hqec.pauli import transversal_pauli
 from hqec.protocol import KeyRegister, encrypt
-from hqec.states import TOL, SparseState
+from hqec.states import _OMEGA_POWERS, TOL, SparseState
 from oracles import (
     apply_diagonal,
     basis_state,
@@ -188,22 +191,57 @@ class TestDiagonalAction:
         assert abs(da.logical_phases[1] - 1j) < 1e-12
 
 
-PHASES = (OMEGA, OMEGA.conjugate(), -1j, 1.0, -1.0, np.exp(1j * np.pi / 8))
+def _hex(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
 
 
-def _exact(action, cs, phase):
-    """action(cs, phase) -> (leakage, phases) as exact hex strings, or the
-    message it raises."""
+class TestExactOutput:
+    """Leakage, phases and correction are exact: one float for each value,
+    with no rounding noise from a float projection."""
+
+    def test_rm15_t_phases_and_correction(self):
+        cs = cached_code_space("rm15")
+        da = diagonal_gate_action(cs, OMEGA, label="T")
+        assert [_hex(p) for p in da.logical_phases] == [_hex(1 + 0j), _hex(_OMEGA_POWERS[7])]
+        assert _hex(clifford_correction_for_t(cs).global_phase) == _hex(1 + 0j)
+
+    @pytest.mark.parametrize("name,squared", [("phase_flip", 3 / 8), ("shor", 3 / 8), ("steane", 7 / 16),
+                                              ("synthetic_incompatible", 1 / 4)])
+    def test_t_leakage(self, name, squared):
+        da = diagonal_gate_action(cached_code_space(name), OMEGA, label="T")
+        assert da.leakage.hex() == math.sqrt(squared).hex() and da.logical_phases is None
+
+    def test_phase_not_a_power_of_omega_is_refused(self):
+        cs = cached_code_space("rm15")
+        before = compat._diagonal_action.cache_info()
+        with pytest.raises(ValueError, match=r"^phase .* is not a power of omega = exp\(i pi/4\)$"):
+            diagonal_gate_action(cs, np.exp(1j * np.pi / 8))
+        assert compat._diagonal_action.cache_info() == before
+
+
+# every power of omega, and e^(i pi/8), which is none
+PHASES = (OMEGA, OMEGA.conjugate(), -1j, 1.0, -1.0, np.exp(1j * np.pi / 8), 1j, OMEGA**3, OMEGA**5)
+
+
+def _same_verdict(cs, phase):
+    """diagonal_gate_action against projection_diagonal_action: the same
+    message where both raise, phases reported by both or neither, and the
+    numbers within 1e-12; a phase that is no power of omega is refused."""
+    if min(abs(phase - OMEGA**p) for p in range(8)) > 1e-9:
+        with pytest.raises(ValueError, match=r"is not a power of omega = exp\(i pi/4\)$"):
+            diagonal_gate_action(cs, phase)
+        return
     try:
-        leakage, phases = action(cs, phase)
+        want = projection_diagonal_action(cs, phase)
     except ValueError as exc:
-        return str(exc)
-    return leakage.hex(), None if phases is None else [(p.real.hex(), p.imag.hex()) for p in phases]
-
-
-def _library_action(cs, phase):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            diagonal_gate_action(cs, phase)
+        return
     da = diagonal_gate_action(cs, phase)
-    return da.leakage, da.logical_phases
+    assert abs(da.leakage - want[0]) < 1e-12
+    assert (da.logical_phases is None) == (want[1] is None)
+    if want[1] is not None:
+        assert max(abs(a - b) for a, b in zip(da.logical_phases, want[1])) < 1e-12
 
 
 def _fresh(cs):
@@ -213,19 +251,30 @@ def _fresh(cs):
 
 class TestDiagonalActionOracle:
     """diagonal_gate_action against the projection route of tests/oracles.py
-    (project_onto and a per-key phase), bit for bit."""
+    (project_onto and a per-key phase): the same verdict, within 1e-12."""
 
     @pytest.mark.parametrize("phase", PHASES)
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_builtins(self, name, phase):
-        cs = cached_code_space(name)
-        assert _exact(_library_action, cs, phase) == _exact(projection_diagonal_action, cs, phase)
+        _same_verdict(cached_code_space(name), phase)
 
     @settings(max_examples=150, deadline=None)
     @given(clifford_codes(), st.sampled_from(PHASES))
     def test_random_codes(self, code, phase):
-        cs = logical_codewords(code)
-        assert _exact(_library_action, cs, phase) == _exact(projection_diagonal_action, cs, phase)
+        _same_verdict(logical_codewords(code), phase)
+
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_partly_shared_keys(self, phase):
+        # an orthonormal hand-built basis whose states share two keys of four
+        zero = SparseState(3, [0, 1, 2, 3], [0.5, 0.5, 0.5j, -0.5])
+        one = SparseState(3, [0, 1, 4, 5], [0.5, -0.5, -0.5j, 0.5j])
+        _same_verdict(CodeSpace(cached_code("bit_flip"), (zero, one)), phase)
+
+    def test_basis_of_other_amplitudes_is_refused(self):
+        # orthonormal, but its amplitudes are not i^e / sqrt(N)
+        zero, one = SparseState(1, [0, 1], [0.6, 0.8]), SparseState(1, [0, 1], [0.8, -0.6])
+        with pytest.raises(ValueError, match="^projection span is not orthonormal$"):
+            diagonal_gate_action(CodeSpace(cached_code("bit_flip"), (zero, one)), OMEGA)
 
     @pytest.mark.parametrize("which", ["repeated", "unnormalized"])
     def test_non_orthonormal_basis(self, which):
@@ -240,7 +289,7 @@ class TestDiagonalActionOracle:
 
 
     def test_overflowing_zero_is_not_orthonormal(self):
-        # <0|0> past the float range reads inf, not an OverflowError of fsum
+        # N m^2 past the float range reads inf, and no OverflowError is raised
         cs = cached_code_space("bit_flip")
         bad = CodeSpace(cs.code, (SparseState(3, [0, 7], [1e154, 1e154]), cs.one))
         with pytest.raises(ValueError, match="^projection span is not orthonormal$"):
@@ -256,8 +305,8 @@ class TestDiagonalActionOracle:
                 action(bad, OMEGA)
 
     def test_unnormalized_zero_raises_before_the_size_check(self):
-        # <0|0> is checked first, then the qubit counts, then the other
-        # brackets (the oracle route fails in its combination instead)
+        # |0>'s amplitudes are checked first, then the qubit counts, then
+        # |1> and <0|1> (the oracle route fails in its combination instead)
         cs = cached_code_space("bit_flip")
         bad = CodeSpace(cs.code, (cs.zero.scaled(1.5), basis_state(4, "1110")))
         with pytest.raises(ValueError, match="^projection span is not orthonormal$"):

@@ -7,6 +7,15 @@ from hqec.pauli import MAX_QUBITS, PauliOperator, PauliParseError, parse_pauli, 
 from oracles import dense_pauli, random_pauli
 
 
+class TestConstructor:
+    def test_replace_goes_through_the_checks(self):
+        p = PauliOperator(3, 1, 0, 0)
+        assert p._replace(x=1 << 10) == PauliOperator(3, 0, 0, 0)  # masked to the 3 qubits
+        with pytest.raises(ValueError, match=f"^qubit count must be in 1..{MAX_QUBITS}, got 2000$"):
+            p._replace(n=2000)
+        assert PauliOperator._make((3, 0b1111, 0, 5)) == PauliOperator(3, 0b111, 0, 1)
+
+
 class TestParse:
     def test_shor_generator(self):
         p = parse_pauli("ZZIIIIIII")

@@ -16,16 +16,22 @@ bit back from the state.  The wide teleport pin runs both T runners under
 every key at 16 seeds, sampled and forced, on amplitudes with signed-zero
 parts, and the demo at the same seeds on its own random state and keys and
 on a signed-zero state; its digest was generated before run_circuit
-checked every gate's qubit range ahead of the first gate.
+checked every gate's qubit range ahead of the first gate.  The two pins of
+the transversal-T runner were regenerated when its correction's global
+phase became exact ([1.0, 0.0] for rm15): with that phase rounded to the
+nearest power of i, the code before the change gives the same digests.
 
-The diagonal-action pin hashes compat._diagonal_action's leakage and
+The diagonal-action pin hashes compat.diagonal_gate_action's leakage and
 logical phases in float.hex (or the message it raises) on the builtin code
 spaces, on seeded code texts shaped like the benchmark's cold codes
 (permuted steane, rm15 and shor; steane and shor with one qubit conjugated
 by H; ZZ chains with a negated first link), and on hand-built rotated bases
 a|0> + b e^(i phi)|1>, -b e^(-i phi)|0> + a|1>, some at angles whose terms
-fall near PRUNE_TOL.  Its digest was generated from the state-level route
-(combine and inner) that the per-codeword dict route replaced.
+fall near PRUNE_TOL (refused as not orthonormal unless their amplitudes are
+i^e / sqrt(N)), for every phase of PHASES (e^(i pi/8), no power of omega,
+is refused).  Its digest was generated from the exact omega-exponent counts;
+every value in it is within 1.1e-15 of the float projection route that
+they replaced, with the same verdict.
 """
 
 import cmath
@@ -37,7 +43,7 @@ import random
 import pytest
 
 from hqec.codes import BUILTIN_NAMES, CodeSpace, builtin_code, logical_codewords, parse_code_text
-from hqec.compat import OMEGA, ProtocolError, _diagonal_action
+from hqec.compat import OMEGA, ProtocolError, diagonal_gate_action
 from hqec.protocol import (
     KeyRegister,
     run_demo_circuit,
@@ -110,7 +116,7 @@ def _t_runner_lines(runner):
 
 def test_transversal_t_pin():
     assert _digest(_t_runner_lines(run_transversal_t_protocol)) == (
-        "f80d9cab7bf08c182174ed039c811cc1686b36d7dcac443db17ebd2d6a911504")
+        "b5ee81954cb5520635ecca0c9d27dae7b99f8a8c63b633c6d6534ed99dbdd61e")
 
 
 def test_logical_t_pin():
@@ -234,7 +240,7 @@ def _teleport_wide_lines():
 
 def test_teleport_wide_pin():
     assert _digest(_teleport_wide_lines()) == (
-        "7b0f9c51065f786e1155df9b93c5c7c1ede185537cd5da6f6553cb47dd4dc8c2")
+        "488e49f690e3f50abad370be654be4bfe0a51d23b7d2f954c388841cde1f3f81")
 
 
 PHASES = (OMEGA, OMEGA.conjugate(), -1j, 1j, 1.0, -1.0, cmath.exp(1j * cmath.pi / 8))
@@ -245,9 +251,10 @@ TWISTS = (0.0, 0.7, math.pi / 2, math.pi)
 
 def _action_text(space, phase) -> str:
     def run():
-        leakage, phases = _diagonal_action(space, complex(phase))
+        da = diagonal_gate_action(space, phase)
+        phases = da.logical_phases
         shown = "none" if phases is None else " ".join(f"{p.real.hex()},{p.imag.hex()}" for p in phases)
-        return f"{leakage.hex()} {shown}"
+        return f"{da.leakage.hex()} {shown}"
     return _guarded(run)
 
 
@@ -328,4 +335,4 @@ def _diagonal_lines():
 
 def test_diagonal_action_pin():
     assert _digest(_diagonal_lines()) == (
-        "a38fac30e72372f6ae5b7e82561e13c39b376f0a93e3afba261b8b20629d6533")
+        "3594e49411e5376092f420c3926e205911ead3d43dd5796f8197766ad5716525")

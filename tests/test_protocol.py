@@ -342,6 +342,14 @@ class TestCircuitText:
         with pytest.raises(ValueError, match=f"^{message}$"):
             CircuitGate(kind, qubits)
 
+    def test_gate_record_replace_goes_through_the_checks(self):
+        g = CircuitGate("H", (1,))
+        with pytest.raises(ValueError, match="^unknown gate kind 'Q'$"):
+            g._replace(kind="Q")
+        with pytest.raises(ValueError, match=r"^CNOT takes 2 qubit\(s\)$"):
+            CircuitGate._make(("CNOT", (1,)))
+        assert g._replace(kind="T") == CircuitGate("T", (1,))
+
     def test_gate_record_value(self):
         g = CircuitGate("CNOT", (1, 2))
         assert g == CircuitGate("CNOT", (1, 2)) and hash(g) == hash(CircuitGate("CNOT", (1, 2)))
