@@ -229,7 +229,7 @@ def _cmd_run_a1(args) -> int:
     protocol = hqec.protocol
     rep, dec, _ = protocol.run_demo_circuit(hqec.rng.SplitMix64(seed), forced_outcomes=forced)
     _dump_state(args, dec)
-    lines = [f"demo circuit {protocol.format_circuit(protocol.DEMO_CIRCUIT)}",
+    lines = [f"demo circuit {hqec.DEMO_CIRCUIT_TEXT}",
              f"keys initial: {rep.keys_initial}",
              f"keys final:   {rep.keys_final}",
              f"final fidelity {rep.fidelity:.10f}"]

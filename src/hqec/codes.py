@@ -4,7 +4,9 @@ A code is generators + logical X/Z representatives; codewords are built
 as sparse states by stabilizer-tableau elimination, in time polynomial in
 n plus one term per basis key.  Builtin names cover the repetition codes,
 the nine-qubit code, the Steane code, the [[15,1,3]] punctured Reed-Muller
-code, and a deliberately mask-incompatible three-qubit code.
+code, and a deliberately mask-incompatible three-qubit code.  The four
+non-CSS builtins are code-file texts that ``parse_code_text`` reads, as it
+reads a user's; steane and rm15 keep their classical rows as css_origin.
 
 Per-code data is memoized: ``builtin_code`` by name, and the validation
 report, the codewords and the single-error syndrome table by the (frozen,
@@ -33,7 +35,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import BUILTIN_NAMES, gf2  # the names are the package's, for the CLI to read without codes
 from .gf2 import ClassicalCode
-from .pauli import _PHASE_VALUE, MAX_QUBITS, PauliOperator, _qubit_count, parse_pauli, transversal_pauli
+from .pauli import _PHASE_VALUE, MAX_QUBITS, PauliOperator, _qubit_count, parse_pauli
 
 if TYPE_CHECKING:
     from .states import SparseState
@@ -280,20 +282,6 @@ def css_from_classical(c1: ClassicalCode, c2: ClassicalCode, name: str | None = 
     )
 
 
-_SHOR_GENERATORS = (
-    "ZZIIIIIII",
-    "IZZIIIIII",
-    "IIIZZIIII",
-    "IIIIZZIII",
-    "IIIIIIZZI",
-    "IIIIIIIZZ",
-    "XXXXXXIII",
-    "IIIXXXXXX",
-)
-
-_STEANE_C1_ROWS = ("1000011", "0100101", "0010110", "0001111")
-_STEANE_C2_ROWS = ("0001111", "0110011", "1010101")
-
 _RM15_ROWS = (
     "111111111111111",
     "000000011111111",
@@ -301,48 +289,28 @@ _RM15_ROWS = (
     "011001100110011",
     "101010101010101",
 )
+_CSS_ROWS = {  # C1 and C2 rows, built by css_from_classical
+    "steane": (("1000011", "0100101", "0010110", "0001111"), ("0001111", "0110011", "1010101")),
+    "rm15": (_RM15_ROWS, _RM15_ROWS[1:]),
+}
+
+_CODE_TEXTS = {  # the non-CSS builtins, as the code files a user writes
+    "bit_flip": "3 1\nZZI\nIZZ\nXXX\nZZZ\n",
+    "phase_flip": "3 1\nXXI\nIXX\nZZZ\nXXX\n",
+    # phase-repetition basis: transversal Z acts as logical X and vice versa
+    "shor": "9 1\nZZIIIIIII\nIZZIIIIII\nIIIZZIIII\nIIIIZZIII\nIIIIIIZZI\nIIIIIIIZZ\n"
+            "XXXXXXIII\nIIIXXXXXX\nZZZZZZZZZ\nXXXXXXXXX\n",
+    # ZZZ has odd overlap with transversal X, so mask compatibility fails
+    "synthetic_incompatible": "3 1\nZZZ\nXXI\nIXX\nZZI\n",
+}
 
 
 @lru_cache(maxsize=None)
 def builtin_code(name: str) -> StabilizerCode:
-    if name == "bit_flip":
-        return StabilizerCode(
-            name, 3, 1,
-            (parse_pauli("ZZI"), parse_pauli("IZZ")),
-            (parse_pauli("XXX"),),
-            (parse_pauli("ZZZ"),),
-        )
-    if name == "phase_flip":
-        return StabilizerCode(
-            name, 3, 1,
-            (parse_pauli("XXI"), parse_pauli("IXX")),
-            (parse_pauli("ZZZ"),),
-            (parse_pauli("XXX"),),
-        )
-    if name == "shor":
-        # phase-repetition basis: transversal Z acts as logical X and vice versa
-        return StabilizerCode(
-            name, 9, 1,
-            tuple(parse_pauli(s) for s in _SHOR_GENERATORS),
-            (transversal_pauli("Z", 9),),
-            (transversal_pauli("X", 9),),
-        )
-    if name == "steane":
-        c1 = gf2.code_from_strings(_STEANE_C1_ROWS)
-        c2 = gf2.code_from_strings(_STEANE_C2_ROWS)
-        return css_from_classical(c1, c2, name="steane")
-    if name == "rm15":
-        c1 = gf2.code_from_strings(_RM15_ROWS)
-        c2 = gf2.code_from_strings(_RM15_ROWS[1:])
-        return css_from_classical(c1, c2, name="rm15")
-    if name == "synthetic_incompatible":
-        # ZZZ has odd overlap with transversal X, so mask compatibility fails
-        return StabilizerCode(
-            name, 3, 1,
-            (parse_pauli("ZZZ"), parse_pauli("XXI")),
-            (parse_pauli("IXX"),),
-            (parse_pauli("ZZI"),),
-        )
+    if name in _CODE_TEXTS:
+        return parse_code_text(_CODE_TEXTS[name], name)
+    if name in _CSS_ROWS:
+        return css_from_classical(*map(gf2.code_from_strings, _CSS_ROWS[name]), name=name)
     raise ValueError(f"unknown builtin code {name!r}")
 
 

@@ -147,6 +147,13 @@ def _omega_sum(exponents: list) -> list:
     return [counts[t] - counts[t + 4] for t in range(4)]
 
 
+def _unit_exponents(amps) -> tuple:
+    """(m, e) with amps[j] = i^e[j] m, m read off amps[0]; None in e where no e fits."""
+    m = len(amps) and (abs(amps[0].real) or abs(amps[0].imag))
+    units = {complex(m, 0.0): 0, complex(0.0, m): 1, complex(-m, 0.0): 2, complex(0.0, -m): 3}
+    return m, list(map(units.get, amps))
+
+
 @lru_cache(maxsize=CODE_CACHE_SIZE)
 def _diagonal_action(code_space: CodeSpace, p: int):
     """(leakage, omega-exponents of the two logical phases, or None where the
@@ -163,17 +170,17 @@ def _diagonal_action(code_space: CodeSpace, p: int):
     both off-diagonal entries vanish; each diagonal entry then has modulus
     1, so its N terms share one exponent.
 
-    The basis is checked in this order: |0>'s amplitudes are i^e m with N
-    m^2 = 1 (within TOL), the qubit counts agree, and |1> holds N
-    amplitudes i^e m with <0|1>'s count of each power of i balanced.  A
-    basis that fails, or has other amplitudes (no stabilizer code space
-    has), is refused as not orthonormal."""
+    A basis state whose amplitudes are not all i^e times one magnitude (no
+    code space has one) is refused as such.  Then, in this order, |0>'s are
+    i^e m with N m^2 = 1 (within TOL), the qubit counts agree, and |1> holds
+    N amplitudes i^e m with <0|1>'s count of each power of i balanced, or
+    the basis is refused as not orthonormal."""
     zero, one = code_space.basis
-    size = len(zero.amps)
-    m = size and (abs(zero.amps[0].real) or abs(zero.amps[0].imag))
-    units = {complex(m, 0.0): 0, complex(0.0, m): 1, complex(-m, 0.0): 2, complex(0.0, -m): 3}
-    e0, e1 = (list(map(units.get, b.amps)) for b in (zero, one))
-    if not abs(size * m * m - 1) <= _states().TOL or None in e0:
+    (m, e0), (m1, e1) = map(_unit_exponents, (zero.amps, one.amps))
+    if None in e0 or None in e1:
+        raise ValueError("code-space amplitudes are not all i^e/sqrt(N)")
+    size = len(e0)
+    if not abs(size * m * m - 1) <= _states().TOL:
         raise ValueError("projection span is not orthonormal")
     if zero.n != one.n:
         raise ValueError(f"dimension mismatch: {zero.n} vs {one.n}")
@@ -184,7 +191,7 @@ def _diagonal_action(code_space: CodeSpace, p: int):
         at = dict(zip(one.keys, e1))
         t1 = [p * k.bit_count() & 7 for k in one.keys]
         shared = [(e, at[k], t) for k, e, t in zip(zero.keys, e0, t0) if k in at]
-    if len(e1) != size or None in e1 or any(_omega_sum([2 * (f - e) & 7 for e, f, _ in shared])):
+    if len(e1) != size or m1 != m or any(_omega_sum([2 * (f - e) & 7 for e, f, _ in shared])):
         raise ValueError("projection span is not orthonormal")
     d01 = [(2 * (f - e) + t) & 7 for e, f, t in shared]
     d10 = [(2 * (e - f) + t) & 7 for e, f, t in shared]

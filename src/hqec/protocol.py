@@ -166,16 +166,6 @@ def parse_circuit(text: str) -> list[CircuitGate]:
     return gates
 
 
-def format_circuit(circuit) -> str:
-    toks = []
-    for g in circuit:
-        if g.kind == "CNOT":
-            toks.append(f"CX{g.qubits[0]},{g.qubits[1]}")
-        else:
-            toks.append(f"{g.kind}{g.qubits[0]}")
-    return " ".join(toks)
-
-
 class Transcript:
     __slots__ = ("events",)
 
@@ -355,7 +345,7 @@ class DemoReport(NamedTuple):
 
     def as_dict(self) -> dict:
         return {
-            "circuit": format_circuit(DEMO_CIRCUIT),
+            "circuit": DEMO_CIRCUIT_TEXT,
             "keys_initial": self.keys_initial,
             "keys_final": self.keys_final,
             "fidelity": self.fidelity,

@@ -191,6 +191,46 @@ class TestBuiltins:
             builtin_code("nope")
 
 
+# Every builtin as the code file format_code_text writes, and its css_origin
+# as the stored basis rows of C1 and C2 (None for the four codes without one).
+BUILTIN_TEXTS = {
+    "bit_flip": ("3 1\nZZI\nIZZ\nXXX\nZZZ\n", None),
+    "phase_flip": ("3 1\nXXI\nIXX\nZZZ\nXXX\n", None),
+    "shor": ("9 1\nZZIIIIIII\nIZZIIIIII\nIIIZZIIII\nIIIIZZIII\nIIIIIIZZI\nIIIIIIIZZ\n"
+             "XXXXXXIII\nIIIXXXXXX\nZZZZZZZZZ\nXXXXXXXXX\n", None),
+    "steane": ("7 1\nXIXIXIX\nIXXIIXX\nIIIXXXX\nZIZIZIZ\nIZZIIZZ\nIIIZZZZ\nXXXXXXX\nZZZZZZZ\n",
+               (("1000011", "0100101", "0010110", "0001111"), ("1010101", "0110011", "0001111"))),
+    "rm15": ("15 1\n"
+             "XIXIXIXIXIXIXIX\nIXXIIXXIIXXIIXX\nIIIXXXXIIIIXXXX\nIIIIIIIXXXXXXXX\n"
+             "ZIIIIIZIIIZIZII\nIZIIIIZIIIZIIZI\nIIZIIIZIIIZIIIZ\nIIIZIIZIIIIIZZI\nIIIIZIZIIIIIZIZ\n"
+             "IIIIIZZIIIIIIZZ\nIIIIIIIZIIZIZZI\nIIIIIIIIZIZIZIZ\nIIIIIIIIIZZIIZZ\nIIIIIIIIIIIZZZZ\n"
+             "XXXXXXXXXXXXXXX\nZZZZZZZZZZZZZZZ\n",
+             (("100001100111100", "010010101011010", "001011001101001", "000111100001111",
+               "000000011111111"),
+              ("101010101010101", "011001100110011", "000111100001111", "000000011111111"))),
+    "synthetic_incompatible": ("3 1\nZZZ\nXXI\nIXX\nZZI\n", None),
+}
+
+
+class TestBuiltinTexts:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin_is_its_text(self, name):
+        code = builtin_code(name)
+        text, origin = BUILTIN_TEXTS[name]
+        assert code.name == name
+        assert format_code_text(code) == text
+        rows = None if code.css_origin is None else tuple(
+            tuple(gf2.format_row(w, c.length) for w in c.basis) for c in code.css_origin)
+        assert rows == origin
+        assert parse_code_text(text, name)._replace(css_origin=code.css_origin) == code
+
+    @pytest.mark.parametrize("name", ["nope", "Steane", "bit_flip ", "", "user", "css-7-1"])
+    def test_only_the_builtin_names(self, name):
+        assert tuple(BUILTIN_TEXTS) == BUILTIN_NAMES
+        with pytest.raises(ValueError, match=rf"^unknown builtin code {name!r}$"):
+            builtin_code(name)
+
+
 class TestCodewords:
     def test_shor_zero(self):
         cs = cached_code_space("shor")

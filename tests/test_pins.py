@@ -27,11 +27,14 @@ spaces, on seeded code texts shaped like the benchmark's cold codes
 (permuted steane, rm15 and shor; steane and shor with one qubit conjugated
 by H; ZZ chains with a negated first link), and on hand-built rotated bases
 a|0> + b e^(i phi)|1>, -b e^(-i phi)|0> + a|1>, some at angles whose terms
-fall near PRUNE_TOL (refused as not orthonormal unless their amplitudes are
-i^e / sqrt(N)), for every phase of PHASES (e^(i pi/8), no power of omega,
-is refused).  Its digest was generated from the exact omega-exponent counts;
-every value in it is within 1.1e-15 of the float projection route that
-they replaced, with the same verdict.
+fall near PRUNE_TOL (refused, unless their amplitudes are i^e / sqrt(N), as
+bases of other amplitudes), for every phase of PHASES (e^(i pi/8), no power
+of omega, is refused).  Its digest was generated from the exact
+omega-exponent counts; every value in it is within 1.1e-15 of the float
+projection route that they replaced, with the same verdict.  It moved once
+since, when a basis of other amplitudes got its own refusal message in place
+of "projection span is not orthonormal": with the old message put back in
+those lines, the digest is the one before.
 """
 
 import cmath
@@ -335,4 +338,4 @@ def _diagonal_lines():
 
 def test_diagonal_action_pin():
     assert _digest(_diagonal_lines()) == (
-        "3594e49411e5376092f420c3926e205911ead3d43dd5796f8197766ad5716525")
+        "7b97e59c2f4b7c9b1ea9a8ab6af5951b53f9381147b1a039c4df0894ff7f03c5")

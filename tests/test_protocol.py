@@ -17,7 +17,6 @@ from hqec.protocol import (
     apply_plain_circuit,
     clifford_key_update,
     encrypt,
-    format_circuit,
     parse_circuit,
     random_state,
     resource_report,
@@ -309,16 +308,12 @@ class TestCircuitText:
         assert [g.kind for g in circ] == ["H", "T", "Td", "S", "CNOT"]
         assert circ[-1].qubits == (1, 2)
 
-    def test_format_round_trip(self):
-        text = "H1 T1 Td2 S2 CX1,2 X3"
-        assert format_circuit(parse_circuit(text)) == text
-
     def test_sd_round_trip(self):
         text = "Sd1 T2 Sd2 CX2,1 S1"
         circ = parse_circuit(text)
         assert [g.kind for g in circ] == ["Sd", "T", "Sd", "CNOT", "S"]
+        assert [g.qubits for g in circ] == [(1,), (2,), (2,), (2, 1), (1,)]
         assert circ[0].is_clifford
-        assert format_circuit(circ) == text
 
     def test_bad_token(self):
         with pytest.raises(ValueError):
