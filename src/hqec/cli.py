@@ -38,7 +38,7 @@ class InputError(ValueError):
 def _load_text(path: str) -> str:
     p = Path(path)
     if not p.is_file():
-        raise InputError(f"no such file: {path}")
+        raise InputError(f"{'not a file' if p.exists() else 'no such file'}: {path}")
     return p.read_text()
 
 

@@ -35,6 +35,7 @@ from typing import NamedTuple
 from . import ResourceReport, gf2, resource_report  # the report is the package's, for the CLI to run without compat
 from .codes import CODE_CACHE_SIZE, CodeSpace, StabilizerCode, _states, check_css_pair
 from .gf2 import ClassicalCode
+from .pauli import PauliOperator
 
 OMEGA = cmath.exp(1j * cmath.pi / 4)
 
@@ -48,14 +49,24 @@ class IncompatibleCodeError(ProtocolError):
 
 
 class GeneratorCheck(NamedTuple):
+    """One generator's mask flags; generator formats its operator when read."""
+
     index: int
-    generator: str
+    operator: PauliOperator
     x_commutes: bool
     z_commutes: bool
 
     @property
+    def generator(self) -> str:
+        return self.operator.to_string()
+
+    @property
     def ok(self) -> bool:
         return self.x_commutes and self.z_commutes
+
+    def as_dict(self) -> dict:
+        return {"index": self.index, "generator": self.generator,
+                "x_commutes": self.x_commutes, "z_commutes": self.z_commutes}
 
 
 @dataclass(frozen=True)
@@ -75,7 +86,7 @@ class CompatReport:
         d = {
             "code": self.code_name,
             "verdict": self.verdict,
-            "generators": [g._asdict() for g in self.generator_checks],
+            "generators": [g.as_dict() for g in self.generator_checks],
         }
         if self.css_verdict is not None:
             d["e_in_c1"] = self.e_in_c1
@@ -90,11 +101,10 @@ def stabilizer_mask_check(code: StabilizerCode) -> CompatReport:
     """Transversal X/Z masking preserves the code space iff both transversal
     operators commute with every generator: X^n iff |z(g)| is even, Z^n iff
     |x(g)| is even (a StabilizerCode's generators act on its n qubits).
-    Memoized by code (frozen report)."""
-    checks = tuple(
-        GeneratorCheck(i + 1, g.to_string(), not g.z.bit_count() & 1, not g.x.bit_count() & 1)
-        for i, g in enumerate(code.generators)
-    )
+    Memoized by code (frozen report); the checks are built unchecked and
+    hold the generators, formatted only when read."""
+    checks = tuple([tuple.__new__(GeneratorCheck, (i, g, not g.z.bit_count() & 1, not g.x.bit_count() & 1))
+                    for i, g in enumerate(code.generators, 1)])
     verdict = all(c.ok for c in checks)
     if code.css_origin is not None:
         c1, c2 = code.css_origin

@@ -51,6 +51,12 @@ class TestExitCodes:
                      ("triortho", "--matrix", missing)):
             assert run_cli(capsys, "check", *argv) == (2, "", f"error: no such file: {missing}\n")
 
+    def test_directory_is_not_a_file(self, capsys, tmp_path):
+        d = str(tmp_path)
+        for argv in (("codes", "validate", d), ("check", "theorem1", "--code", d),
+                     ("check", "triortho", "--matrix", d)):
+            assert run_cli(capsys, *argv) == (2, "", f"error: not a file: {d}\n")
+
     def test_non_hermitian_logical_is_invalid(self, capsys, tmp_path):
         # logical Z = iZZZ squares to -I: every verb that reads the code refuses it
         f = tmp_path / "izzz.code"

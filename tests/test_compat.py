@@ -16,13 +16,14 @@ from hqec.codes import (
     parse_code_text,
 )
 from hqec.compat import (
+    IncompatibleCodeError,
     clifford_correction_for_t,
     css_mask_check,
     diagonal_gate_action,
     stabilizer_mask_check,
 )
-from hqec.pauli import transversal_pauli
-from hqec.protocol import KeyRegister, encrypt
+from hqec.pauli import PauliOperator, transversal_pauli
+from hqec.protocol import KeyRegister, encrypt, run_storage_protocol
 from hqec.states import _OMEGA_POWERS, TOL, SparseState
 from oracles import (
     apply_diagonal,
@@ -32,6 +33,7 @@ from oracles import (
     combine,
     dense_of,
     even_support_check,
+    format_code_text,
     project_onto,
     projection_diagonal_action,
 )
@@ -66,6 +68,32 @@ class TestStabilizerMaskCheck:
         assert [(c.index, c.generator, c.x_commutes, c.z_commutes) for c in rep.generator_checks] == [
             (i + 1, g.to_string(), tx.commutes(g), tz.commutes(g)) for i, g in enumerate(code.generators)]
         assert rep.verdict == all(tx.commutes(g) and tz.commutes(g) for g in code.generators)
+
+    def test_no_pauli_text_until_read(self, monkeypatch):
+        # the six builtins and rm15 with its qubits in reverse order
+        head, *ops = format_code_text(cached_code("rm15")).splitlines()
+        reversed_rm15 = parse_code_text("\n".join([head] + [op[::-1] for op in ops]), "reversed_rm15")
+        codes = [cached_code(name) for name in BUILTIN_NAMES] + [reversed_rm15]
+        real, calls = PauliOperator.to_string, []
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(PauliOperator, "to_string", counted)
+        reports = [stabilizer_mask_check.__wrapped__(code) for code in codes]
+        assert calls == []
+        assert [len(r.generator_checks) for r in reports] == [2, 2, 8, 6, 14, 2, 14]
+        bad = reports[BUILTIN_NAMES.index("synthetic_incompatible")]
+        assert bad.generator_checks[0].generator == "ZZZ" and len(calls) == 1
+        assert reports[-1].generator_checks[0].generator == "XIXIXIXIXIXIXIX"[::-1]
+        assert bad.as_dict() == {"code": "synthetic_incompatible", "verdict": False, "generators": [
+            {"index": 1, "generator": "ZZZ", "x_commutes": False, "z_commutes": True},
+            {"index": 2, "generator": "XXI", "x_commutes": True, "z_commutes": True}]}
+        with pytest.raises(IncompatibleCodeError) as info:
+            run_storage_protocol("synthetic_incompatible", (1, 0), (0, 0))
+        assert str(info.value) == ("synthetic_incompatible is not mask-compatible: generator 1 (ZZZ) "
+                                   "anticommutes with a transversal mask component")
 
     def test_css_cross_check_populated(self):
         for name in ("steane", "rm15"):

@@ -353,7 +353,7 @@ class TestApplyPhases:
     """apply_monomial of a layer of Z (exponent 4), S (2) and Sd (6) gates is
     those gates applied one by one: bit for bit on amplitudes with nonzero
     parts, and equal in value when a part is zero (only the sign of a zero
-    part may differ)."""
+    part may differ, except under a layer of one gate)."""
 
     EXPONENTS = {"Z": 4, "S": 2, "Sd": 6}
 
@@ -387,6 +387,17 @@ class TestApplyPhases:
                 want = apply_single(want, gate(kind), q)
             got = apply_monomial(state, self._layer(4, [(kind, q) for q, kind in enumerate(run, start=1)]))
             assert np.array_equal(got.amps, want.amps)
+
+    @pytest.mark.parametrize("qubit", [1, 2])
+    @pytest.mark.parametrize("kind", ["Z", "S", "Sd"])
+    def test_one_gate_bit_for_bit_on_signed_zeros(self, kind, qubit):
+        # each of the 16 signed-zero/+-0.5 part pairs under all four values of
+        # qubits 1 and 2: the agreement that keeps _OMEGA_POWERS[6] at -1j
+        parts = [0.0, -0.0, 0.5, -0.5]
+        pairs = [complex(x, y) for x in parts for y in parts]
+        state = _state(6, tuple(range(64)), tuple(pairs[k >> 2] for k in range(64)))  # zero terms kept
+        got = apply_monomial(state, self._layer(6, [(kind, qubit)]))
+        assert state_bytes(got) == state_bytes(apply_single(state, gate(kind), qubit))
 
     def test_phases_by_key(self):
         state = SparseState(2, np.arange(4, dtype=np.uint64), np.ones(4, complex))
