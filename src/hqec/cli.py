@@ -39,7 +39,10 @@ def _load_text(path: str) -> str:
     p = Path(path)
     if not p.is_file():
         raise InputError(f"{'not a file' if p.exists() else 'no such file'}: {path}")
-    return p.read_text()
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _load_code(name_or_path: str) -> hqec.codes.StabilizerCode:

@@ -9,6 +9,7 @@ character of a row string like "110".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import NamedTuple
 
 ENUM_DIM_GUARD = 20
@@ -187,11 +188,15 @@ class TriorthogonalityReport:
 
 
 def triorthogonality_check(matrix: BitMatrix) -> TriorthogonalityReport:
-    """Pairwise and triple row-overlap parity check (word AND + popcount)."""
+    """Pairwise and triple row-overlap parity check (word AND + popcount).
+    The report holds every triple's overlap, so more than 2^ENUM_DIM_GUARD
+    triples (from 186 rows) raise GuardExceeded before any is enumerated."""
     rows = matrix.rows
     m = len(rows)
     if m < 1:
         raise ValueError("need at least one row")
+    if (triples := comb(m, 3)) > 1 << ENUM_DIM_GUARD:
+        raise GuardExceeded(f"{m} rows: {triples} row triples exceed the enumeration guard 2^{ENUM_DIM_GUARD}")
     pair_overlaps = {}
     triple_overlaps = {}
     violations = []

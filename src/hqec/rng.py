@@ -7,8 +7,6 @@ global RNG.
 
 from __future__ import annotations
 
-import math
-
 _MASK = (1 << 64) - 1
 
 
@@ -26,19 +24,3 @@ class SplitMix64:
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) * 2.0**-53
-
-    def choice_weighted(self, weights) -> int:
-        """Index drawn by one random() in proportion to the weights, whose sum must be positive and finite."""
-        total = float(sum(weights))
-        if not 0 < total < math.inf:
-            raise ValueError(f"weights must have a positive, finite sum, got {total}")
-        self.state = z = (self.state + 0x9E3779B97F4A7C15) & _MASK  # next_u64, inline
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        r = ((z ^ (z >> 31)) >> 11) * 2.0**-53 * total
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += w
-            if r < acc:
-                return i
-        return len(weights) - 1

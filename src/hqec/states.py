@@ -36,7 +36,8 @@ A T gadget (diag(1, omega^t) on a data qubit, which is then teleported
 through a fresh Bell pair measured at once in the basis rotated by U =
 diag(1, omega^u)) is monomial, as Z, S and Sd are: by the key rule of
 Broadbent and Jeffery (CRYPTO 2015, arXiv:1412.8766), outcome (r_a, r_b),
-of weight 1/4 each, puts diag(1, omega^(t + u + 4 r_b)) on the qubit and
+of weight 1/4 each (a sampled one is the top two bits of one generator
+word), puts diag(1, omega^(t + u + 4 r_b)) on the qubit and
 then flips its bit if r_a, so no joint register is built.  A
 ``MonomialLayer`` collects a run of these gates as a key flip and omega-
 exponents, and ``apply_monomial`` applies the run, and a trailing Pauli
@@ -336,12 +337,19 @@ class MonomialLayer:
         of the qubit through a fresh Bell pair measured in the basis (U^dag
         Z^r_b X^r_a (x) I)|Phi>, U = diag(1, omega^u) (u = 0, 2, 6 for I, S,
         Sd, read mod 8).  Outcome (r_a, r_b) adds t + u + 4 r_b to the qubit's exponent
-        and then flips its bit if r_a.  Returns the outcome, drawn by one
-        choice_weighted call unless `forced`.  Every outcome weighs norm2/4
-        at the run's first gadget and 1/4 after it, since gadgets keep the
-        norm.  The checks, in order: the qubit range, then (at the first
-        gadget only) a zero or non-finite weight, a malformed forced
-        outcome, then (at the first only) a zero-probability outcome."""
+        and then flips its bit if r_a.  Returns the outcome: `forced`, or
+        else _OUTCOMES[rng.next_u64() >> 62], the top two bits of one
+        generator word.  Every outcome weighs norm2/4 at the run's first
+        gadget and 1/4 after it, since gadgets keep the norm, so no weights
+        are built: for r = m * 2^-53 (m the word's top 53 bits, as
+        rng.random() reads them), the first of the exact cumulative sums
+        1/4, 1/2, 3/4, 1 above r has index m >> 51 = word >> 62, bit for
+        bit.  Cumulative sums of the first gadget's weights norm2/4 round,
+        and may move a boundary by a few ulps: a draw over them would
+        differ in about one word in 2^51.  The checks, in order: the qubit
+        range, then (at the first gadget only) a zero or non-finite weight,
+        a malformed forced outcome, then (at the first only) a
+        zero-probability outcome."""
         if not 1 <= qubit <= state.n:
             raise ValueError(f"qubit {qubit} out of range 1..{state.n}")
         if first := self.norm2 is None:
@@ -352,7 +360,7 @@ class MonomialLayer:
             if not math.isfinite(norm2):
                 raise ValueError("measurement on a state whose weight is not finite")
         if forced is None:
-            idx = rng.choice_weighted([p] * 4 if first else (0.25, 0.25, 0.25, 0.25))
+            idx = rng.next_u64() >> 62
         else:
             try:
                 idx = _OUTCOMES.index(tuple(forced))

@@ -81,16 +81,25 @@ _BELL_PAIR = _state(2, (0b00, 0b11), (_SQ2, _SQ2))
 
 
 class PickRng:
-    """Stands in for the generator: returns a fixed outcome index and keeps
-    the weights it was asked to sample from."""
+    """Stands in for the generator: every word it returns has a fixed
+    outcome index as its top two bits, and it counts the words drawn."""
 
     def __init__(self, pick):
         self.pick = pick
-        self.weights = None
+        self.draws = 0
 
-    def choice_weighted(self, weights):
-        self.weights = list(weights)
-        return self.pick
+    def next_u64(self):
+        self.draws += 1
+        return self.pick << 62
+
+
+class UnreadRows(tuple):
+    """Matrix rows that may be counted and iterated but not indexed: a
+    check that looks up rows by index (as an enumeration of row pairs and
+    triples does) fails on them."""
+
+    def __getitem__(self, i):
+        raise AssertionError(f"row {i} was looked up")
 
 
 def from_terms(n: int, terms: dict) -> SparseState:
@@ -766,12 +775,9 @@ class _ExponentChain:
         self.state._check_qubit(w)
         if self.norm2 is None:
             self.norm2 = _weight(self.state.amps)
-            p = self.norm2 / 4
-        else:
-            p = 0.25
-        if 4 * p < PRUNE_TOL:
-            raise ValueError("measurement on a zero-weight state")
-        idx = rng.choice_weighted([p] * 4) if pick is None else _OUTCOMES.index(tuple(pick))
+            if self.norm2 < PRUNE_TOL:
+                raise ValueError("measurement on a zero-weight state")
+        idx = int(4 * rng.random()) if pick is None else _OUTCOMES.index(tuple(pick))
         flip, m0, m1 = gadget_exponents(rotation)[idx]
         self._phase(w, _OMEGA_POWER[kind])
         bit = 1 << (w - 1)
@@ -789,8 +795,8 @@ def per_gate_exponent_run(enc_state, circuit, keys, rng, forced_outcomes=None) -
     and exponents read from _bell_basis_rows, not from the library's
     closed form), and each run of Z, S, Sd and T gadgets ends in the one
     multiply per term that apply_monomial makes.  Each gadget draws its
-    outcome as run_circuit does: weights of a quarter of the run's input
-    norm for its first gadget, 1/4 after it.  The keys are replayed by pair_key_rule, and
+    outcome from four equal weights, as int(4 * rng.random()): one
+    generator word per gadget.  The keys are replayed by pair_key_rule, and
     the transcript (always built: what run_circuit appends to a sink),
     final keys, outcomes, peaks and forced-outcome count check are
     run_circuit's."""

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqec import protocol
+from hqec import gf2, protocol
 from hqec.cli import main
 from hqec.codes import BUILTIN_NAMES, builtin_code
 from hqec.pauli import parse_pauli
 from hqec.rng import SplitMix64
 from hqec.states import TOL
-from oracles import format_code_text
+from oracles import UnreadRows, format_code_text
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +56,17 @@ class TestExitCodes:
         for argv in (("codes", "validate", d), ("check", "theorem1", "--code", d),
                      ("check", "triortho", "--matrix", d)):
             assert run_cli(capsys, *argv) == (2, "", f"error: not a file: {d}\n")
+
+    @pytest.mark.parametrize("argv", [("codes", "validate", "{f}"), ("check", "theorem1", "--code", "{f}"),
+                                      ("check", "triortho", "--matrix", "{f}"),
+                                      ("check", "css", "--c1", "{f}", "--c2", "{f}")],
+                             ids=["codes-validate", "theorem1", "triortho", "css"])
+    def test_file_that_is_not_utf8_text(self, capsys, tmp_path, argv):
+        # the message names the file, as every other input error does
+        f = tmp_path / "bad.txt"
+        f.write_bytes(b"\xff\xfe\x00bad")
+        argv = [a.format(f=f) for a in argv]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {f}: not UTF-8 text (invalid start byte at byte 0)\n")
 
     def test_non_hermitian_logical_is_invalid(self, capsys, tmp_path):
         # logical Z = iZZZ squares to -I: every verb that reads the code refuses it
@@ -300,6 +311,18 @@ class TestVerbs:
         code, out, _ = run_cli(capsys, "check", "triortho", "--matrix", str(f))
         assert code == 0
         assert "triorthogonal" in out
+
+    def test_check_triortho_refuses_too_many_triples(self, capsys, tmp_path, monkeypatch):
+        # 186 single-1 rows: C(186, 3) = 1 055 240 triples, past 2^20; no row
+        # is looked up, so none is enumerated
+        f = tmp_path / "rows.txt"
+        f.write_text("1\n" * 186)
+        parse = gf2.BitMatrix.from_text
+        monkeypatch.setattr(gf2.BitMatrix, "from_text",
+                            lambda text: gf2.BitMatrix(UnreadRows(parse(text).rows), 1))
+        code, out, err = run_cli(capsys, "check", "triortho", "--matrix", str(f), "--json")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {f}: 186 rows: 1055240 row triples exceed the enumeration guard 2^20\n")
 
     def test_check_diagonal_rm15(self, capsys):
         code, out, _ = run_cli(capsys, "check", "diagonal", "--code", "rm15", "--gate", "T")

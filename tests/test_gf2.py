@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqec import gf2
-from oracles import coset_state, enumerate_codewords, weight_mod
+from oracles import UnreadRows, coset_state, enumerate_codewords, weight_mod
 
 STEANE_C1_ROWS = ["1000011", "0100101", "0010110", "0001111"]
 STEANE_C2_ROWS = ["0001111", "0110011", "1010101"]
@@ -170,6 +172,29 @@ class TestTriorthogonality:
     def test_triple_violation(self):
         rep = gf2.triorthogonality_check(gf2.BitMatrix.from_strings(["110", "101", "011"]))
         assert not rep.pairwise_ok or not rep.triple_ok
+
+    def test_matches_every_pair_and_triple(self):
+        # up to 8 random rows, the five-row matrices of the benchmark included
+        rng = np.random.default_rng(44)
+        for _ in range(40):
+            m, n = int(rng.integers(1, 9)), int(rng.integers(1, 16))
+            rows = tuple(int(x) for x in rng.integers(0, 1 << n, m))
+            rep = gf2.triorthogonality_check(gf2.BitMatrix(rows, n))
+            pairs = {s: (rows[s[0]] & rows[s[1]]).bit_count() for s in itertools.combinations(range(m), 2)}
+            triples = {s: (rows[s[0]] & rows[s[1]] & rows[s[2]]).bit_count()
+                       for s in itertools.combinations(range(m), 3)}
+            assert rep.pair_overlaps == pairs and rep.triple_overlaps == triples
+            odd = [s for s, v in pairs.items() if v % 2] + [s for s, v in triples.items() if v % 2]
+            assert rep.violating_index_sets == tuple(odd)
+
+    def test_triple_guard(self):
+        # C(186, 3) = 1 055 240 triples pass 2^20 and are refused before a
+        # row is looked up; at 185 rows (1 038 220 triples) the lookups start
+        with pytest.raises(gf2.GuardExceeded,
+                           match=r"^186 rows: 1055240 row triples exceed the enumeration guard 2\^20$"):
+            gf2.triorthogonality_check(gf2.BitMatrix(UnreadRows([1] * 186), 1))
+        with pytest.raises(AssertionError, match="^row 0 was looked up$"):
+            gf2.triorthogonality_check(gf2.BitMatrix(UnreadRows([1] * 185), 1))
 
 
 class TestCosetState:

@@ -1007,29 +1007,29 @@ class TestTransversalT:
 
 
 class _RecordingRng(SplitMix64):
-    """The generator, keeping every weight list it is asked to sample from."""
+    """The generator, keeping every word it returns."""
 
     def __init__(self, seed):
         super().__init__(seed)
-        self.weights = []
+        self.words = []
 
-    def choice_weighted(self, weights):
-        self.weights.append(list(weights))
-        return super().choice_weighted(weights)
+    def next_u64(self):
+        self.words.append(word := super().next_u64())
+        return word
 
 
 class TestGadgetWeightsUniform:
     """The exact half of the uniform-outcome check, in each runner, under
-    every key, with sampled and forced outcomes.  Every weight list a runner
-    passes to its generator has four equal entries.  And every T gadget's
-    four outcome weights, taken from the dense branches of its qubit's
-    reduced 2x2 state in the state the gadget meets (apply_monomial of the
-    layer so far, on every run_circuit call of the runners, the logical
-    runner's one-qubit register included), are within 1e-12 of a quarter
-    of their total."""
+    every key, with sampled and forced outcomes.  Every sampled gadget
+    draws one generator word and takes the outcome its top two bits name,
+    and a forced one draws none.  And every T gadget's four outcome
+    weights, taken from the dense branches of its qubit's reduced 2x2 state
+    in the state the gadget meets (apply_monomial of the layer so far, on
+    every run_circuit call of the runners, the logical runner's one-qubit
+    register included), are within 1e-12 of a quarter of their total."""
 
     @pytest.fixture
-    def weights(self, monkeypatch):
+    def gadgets(self, monkeypatch):
         seen, gadget = [], states.MonomialLayer.gadget
 
         def probe(layer, state, qubit, u, t, rng, forced=None):
@@ -1043,15 +1043,18 @@ class TestGadgetWeightsUniform:
             lam, vecs = np.linalg.eigh(psi @ psi.conj().T)
             rotation = np.diag([1, OMEGA ** u])
             branches = [dense_gadget_branches(v, 1, 1, rotation, t) for v in vecs.T]
-            seen.append([sum(l * np.vdot(b[j], b[j]).real for l, b in zip(lam, branches)) for j in range(4)])
-            return gadget(layer, state, qubit, u, t, rng, forced)
+            weights = [sum(l * np.vdot(b[j], b[j]).real for l, b in zip(lam, branches)) for j in range(4)]
+            before = len(rng.words)
+            outcome = gadget(layer, state, qubit, u, t, rng, forced)
+            seen.append((weights, rng.words[before:], forced, outcome))
+            return outcome
 
         monkeypatch.setattr(states.MonomialLayer, "gadget", probe)
         return seen
 
     @pytest.mark.parametrize("forced", [False, True])
     @pytest.mark.parametrize("key", [(0, 0), (0, 1), (1, 0), (1, 1)])
-    def test_every_runner(self, weights, key, forced):
+    def test_every_runner(self, gadgets, key, forced):
         seed = 2 * key[0] + key[1]
         pairs = [BELL_OUTCOMES[(seed + i) % 4] for i in range(15)] if forced else None
         rngs = [_RecordingRng(seed) for _ in range(3)]
@@ -1059,11 +1062,12 @@ class TestGadgetWeightsUniform:
         run_logical_t_protocol((0.28, 0.96j), key, rngs[1], pairs[0] if forced else None)
         run_demo_circuit(rngs[2], keys=KeyRegister.uniform(2, *key),
                          forced_outcomes=pairs[:2] if forced else None)
-        passed = [w for rng in rngs for w in rng.weights]
-        assert len(passed) == (0 if forced else 15 + 1 + 2)
-        assert all(len(w) == 4 and w == [w[0]] * 4 for w in passed)
-        assert len(weights) == 15 + 1 + 2
-        for w in weights:
+        assert len(gadgets) == 15 + 1 + 2
+        for w, words, pick, outcome in gadgets:
+            if forced:
+                assert not words and outcome == tuple(pick)
+            else:
+                assert len(words) == 1 and outcome == BELL_OUTCOMES[words[0] >> 62]
             assert len(w) == 4
             assert all(abs(x - sum(w) / 4) <= 1e-12 for x in w)
 

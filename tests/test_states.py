@@ -453,11 +453,12 @@ class TestMonomialGadget:
                 for qubit, u, t in itertools.product(range(1, n + 1), self.ROTATIONS, (1, 7, 0)):
                     branches = dense_gadget_branches(vec, n, qubit, self.ROTATIONS[u].matrix, t)
                     probs = [np.vdot(b, b).real for b in branches]
+                    # the four outcomes weigh a quarter of the squared norm each
+                    weights = [states._weight(state.amps) / 4] * 4
+                    assert np.abs(np.subtract(weights, probs)).max() <= 1e-12
                     for idx, outcome in enumerate(BELL_OUTCOMES):
-                        layer, pick = MonomialLayer(n), PickRng(idx)
-                        assert layer.gadget(state, qubit, u, t, pick) == outcome
-                        assert pick.weights == [states._weight(state.amps) / 4] * 4
-                        assert np.abs(np.subtract(pick.weights, probs)).max() <= 1e-12
+                        layer = MonomialLayer(n)
+                        assert layer.gadget(state, qubit, u, t, PickRng(idx)) == outcome
                         got = apply_monomial(state, layer)
                         want = branches[idx] / np.sqrt(probs[idx])
                         assert got.keys == tuple(np.flatnonzero(np.abs(want) > PRUNE_TOL).tolist())
@@ -467,14 +468,39 @@ class TestMonomialGadget:
                         assert state_bytes(apply_monomial(state, forced)) == state_bytes(got)
 
     def test_later_gadgets_sample_a_quarter(self):
-        # squared norm 4: the first gadget's weights are 1, a quarter of it
+        # squared norm 4: the first gadget records it, the second keeps it,
+        # and each draws one word
         state = from_terms(2, {"00": 1.2, "11": 1.6j})
         layer, picks = MonomialLayer(2), [PickRng(1), PickRng(2)]
-        layer.gadget(state, 1, 2, 1, picks[0])
-        layer.gadget(state, 2, 0, 7, picks[1])
-        assert picks[0].weights == [states._weight(state.amps) / 4] * 4
-        assert picks[1].weights == [0.25] * 4
+        assert layer.gadget(state, 1, 2, 1, picks[0]) == BELL_OUTCOMES[1]
+        assert picks[0].draws == 1
+        assert layer.norm2 == states._weight(state.amps)
+        assert layer.gadget(state, 2, 0, 7, picks[1]) == BELL_OUTCOMES[2]
+        assert picks[1].draws == 1
+        assert layer.norm2 == states._weight(state.amps)
         assert abs(apply_monomial(state, layer).norm() - 1) <= 1e-15
+
+    def test_draw_is_four_times_random(self):
+        # a sampled first gadget (squared norms 1 and 2.5) and a sampled
+        # later one take outcome int(4 * random()) of the same seed
+        first = (from_terms(1, {"0": 0.6, "1": 0.8}), from_terms(1, {"0": 1.5, "1": 0.5}))
+        for seed in range(2000):
+            want = BELL_OUTCOMES[int(4 * SplitMix64(seed).random())]
+            for state in first:
+                assert MonomialLayer(1).gadget(state, 1, 0, 1, SplitMix64(seed)) == want
+            later = MonomialLayer(1)
+            later.gadget(first[0], 1, 0, 1, None, (0, 0))
+            assert later.gadget(first[0], 1, 2, 7, SplitMix64(seed)) == want
+
+    def test_outcome_frequencies(self):
+        # each outcome's count within 6 sigma of a quarter of the draws
+        draws, rng, layer = 40_000, SplitMix64(2024), MonomialLayer(1)
+        state = from_terms(1, {"0": 0.6, "1": 0.8})
+        counts = dict.fromkeys(BELL_OUTCOMES, 0)
+        for _ in range(draws):
+            counts[layer.gadget(state, 1, 0, 1, rng)] += 1
+        sigma = math.sqrt(draws * 0.25 * 0.75)
+        assert all(abs(c - draws / 4) <= 6 * sigma for c in counts.values()), counts
 
     def test_qubit_cap(self):
         # no register of n + 2 qubits is built, so no cap below MAX_QUBITS
