@@ -14,7 +14,8 @@ hashable) code, in caches of at most ``CODE_CACHE_SIZE`` codes.  Everything
 cached is immutable, and a call that raises caches nothing.
 
 A ``StabilizerCode`` refuses, when it is built, an operator on another
-number of qubits than its n.  ``validate_code`` decides the algebra: the
+number of qubits than its n, and ``syndrome``, the one syndrome, an error
+on another number.  ``validate_code`` decides the algebra: the
 codewords are built only for a code it accepts; ``check_css_pair`` is the
 one check of a classical pair.  All of it is GF(2) algebra on Python
 ints, reduced and solved by ``gf2``; validation, codewords and syndromes
@@ -383,12 +384,6 @@ def syndrome(code: StabilizerCode, error: PauliOperator) -> tuple[int, ...]:
     the symplectic product x(e).z(g) + z(e).x(g)."""
     if error.n != code.n:
         raise ValueError(f"error acts on {error.n} qubits, code has {code.n}")
-    return _syndrome(code, error)
-
-
-def _syndrome(code: StabilizerCode, error: PauliOperator) -> tuple[int, ...]:
-    """syndrome without its width check, for an error known to act on
-    code.n qubits."""
     x, z = error.x, error.z
     return tuple([((x & g.z) ^ (z & g.x)).bit_count() & 1 for g in code.generators])
 
@@ -412,7 +407,7 @@ def _single_error_table(code: StabilizerCode) -> dict[tuple[int, ...], PauliOper
         for kind in ("X", "Y", "Z"):
             candidates.append(PauliOperator.single(code.n, q, kind))
     for err in candidates:
-        table.setdefault(_syndrome(code, err), err)
+        table.setdefault(syndrome(code, err), err)
     return table
 
 

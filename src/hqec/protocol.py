@@ -17,9 +17,9 @@ Conventions shared by all runners:
   builds transcript events only into a Transcript sink that its caller
   passes: the demo does, the T runners do not.
 * The runners share one encode step (_encode, on a code space) and one
-  logical-T check (_checked_logical_t).  The T runners build keys as
-  KeyRegister.uniform(n, key[0], key[1]) and report keys.pair(1); storage
-  builds its mask from (int(a) & 1, int(b) & 1) and reports that pair.
+  logical-T check (_checked_logical_t).  Every runner builds its keys as
+  KeyRegister.uniform(n, key[0], key[1]), masks with keys.mask and reports
+  keys.pair(1); run_circuit's final correction is the mask's adjoint.
   Storage and transversal T read one cached plan per code (_storage_plan,
   _transversal_t_plan); syndrome decoding, the transversal circuit and the
   logical mask stay in their own runner.  They build code-space states by
@@ -43,9 +43,9 @@ from .codes import (
     CODE_CACHE_SIZE,
     StabilizerCode,
     _single_error_table,
-    _syndrome,
     builtin_code,
     logical_codewords,
+    syndrome,
 )
 from .compat import (
     OMEGA,
@@ -60,7 +60,6 @@ from .states import (
     TOL,
     MonomialLayer,
     SparseState,
-    _check_widths,
     _terms_state,
     _weight,
     apply_cnot,
@@ -78,13 +77,25 @@ from .states import (
 # keys, gates, transcripts
 
 
-class KeyRegister(NamedTuple):
-    """The key bits of an n-qubit register, laid out as its mask: qubit q's
-    (a, b) at bit q-1 of x and of z, so the mask is X(x) Z(z)."""
-
+class _KeyFields(NamedTuple):
     n: int
     x: int
     z: int
+
+
+class KeyRegister(_KeyFields):
+    """The key bits of an n-qubit register, laid out as its mask: qubit q's
+    (a, b) at bit q-1 of x and of z, so the mask is X(x) Z(z).  The
+    constructor refuses n outside 1..MAX_QUBITS and bits off the n qubits."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, x: int, z: int):
+        if not 0 <= x | z < 1 << _qubit_count(n):
+            raise ValueError(f"key bits x={x:#x}, z={z:#x} out of range for qubits 1..{n}")
+        return tuple.__new__(cls, (n, x, z))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # NamedTuple._replace calls it: checked too
 
     @classmethod
     def of(cls, pairs) -> "KeyRegister":
@@ -94,8 +105,8 @@ class KeyRegister(NamedTuple):
 
     @classmethod
     def uniform(cls, n: int, a: int, b: int) -> "KeyRegister":
-        full = (1 << n) - 1
-        return cls(n, full * (int(a) & 1), full * (int(b) & 1))
+        full = (1 << _qubit_count(n)) - 1
+        return tuple.__new__(cls, (n, full * (int(a) & 1), full * (int(b) & 1)))  # fits n qubits: unchecked
 
     @classmethod
     def random(cls, n: int, rng) -> "KeyRegister":
@@ -109,8 +120,8 @@ class KeyRegister(NamedTuple):
 
     @property
     def mask(self) -> PauliOperator:
-        """The full mask: X^a Z^b on each qubit."""
-        return PauliOperator(self.n, self.x, self.z, 0)
+        """The full mask: X^a Z^b on each qubit, unchecked (the register is checked)."""
+        return tuple.__new__(PauliOperator, (self.n, self.x, self.z, 0))
 
 
 CLIFFORD_KINDS = ("X", "Z", "H", "S", "Sd", "CNOT")
@@ -303,8 +314,7 @@ def run_circuit(enc_state, circuit, keys, rng, forced_outcomes=None, transcript=
                 {"kind": "key_update", "qubit": w, "old": [a, b], "new": [x >> w - 1 & 1, z >> w - 1 & 1]},
             ]
     final = KeyRegister(n, x, z)
-    # the mask's adjoint, X(x) Z(z) times (-1)^|x & z|, built once and unchecked
-    correction = tuple.__new__(PauliOperator, (_qubit_count(n), x, z, 2 * ((x & z).bit_count() & 1)))
+    correction = final.mask.adjoint()  # X(x) Z(z) times (-1)^|x & z|
     if transcript is not None:
         transcript.events += server + client + [
             {"kind": "final_keys", "keys": final.as_lists()},
@@ -442,21 +452,20 @@ def run_storage_protocol(code, amplitudes, key, injected_error=None, rng=None) -
         code = builtin_code(code)
     space, table = _storage_plan(code)
     _, psi = _encode(space, amplitudes)
-    a, b, full = int(key[0]) & 1, int(key[1]) & 1, (1 << code.n) - 1  # StabilizerCode has checked n
-    mask = tuple.__new__(PauliOperator, (code.n, full * a, full * b, 0))
+    keys = KeyRegister.uniform(code.n, key[0], key[1])
+    mask = keys.mask
     if injected_error is None:
         paulis, syn = [mask], (0,) * len(code.generators)
     else:
         if isinstance(injected_error, str):
             injected_error = parse_pauli(injected_error)
-        _check_widths(code.n, (injected_error,))
-        paulis, syn = [mask, injected_error], _syndrome(code, injected_error)
+        paulis, syn = [mask, injected_error], syndrome(code, injected_error)
     corr = table.get(syn)
     if corr is None:
         raise ProtocolError(f"syndrome {syn} matches no weight-<=1 error")
     state = apply_paulis(psi, paulis + [mask.adjoint().multiply(corr)])
     return StorageReport(
-        code.name, (a, b), injected_error, syn, corr, fidelity_up_to_phase(state, psi), final_state=state,
+        code.name, keys.pair(1), injected_error, syn, corr, fidelity_up_to_phase(state, psi), final_state=state,
     )
 
 

@@ -113,8 +113,8 @@ def gate(label: str) -> SingleQubitGate:
 class SparseState:
     """Immutable map from packed basis keys to complex amplitudes.
 
-    Any sequences of ints and numbers will do as keys and amplitudes (numpy
-    arrays too); the state stores them as tuples of int and complex."""
+    Any sequences of ints and finite numbers will do as keys and amplitudes
+    (numpy arrays too); the state stores them as tuples of int and complex."""
 
     __slots__ = ("n", "keys", "amps")
 
@@ -125,6 +125,8 @@ class SparseState:
         amps = tuple([complex(a) for a in amps])
         if len(keys) != len(amps):
             raise ValueError("keys and amplitudes differ in length")
+        if not all(map(cmath.isfinite, amps)):  # _coalesce would prune a nan term as zero
+            raise ValueError("amplitudes must be finite")
         if keys and (min(keys) < 0 or max(keys) >> n):
             raise ValueError("basis key has bits beyond the register size")
         self.n = n

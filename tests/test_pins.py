@@ -12,7 +12,10 @@ The wide storage pin runs every compatible builtin and two code files
 (a ZZ chain with a negated link, a qubit-permuted steane) under every
 single error, two weight-2 errors, a phased error and one of the wrong
 size; its digest was generated while the runner still read each syndrome
-bit back from the state.  The wide teleport pin runs both T runners under
+bit back from the state.  It moved once since, when codes.syndrome took
+over the width check of the wrong-size error: only those 56 lines changed,
+from "dimension mismatch: operator on N+1, state on N" to "error acts on
+N+1 qubits, code has N".  The wide teleport pin runs both T runners under
 every key at 16 seeds, sampled and forced, on amplitudes with signed-zero
 parts, and the demo at the same seeds on its own random state and keys and
 on a signed-zero state; its digest was generated before run_circuit
@@ -199,7 +202,7 @@ def _storage_wide_lines():
 
 def test_storage_wide_pin():
     assert _digest(_storage_wide_lines()) == (
-        "49aadca0f4038b0e00919fd79eac5a95d58af89b896da422fcfbf88e3b2fe619")
+        "0fde1bd70bb97706f9f216b89d12c6bcaf05fac658f2e61c00735b198a7ee6d2")
 
 
 WIDE_SEEDS = range(16)

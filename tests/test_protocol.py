@@ -160,6 +160,46 @@ class TestKeyRegister:
         with pytest.raises(ValueError, match=r"^qubit 3 out of range 1\.\.2$"):
             clifford_key_update(CircuitGate("CNOT", (1, 3)), KeyRegister.of([(0, 0), (1, 1)]))
 
+    @pytest.mark.parametrize("x, z", [(0b100, 0), (0, 0b100), (-1, 0), (0, -2), (1 << 64, 1)])
+    def test_refuses_bits_beyond_n_or_negative(self, x, z):
+        with pytest.raises(ValueError, match=r"^key bits x=.*, z=.* out of range for qubits 1\.\.2$"):
+            KeyRegister(2, x, z)
+
+    @pytest.mark.parametrize("n", [0, -1, 1025])
+    def test_refuses_a_qubit_count_outside_the_cap(self, n):
+        for build in (KeyRegister, KeyRegister.uniform):
+            with pytest.raises(ValueError, match=rf"^qubit count must be in 1\.\.1024, got {n}$"):
+                build(n, 1, 0)
+        if n >= 0:
+            with pytest.raises(ValueError, match=rf"^qubit count must be in 1\.\.1024, got {n}$"):
+                KeyRegister.of([(1, 1)] * n)
+
+    def test_accepts_every_register_that_fits(self):
+        assert KeyRegister(1024, (1 << 1024) - 1, 0).mask.n == 1024
+        for x in range(4):
+            for z in range(4):
+                keys = KeyRegister(2, x, z)
+                assert (keys.n, keys.x, keys.z) == (2, x, z)
+                assert keys.mask == PauliOperator(2, x, z, 0)
+
+    def test_replace_and_make_are_checked(self):
+        keys = KeyRegister.of([(1, 0), (0, 1)])
+        assert keys._replace(z=0b11) == KeyRegister(2, 0b01, 0b11)
+        with pytest.raises(ValueError, match="out of range for qubits 1\\.\\.2$"):
+            keys._replace(x=0b100)
+        with pytest.raises(ValueError, match="out of range for qubits 1\\.\\.1$"):
+            keys._replace(n=1)
+        with pytest.raises(ValueError, match="^qubit count must be in 1\\.\\.1024, got 0$"):
+            KeyRegister._make((0, 0, 0))
+
+    def test_a_register_wider_than_its_state_is_refused_when_built(self):
+        # x = 0b11 keys a second qubit that the register lacks; run through
+        # run_circuit, its correction would put the state on keys 2 and 3
+        psi = random_state(1, SplitMix64(4))
+        with pytest.raises(ValueError, match="^key bits x=0x3, z=0x0 out of range for qubits 1\\.\\.1$"):
+            k = KeyRegister(1, 0b11, 0)
+            run_circuit(encrypt(psi, k), parse_circuit("T1"), k, SplitMix64(1))
+
 
 class TestKeyUpdates:
     def test_h_swaps(self):
@@ -803,6 +843,14 @@ class TestStorageInputs:
         c0, c1 = states.unit_amplitudes(amps)
         zero, one = cached_code_space("bit_flip").basis
         assert fidelity_up_to_phase(rep.final_state, combine([zero, one], [c0, c1])) >= 1 - 1e-10
+
+    @pytest.mark.parametrize("error", ["XX", parse_pauli("X" * 16)])
+    def test_error_of_another_size_is_refused_by_syndrome(self, error):
+        width = len(str(error))
+        with pytest.raises(ValueError, match=rf"^error acts on {width} qubits, code has 15$"):
+            run_storage_protocol("rm15", (0.6, 0.8), (1, 1), error)
+        with pytest.raises(ValueError, match=rf"^error acts on {width} qubits, code has 15$"):
+            syndrome(builtin_code("rm15"), parse_pauli(str(error)))
 
     @pytest.mark.parametrize("amps", [(float("nan"), 1), (float("inf"), 0), (0, 0)])
     def test_bad_amplitudes_raise(self, amps):

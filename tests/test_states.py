@@ -15,6 +15,7 @@ from hqec.states import (
     MonomialLayer,
     SingleQubitGate,
     SparseState,
+    _coalesce,
     _state,
     _unit_factors,
     apply_cnot,
@@ -131,9 +132,20 @@ class TestBasics:
     @pytest.mark.parametrize("keys, amps", [([0], [1e200]), ([0, 3], [1e154, 1e154]),
                                             ([1], [complex(0, math.inf)])])
     def test_normalize_refuses_a_norm_that_is_not_finite(self, keys, amps):
-        # 1e200 once normalized to amplitude 0j, and 1e154 raised OverflowError
+        # 1e200 once normalized to amplitude 0j, and 1e154 raised OverflowError;
+        # the constructor refuses an infinite amplitude, so the state is built
+        # unchecked, as scaled builds one that overflows
         with pytest.raises(ValueError, match="^cannot normalize a state whose norm is not finite$"):
-            SparseState(2, keys, amps).normalized()
+            _state(2, tuple(keys), tuple([complex(a) for a in amps])).normalized()
+
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.6, math.nan), math.inf, complex(0, -math.inf)])
+    def test_constructor_refuses_an_amplitude_that_is_not_finite(self, bad):
+        # _coalesce's prune keeps a term only where abs(a) > PRUNE_TOL, false for nan
+        for amps in ([bad], [bad, 1.0], [1.0, bad]):
+            with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+                SparseState(1, range(len(amps)), amps)
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            SparseState(2, [1, 1], [bad, -bad])  # refused before duplicate keys are summed
 
     def test_normalized_divides_out_a_unit_norm(self):
         # the norm is exactly 1.0, and each amplitude is still multiplied by
@@ -697,3 +709,34 @@ class TestInnerFastPath:
         assert want == pytest.approx(1.0)  # 0.6 * 0.6 + 0.8 * 0.8 over keys 1 and 3
         assert _parts(inner(a, b)) == _parts(want)
         assert _parts(inner(b, a)) == _parts(_bracket(b, dict(zip(a.keys, a.amps))))
+
+
+def test_coalesce_sums_duplicates_and_prunes():
+    keys = [5, 3, 5, 3, 9, 9]
+    amps = [1.0 + 0j, 2.0 + 0j, -1.0 + 0j, 1.0j, 0.5 + 0j, -0.5 + 0j]
+    k, a = _coalesce(keys, amps)
+    # key 5 cancels, key 9 cancels, key 3 keeps 2+1j
+    assert k == (3,)
+    assert a == (2.0 + 1.0j,)
+
+
+def test_coalesce_empty():
+    k, a = _coalesce((), ())
+    assert k == () and a == ()
+
+
+def test_coalesce_reference_random():
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        m = int(rng.integers(1, 200))
+        keys = rng.integers(0, 40, m).tolist()
+        amps = (rng.normal(size=m) + 1j * rng.normal(size=m)).tolist()
+        k, a = _coalesce(keys, amps)
+        ref = {}
+        for key, amp in zip(keys, amps):
+            ref[key] = ref.get(key, 0) + amp
+        ref = {key: amp for key, amp in ref.items() if abs(amp) > PRUNE_TOL}
+        assert sorted(k) == sorted(ref)
+        assert list(k) == sorted(k)
+        for key, amp in zip(k, a):
+            assert abs(amp - ref[key]) < PRUNE_TOL
