@@ -2,11 +2,12 @@
 
 A code is generators + logical X/Z representatives; codewords are built
 as sparse states by stabilizer-tableau elimination, in time polynomial in
-n plus one term per basis key.  Builtin names cover the repetition codes,
-the nine-qubit code, the Steane code, the [[15,1,3]] punctured Reed-Muller
-code, and a deliberately mask-incompatible three-qubit code.  The four
-non-CSS builtins are code-file texts that ``parse_code_text`` reads, as it
-reads a user's; steane and rm15 keep their classical rows as css_origin.
+n plus one term per basis key.  The builtin names (``hqec.BUILTIN_NAMES``)
+cover the repetition codes, the nine-qubit code, the Steane code, the
+[[15,1,3]] punctured Reed-Muller code, and a deliberately mask-incompatible
+three-qubit code.  The four non-CSS builtins are code-file texts that
+``parse_code_text`` reads, as it reads a user's; steane and rm15 keep
+their classical rows as css_origin.
 
 Per-code data is memoized: ``builtin_code`` by name, and the validation
 report, the codewords and the single-error syndrome table by the (frozen,
@@ -34,7 +35,7 @@ from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import BUILTIN_NAMES, gf2  # the names are the package's, for the CLI to read without codes
+from . import gf2
 from .gf2 import ClassicalCode
 from .pauli import _PHASE_VALUE, MAX_QUBITS, PauliOperator, _qubit_count, parse_pauli
 

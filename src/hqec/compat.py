@@ -20,8 +20,7 @@ action is memoized by (code space, omega exponent), so
 clifford_correction_for_t reads the transversal-T action that
 diagonal_gate_action computed, and vice versa.  The protocol error classes
 and OMEGA live here too, so the CLI maps errors to exit codes without
-importing ``protocol``; the register-cost report is the package's,
-re-exported here.
+importing ``protocol``.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import ResourceReport, gf2, resource_report  # the report is the package's, for the CLI to run without compat
+from . import gf2
 from .codes import CODE_CACHE_SIZE, CodeSpace, StabilizerCode, _states, check_css_pair
 from .gf2 import ClassicalCode
 from .pauli import PauliOperator

@@ -6,15 +6,16 @@ state keys use too, and the phase is an exponent of i kept modulo 4.  Y is
 i*X*Z, so parsing "Y" yields x=1, z=1, phase=1.
 
 Values are immutable and every operation is a pure function.  The
-constructor checks the qubit count and masks x and z to it; ``multiply``
-and ``adjoint`` build their results unchecked, as valid operands give
-valid results (x and z stay within n bits, and ``& 3`` is the phase mod
-4).  User-facing qubit indices are 1-based; qubit 1 is the leftmost
-character of a Pauli string.
+constructor checks the qubit count and refuses x or z bits beyond it;
+``multiply`` and ``adjoint`` build their results unchecked, as valid
+operands give valid results (x and z stay within n bits, and ``& 3`` is
+the phase mod 4).  User-facing qubit indices are 1-based; qubit 1 is
+the leftmost character of a Pauli string.
 """
 
 from __future__ import annotations
 
+from operator import index
 from typing import NamedTuple
 
 MAX_QUBITS = 1024
@@ -54,8 +55,10 @@ class PauliOperator(_PauliFields):
     __slots__ = ()
 
     def __new__(cls, n: int, x: int, z: int, phase: int):
-        mask = (1 << _qubit_count(n)) - 1
-        return tuple.__new__(cls, (n, int(x) & mask, int(z) & mask, int(phase) % 4))
+        x, z = index(x), index(z)
+        if not 0 <= x | z < 1 << _qubit_count(n):
+            raise ValueError(f"Pauli bits x={x:#x}, z={z:#x} out of range for qubits 1..{n}")
+        return tuple.__new__(cls, (n, x, z, index(phase) % 4))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # NamedTuple._replace calls it: checked too
 
@@ -149,5 +152,5 @@ def transversal_pauli(kind: str, n: int) -> PauliOperator:
     """X or Z applied identically to every qubit of an n-qubit block."""
     if kind not in ("X", "Z"):
         raise ValueError(f"kind must be 'X' or 'Z', got {kind!r}")
-    # -1 has every bit set; the constructor masks it to the n qubits
-    return PauliOperator(n, -1 if kind == "X" else 0, -1 if kind == "Z" else 0, 0)
+    full = (1 << _qubit_count(n)) - 1
+    return PauliOperator(n, full if kind == "X" else 0, full if kind == "Z" else 0, 0)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import NamedTuple
 
 from . import DEMO_CIRCUIT_TEXT, ResourceReport, resource_report
@@ -139,6 +140,10 @@ class CircuitGate(_GateFields):
     def __new__(cls, kind: str, qubits: tuple[int, ...]):
         if kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {kind!r}")
+        try:
+            qubits = tuple(map(index, qubits))
+        except TypeError:
+            raise ValueError(f"{kind} qubits must be integers, got {qubits!r}") from None
         want = 2 if kind == "CNOT" else 1
         if len(qubits) != want:
             raise ValueError(f"{kind} takes {want} qubit(s)")

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from hqec import gf2
+from hqec import gf2, resource_report
 from hqec.compat import (
     clifford_correction_for_t,
     css_mask_check,
@@ -17,7 +17,6 @@ from hqec.protocol import (
     CircuitGate,
     KeyRegister,
     encrypt,
-    resource_report,
     run_demo_circuit,
     run_logical_t_protocol,
     run_storage_protocol,

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqec import gf2, protocol
+from hqec import BUILTIN_NAMES, gf2, protocol
 from hqec.cli import main
-from hqec.codes import BUILTIN_NAMES, builtin_code
+from hqec.codes import builtin_code
 from hqec.pauli import parse_pauli
 from hqec.rng import SplitMix64
 from hqec.states import TOL

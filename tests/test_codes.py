@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from hqec import compat, gf2
+from hqec import BUILTIN_NAMES, compat, gf2
 from hqec.codes import (
-    BUILTIN_NAMES,
     CODE_CACHE_SIZE,
     CodeFileError,
     StabilizerCode,

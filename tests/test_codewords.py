@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqec import gf2
+from hqec import BUILTIN_NAMES, gf2
 from hqec.codes import (
-    BUILTIN_NAMES,
     StabilizerCode,
     _reduce_tracked,
     builtin_code,

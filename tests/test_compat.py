@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqec import compat, gf2
+from hqec import BUILTIN_NAMES, compat, gf2
 from hqec.codes import (
-    BUILTIN_NAMES,
     CodeSpace,
     SubcodeError,
     css_from_classical,

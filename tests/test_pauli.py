@@ -10,10 +10,13 @@ from oracles import dense_pauli, random_pauli
 class TestConstructor:
     def test_replace_goes_through_the_checks(self):
         p = PauliOperator(3, 1, 0, 0)
-        assert p._replace(x=1 << 10) == PauliOperator(3, 0, 0, 0)  # masked to the 3 qubits
+        with pytest.raises(ValueError, match="^Pauli bits x=0x400, z=0x0 out of range for qubits 1..3$"):
+            p._replace(x=1 << 10)
         with pytest.raises(ValueError, match=f"^qubit count must be in 1..{MAX_QUBITS}, got 2000$"):
             p._replace(n=2000)
-        assert PauliOperator._make((3, 0b1111, 0, 5)) == PauliOperator(3, 0b111, 0, 1)
+        with pytest.raises(ValueError, match="^Pauli bits x=0xf, z=0x0 out of range for qubits 1..3$"):
+            PauliOperator._make((3, 0b1111, 0, 5))
+        assert PauliOperator._make((3, 0b111, 0, 5)) == PauliOperator(3, 0b111, 0, 1)
 
 
 class TestParse:
@@ -251,8 +254,12 @@ class TestWeightAndTransversal:
             with pytest.raises(ValueError, match=rf"^qubit count must be in 1\.\.1024, got {n}$"):
                 PauliOperator.identity(n)
 
-    def test_constructor_masks_bits_and_reduces_phase(self):
-        p = PauliOperator(3, 0b11110, -1, 7)
+    def test_constructor_refuses_bits_and_reduces_phase(self):
+        for n, x, z in [(3, 0b11110, 0), (3, 0, -1), (1, 0b11, 0), (2, -5, 0), (1024, 1 << 1024, 0)]:
+            with pytest.raises(ValueError, match=f"^Pauli bits x={x:#x}, z={z:#x} out of range for "
+                                                 f"qubits 1..{n}$"):
+                PauliOperator(n, x, z, 0)
+        p = PauliOperator(3, 0b110, 0b111, 7)
         assert (p.n, p.x, p.z, p.phase) == (3, 0b110, 0b111, 3)
         assert p == PauliOperator(3, 0b110, 0b111, -1)
         assert hash(p) == hash(PauliOperator(3, 0b110, 0b111, -1))

@@ -48,7 +48,8 @@ import random
 
 import pytest
 
-from hqec.codes import BUILTIN_NAMES, CodeSpace, builtin_code, logical_codewords, parse_code_text
+from hqec import BUILTIN_NAMES
+from hqec.codes import CodeSpace, builtin_code, logical_codewords, parse_code_text
 from hqec.compat import OMEGA, ProtocolError, diagonal_gate_action
 from hqec.protocol import (
     KeyRegister,

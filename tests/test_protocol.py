@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqec import protocol
+from hqec import protocol, resource_report
 from hqec.protocol import (
     CircuitGate,
     IncompatibleCodeError,
@@ -19,7 +19,6 @@ from hqec.protocol import (
     encrypt,
     parse_circuit,
     random_state,
-    resource_report,
     run_circuit,
     run_demo_circuit,
     run_logical_t_protocol,
@@ -372,6 +371,10 @@ class TestCircuitText:
         ("CNOT", (1,), r"CNOT takes 2 qubit\(s\)"),
         ("T", (0,), r"T qubits are numbered from 1, got \(0,\)"),
         ("CNOT", (2, 2), "CNOT qubits must be distinct"),
+        ("H", (1.5,), r"H qubits must be integers, got \(1\.5,\)"),
+        ("H", (1.0,), r"H qubits must be integers, got \(1\.0,\)"),
+        ("H", ("1",), r"H qubits must be integers, got \('1',\)"),
+        ("H", 1, "H qubits must be integers, got 1"),
     ])
     def test_gate_record_rejects(self, kind, qubits, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -390,6 +393,10 @@ class TestCircuitText:
         assert g == CircuitGate("CNOT", (1, 2)) and hash(g) == hash(CircuitGate("CNOT", (1, 2)))
         assert (g.kind, g.qubits) == ("CNOT", (1, 2))
         assert repr(g) == "CircuitGate(kind='CNOT', qubits=(1, 2))"
+        # qubits are stored as a tuple of ints, whatever sequence of integers holds them
+        for qubits in ([1, 2], (np.int64(1), np.int64(2))):
+            same = CircuitGate("CNOT", qubits)
+            assert same == g and hash(same) == hash(g) and type(same.qubits[0]) is int
 
 
 class TestRunCircuit:

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hqec.codes import BUILTIN_NAMES, CodeSpace, builtin_code, logical_codewords
+from hqec import BUILTIN_NAMES
+from hqec.codes import CodeSpace, builtin_code, logical_codewords
 from hqec.pauli import PauliOperator, parse_pauli
 from hqec.protocol import _encode
 from hqec.states import (
