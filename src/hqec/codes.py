@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -182,9 +183,8 @@ def validate_code(code: StabilizerCode) -> ValidationReport:
             v.append(f"generator {i + 1} ({g}) is not Hermitian")
     if len(gens) != n - code.k:
         v.append(f"expected {n - code.k} generators, got {len(gens)}")
-    for i, g in enumerate(gens):
-        v += [f"generators {i + 1} ({g}) and {j + 1} ({gens[j]}) anticommute"
-              for j in range(i + 1, len(gens)) if (vecs[i] & duals[j]).bit_count() & 1]
+    v += [f"generators {i + 1} ({gens[i]}) and {j + 1} ({gens[j]}) anticommute"
+          for i, j in combinations(range(len(gens)), 2) if (vecs[i] & duals[j]).bit_count() & 1]
 
     basis: list = []
     for i, g in enumerate(gens):
@@ -200,6 +200,7 @@ def validate_code(code: StabilizerCode) -> ValidationReport:
 
     if len(code.logical_x) != code.k or len(code.logical_z) != code.k:
         v.append(f"expected {code.k} logical X and Z operators")
+    rows = [row[0] for row in basis]
     for label, ops in (("X", code.logical_x), ("Z", code.logical_z)):
         for j, p in enumerate(ops):
             if not p.is_hermitian:
@@ -207,7 +208,7 @@ def validate_code(code: StabilizerCode) -> ValidationReport:
             r = p.x | p.z << n
             v += [f"logical {label}[{j + 1}] anticommutes with generator {i + 1}"
                   for i, d in enumerate(duals) if (r & d).bit_count() & 1]
-            if gf2.reduce(r, [row[0] for row in basis]) == 0:
+            if gf2.reduce(r, rows) == 0:
                 v.append(f"logical {label}[{j + 1}] lies in the stabilizer group")
     for j, xj in enumerate(code.logical_x):
         for l, zl in enumerate(code.logical_z):

@@ -151,9 +151,13 @@ class DiagonalAction(NamedTuple):
 
 
 def _omega_sum(exponents: list) -> list:
-    """[a, b, c, d]: the sum of omega^t over exponents t is a + b omega + c omega^2 + d omega^3."""
-    counts = [exponents.count(t) for t in range(8)]
-    return [counts[t] - counts[t + 4] for t in range(4)]
+    """[a, b, c, d]: the sum of omega^t over exponents t in 0..7 is a + b omega
+    + c omega^2 + d omega^3, as omega^(t+4) = -omega^t; one pass bins the
+    exponents into eight counts."""
+    c = [0] * 8
+    for t in exponents:
+        c[t] += 1
+    return [c[0] - c[4], c[1] - c[5], c[2] - c[6], c[3] - c[7]]
 
 
 def _unit_exponents(amps) -> tuple:
@@ -177,7 +181,11 @@ def _diagonal_action(code_space: CodeSpace, p: int):
     |<0|gate|+>|^2 - |<1|gate|+>|^2, is (P - Q sqrt2) / (2 N^2) for integers
     P and Q, exactly 0 iff P = Q = 0.  The phases are reported when, too,
     both off-diagonal entries vanish; each diagonal entry then has modulus
-    1, so its N terms share one exponent.
+    1, so its N terms share one exponent.  Each sum is one histogram of its
+    exponent list (_omega_sum).  Two states on disjoint keys, as every code
+    space whose logical X has an X part holds, share no term: <0|1> and the
+    off-diagonal entries are empty sums, so only the two diagonal
+    histograms are counted and no shared-key list is built.
 
     A basis state whose amplitudes are not all i^e times one magnitude (no
     code space has one) is refused as such.  Then, in this order, |0>'s are
@@ -193,22 +201,29 @@ def _diagonal_action(code_space: CodeSpace, p: int):
         raise ValueError("projection span is not orthonormal")
     if zero.n != one.n:
         raise ValueError(f"dimension mismatch: {zero.n} vs {one.n}")
-    t0 = [p * k.bit_count() & 7 for k in zero.keys]
-    if zero.keys == one.keys:
-        t1, shared = t0, list(zip(e0, e1, t0))
-    else:  # a code space's two states share no key, a hand-built basis may share some
-        at = dict(zip(one.keys, e1))
-        t1 = [p * k.bit_count() & 7 for k in one.keys]
-        shared = [(e, at[k], t) for k, e, t in zip(zero.keys, e0, t0) if k in at]
-    if len(e1) != size or m1 != m or any(_omega_sum([2 * (f - e) & 7 for e, f, _ in shared])):
+    if len(e1) != size or m1 != m:
         raise ValueError("projection span is not orthonormal")
-    d01 = [(2 * (f - e) + t) & 7 for e, f, t in shared]
-    d10 = [(2 * (e - f) + t) & 7 for e, f, t in shared]
+    t0 = [p * k.bit_count() & 7 for k in zero.keys]
+    if zero.keys != one.keys and set(zero.keys).isdisjoint(one.keys):
+        # every code space whose logical X has an X part: <0|1> and both
+        # off-diagonal entries are empty sums
+        t1, d01, d10 = [p * k.bit_count() & 7 for k in one.keys], [], []
+    else:
+        if zero.keys == one.keys:
+            t1, shared = t0, list(zip(e0, e1, t0))
+        else:  # a hand-built basis may share some keys but not all
+            at = dict(zip(one.keys, e1))
+            t1 = [p * k.bit_count() & 7 for k in one.keys]
+            shared = [(e, at[k], t) for k, e, t in zip(zero.keys, e0, t0) if k in at]
+        if any(_omega_sum([2 * (f - e) & 7 for e, f, _ in shared])):
+            raise ValueError("projection span is not orthonormal")
+        d01 = [(2 * (f - e) + t) & 7 for e, f, t in shared]
+        d10 = [(2 * (e - f) + t) & 7 for e, f, t in shared]
     rows = (_omega_sum(t0 + d01), _omega_sum(d10 + t1))  # N sqrt2 <i|gate|+>
     P = 2 * size * size - sum(x * x for row in rows for x in row)
     Q = sum(a * b + b * c + c * d - d * a for a, b, c, d in rows)
     if P == Q == 0:
-        return 0.0, None if any(_omega_sum(d01) + _omega_sum(d10)) else (t0[0], t1[0])
+        return 0.0, None if d01 and any(_omega_sum(d01) + _omega_sum(d10)) else (t0[0], t1[0])
     # P - Q sqrt2 without cancellation: where Q > 0, P > Q sqrt2 > 0
     num = (P * P - 2 * Q * Q) / (P + Q * math.sqrt(2)) if Q > 0 else P - Q * math.sqrt(2)
     return math.sqrt(num / (2 * size * size)), None

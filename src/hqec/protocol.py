@@ -17,9 +17,10 @@ Conventions shared by all runners:
   builds transcript events only into a Transcript sink that its caller
   passes: the demo does, the T runners do not.
 * The runners share one encode step (_encode, on a code space) and one
-  logical-T check (_checked_logical_t).  Every runner builds its keys as
-  KeyRegister.uniform(n, key[0], key[1]), masks with keys.mask and reports
-  keys.pair(1); run_circuit's final correction is the mask's adjoint.
+  logical-T check (_checked_logical_t).  Every runner unpacks its key as a
+  pair (a, b), anything else a ValueError, builds KeyRegister.uniform(n, a,
+  b), masks with keys.mask and reports keys.pair(1); run_circuit's final
+  correction is the mask's adjoint.
   Storage and transversal T read one cached plan per code (_storage_plan,
   _transversal_t_plan); syndrome decoding, the transversal circuit and the
   logical mask stay in their own runner.  They build code-space states by
@@ -457,7 +458,8 @@ def run_storage_protocol(code, amplitudes, key, injected_error=None, rng=None) -
         code = builtin_code(code)
     space, table = _storage_plan(code)
     _, psi = _encode(space, amplitudes)
-    keys = KeyRegister.uniform(code.n, key[0], key[1])
+    a, b = key
+    keys = KeyRegister.uniform(code.n, a, b)
     mask = keys.mask
     if injected_error is None:
         paulis, syn = [mask], (0,) * len(code.generators)
@@ -523,7 +525,8 @@ def run_transversal_t_protocol(amplitudes, key, rng, forced_outcomes=None) -> Tr
     code = builtin_code("rm15")
     space, corr, circuit = _transversal_t_plan(code)
     amps, psi = _encode(space, amplitudes)
-    keys = KeyRegister.uniform(code.n, key[0], key[1])
+    a, b = key
+    keys = KeyRegister.uniform(code.n, a, b)
     run = run_circuit(encrypt(psi, keys), circuit, keys, rng, forced_outcomes)
     fid = _checked_logical_t(run.state, space, amps, "transversal-T")
     return TransversalTReport(
@@ -570,7 +573,8 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
     code = builtin_code("shor")
     space = logical_codewords(code)
     amps, psi = _encode(space, amplitudes)
-    keys = KeyRegister.uniform(1, key[0], key[1])
+    a, b = key
+    keys = KeyRegister.uniform(1, a, b)
     a, b = keys.pair(1)
     enc = apply_paulis(psi, code.logical_z[:b] + code.logical_x[:a])
     x = space.coords(enc)

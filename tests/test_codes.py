@@ -165,6 +165,24 @@ class TestValidate:
         rep = validate_code(code)
         assert any("must anticommute" in v for v in rep.violations)
 
+    def test_violations_in_order(self):
+        # every kind at once, in the report's order: Hermiticity, the
+        # anticommuting pairs by (i, j), dependence, then the logicals; the
+        # pairs (1, 4) before (2, 3) pin the row-major scan
+        code = parse_code_text("6 1\niZIIIII\nIZIIII\nIXIIII\nXIIIII\nIZIIII\nIXIIXI\nXIIIII\n", "mixed")
+        assert validate_code(code).violations == (
+            "generator 1 (iZIIIII) is not Hermitian",
+            "generators 1 (iZIIIII) and 4 (XIIIII) anticommute",
+            "generators 2 (IZIIII) and 3 (IXIIII) anticommute",
+            "generators 3 (IXIIII) and 5 (IZIIII) anticommute",
+            "generator 5 (IZIIII) is dependent on earlier generators",
+            "logical X[1] anticommutes with generator 2",
+            "logical X[1] anticommutes with generator 5",
+            "logical Z[1] anticommutes with generator 1",
+            "logical Z[1] lies in the stabilizer group",
+            "logical X[1] and Z[1] must anticommute",
+        )
+
 
 class TestBuiltins:
     def test_shor_generators(self):

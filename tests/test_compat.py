@@ -297,6 +297,16 @@ class TestDiagonalActionOracle:
         one = SparseState(3, [0, 1, 4, 5], [0.5, -0.5, -0.5j, 0.5j])
         _same_verdict(CodeSpace(cached_code("bit_flip"), (zero, one)), phase)
 
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_disjoint_keys(self, phase):
+        # an orthonormal hand-built basis on disjoint keys that is no code
+        # space: i^e/2 amplitudes on keys of mixed weight, so T leaks
+        zero = SparseState(3, [0, 1, 3, 7], [0.5, 0.5j, -0.5, 0.5])
+        one = SparseState(3, [2, 4, 5, 6], [-0.5j, 0.5, 0.5, 0.5j])
+        cs = CodeSpace(cached_code("bit_flip"), (zero, one))
+        assert set(zero.keys).isdisjoint(one.keys) and diagonal_gate_action(cs, OMEGA).leakage > 0.1
+        _same_verdict(cs, phase)
+
     def test_basis_of_other_amplitudes_is_refused(self):
         # orthonormal, but its amplitudes are not i^e / sqrt(N)
         zero, one = SparseState(1, [0, 1], [0.6, 0.8]), SparseState(1, [0, 1], [0.8, -0.6])

@@ -843,6 +843,17 @@ class TestStorageInputs:
         same = run((1, 0))
         assert state_bytes(rep.final_state) == state_bytes(same.final_state)
 
+    @pytest.mark.parametrize("key", [(1,), (1, 0, 1)], ids=["short", "long"])
+    @pytest.mark.parametrize("run", [
+        lambda key: run_storage_protocol("shor", (0.6, 0.8), key),
+        lambda key: run_transversal_t_protocol((0.6, 0.8j), key, SplitMix64(1)),
+        lambda key: run_logical_t_protocol((0.6, 0.8j), key, SplitMix64(1)),
+    ], ids=["storage", "transversal-t", "logical-t"])
+    def test_key_must_be_a_pair(self, run, key):
+        # neither an IndexError nor a key silently cut to its first two bits
+        with pytest.raises(ValueError, match="values to unpack"):
+            run(key)
+
     @pytest.mark.parametrize("amps", [(1e308, 1e308), (1e-320, 0), (-1e-300j, 1e-300)])
     def test_extreme_amplitudes_recover(self, amps):
         rep = run_storage_protocol("bit_flip", amps, (1, 1), "IXI")
