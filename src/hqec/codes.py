@@ -10,9 +10,10 @@ three-qubit code.  The four non-CSS builtins are code-file texts that
 their classical rows as css_origin.
 
 Per-code data is memoized: ``builtin_code`` by name, and the validation
-report, the codewords and the single-error syndrome table by the (frozen,
-hashable) code, in caches of at most ``CODE_CACHE_SIZE`` codes.  Everything
-cached is immutable, and a call that raises caches nothing.
+report and the codewords by the (frozen, hashable) code, in caches of at
+most ``CODE_CACHE_SIZE`` codes.  Everything cached is immutable, and a call
+that raises caches nothing.  The single-error syndrome table is built
+uncached: the storage runner's cached plan holds it.
 
 A ``StabilizerCode`` refuses, when it is built, an operator on another
 number of qubits than its n, and ``syndrome``, the one syndrome, an error
@@ -212,15 +213,12 @@ def validate_code(code: StabilizerCode) -> ValidationReport:
                 v.append(f"logical {label}[{j + 1}] lies in the stabilizer group")
     for j, xj in enumerate(code.logical_x):
         for l, zl in enumerate(code.logical_z):
-            if (j == l) != ((xj.x | xj.z << n) & (zl.z | zl.x << n)).bit_count() & 1:
+            if (j == l) == xj.commutes(zl):
                 want = "anticommute" if j == l else "commute"
                 v.append(f"logical X[{j + 1}] and Z[{l + 1}] must {want}")
     for label, ops in (("X", code.logical_x), ("Z", code.logical_z)):
-        for j in range(len(ops)):
-            for l in range(j + 1, len(ops)):
-                a, b = ops[j], ops[l]
-                if ((a.x | a.z << n) & (b.z | b.x << n)).bit_count() & 1:
-                    v.append(f"logical {label}[{j + 1}] and {label}[{l + 1}] anticommute")
+        v += [f"logical {label}[{j + 1}] and {label}[{l + 1}] anticommute"
+              for j, l in combinations(range(len(ops)), 2) if not ops[j].commutes(ops[l])]
     return ValidationReport(code.name, tuple(v))
 
 
@@ -390,19 +388,10 @@ def syndrome(code: StabilizerCode, error: PauliOperator) -> tuple[int, ...]:
     return tuple([((x & g.z) ^ (z & g.x)).bit_count() & 1 for g in code.generators])
 
 
-def decode_single_error(code: StabilizerCode, s) -> PauliOperator | None:
-    """Minimum-weight error matching the syndrome among weight <= 1 Paulis.
-
-    Ties break by (qubit index, X < Y < Z); returns None for syndromes no
-    single error produces.  The syndrome's bits are read as ints.
-    """
-    return _single_error_table(code).get(tuple([int(b) for b in s]))
-
-
-@lru_cache(maxsize=CODE_CACHE_SIZE)
 def _single_error_table(code: StabilizerCode) -> dict[tuple[int, ...], PauliOperator]:
-    """Syndrome -> first weight-<=1 error in (qubit, X < Y < Z) order.
-    The table is shared between calls; callers only read it."""
+    """Syndrome -> first weight-<=1 error in (qubit, X < Y < Z) order, the
+    minimum-weight decoder: .get(syndrome) is None for a syndrome that no
+    single error produces."""
     table: dict[tuple[int, ...], PauliOperator] = {}
     candidates = [PauliOperator.identity(code.n)]
     for q in range(1, code.n + 1):

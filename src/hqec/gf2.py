@@ -9,6 +9,7 @@ character of a row string like "110".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
@@ -197,27 +198,13 @@ def triorthogonality_check(matrix: BitMatrix) -> TriorthogonalityReport:
         raise ValueError("need at least one row")
     if (triples := comb(m, 3)) > 1 << ENUM_DIM_GUARD:
         raise GuardExceeded(f"{m} rows: {triples} row triples exceed the enumeration guard 2^{ENUM_DIM_GUARD}")
-    pair_overlaps = {}
-    triple_overlaps = {}
-    violations = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            ov = (rows[i] & rows[j]).bit_count()
-            pair_overlaps[(i, j)] = ov
-            if ov % 2:
-                violations.append((i, j))
-    pairwise_ok = not violations
-    n_pair_viol = len(violations)
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                ov = (rows[i] & rows[j] & rows[k]).bit_count()
-                triple_overlaps[(i, j, k)] = ov
-                if ov % 2:
-                    violations.append((i, j, k))
-    triple_ok = len(violations) == n_pair_viol
+    pair_overlaps = {(i, j): (rows[i] & rows[j]).bit_count() for i, j in combinations(range(m), 2)}
+    triple_overlaps = {(i, j, k): (rows[i] & rows[j] & rows[k]).bit_count()
+                       for i, j, k in combinations(range(m), 3)}
+    odd_pairs = [s for s, ov in pair_overlaps.items() if ov % 2]
+    odd_triples = [s for s, ov in triple_overlaps.items() if ov % 2]
     odd = tuple(i for i, r in enumerate(rows) if r.bit_count() % 2)
     even = tuple(i for i, r in enumerate(rows) if r.bit_count() % 2 == 0)
     return TriorthogonalityReport(
-        pairwise_ok, triple_ok, tuple(violations), odd, even, pair_overlaps, triple_overlaps
+        not odd_pairs, not odd_triples, tuple(odd_pairs + odd_triples), odd, even, pair_overlaps, triple_overlaps
     )

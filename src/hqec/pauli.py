@@ -146,11 +146,3 @@ def parse_pauli(text: str) -> PauliOperator:
     x, z = int(bits.translate(_X_BITS), 2), int(bits.translate(_Z_BITS), 2)
     # x and z fit in the body's letters, so only the count needs checking
     return tuple.__new__(PauliOperator, (_qubit_count(len(body)), x, z, (phase + body.count("Y")) % 4))
-
-
-def transversal_pauli(kind: str, n: int) -> PauliOperator:
-    """X or Z applied identically to every qubit of an n-qubit block."""
-    if kind not in ("X", "Z"):
-        raise ValueError(f"kind must be 'X' or 'Z', got {kind!r}")
-    full = (1 << _qubit_count(n)) - 1
-    return PauliOperator(n, full if kind == "X" else 0, full if kind == "Z" else 0, 0)

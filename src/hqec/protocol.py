@@ -16,7 +16,8 @@ Conventions shared by all runners:
   reading breaks the round trip (see the negative test in the suite).  It
   builds transcript events only into a Transcript sink that its caller
   passes: the demo does, the T runners do not.
-* The runners share one encode step (_encode, on a code space) and one
+* The runners share one encode step (_encode, on a code space, which takes
+  its amplitudes as a pair (c0, c1), anything else a ValueError) and one
   logical-T check (_checked_logical_t).  Every runner unpacks its key as a
   pair (a, b), anything else a ValueError, builds KeyRegister.uniform(n, a,
   b), masks with keys.mask and reports keys.pair(1); run_circuit's final
@@ -382,7 +383,9 @@ def run_demo_circuit(rng, keys=None, state=None, forced_outcomes=None):
 
 
 def _encode(space, amplitudes):
-    """unit_amplitudes (c0, c1) and c0|0_L> + c1|1_L> on the code space, normalized."""
+    """unit_amplitudes of the pair (c0, c1) and c0|0_L> + c1|1_L> on the code space, normalized."""
+    if len(amplitudes) != 2:
+        raise ValueError(f"amplitudes must be a pair (c0, c1), got {len(amplitudes)} values")
     amps = unit_amplitudes(amplitudes)
     return amps, space.state(*amps).normalized()
 

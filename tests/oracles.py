@@ -34,9 +34,9 @@ from hqec import states as _states
 from hqec.codes import (
     StabilizerCode,
     ValidationReport,
+    _single_error_table,
     _zero_codeword,
     builtin_code,
-    decode_single_error,
     logical_codewords,
 )
 from hqec.gf2 import ENUM_DIM_GUARD, ClassicalCode, GuardExceeded, parse_row
@@ -624,7 +624,7 @@ def keyed_storage(name: str, amplitudes, key, injected_error=None) -> StorageRep
         if not ok or abs(abs(val.real) - 1) > TOL:
             raise ProtocolError(f"state is not an eigenstate of {g}")
         syn.append(0 if val.real > 0 else 1)
-    corr = decode_single_error(code, tuple(syn))
+    corr = _single_error_table(code).get(tuple(syn))
     state = image_apply_pauli(state, pair_mask(keys.as_lists()).adjoint().multiply(corr))
     return StorageReport(
         code.name, keys.pair(1), injected_error, tuple(syn), corr, fidelity_up_to_phase(state, psi),

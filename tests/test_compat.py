@@ -21,7 +21,7 @@ from hqec.compat import (
     diagonal_gate_action,
     stabilizer_mask_check,
 )
-from hqec.pauli import PauliOperator, transversal_pauli
+from hqec.pauli import PauliOperator
 from hqec.protocol import KeyRegister, encrypt, run_storage_protocol
 from hqec.states import _OMEGA_POWERS, TOL, SparseState
 from oracles import (
@@ -61,8 +61,8 @@ class TestStabilizerMaskCheck:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(clifford_codes(), perturbed_codes()))
     def test_flags_are_transversal_commutations(self, code):
-        # the parity flags against the transversal operators' commutes calls
-        tx, tz = transversal_pauli("X", code.n), transversal_pauli("Z", code.n)
+        # the parity flags against the mask components' commutes calls
+        tx, tz = KeyRegister.uniform(code.n, 1, 0).mask, KeyRegister.uniform(code.n, 0, 1).mask
         rep = stabilizer_mask_check.__wrapped__(code)
         assert [(c.index, c.generator, c.x_commutes, c.z_commutes) for c in rep.generator_checks] == [
             (i + 1, g.to_string(), tx.commutes(g), tz.commutes(g)) for i, g in enumerate(code.generators)]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqec.pauli import MAX_QUBITS, PauliOperator, PauliParseError, parse_pauli, transversal_pauli
+from hqec.pauli import MAX_QUBITS, PauliOperator, PauliParseError, parse_pauli
 from oracles import dense_pauli, random_pauli
 
 
@@ -107,8 +107,8 @@ class TestMultiply:
         assert g.multiply(ident) == g
 
     def test_transversal_mask_product(self):
-        x9 = transversal_pauli("X", 9)
-        z9 = transversal_pauli("Z", 9)
+        x9 = parse_pauli("X" * 9)
+        z9 = parse_pauli("Z" * 9)
         prod = x9.multiply(z9)
         assert prod.x == prod.z == (1 << 9) - 1
         assert prod.phase == 0  # X^a Z^b per qubit, no reordering cost
@@ -190,13 +190,13 @@ class TestHermitian:
 class TestCommutes:
     def test_transversal_z_with_shor_x_generator(self):
         g7 = parse_pauli("XXXXXXIII")
-        assert transversal_pauli("Z", 9).commutes(g7)
+        assert parse_pauli("Z" * 9).commutes(g7)
 
     def test_canonical_anticommute(self):
         assert not parse_pauli("X").commutes(parse_pauli("Z"))
 
     def test_odd_overlap(self):
-        assert not transversal_pauli("X", 3).commutes(parse_pauli("ZZZ"))
+        assert not parse_pauli("XXX").commutes(parse_pauli("ZZZ"))
 
     def test_against_dense_commutator(self):
         rng = np.random.default_rng(15)
@@ -216,7 +216,7 @@ class TestCommutes:
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_transversal_pair_parity(self, n):
-        tx, tz = transversal_pauli("X", n), transversal_pauli("Z", n)
+        tx, tz = parse_pauli("X" * n), parse_pauli("Z" * n)
         assert tx.commutes(tz) == (n % 2 == 0)
 
 
@@ -229,17 +229,6 @@ class TestWeightAndTransversal:
 
     def test_mixed_weight(self):
         assert parse_pauli("XYZI").weight == 3
-
-    def test_transversal_shapes(self):
-        t = transversal_pauli("X", 9)
-        assert (t.x, t.z, t.phase) == ((1 << 9) - 1, 0, 0)
-        assert transversal_pauli("Z", 1) == parse_pauli("Z")
-        t15 = transversal_pauli("X", 15)
-        assert t15.weight == 15
-
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            transversal_pauli("Y", 3)
 
     def test_multiword_operators(self):
         # spans more than one 64-bit word

@@ -26,7 +26,7 @@ from hqec.protocol import (
     run_transversal_t_protocol,
 )
 from hqec.codes import builtin_code, logical_codewords, parse_code_text, syndrome
-from hqec.pauli import PauliOperator, parse_pauli, transversal_pauli
+from hqec.pauli import PauliOperator, parse_pauli
 from hqec.rng import SplitMix64
 from hqec import states
 from hqec.states import (
@@ -149,9 +149,9 @@ class TestKeyRegister:
             for b in (0, 1):
                 want = PauliOperator.identity(n)
                 if a:
-                    want = want.multiply(transversal_pauli("X", n))
+                    want = want.multiply(parse_pauli("X" * n))
                 if b:
-                    want = want.multiply(transversal_pauli("Z", n))
+                    want = want.multiply(parse_pauli("Z" * n))
                 assert KeyRegister.uniform(n, a, b).mask == want
                 assert KeyRegister.uniform(n, a, b) == KeyRegister.of([(a, b)] * n)
 
@@ -875,6 +875,17 @@ class TestStorageInputs:
         with pytest.raises(ValueError, match="^amplitudes must be finite and not all zero$"):
             run_storage_protocol("bit_flip", amps, (0, 0), None)
 
+    @pytest.mark.parametrize("amps", [(0.6, 0.8, 0.0), (1.0,)], ids=["three", "one"])
+    @pytest.mark.parametrize("run", [
+        lambda amps: run_storage_protocol("shor", amps, (0, 0)),
+        lambda amps: run_transversal_t_protocol(amps, (0, 0), SplitMix64(1)),
+        lambda amps: run_logical_t_protocol(amps, (0, 0), SplitMix64(1)),
+    ], ids=["storage", "transversal-t", "logical-t"])
+    def test_amplitudes_must_be_a_pair(self, run, amps):
+        # neither a TypeError from the code space nor a missing c1
+        with pytest.raises(ValueError, match=rf"^amplitudes must be a pair \(c0, c1\), got {len(amps)} values$"):
+            run(amps)
+
 
 class TestStoragePlan:
     """One cached plan per code: the mask check, code space and single-error
@@ -911,23 +922,39 @@ class TestStoragePlan:
 
     def test_second_run_adds_no_cache_entry(self):
         run_storage_protocol("steane", (0.6, 0.8), (0, 1), "XIIIIII")
-        caches = (protocol._storage_plan, protocol.stabilizer_mask_check, protocol.logical_codewords,
-                  protocol._single_error_table)
+        caches = (protocol._storage_plan, protocol.stabilizer_mask_check, protocol.logical_codewords)
         before = [c.cache_info() for c in caches]
         run_storage_protocol("steane", (0.6, 0.8j), (1, 1), "IIIIIIZ")
         after = [c.cache_info() for c in caches]
         assert after[0]._replace(hits=after[0].hits - 1) == before[0]
         assert after[1:] == before[1:]
 
+    def test_plan_builds_the_single_error_table_once(self, monkeypatch):
+        real, built = protocol._single_error_table, []
+
+        def counted(code):
+            built.append(code.name)
+            return real(code)
+
+        monkeypatch.setattr(protocol, "_single_error_table", counted)
+        protocol._storage_plan.cache_clear()
+        run_storage_protocol("steane", (0.6, 0.8), (0, 1), "XIIIIII")
+        run_storage_protocol("steane", (0.6, 0.8j), (1, 1), "IIIIIIZ")
+        assert built == ["steane"]
+
     def test_incompatible_code_caches_nothing(self):
         protocol._storage_plan.cache_clear()
         message = ("synthetic_incompatible is not mask-compatible: generator 1 (ZZZ) "
                    "anticommutes with a transversal mask component")
+        hits = []
         for _ in range(2):
             with pytest.raises(IncompatibleCodeError) as info:
                 run_storage_protocol("synthetic_incompatible", (1, 0), (0, 0))
             assert str(info.value) == message
+            hits.append(protocol.stabilizer_mask_check.cache_info().hits)
         assert protocol._storage_plan.cache_info().currsize == 0
+        # the second refusal reads the cached mask check: the traffic that keeps that cache
+        assert hits[1] == hits[0] + 1
 
     @pytest.mark.parametrize("key", [(np.int64(3), np.int64(2)), (True, False), (np.bool_(True), np.int64(0))],
                              ids=["int64", "bool", "numpy-bool"])
