@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import gf2
 from .gf2 import ClassicalCode
-from .pauli import _PHASE_VALUE, MAX_QUBITS, PauliOperator, _qubit_count, parse_pauli
+from .pauli import _PHASE_VALUE, MAX_QUBITS, PauliOperator, _qubit_count, parse_pauli, parse_pauli_block
 
 if TYPE_CHECKING:
     from .states import SparseState
@@ -175,13 +175,10 @@ def validate_code(code: StabilizerCode) -> ValidationReport:
     """Report every violated code invariant; an empty report means valid.
     p and q anticommute iff vec(p) & dual(q) has odd weight, for vec(p) =
     x | z << n and dual(p) = z | x << n (every operator acts on n qubits)."""
-    v: list[str] = []
     n, gens = code.n, code.generators
     vecs = [g.x | g.z << n for g in gens]
     duals = [g.z | g.x << n for g in gens]
-    for i, g in enumerate(gens):
-        if not g.is_hermitian:
-            v.append(f"generator {i + 1} ({g}) is not Hermitian")
+    v = [f"generator {i} ({g}) is not Hermitian" for i, g in enumerate(gens, 1) if not g.is_hermitian]
     if len(gens) != n - code.k:
         v.append(f"expected {n - code.k} generators, got {len(gens)}")
     v += [f"generators {i + 1} ({gens[i]}) and {j + 1} ({gens[j]}) anticommute"
@@ -211,11 +208,9 @@ def validate_code(code: StabilizerCode) -> ValidationReport:
                   for i, d in enumerate(duals) if (r & d).bit_count() & 1]
             if gf2.reduce(r, rows) == 0:
                 v.append(f"logical {label}[{j + 1}] lies in the stabilizer group")
-    for j, xj in enumerate(code.logical_x):
-        for l, zl in enumerate(code.logical_z):
-            if (j == l) == xj.commutes(zl):
-                want = "anticommute" if j == l else "commute"
-                v.append(f"logical X[{j + 1}] and Z[{l + 1}] must {want}")
+    v += [f"logical X[{j + 1}] and Z[{l + 1}] must {'anticommute' if j == l else 'commute'}"
+          for j, xj in enumerate(code.logical_x) for l, zl in enumerate(code.logical_z)
+          if (j == l) == xj.commutes(zl)]
     for label, ops in (("X", code.logical_x), ("Z", code.logical_z)):
         v += [f"logical {label}[{j + 1}] and {label}[{l + 1}] anticommute"
               for j, l in combinations(range(len(ops)), 2) if not ops[j].commutes(ops[l])]
@@ -234,7 +229,7 @@ def css_from_classical(c1: ClassicalCode, c2: ClassicalCode, name: str | None = 
     """CSS code from nested classical codes: X checks from C2, Z checks from C1-dual."""
     check_css_pair(c1, c2)
     for label, c in (("C1", c1), ("C2", c2)):
-        if len(gf2.rref(c.basis)) < c.dimension:
+        if 0 in c.basis:  # the constructor's place for a dependent row
             raise ValueError(f"{label} has linearly dependent basis rows")
     if c1.dimension <= c2.dimension:
         raise ValueError("need dim C1 > dim C2")
@@ -250,7 +245,7 @@ def css_from_classical(c1: ClassicalCode, c2: ClassicalCode, name: str | None = 
     if k == 1 and gf2.contains(c1, e) and not gf2.contains(c2, e):
         f_rows = [e]
     else:
-        mod_basis = gf2.rref(c2.basis)  # of C2 and the representatives so far
+        mod_basis = list(c2.basis)  # rref, of C2 and the representatives so far
         for row in c1.basis:
             r = gf2.reduce(row, mod_basis)
             if r:
@@ -326,8 +321,8 @@ def _zero_codeword(code: StabilizerCode) -> SparseState:
     signs = _states()._SIGNS
     pivots: list = []  # (x-part, x, z, phase) rows for _reduce_tracked
     seed_equations = []  # z.s0 = phi/2 for each Z-only element i^phi Z(z)
-    for g in code.generators + code.logical_z[:1]:
-        row = _reduce_tracked(g.x, g.x, g.z, g.phase, pivots)
+    for g in code.generators + code.logical_z[:1]:  # a Z-only one is its own reduction
+        row = _reduce_tracked(g.x, g.x, g.z, g.phase, pivots) if g.x else (0, 0, g.z, g.phase)
         if row[0]:
             pivots.append(row)
         else:
@@ -344,8 +339,8 @@ def _zero_codeword(code: StabilizerCode) -> SparseState:
         xs += [v ^ x for v in xs]
         zs += [v ^ pz for v in zs]
     scale = complex(0.5 ** len(pivots))
-    terms = sorted((x ^ s0, a * signs[(z & s0).bit_count() & 1] * scale)
-                   for x, z, a in zip(xs, zs, amps))
+    terms = sorted([(x ^ s0, a * signs[(z & s0).bit_count() & 1] * scale)
+                    for x, z, a in zip(xs, zs, amps)])
     keys, amps = zip(*terms)
     return _states()._state(code.n, keys, amps).normalized()
 
@@ -403,8 +398,9 @@ def _single_error_table(code: StabilizerCode) -> dict[tuple[int, ...], PauliOper
 
 
 def parse_code_text(text: str, name: str = "user") -> StabilizerCode:
-    """Code-definition file: header 'n k', then n-k generators, k logical
-    X strings, k logical Z strings; '#' starts a comment."""
+    """Code-definition file: header 'n k', then n-k generators, k logical X strings, k logical Z
+    strings; '#' starts a comment.  The operator lines become operators in one pass over the block
+    (pauli.parse_pauli_block), built unchecked; a line that is not a sign and n letters is named."""
     lines = gf2.content_lines(text)
     if not lines:
         raise CodeFileError("empty code definition")
@@ -423,7 +419,9 @@ def parse_code_text(text: str, name: str = "user") -> StabilizerCode:
     body = lines[1:]
     if len(body) != expected:
         raise CodeFileError(f"expected {expected} operator lines, got {len(body)}")
-    try:
+    if (ops := parse_pauli_block(body, n)) is not None:  # on the header's n qubits: unchecked
+        return tuple.__new__(StabilizerCode, (name, n, k, ops[: n - k], ops[n - k: n], ops[n:], None))
+    try:  # a line that is not a sign and n letters: the first fault is named
         ops = [parse_pauli(s) for s in body]
         return StabilizerCode(name, n, k, ops[: n - k], ops[n - k: n], ops[n:])
     except ValueError as exc:

@@ -161,10 +161,10 @@ def _omega_sum(exponents: list) -> list:
 
 
 def _unit_exponents(amps) -> tuple:
-    """(m, e) with amps[j] = i^e[j] m, m read off amps[0]; None in e where no e fits."""
+    """(m, e) with amps[j] = i^e[j] m, m from amps[0], None where no e fits (-i m first: m = 0 reads 0 as 3)."""
     m = len(amps) and (abs(amps[0].real) or abs(amps[0].imag))
-    units = {complex(m, 0.0): 0, complex(0.0, m): 1, complex(-m, 0.0): 2, complex(0.0, -m): 3}
-    return m, list(map(units.get, amps))
+    p, q, r, s = complex(m, 0.0), complex(0.0, m), complex(-m, 0.0), complex(0.0, -m)
+    return m, [3 if a == s else 0 if a == p else 1 if a == q else 2 if a == r else None for a in amps]
 
 
 @lru_cache(maxsize=CODE_CACHE_SIZE)

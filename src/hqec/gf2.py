@@ -11,9 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from operator import index
 from typing import NamedTuple
 
 ENUM_DIM_GUARD = 20
+_NOT_BITS = str.maketrans("", "", "01")  # deletes every valid matrix character
 
 
 class GuardExceeded(ValueError):
@@ -21,13 +23,10 @@ class GuardExceeded(ValueError):
 
 
 def parse_row(text: str) -> int:
-    word = 0
-    for pos, ch in enumerate(text):
-        if ch == "1":
-            word |= 1 << pos
-        elif ch != "0":
-            raise ValueError(f"invalid matrix character {ch!r} at position {pos + 1}")
-    return word
+    if text.translate(_NOT_BITS):
+        pos, ch = next(t for t in enumerate(text) if t[1] not in "01")
+        raise ValueError(f"invalid matrix character {ch!r} at position {pos + 1}")
+    return int(text[::-1] or "0", 2)  # position 1, the leftmost character, is bit 0
 
 
 def content_lines(text: str) -> list[str]:
@@ -86,8 +85,10 @@ def rref(rows) -> list[int]:
 
 
 def solve(equations: list[tuple[int, int]]) -> int:
-    """The smallest solution x of the F2 system {(coeffs, rhs)}: pivots at
-    the lowest bit, every non-pivot bit 0; raises if inconsistent."""
+    """The smallest solution x of the F2 system {(coeffs, rhs)}, 0 if it is
+    homogeneous: pivots at the lowest bit, non-pivot bits 0; raises if inconsistent."""
+    if not any(r for _, r in equations):
+        return 0
     pivots = []  # (pivot_bit, coeffs, rhs)
     for c, r in equations:
         for pb, pc, pr in pivots:
@@ -100,16 +101,29 @@ def solve(equations: list[tuple[int, int]]) -> int:
             continue
         pivots.append((c & -c, c, r))
     x = 0
-    for pb, pc, pr in sorted(pivots, key=lambda t: -t[0]):
-        acc = (pc & x).bit_count() & 1
-        if acc ^ pr:
+    for pb, pc, pr in sorted(pivots, reverse=True):
+        if (pc & x).bit_count() & 1 ^ pr:
             x |= pb
     return x
 
 
-class ClassicalCode(NamedTuple):
+class _ClassicalFields(NamedTuple):
     length: int
     basis: tuple[int, ...]
+
+
+class ClassicalCode(_ClassicalFields):
+    """The span of basis.  The constructor stores the rref of the rows (operator.index of each),
+    then a 0 per dependent row, so dimension counts the rows and contains and dual are exact."""
+
+    __slots__ = ()
+
+    def __new__(cls, length: int, basis):
+        rows = tuple(map(index, basis))
+        reduced = rref(rows)
+        return tuple.__new__(cls, (length, (*reduced, *[0] * (len(rows) - len(reduced)))))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # NamedTuple._replace calls it: reduced too
 
     @property
     def dimension(self) -> int:
@@ -119,7 +133,7 @@ class ClassicalCode(NamedTuple):
 def code_from_rows(matrix: BitMatrix) -> ClassicalCode:
     if matrix.cols == 0:
         raise ValueError("code length must be positive")
-    return ClassicalCode(matrix.cols, tuple(rref(matrix.rows)))
+    return tuple.__new__(ClassicalCode, (matrix.cols, tuple(rref(matrix.rows))))  # reduced: unchecked
 
 
 def code_from_strings(lines) -> ClassicalCode:
@@ -143,19 +157,10 @@ def all_even_weight(code: ClassicalCode) -> bool:
 
 def dual(code: ClassicalCode) -> ClassicalCode:
     """Dual code: all words orthogonal to every codeword."""
-    n = code.length
-    pivots = [(b & -b).bit_length() - 1 for b in code.basis]
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        w = 1 << f
-        for b, p in zip(code.basis, pivots):
-            if (b >> f) & 1:
-                w |= 1 << p
-        basis.append(w)
-    return ClassicalCode(n, tuple(rref(basis)))
+    pivots = {(b & -b).bit_length() - 1: b for b in code.basis if b}
+    rows = [sum(1 << p for p, b in pivots.items() if b >> f & 1) | 1 << f
+            for f in range(code.length) if f not in pivots]
+    return tuple.__new__(ClassicalCode, (code.length, tuple(rref(rows))))
 
 
 def is_subcode(inner: ClassicalCode, outer: ClassicalCode) -> bool:

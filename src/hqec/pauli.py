@@ -9,8 +9,9 @@ Values are immutable and every operation is a pure function.  The
 constructor checks the qubit count and refuses x or z bits beyond it;
 ``multiply`` and ``adjoint`` build their results unchecked, as valid
 operands give valid results (x and z stay within n bits, and ``& 3`` is
-the phase mod 4).  User-facing qubit indices are 1-based; qubit 1 is
-the leftmost character of a Pauli string.
+the phase mod 4), and so does ``parse_pauli_block``, which reads lines of n
+letters in one pass.  Qubit indices are 1-based; qubit 1 is the leftmost
+character of a Pauli string.
 """
 
 from __future__ import annotations
@@ -146,3 +147,20 @@ def parse_pauli(text: str) -> PauliOperator:
     x, z = int(bits.translate(_X_BITS), 2), int(bits.translate(_Z_BITS), 2)
     # x and z fit in the body's letters, so only the count needs checking
     return tuple.__new__(PauliOperator, (_qubit_count(len(body)), x, z, (phase + body.count("Y")) % 4))
+
+
+def parse_pauli_block(lines, n: int) -> tuple[PauliOperator, ...] | None:
+    """parse_pauli of each line, or None unless each is a sign prefix and n letters: operator
+    i is bits n*i up of the joined bodies' X and Z bit strings, 64 lines a pass (short shifts)."""
+    bodies = [text.lstrip("+-i") for text in lines]
+    phases = list(map(_PREFIX_PHASE.get, map(str.removesuffix, lines, bodies)))
+    block = "".join(bodies)
+    if None in phases or set(map(len, bodies)) != {_qubit_count(n)} or block.translate(_NOT_LETTERS):
+        return None
+    ops, mask = [], (1 << n) - 1
+    for c in range(0, len(bodies), 64):
+        bits = block[c * n: (c + 64) * n][::-1]
+        x, z = int(bits.translate(_X_BITS), 2), int(bits.translate(_Z_BITS), 2)
+        ops += [tuple.__new__(PauliOperator, (n, x >> s & mask, z >> s & mask, p + b.count("Y") & 3))
+                for s, p, b in zip(range(0, len(bits), n), phases[c: c + 64], bodies[c: c + 64])]
+    return tuple(ops)

@@ -86,6 +86,13 @@ class _KeyFields(NamedTuple):
     z: int
 
 
+def _key_bit(bit) -> int:
+    """bit as 0 or 1 by operator.index, a numpy scalar by its value: TypeError for a float or a str."""
+    if (b := index(bit.item() if hasattr(bit, "item") else bit)) in (0, 1):
+        return b
+    raise ValueError(f"key bit must be 0 or 1, got {b}")
+
+
 class KeyRegister(_KeyFields):
     """The key bits of an n-qubit register, laid out as its mask: qubit q's
     (a, b) at bit q-1 of x and of z, so the mask is X(x) Z(z).  The
@@ -102,14 +109,14 @@ class KeyRegister(_KeyFields):
 
     @classmethod
     def of(cls, pairs) -> "KeyRegister":
-        bits = [(int(a) & 1, int(b) & 1) for a, b in pairs]
+        bits = [(_key_bit(a), _key_bit(b)) for a, b in pairs]
         return cls(len(bits), sum(a << q for q, (a, _) in enumerate(bits)),
                    sum(b << q for q, (_, b) in enumerate(bits)))
 
     @classmethod
     def uniform(cls, n: int, a: int, b: int) -> "KeyRegister":
         full = (1 << _qubit_count(n)) - 1
-        return tuple.__new__(cls, (n, full * (int(a) & 1), full * (int(b) & 1)))  # fits n qubits: unchecked
+        return tuple.__new__(cls, (n, full * _key_bit(a), full * _key_bit(b)))  # fits n qubits: unchecked
 
     @classmethod
     def random(cls, n: int, rng) -> "KeyRegister":

@@ -31,7 +31,9 @@ from functools import lru_cache
 import numpy as np
 
 from hqec import states as _states
+from hqec import gf2
 from hqec.codes import (
+    CodeFileError,
     StabilizerCode,
     ValidationReport,
     _single_error_table,
@@ -40,7 +42,7 @@ from hqec.codes import (
     logical_codewords,
 )
 from hqec.gf2 import ENUM_DIM_GUARD, ClassicalCode, GuardExceeded, parse_row
-from hqec.pauli import MAX_QUBITS, PauliOperator
+from hqec.pauli import MAX_QUBITS, PauliOperator, parse_pauli
 from hqec.protocol import (
     CircuitRun,
     KeyRegister,
@@ -478,6 +480,30 @@ def pairwise_validate_code(code: StabilizerCode) -> ValidationReport:
                 if not ops[j].commutes(ops[l]):
                     v.append(f"logical {label}[{j + 1}] and {label}[{l + 1}] anticommute")
     return ValidationReport(code.name, tuple(v))
+
+
+def per_line_code(text: str, name: str) -> StabilizerCode:
+    """parse_code_text by the per-line route: parse_pauli on each operator
+    line, then the checked StabilizerCode constructor."""
+    lines = gf2.content_lines(text)
+    if not lines:
+        raise CodeFileError("empty code definition")
+    header = lines[0].split()
+    try:
+        n, k = int(header[0]), int(header[1])
+        if len(header) != 2:
+            raise ValueError
+    except (ValueError, IndexError) as exc:
+        raise CodeFileError(f"header must be 'n k', got {lines[0]!r}") from exc
+    if not 1 <= n <= MAX_QUBITS or not 0 <= k <= n:
+        raise CodeFileError(f"header needs 1 <= n <= {MAX_QUBITS} and 0 <= k <= n, got {lines[0]!r}")
+    if len(lines) - 1 != n + k:
+        raise CodeFileError(f"expected {n + k} operator lines, got {len(lines) - 1}")
+    try:
+        ops = [parse_pauli(s) for s in lines[1:]]
+        return StabilizerCode(name, n, k, ops[: n - k], ops[n - k: n], ops[n:])
+    except ValueError as exc:
+        raise CodeFileError(str(exc)) from exc
 
 
 def format_code_text(code: StabilizerCode) -> str:

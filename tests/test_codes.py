@@ -23,6 +23,7 @@ from oracles import (
     cached_code_space,
     enumerate_codewords,
     format_code_text,
+    per_line_code,
     sympl_vec,
 )
 
@@ -559,3 +560,76 @@ class TestCodeFile:
     def test_bad_operator_length(self):
         with pytest.raises(CodeFileError):
             parse_code_text("3 1\nZZ\nIZZ\nXXX\nZZZ\n")
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text, "t")
+    except CodeFileError as exc:
+        return f"CodeFileError: {exc}"
+
+
+def _random_code_text(rng, n: int) -> str:
+    """A code text on n qubits that is mostly well formed: every sign prefix,
+    Y-heavy bodies, comments, blank lines and CRLF, and now and then a line
+    of the wrong count, width or letters."""
+    k = int(rng.integers(0, 2))
+    count = n + k + (int(rng.choice([-1, 1])) if rng.random() < 0.05 else 0)
+    letters = rng.choice(["IXYZ", "YYYX", "IIZY"])
+    lines = [f"{n} {k}" + (" # header" if rng.random() < 0.1 else "")]
+    for _ in range(max(count, 0)):
+        width = n + (int(rng.choice([-1, 1])) if rng.random() < 0.01 else 0)
+        body = np.frombuffer(letters.encode(), np.uint8)[rng.integers(0, 4, max(width, 0))].tobytes().decode()
+        if rng.random() < 0.01 and body:
+            q = int(rng.integers(0, len(body)))
+            body = body[:q] + str(rng.choice(["x", " ", "-", "i", "1"])) + body[q + 1:]
+        prefix = str(rng.choice(["", "+", "-", "i", "-i", "", "", "ii", "+-", "-+i"], p=[0.3, 0.1, 0.15, 0.1, 0.1, 0.1, 0.1, 0.02, 0.02, 0.01]))
+        lines.append(prefix + body + (" # op" if rng.random() < 0.1 else ""))
+        if rng.random() < 0.1:
+            lines.append(str(rng.choice(["", "   ", "# a comment", "\t# indented"])))
+    sep = "\r\n" if rng.random() < 0.3 else "\n"
+    return sep.join(lines) + (sep if rng.random() < 0.5 else "")
+
+
+class TestCodeTextEquivalence:
+    """parse_code_text, which reads a regular operator block in one pass,
+    against the per-line route: each text gives an equal code or the same
+    CodeFileError text."""
+
+    def test_random_texts(self):
+        rng = np.random.default_rng(49)
+        accepted = 0
+        for _ in range(400):
+            text = _random_code_text(rng, int(rng.choice([1, 2, 3, 5, 7, 9, 15, 33, 64, 65])))
+            got, want = _parse_outcome(parse_code_text, text), _parse_outcome(per_line_code, text)
+            assert got == want, text
+            accepted += isinstance(got, StabilizerCode)
+        assert 100 < accepted < 350  # both kinds of outcome are exercised
+
+    @pytest.mark.parametrize("n", [1, 1024, 1025])
+    def test_extreme_widths(self, n):
+        rng = np.random.default_rng(n)
+        texts = [_random_code_text(rng, n) for _ in range(2 if n > 1 else 60)]
+        texts.append(f"{n} 0\n" + "\n".join("-iY" + "Y" * (n - 1) for _ in range(n)) + "\n")
+        for text in texts:
+            got, want = _parse_outcome(parse_code_text, text), _parse_outcome(per_line_code, text)
+            assert got == want
+
+    def test_every_prefix_and_its_phase(self):
+        for prefix, phase in [("", 0), ("+", 0), ("i", 1), ("-", 2), ("-i", 3)]:
+            code = parse_code_text(f"2 1\n{prefix}YI\n{prefix}XX\n{prefix}ZY\n")
+            assert [p.phase for p in code.generators + code.logical_x + code.logical_z] == [
+                (phase + 1) % 4, phase, (phase + 1) % 4]
+            assert code == per_line_code(f"2 1\n{prefix}YI\n{prefix}XX\n{prefix}ZY\n", "user")
+
+    @pytest.mark.parametrize("text, message", [
+        ("2 1\nZZ\n\t\nXX\n-\n", "empty Pauli string"),
+        ("2 1\nZZ\nXx\nZI\n", "invalid character 'x' at position 2"),
+        ("2 1\nZZ\nXX\nZIZ\n", "operator ZIZ acts on 3 qubits, expected 2"),
+        ("2 1\nZ\nXX\n+-ZI\n", "invalid character '-' at position 1"),  # the first fault in line order
+        ("2 1\nZZ\nXX\n" + "Z" * 1025 + "\n", "qubit count must be in 1..1024, got 1025"),
+    ])
+    def test_the_first_fault_is_named(self, text, message):
+        with pytest.raises(CodeFileError) as info:
+            parse_code_text(text)
+        assert str(info.value) == message == _parse_outcome(per_line_code, text).removeprefix("CodeFileError: ")

@@ -218,6 +218,46 @@ class TestDiagonalAction:
         assert abs(da.logical_phases[1] - 1j) < 1e-12
 
 
+def dict_unit_exponents(amps) -> tuple:
+    """_unit_exponents as a lookup in a dict of the four units i^e m."""
+    m = len(amps) and (abs(amps[0].real) or abs(amps[0].imag))
+    units = {complex(m, 0.0): 0, complex(0.0, m): 1, complex(-m, 0.0): 2, complex(0.0, -m): 3}
+    return m, list(map(units.get, amps))
+
+
+class TestUnitExponents:
+    @pytest.mark.parametrize("amps", [
+        (),
+        (0.5 + 0j, 0.5j, -0.5 + 0j, -0.5j),
+        (complex(-0.0, 0.5), complex(0.0, -0.5), complex(0.5, -0.0), complex(-0.5, -0.0)),  # signed zeros
+        (complex(-0.0, -0.0), 0j, complex(0.0, -0.0), 1 + 0j),  # a zero first amplitude: every zero reads 3
+        (0j,),
+        (0.5 + 0j, 0.5 + 1e-17j, 0.25 + 0j, 0.5 + 0.5j, complex(float("nan"), 0.0), -0.5 + 0j),  # not units
+        (complex(float("inf"), 0.0), complex(0.0, float("-inf")), 1 + 0j),
+        (complex(float("nan"), 0.5), 0.5j),
+        (0.6 + 0j, -0.6j, 0.6j, -0.6 + 0j, 0.6 + 0j),
+    ])
+    def test_matches_the_dict_lookup(self, amps):
+        m, e = compat._unit_exponents(amps)
+        want_m, want_e = dict_unit_exponents(amps)
+        assert e == want_e
+        assert m == want_m or (m != m and want_m != want_m)
+
+    def test_matches_the_dict_lookup_on_every_code_space(self):
+        for name in BUILTIN_NAMES:
+            for state in cached_code_space(name).basis:
+                assert compat._unit_exponents(state.amps) == dict_unit_exponents(state.amps)
+
+    def test_random_unit_multiples(self):
+        rng = np.random.default_rng(49)
+        units = (1, 1j, -1, -1j)
+        for _ in range(200):
+            m = float(rng.choice([0.0, 0.25, 0.5, 2 ** -0.5, float(rng.random())]))
+            amps = tuple(complex(units[int(rng.integers(0, 4))] * m) if rng.random() < 0.9
+                         else complex(rng.normal(), rng.normal()) for _ in range(int(rng.integers(1, 9))))
+            assert compat._unit_exponents(amps) == dict_unit_exponents(amps)
+
+
 def _hex(z: complex) -> tuple[str, str]:
     return z.real.hex(), z.imag.hex()
 

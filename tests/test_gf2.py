@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,72 @@ class TestContains:
         code = gf2.code_from_strings(["11"])
         with pytest.raises(ValueError):
             gf2.contains(code, "111")
+
+
+def span_of(rows) -> set[int]:
+    span = {0}
+    for r in rows:
+        span |= {w ^ r for w in span}
+    return span
+
+
+class TestHandBuiltBasis:
+    """A ClassicalCode built from any independent basis answers as the code
+    of its span: contains and dual once assumed a reduced echelon basis."""
+
+    def test_contains_a_sum_of_unreduced_rows(self):
+        # 0b101 = 0b110 ^ 0b011, once refused
+        assert gf2.contains(gf2.ClassicalCode(3, (0b110, 0b011)), 0b101)
+
+    def test_dual_is_orthogonal(self):
+        # once the row 011, which is not orthogonal to 011
+        assert gf2.dual(gf2.ClassicalCode(3, (0b011, 0b110))).basis == (0b111,)
+
+    @pytest.mark.parametrize("c1_rows", [(0b011, 0b110), (0b110, 0b011)])
+    def test_css_code_from_a_hand_built_pair(self, c1_rows):
+        # once XIX and IZZ, which anticommute, or a SubcodeError with C1's rows swapped
+        from hqec.codes import css_from_classical, validate_code
+
+        code = css_from_classical(gf2.ClassicalCode(3, c1_rows), gf2.ClassicalCode(3, (0b101,)))
+        assert [g.to_string() for g in code.generators] == ["XIX", "ZZZ"]
+        assert validate_code(code).ok
+        built = css_from_classical(gf2.code_from_strings(["110", "011"]), gf2.code_from_strings(["101"]))
+        assert code[:6] == built[:6]
+
+    def test_random_bases_of_random_spans(self):
+        rng = np.random.default_rng(49)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            k, rows = int(rng.integers(0, n + 1)), []
+            while len(rows) < k:  # an independent basis, in any order
+                r = int(rng.integers(1, 1 << n))
+                if r not in span_of(rows):
+                    rows.append(r)
+            code = gf2.ClassicalCode(n, rows)
+            span = span_of(rows)
+            assert code.dimension == len(rows) and span_of(code.basis) == span
+            assert [w for w in range(1 << n) if gf2.contains(code, w)] == sorted(span)
+            dual = {w for w in range(1 << n) if all((w & c).bit_count() % 2 == 0 for c in span)}
+            assert span_of(gf2.dual(code).basis) == dual
+            assert gf2.dual(code).dimension == n - len(rows)
+            sub = gf2.ClassicalCode(n, rows[: len(rows) // 2])
+            assert gf2.is_subcode(sub, code)
+            assert gf2.is_subcode(code, sub) == (not rows)
+
+    def test_dependent_rows_keep_their_count(self):
+        # css_from_classical names a dependent basis by dimension, which counts the rows given
+        code = gf2.ClassicalCode(6, (7, 30, 7))
+        assert code.dimension == 3 and len(gf2.rref(code.basis)) == 2
+        assert span_of(code.basis) == span_of((7, 30))
+        assert gf2.contains(code, 7 ^ 30) and not gf2.contains(code, 1)
+
+    def test_replace_and_make_go_through_the_constructor(self):
+        code = gf2.ClassicalCode(3, (0b110, 0b011))
+        assert code._replace(basis=(0b110, 0b110)).basis == (0b110, 0)
+        assert gf2.ClassicalCode._make((3, (np.int64(6), 3))) == code
+        assert all(type(b) is int for b in gf2.ClassicalCode(3, (np.int64(6),)).basis)
+        with pytest.raises(TypeError):
+            gf2.ClassicalCode(3, (1.0,))
 
 
 class TestEnumerate:
@@ -272,6 +339,26 @@ class TestSolve:
         else:
             assert gf2.solve(eqs) == min(solutions)
 
+    @pytest.mark.parametrize("kind", ["homogeneous", "inhomogeneous", "inconsistent"])
+    def test_every_small_system(self, kind):
+        # up to 6 equations on up to 6 bits, each system of its kind by construction
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for _ in range(400):
+            n, m = int(rng.integers(1, 7)), int(rng.integers(0, 7))
+            coeffs = [int(c) for c in rng.integers(0, 1 << n, m)]
+            x0 = int(rng.integers(0, 1 << n))
+            eqs = [(c, 0 if kind == "homogeneous" else (c & x0).bit_count() & 1) for c in coeffs]
+            if kind == "inconsistent":
+                eqs.insert(int(rng.integers(0, m + 1)), (0, 1) if not eqs else (eqs[0][0], eqs[0][1] ^ 1))
+            solutions = [x for x in range(1 << n) if all((c & x).bit_count() & 1 == r for c, r in eqs)]
+            if kind == "inconsistent":
+                assert not solutions
+                with pytest.raises(ValueError, match="^inconsistent F2 system$"):
+                    gf2.solve(eqs)
+            else:
+                assert gf2.solve(eqs) == min(solutions)
+                assert kind == "inhomogeneous" or min(solutions) == 0
+
     def test_inconsistent_pair(self):
         with pytest.raises(ValueError, match="^inconsistent F2 system$"):
             gf2.solve([(0b11, 0), (0b11, 1)])
@@ -313,3 +400,16 @@ class TestMatrixFileFormat:
     def test_bad_char(self):
         with pytest.raises(ValueError, match="position 2"):
             gf2.BitMatrix.from_text("1x0\n")
+
+    @pytest.mark.parametrize("row", ["1_0", " 10", "10 ", "+1", "-1", "0b1", "1١", "٠", "1.0"])
+    def test_only_0_and_1_are_read(self, row):
+        # int(..., 2) would read some of these; a row is its 0 and 1 characters only
+        pos, ch = next((q + 1, c) for q, c in enumerate(row) if c not in "01")
+        with pytest.raises(ValueError, match=f"^invalid matrix character {re.escape(repr(ch))} at position {pos}$"):
+            gf2.parse_row(row)
+
+    def test_rows_against_a_character_walk(self):
+        rng = np.random.default_rng(49)
+        for _ in range(300):
+            row = "".join(rng.choice(["0", "1"], int(rng.integers(0, 70))))
+            assert gf2.parse_row(row) == sum(1 << q for q, c in enumerate(row) if c == "1")

@@ -181,6 +181,32 @@ class TestKeyRegister:
                 assert (keys.n, keys.x, keys.z) == (2, x, z)
                 assert keys.mask == PauliOperator(2, x, z, 0)
 
+    @pytest.mark.parametrize("pairs", [[(2, 0), (1, 5)], [(1, 0), (0, -1)], [(3, 1)]])
+    def test_of_refuses_a_key_bit_other_than_0_or_1(self, pairs):
+        # once read by their low bit: (2, 0), (1, 5) gave KeyRegister(n=2, x=2, z=2)
+        bad = next(b for pair in pairs for b in pair if b not in (0, 1))
+        with pytest.raises(ValueError, match=rf"^key bit must be 0 or 1, got {bad}$"):
+            KeyRegister.of(pairs)
+
+    @pytest.mark.parametrize("a, b, bad", [(2, 0, 2), (0, 3, 3), (-1, 1, -1), (1, 1 << 64, 1 << 64)])
+    def test_uniform_refuses_a_key_bit_other_than_0_or_1(self, a, b, bad):
+        with pytest.raises(ValueError, match=rf"^key bit must be 0 or 1, got {bad}$"):
+            KeyRegister.uniform(3, a, b)
+
+    @pytest.mark.parametrize("bit", ["1", "0", 1.0, 0.0, np.float64(1.0), 1 + 0j, None])
+    def test_a_key_bit_that_is_not_an_integer_is_a_type_error(self, bit):
+        with pytest.raises(TypeError):
+            KeyRegister.of([(bit, 0)])
+        with pytest.raises(TypeError):
+            KeyRegister.uniform(2, 0, bit)
+
+    def test_integer_and_boolean_key_bits_are_read_as_ints(self):
+        for a, b in [(True, False), (np.int64(1), np.uint8(0)), (np.bool_(False), np.bool_(True))]:
+            want = (int(a), int(b))
+            assert KeyRegister.of([(a, b)] * 2) == KeyRegister(2, 0b11 * want[0], 0b11 * want[1])
+            assert KeyRegister.uniform(2, a, b) == KeyRegister(2, 0b11 * want[0], 0b11 * want[1])
+            assert all(type(v) is int for v in KeyRegister.uniform(2, a, b))
+
     def test_replace_and_make_are_checked(self):
         keys = KeyRegister.of([(1, 0), (0, 1)])
         assert keys._replace(z=0b11) == KeyRegister(2, 0b01, 0b11)
@@ -836,12 +862,27 @@ class TestStorageInputs:
         ("shor", lambda key: run_logical_t_protocol((0.6, 0.8j), key, SplitMix64(1))),
     ], ids=["storage", "transversal-t", "logical-t"])
     def test_reports_the_key_bits_it_used(self, name, run):
-        # every runner reads the low bit of each key entry and names its code
-        rep = run((3, 2))
+        # every runner reports the key it was given and names its code; a key
+        # entry other than 0 or 1 is refused, not cut to its low bit
+        rep = run((1, 0))
         assert rep.keys == (1, 0) and rep.as_dict()["keys"] == [1, 0]
         assert rep.as_dict()["code"] == rep.code_name == name
-        same = run((1, 0))
-        assert state_bytes(rep.final_state) == state_bytes(same.final_state)
+        with pytest.raises(ValueError, match="^key bit must be 0 or 1, got 3$"):
+            run((3, 2))
+
+    @pytest.mark.parametrize("key, error", [
+        ((2, 3), ValueError), ((0, 2), ValueError), ((3, -1), ValueError), ((-1, 0), ValueError),
+        (("1", "0"), TypeError), ((1.0, 0), TypeError), ((0, 0.5), TypeError),
+    ])
+    @pytest.mark.parametrize("run", [
+        lambda key: run_storage_protocol("steane", (0.6, 0.8), key),
+        lambda key: run_transversal_t_protocol((0.6, 0.8), key, SplitMix64(1)),
+        lambda key: run_logical_t_protocol((0.6, 0.8), key, SplitMix64(1)),
+    ], ids=["storage", "transversal-t", "logical-t"])
+    def test_refuses_a_key_it_cannot_report(self, run, key, error):
+        # a key (2, 3) once ran and reported (0, 1): the keys the caller gave are not the ones used
+        with pytest.raises(error):
+            run(key)
 
     @pytest.mark.parametrize("key", [(1,), (1, 0, 1)], ids=["short", "long"])
     @pytest.mark.parametrize("run", [
@@ -956,7 +997,7 @@ class TestStoragePlan:
         # the second refusal reads the cached mask check: the traffic that keeps that cache
         assert hits[1] == hits[0] + 1
 
-    @pytest.mark.parametrize("key", [(np.int64(3), np.int64(2)), (True, False), (np.bool_(True), np.int64(0))],
+    @pytest.mark.parametrize("key", [(np.int64(1), np.int64(0)), (True, False), (np.bool_(True), np.int64(0))],
                              ids=["int64", "bool", "numpy-bool"])
     def test_keys_are_python_ints(self, key):
         rep = run_storage_protocol("shor", (0.6, 0.8), key, "IIIIZIIII")
