@@ -15,20 +15,8 @@ from pathlib import Path
 
 import hqec
 
-# `import hqec.cli` loads no library module: each verb loads the ones it
-# uses, on first use, through the package's lazy attributes (hqec.codes,
-# hqec.gf2, ...).  `report resources` loads none (hqec.resource_report is
-# the package's), `check triortho` loads gf2 alone, the codes verbs codes
-# (with gf2 and pauli); `check theorem1` and `check css` add compat,
-# `check diagonal` states, and the run verbs states, protocol and rng, each
-# after checking its arguments.  Any input error caught before a code or
-# matrix is read, an unknown code name, a missing code file and a `run a1`
-# --force-outcomes of the wrong length included (the builtin names are
-# hqec.BUILTIN_NAMES, the demo circuit's text hqec.DEMO_CIRCUIT_TEXT), loads
-# no library module, and no dataclasses; json loads only for --json output.
-# No verb loads numpy.
-
-_DIAG_PHASES = {"T": "e^(i*pi/4)", "Td": "e^(-i*pi/4)", "Sd": "-i"}
+# check diagonal's gates: the phase each puts on |1>, as printed and as a power of omega
+_DIAG_GATES = {"T": ("e^(i*pi/4)", 1), "Td": ("e^(-i*pi/4)", -1), "Sd": ("-i", -2)}
 
 
 class InputError(ValueError):
@@ -128,28 +116,26 @@ def _dump_state(args, state) -> None:
 
 
 # ---------------------------------------------------------------------------
-# verb handlers
+# verb handlers: each returns (exit code, JSON document, human lines)
 
 
-def _cmd_codes_list(args) -> int:
+def _cmd_codes_list(args) -> tuple:
     rows = []
     for name in hqec.BUILTIN_NAMES:
         c = hqec.codes.builtin_code(name)
         rows.append({"name": name, "n": c.n, "k": c.k, "css": c.css_origin is not None})
-    _emit(args, {"codes": rows}, [f"{r['name']}  [[{r['n']},{r['k']}]]" for r in rows])
-    return 0
+    return 0, {"codes": rows}, [f"{r['name']}  [[{r['n']},{r['k']}]]" for r in rows]
 
 
-def _cmd_codes_validate(args) -> int:
+def _cmd_codes_validate(args) -> tuple:
     code = _load_code(args.file)
     rep = hqec.codes.validate_code(code)
     lines = [f"code {code.name}: {'valid' if rep.ok else 'INVALID'}"]
     lines += [f"  violation: {v}" for v in rep.violations]
-    _emit(args, rep.as_dict(), lines)
-    return 0 if rep.ok else 1
+    return (0 if rep.ok else 1), rep.as_dict(), lines
 
 
-def _cmd_check_theorem1(args) -> int:
+def _cmd_check_theorem1(args) -> tuple:
     code = _load_valid_code(args.code)
     rep = hqec.compat.stabilizer_mask_check(code)
     lines = [f"code {code.name}: {'compatible' if rep.verdict else 'INCOMPATIBLE'}"]
@@ -161,11 +147,10 @@ def _cmd_check_theorem1(args) -> int:
     if rep.css_verdict is not None:
         lines.append(f"  css check: e in C1 = {rep.e_in_c1}, C2 all even = {rep.c2_all_even}, "
                      f"agrees = {rep.cross_check_ok}")
-    _emit(args, rep.as_dict(), lines)
-    return 0 if rep.verdict else 1
+    return (0 if rep.verdict else 1), rep.as_dict(), lines
 
 
-def _cmd_check_css(args) -> int:
+def _cmd_check_css(args) -> tuple:
     c1 = _load_classical(args.c1)
     c2 = _load_classical(args.c2)
     rep = hqec.compat.css_mask_check(c1, c2)
@@ -175,11 +160,10 @@ def _cmd_check_css(args) -> int:
         f"  all-ones word in C1: {rep.e_in_c1}",
         f"  C2 all even weight:  {rep.c2_all_even}",
     ]
-    _emit(args, rep.as_dict(), lines)
-    return 0 if rep.verdict else 1
+    return (0 if rep.verdict else 1), rep.as_dict(), lines
 
 
-def _cmd_check_triortho(args) -> int:
+def _cmd_check_triortho(args) -> tuple:
     text = _load_text(args.matrix)
     try:
         matrix = hqec.gf2.BitMatrix.from_text(text)
@@ -197,18 +181,16 @@ def _cmd_check_triortho(args) -> int:
         lines.append(f"  |r{i} & r{j}| = {v}")
     for (i, j, k), v in rep.triple_overlaps.items():
         lines.append(f"  |r{i} & r{j} & r{k}| = {v}")
-    _emit(args, rep.as_dict(), lines)
-    return 0 if rep.ok else 1
+    return (0 if rep.ok else 1), rep.as_dict(), lines
 
 
-def _cmd_check_diagonal(args) -> int:
+def _cmd_check_diagonal(args) -> tuple:
     code = _load_valid_code(args.code)
     cs = hqec.codes.logical_codewords(code)
-    omega = hqec.compat.OMEGA
-    phase = {"T": omega, "Td": omega.conjugate(), "Sd": -1j}[args.gate]
-    rep = hqec.compat.diagonal_gate_action(cs, phase, label=f"{args.gate}^x{code.n}")
+    shown, power = _DIAG_GATES[args.gate]
+    rep = hqec.compat.diagonal_gate_action(cs, hqec.compat.OMEGA ** power, label=f"{args.gate}^x{code.n}")
     doc = rep.as_dict()
-    lines = [f"code {code.name}, transversal {args.gate} (phase {_DIAG_PHASES[args.gate]}):",
+    lines = [f"code {code.name}, transversal {args.gate} (phase {shown}):",
              f"  leakage: {rep.leakage:.12g}"]
     if rep.logical_phases is None:
         lines.append("  preserves the code space but is not diagonal on it" if rep.preserves_code_space
@@ -221,11 +203,10 @@ def _cmd_check_diagonal(args) -> int:
             lines.append(f"  logical correction: S-power {corr.logical_s_power}, "
                          f"Z-power {corr.logical_z_power}")
             doc["correction"] = corr.as_dict()
-    _emit(args, doc, lines)
-    return 1 if rep.logical_phases is None else 0
+    return (1 if rep.logical_phases is None else 0), doc, lines
 
 
-def _cmd_run_a1(args) -> int:
+def _cmd_run_a1(args) -> tuple:
     seed = _seed(args)
     t_gates = sum(tok[0] == "T" for tok in hqec.DEMO_CIRCUIT_TEXT.split())  # T and Td set the length
     forced = _parse_forced(args.force_outcomes, t_gates)
@@ -236,11 +217,10 @@ def _cmd_run_a1(args) -> int:
              f"keys initial: {rep.keys_initial}",
              f"keys final:   {rep.keys_final}",
              f"final fidelity {rep.fidelity:.10f}"]
-    _emit(args, rep.as_dict(), lines)
-    return 0 if rep.fidelity >= 1 - protocol.TOL else 1
+    return (0 if rep.fidelity >= 1 - protocol.TOL else 1), rep.as_dict(), lines
 
 
-def _cmd_run_storage(args) -> int:
+def _cmd_run_storage(args) -> tuple:
     seed = _seed(args)
     keys = _parse_keys(args.keys)
     code = _load_valid_code(args.code)
@@ -258,11 +238,10 @@ def _cmd_run_storage(args) -> int:
              f"syndrome: {list(rep.syndrome)}",
              f"correction applied: {rep.correction}",
              f"final fidelity {rep.fidelity:.10f} ({'recovered' if rep.recovered else 'FAILED'})"]
-    _emit(args, rep.as_dict(), lines)
-    return 0 if rep.recovered else 1
+    return (0 if rep.recovered else 1), rep.as_dict(), lines
 
 
-def _cmd_run_transversal_t(args) -> int:
+def _cmd_run_transversal_t(args) -> tuple:
     seed = _seed(args)
     keys = _parse_keys(args.keys)
     amps = _parse_amps(args.amps)
@@ -274,11 +253,10 @@ def _cmd_run_transversal_t(args) -> int:
              f"correction: S-power {rep.correction['logical_s_power']}",
              f"register peak {rep.max_live_qubits} qubits, {rep.max_terms} terms",
              f"final fidelity {rep.fidelity:.10f}"]
-    _emit(args, rep.as_dict(), lines)
-    return 0
+    return 0, rep.as_dict(), lines
 
 
-def _cmd_run_logical_t(args) -> int:
+def _cmd_run_logical_t(args) -> tuple:
     seed = _seed(args)
     keys = _parse_keys(args.keys)
     amps = _parse_amps(args.amps)
@@ -290,11 +268,10 @@ def _cmd_run_logical_t(args) -> int:
              f"logical Bell outcome: {list(rep.outcome)}",
              f"register {rep.register_qubits} qubits, peak {rep.max_terms} stored terms",
              f"final fidelity {rep.fidelity:.10f}"]
-    _emit(args, rep.as_dict(), lines)
-    return 0
+    return 0, rep.as_dict(), lines
 
 
-def _cmd_report_resources(args) -> int:
+def _cmd_report_resources(args) -> tuple:
     if args.n < 1:
         raise InputError(f"--n must be positive, got {args.n}")
     rep = hqec.resource_report(args.n)
@@ -304,87 +281,70 @@ def _cmd_report_resources(args) -> int:
              f"physical total:       {rep.q_tot_phys}",
              f"logical aux qubits:   {rep.q_aux_log} (one encoded Bell pair)",
              f"logical total:        {rep.q_tot_log}"]
-    _emit(args, rep.as_dict(), lines)
-    return 0
+    return 0, rep.as_dict(), lines
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_common(p, runner: bool = False, forced: bool = False):
-    p.add_argument("--json", action="store_true", help="emit a single JSON document")
-    if runner:
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
-        p.add_argument("--dump-state", default=None, help="write the final state dump here")
-    if forced:
-        p.add_argument("--force-outcomes", default=None,
-                       help="bit string consumed pairwise as measurement outcomes")
+# the options that several verbs take, each declared once; a verb row names
+# an option, or gives (name, keywords) to add to or override these
+_OPTIONS = {
+    "--code": {"required": True, "help": "builtin name or code file"},
+    "--keys": {"required": True, "help": "a,b"},
+    "--amps": {"required": True, "help": "re,im,re,im for c0,c1"},
+    "--json": {"action": "store_true", "help": "emit a single JSON document"},
+    "--seed": {"type": int, "default": 0, "help": "RNG seed (u64)"},
+    "--dump-state": {"help": "write the final state dump here"},
+    "--force-outcomes": {"help": "bit string consumed pairwise as measurement outcomes"},
+}
+_RUN = ("--json", "--seed", "--dump-state")  # every run verb, after its own arguments
+
+# (group, help, its verbs as (name, help, handler, arguments))
+_VERBS = (
+    ("codes", "builtin code listing and validation", (
+        ("list", "list builtin codes", _cmd_codes_list, ("--json",)),
+        ("validate", "validate a code-definition file", _cmd_codes_validate, ("file", "--json")),
+    )),
+    ("check", "compatibility checks", (
+        ("theorem1", "transversal-mask criterion for a stabilizer code", _cmd_check_theorem1,
+         ("--code", "--json")),
+        ("css", "classical two-condition criterion for a CSS pair", _cmd_check_css,
+         (("--c1", {"required": True, "help": "matrix file for C1"}),
+          ("--c2", {"required": True, "help": "matrix file for C2"}), "--json")),
+        ("triortho", "pairwise/triple row-overlap parity of a matrix", _cmd_check_triortho,
+         (("--matrix", {"required": True, "help": "matrix file"}), "--json")),
+        ("diagonal", "logical action of a transversal diagonal gate", _cmd_check_diagonal,
+         (("--code", {"help": None}), ("--gate", {"required": True, "choices": tuple(_DIAG_GATES)}), "--json")),
+    )),
+    ("run", "protocol runners", (
+        ("a1", "two-qubit encrypted demo circuit", _cmd_run_a1, (*_RUN, "--force-outcomes")),
+        ("storage", "masked storage with error correction", _cmd_run_storage,
+         ("--code", "--keys", ("--error", {"default": "none", "help": "Pauli string or 'none'"}), *_RUN)),
+        ("transversal-t", "transversal T on the masked rm15 block", _cmd_run_transversal_t,
+         ("--keys", "--amps", *_RUN, "--force-outcomes")),
+        ("logical-t", "logical-mask T on the nine-qubit code", _cmd_run_logical_t,
+         ("--keys", "--amps", *_RUN, "--force-outcomes")),
+    )),
+    ("report", "derived reports", (
+        ("resources", "register cost of one teleported gate", _cmd_report_resources,
+         (("--n", {"type": int, "required": True}), "--json")),
+    )),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hqec", description=__doc__)
     sub = ap.add_subparsers(dest="verb", required=True)
-
-    codes_p = sub.add_parser("codes", help="builtin code listing and validation")
-    codes_sub = codes_p.add_subparsers(dest="sub", required=True)
-    p = codes_sub.add_parser("list", help="list builtin codes")
-    _add_common(p)
-    p.set_defaults(func=_cmd_codes_list)
-    p = codes_sub.add_parser("validate", help="validate a code-definition file")
-    p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_codes_validate)
-
-    check_p = sub.add_parser("check", help="compatibility checks")
-    check_sub = check_p.add_subparsers(dest="sub", required=True)
-    p = check_sub.add_parser("theorem1", help="transversal-mask criterion for a stabilizer code")
-    p.add_argument("--code", required=True, help="builtin name or code file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_check_theorem1)
-    p = check_sub.add_parser("css", help="classical two-condition criterion for a CSS pair")
-    p.add_argument("--c1", required=True, help="matrix file for C1")
-    p.add_argument("--c2", required=True, help="matrix file for C2")
-    _add_common(p)
-    p.set_defaults(func=_cmd_check_css)
-    p = check_sub.add_parser("triortho", help="pairwise/triple row-overlap parity of a matrix")
-    p.add_argument("--matrix", required=True, help="matrix file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_check_triortho)
-    p = check_sub.add_parser("diagonal", help="logical action of a transversal diagonal gate")
-    p.add_argument("--code", required=True)
-    p.add_argument("--gate", required=True, choices=("T", "Td", "Sd"))
-    _add_common(p)
-    p.set_defaults(func=_cmd_check_diagonal)
-
-    run_p = sub.add_parser("run", help="protocol runners")
-    run_sub = run_p.add_subparsers(dest="sub", required=True)
-    p = run_sub.add_parser("a1", help="two-qubit encrypted demo circuit")
-    _add_common(p, runner=True, forced=True)
-    p.set_defaults(func=_cmd_run_a1)
-    p = run_sub.add_parser("storage", help="masked storage with error correction")
-    p.add_argument("--code", required=True, help="builtin name or code file")
-    p.add_argument("--keys", required=True, help="a,b")
-    p.add_argument("--error", default="none", help="Pauli string or 'none'")
-    _add_common(p, runner=True)
-    p.set_defaults(func=_cmd_run_storage)
-    p = run_sub.add_parser("transversal-t", help="transversal T on the masked rm15 block")
-    p.add_argument("--keys", required=True, help="a,b")
-    p.add_argument("--amps", required=True, help="re,im,re,im for c0,c1")
-    _add_common(p, runner=True, forced=True)
-    p.set_defaults(func=_cmd_run_transversal_t)
-    p = run_sub.add_parser("logical-t", help="logical-mask T on the nine-qubit code")
-    p.add_argument("--keys", required=True, help="a,b")
-    p.add_argument("--amps", required=True, help="re,im,re,im for c0,c1")
-    _add_common(p, runner=True, forced=True)
-    p.set_defaults(func=_cmd_run_logical_t)
-
-    report_p = sub.add_parser("report", help="derived reports")
-    report_sub = report_p.add_subparsers(dest="sub", required=True)
-    p = report_sub.add_parser("resources", help="register cost of one teleported gate")
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_report_resources)
+    for group, group_help, verbs in _VERBS:
+        verb_sub = sub.add_parser(group, help=group_help).add_subparsers(dest="sub", required=True)
+        for verb, verb_help, handler, arguments in verbs:
+            p = verb_sub.add_parser(verb, help=verb_help)
+            for arg in arguments:
+                name, keywords = arg if isinstance(arg, tuple) else (arg, {})
+                p.add_argument(name, **{**_OPTIONS.get(name, {}), **keywords})
+            p.set_defaults(func=handler)
     return ap
 
 
@@ -395,7 +355,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code, doc, lines = args.func(args)
+        _emit(args, doc, lines)  # in the try: a failed write exits 2 too
+        return code
     except (ValueError, OSError) as exc:  # InputError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

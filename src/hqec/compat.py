@@ -189,9 +189,11 @@ def _diagonal_action(code_space: CodeSpace, p: int):
 
     A basis state whose amplitudes are not all i^e times one magnitude (no
     code space has one) is refused as such.  Then, in this order, |0>'s are
-    i^e m with N m^2 = 1 (within TOL), the qubit counts agree, and |1> holds
-    N amplitudes i^e m with <0|1>'s count of each power of i balanced, or
-    the basis is refused as not orthonormal."""
+    i^e m with N m^2 = 1 (within TOL), the qubit counts agree, |1> holds N
+    amplitudes i^e m, and on shared keys <0|1>'s count of each power of i
+    is balanced, or the basis is refused as not orthonormal.  Two states
+    that share some keys but not all are refused as CodeSpace.plan refuses
+    them."""
     zero, one = code_space.basis
     (m, e0), (m1, e1) = map(_unit_exponents, (zero.amps, one.amps))
     if None in e0 or None in e1:
@@ -204,21 +206,18 @@ def _diagonal_action(code_space: CodeSpace, p: int):
     if len(e1) != size or m1 != m:
         raise ValueError("projection span is not orthonormal")
     t0 = [p * k.bit_count() & 7 for k in zero.keys]
-    if zero.keys != one.keys and set(zero.keys).isdisjoint(one.keys):
+    if zero.keys == one.keys:
+        if any(_omega_sum([2 * (f - e) & 7 for e, f in zip(e0, e1)])):
+            raise ValueError("projection span is not orthonormal")
+        t1 = t0
+        d01 = [(2 * (f - e) + t) & 7 for e, f, t in zip(e0, e1, t0)]
+        d10 = [(2 * (e - f) + t) & 7 for e, f, t in zip(e0, e1, t0)]
+    elif set(zero.keys).isdisjoint(one.keys):
         # every code space whose logical X has an X part: <0|1> and both
         # off-diagonal entries are empty sums
         t1, d01, d10 = [p * k.bit_count() & 7 for k in one.keys], [], []
-    else:
-        if zero.keys == one.keys:
-            t1, shared = t0, list(zip(e0, e1, t0))
-        else:  # a hand-built basis may share some keys but not all
-            at = dict(zip(one.keys, e1))
-            t1 = [p * k.bit_count() & 7 for k in one.keys]
-            shared = [(e, at[k], t) for k, e, t in zip(zero.keys, e0, t0) if k in at]
-        if any(_omega_sum([2 * (f - e) & 7 for e, f, _ in shared])):
-            raise ValueError("projection span is not orthonormal")
-        d01 = [(2 * (f - e) + t) & 7 for e, f, t in shared]
-        d10 = [(2 * (e - f) + t) & 7 for e, f, t in shared]
+    else:  # as CodeSpace.plan refuses it; logical_codewords builds no such basis
+        raise ValueError("code-space basis states share some keys but not all")
     rows = (_omega_sum(t0 + d01), _omega_sum(d10 + t1))  # N sqrt2 <i|gate|+>
     P = 2 * size * size - sum(x * x for row in rows for x in row)
     Q = sum(a * b + b * c + c * d - d * a for a, b, c, d in rows)

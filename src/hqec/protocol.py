@@ -64,7 +64,6 @@ from .states import (
     MonomialLayer,
     SparseState,
     _terms_state,
-    _weight,
     apply_cnot,
     apply_monomial,
     apply_pauli,
@@ -588,9 +587,6 @@ def run_logical_t_protocol(amplitudes, key, rng, forced_outcome=None) -> Logical
     a, b = keys.pair(1)
     enc = apply_paulis(psi, code.logical_z[:b] + code.logical_x[:a])
     x = space.coords(enc)
-    total = _weight(x)
-    if abs(total - 1) > TOL:
-        raise ProtocolError(f"logical Bell measurement probabilities sum to {total}")
     forced = None if forced_outcome is None else [forced_outcome]
     register = _terms_state(1, [t for t in zip((0, 1), x) if abs(t[1]) > PRUNE_TOL])  # SparseState's prune
     run = run_circuit(register, _LOGICAL_T_CIRCUIT, keys, rng, forced)

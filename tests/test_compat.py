@@ -333,9 +333,21 @@ class TestDiagonalActionOracle:
     @pytest.mark.parametrize("phase", PHASES)
     def test_partly_shared_keys(self, phase):
         # an orthonormal hand-built basis whose states share two keys of four
+        # is refused, as CodeSpace.plan refuses it, and the refusal caches
+        # nothing; a phase that is no power of omega is refused first
         zero = SparseState(3, [0, 1, 2, 3], [0.5, 0.5, 0.5j, -0.5])
         one = SparseState(3, [0, 1, 4, 5], [0.5, -0.5, -0.5j, 0.5j])
-        _same_verdict(CodeSpace(cached_code("bit_flip"), (zero, one)), phase)
+        cs = CodeSpace(cached_code("bit_flip"), (zero, one))
+        refusal = "^code-space basis states share some keys but not all$"
+        if min(abs(phase - OMEGA**p) for p in range(8)) > 1e-9:
+            refusal = r"is not a power of omega = exp\(i pi/4\)$"
+        before = compat._diagonal_action.cache_info()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=refusal):
+                diagonal_gate_action(cs, phase)
+            with pytest.raises(ValueError, match="^code-space basis states share some keys but not all$"):
+                clifford_correction_for_t(cs)
+        assert compat._diagonal_action.cache_info().hits == before.hits
 
     @pytest.mark.parametrize("phase", PHASES)
     def test_disjoint_keys(self, phase):

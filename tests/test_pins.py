@@ -38,10 +38,17 @@ projection route that they replaced, with the same verdict.  It moved once
 since, when a basis of other amplitudes got its own refusal message in place
 of "projection span is not orthonormal": with the old message put back in
 those lines, the digest is the one before.
+
+The parser pin hashes the structure of the CLI's argument parser: every
+parser under build_parser(), by its path of verb names, and each of its
+actions' class, option strings, dest, nargs, default, type, choices,
+required flag and help, with each verb's help line.  It hashes no --help
+text, whose layout differs across Python versions.
 """
 
 import cmath
 import hashlib
+import argparse
 import json
 import math
 import random
@@ -49,6 +56,7 @@ import random
 import pytest
 
 from hqec import BUILTIN_NAMES
+from hqec.cli import build_parser
 from hqec.codes import CodeSpace, builtin_code, logical_codewords, parse_code_text
 from hqec.compat import OMEGA, ProtocolError, diagonal_gate_action
 from hqec.protocol import (
@@ -343,3 +351,20 @@ def _diagonal_lines():
 def test_diagonal_action_pin():
     assert _digest(_diagonal_lines()) == (
         "7b97e59c2f4b7c9b1ea9a8ab6af5951b53f9381147b1a039c4df0894ff7f03c5")
+
+
+def _parser_lines(parser, path="hqec"):
+    yield f"parser {path} {parser.description!r}"
+    for a in parser._actions:
+        yield " ".join(map(repr, (type(a).__name__, a.option_strings, a.dest, a.nargs, a.default,
+                                   getattr(a.type, "__name__", a.type), a.choices and list(a.choices),
+                                   a.required, a.help)))
+        if isinstance(a, argparse._SubParsersAction):
+            yield from (f"verb {verb.dest!r} {verb.help!r}" for verb in a._choices_actions)
+            for name, sub in a.choices.items():
+                yield from _parser_lines(sub, f"{path} {name}")
+
+
+def test_parser_pin():
+    assert _digest(_parser_lines(build_parser())) == (
+        "fdc09d6d2ddfb2bd5a7daf829f9767e933cd9d8424acd45f75c570131acb8203")
